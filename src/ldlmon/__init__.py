@@ -14,6 +14,7 @@ from .automata import (
     aut_from_json,
     aut_to_json,
     complement,
+    compile_dfa,
     complete,
     determinize,
     is_empty,

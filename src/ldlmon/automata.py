@@ -21,6 +21,7 @@ step base cases flipped to their out-of-trace values.
 from __future__ import annotations
 
 import json
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -556,6 +557,49 @@ def product_pairs(a: Dfa, b: Dfa, accept=None):
 
 def product(a: Dfa, b: Dfa, accept=None) -> Dfa:
     return product_pairs(a, b, accept)[0]
+
+
+def product_fold(dfas, accept=None) -> Dfa:
+    """Minimized product of one or more total DFAs, folded left to right.
+
+    Minimizing after every product keeps each intermediate automaton no
+    larger than the minimal DFA of the partial conjunction (or whatever
+    ``accept`` combines).
+    """
+    dfas = iter(dfas)
+    folded = next(dfas)
+    for dfa in dfas:
+        folded = minimize(product(folded, dfa, accept))
+    return folded
+
+
+def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Dfa:
+    """The minimal total DFA of an LDLf formula.
+
+    Boolean structure at the top is compiled compositionally: a negation
+    complements its argument's DFA, and a chain of conjunctions (or
+    disjunctions) is flattened without recursion and folded by minimized
+    products of the operands' DFAs.  Anything else goes through the NFA
+    construction and the subset construction.  Minimal DFAs are unique
+    and ``minimize`` numbers states canonically, so the tables are the
+    same whichever way they were built; only the debug labels differ.
+    """
+    if isinstance(formula, ldl.Not):
+        return complement(compile_dfa(formula.arg, alphabet))
+    if isinstance(formula, (ldl.And, ldl.Or)):
+        kind = type(formula)
+        operands = []
+        pending = [formula]
+        while pending:
+            f = pending.pop()
+            if isinstance(f, kind):
+                pending.append(f.right)
+                pending.append(f.left)
+            else:
+                operands.append(f)
+        accept = None if kind is ldl.And else operator.or_
+        return product_fold((compile_dfa(f, alphabet) for f in operands), accept)
+    return minimize(determinize(ldlf_to_nfa(formula, alphabet)))
 
 
 def minimize(dfa: Dfa) -> Dfa:

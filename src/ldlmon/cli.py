@@ -30,7 +30,7 @@ import argparse
 import json
 import sys
 
-from .automata import aut_to_json, determinize, guard_for_letters, ldlf_to_nfa, minimize, to_dot
+from .automata import aut_to_json, compile_dfa, determinize, guard_for_letters, ldlf_to_nfa, to_dot
 from .declare import (
     MetaMonitor,
     ModelMonitor,
@@ -42,7 +42,7 @@ from .declare import (
     parse_decl,
     parse_meta,
 )
-from .monitor import Monitor, color, monitor_automaton
+from .monitor import Monitor, color
 from .rv import RVState
 from .syntax import (
     Alphabet,
@@ -200,9 +200,10 @@ def _write_output(text: str, out: str | None):
 
 def _cmd_compile(args) -> int:
     formula, alphabet = _resolve_formula(args)
-    dfa = determinize(ldlf_to_nfa(formula, alphabet))
-    if not args.no_minimize:
-        dfa = minimize(dfa)
+    if args.no_minimize:
+        dfa = determinize(ldlf_to_nfa(formula, alphabet))
+    else:
+        dfa = compile_dfa(formula, alphabet)
     colors = color(dfa).colors if args.colors else None
     if args.format == "dot":
         text = to_dot(dfa, colors)
@@ -218,12 +219,12 @@ def _cmd_monitor(args) -> int:
     formula, alphabet = _resolve_formula(args)
     monitor = Monitor.for_formula(formula, alphabet, lazy=args.lazy)
     events = _read_trace(args.trace, alphabet)
+    begin = monitor.current_rv()
     steps = []
     for event in events:
         state = monitor.step(event)
         steps.append((event, state))
     verdict = finalize(monitor.current_rv())
-    begin = Monitor(monitor_automaton(formula, alphabet)).current_rv()
     if args.format == "json":
         payload = {
             "begin": begin.value,

@@ -31,7 +31,9 @@ states* of other constraints::
 
 Monitoring facades (``ModelMonitor``, ``MetaMonitor``) run all the
 constraint monitors in lockstep and can render the run as a timeline
-table.
+table.  The whole-model monitor is the minimized product of the local
+constraints' minimal DFAs, never one automaton compiled from the
+conjunction formula.
 """
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ import re as _re
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .automata import compile_dfa, product_fold
 from .metaconstraints import (
     compensation,
     conflict,
@@ -246,10 +249,10 @@ def local_monitors(model: DeclareModel, *, lazy: bool = False) -> dict[str, Moni
 
 
 def global_monitor(model: DeclareModel, *, lazy: bool = False) -> Monitor:
-    formula: ldl.Ldlf = model.constraints[0].to_ldlf()
-    for c in model.constraints[1:]:
-        formula = ldl.And(formula, c.to_ldlf())
-    return Monitor.for_formula(formula, model.alphabet, lazy=lazy)
+    """The whole-model monitor: the minimized product of the constraints'
+    minimal DFAs."""
+    dfas = (compile_dfa(c.to_ldlf(), model.alphabet) for c in model.constraints)
+    return Monitor(product_fold(dfas), lazy=lazy)
 
 
 class Verdict(Enum):
@@ -322,12 +325,18 @@ def _forbidden_cell(monitor: Monitor, governing: RVState) -> str:
 
 class ModelMonitor:
     """All of a model's constraint monitors plus the whole-model monitor,
-    advanced in lockstep."""
+    advanced in lockstep.
+
+    The whole-model monitor is the minimized product of the DFAs the
+    local monitors already hold, so no constraint is compiled twice.
+    """
 
     def __init__(self, model: DeclareModel, *, lazy: bool = False):
         self.model = model
         self.locals = local_monitors(model, lazy=lazy)
-        self.overall = global_monitor(model, lazy=lazy)
+        self.overall = Monitor(
+            product_fold(m.dfa for m in self.locals.values()), lazy=lazy
+        )
         self.events: list[str] = []
 
     def reset(self):

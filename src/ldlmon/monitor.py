@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 from .automata import (
     Dfa,
-    Nfa,
     complement,
+    compile_dfa,
     determinize,
     ldlf_to_nfa,
-    minimize,
     prefix_closure,
     reachable_from,
 )
@@ -107,14 +106,18 @@ def monitor_automaton(
 ) -> ColoredDfa:
     """Compile a formula into its colored monitor automaton.
 
+    The minimized automaton comes from ``compile_dfa``: a conjunction or
+    disjunction at the top is the minimized product of its operands'
+    minimal DFAs, and a negation the complement of its argument's DFA,
+    so a whole-model conjunction is never compiled as one NFA.
     Minimization merges only language-equal states, and colors are
     determined by the state's language, so it cannot change any answer;
-    it just keeps monitors small.
+    it just keeps monitors small.  ``minimized=False`` gives the raw
+    subset construction.
     """
-    dfa = determinize(ldlf_to_nfa(formula, alphabet))
     if minimized:
-        dfa = minimize(dfa)
-    return color(dfa)
+        return color(compile_dfa(formula, alphabet))
+    return color(determinize(ldlf_to_nfa(formula, alphabet)))
 
 
 class Monitor:
@@ -139,11 +142,7 @@ class Monitor:
     def for_formula(
         cls, formula: ldl.Ldlf, alphabet: Alphabet, *, lazy: bool = False
     ) -> "Monitor":
-        dfa = determinize(ldlf_to_nfa(formula, alphabet))
-        dfa = minimize(dfa)
-        if lazy:
-            return cls(dfa, lazy=True)
-        return cls(color(dfa))
+        return cls(compile_dfa(formula, alphabet), lazy=lazy)
 
     def reset(self):
         self.current = self.dfa.initial

@@ -13,13 +13,7 @@ the empty word.  An empty language folds to the unmatchable step
 """
 from __future__ import annotations
 
-from .automata import (
-    determinize,
-    guard_for_letters,
-    ldlf_to_nfa,
-    minimize,
-    prefix_closure,
-)
+from .automata import compile_dfa, guard_for_letters, minimize, prefix_closure
 from .syntax import ldl
 from .syntax.alphabet import Alphabet
 from .syntax.props import FALSE
@@ -135,8 +129,7 @@ def automaton_to_regex(aut) -> ldl.Path:
 def pref_regex(formula: ldl.Ldlf, alphabet: Alphabet) -> ldl.Path:
     """Regex of the prefixes extendable (possibly by nothing) into a
     trace satisfying the formula."""
-    dfa = minimize(determinize(ldlf_to_nfa(formula, alphabet)))
-    closed = minimize(prefix_closure(dfa))
+    closed = minimize(prefix_closure(compile_dfa(formula, alphabet)))
     return automaton_to_regex(closed)
 
 
@@ -145,5 +138,4 @@ def regex_for_rv(formula: ldl.Ldlf, state, alphabet: Alphabet) -> ldl.Path:
     from .monitor import rv_formula
 
     characteristic = rv_formula(formula, state, alphabet)
-    dfa = minimize(determinize(ldlf_to_nfa(characteristic, alphabet)))
-    return automaton_to_regex(dfa)
+    return automaton_to_regex(compile_dfa(characteristic, alphabet))

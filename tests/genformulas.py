@@ -75,6 +75,22 @@ def random_ldlf(rng, names, depth=3, star_depth=1):
     return f
 
 
+def random_boolean_ldlf(rng, names, depth=2):
+    """Random LDLf operands under a random boolean top: negations and
+    chains of two to four conjuncts or disjuncts, nested either way."""
+    if depth == 0 or rng.random() < 0.2:
+        return random_ldlf(rng, names)
+    op = rng.choice(("and", "or", "not"))
+    if op == "not":
+        return ldl.Not(random_boolean_ldlf(rng, names, depth - 1))
+    build = ldl.And if op == "and" else ldl.Or
+    f = random_boolean_ldlf(rng, names, depth - 1)
+    for _ in range(rng.randint(1, 3)):
+        g = random_boolean_ldlf(rng, names, depth - 1)
+        f = build(f, g) if rng.random() < 0.5 else build(g, f)
+    return f
+
+
 def random_ltlf(rng, names, depth=4):
     if depth == 0 or rng.random() < 0.3:
         return ltl.LtlfProp(random_prop(rng, names, 1))
