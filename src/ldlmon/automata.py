@@ -274,17 +274,26 @@ class Nfa:
     def successors(self, state: int, letter: frozenset) -> frozenset:
         return self.transitions.get(state, {}).get(letter, frozenset())
 
+    def edges(self, state: int):
+        """The (letter, target) pairs leaving a state, in letter order and
+        then target order."""
+        row = self.transitions.get(state, {})
+        for letter in self.alphabet.letters():
+            for target in sorted(row.get(letter, ())):
+                yield letter, target
+
     def triples(self):
-        for state in sorted(self.transitions):
-            by_letter = self.transitions[state]
-            for letter in self.alphabet.letters():
-                for target in sorted(by_letter.get(letter, ())):
-                    yield state, letter, target
+        for state in range(self.n_states):
+            for letter, target in self.edges(state):
+                yield state, letter, target
 
 
 @dataclass(frozen=True)
 class Dfa:
-    """A deterministic, total automaton over an alphabet's letters."""
+    """A deterministic, total automaton over an alphabet's letters.
+
+    Rows map letter -> successor state, so a step is one lookup.
+    """
 
     alphabet: Alphabet
     n_states: int
@@ -308,12 +317,14 @@ class Dfa:
             for s in range(self.n_states)
         )
 
-    def triples(self):
-        for state in range(self.n_states):
-            row = self.transitions.get(state, {})
-            for letter in self.alphabet.letters():
-                if letter in row:
-                    yield state, letter, row[letter]
+    def edges(self, state: int):
+        """The (letter, target) pairs leaving a state, in letter order."""
+        row = self.transitions.get(state, {})
+        for letter in self.alphabet.letters():
+            if letter in row:
+                yield letter, row[letter]
+
+    triples = Nfa.triples
 
 
 def ldlf_to_nfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Nfa:
@@ -609,8 +620,7 @@ def minimize(dfa: Dfa) -> Dfa:
         msg = "minimize needs a total automaton; call complete() first"
         raise ValueError(msg)
     letters = dfa.alphabet.letters()
-    reachable = _forward_reachable(dfa)
-    states = sorted(reachable)
+    states = sorted(reachable_from(dfa, dfa.initial))
     block = {s: (1 if s in dfa.finals else 0) for s in states}
     while True:
         signatures = {
@@ -663,36 +673,15 @@ def minimize(dfa: Dfa) -> Dfa:
     )
 
 
-def _forward_reachable(aut) -> set:
-    seen = {aut.initial}
-    queue = deque((aut.initial,))
-    while queue:
-        state = queue.popleft()
-        row = aut.transitions.get(state, {})
-        for targets in row.values():
-            if isinstance(targets, int):
-                targets = (targets,)
-            for target in targets:
-                if target not in seen:
-                    seen.add(target)
-                    queue.append(target)
-    return seen
-
-
 def reachable_from(aut, state: int) -> frozenset:
     """States reachable from the given state, itself included."""
     seen = {state}
     queue = deque((state,))
     while queue:
-        current = queue.popleft()
-        row = aut.transitions.get(current, {})
-        for targets in row.values():
-            if isinstance(targets, int):
-                targets = (targets,)
-            for target in targets:
-                if target not in seen:
-                    seen.add(target)
-                    queue.append(target)
+        for _, target in aut.edges(queue.popleft()):
+            if target not in seen:
+                seen.add(target)
+                queue.append(target)
     return frozenset(seen)
 
 
@@ -704,12 +693,8 @@ def prefix_closure(aut):
     shape as the input.
     """
     backward: dict = {}
-    for state, row in aut.transitions.items():
-        for targets in row.values():
-            if isinstance(targets, int):
-                targets = (targets,)
-            for target in targets:
-                backward.setdefault(target, set()).add(state)
+    for state, _, target in aut.triples():
+        backward.setdefault(target, set()).add(state)
     closed = set(aut.finals)
     queue = deque(aut.finals)
     while queue:
@@ -733,20 +718,17 @@ def trim(nfa: Nfa) -> Nfa:
     """Keep only states that lie on some accepting run (reachable and
     able to reach a final state).  The initial state is always kept so
     an empty language still has a well-formed automaton."""
-    forward = _forward_reachable(nfa)
-    productive = set(prefix_closure(nfa).finals)
+    forward = reachable_from(nfa, nfa.initial)
+    productive = prefix_closure(nfa).finals
     kept = sorted(s for s in forward if s in productive or s == nfa.initial)
     ids = {s: i for i, s in enumerate(kept)}
     transitions = {}
     for state in kept:
-        row = {}
-        for letter, targets in nfa.transitions.get(state, {}).items():
-            if isinstance(targets, int):
-                targets = (targets,)
-            filtered = frozenset(ids[t] for t in targets if t in ids)
-            if filtered:
-                row[letter] = filtered
-        transitions[ids[state]] = row
+        row: dict = {}
+        for letter, target in nfa.edges(state):
+            if target in ids:
+                row.setdefault(letter, set()).add(ids[target])
+        transitions[ids[state]] = {l: frozenset(ts) for l, ts in row.items()}
     return Nfa(
         alphabet=nfa.alphabet,
         n_states=len(kept),
@@ -759,7 +741,7 @@ def trim(nfa: Nfa) -> Nfa:
 
 def is_empty(aut) -> bool:
     """Whether the automaton accepts no trace at all."""
-    return not (_forward_reachable(aut) & set(aut.finals))
+    return not (reachable_from(aut, aut.initial) & aut.finals)
 
 
 def accepts(aut, trace) -> bool:
@@ -834,6 +816,18 @@ def guard_for_letters(alphabet: Alphabet, letters) -> Prop:
     return guard
 
 
+def guards_by_target(aut, state: int) -> dict:
+    """The edges leaving a state, compressed to one guard per target;
+    targets come in the order of their first edge."""
+    grouped: dict = {}
+    for letter, target in aut.edges(state):
+        grouped.setdefault(target, []).append(letter)
+    return {
+        target: guard_for_letters(aut.alphabet, letters)
+        for target, letters in grouped.items()
+    }
+
+
 _DOT_COLORS = {
     "temp_true": "#fdb863",
     "temp_false": "#80b1d3",
@@ -860,15 +854,7 @@ def to_dot(aut, colors=None, name: str = "automaton") -> str:
         lines.append(f"  s{state} [{' '.join(attrs)}];")
     lines.append(f"  hidden -> s{aut.initial};")
     for state in range(aut.n_states):
-        grouped: dict = {}
-        row = aut.transitions.get(state, {})
-        for letter, targets in row.items():
-            if isinstance(targets, int):
-                targets = (targets,)
-            for target in targets:
-                grouped.setdefault(target, []).append(letter)
-        for target in sorted(grouped):
-            guard = guard_for_letters(aut.alphabet, grouped[target])
+        for target, guard in sorted(guards_by_target(aut, state).items()):
             label = _dot_escape(print_prop(guard))
             lines.append(f'  s{state} -> s{target} [label="{label}"];')
     lines.append("}")
@@ -881,18 +867,6 @@ def _dot_escape(text: str) -> str:
 
 def aut_to_json(aut, colors=None) -> str:
     """Stable JSON rendering used for golden files and the CLI."""
-    letters = aut.alphabet.letters()
-    triples = []
-    for state in range(aut.n_states):
-        row = aut.transitions.get(state, {})
-        for letter in letters:
-            targets = row.get(letter)
-            if targets is None:
-                continue
-            if isinstance(targets, int):
-                targets = (targets,)
-            for target in sorted(targets):
-                triples.append([state, sorted(letter), target])
     payload = {
         "kind": "dfa" if isinstance(aut, Dfa) else "nfa",
         "props": list(aut.alphabet.props),
@@ -900,7 +874,7 @@ def aut_to_json(aut, colors=None) -> str:
         "n_states": aut.n_states,
         "initial": aut.initial,
         "finals": sorted(aut.finals),
-        "transitions": triples,
+        "transitions": [[s, sorted(letter), t] for s, letter, t in aut.triples()],
     }
     if colors is not None:
         payload["colors"] = [

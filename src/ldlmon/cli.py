@@ -21,8 +21,8 @@ Traces are files with one event per line: a task name (bare or quoted)
 in task mode, a JSON list of the true propositions otherwise.  Blank
 lines and ``#`` comments are skipped; ``-`` reads standard input.
 
-Exit status: 0 on success, 1 on a usage or input error, 2 if an
-internal invariant broke.
+Exit status: 0 on success, 1 on a usage or input error (including a
+formula nested too deeply to process), 2 if an internal invariant broke.
 """
 from __future__ import annotations
 
@@ -30,17 +30,16 @@ import argparse
 import json
 import sys
 
-from .automata import aut_to_json, compile_dfa, determinize, guard_for_letters, ldlf_to_nfa, to_dot
+from .automata import aut_to_json, compile_dfa, determinize, guards_by_target, ldlf_to_nfa, to_dot
 from .declare import (
     MetaMonitor,
     ModelMonitor,
     ModelSyntaxError,
-    PATTERNS,
     Timeline,
-    _CALL_RE,
     finalize,
     parse_decl,
     parse_meta,
+    parse_pattern,
 )
 from .monitor import Monitor, color
 from .rv import RVState
@@ -71,27 +70,6 @@ def _split_names(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _pattern_formula(text: str, alphabet: Alphabet | None):
-    call = _CALL_RE.match(text.strip())
-    if call is None:
-        raise CliError(f"not a pattern call: {text!r}")
-    pattern, arg_text = call.group(1), call.group(2)
-    entry = PATTERNS.get(pattern)
-    if entry is None:
-        known = ", ".join(sorted(PATTERNS))
-        raise CliError(f"unknown pattern {pattern!r} (known: {known})")
-    builder, arity = entry
-    args = [part.strip() for part in arg_text.split(",") if part.strip()]
-    if len(args) != arity:
-        raise CliError(f"{pattern} takes {arity} task(s), got {len(args)}")
-    if alphabet is None:
-        alphabet = Alphabet.tasks(args)
-    for arg in args:
-        if arg not in alphabet:
-            raise CliError(f"unknown task {arg!r}")
-    return ltlf_to_ldlf(builder(*args)), alphabet
-
-
 def _resolve_formula(args) -> tuple:
     """Parse args.formula per args.lang; returns (ldlf, alphabet)."""
     alphabet = None
@@ -100,7 +78,8 @@ def _resolve_formula(args) -> tuple:
     elif getattr(args, "props", None):
         alphabet = Alphabet.of(*_split_names(args.props))
     if args.lang == "pattern":
-        return _pattern_formula(args.formula, alphabet)
+        formula, alphabet = parse_pattern(args.formula, alphabet)
+        return ltlf_to_ldlf(formula), alphabet
     if alphabet is None:
         names = scan_names(args.formula)
         if not names:
@@ -174,16 +153,8 @@ def _aut_to_text(aut, colors=None) -> str:
             tags.append(str(colors[state]))
         suffix = f"  ({', '.join(tags)})" if tags else ""
         lines.append(f"state {state}{suffix}")
-        grouped: dict = {}
-        row = aut.transitions.get(state, {})
-        for letter, targets in row.items():
-            if isinstance(targets, int):
-                targets = (targets,)
-            for target in targets:
-                grouped.setdefault(target, []).append(letter)
-        for target in sorted(grouped):
-            guard = print_prop(guard_for_letters(aut.alphabet, grouped[target]))
-            lines.append(f"  {guard} -> {target}")
+        for target, guard in sorted(guards_by_target(aut, state).items()):
+            lines.append(f"  {print_prop(guard)} -> {target}")
     return "\n".join(lines) + "\n"
 
 
@@ -217,7 +188,7 @@ def _cmd_compile(args) -> int:
 
 def _cmd_monitor(args) -> int:
     formula, alphabet = _resolve_formula(args)
-    monitor = Monitor.for_formula(formula, alphabet, lazy=args.lazy)
+    monitor = Monitor.for_formula(formula, alphabet)
     events = _read_trace(args.trace, alphabet)
     begin = monitor.current_rv()
     steps = []
@@ -264,7 +235,7 @@ def _trace_tasks(events) -> list[str]:
 def _cmd_declare(args) -> int:
     model = parse_decl(_read_model_file(args.model))
     events = _read_trace(args.trace, model.alphabet)
-    runner = ModelMonitor(model, lazy=args.lazy)
+    runner = ModelMonitor(model)
     timeline = runner.timeline(_trace_tasks(events))
     _emit_timeline(timeline, args.format, args.out)
     return 0
@@ -273,7 +244,7 @@ def _cmd_declare(args) -> int:
 def _cmd_meta(args) -> int:
     model = parse_meta(_read_model_file(args.model))
     events = _read_trace(args.trace, model.alphabet)
-    runner = MetaMonitor(model, lazy=args.lazy)
+    runner = MetaMonitor(model)
     timeline = runner.timeline(_trace_tasks(events))
     _emit_timeline(timeline, args.format, args.out)
     return 0
@@ -281,7 +252,7 @@ def _cmd_meta(args) -> int:
 
 def _cmd_repl(args) -> int:
     formula, alphabet = _resolve_formula(args)
-    monitor = Monitor.for_formula(formula, alphabet, lazy=args.lazy)
+    monitor = Monitor.for_formula(formula, alphabet)
     out = sys.stdout
     out.write(f"begin {monitor.current_rv()}\n")
     out.write("one event per line; :end completes the trace\n")
@@ -342,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_formula_args(p_monitor, lang_choices=["ldlf", "ltlf", "pattern"])
     p_monitor.add_argument("--trace", required=True, help="trace file, - for stdin")
     p_monitor.add_argument("--format", choices=["ascii", "json"], default="ascii")
-    p_monitor.add_argument("--lazy", action="store_true", help="color on demand")
     p_monitor.add_argument("--out", help="write here instead of stdout")
     p_monitor.set_defaults(run=_cmd_monitor)
 
@@ -350,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_declare.add_argument("model", help="model file")
     p_declare.add_argument("--trace", required=True, help="trace file, - for stdin")
     p_declare.add_argument("--format", choices=["ascii", "json"], default="ascii")
-    p_declare.add_argument("--lazy", action="store_true", help="color on demand")
     p_declare.add_argument("--out", help="write here instead of stdout")
     p_declare.set_defaults(run=_cmd_declare)
 
@@ -358,13 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_meta.add_argument("model", help="model file")
     p_meta.add_argument("--trace", required=True, help="trace file, - for stdin")
     p_meta.add_argument("--format", choices=["ascii", "json"], default="ascii")
-    p_meta.add_argument("--lazy", action="store_true", help="color on demand")
     p_meta.add_argument("--out", help="write here instead of stdout")
     p_meta.set_defaults(run=_cmd_meta)
 
     p_repl = sub.add_parser("repl", help="monitor events typed interactively")
     _add_formula_args(p_repl, lang_choices=["ldlf", "ltlf", "pattern"])
-    p_repl.add_argument("--lazy", action="store_true", help="color on demand")
     p_repl.set_defaults(run=_cmd_repl)
 
     return parser
@@ -380,6 +347,9 @@ def main(argv=None) -> int:
         return 1
     except (FormulaSyntaxError, ModelSyntaxError, ValueError, KeyError) as exc:
         print(f"ldlmon: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("ldlmon: formula nested too deeply to process", file=sys.stderr)
         return 1
     except BrokenPipeError:
         return 0

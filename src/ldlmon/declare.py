@@ -176,25 +176,41 @@ def _parse_tasks(line: str, no: int) -> Alphabet:
         raise ModelSyntaxError(str(exc), no) from None
 
 
-def _build_pattern(body: str, alphabet: Alphabet, no: int) -> ltl.Ltlf:
-    call = _CALL_RE.match(body)
+def parse_pattern(
+    text: str, alphabet: Alphabet | None = None
+) -> tuple[ltl.Ltlf, Alphabet]:
+    """The formula of a pattern call such as ``response(pay, get)``, and
+    its alphabet: the given one, or with none the call's own tasks.
+
+    Raises ValueError on a malformed call, an unknown pattern, a wrong
+    number of tasks or a task outside the alphabet.
+    """
+    call = _CALL_RE.match(text.strip())
     if call is None:
-        msg = f"expected pattern(task, ...), got {body!r}"
-        raise ModelSyntaxError(msg, no)
+        msg = f"expected pattern(task, ...), got {text!r}"
+        raise ValueError(msg)
     pattern, arg_text = call.group(1), call.group(2)
     entry = PATTERNS.get(pattern)
     if entry is None:
         known = ", ".join(sorted(PATTERNS))
-        raise ModelSyntaxError(f"unknown pattern {pattern!r} (known: {known})", no)
+        raise ValueError(f"unknown pattern {pattern!r} (known: {known})")
     builder, arity = entry
     args = [part.strip() for part in arg_text.split(",") if part.strip()]
     if len(args) != arity:
-        msg = f"{pattern} takes {arity} task(s), got {len(args)}"
-        raise ModelSyntaxError(msg, no)
+        raise ValueError(f"{pattern} takes {arity} task(s), got {len(args)}")
+    if alphabet is None:
+        alphabet = Alphabet.tasks(args)
     for arg in args:
         if arg not in alphabet:
-            raise ModelSyntaxError(f"unknown task {arg!r}", no)
-    return builder(*args)
+            raise ValueError(f"unknown task {arg!r}")
+    return builder(*args), alphabet
+
+
+def _build_pattern(body: str, alphabet: Alphabet, no: int) -> ltl.Ltlf:
+    try:
+        return parse_pattern(body, alphabet)[0]
+    except ValueError as exc:
+        raise ModelSyntaxError(str(exc), no) from None
 
 
 def _build_body(body: str, alphabet: Alphabet, no: int) -> ltl.Ltlf:
@@ -241,18 +257,18 @@ def parse_decl(text: str) -> DeclareModel:
     return DeclareModel(alphabet, tuple(constraints))
 
 
-def local_monitors(model: DeclareModel, *, lazy: bool = False) -> dict[str, Monitor]:
+def local_monitors(model: DeclareModel) -> dict[str, Monitor]:
     return {
-        c.name: Monitor.for_formula(c.to_ldlf(), model.alphabet, lazy=lazy)
+        c.name: Monitor.for_formula(c.to_ldlf(), model.alphabet)
         for c in model.constraints
     }
 
 
-def global_monitor(model: DeclareModel, *, lazy: bool = False) -> Monitor:
+def global_monitor(model: DeclareModel) -> Monitor:
     """The whole-model monitor: the minimized product of the constraints'
     minimal DFAs."""
     dfas = (compile_dfa(c.to_ldlf(), model.alphabet) for c in model.constraints)
-    return Monitor(product_fold(dfas), lazy=lazy)
+    return Monitor(product_fold(dfas))
 
 
 class Verdict(Enum):
@@ -331,12 +347,10 @@ class ModelMonitor:
     local monitors already hold, so no constraint is compiled twice.
     """
 
-    def __init__(self, model: DeclareModel, *, lazy: bool = False):
+    def __init__(self, model: DeclareModel):
         self.model = model
-        self.locals = local_monitors(model, lazy=lazy)
-        self.overall = Monitor(
-            product_fold(m.dfa for m in self.locals.values()), lazy=lazy
-        )
+        self.locals = local_monitors(model)
+        self.overall = Monitor(product_fold(m.dfa for m in self.locals.values()))
         self.events: list[str] = []
 
     def reset(self):
@@ -559,20 +573,16 @@ class MetaMonitor:
     """Monitors for the shown constraints and every directive, advanced
     in lockstep.  Directive formulas are expanded to plain LDLf first."""
 
-    def __init__(self, model: MetaModel, *, lazy: bool = False):
+    def __init__(self, model: MetaModel):
         self.model = model
         self.shown = {
-            name: Monitor.for_formula(
-                model.define(name).to_ldlf(), model.alphabet, lazy=lazy
-            )
+            name: Monitor.for_formula(model.define(name).to_ldlf(), model.alphabet)
             for name in model.shows
         }
         self.meta = {}
         for directive in model.directives:
             expanded = expand(model.directive_formula(directive), model.alphabet)
-            self.meta[directive.name] = Monitor.for_formula(
-                expanded, model.alphabet, lazy=lazy
-            )
+            self.meta[directive.name] = Monitor.for_formula(expanded, model.alphabet)
         self.events: list[str] = []
 
     def reset(self):

@@ -3,17 +3,19 @@
 A property's monitor is its automaton, determinized, kept total (the
 rejecting sink is not trimmed away) and colored: each state gets the RV
 state shared by every trace that reaches it.  The color follows from
-acceptance of the state itself and of the states reachable from it
-(reachability includes the state, via the zero-length path):
+whether the property and its negation can still be reached from the
+state, that is, whether the state is final in the prefix closure of the
+automaton (pref(f)) and in that of its complement (pref(!f)):
 
-* final, with a non-final state reachable: temporarily satisfied;
-* non-final, with a final state reachable: temporarily violated;
-* final, with only final states reachable: permanently satisfied;
-* non-final, with no final state reachable: permanently violated.
+* final, in pref(!f): temporarily satisfied;
+* non-final, in pref(f): temporarily violated;
+* final, not in pref(!f): permanently satisfied;
+* non-final, not in pref(f): permanently violated.
 
-``rv_formula`` builds, for each RV state, an LDLf formula satisfied by
-exactly the traces the property maps to that state, by combining the
-property with prefix-language regexes folded out of its automaton.
+Both closures are one backward search each, so coloring is linear in
+states times letters.  ``rv_formula`` builds, for each RV state, an LDLf
+formula satisfied by exactly the traces the property maps to that state,
+from the same two prefix languages folded into regexes.
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ from .automata import (
     determinize,
     ldlf_to_nfa,
     prefix_closure,
-    reachable_from,
 )
 from .rv import RVState
 from .syntax import ldl
@@ -51,54 +52,16 @@ def color(dfa: Dfa) -> ColoredDfa:
         msg = "coloring needs a total automaton; call complete() first"
         raise ValueError(msg)
     finals = dfa.finals
-    colors = []
-    for state in range(dfa.n_states):
-        reach = reachable_from(dfa, state)
-        accepting = state in finals
-        reach_all_final = reach <= finals
-        reach_some_final = bool(reach & finals)
-        if accepting and not reach_all_final:
-            verdict = RVState.TEMP_TRUE
-        elif not accepting and reach_some_final:
-            verdict = RVState.TEMP_FALSE
-        elif accepting:
-            verdict = RVState.PERM_TRUE
-        else:
-            verdict = RVState.PERM_FALSE
-        colors.append(verdict)
-    return ColoredDfa(dfa=dfa, colors=tuple(colors))
-
-
-class LazyColors:
-    """Color states on demand instead of up front.
-
-    Same answers as eager coloring; useful when only the states a trace
-    actually visits matter.
-    """
-
-    def __init__(self, dfa: Dfa):
-        if not dfa.is_total():
-            msg = "coloring needs a total automaton; call complete() first"
-            raise ValueError(msg)
-        self.dfa = dfa
-        self._cache: dict = {}
-
-    def color_of(self, state: int) -> RVState:
-        verdict = self._cache.get(state)
-        if verdict is None:
-            reach = reachable_from(self.dfa, state)
-            finals = self.dfa.finals
-            accepting = state in finals
-            if accepting:
-                verdict = (
-                    RVState.PERM_TRUE if reach <= finals else RVState.TEMP_TRUE
-                )
-            else:
-                verdict = (
-                    RVState.TEMP_FALSE if reach & finals else RVState.PERM_FALSE
-                )
-            self._cache[state] = verdict
-        return verdict
+    can_accept = prefix_closure(dfa).finals
+    can_reject = prefix_closure(complement(dfa)).finals
+    colors = tuple(
+        RVState.classify(
+            state in finals,
+            state in (can_reject if state in finals else can_accept),
+        )
+        for state in range(dfa.n_states)
+    )
+    return ColoredDfa(dfa=dfa, colors=colors)
 
 
 def monitor_automaton(
@@ -121,54 +84,38 @@ def monitor_automaton(
 
 
 class Monitor:
-    """Online monitor: feed events one at a time, read off the RV state.
+    """Online monitor: feed events one at a time, read off the RV state."""
 
-    ``lazy`` defers reachability analysis until a state's color is first
-    requested.
-    """
-
-    def __init__(self, automaton, *, lazy: bool = False):
-        if isinstance(automaton, ColoredDfa) and not lazy:
-            self._colors = automaton
-            dfa = automaton.dfa
-        else:
-            dfa = automaton.dfa if isinstance(automaton, ColoredDfa) else automaton
-            self._colors = LazyColors(dfa) if lazy else color(dfa)
-        self.dfa = dfa
-        self.current = dfa.initial
-        self.history: list = []
+    def __init__(self, automaton):
+        colored = automaton if isinstance(automaton, ColoredDfa) else color(automaton)
+        self.dfa = colored.dfa
+        self.colors = colored.colors
+        self.current = self.dfa.initial
 
     @classmethod
-    def for_formula(
-        cls, formula: ldl.Ldlf, alphabet: Alphabet, *, lazy: bool = False
-    ) -> "Monitor":
-        return cls(compile_dfa(formula, alphabet), lazy=lazy)
+    def for_formula(cls, formula: ldl.Ldlf, alphabet: Alphabet) -> "Monitor":
+        return cls(compile_dfa(formula, alphabet))
 
     def reset(self):
         self.current = self.dfa.initial
-        self.history.clear()
 
     def step(self, event) -> RVState:
         """Consume one event and return the RV state after it."""
-        letter = frozenset(event)
-        self.dfa.alphabet.check_letter(letter)
-        self.current = self.dfa.step(self.current, letter)
-        self.history.append(letter)
-        return self.current_rv()
+        self.current = self.dfa.step(self.current, frozenset(event))
+        return self.colors[self.current]
 
     def current_rv(self) -> RVState:
-        return self._colors.color_of(self.current)
+        return self.colors[self.current]
 
     def forbidden_symbols(self) -> list:
         """Letters whose next step would make the verdict permanently
         violated.  Naturally empty once permanently satisfied and the
         full letter set once permanently violated."""
-        out = []
-        for letter in self.dfa.alphabet.letters():
-            target = self.dfa.step(self.current, letter)
-            if self._colors.color_of(target) is RVState.PERM_FALSE:
-                out.append(letter)
-        return out
+        return [
+            letter
+            for letter, target in self.dfa.edges(self.current)
+            if self.colors[target] is RVState.PERM_FALSE
+        ]
 
 
 def rv_formula(formula: ldl.Ldlf, state: RVState, alphabet: Alphabet) -> ldl.Ldlf:
@@ -262,14 +209,9 @@ def shape_equivalent(a, b):
 def _edges_by_state(aut):
     out: dict = {}
     rev: dict = {}
-    for state in range(aut.n_states):
-        row = aut.transitions.get(state, {})
-        for letter, targets in row.items():
-            if isinstance(targets, int):
-                targets = (targets,)
-            for target in targets:
-                out.setdefault(state, {}).setdefault(letter, set()).add(target)
-                rev.setdefault(target, {}).setdefault(letter, set()).add(state)
+    for state, letter, target in aut.triples():
+        out.setdefault(state, {}).setdefault(letter, set()).add(target)
+        rev.setdefault(target, {}).setdefault(letter, set()).add(state)
     return out, rev
 
 
@@ -332,21 +274,8 @@ def _check_shape(a, b, mapping) -> bool:
         return False
     if len(mapping) != a.n_states or len(set(mapping.values())) != b.n_states:
         return False
-    edges_a = set()
-    for state in range(a.n_states):
-        for letter, targets in a.transitions.get(state, {}).items():
-            if isinstance(targets, int):
-                targets = (targets,)
-            for target in targets:
-                edges_a.add((mapping[state], letter, mapping[target]))
-    edges_b = set()
-    for state in range(b.n_states):
-        for letter, targets in b.transitions.get(state, {}).items():
-            if isinstance(targets, int):
-                targets = (targets,)
-            for target in targets:
-                edges_b.add((state, letter, target))
-    return edges_a == edges_b
+    edges_a = {(mapping[s], letter, mapping[t]) for s, letter, t in a.triples()}
+    return edges_a == set(b.triples())
 
 
 def colored_isomorphic(a: ColoredDfa, b: ColoredDfa) -> bool:

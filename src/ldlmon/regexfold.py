@@ -13,7 +13,7 @@ the empty word.  An empty language folds to the unmatchable step
 """
 from __future__ import annotations
 
-from .automata import compile_dfa, guard_for_letters, minimize, prefix_closure
+from .automata import compile_dfa, guards_by_target, minimize, prefix_closure
 from .syntax import ldl
 from .syntax.alphabet import Alphabet
 from .syntax.props import FALSE
@@ -69,23 +69,10 @@ def rstar(a):
 
 def automaton_to_regex(aut) -> ldl.Path:
     """A regular expression for the automaton's language."""
-    letters = aut.alphabet.letters()
-
     # Guard-compress parallel edges: one label per (source, target).
     edges: dict = {}
     for state in range(aut.n_states):
-        row = aut.transitions.get(state, {})
-        grouped: dict = {}
-        for letter in letters:
-            targets = row.get(letter)
-            if targets is None:
-                continue
-            if isinstance(targets, int):
-                targets = (targets,)
-            for target in targets:
-                grouped.setdefault(target, []).append(letter)
-        for target, group in grouped.items():
-            guard = guard_for_letters(aut.alphabet, group)
+        for target, guard in guards_by_target(aut, state).items():
             edges[(state, target)] = ldl.Step(guard)
 
     source, sink = -1, -2

@@ -202,25 +202,6 @@ def test_monitor_trace_comments_and_quoting(tmp_path, capsys):
     assert "2 b perm_true" in out
 
 
-def test_monitor_lazy_matches_eager(tmp_path, capsys):
-    trace = write(tmp_path / "t.trace", "a\na\nb\n")
-    argv = [
-        "monitor",
-        "response(a, b)",
-        "--lang",
-        "pattern",
-        "--tasks",
-        "a,b",
-        "--trace",
-        trace,
-    ]
-    code, eager, _ = run_cli(argv, capsys)
-    assert code == 0
-    code, lazy, _ = run_cli(argv + ["--lazy"], capsys)
-    assert code == 0
-    assert eager == lazy
-
-
 # declare / meta --------------------------------------------------------
 
 
@@ -337,6 +318,18 @@ def test_usage_errors_exit_one(argv, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert err != ""
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [" ".join(["X"] * 5000 + ["a"]), " && ".join(["a"] * 2000)],
+    ids=["next-5000", "and-2000"],
+)
+def test_deeply_nested_formulas_exit_one(formula, capsys):
+    code, _, err = run_cli(["compile", formula, "--lang", "ltlf"], capsys)
+    assert code == 1
+    assert "nested too deeply" in err
+    assert "internal error" not in err
 
 
 def test_bad_trace_line_is_located(tmp_path, capsys):

@@ -40,8 +40,7 @@ def reference_json(formula, alphabet) -> str:
 
 
 def monitor_json(monitor) -> str:
-    """The monitor's automaton with the colors it reports state by state
-    (lazy monitors color on demand)."""
+    """The monitor's automaton with the colors it reports state by state."""
     colors = []
     for state in range(monitor.dfa.n_states):
         monitor.current = state
@@ -80,7 +79,6 @@ def test_model_monitor_matches_the_monolithic_conjunction():
             conjunction = ldl.And(conjunction, c.to_ldlf())
         want = reference_json(conjunction, model.alphabet)
         assert monitor_json(ModelMonitor(model).overall) == want
-        assert monitor_json(ModelMonitor(model, lazy=True).overall) == want
         assert monitor_json(global_monitor(model)) == want
 
 

@@ -359,13 +359,6 @@ def test_model_monitor_reset_and_validation():
     assert monitor.run([])["model"] is TT_
 
 
-def test_lazy_model_monitor_agrees():
-    eager = ModelMonitor(parse_decl(BOOKING_DECL))
-    lazy = ModelMonitor(parse_decl(BOOKING_DECL), lazy=True)
-    for task in ["pay", "acc", "cancel"]:
-        assert eager.step(task) == lazy.step(task)
-
-
 def test_local_and_global_monitors():
     model = parse_decl(BOOKING_DECL)
     locals_ = local_monitors(model)
@@ -509,13 +502,6 @@ def test_meta_monitor_run_reset_and_validation():
     assert monitor.states()["cnf"] is TF_
     with pytest.raises(ValueError):
         monitor.step("fly")
-
-
-def test_lazy_meta_monitor_agrees():
-    eager = MetaMonitor(parse_meta(BOOKING_META))
-    lazy = MetaMonitor(parse_meta(BOOKING_META), lazy=True)
-    for task in META_TRACE:
-        assert eager.step(task) == lazy.step(task)
 
 
 # The shipped sample files ----------------------------------------------

@@ -1,19 +1,22 @@
 """State coloring, online monitors, and the RV characterization."""
 import random
+import tracemalloc
 
 import pytest
 
 from ldlmon.automata import (
     Dfa,
     accepts,
+    aut_from_json,
+    aut_to_json,
     complete,
     determinize,
     ldlf_to_nfa,
     minimize,
+    reachable_from,
 )
 from ldlmon.monitor import (
     ColoredDfa,
-    LazyColors,
     Monitor,
     color,
     colored_isomorphic,
@@ -26,7 +29,7 @@ from ldlmon.rv import RVState
 from ldlmon.semantics import eval_ldlf, rv_state_oracle, trace_from_tasks
 from ldlmon.syntax import Alphabet, Not, ltlf_to_ldlf, parse_ldlf, parse_ltlf
 
-from genformulas import all_traces, random_ldlf
+from genformulas import all_traces, random_dfa, random_ldlf
 
 AB = Alphabet.of("a", "b")
 TASKS = Alphabet.tasks(["a", "b"])
@@ -100,8 +103,6 @@ def test_coloring_requires_a_total_automaton():
     )
     with pytest.raises(ValueError):
         color(partial)
-    with pytest.raises(ValueError):
-        LazyColors(partial)
 
 
 def test_colors_match_the_brute_force_oracle():
@@ -118,15 +119,57 @@ def test_colors_match_the_brute_force_oracle():
             assert verdict is rv_state_oracle(trace, formula, AB, horizon)
 
 
-def test_lazy_colors_agree_with_eager():
-    rng = random.Random(77)
-    for _ in range(10):
-        formula = random_ldlf(rng, ("a", "b"), depth=3, star_depth=1)
-        dfa = minimize(determinize(ldlf_to_nfa(formula, AB)))
-        eager = color(dfa)
-        lazy = LazyColors(dfa)
-        for state in range(dfa.n_states):
-            assert lazy.color_of(state) is eager.colors[state]
+def reference_colors(dfa: Dfa) -> tuple:
+    """Colors by their definition, one forward search per state: the
+    verdict can change when a state of the other acceptance is
+    reachable."""
+    out = []
+    for state in range(dfa.n_states):
+        reach = reachable_from(dfa, state)
+        if state in dfa.finals:
+            out.append(PT_ if reach <= dfa.finals else TT_)
+        else:
+            out.append(TF_ if reach & dfa.finals else PF_)
+    return tuple(out)
+
+
+def with_unreachable_states(rng, dfa: Dfa) -> Dfa:
+    """The same automaton plus up to three states no trace reaches; they
+    may lead anywhere, reachable states included."""
+    extra = rng.randint(0, 3)
+    n = dfa.n_states + extra
+    transitions = dict(dfa.transitions)
+    for state in range(dfa.n_states, n):
+        transitions[state] = {l: rng.randrange(n) for l in dfa.alphabet.letters()}
+    added = {s for s in range(dfa.n_states, n) if rng.random() < 0.5}
+    return Dfa(
+        alphabet=dfa.alphabet,
+        n_states=n,
+        initial=dfa.initial,
+        transitions=transitions,
+        finals=dfa.finals | frozenset(added),
+    )
+
+
+@pytest.mark.parametrize(
+    "alphabet",
+    [AB, TASKS, Alphabet.tasks(["a", "b", "c"])],
+    ids=["props", "tasks2", "tasks3"],
+)
+def test_color_matches_the_per_state_definition(alphabet):
+    rng = random.Random(4099)
+    with_unreachable = 0
+    for _ in range(100):
+        dfa = with_unreachable_states(rng, random_dfa(rng, alphabet, max_states=7))
+        if len(reachable_from(dfa, dfa.initial)) < dfa.n_states:
+            with_unreachable += 1
+        want = reference_colors(dfa)
+        assert color(dfa).colors == want
+        restored, _ = aut_from_json(aut_to_json(dfa))
+        assert color(restored).colors == want
+        _, saved = aut_from_json(aut_to_json(dfa, color(dfa).colors))
+        assert tuple(RVState(value) for value in saved) == want
+    assert with_unreachable >= 30
 
 
 def test_minimization_does_not_change_verdicts():
@@ -153,27 +196,23 @@ def test_monitor_stepping_and_reset():
     assert monitor.step({"b"}) is TF_
     assert monitor.step({"a"}) is PT_
     assert monitor.step({"b"}) is PT_
-    assert monitor.history == [L_B, L_A, L_B]
     monitor.reset()
     assert monitor.current_rv() is TF_
-    assert monitor.history == []
 
 
-def test_monitor_for_formula_and_lazy_mode():
-    formula = ltlf_to_ldlf(parse_ltlf("G a", TASKS))
-    eager = Monitor.for_formula(formula, TASKS)
-    lazy = Monitor.for_formula(formula, TASKS, lazy=True)
-    for events in [["a"], ["a", "b"], ["b", "a"]]:
-        eager.reset()
-        lazy.reset()
-        for name in events:
-            assert eager.step({name}) is lazy.step({name})
-
-
-def test_monitor_accepts_colored_input_with_lazy_flag():
-    colored = ltl_monitor("F a")
-    monitor = Monitor(colored, lazy=True)
-    assert monitor.step({"a"}) is PT_
+def test_monitor_memory_stays_flat_over_a_long_run():
+    monitor = Monitor(ltl_monitor("G (a -> F b)"))
+    events = [L_A, L_B, L_A, L_A]
+    tracemalloc.start()
+    try:
+        monitor.step(L_A)
+        before, _ = tracemalloc.get_traced_memory()
+        for index in range(100_000):
+            monitor.step(events[index % 4])
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 64 * 1024
 
 
 def test_monitor_rejects_foreign_events():
