@@ -12,7 +12,8 @@ Star formulas unfold through marker atoms: a diamond-star unfolds into a
 marker that evaluates to false if the loop is re-entered without
 consuming a letter (a least fixpoint), a box-star into one that
 evaluates to true (a greatest fixpoint).  Markers never leak into
-states: emitted atoms have them substituted away first.
+states: emitted atoms have them substituted away first, by one
+``rewrite`` that hands marker-free subtrees back as the same objects.
 
 Acceptance of a macro-state asks whether every obligation in it is
 satisfied by the empty remainder, via the same recursion with the
@@ -40,7 +41,7 @@ from .syntax.props import (
     eval_prop,
     print_prop,
 )
-from .syntax.transforms import is_nnf, to_nnf
+from .syntax.transforms import to_nnf
 
 EPSILON = None
 
@@ -104,37 +105,11 @@ def pb_or(a: PosBool, b: PosBool) -> PosBool:
 
 def expand_markers(f: ldl.Ldlf) -> ldl.Ldlf:
     """Substitute every marker atom by the star formula it stands for."""
-    if isinstance(f, (ldl.TrueMark, ldl.FalseMark)):
-        return expand_markers(f.loop)
-    if isinstance(f, (ldl.Tt, ldl.Ff)):
-        return f
-    if isinstance(f, ldl.Not):
-        return ldl.Not(expand_markers(f.arg))
-    if isinstance(f, ldl.And):
-        return ldl.And(expand_markers(f.left), expand_markers(f.right))
-    if isinstance(f, ldl.Or):
-        return ldl.Or(expand_markers(f.left), expand_markers(f.right))
-    if isinstance(f, ldl.Diamond):
-        return ldl.Diamond(_expand_path(f.path), expand_markers(f.arg))
-    if isinstance(f, ldl.Box):
-        return ldl.Box(_expand_path(f.path), expand_markers(f.arg))
-    msg = f"not an LDLf formula: {f!r}"
-    raise TypeError(msg)
+    return ldl.rewrite(f, _unmark)
 
 
-def _expand_path(p: ldl.Path) -> ldl.Path:
-    if isinstance(p, ldl.Step):
-        return p
-    if isinstance(p, ldl.Test):
-        return ldl.Test(expand_markers(p.cond))
-    if isinstance(p, ldl.Alt):
-        return ldl.Alt(_expand_path(p.left), _expand_path(p.right))
-    if isinstance(p, ldl.Seq):
-        return ldl.Seq(_expand_path(p.left), _expand_path(p.right))
-    if isinstance(p, ldl.Star):
-        return ldl.Star(_expand_path(p.body))
-    msg = f"not a path expression: {p!r}"
-    raise TypeError(msg)
+def _unmark(n):
+    return n.loop if isinstance(n, (ldl.TrueMark, ldl.FalseMark)) else n
 
 
 def _emit(f: ldl.Ldlf) -> PosBool:

@@ -330,13 +330,38 @@ class Timeline:
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
-def _forbidden_cell(monitor: Monitor, governing: RVState) -> str:
-    """Tasks that must not come next, or an empty cell once the verdict
-    can no longer change (nothing left to guard)."""
+def _forbidden_cell(governing: RVState, forbidden) -> str:
+    """The tasks ``forbidden()`` names, or an empty cell once the governing
+    verdict can no longer change (nothing left to guard)."""
     if governing.permanent:
         return EMPTY_CELL
-    names = sorted(min(letter, default="") for letter in monitor.forbidden_symbols())
-    return ",".join(names) if names else EMPTY_CELL
+    return ",".join(sorted(forbidden())) or EMPTY_CELL
+
+
+def _forbidden_tasks(monitors) -> frozenset[str]:
+    """Tasks some of the monitors forbid as the next step."""
+    return frozenset(
+        task
+        for monitor in monitors
+        for letter in monitor.forbidden_symbols()
+        for task in letter
+    )
+
+
+def _replay(monitor, tasks, snapshot) -> list:
+    """Reset the monitor and take one snapshot per timeline column but
+    the last: before the first task and after each task."""
+    monitor.reset()
+    snapshots = [snapshot()]
+    for task in tasks:
+        monitor.step(task)
+        snapshots.append(snapshot())
+    return snapshots
+
+
+def _state_cells(states: list, name: str) -> list[str]:
+    """A monitor's row: its RV state per column, then at completion."""
+    return [snap[name].code for snap in states] + [final_state(states[-1][name]).code]
 
 
 class ModelMonitor:
@@ -383,11 +408,7 @@ class ModelMonitor:
 
     def forbidden(self) -> frozenset[str]:
         """Tasks some individual constraint forbids as the next step."""
-        out = set()
-        for monitor in self.locals.values():
-            for letter in monitor.forbidden_symbols():
-                out.update(letter)
-        return frozenset(out)
+        return _forbidden_tasks(self.locals.values())
 
     def verdicts(self) -> dict[str, Verdict]:
         return {name: finalize(state) for name, state in self.states().items()}
@@ -395,31 +416,21 @@ class ModelMonitor:
     def timeline(self, tasks=None) -> Timeline:
         """Run the given trace (or re-run the recorded one) and lay the
         whole thing out as a table."""
-        if tasks is None:
-            tasks = list(self.events)
-        self.reset()
-        columns = ["begin"] + list(tasks) + ["complete"]
-        snapshots = [self.states()]
-        forbidden_cells = [self._forbidden_snapshot()]
-        for task in tasks:
-            self.step(task)
-            snapshots.append(self.states())
-            forbidden_cells.append(self._forbidden_snapshot())
-        timeline = Timeline(columns=columns)
-        names = [c.name for c in self.model.constraints] + ["model"]
-        for name in names:
-            cells = [snap[name].code for snap in snapshots]
-            cells.append(final_state(snapshots[-1][name]).code)
-            timeline.add_row(name, cells)
-        timeline.add_row("forbidden", forbidden_cells + [EMPTY_CELL])
+        tasks = list(self.events if tasks is None else tasks)
+        snapshots = _replay(
+            self,
+            tasks,
+            lambda: (
+                self.states(),
+                _forbidden_cell(self.overall.current_rv(), self.forbidden),
+            ),
+        )
+        states = [snap for snap, _ in snapshots]
+        timeline = Timeline(columns=["begin", *tasks, "complete"])
+        for name in [*(c.name for c in self.model.constraints), "model"]:
+            timeline.add_row(name, _state_cells(states, name))
+        timeline.add_row("forbidden", [cell for _, cell in snapshots] + [EMPTY_CELL])
         return timeline
-
-    def _forbidden_snapshot(self) -> str:
-        governing = self.overall.current_rv()
-        if governing.permanent:
-            return EMPTY_CELL
-        names = sorted(self.forbidden())
-        return ",".join(names) if names else EMPTY_CELL
 
 
 KIND_ABSENCE = "absence-when"
@@ -615,55 +626,35 @@ class MetaMonitor:
         return states
 
     def timeline(self, tasks=None) -> Timeline:
-        if tasks is None:
-            tasks = list(self.events)
-        self.reset()
-        columns = ["begin"] + list(tasks) + ["complete"]
-        snapshots = [self.states()]
-        extras: dict[str, list[str]] = {}
-        for directive in self.model.directives:
-            if directive.kind == KIND_ABSENCE:
-                monitor = self.meta[directive.name]
-                extras[directive.name] = [
-                    _forbidden_cell(monitor, monitor.current_rv())
-                ]
-            elif directive.kind == KIND_CONFLICT:
-                extras[directive.name] = [self._conflict_mark(directive.name)]
-        for task in tasks:
-            self.step(task)
-            snapshots.append(self.states())
-            for directive in self.model.directives:
-                if directive.kind == KIND_ABSENCE:
-                    monitor = self.meta[directive.name]
-                    extras[directive.name].append(
-                        _forbidden_cell(monitor, monitor.current_rv())
-                    )
-                elif directive.kind == KIND_CONFLICT:
-                    extras[directive.name].append(
-                        self._conflict_mark(directive.name)
-                    )
-        timeline = Timeline(columns=columns)
+        tasks = list(self.events if tasks is None else tasks)
+        labels = {
+            d.name: "forbidden" if d.kind == KIND_ABSENCE else "conflict"
+            for d in self.model.directives
+            if d.kind in (KIND_ABSENCE, KIND_CONFLICT)
+        }
+        snapshots = _replay(
+            self,
+            tasks,
+            lambda: (
+                self.states(),
+                {name: self._extra_cell(name, label) for name, label in labels.items()},
+            ),
+        )
+        states = [snap for snap, _ in snapshots]
+        timeline = Timeline(columns=["begin", *tasks, "complete"])
         for name in [*self.model.shows, *(d.name for d in self.model.directives)]:
-            cells = [snap[name].code for snap in snapshots]
-            cells.append(final_state(snapshots[-1][name]).code)
-            timeline.add_row(name, cells)
-            if name in extras:
-                label = (
-                    "forbidden"
-                    if name in self.shown or self._kind(name) == KIND_ABSENCE
-                    else "conflict"
-                )
-                timeline.add_row("  " + label, extras[name] + [EMPTY_CELL])
+            timeline.add_row(name, _state_cells(states, name))
+            if name in labels:
+                cells = [extra[name] for _, extra in snapshots] + [EMPTY_CELL]
+                timeline.add_row("  " + labels[name], cells)
         return timeline
 
-    def _kind(self, name: str) -> str:
-        for directive in self.model.directives:
-            if directive.name == name:
-                return directive.kind
-        raise KeyError(name)
-
-    def _conflict_mark(self, name: str) -> str:
-        """An in-place conflict shows up as the meta constraint holding
-        right now with the chance to stop holding later."""
-        state = self.meta[name].current_rv()
+    def _extra_cell(self, name: str, label: str) -> str:
+        """The tasks an absence directive forbids next, or for a conflict
+        directive an X marking an in-place conflict: the meta constraint
+        holding right now with the chance to stop holding later."""
+        monitor = self.meta[name]
+        state = monitor.current_rv()
+        if label == "forbidden":
+            return _forbidden_cell(state, lambda: _forbidden_tasks([monitor]))
         return "X" if state is RVState.TEMP_TRUE else EMPTY_CELL

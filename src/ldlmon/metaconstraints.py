@@ -6,10 +6,12 @@ Two extension nodes make this expressible inside LDLf:
 * ``RvPath(f, s)``: a path expression matching exactly those prefixes.
 
 ``expand`` lowers both into plain LDLf: the atom via the RV-state
-characterization formula, the path via the regex folded out of that
-formula's automaton.  Expansion is bottom-up, so nested references
-(a metaconstraint about a metaconstraint) work, and results are cached
-per formula, state and alphabet.
+characterization formula (``rv_formula``), the path via the regex folded
+out of the property's monitor with the states of that color made final
+(``regex_for_rv``).  Expansion is one bottom-up ``rewrite``, so the
+formula inside an RV node is already plain when the node is lowered:
+nested references (a metaconstraint about a metaconstraint) work, and
+results are cached per lowered node and alphabet.
 
 The builders cover the recurring shapes: forbidding a task while
 another constraint is temporarily violated, compensating a permanent
@@ -59,54 +61,24 @@ _expansion_cache: dict = {}
 
 def expand(f: ldl.Ldlf, alphabet: Alphabet) -> ldl.Ldlf:
     """Replace every RV atom and RV path by its plain-LDLf encoding."""
-    if isinstance(f, RvAtom):
-        return _expand_rv(f.formula, f.state, alphabet, as_path=False)
-    if isinstance(f, (ldl.Tt, ldl.Ff)):
-        return f
-    if isinstance(f, ldl.Not):
-        return ldl.Not(expand(f.arg, alphabet))
-    if isinstance(f, ldl.And):
-        return ldl.And(expand(f.left, alphabet), expand(f.right, alphabet))
-    if isinstance(f, ldl.Or):
-        return ldl.Or(expand(f.left, alphabet), expand(f.right, alphabet))
-    if isinstance(f, ldl.Diamond):
-        return ldl.Diamond(_expand_path(f.path, alphabet), expand(f.arg, alphabet))
-    if isinstance(f, ldl.Box):
-        return ldl.Box(_expand_path(f.path, alphabet), expand(f.arg, alphabet))
-    msg = f"cannot expand {f!r}"
-    raise TypeError(msg)
+    if not isinstance(f, ldl.Ldlf):
+        msg = f"cannot expand {f!r}"
+        raise TypeError(msg)
+    return ldl.rewrite(
+        f, lambda n: _expand_rv(n, alphabet) if isinstance(n, (RvAtom, RvPath)) else n
+    )
 
 
-def _expand_path(p: ldl.Path, alphabet: Alphabet) -> ldl.Path:
-    if isinstance(p, RvPath):
-        return _expand_rv(p.formula, p.state, alphabet, as_path=True)
-    if isinstance(p, ldl.Step):
-        return p
-    if isinstance(p, ldl.Test):
-        return ldl.Test(expand(p.cond, alphabet))
-    if isinstance(p, ldl.Alt):
-        return ldl.Alt(_expand_path(p.left, alphabet), _expand_path(p.right, alphabet))
-    if isinstance(p, ldl.Seq):
-        return ldl.Seq(_expand_path(p.left, alphabet), _expand_path(p.right, alphabet))
-    if isinstance(p, ldl.Star):
-        return ldl.Star(_expand_path(p.body, alphabet))
-    msg = f"not a path expression: {p!r}"
-    raise TypeError(msg)
-
-
-def _expand_rv(formula: ldl.Ldlf, state: RVState, alphabet: Alphabet, *, as_path: bool):
+def _expand_rv(rv, alphabet: Alphabet):
+    """The encoding of one RV node whose formula is already expanded."""
     from .monitor import rv_formula
     from .regexfold import regex_for_rv
 
-    inner = expand(formula, alphabet)
-    key = (inner, state, alphabet, as_path)
+    key = (rv, alphabet)
     hit = _expansion_cache.get(key)
     if hit is None:
-        if as_path:
-            hit = regex_for_rv(inner, state, alphabet)
-        else:
-            hit = rv_formula(inner, state, alphabet)
-        _expansion_cache[key] = hit
+        encode = regex_for_rv if isinstance(rv, RvPath) else rv_formula
+        hit = _expansion_cache[key] = encode(rv.formula, rv.state, alphabet)
     return hit
 
 

@@ -32,7 +32,6 @@ from .automata import (
 from .rv import RVState
 from .syntax import ldl
 from .syntax.alphabet import Alphabet
-from .syntax.transforms import to_nnf
 
 
 @dataclass(frozen=True)
@@ -64,23 +63,18 @@ def color(dfa: Dfa) -> ColoredDfa:
     return ColoredDfa(dfa=dfa, colors=colors)
 
 
-def monitor_automaton(
-    formula: ldl.Ldlf, alphabet: Alphabet, *, minimized: bool = True
-) -> ColoredDfa:
+def monitor_automaton(formula: ldl.Ldlf, alphabet: Alphabet) -> ColoredDfa:
     """Compile a formula into its colored monitor automaton.
 
-    The minimized automaton comes from ``compile_dfa``: a conjunction or
+    The automaton comes from ``compile_dfa``: a conjunction or
     disjunction at the top is the minimized product of its operands'
     minimal DFAs, and a negation the complement of its argument's DFA,
     so a whole-model conjunction is never compiled as one NFA.
     Minimization merges only language-equal states, and colors are
     determined by the state's language, so it cannot change any answer;
-    it just keeps monitors small.  ``minimized=False`` gives the raw
-    subset construction.
+    it just keeps monitors small.
     """
-    if minimized:
-        return color(compile_dfa(formula, alphabet))
-    return color(determinize(ldlf_to_nfa(formula, alphabet)))
+    return color(compile_dfa(formula, alphabet))
 
 
 class Monitor:
@@ -154,7 +148,7 @@ def rv_family(formula: ldl.Ldlf, alphabet: Alphabet) -> dict:
     Built by flipping finals on one automaton, so the transition
     structure is literally shared and the identity is a shape bijection.
     """
-    base = determinize(ldlf_to_nfa(to_nnf(formula), alphabet))
+    base = determinize(ldlf_to_nfa(formula, alphabet))
     negated = complement(base)
     return {
         "formula": base,

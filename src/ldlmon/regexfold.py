@@ -13,7 +13,10 @@ the empty word.  An empty language folds to the unmatchable step
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .automata import compile_dfa, guards_by_target, minimize, prefix_closure
+from .rv import RVState
 from .syntax import ldl
 from .syntax.alphabet import Alphabet
 from .syntax.props import FALSE
@@ -121,8 +124,13 @@ def pref_regex(formula: ldl.Ldlf, alphabet: Alphabet) -> ldl.Path:
 
 
 def regex_for_rv(formula: ldl.Ldlf, state, alphabet: Alphabet) -> ldl.Path:
-    """Regex of the traces whose RV state for the property is ``state``."""
-    from .monitor import rv_formula
+    """Regex of the traces whose RV state for the property is ``state``:
+    the property's monitor with exactly the states of that color final."""
+    from .monitor import color
 
-    characteristic = rv_formula(formula, state, alphabet)
-    return automaton_to_regex(compile_dfa(characteristic, alphabet))
+    if not isinstance(state, RVState):
+        msg = f"not an RV state: {state!r}"
+        raise ValueError(msg)
+    colored = color(compile_dfa(formula, alphabet))
+    finals = frozenset(q for q, rv in enumerate(colored.colors) if rv is state)
+    return automaton_to_regex(minimize(replace(colored.dfa, finals=finals)))

@@ -12,10 +12,12 @@ can be taken, i.e. the trace has been fully consumed) and ``last`` is
 """
 from __future__ import annotations
 
+import dataclasses
+import typing
+
 from .base import node
 from .props import (
     Prop,
-    PropTrue,
     TRUE,
     is_atomic_prop,
     print_prop,
@@ -129,39 +131,63 @@ def prop_formula(phi: Prop) -> Ldlf:
     return Diamond(Step(phi), TT)
 
 
+_LAYOUTS: dict = {}
+
+
+def _layout(cls) -> tuple:
+    """The field names of a node class and the positions of its operands.
+
+    An operand is a field declared as a formula or a path: the children
+    of the connectives and modalities, a marker's ``loop`` and the
+    ``formula`` of an extension node.  Guards, names and states are not.
+    """
+    layout = _LAYOUTS.get(cls)
+    if layout is None:
+        hints = typing.get_type_hints(cls)
+        names = tuple(fl.name for fl in dataclasses.fields(cls))
+        operands = tuple(
+            i for i, name in enumerate(names) if issubclass(hints[name], (Ldlf, Path))
+        )
+        layout = _LAYOUTS[cls] = (names, operands)
+    return layout
+
+
+def rewrite(f, rule):
+    """Rebuild a formula or path bottom-up, applying ``rule`` to every
+    node once its operands have been rewritten.
+
+    A node whose operands all come back as the same objects is passed to
+    ``rule`` as is, so untouched subtrees keep their identity (and their
+    cached hash).
+    """
+    names, operands = _layout(type(f))
+    values = None
+    for i in operands:
+        old = getattr(f, names[i])
+        new = rewrite(old, rule)
+        if new is not old:
+            if values is None:
+                values = [getattr(f, name) for name in names]
+            values[i] = new
+    if values is not None:
+        f = type(f)(*values)
+    return rule(f)
+
+
+def subterms(f):
+    """Every formula and path node of f, f included."""
+    stack = [f]
+    while stack:
+        n = stack.pop()
+        yield n
+        names, operands = _layout(type(n))
+        stack.extend(getattr(n, names[i]) for i in operands)
+
+
 def formula_atoms(f: Ldlf) -> frozenset[str]:
     """Proposition names occurring anywhere in f."""
-    if isinstance(f, (Tt, Ff)):
-        return frozenset()
-    if isinstance(f, Not):
-        return formula_atoms(f.arg)
-    if isinstance(f, (And, Or)):
-        return formula_atoms(f.left) | formula_atoms(f.right)
-    if isinstance(f, (Diamond, Box)):
-        return path_atoms(f.path) | formula_atoms(f.arg)
-    if isinstance(f, (TrueMark, FalseMark)):
-        return formula_atoms(f.loop)
-    inner = getattr(f, "formula", None)
-    if isinstance(inner, Ldlf):
-        return formula_atoms(inner)
-    msg = f"not an LDLf formula: {f!r}"
-    raise TypeError(msg)
-
-
-def path_atoms(p: Path) -> frozenset[str]:
-    if isinstance(p, Step):
-        return prop_atoms(p.guard)
-    if isinstance(p, Test):
-        return formula_atoms(p.cond)
-    if isinstance(p, (Alt, Seq)):
-        return path_atoms(p.left) | path_atoms(p.right)
-    if isinstance(p, Star):
-        return path_atoms(p.body)
-    inner = getattr(p, "formula", None)
-    if isinstance(inner, Ldlf):
-        return formula_atoms(inner)
-    msg = f"not a path expression: {p!r}"
-    raise TypeError(msg)
+    guards = (n.guard for n in subterms(f) if isinstance(n, Step))
+    return frozenset().union(*map(prop_atoms, guards))
 
 
 _PREC_OR = 1

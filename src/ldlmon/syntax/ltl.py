@@ -8,7 +8,7 @@ On a finite trace ``X phi`` requires a successor step to exist while
 from __future__ import annotations
 
 from .base import node
-from .props import Prop, print_prop, prop_atoms
+from .props import Prop, print_prop
 
 
 class Ltlf:
@@ -81,17 +81,6 @@ class Eventually(Ltlf):
 @node
 class Always(Ltlf):
     arg: Ltlf
-
-
-def ltlf_atoms(f: Ltlf) -> frozenset[str]:
-    if isinstance(f, LtlfProp):
-        return prop_atoms(f.prop)
-    if isinstance(f, (LtlfNot, Next, WeakNext, Eventually, Always)):
-        return ltlf_atoms(f.arg)
-    if isinstance(f, (LtlfAnd, LtlfOr, LtlfImplies, LtlfIff, Until, Release)):
-        return ltlf_atoms(f.left) | ltlf_atoms(f.right)
-    msg = f"not an LTLf formula: {f!r}"
-    raise TypeError(msg)
 
 
 _PREC_IFF = 0

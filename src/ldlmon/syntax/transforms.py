@@ -1,7 +1,9 @@
 """Syntax-level transformations: negation normal form and translations.
 
 ``to_nnf`` pushes negation inward until it only survives inside
-propositional guards, dualizing diamond/box and and/or on the way.
+propositional guards.  It is one bottom-up ``rewrite``: a negation meets
+an operand already in NNF and dualizes its spine (tt/ff, and/or,
+diamond/box); the paths under that spine are already normal.
 
 ``ltlf_to_ldlf`` is the standard embedding of LTLf: each temporal
 operator becomes a modality over a path built from ``true`` steps, with
@@ -17,84 +19,43 @@ from .props import TRUE
 
 def to_nnf(f: ldl.Ldlf) -> ldl.Ldlf:
     """Negation normal form of f.  Pre: f contains no marker atoms."""
-    if isinstance(f, (ldl.Tt, ldl.Ff)):
-        return f
-    if isinstance(f, ldl.And):
-        return ldl.And(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, ldl.Or):
-        return ldl.Or(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, ldl.Diamond):
-        return ldl.Diamond(_nnf_path(f.path), to_nnf(f.arg))
-    if isinstance(f, ldl.Box):
-        return ldl.Box(_nnf_path(f.path), to_nnf(f.arg))
-    if isinstance(f, ldl.Not):
-        return _nnf_neg(f.arg)
-    if isinstance(f, (ldl.TrueMark, ldl.FalseMark)):
+    if not isinstance(f, ldl.Ldlf):
+        msg = f"not an LDLf formula: {f!r}"
+        raise TypeError(msg)
+    return ldl.rewrite(f, _nnf_rule)
+
+
+def _nnf_rule(n):
+    if isinstance(n, ldl.Not):
+        return _negate(n.arg)
+    if isinstance(n, (ldl.TrueMark, ldl.FalseMark)):
         msg = "marker atoms have no negation normal form"
         raise ValueError(msg)
-    msg = f"not an LDLf formula: {f!r}"
-    raise TypeError(msg)
+    return n
 
 
-def _nnf_neg(f: ldl.Ldlf) -> ldl.Ldlf:
-    """NNF of the negation of f."""
+def _negate(f: ldl.Ldlf) -> ldl.Ldlf:
+    """NNF of the negation of a formula already in NNF: dualize its
+    boolean and modal spine; paths are left as they are."""
     if isinstance(f, ldl.Tt):
         return ldl.FF
     if isinstance(f, ldl.Ff):
         return ldl.TT
-    if isinstance(f, ldl.Not):
-        return to_nnf(f.arg)
     if isinstance(f, ldl.And):
-        return ldl.Or(_nnf_neg(f.left), _nnf_neg(f.right))
+        return ldl.Or(_negate(f.left), _negate(f.right))
     if isinstance(f, ldl.Or):
-        return ldl.And(_nnf_neg(f.left), _nnf_neg(f.right))
+        return ldl.And(_negate(f.left), _negate(f.right))
     if isinstance(f, ldl.Diamond):
-        return ldl.Box(_nnf_path(f.path), _nnf_neg(f.arg))
+        return ldl.Box(f.path, _negate(f.arg))
     if isinstance(f, ldl.Box):
-        return ldl.Diamond(_nnf_path(f.path), _nnf_neg(f.arg))
-    if isinstance(f, (ldl.TrueMark, ldl.FalseMark)):
-        msg = "marker atoms have no negation normal form"
-        raise ValueError(msg)
-    msg = f"not an LDLf formula: {f!r}"
-    raise TypeError(msg)
-
-
-def _nnf_path(p: ldl.Path) -> ldl.Path:
-    if isinstance(p, ldl.Step):
-        return p
-    if isinstance(p, ldl.Test):
-        return ldl.Test(to_nnf(p.cond))
-    if isinstance(p, ldl.Alt):
-        return ldl.Alt(_nnf_path(p.left), _nnf_path(p.right))
-    if isinstance(p, ldl.Seq):
-        return ldl.Seq(_nnf_path(p.left), _nnf_path(p.right))
-    if isinstance(p, ldl.Star):
-        return ldl.Star(_nnf_path(p.body))
-    msg = f"not a path expression: {p!r}"
+        return ldl.Diamond(f.path, _negate(f.arg))
+    msg = f"not an LDLf formula in negation normal form: {f!r}"
     raise TypeError(msg)
 
 
 def is_nnf(f: ldl.Ldlf) -> bool:
     """True when negation survives only inside propositional guards."""
-    if isinstance(f, (ldl.Tt, ldl.Ff, ldl.TrueMark, ldl.FalseMark)):
-        return True
-    if isinstance(f, (ldl.And, ldl.Or)):
-        return is_nnf(f.left) and is_nnf(f.right)
-    if isinstance(f, (ldl.Diamond, ldl.Box)):
-        return _is_nnf_path(f.path) and is_nnf(f.arg)
-    return False
-
-
-def _is_nnf_path(p: ldl.Path) -> bool:
-    if isinstance(p, ldl.Step):
-        return True
-    if isinstance(p, ldl.Test):
-        return is_nnf(p.cond)
-    if isinstance(p, (ldl.Alt, ldl.Seq)):
-        return _is_nnf_path(p.left) and _is_nnf_path(p.right)
-    if isinstance(p, ldl.Star):
-        return _is_nnf_path(p.body)
-    return False
+    return not any(isinstance(n, ldl.Not) for n in ldl.subterms(f))
 
 
 _TRUE_STEP = ldl.Step(TRUE)
@@ -166,24 +127,7 @@ def re_to_ldlf(path: ldl.Path) -> ldl.Ldlf:
     expression matches in full.  Only the trivial test ``tt?`` (the
     empty-word expression) may appear; real formula tests are rejected.
     """
-    _check_pure(path)
+    if any(isinstance(n, ldl.Test) and n.cond != ldl.TT for n in ldl.subterms(path)):
+        msg = "regular expressions cannot contain formula tests"
+        raise ValueError(msg)
     return ldl.Diamond(path, ldl.END)
-
-
-def _check_pure(p: ldl.Path):
-    if isinstance(p, ldl.Step):
-        return
-    if isinstance(p, ldl.Test):
-        if p.cond != ldl.TT:
-            msg = "regular expressions cannot contain formula tests"
-            raise ValueError(msg)
-        return
-    if isinstance(p, (ldl.Alt, ldl.Seq)):
-        _check_pure(p.left)
-        _check_pure(p.right)
-        return
-    if isinstance(p, ldl.Star):
-        _check_pure(p.body)
-        return
-    msg = f"not a path expression: {p!r}"
-    raise TypeError(msg)

@@ -49,7 +49,8 @@ def random_nnf_ldlf(rng, names, depth=4, star_depth=2):
     return ldl.Diamond(path, arg) if op == "diamond" else ldl.Box(path, arg)
 
 
-def random_path(rng, names, depth, star_depth):
+def random_path(rng, names, depth, star_depth, formula=random_nnf_ldlf):
+    """A random path; ``formula`` draws the conditions of its tests."""
     if depth == 0 or rng.random() < 0.35:
         return ldl.Step(random_prop(rng, names, 1))
     choices = ["step", "test", "alt", "seq"]
@@ -59,12 +60,39 @@ def random_path(rng, names, depth, star_depth):
     if op == "step":
         return ldl.Step(random_prop(rng, names, 1))
     if op == "test":
-        return ldl.Test(random_nnf_ldlf(rng, names, depth - 1, star_depth))
+        return ldl.Test(formula(rng, names, depth - 1, star_depth))
     if op == "star":
-        return ldl.Star(random_path(rng, names, depth - 1, star_depth - 1))
-    left = random_path(rng, names, depth - 1, star_depth)
-    right = random_path(rng, names, depth - 1, star_depth)
+        return ldl.Star(random_path(rng, names, depth - 1, star_depth - 1, formula))
+    left = random_path(rng, names, depth - 1, star_depth, formula)
+    right = random_path(rng, names, depth - 1, star_depth, formula)
     return ldl.Alt(left, right) if op == "alt" else ldl.Seq(left, right)
+
+
+def random_raw_ldlf(rng, names, depth=4, star_depth=2, markers=False):
+    """An LDLf formula with negations at any depth, and marker atoms too
+    when ``markers`` is set: input for the rewriting transformations."""
+    extras = ("not", "true_mark", "false_mark") if markers else ("not",)
+    return _random_raw(rng, names, depth, star_depth, extras)
+
+
+def _random_raw(rng, names, depth, star_depth, extras):
+    if depth == 0 or rng.random() < 0.2:
+        return random_nnf_ldlf(rng, names, 0)
+    op = rng.choice(("and", "or", "diamond", "box") + extras)
+
+    def sub(rng, names, depth, star_depth):
+        return _random_raw(rng, names, depth, star_depth, extras)
+
+    if op in ("and", "or"):
+        left = sub(rng, names, depth - 1, star_depth)
+        right = sub(rng, names, depth - 1, star_depth)
+        return ldl.And(left, right) if op == "and" else ldl.Or(left, right)
+    if op in ("diamond", "box"):
+        path = random_path(rng, names, depth - 1, star_depth, sub)
+        arg = sub(rng, names, depth - 1, star_depth)
+        return ldl.Diamond(path, arg) if op == "diamond" else ldl.Box(path, arg)
+    wrap = {"not": ldl.Not, "true_mark": ldl.TrueMark, "false_mark": ldl.FalseMark}
+    return wrap[op](sub(rng, names, depth - 1, star_depth))
 
 
 def random_ldlf(rng, names, depth=3, star_depth=1):

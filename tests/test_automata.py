@@ -148,6 +148,7 @@ def test_delta_rejects_formulas_outside_nnf():
 def test_expand_markers_is_identity_without_markers():
     formula = ldl("<a*>(b && [true]ff)")
     assert expand_markers(formula) == formula
+    assert expand_markers(formula) is formula
 
 
 def test_delta_epsilon_matches_empty_trace_truth():

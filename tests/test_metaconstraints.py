@@ -126,6 +126,8 @@ def test_expand_eliminates_every_rv_node():
 
 def test_expand_is_cached_and_leaves_plain_formulas_alone():
     assert expand(TT, BOOKING) is TT
+    assert expand(RESP, BOOKING) is RESP
+    assert expand(compensation(NCX, RET), BOOKING).right is RET
     first = expand(RvAtom(NCX, PF_), BOOKING)
     second = expand(RvAtom(NCX, PF_), BOOKING)
     assert first is second

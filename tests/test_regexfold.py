@@ -1,6 +1,8 @@
 """Folding automata into regular expressions and the RV regexes."""
 import random
 
+import pytest
+
 from ldlmon.automata import (
     accepts,
     determinize,
@@ -213,3 +215,8 @@ def test_regex_for_rv_partitions_every_trace():
             verdict = monitor.step(letter)
         holding = [state for state, lang in languages.items() if accepts(lang, trace)]
         assert holding == [verdict], trace
+
+
+def test_regex_for_rv_rejects_non_states():
+    with pytest.raises(ValueError):
+        regex_for_rv(ltlf_to_ldlf(parse_ltlf("F a", TASKS)), "bogus", TASKS)

@@ -172,6 +172,7 @@ def test_nnf_fixpoint():
         n = to_nnf(f)
         assert is_nnf(n)
         assert to_nnf(n) == n
+        assert to_nnf(n) is n
 
 
 def test_ltlf_translation_shapes():
