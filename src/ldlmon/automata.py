@@ -18,6 +18,18 @@ states: emitted atoms have them substituted away first, by one
 Acceptance of a macro-state asks whether every obligation in it is
 satisfied by the empty remainder, via the same recursion with the
 step base cases flipped to their out-of-trace values.
+
+Letters are the alphabet's interpretations, 2^n of them for n props,
+but the constructions do their work once per letter class, a set of
+letters that behave the same way.  ``delta`` reads a letter only
+through guard atoms, so ``ldlf_to_nfa`` groups letters by their
+intersection with the formula's atoms.  ``determinize`` and
+``minimize`` take the classes from the automaton itself
+(``letter_classes``: letters whose successors agree from every state).
+A class's successor is computed from its first letter and written into
+the row of every letter in it, and classes are visited in the order of
+their first letter, so states are discovered, and numbered, exactly as
+a letter-by-letter walk would.  Tables stay keyed by letter.
 """
 from __future__ import annotations
 
@@ -112,21 +124,31 @@ def _unmark(n):
     return n.loop if isinstance(n, (ldl.TrueMark, ldl.FalseMark)) else n
 
 
-def _emit(f: ldl.Ldlf) -> PosBool:
-    """Quote a continuation obligation as a positive boolean atom."""
-    resolved = expand_markers(f)
-    if isinstance(resolved, ldl.Tt):
-        return PB_TRUE
-    if isinstance(resolved, ldl.Ff):
-        return PB_FALSE
-    return PBAtom(resolved)
+def _emit(f: ldl.Ldlf, emitted: dict) -> PosBool:
+    """Quote a continuation obligation as a positive boolean atom; the
+    quote of each obligation is computed once and kept in ``emitted``."""
+    quoted = emitted.get(f)
+    if quoted is None:
+        resolved = expand_markers(f)
+        if isinstance(resolved, ldl.Tt):
+            quoted = PB_TRUE
+        elif isinstance(resolved, ldl.Ff):
+            quoted = PB_FALSE
+        else:
+            quoted = PBAtom(resolved)
+        emitted[f] = quoted
+    return quoted
 
 
-def delta(f: ldl.Ldlf, letter) -> PosBool:
+def delta(f: ldl.Ldlf, letter, emitted: dict | None = None) -> PosBool:
     """One-step obligations of f under a letter (or EPSILON).
 
-    Pre: f is in negation normal form, marker atoms aside.
+    Pre: f is in negation normal form, marker atoms aside.  ``emitted``
+    memoizes the quoted obligations; callers that compute many steps of
+    one formula (``ldlf_to_nfa``) pass one dict to all of them.
     """
+    if emitted is None:
+        emitted = {}
     if isinstance(f, ldl.Tt):
         return PB_TRUE
     if isinstance(f, ldl.Ff):
@@ -136,50 +158,57 @@ def delta(f: ldl.Ldlf, letter) -> PosBool:
     if isinstance(f, ldl.FalseMark):
         return PB_FALSE
     if isinstance(f, ldl.And):
-        return pb_and(delta(f.left, letter), delta(f.right, letter))
+        return pb_and(delta(f.left, letter, emitted), delta(f.right, letter, emitted))
     if isinstance(f, ldl.Or):
-        return pb_or(delta(f.left, letter), delta(f.right, letter))
+        return pb_or(delta(f.left, letter, emitted), delta(f.right, letter, emitted))
     if isinstance(f, ldl.Diamond):
         path = f.path
         if isinstance(path, ldl.Step):
             if letter is EPSILON or not eval_prop(path.guard, letter):
                 return PB_FALSE
-            return _emit(f.arg)
+            return _emit(f.arg, emitted)
         if isinstance(path, ldl.Test):
-            return pb_and(delta(path.cond, letter), delta(f.arg, letter))
+            return pb_and(
+                delta(path.cond, letter, emitted), delta(f.arg, letter, emitted)
+            )
         if isinstance(path, ldl.Alt):
             return pb_or(
-                delta(ldl.Diamond(path.left, f.arg), letter),
-                delta(ldl.Diamond(path.right, f.arg), letter),
+                delta(ldl.Diamond(path.left, f.arg), letter, emitted),
+                delta(ldl.Diamond(path.right, f.arg), letter, emitted),
             )
         if isinstance(path, ldl.Seq):
             return delta(
-                ldl.Diamond(path.left, ldl.Diamond(path.right, f.arg)), letter
+                ldl.Diamond(path.left, ldl.Diamond(path.right, f.arg)), letter, emitted
             )
         if isinstance(path, ldl.Star):
             return pb_or(
-                delta(f.arg, letter),
-                delta(ldl.Diamond(path.body, ldl.FalseMark(f)), letter),
+                delta(f.arg, letter, emitted),
+                delta(ldl.Diamond(path.body, ldl.FalseMark(f)), letter, emitted),
             )
     if isinstance(f, ldl.Box):
         path = f.path
         if isinstance(path, ldl.Step):
             if letter is EPSILON or not eval_prop(path.guard, letter):
                 return PB_TRUE
-            return _emit(f.arg)
+            return _emit(f.arg, emitted)
         if isinstance(path, ldl.Test):
-            return pb_or(delta(to_nnf(ldl.Not(path.cond)), letter), delta(f.arg, letter))
+            return pb_or(
+                delta(to_nnf(ldl.Not(path.cond)), letter, emitted),
+                delta(f.arg, letter, emitted),
+            )
         if isinstance(path, ldl.Alt):
             return pb_and(
-                delta(ldl.Box(path.left, f.arg), letter),
-                delta(ldl.Box(path.right, f.arg), letter),
+                delta(ldl.Box(path.left, f.arg), letter, emitted),
+                delta(ldl.Box(path.right, f.arg), letter, emitted),
             )
         if isinstance(path, ldl.Seq):
-            return delta(ldl.Box(path.left, ldl.Box(path.right, f.arg)), letter)
+            return delta(
+                ldl.Box(path.left, ldl.Box(path.right, f.arg)), letter, emitted
+            )
         if isinstance(path, ldl.Star):
             return pb_and(
-                delta(f.arg, letter),
-                delta(ldl.Box(path.body, ldl.TrueMark(f)), letter),
+                delta(f.arg, letter, emitted),
+                delta(ldl.Box(path.body, ldl.TrueMark(f)), letter, emitted),
             )
     if isinstance(f, ldl.Not):
         msg = "delta needs a formula in negation normal form"
@@ -257,6 +286,10 @@ class Nfa:
             for target in sorted(row.get(letter, ())):
                 yield letter, target
 
+    def targets(self, state: int) -> frozenset:
+        """The distinct successors of a state under any letter."""
+        return frozenset().union(*self.transitions.get(state, {}).values())
+
     def triples(self):
         for state in range(self.n_states):
             for letter, target in self.edges(state):
@@ -299,6 +332,10 @@ class Dfa:
             if letter in row:
                 yield letter, row[letter]
 
+    def targets(self, state: int) -> frozenset:
+        """The distinct successors of a state under any letter."""
+        return frozenset(self.transitions.get(state, {}).values())
+
     triples = Nfa.triples
 
 
@@ -307,10 +344,13 @@ def ldlf_to_nfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Nfa:
 
     The formula is normalized first.  Successor states under each letter
     are the minimal obligation sets; keeping only minimal models keeps
-    the automaton small without changing its language.
+    the automaton small without changing its language.  They are
+    computed once per letter class, from the class's first letter.
     """
     normalized = to_nnf(formula)
     letters = alphabet.letters()
+    atoms = ldl.formula_atoms(normalized)
+    firsts, class_of = _partition(letters, [letter & atoms for letter in letters])
 
     key_cache: dict = {}
 
@@ -322,12 +362,13 @@ def ldlf_to_nfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Nfa:
         return k
 
     delta_cache: dict = {}
+    emitted: dict = {}
 
     def delta_of(f: ldl.Ldlf, letter) -> PosBool:
         probe = (f, letter)
         hit = delta_cache.get(probe)
         if hit is None:
-            hit = delta(f, letter)
+            hit = delta(f, letter, emitted)
             delta_cache[probe] = hit
         return hit
 
@@ -339,9 +380,9 @@ def ldlf_to_nfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Nfa:
     queue = deque((initial_macro,))
     while queue:
         macro = queue.popleft()
-        row: dict = {}
         members = sorted(macro, key=key)
-        for letter in letters:
+        by_class = []
+        for letter in firsts:
             obligation = PB_TRUE
             for member in members:
                 obligation = pb_and(obligation, delta_of(member, letter))
@@ -356,13 +397,15 @@ def ldlf_to_nfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Nfa:
                     order.append(model)
                     queue.append(model)
                 targets.append(ids[model])
-            if targets:
-                row[letter] = frozenset(targets)
-        transitions[ids[macro]] = row
+            by_class.append(frozenset(targets))
+        transitions[ids[macro]] = {
+            letter: by_class[k] for letter, k in zip(letters, class_of) if by_class[k]
+        }
     if empty not in ids:
         ids[empty] = len(order)
         order.append(empty)
-        transitions[ids[empty]] = {letter: frozenset((ids[empty],)) for letter in letters}
+        loop = frozenset((ids[empty],))
+        transitions[ids[empty]] = dict.fromkeys(letters, loop)
     finals = frozenset(
         ids[macro]
         for macro in order
@@ -386,6 +429,7 @@ def determinize(nfa: Nfa) -> Dfa:
     """Subset construction.  The result is total: letters with no
     successor lead to the empty subset, a rejecting sink."""
     letters = nfa.alphabet.letters()
+    firsts, class_of = letter_classes(nfa)
     initial = frozenset((nfa.initial,))
     ids = {initial: 0}
     order = [initial]
@@ -393,19 +437,17 @@ def determinize(nfa: Nfa) -> Dfa:
     queue = deque((initial,))
     while queue:
         subset = queue.popleft()
-        row = {}
-        for letter in letters:
-            successor = frozenset(
-                target
-                for state in subset
-                for target in nfa.successors(state, letter)
+        by_class = []
+        for letter in firsts:
+            successor = frozenset().union(
+                *[nfa.successors(state, letter) for state in subset]
             )
             if successor not in ids:
                 ids[successor] = len(order)
                 order.append(successor)
                 queue.append(successor)
-            row[letter] = ids[successor]
-        transitions[ids[subset]] = row
+            by_class.append(ids[successor])
+        transitions[ids[subset]] = _spread(letters, class_of, by_class)
     finals = frozenset(
         ids[subset] for subset in order if subset & nfa.finals
     )
@@ -420,6 +462,40 @@ def determinize(nfa: Nfa) -> Dfa:
         finals=finals,
         labels=labels,
     )
+
+
+def letter_classes(aut):
+    """Group the letters that no state of the automaton tells apart: their
+    columns (the successor from every state) are identical.
+
+    Returns the first letter of each class, classes in the order of their
+    first letter, and the class index of every letter in letter order.
+    """
+    letters = aut.alphabet.letters()
+    rows = [
+        list(map(aut.transitions.get(state, {}).get, letters))
+        for state in range(aut.n_states)
+    ]
+    return _partition(letters, zip(*rows))
+
+
+def _partition(letters, keys):
+    """Classes of letters with equal keys (``keys`` runs parallel to
+    ``letters``): each class's first letter, and every letter's class."""
+    index: dict = {}
+    firsts = []
+    class_of = []
+    for letter, k in zip(letters, keys):
+        if k not in index:
+            index[k] = len(firsts)
+            firsts.append(letter)
+        class_of.append(index[k])
+    return firsts, class_of
+
+
+def _spread(letters, class_of, by_class) -> dict:
+    """A row keyed by letter, in letter order, from one value per class."""
+    return dict(zip(letters, map(by_class.__getitem__, class_of)))
 
 
 def complete(aut):
@@ -595,11 +671,12 @@ def minimize(dfa: Dfa) -> Dfa:
         msg = "minimize needs a total automaton; call complete() first"
         raise ValueError(msg)
     letters = dfa.alphabet.letters()
+    firsts, class_of = letter_classes(dfa)
     states = sorted(reachable_from(dfa, dfa.initial))
     block = {s: (1 if s in dfa.finals else 0) for s in states}
     while True:
         signatures = {
-            s: (block[s], tuple(block[dfa.transitions[s][letter]] for letter in letters))
+            s: (block[s], tuple(block[dfa.transitions[s][letter]] for letter in firsts))
             for s in states
         }
         renumber: dict = {}
@@ -623,15 +700,15 @@ def minimize(dfa: Dfa) -> Dfa:
     while queue:
         blk = queue.popleft()
         rep = representative[blk]
-        row = {}
-        for letter in letters:
+        by_class = []
+        for letter in firsts:
             target = block[dfa.transitions[rep][letter]]
             if target not in ids:
                 ids[target] = len(order)
                 order.append(target)
                 queue.append(target)
-            row[letter] = ids[target]
-        transitions[ids[blk]] = row
+            by_class.append(ids[target])
+        transitions[ids[blk]] = _spread(letters, class_of, by_class)
     finals = frozenset(
         ids[blk] for blk in order if representative[blk] in dfa.finals
     )
@@ -653,7 +730,7 @@ def reachable_from(aut, state: int) -> frozenset:
     seen = {state}
     queue = deque((state,))
     while queue:
-        for _, target in aut.edges(queue.popleft()):
+        for target in aut.targets(queue.popleft()):
             if target not in seen:
                 seen.add(target)
                 queue.append(target)
@@ -668,8 +745,9 @@ def prefix_closure(aut):
     shape as the input.
     """
     backward: dict = {}
-    for state, _, target in aut.triples():
-        backward.setdefault(target, set()).add(state)
+    for state in range(aut.n_states):
+        for target in aut.targets(state):
+            backward.setdefault(target, set()).add(state)
     closed = set(aut.finals)
     queue = deque(aut.finals)
     while queue:

@@ -124,11 +124,15 @@ def rv_formula(formula: ldl.Ldlf, state: RVState, alphabet: Alphabet) -> ldl.Ldl
     * temp_false: ``!f && <pref(f)>end``;
     * perm_true:  ``<pref(f)>end && !<pref(!f)>end``;
     * perm_false: ``<pref(!f)>end && !<pref(f)>end``.
-    """
-    from .regexfold import pref_regex
 
-    pos = ldl.Diamond(pref_regex(formula, alphabet), ldl.END)
-    neg = ldl.Diamond(pref_regex(ldl.Not(formula), alphabet), ldl.END)
+    Both prefix languages come from one compiled DFA: that of !f is its
+    complement, as in ``color``.
+    """
+    from .regexfold import prefix_regex
+
+    dfa = compile_dfa(formula, alphabet)
+    pos = ldl.Diamond(prefix_regex(dfa), ldl.END)
+    neg = ldl.Diamond(prefix_regex(complement(dfa)), ldl.END)
     if state is RVState.TEMP_TRUE:
         return ldl.And(formula, neg)
     if state is RVState.TEMP_FALSE:

@@ -119,8 +119,13 @@ def automaton_to_regex(aut) -> ldl.Path:
 def pref_regex(formula: ldl.Ldlf, alphabet: Alphabet) -> ldl.Path:
     """Regex of the prefixes extendable (possibly by nothing) into a
     trace satisfying the formula."""
-    closed = minimize(prefix_closure(compile_dfa(formula, alphabet)))
-    return automaton_to_regex(closed)
+    return prefix_regex(compile_dfa(formula, alphabet))
+
+
+def prefix_regex(dfa) -> ldl.Path:
+    """Regex of the prefixes extendable (possibly by nothing) into a
+    trace the DFA accepts."""
+    return automaton_to_regex(minimize(prefix_closure(dfa)))
 
 
 def regex_for_rv(formula: ldl.Ldlf, state, alphabet: Alphabet) -> ldl.Path:

@@ -8,8 +8,10 @@ diamond/box); the paths under that spine are already normal.
 ``ltlf_to_ldlf`` is the standard embedding of LTLf: each temporal
 operator becomes a modality over a path built from ``true`` steps, with
 ``!end`` guarding against the truncated-trace edge cases and until
-expressed through a test-star path.  The output is not necessarily in
-NNF; run ``to_nnf`` before building automata.
+expressed through a test-star path.  Chains of conjunctions or
+disjunctions are walked with an explicit stack, so a long chain does not
+exhaust the recursion limit.  The output is not necessarily in NNF; run
+``to_nnf`` before building automata.
 """
 from __future__ import annotations
 
@@ -68,10 +70,8 @@ def ltlf_to_ldlf(f: ltl.Ltlf) -> ldl.Ldlf:
         return ldl.prop_formula(f.prop)
     if isinstance(f, ltl.LtlfNot):
         return ldl.Not(ltlf_to_ldlf(f.arg))
-    if isinstance(f, ltl.LtlfAnd):
-        return ldl.And(ltlf_to_ldlf(f.left), ltlf_to_ldlf(f.right))
-    if isinstance(f, ltl.LtlfOr):
-        return ldl.Or(ltlf_to_ldlf(f.left), ltlf_to_ldlf(f.right))
+    if isinstance(f, (ltl.LtlfAnd, ltl.LtlfOr)):
+        return _chain_to_ldlf(f)
     if isinstance(f, ltl.LtlfImplies):
         return ldl.Or(ldl.Not(ltlf_to_ldlf(f.left)), ltlf_to_ldlf(f.right))
     if isinstance(f, ltl.LtlfIff):
@@ -118,6 +118,26 @@ def ltlf_to_ldlf(f: ltl.Ltlf) -> ldl.Ldlf:
         )
     msg = f"not an LTLf formula: {f!r}"
     raise TypeError(msg)
+
+
+def _chain_to_ldlf(f: ltl.Ltlf) -> ldl.Ldlf:
+    """Translate a chain of conjunctions (or disjunctions), nested either
+    way, with an explicit stack: the chain is rebuilt in the same shape
+    and only its operands are translated recursively."""
+    kind = type(f)
+    build = ldl.And if kind is ltl.LtlfAnd else ldl.Or
+    done: list = []
+    pending = [(f, False)]
+    while pending:
+        g, operands_done = pending.pop()
+        if not isinstance(g, kind):
+            done.append(ltlf_to_ldlf(g))
+        elif operands_done:
+            right = done.pop()
+            done.append(build(done.pop(), right))
+        else:
+            pending += [(g, True), (g.right, False), (g.left, False)]
+    return done[0]
 
 
 def re_to_ldlf(path: ldl.Path) -> ldl.Ldlf:

@@ -322,14 +322,21 @@ def test_usage_errors_exit_one(argv, capsys):
 
 @pytest.mark.parametrize(
     "formula",
-    [" ".join(["X"] * 5000 + ["a"]), " && ".join(["a"] * 2000)],
-    ids=["next-5000", "and-2000"],
+    [" ".join(["X"] * 5000 + ["a"])],
+    ids=["next-5000"],
 )
 def test_deeply_nested_formulas_exit_one(formula, capsys):
     code, _, err = run_cli(["compile", formula, "--lang", "ltlf"], capsys)
     assert code == 1
     assert "nested too deeply" in err
     assert "internal error" not in err
+
+
+def test_long_ltlf_conjunction_compiles_like_its_ldlf_form(capsys):
+    formula = " && ".join(["a"] * 2000)
+    code, out, err = run_cli(["compile", formula, "--lang", "ltlf"], capsys)
+    assert code == 0, err
+    assert run_cli(["compile", formula, "--lang", "ldlf"], capsys) == (0, out, "")
 
 
 def test_bad_trace_line_is_located(tmp_path, capsys):

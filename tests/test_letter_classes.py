@@ -1,0 +1,322 @@
+"""Class-level compilation against the per-letter construction it replaces.
+
+``ldlf_to_nfa``, ``determinize`` and ``minimize`` compute one successor
+per letter class and copy it into every letter of the class; the prefix
+closures walk each state's distinct targets.  The references below are
+the per-letter versions these replaced, kept verbatim apart from names.
+Every table, label and final set must come out byte-identical, on prop
+alphabets where the formula uses only some of the props and on task
+alphabets.
+"""
+import random
+from collections import deque
+
+from ldlmon import automata
+from ldlmon.automata import (
+    PB_TRUE,
+    Dfa,
+    Nfa,
+    PBFalse,
+    aut_from_json,
+    aut_to_json,
+    delta,
+    delta_epsilon,
+    determinize,
+    ldlf_to_nfa,
+    letter_classes,
+    minimal_models,
+    minimize,
+    pb_and,
+    prefix_closure,
+    product,
+    reachable_from,
+)
+from ldlmon.syntax import Alphabet, ldl, parse_ldlf
+from ldlmon.syntax.ldl import print_ldlf
+from ldlmon.syntax.transforms import ltlf_to_ldlf, to_nnf
+
+from genformulas import random_ldlf, random_ltlf
+
+
+def reference_ldlf_to_nfa(formula, alphabet):
+    normalized = to_nnf(formula)
+    letters = alphabet.letters()
+    key_cache: dict = {}
+
+    def key(f):
+        k = key_cache.get(f)
+        if k is None:
+            k = print_ldlf(f)
+            key_cache[f] = k
+        return k
+
+    delta_cache: dict = {}
+
+    def delta_of(f, letter):
+        probe = (f, letter)
+        hit = delta_cache.get(probe)
+        if hit is None:
+            hit = delta(f, letter)
+            delta_cache[probe] = hit
+        return hit
+
+    empty = frozenset()
+    initial_macro = frozenset((normalized,))
+    ids: dict = {initial_macro: 0}
+    order = [initial_macro]
+    transitions: dict = {}
+    queue = deque((initial_macro,))
+    while queue:
+        macro = queue.popleft()
+        row: dict = {}
+        members = sorted(macro, key=key)
+        for letter in letters:
+            obligation = PB_TRUE
+            for member in members:
+                obligation = pb_and(obligation, delta_of(member, letter))
+                if isinstance(obligation, PBFalse):
+                    break
+            models = minimal_models(obligation)
+            models.sort(key=lambda m: (len(m), sorted(key(g) for g in m)))
+            targets = []
+            for model in models:
+                if model not in ids:
+                    ids[model] = len(order)
+                    order.append(model)
+                    queue.append(model)
+                targets.append(ids[model])
+            if targets:
+                row[letter] = frozenset(targets)
+        transitions[ids[macro]] = row
+    if empty not in ids:
+        ids[empty] = len(order)
+        order.append(empty)
+        transitions[ids[empty]] = {letter: frozenset((ids[empty],)) for letter in letters}
+    finals = frozenset(
+        ids[macro] for macro in order if all(delta_epsilon(m) for m in macro)
+    )
+    labels = tuple(
+        " & ".join(sorted(key(member) for member in macro)) if macro else "{}"
+        for macro in order
+    )
+    return Nfa(
+        alphabet=alphabet,
+        n_states=len(order),
+        initial=0,
+        transitions=transitions,
+        finals=finals,
+        labels=labels,
+    )
+
+
+def reference_determinize(nfa):
+    letters = nfa.alphabet.letters()
+    initial = frozenset((nfa.initial,))
+    ids = {initial: 0}
+    order = [initial]
+    transitions: dict = {}
+    queue = deque((initial,))
+    while queue:
+        subset = queue.popleft()
+        row = {}
+        for letter in letters:
+            successor = frozenset(
+                target for state in subset for target in nfa.successors(state, letter)
+            )
+            if successor not in ids:
+                ids[successor] = len(order)
+                order.append(successor)
+                queue.append(successor)
+            row[letter] = ids[successor]
+        transitions[ids[subset]] = row
+    finals = frozenset(ids[subset] for subset in order if subset & nfa.finals)
+    labels = tuple(
+        "{" + ",".join(str(s) for s in sorted(subset)) + "}" for subset in order
+    )
+    return Dfa(
+        alphabet=nfa.alphabet,
+        n_states=len(order),
+        initial=0,
+        transitions=transitions,
+        finals=finals,
+        labels=labels,
+    )
+
+
+def reference_reachable(aut, state):
+    seen = {state}
+    queue = deque((state,))
+    while queue:
+        for _, target in aut.edges(queue.popleft()):
+            if target not in seen:
+                seen.add(target)
+                queue.append(target)
+    return frozenset(seen)
+
+
+def reference_minimize(dfa):
+    letters = dfa.alphabet.letters()
+    states = sorted(reference_reachable(dfa, dfa.initial))
+    block = {s: (1 if s in dfa.finals else 0) for s in states}
+    while True:
+        signatures = {
+            s: (block[s], tuple(block[dfa.transitions[s][letter]] for letter in letters))
+            for s in states
+        }
+        renumber: dict = {}
+        for s in states:
+            sig = signatures[s]
+            if sig not in renumber:
+                renumber[sig] = len(renumber)
+        next_block = {s: renumber[signatures[s]] for s in states}
+        if next_block == block:
+            break
+        block = next_block
+    start = block[dfa.initial]
+    ids = {start: 0}
+    order = [start]
+    representative = {}
+    for s in states:
+        representative.setdefault(block[s], s)
+    transitions: dict = {}
+    queue = deque((start,))
+    while queue:
+        blk = queue.popleft()
+        rep = representative[blk]
+        row = {}
+        for letter in letters:
+            target = block[dfa.transitions[rep][letter]]
+            if target not in ids:
+                ids[target] = len(order)
+                order.append(target)
+                queue.append(target)
+            row[letter] = ids[target]
+        transitions[ids[blk]] = row
+    finals = frozenset(ids[blk] for blk in order if representative[blk] in dfa.finals)
+    labels = tuple(
+        dfa.labels[representative[blk]] if dfa.labels else "" for blk in order
+    )
+    return Dfa(
+        alphabet=dfa.alphabet,
+        n_states=len(order),
+        initial=0,
+        transitions=transitions,
+        finals=finals,
+        labels=labels if dfa.labels else (),
+    )
+
+
+def reference_prefix_closure(aut):
+    backward: dict = {}
+    for state, _, target in aut.triples():
+        backward.setdefault(target, set()).add(state)
+    closed = set(aut.finals)
+    queue = deque(aut.finals)
+    while queue:
+        state = queue.popleft()
+        for pred in backward.get(state, ()):
+            if pred not in closed:
+                closed.add(pred)
+                queue.append(pred)
+    return frozenset(closed)
+
+
+def assert_same(got, want):
+    assert aut_to_json(got) == aut_to_json(want)
+    assert got.labels == want.labels
+    assert got.finals == want.finals
+
+
+def seeded_cases(seed, count):
+    """(formula, alphabet) pairs: prop alphabets of 3 to 7 props where the
+    formula draws on a random subset of one to three props (so unused
+    props sit between used ones), and task alphabets of two to five
+    tasks."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 4 == 3:
+            tasks = [f"t{j}" for j in range(rng.randint(2, 5))]
+            alphabet = Alphabet.tasks(tasks)
+            names = rng.sample(tasks, rng.randint(1, len(tasks)))
+        else:
+            props = [f"p{j}" for j in range(rng.randint(3, 7))]
+            alphabet = Alphabet(tuple(props))
+            names = rng.sample(props, rng.randint(1, 3))
+        if rng.random() < 0.5:
+            formula = random_ldlf(rng, names, depth=3, star_depth=1)
+        else:
+            formula = ltlf_to_ldlf(random_ltlf(rng, names, depth=3))
+        yield formula, alphabet
+
+
+def test_pipeline_matches_the_per_letter_construction():
+    for formula, alphabet in seeded_cases(7001, 160):
+        nfa = ldlf_to_nfa(formula, alphabet)
+        assert_same(nfa, reference_ldlf_to_nfa(formula, alphabet))
+        subset = determinize(nfa)
+        assert_same(subset, reference_determinize(nfa))
+        minimal = minimize(subset)
+        assert_same(minimal, reference_minimize(subset))
+        for aut in (nfa, subset, minimal):
+            assert prefix_closure(aut).finals == reference_prefix_closure(aut)
+            assert reachable_from(aut, aut.initial) == reference_reachable(
+                aut, aut.initial
+            )
+
+
+def test_classes_come_from_the_automaton_alone():
+    """letter_classes reads the tables, so automata read back from JSON
+    (no labels, no formula) and products determinize and minimize the
+    same way."""
+    rng = random.Random(7002)
+    cases = list(seeded_cases(7003, 40))
+    for formula, alphabet in cases:
+        nfa, _ = aut_from_json(aut_to_json(ldlf_to_nfa(formula, alphabet)))
+        subset = determinize(nfa)
+        assert aut_to_json(subset) == aut_to_json(reference_determinize(nfa))
+        dfa, _ = aut_from_json(aut_to_json(subset))
+        assert aut_to_json(minimize(dfa)) == aut_to_json(reference_minimize(dfa))
+        other, _ = rng.choice([c for c in cases if c[1] == alphabet])
+        pair = product(subset, determinize(ldlf_to_nfa(other, alphabet)))
+        assert_same(minimize(pair), reference_minimize(pair))
+
+
+def test_letter_classes_group_exactly_the_equal_columns():
+    alphabet = Alphabet.of("a", "b", "c")
+    nfa = ldlf_to_nfa(parse_ldlf("<a><b>tt", alphabet), alphabet)
+    firsts, class_of = letter_classes(nfa)
+    letters = alphabet.letters()
+    assert [letters[class_of.index(k)] for k in range(len(firsts))] == firsts
+    for x, kx in zip(letters, class_of):
+        for y, ky in zip(letters, class_of):
+            same = all(
+                nfa.successors(s, x) == nfa.successors(s, y)
+                for s in range(nfa.n_states)
+            )
+            assert same == (kx == ky)
+    assert len(firsts) == 4
+
+
+def count_delta_calls(monkeypatch, formula, alphabet) -> int:
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return delta(*args)
+
+    monkeypatch.setattr(automata, "delta", counted)
+    ldlf_to_nfa(formula, alphabet)
+    monkeypatch.setattr(automata, "delta", delta)
+    return calls
+
+
+def test_delta_work_does_not_grow_with_unused_props(monkeypatch):
+    small = Alphabet(tuple(f"p{j}" for j in range(3)))
+    large = Alphabet(tuple(f"p{j}" for j in range(8)))
+    text = "[true*](<p0>tt -> <true*><p1 || p2>tt) && <(p0 ; !p1)*>end"
+    formula = parse_ldlf(text, large)
+    few = count_delta_calls(monkeypatch, formula, small)
+    many = count_delta_calls(monkeypatch, formula, large)
+    assert few > 0
+    assert many == few

@@ -184,6 +184,24 @@ def test_ltlf_translation_shapes():
     assert isinstance(alw, Not)
 
 
+def test_ltlf_chains_keep_their_shape():
+    abcd = Alphabet.of("a", "b", "c", "d")
+    for text in (
+        "(a && (b && c)) && ((d || a) || (b || (c || d)))",
+        "a || (b && (c || (d && a)))",
+        "((a && b) && c) && d",
+    ):
+        assert ltlf_to_ldlf(parse_ltlf(text, abcd)) == parse_ldlf(text, abcd)
+    chain = ltl.LtlfProp(Atom("a"))
+    for _ in range(3000):
+        chain = ltl.LtlfAnd(chain, ltl.LtlfProp(Atom("b")))
+    translated = ltlf_to_ldlf(chain)
+    for _ in range(3000):
+        assert translated.right == prop_formula(Atom("b"))
+        translated = translated.left
+    assert translated == prop_formula(Atom("a"))
+
+
 def test_regex_translation_rejects_embedded_tests():
     path = parse_re("a;(b)?", AB)
     with pytest.raises(ValueError):
