@@ -30,9 +30,11 @@ states* of other constraints::
     meta prf: prefer ret over re1
 
 Monitoring facades (``ModelMonitor``, ``MetaMonitor``) run all the
-constraint monitors in lockstep and can render the run as a timeline
-table.  The whole-model monitor is the minimized product of the local
-constraints' minimal DFAs, never one automaton compiled from the
+constraint monitors in lockstep: each event costs one column lookup,
+shared by every monitor, and one table index per monitor.  They keep no
+record of past events; ``timeline`` takes the trace and renders the run
+as a table.  The whole-model monitor is the minimized product of the
+local constraints' minimal DFAs, never one automaton compiled from the
 conjunction formula.
 """
 from __future__ import annotations
@@ -226,7 +228,7 @@ def _build_body(body: str, alphabet: Alphabet, no: int) -> ltl.Ltlf:
 def parse_decl(text: str) -> DeclareModel:
     alphabet = None
     constraints: list[Constraint] = []
-    names_seen: set[str] = set()
+    names_seen = {"model"}  # the whole-model monitor's name
     for no, line in _logical_lines(text):
         labeled = _LABELED_RE.match(line)
         if labeled is not None and labeled.group(1) == "tasks":
@@ -348,52 +350,37 @@ def _forbidden_tasks(monitors) -> frozenset[str]:
     )
 
 
-def _replay(monitor, tasks, snapshot) -> list:
-    """Reset the monitor and take one snapshot per timeline column but
-    the last: before the first task and after each task."""
-    monitor.reset()
-    snapshots = [snapshot()]
-    for task in tasks:
-        monitor.step(task)
-        snapshots.append(snapshot())
-    return snapshots
+class _Lockstep:
+    """Named monitors over one task alphabet, advanced together.
 
-
-def _state_cells(states: list, name: str) -> list[str]:
-    """A monitor's row: its RV state per column, then at completion."""
-    return [snap[name].code for snap in states] + [final_state(states[-1][name]).code]
-
-
-class ModelMonitor:
-    """All of a model's constraint monitors plus the whole-model monitor,
-    advanced in lockstep.
-
-    The whole-model monitor is the minimized product of the DFAs the
-    local monitors already hold, so no constraint is compiled twice.
+    ``_monitors`` holds the ``(name, Monitor)`` pairs in output order.  An
+    event costs one task -> column lookup, shared by every monitor, and
+    one table index per monitor, whose new state is written back to it.
+    ``_extra_rows`` maps a monitor's name to the label of the timeline
+    row under its own, whose cells ``_extra_cell`` fills.
     """
 
-    def __init__(self, model: DeclareModel):
-        self.model = model
-        self.locals = local_monitors(model)
-        self.overall = Monitor(product_fold(m.dfa for m in self.locals.values()))
-        self.events: list[str] = []
+    def __init__(self, alphabet: Alphabet, monitors):
+        self._monitors = tuple(monitors)
+        columns = alphabet.columns()
+        self._columns = {task: columns[frozenset((task,))] for task in alphabet.props}
 
     def reset(self):
-        for monitor in self.locals.values():
+        for _, monitor in self._monitors:
             monitor.reset()
-        self.overall.reset()
-        self.events.clear()
 
     def step(self, task: str) -> dict[str, RVState]:
-        """Feed one task to every monitor; returns the states after it,
-        with the whole-model state under the key ``"model"``."""
-        if task not in self.model.alphabet:
+        """Feed one task to every monitor; returns the states after it.
+        An unknown task raises ValueError before any monitor moves."""
+        try:
+            column = self._columns[task]
+        except (KeyError, TypeError):  # TypeError: an unhashable event
             msg = f"unknown task {task!r}"
-            raise ValueError(msg)
-        event = frozenset({task})
-        states = {name: m.step(event) for name, m in self.locals.items()}
-        states["model"] = self.overall.step(event)
-        self.events.append(task)
+            raise ValueError(msg) from None
+        states = {}
+        for name, monitor in self._monitors:
+            monitor.current = state = monitor.table[monitor.current][column]
+            states[name] = monitor.colors[state]
         return states
 
     def run(self, tasks) -> dict[str, RVState]:
@@ -402,9 +389,58 @@ class ModelMonitor:
         return self.states()
 
     def states(self) -> dict[str, RVState]:
-        states = {name: m.current_rv() for name, m in self.locals.items()}
-        states["model"] = self.overall.current_rv()
-        return states
+        return {name: monitor.current_rv() for name, monitor in self._monitors}
+
+    def timeline(self, tasks) -> Timeline:
+        """Run the given trace from the start and lay it out as a table."""
+        tasks = list(tasks)
+        self.reset()
+        columns = [self._cells()]
+        for task in tasks:
+            self.step(task)
+            columns.append(self._cells())
+        columns.append(self._cells(complete=True))
+        timeline = Timeline(columns=["begin", *tasks, "complete"])
+        for row in zip(*columns):
+            timeline.add_row(row[0][0], [cell for _, cell in row])
+        return timeline
+
+    def _cells(self, complete=False) -> list[tuple[str, str]]:
+        """One timeline column as (row label, cell) pairs; at trace
+        completion temporary states become permanent and extra rows
+        are empty."""
+        cells = []
+        for name, monitor in self._monitors:
+            state = monitor.current_rv()
+            cells.append((name, (final_state(state) if complete else state).code))
+            label = self._extra_rows.get(name)
+            if label is not None:
+                cell = EMPTY_CELL if complete else self._extra_cell(label, monitor)
+                cells.append((label, cell))
+        return cells
+
+
+class ModelMonitor(_Lockstep):
+    """All of a model's constraint monitors plus the whole-model monitor,
+    advanced in lockstep; ``step`` and ``states`` report the whole-model
+    state under the key ``"model"``.
+
+    The whole-model monitor is the minimized product of the DFAs the
+    local monitors already hold, so no constraint is compiled twice.
+    """
+
+    _extra_rows = {"model": "forbidden"}
+
+    def __init__(self, model: DeclareModel):
+        self.model = model
+        self.locals = local_monitors(model)
+        self.overall = Monitor(product_fold(m.dfa for m in self.locals.values()))
+        super().__init__(model.alphabet, [*self.locals.items(), ("model", self.overall)])
+
+    # Bound in each class so that each owns these in its ``__dict__``,
+    # where perfbench's tracer looks for the methods it wraps.
+    step = _Lockstep.step
+    timeline = _Lockstep.timeline
 
     def forbidden(self) -> frozenset[str]:
         """Tasks some individual constraint forbids as the next step."""
@@ -413,24 +449,8 @@ class ModelMonitor:
     def verdicts(self) -> dict[str, Verdict]:
         return {name: finalize(state) for name, state in self.states().items()}
 
-    def timeline(self, tasks=None) -> Timeline:
-        """Run the given trace (or re-run the recorded one) and lay the
-        whole thing out as a table."""
-        tasks = list(self.events if tasks is None else tasks)
-        snapshots = _replay(
-            self,
-            tasks,
-            lambda: (
-                self.states(),
-                _forbidden_cell(self.overall.current_rv(), self.forbidden),
-            ),
-        )
-        states = [snap for snap, _ in snapshots]
-        timeline = Timeline(columns=["begin", *tasks, "complete"])
-        for name in [*(c.name for c in self.model.constraints), "model"]:
-            timeline.add_row(name, _state_cells(states, name))
-        timeline.add_row("forbidden", [cell for _, cell in snapshots] + [EMPTY_CELL])
-        return timeline
+    def _extra_cell(self, label: str, monitor: Monitor) -> str:
+        return _forbidden_cell(monitor.current_rv(), self.forbidden)
 
 
 KIND_ABSENCE = "absence-when"
@@ -580,9 +600,11 @@ def _parse_directive(name, body, alphabet, check_ref, no) -> MetaDirective:
     raise ModelSyntaxError(f"unrecognized directive {body!r}", no)
 
 
-class MetaMonitor:
+class MetaMonitor(_Lockstep):
     """Monitors for the shown constraints and every directive, advanced
-    in lockstep.  Directive formulas are expanded to plain LDLf first."""
+    in lockstep; states are reported shown constraints first, then
+    directives in file order.  Directive formulas are expanded to plain
+    LDLf first."""
 
     def __init__(self, model: MetaModel):
         self.model = model
@@ -594,67 +616,21 @@ class MetaMonitor:
         for directive in model.directives:
             expanded = expand(model.directive_formula(directive), model.alphabet)
             self.meta[directive.name] = Monitor.for_formula(expanded, model.alphabet)
-        self.events: list[str] = []
-
-    def reset(self):
-        for monitor in self.shown.values():
-            monitor.reset()
-        for monitor in self.meta.values():
-            monitor.reset()
-        self.events.clear()
-
-    def step(self, task: str) -> dict[str, RVState]:
-        if task not in self.model.alphabet:
-            msg = f"unknown task {task!r}"
-            raise ValueError(msg)
-        event = frozenset({task})
-        states = {name: m.step(event) for name, m in self.shown.items()}
-        for name, monitor in self.meta.items():
-            states[name] = monitor.step(event)
-        self.events.append(task)
-        return states
-
-    def run(self, tasks) -> dict[str, RVState]:
-        for task in tasks:
-            self.step(task)
-        return self.states()
-
-    def states(self) -> dict[str, RVState]:
-        states = {name: m.current_rv() for name, m in self.shown.items()}
-        for name, monitor in self.meta.items():
-            states[name] = monitor.current_rv()
-        return states
-
-    def timeline(self, tasks=None) -> Timeline:
-        tasks = list(self.events if tasks is None else tasks)
-        labels = {
-            d.name: "forbidden" if d.kind == KIND_ABSENCE else "conflict"
-            for d in self.model.directives
+        super().__init__(model.alphabet, [*self.shown.items(), *self.meta.items()])
+        self._extra_rows = {
+            d.name: "  forbidden" if d.kind == KIND_ABSENCE else "  conflict"
+            for d in model.directives
             if d.kind in (KIND_ABSENCE, KIND_CONFLICT)
         }
-        snapshots = _replay(
-            self,
-            tasks,
-            lambda: (
-                self.states(),
-                {name: self._extra_cell(name, label) for name, label in labels.items()},
-            ),
-        )
-        states = [snap for snap, _ in snapshots]
-        timeline = Timeline(columns=["begin", *tasks, "complete"])
-        for name in [*self.model.shows, *(d.name for d in self.model.directives)]:
-            timeline.add_row(name, _state_cells(states, name))
-            if name in labels:
-                cells = [extra[name] for _, extra in snapshots] + [EMPTY_CELL]
-                timeline.add_row("  " + labels[name], cells)
-        return timeline
 
-    def _extra_cell(self, name: str, label: str) -> str:
+    step = _Lockstep.step
+    timeline = _Lockstep.timeline
+
+    def _extra_cell(self, label: str, monitor: Monitor) -> str:
         """The tasks an absence directive forbids next, or for a conflict
         directive an X marking an in-place conflict: the meta constraint
         holding right now with the chance to stop holding later."""
-        monitor = self.meta[name]
         state = monitor.current_rv()
-        if label == "forbidden":
+        if label == "  forbidden":
             return _forbidden_cell(state, lambda: _forbidden_tasks([monitor]))
         return "X" if state is RVState.TEMP_TRUE else EMPTY_CELL

@@ -78,12 +78,22 @@ def monitor_automaton(formula: ldl.Ldlf, alphabet: Alphabet) -> ColoredDfa:
 
 
 class Monitor:
-    """Online monitor: feed events one at a time, read off the RV state."""
+    """Online monitor: feed events one at a time, read off the RV state.
+
+    ``table[state][column]`` is the successor of ``state`` under the
+    letter in that column of ``alphabet.letters()``, so a step is one
+    column lookup and one tuple index.
+    """
 
     def __init__(self, automaton):
         colored = automaton if isinstance(automaton, ColoredDfa) else color(automaton)
         self.dfa = colored.dfa
         self.colors = colored.colors
+        letters, rows = self.dfa.alphabet.letters(), self.dfa.transitions
+        self.table = tuple(
+            tuple(map(rows[s].__getitem__, letters)) for s in range(self.dfa.n_states)
+        )
+        self._columns = self.dfa.alphabet.columns()
         self.current = self.dfa.initial
 
     @classmethod
@@ -95,8 +105,12 @@ class Monitor:
 
     def step(self, event) -> RVState:
         """Consume one event and return the RV state after it."""
-        self.current = self.dfa.step(self.current, frozenset(event))
-        return self.colors[self.current]
+        letter = frozenset(event)
+        column = self._columns.get(letter)
+        if column is None:
+            self.dfa.alphabet.check_letter(letter)
+        self.current = state = self.table[self.current][column]
+        return self.colors[state]
 
     def current_rv(self) -> RVState:
         return self.colors[self.current]
@@ -107,7 +121,7 @@ class Monitor:
         full letter set once permanently violated."""
         return [
             letter
-            for letter, target in self.dfa.edges(self.current)
+            for letter, target in zip(self.dfa.alphabet.letters(), self.table[self.current])
             if self.colors[target] is RVState.PERM_FALSE
         ]
 

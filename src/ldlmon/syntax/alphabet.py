@@ -74,6 +74,15 @@ class Alphabet:
             object.__setattr__(self, "_letters", cached)
         return cached
 
+    def columns(self) -> dict[frozenset[str], int]:
+        """Letter -> its index in ``letters()``, which is its column in a
+        monitor's transition table."""
+        cached = self.__dict__.get("_columns")
+        if cached is None:
+            cached = {letter: index for index, letter in enumerate(self.letters())}
+            object.__setattr__(self, "_columns", cached)
+        return cached
+
     def check_letter(self, interp: frozenset[str]):
         """Raise if interp is not a letter of this alphabet."""
         for name in interp:

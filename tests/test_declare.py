@@ -244,6 +244,7 @@ def test_parse_decl_error_positions():
         ("tasks: a\nexistence(a, a)", "line 2: existence takes 1 task(s)"),
         ("tasks: a\nexistence(b)", "line 2: unknown task 'b'"),
         ("tasks: a\nx: existence(a)\nx: existence(a)", "line 3: duplicate constraint"),
+        ("tasks: a\nmodel: existence(a)", "line 2: duplicate constraint name 'model'"),
         ("tasks: a\nx: ltl: F (", "line 2: "),
         ("tasks: a", "no constraints"),
         ("", "missing tasks line"),
@@ -339,11 +340,10 @@ def test_booking_timeline_rows():
     assert labels[-2:] == ["model", "forbidden"]
 
 
-def test_timeline_replays_recorded_events():
+def test_timeline_replays_its_trace_from_the_start():
     monitor = ModelMonitor(parse_decl(BOOKING_DECL))
-    monitor.run(["pay", "acc", "cancel"])
-    assert monitor.events == ["pay", "acc", "cancel"]
-    timeline = monitor.timeline()
+    monitor.run(["cancel", "get"])
+    timeline = monitor.timeline(["pay", "acc", "cancel"])
     assert timeline.columns == ["begin", "pay", "acc", "cancel", "complete"]
     assert dict(timeline.rows) == BOOKING_ROWS
 
@@ -352,11 +352,23 @@ def test_model_monitor_reset_and_validation():
     monitor = ModelMonitor(parse_decl(BOOKING_DECL))
     monitor.run(["pay"])
     monitor.reset()
-    assert monitor.events == []
     assert monitor.states()["model"] is TT_
     with pytest.raises(ValueError):
         monitor.step("fly")
     assert monitor.run([])["model"] is TT_
+
+
+def test_an_unknown_task_moves_no_monitor():
+    for runner in (
+        ModelMonitor(parse_decl(BOOKING_DECL)),
+        MetaMonitor(parse_meta(BOOKING_META)),
+    ):
+        runner.run(["pay", "cancel"])
+        before = runner.states()
+        for task in ("fly", {"pay"}):
+            with pytest.raises(ValueError, match="unknown task"):
+                runner.step(task)
+            assert runner.states() == before
 
 
 def test_local_and_global_monitors():
@@ -490,7 +502,6 @@ def test_meta_monitor_stepwise_states():
     assert states["cmp"] is TF_
     states = monitor.step("return")
     assert states["cmp"] is PT_
-    assert monitor.events == META_TRACE
 
 
 def test_meta_monitor_run_reset_and_validation():
@@ -498,7 +509,6 @@ def test_meta_monitor_run_reset_and_validation():
     states = monitor.run(META_TRACE)
     assert states["cmp"] is PT_
     monitor.reset()
-    assert monitor.events == []
     assert monitor.states()["cnf"] is TF_
     with pytest.raises(ValueError):
         monitor.step("fly")

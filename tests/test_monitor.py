@@ -1,4 +1,5 @@
 """State coloring, online monitors, and the RV characterization."""
+import pathlib
 import random
 import tracemalloc
 
@@ -15,6 +16,7 @@ from ldlmon.automata import (
     minimize,
     reachable_from,
 )
+from ldlmon.declare import MetaMonitor, ModelMonitor, parse_decl, parse_meta
 from ldlmon.monitor import (
     ColoredDfa,
     Monitor,
@@ -33,6 +35,7 @@ from genformulas import all_traces, random_dfa, random_ldlf
 
 AB = Alphabet.of("a", "b")
 TASKS = Alphabet.tasks(["a", "b"])
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
 L_A = frozenset({"a"})
 L_B = frozenset({"b"})
@@ -151,16 +154,24 @@ def with_unreachable_states(rng, dfa: Dfa) -> Dfa:
     )
 
 
-@pytest.mark.parametrize(
+def seeded_total_dfas(alphabet):
+    """100 seeded random total DFAs, some with unreachable states."""
+    rng = random.Random(4099)
+    for _ in range(100):
+        yield with_unreachable_states(rng, random_dfa(rng, alphabet, max_states=7))
+
+
+over_seeded_alphabets = pytest.mark.parametrize(
     "alphabet",
     [AB, TASKS, Alphabet.tasks(["a", "b", "c"])],
     ids=["props", "tasks2", "tasks3"],
 )
+
+
+@over_seeded_alphabets
 def test_color_matches_the_per_state_definition(alphabet):
-    rng = random.Random(4099)
     with_unreachable = 0
-    for _ in range(100):
-        dfa = with_unreachable_states(rng, random_dfa(rng, alphabet, max_states=7))
+    for dfa in seeded_total_dfas(alphabet):
         if len(reachable_from(dfa, dfa.initial)) < dfa.n_states:
             with_unreachable += 1
         want = reference_colors(dfa)
@@ -170,6 +181,22 @@ def test_color_matches_the_per_state_definition(alphabet):
         _, saved = aut_from_json(aut_to_json(dfa, color(dfa).colors))
         assert tuple(RVState(value) for value in saved) == want
     assert with_unreachable >= 30
+
+
+@over_seeded_alphabets
+def test_forbidden_symbols_match_the_edge_definition(alphabet):
+    """The table row read in letter order names the same letters, in the
+    same order, as the DFA's own edges."""
+    for dfa in seeded_total_dfas(alphabet):
+        monitor = Monitor(dfa)
+        for state in range(dfa.n_states):
+            monitor.current = state
+            want = [
+                letter
+                for letter, target in dfa.edges(state)
+                if monitor.colors[target] is PF_
+            ]
+            assert monitor.forbidden_symbols() == want
 
 
 def test_minimization_does_not_change_verdicts():
@@ -215,12 +242,34 @@ def test_monitor_memory_stays_flat_over_a_long_run():
     assert after - before < 64 * 1024
 
 
+@pytest.mark.parametrize(
+    "build, sample",
+    [(lambda t: ModelMonitor(parse_decl(t)), "booking.decl"),
+     (lambda t: MetaMonitor(parse_meta(t)), "booking.meta")],
+    ids=["model", "meta"],
+)
+def test_lockstep_memory_stays_flat_over_a_long_run(build, sample):
+    runner = build((SAMPLES / sample).read_text(encoding="utf-8"))
+    tasks = runner.model.alphabet.props
+    tracemalloc.start()
+    try:
+        runner.step(tasks[0])
+        before, _ = tracemalloc.get_traced_memory()
+        for index in range(100_000):
+            runner.step(tasks[index % len(tasks)])
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 64 * 1024
+
+
 def test_monitor_rejects_foreign_events():
     monitor = Monitor(ltl_monitor("F a"))
-    with pytest.raises(ValueError):
-        monitor.step({"nope"})
-    with pytest.raises(ValueError):
-        monitor.step({"a", "b"})  # task alphabets take one task per step
+    monitor.step({"b"})
+    for event in ({"nope"}, {"a", "b"}):  # task alphabets take one task per step
+        with pytest.raises(ValueError):
+            monitor.step(event)
+        assert monitor.current_rv() is TF_
 
 
 def test_monitor_handles_multi_proposition_events():
