@@ -25,11 +25,16 @@ letters that behave the same way.  ``delta`` reads a letter only
 through guard atoms, so ``ldlf_to_nfa`` groups letters by their
 intersection with the formula's atoms.  ``determinize`` and
 ``minimize`` take the classes from the automaton itself
-(``letter_classes``: letters whose successors agree from every state).
+(``letter_classes``: columns whose successors agree from every state).
 A class's successor is computed from its first letter and written into
-the row of every letter in it, and classes are visited in the order of
-their first letter, so states are discovered, and numbered, exactly as
-a letter-by-letter walk would.  Tables stay keyed by letter.
+the column of every letter in it, and classes are visited in the order
+of their first letter, so states are discovered, and numbered, exactly
+as a letter-by-letter walk would.
+
+Every automaton stores one transition table: a tuple of rows, one per
+state, whose cells follow ``alphabet.letters()`` (a letter's column is
+``alphabet.columns()[letter]``).  A monitor steps through the rows of
+its DFA as they are.
 """
 from __future__ import annotations
 
@@ -263,32 +268,33 @@ def _prune(candidates: list[frozenset]) -> list[frozenset]:
 class Nfa:
     """A nondeterministic finite automaton over an alphabet's letters.
 
-    Transitions map state -> letter -> successor states.  States are
-    dense integers; ``labels`` optionally carries a debugging name per
-    state (the macro-state content for compiled formulas).
+    ``transitions[state][column]`` is the frozenset of successors of a
+    state under the letter in that column of ``alphabet.letters()``,
+    empty when there is none.  States are dense integers; ``labels``
+    optionally carries a debugging name per state (the macro-state
+    content for compiled formulas).
     """
 
     alphabet: Alphabet
     n_states: int
     initial: int
-    transitions: dict
+    transitions: tuple
     finals: frozenset
     labels: tuple = ()
 
     def successors(self, state: int, letter: frozenset) -> frozenset:
-        return self.transitions.get(state, {}).get(letter, frozenset())
+        return self.transitions[state][self.alphabet.columns()[letter]]
 
     def edges(self, state: int):
         """The (letter, target) pairs leaving a state, in letter order and
         then target order."""
-        row = self.transitions.get(state, {})
-        for letter in self.alphabet.letters():
-            for target in sorted(row.get(letter, ())):
+        for letter, targets in zip(self.alphabet.letters(), self.transitions[state]):
+            for target in sorted(targets):
                 yield letter, target
 
     def targets(self, state: int) -> frozenset:
         """The distinct successors of a state under any letter."""
-        return frozenset().union(*self.transitions.get(state, {}).values())
+        return frozenset().union(*self.transitions[state])
 
     def triples(self):
         for state in range(self.n_states):
@@ -298,43 +304,39 @@ class Nfa:
 
 @dataclass(frozen=True)
 class Dfa:
-    """A deterministic, total automaton over an alphabet's letters.
+    """A deterministic automaton over an alphabet's letters.
 
-    Rows map letter -> successor state, so a step is one lookup.
+    ``transitions[state][column]`` is the successor of a state under the
+    letter in that column of ``alphabet.letters()``, so a step is one
+    column lookup and one tuple index.  Compiled DFAs are total; a cell
+    is ``None`` only in a partial DFA written by hand or read from JSON.
     """
 
     alphabet: Alphabet
     n_states: int
     initial: int
-    transitions: dict
+    transitions: tuple
     finals: frozenset
     labels: tuple = ()
 
     def step(self, state: int, letter: frozenset) -> int:
-        row = self.transitions[state]
-        target = row.get(letter)
-        if target is None:
+        column = self.alphabet.columns().get(letter)
+        if column is None:
             self.alphabet.check_letter(letter)
-            target = row[letter]
-        return target
+        return self.transitions[state][column]
 
     def is_total(self) -> bool:
-        letters = self.alphabet.letters()
-        return all(
-            len(self.transitions.get(s, {})) == len(letters)
-            for s in range(self.n_states)
-        )
+        return all(None not in row for row in self.transitions)
 
     def edges(self, state: int):
         """The (letter, target) pairs leaving a state, in letter order."""
-        row = self.transitions.get(state, {})
-        for letter in self.alphabet.letters():
-            if letter in row:
-                yield letter, row[letter]
+        for letter, target in zip(self.alphabet.letters(), self.transitions[state]):
+            if target is not None:
+                yield letter, target
 
     def targets(self, state: int) -> frozenset:
         """The distinct successors of a state under any letter."""
-        return frozenset(self.transitions.get(state, {}).values())
+        return frozenset(self.transitions[state]).difference((None,))
 
     triples = Nfa.triples
 
@@ -350,7 +352,8 @@ def ldlf_to_nfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Nfa:
     normalized = to_nnf(formula)
     letters = alphabet.letters()
     atoms = ldl.formula_atoms(normalized)
-    firsts, class_of = _partition(letters, [letter & atoms for letter in letters])
+    firsts, class_of = _partition([letter & atoms for letter in letters])
+    class_letters = [letters[column] for column in firsts]
 
     key_cache: dict = {}
 
@@ -376,13 +379,13 @@ def ldlf_to_nfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Nfa:
     initial_macro = frozenset((normalized,))
     ids: dict = {initial_macro: 0}
     order = [initial_macro]
-    transitions: dict = {}
+    transitions = []
     queue = deque((initial_macro,))
     while queue:
         macro = queue.popleft()
         members = sorted(macro, key=key)
         by_class = []
-        for letter in firsts:
+        for letter in class_letters:
             obligation = PB_TRUE
             for member in members:
                 obligation = pb_and(obligation, delta_of(member, letter))
@@ -398,14 +401,11 @@ def ldlf_to_nfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Nfa:
                     queue.append(model)
                 targets.append(ids[model])
             by_class.append(frozenset(targets))
-        transitions[ids[macro]] = {
-            letter: by_class[k] for letter, k in zip(letters, class_of) if by_class[k]
-        }
+        transitions.append(_spread(class_of, by_class))
     if empty not in ids:
         ids[empty] = len(order)
         order.append(empty)
-        loop = frozenset((ids[empty],))
-        transitions[ids[empty]] = dict.fromkeys(letters, loop)
+        transitions.append((frozenset((ids[empty],)),) * len(letters))
     finals = frozenset(
         ids[macro]
         for macro in order
@@ -419,7 +419,7 @@ def ldlf_to_nfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Nfa:
         alphabet=alphabet,
         n_states=len(order),
         initial=0,
-        transitions=transitions,
+        transitions=tuple(transitions),
         finals=finals,
         labels=labels,
     )
@@ -428,26 +428,24 @@ def ldlf_to_nfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Nfa:
 def determinize(nfa: Nfa) -> Dfa:
     """Subset construction.  The result is total: letters with no
     successor lead to the empty subset, a rejecting sink."""
-    letters = nfa.alphabet.letters()
+    rows = nfa.transitions
     firsts, class_of = letter_classes(nfa)
     initial = frozenset((nfa.initial,))
     ids = {initial: 0}
     order = [initial]
-    transitions: dict = {}
+    transitions = []
     queue = deque((initial,))
     while queue:
         subset = queue.popleft()
         by_class = []
-        for letter in firsts:
-            successor = frozenset().union(
-                *[nfa.successors(state, letter) for state in subset]
-            )
+        for column in firsts:
+            successor = frozenset().union(*[rows[state][column] for state in subset])
             if successor not in ids:
                 ids[successor] = len(order)
                 order.append(successor)
                 queue.append(successor)
             by_class.append(ids[successor])
-        transitions[ids[subset]] = _spread(letters, class_of, by_class)
+        transitions.append(_spread(class_of, by_class))
     finals = frozenset(
         ids[subset] for subset in order if subset & nfa.finals
     )
@@ -458,101 +456,66 @@ def determinize(nfa: Nfa) -> Dfa:
         alphabet=nfa.alphabet,
         n_states=len(order),
         initial=0,
-        transitions=transitions,
+        transitions=tuple(transitions),
         finals=finals,
         labels=labels,
     )
 
 
 def letter_classes(aut):
-    """Group the letters that no state of the automaton tells apart: their
-    columns (the successor from every state) are identical.
+    """Group the columns that no state of the automaton tells apart: the
+    successor from every state is identical.
 
-    Returns the first letter of each class, classes in the order of their
-    first letter, and the class index of every letter in letter order.
+    Returns the first column of each class, classes in the order of their
+    first column, and the class index of every column.
     """
-    letters = aut.alphabet.letters()
-    rows = [
-        list(map(aut.transitions.get(state, {}).get, letters))
-        for state in range(aut.n_states)
-    ]
-    return _partition(letters, zip(*rows))
+    return _partition(zip(*aut.transitions))
 
 
-def _partition(letters, keys):
-    """Classes of letters with equal keys (``keys`` runs parallel to
-    ``letters``): each class's first letter, and every letter's class."""
+def _partition(keys):
+    """Classes of columns with equal keys (one key per column): each
+    class's first column, and every column's class."""
     index: dict = {}
     firsts = []
     class_of = []
-    for letter, k in zip(letters, keys):
+    for column, k in enumerate(keys):
         if k not in index:
             index[k] = len(firsts)
-            firsts.append(letter)
+            firsts.append(column)
         class_of.append(index[k])
     return firsts, class_of
 
 
-def _spread(letters, class_of, by_class) -> dict:
-    """A row keyed by letter, in letter order, from one value per class."""
-    return dict(zip(letters, map(by_class.__getitem__, class_of)))
+def _spread(class_of, by_class) -> tuple:
+    """A row, one cell per column, from one value per class."""
+    return tuple(map(by_class.__getitem__, class_of))
 
 
 def complete(aut):
     """Make the transition relation total by adding a rejecting sink
-    where letters are missing.  Already-total automata come back as is."""
-    letters = aut.alphabet.letters()
+    where cells are empty (``None`` in a DFA, no successor in an NFA).
+    Already-total automata come back as is."""
     if isinstance(aut, Dfa):
-        if aut.is_total():
-            return aut
-        sink = aut.n_states
-        transitions = {}
-        for state in range(aut.n_states):
-            row = dict(aut.transitions.get(state, {}))
-            for letter in letters:
-                row.setdefault(letter, sink)
-            transitions[state] = row
-        transitions[sink] = {letter: sink for letter in letters}
-        return Dfa(
-            alphabet=aut.alphabet,
-            n_states=aut.n_states + 1,
-            initial=aut.initial,
-            transitions=transitions,
-            finals=aut.finals,
-            labels=aut.labels + ("sink",) if aut.labels else (),
-        )
-    if isinstance(aut, Nfa):
-        needs_sink = any(
-            not aut.successors(state, letter)
-            for state in range(aut.n_states)
-            for letter in letters
-        )
-        if not needs_sink:
-            return aut
-        sink = aut.n_states
-        transitions = {}
-        for state in range(aut.n_states):
-            row = {
-                letter: set(targets)
-                for letter, targets in aut.transitions.get(state, {}).items()
-            }
-            for letter in letters:
-                if not row.get(letter):
-                    row[letter] = {sink}
-            transitions[state] = {
-                letter: frozenset(targets) for letter, targets in row.items()
-            }
-        transitions[sink] = {letter: frozenset((sink,)) for letter in letters}
-        return Nfa(
-            alphabet=aut.alphabet,
-            n_states=aut.n_states + 1,
-            initial=aut.initial,
-            transitions=transitions,
-            finals=aut.finals,
-            labels=aut.labels + ("sink",) if aut.labels else (),
-        )
-    msg = f"not an automaton: {aut!r}"
-    raise TypeError(msg)
+        missing, fill = None, aut.n_states
+    elif isinstance(aut, Nfa):
+        missing, fill = frozenset(), frozenset((aut.n_states,))
+    else:
+        msg = f"not an automaton: {aut!r}"
+        raise TypeError(msg)
+    if not any(missing in row for row in aut.transitions):
+        return aut
+    transitions = tuple(
+        tuple(fill if cell == missing else cell for cell in row)
+        for row in aut.transitions
+    ) + ((fill,) * len(aut.alphabet.letters()),)
+    return type(aut)(
+        alphabet=aut.alphabet,
+        n_states=aut.n_states + 1,
+        initial=aut.initial,
+        transitions=transitions,
+        finals=aut.finals,
+        labels=aut.labels + ("sink",) if aut.labels else (),
+    )
 
 
 def complement(dfa: Dfa) -> Dfa:
@@ -582,24 +545,21 @@ def product_pairs(a: Dfa, b: Dfa, accept=None):
         raise ValueError(msg)
     if accept is None:
         accept = lambda fa, fb: fa and fb
-    letters = a.alphabet.letters()
     start = (a.initial, b.initial)
     ids = {start: 0}
     order = [start]
-    transitions: dict = {}
+    transitions = []
     queue = deque((start,))
     while queue:
-        pair = queue.popleft()
-        sa, sb = pair
-        row = {}
-        for letter in letters:
-            successor = (a.transitions[sa][letter], b.transitions[sb][letter])
+        sa, sb = queue.popleft()
+        row = []
+        for successor in zip(a.transitions[sa], b.transitions[sb]):
             if successor not in ids:
                 ids[successor] = len(order)
                 order.append(successor)
                 queue.append(successor)
-            row[letter] = ids[successor]
-        transitions[ids[pair]] = row
+            row.append(ids[successor])
+        transitions.append(tuple(row))
     finals = frozenset(
         ids[pair]
         for pair in order
@@ -610,7 +570,7 @@ def product_pairs(a: Dfa, b: Dfa, accept=None):
         alphabet=a.alphabet,
         n_states=len(order),
         initial=0,
-        transitions=transitions,
+        transitions=tuple(transitions),
         finals=finals,
         labels=labels,
     )
@@ -670,13 +630,13 @@ def minimize(dfa: Dfa) -> Dfa:
     if not dfa.is_total():
         msg = "minimize needs a total automaton; call complete() first"
         raise ValueError(msg)
-    letters = dfa.alphabet.letters()
+    rows = dfa.transitions
     firsts, class_of = letter_classes(dfa)
     states = sorted(reachable_from(dfa, dfa.initial))
     block = {s: (1 if s in dfa.finals else 0) for s in states}
     while True:
         signatures = {
-            s: (block[s], tuple(block[dfa.transitions[s][letter]] for letter in firsts))
+            s: (block[s], tuple(block[rows[s][column]] for column in firsts))
             for s in states
         }
         renumber: dict = {}
@@ -695,20 +655,19 @@ def minimize(dfa: Dfa) -> Dfa:
     representative = {}
     for s in states:
         representative.setdefault(block[s], s)
-    transitions: dict = {}
+    transitions = []
     queue = deque((start,))
     while queue:
-        blk = queue.popleft()
-        rep = representative[blk]
+        row = rows[representative[queue.popleft()]]
         by_class = []
-        for letter in firsts:
-            target = block[dfa.transitions[rep][letter]]
+        for column in firsts:
+            target = block[row[column]]
             if target not in ids:
                 ids[target] = len(order)
                 order.append(target)
                 queue.append(target)
             by_class.append(ids[target])
-        transitions[ids[blk]] = _spread(letters, class_of, by_class)
+        transitions.append(_spread(class_of, by_class))
     finals = frozenset(
         ids[blk] for blk in order if representative[blk] in dfa.finals
     )
@@ -719,7 +678,7 @@ def minimize(dfa: Dfa) -> Dfa:
         alphabet=dfa.alphabet,
         n_states=len(order),
         initial=0,
-        transitions=transitions,
+        transitions=tuple(transitions),
         finals=finals,
         labels=labels if dfa.labels else (),
     )
@@ -775,13 +734,11 @@ def trim(nfa: Nfa) -> Nfa:
     productive = prefix_closure(nfa).finals
     kept = sorted(s for s in forward if s in productive or s == nfa.initial)
     ids = {s: i for i, s in enumerate(kept)}
-    transitions = {}
-    for state in kept:
-        row: dict = {}
-        for letter, target in nfa.edges(state):
-            if target in ids:
-                row.setdefault(letter, set()).add(ids[target])
-        transitions[ids[state]] = {l: frozenset(ts) for l, ts in row.items()}
+    rows = nfa.transitions
+    transitions = tuple(
+        tuple(frozenset(ids[t] for t in cell if t in ids) for cell in rows[state])
+        for state in kept
+    )
     return Nfa(
         alphabet=nfa.alphabet,
         n_states=len(kept),
@@ -798,11 +755,14 @@ def is_empty(aut) -> bool:
 
 
 def accepts(aut, trace) -> bool:
-    """Run the automaton over a trace (DFA walk or NFA subset walk)."""
+    """Run the automaton over a trace (DFA walk or NFA subset walk); a
+    run that reaches an empty cell of a partial DFA rejects."""
     if isinstance(aut, Dfa):
         state = aut.initial
         for letter in trace:
             state = aut.step(state, frozenset(letter))
+            if state is None:
+                return False
         return state in aut.finals
     current = {aut.initial}
     for letter in trace:
@@ -937,35 +897,47 @@ def aut_to_json(aut, colors=None) -> str:
 
 
 def aut_from_json(text: str):
-    """Inverse of aut_to_json (colors, if present, are returned too)."""
+    """Inverse of aut_to_json (colors, if present, are returned too).
+
+    Raises ValueError on a letter outside the alphabet and on a state
+    outside ``range(n_states)``.
+    """
     payload = json.loads(text)
     alphabet = Alphabet(
         tuple(payload["props"]), singleton_letters=payload["singleton_letters"]
     )
     deterministic = payload["kind"] == "dfa"
-    transitions: dict = {}
+    states = range(payload["n_states"])
+
+    def state(value):
+        if value not in states:
+            msg = f"state {value!r} outside range({len(states)})"
+            raise ValueError(msg)
+        return value
+
+    columns = alphabet.columns()
+    rows = [[None if deterministic else set() for _ in columns] for _ in states]
     for source, letter_names, target in payload["transitions"]:
-        letter = frozenset(letter_names)
-        row = transitions.setdefault(source, {})
-        if deterministic:
-            if letter in row and row[letter] != target:
-                msg = "duplicate transition in dfa payload"
-                raise ValueError(msg)
-            row[letter] = target
+        column = columns.get(frozenset(letter_names))
+        if column is None:
+            msg = f"letter outside the alphabet: {letter_names!r}"
+            raise ValueError(msg)
+        row, target = rows[state(source)], state(target)
+        if not deterministic:
+            row[column].add(target)
+        elif row[column] in (None, target):
+            row[column] = target
         else:
-            row.setdefault(letter, set()).add(target)
-    if not deterministic:
-        transitions = {
-            s: {l: frozenset(ts) for l, ts in row.items()}
-            for s, row in transitions.items()
-        }
+            msg = "duplicate transition in dfa payload"
+            raise ValueError(msg)
     cls = Dfa if deterministic else Nfa
     aut = cls(
         alphabet=alphabet,
-        n_states=payload["n_states"],
-        initial=payload["initial"],
-        transitions=transitions,
-        finals=frozenset(payload["finals"]),
+        n_states=len(states),
+        initial=state(payload["initial"]),
+        transitions=tuple(
+            tuple(row if deterministic else map(frozenset, row)) for row in rows
+        ),
+        finals=frozenset(map(state, payload["finals"])),
     )
-    colors = payload.get("colors")
-    return aut, colors
+    return aut, payload.get("colors")

@@ -35,7 +35,6 @@ from .declare import (
     MetaMonitor,
     ModelMonitor,
     ModelSyntaxError,
-    Timeline,
     finalize,
     parse_decl,
     parse_meta,
@@ -223,30 +222,14 @@ def _read_model_file(path: str) -> str:
         raise CliError(str(exc)) from None
 
 
-def _emit_timeline(timeline: Timeline, fmt: str, out: str | None):
-    text = timeline.to_json() if fmt == "json" else timeline.render()
-    _write_output(text, out)
-
-
-def _trace_tasks(events) -> list[str]:
-    return [next(iter(event)) for event in events]
-
-
-def _cmd_declare(args) -> int:
-    model = parse_decl(_read_model_file(args.model))
+def _cmd_model(args) -> int:
+    """``declare`` and ``meta``: parse the model with ``args.parse_model``
+    and replay the trace through an ``args.runner`` monitor."""
+    model = args.parse_model(_read_model_file(args.model))
     events = _read_trace(args.trace, model.alphabet)
-    runner = ModelMonitor(model)
-    timeline = runner.timeline(_trace_tasks(events))
-    _emit_timeline(timeline, args.format, args.out)
-    return 0
-
-
-def _cmd_meta(args) -> int:
-    model = parse_meta(_read_model_file(args.model))
-    events = _read_trace(args.trace, model.alphabet)
-    runner = MetaMonitor(model)
-    timeline = runner.timeline(_trace_tasks(events))
-    _emit_timeline(timeline, args.format, args.out)
+    timeline = args.runner(model).timeline([next(iter(event)) for event in events])
+    text = timeline.to_json() if args.format == "json" else timeline.render()
+    _write_output(text, args.out)
     return 0
 
 
@@ -316,19 +299,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_monitor.add_argument("--out", help="write here instead of stdout")
     p_monitor.set_defaults(run=_cmd_monitor)
 
-    p_declare = sub.add_parser("declare", help="run a constraint model")
-    p_declare.add_argument("model", help="model file")
-    p_declare.add_argument("--trace", required=True, help="trace file, - for stdin")
-    p_declare.add_argument("--format", choices=["ascii", "json"], default="ascii")
-    p_declare.add_argument("--out", help="write here instead of stdout")
-    p_declare.set_defaults(run=_cmd_declare)
-
-    p_meta = sub.add_parser("meta", help="run a model with RV-state constraints")
-    p_meta.add_argument("model", help="model file")
-    p_meta.add_argument("--trace", required=True, help="trace file, - for stdin")
-    p_meta.add_argument("--format", choices=["ascii", "json"], default="ascii")
-    p_meta.add_argument("--out", help="write here instead of stdout")
-    p_meta.set_defaults(run=_cmd_meta)
+    for name, help_text, parse_model, runner in (
+        ("declare", "run a constraint model", parse_decl, ModelMonitor),
+        ("meta", "run a model with RV-state constraints", parse_meta, MetaMonitor),
+    ):
+        p_model = sub.add_parser(name, help=help_text)
+        p_model.add_argument("model", help="model file")
+        p_model.add_argument("--trace", required=True, help="trace file, - for stdin")
+        p_model.add_argument("--format", choices=["ascii", "json"], default="ascii")
+        p_model.add_argument("--out", help="write here instead of stdout")
+        p_model.set_defaults(run=_cmd_model, parse_model=parse_model, runner=runner)
 
     p_repl = sub.add_parser("repl", help="monitor events typed interactively")
     _add_formula_args(p_repl, lang_choices=["ldlf", "ltlf", "pattern"])

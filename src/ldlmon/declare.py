@@ -228,7 +228,8 @@ def _build_body(body: str, alphabet: Alphabet, no: int) -> ltl.Ltlf:
 def parse_decl(text: str) -> DeclareModel:
     alphabet = None
     constraints: list[Constraint] = []
-    names_seen = {"model"}  # the whole-model monitor's name
+    # The whole-model monitor's name and its timeline row's label.
+    names_seen = {"model", "forbidden"}
     for no, line in _logical_lines(text):
         labeled = _LABELED_RE.match(line)
         if labeled is not None and labeled.group(1) == "tasks":

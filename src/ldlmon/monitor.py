@@ -80,19 +80,17 @@ def monitor_automaton(formula: ldl.Ldlf, alphabet: Alphabet) -> ColoredDfa:
 class Monitor:
     """Online monitor: feed events one at a time, read off the RV state.
 
-    ``table[state][column]`` is the successor of ``state`` under the
-    letter in that column of ``alphabet.letters()``, so a step is one
-    column lookup and one tuple index.
+    ``table`` is the DFA's own transition table, ``table[state][column]``
+    the successor of ``state`` under the letter in that column of
+    ``alphabet.letters()``, so a step is one column lookup and one tuple
+    index.
     """
 
     def __init__(self, automaton):
         colored = automaton if isinstance(automaton, ColoredDfa) else color(automaton)
         self.dfa = colored.dfa
         self.colors = colored.colors
-        letters, rows = self.dfa.alphabet.letters(), self.dfa.transitions
-        self.table = tuple(
-            tuple(map(rows[s].__getitem__, letters)) for s in range(self.dfa.n_states)
-        )
+        self.table = self.dfa.transitions
         self._columns = self.dfa.alphabet.columns()
         self.current = self.dfa.initial
 
@@ -195,13 +193,11 @@ def shape_equivalent(a, b):
         queue = [a.initial]
         while queue:
             sa = queue.pop()
-            sb = mapping[sa]
-            row_a = a.transitions.get(sa, {})
-            row_b = b.transitions.get(sb, {})
-            if set(row_a) != set(row_b):
-                return None
-            for letter in row_a:
-                ta, tb = row_a[letter], row_b[letter]
+            for ta, tb in zip(a.transitions[sa], b.transitions[mapping[sa]]):
+                if ta is None or tb is None:
+                    if ta is tb:
+                        continue
+                    return None
                 known = mapping.get(ta)
                 if known is None:
                     mapping[ta] = tb

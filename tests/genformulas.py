@@ -149,6 +149,18 @@ def random_ltlf(rng, names, depth=4):
     return binary[op](left, right)
 
 
+def column_rows(alphabet, table, missing=None) -> tuple:
+    """The column rows of a hand-written ``{state: {letter: cell}}``
+    table: one tuple per state up to the largest one named, cells in
+    ``alphabet.letters()`` order, ``missing`` (``frozenset()`` for an
+    NFA) where the table names no cell."""
+    letters = alphabet.letters()
+    return tuple(
+        tuple(table.get(state, {}).get(letter, missing) for letter in letters)
+        for state in range(max(table) + 1)
+    )
+
+
 def random_dfa(rng, alphabet, max_states=8) -> Dfa:
     n = rng.randint(1, max_states)
     letters = alphabet.letters()
@@ -160,7 +172,7 @@ def random_dfa(rng, alphabet, max_states=8) -> Dfa:
         alphabet=alphabet,
         n_states=n,
         initial=0,
-        transitions=transitions,
+        transitions=column_rows(alphabet, transitions),
         finals=finals,
     )
 

@@ -54,6 +54,7 @@ from ldlmon.syntax.transforms import ltlf_to_ldlf
 
 from genformulas import (
     all_traces,
+    column_rows,
     random_dfa,
     random_ldlf,
     random_ltlf,
@@ -84,7 +85,9 @@ def hand_monitor(rows, finals, colors) -> ColoredDfa:
             alphabet=TASKS_ABO,
             n_states=len(rows),
             initial=0,
-            transitions={state: dict(row) for state, row in enumerate(rows)},
+            transitions=column_rows(
+                TASKS_ABO, {state: dict(row) for state, row in enumerate(rows)}
+            ),
             finals=frozenset(finals),
         ),
         tuple(RVState.parse(code) for code in colors),
@@ -94,7 +97,7 @@ def hand_monitor(rows, finals, colors) -> ColoredDfa:
 def walk_color(colored: ColoredDfa, trace) -> RVState:
     state = colored.dfa.initial
     for event in trace:
-        state = colored.dfa.transitions[state][event]
+        state = colored.dfa.transitions[state][colored.dfa.alphabet.columns()[event]]
     return colored.colors[state]
 
 

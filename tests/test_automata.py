@@ -1,4 +1,5 @@
 """Formula compilation and the automata algebra."""
+import json
 import random
 
 import pytest
@@ -54,7 +55,7 @@ from ldlmon.syntax import (
 )
 from ldlmon.syntax.props import Atom, TRUE, eval_prop
 
-from genformulas import all_traces, random_dfa, random_ldlf
+from genformulas import all_traces, column_rows, random_dfa, random_ldlf
 
 AB = Alphabet.of("a", "b")
 TASKS = Alphabet.tasks(["a", "b"])
@@ -213,21 +214,29 @@ class TestCompiledNextImpliesWeakNext:
     def test_nfa_transitions(self):
         nfa = self.nfa
         every = {letter: frozenset({1}) for letter in AB.letters()}
-        assert nfa.transitions[0] == every
-        assert nfa.transitions[1] == {
-            L_NONE: frozenset({2}),
-            L_B: frozenset({2}),
-            L_A: frozenset({3}),
-            L_AB: frozenset({3}),
-        }
-        assert nfa.transitions[2] == {
-            letter: frozenset({2}) for letter in AB.letters()
-        }
-        # The pending weak-next obligation dies on letters without b.
-        assert nfa.transitions[3] == {
-            L_B: frozenset({2}),
-            L_AB: frozenset({2}),
-        }
+        expected = column_rows(
+            AB,
+            {
+                0: every,
+                1: {
+                    L_NONE: frozenset({2}),
+                    L_B: frozenset({2}),
+                    L_A: frozenset({3}),
+                    L_AB: frozenset({3}),
+                },
+                2: {letter: frozenset({2}) for letter in AB.letters()},
+                # The pending weak-next obligation dies on letters without b.
+                3: {
+                    L_B: frozenset({2}),
+                    L_AB: frozenset({2}),
+                },
+            },
+            frozenset(),
+        )
+        assert nfa.transitions[0] == expected[0]
+        assert nfa.transitions[1] == expected[1]
+        assert nfa.transitions[2] == expected[2]
+        assert nfa.transitions[3] == expected[3]
 
     def test_determinization_adds_only_the_sink(self):
         dfa = self.dfa
@@ -262,7 +271,7 @@ def test_empty_macro_state_exists_even_when_unreachable():
     assert nfa.n_states == 2
     assert nfa.labels == ("ff", "{}")
     assert nfa.finals == frozenset({1})
-    assert nfa.transitions[0] == {}
+    assert nfa.transitions[0] == column_rows(AB, {0: {}}, frozenset())[0]
     assert is_empty(nfa)
 
 
@@ -289,14 +298,14 @@ def test_minimize_merges_equivalent_states():
         alphabet=TASKS,
         n_states=4,
         initial=0,
-        transitions=transitions,
+        transitions=column_rows(TASKS, transitions),
         finals=frozenset({1, 2}),
     )
     small = minimize(clunky)
     assert small.n_states == 2
     assert small.initial == 0
     assert small.finals == frozenset({1})
-    assert small.transitions[1] == {L_A: 1, L_B: 1}
+    assert small.transitions[1] == column_rows(TASKS, {1: {L_A: 1, L_B: 1}})[1]
     assert language_equal(small, clunky)
 
 
@@ -311,7 +320,7 @@ def test_minimize_renumbers_breadth_first():
             nxt = []
             for state in frontier:
                 for letter in AB.letters():
-                    target = dfa.transitions[state][letter]
+                    target = dfa.transitions[state][AB.columns()[letter]]
                     if target not in seen:
                         seen.add(target)
                         nxt.append(target)
@@ -338,9 +347,11 @@ def test_complete_adds_a_sink_only_when_needed():
         alphabet=TASKS,
         n_states=1,
         initial=0,
-        transitions={0: {L_A: 0}},
+        transitions=column_rows(TASKS, {0: {L_A: 0}}),
         finals=frozenset({0}),
     )
+    assert not accepts(partial, trace_from_tasks(["b", "a"]))
+    assert accepts(partial, trace_from_tasks(["a", "a"]))
     total = complete(partial)
     assert total.is_total()
     assert total.n_states == 2
@@ -373,7 +384,7 @@ def test_complement_requires_a_total_automaton():
         alphabet=TASKS,
         n_states=1,
         initial=0,
-        transitions={0: {L_A: 0}},
+        transitions=column_rows(TASKS, {0: {L_A: 0}}),
         finals=frozenset(),
     )
     with pytest.raises(ValueError):
@@ -398,11 +409,11 @@ def test_product_accept_parameter_and_pair_table():
         assert accepts(union, trace) == (accepts(left, trace) or accepts(right, trace))
     # Each product state simulates its component pair.
     for state, (sa, sb) in enumerate(pairs):
-        for letter in AB.letters():
-            target = union.transitions[state][letter]
+        for column in AB.columns().values():
+            target = union.transitions[state][column]
             assert pairs[target] == (
-                left.transitions[sa][letter],
-                right.transitions[sb][letter],
+                left.transitions[sa][column],
+                right.transitions[sb][column],
             )
 
 
@@ -540,6 +551,40 @@ def test_json_roundtrip_for_nfas_and_colors():
     assert colors == ["temp_true"] * nfa.n_states
     assert back.transitions == nfa.transitions
     assert back.finals == nfa.finals
+
+
+def test_json_input_outside_the_alphabet_or_the_states_is_rejected():
+    def payload(kind="dfa", initial=0, finals=(), transitions=()):
+        return json.dumps(
+            {
+                "kind": kind,
+                "props": ["a", "b"],
+                "singleton_letters": True,
+                "n_states": 1,
+                "initial": initial,
+                "finals": list(finals),
+                "transitions": [[0, ["a"], 0], *transitions],
+            }
+        )
+
+    dfa, _ = aut_from_json(payload(transitions=[[0, ["b"], 0]]))
+    assert dfa.is_total()
+    bad = [
+        payload(transitions=[[0, ["zz"], 7]]),
+        payload(transitions=[[0, ["zz"], 0]]),
+        payload(transitions=[[0, ["a", "b"], 0]]),
+        payload(transitions=[[0, ["b"], 7]]),
+        payload(transitions=[[1, ["b"], 0]]),
+        payload(transitions=[[-1, ["b"], 0]]),
+        payload(initial=1),
+        payload(finals=[1]),
+        payload(kind="nfa", transitions=[[0, ["zz"], 0]]),
+        payload(kind="nfa", transitions=[[0, ["b"], 7]]),
+        payload(kind="nfa", transitions=[[2, ["b"], 0]]),
+    ]
+    for text in bad:
+        with pytest.raises(ValueError):
+            aut_from_json(text)
 
 
 def test_json_output_is_stable():

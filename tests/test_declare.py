@@ -36,6 +36,8 @@ from ldlmon.rv import RVState
 from ldlmon.semantics import eval_ltlf, trace_from_tasks
 from ldlmon.syntax import Alphabet
 
+from genformulas import column_rows
+
 TT_ = RVState.TEMP_TRUE
 TF_ = RVState.TEMP_FALSE
 PT_ = RVState.PERM_TRUE
@@ -174,8 +176,9 @@ def test_response_monitor_shape():
     assert colored.colors == (TT_, TF_)
     table = colored.dfa.transitions
     a, b, c = (frozenset({x}) for x in "abc")
-    assert table[0] == {a: 1, b: 0, c: 0}
-    assert table[1] == {a: 1, b: 0, c: 1}
+    expected = column_rows(ABC, {0: {a: 1, b: 0, c: 0}, 1: {a: 1, b: 0, c: 1}})
+    assert table[0] == expected[0]
+    assert table[1] == expected[1]
 
 
 def test_not_coexistence_monitor_shape():
@@ -186,10 +189,19 @@ def test_not_coexistence_monitor_shape():
     assert colored.colors == (TT_, TT_, TT_, PF_)
     a, b, c = (frozenset({x}) for x in "abc")
     table = colored.dfa.transitions
-    assert table[0] == {a: 1, b: 2, c: 0}
-    assert table[1] == {a: 1, b: 3, c: 1}
-    assert table[2] == {a: 3, b: 2, c: 2}
-    assert table[3] == {a: 3, b: 3, c: 3}
+    expected = column_rows(
+        ABC,
+        {
+            0: {a: 1, b: 2, c: 0},
+            1: {a: 1, b: 3, c: 1},
+            2: {a: 3, b: 2, c: 2},
+            3: {a: 3, b: 3, c: 3},
+        },
+    )
+    assert table[0] == expected[0]
+    assert table[1] == expected[1]
+    assert table[2] == expected[2]
+    assert table[3] == expected[3]
 
 
 def test_precedence_monitor_shape():
@@ -245,6 +257,10 @@ def test_parse_decl_error_positions():
         ("tasks: a\nexistence(b)", "line 2: unknown task 'b'"),
         ("tasks: a\nx: existence(a)\nx: existence(a)", "line 3: duplicate constraint"),
         ("tasks: a\nmodel: existence(a)", "line 2: duplicate constraint name 'model'"),
+        (
+            "tasks: a, b\nforbidden: existence(a)\nabsence(b)",
+            "line 2: duplicate constraint name 'forbidden'",
+        ),
         ("tasks: a\nx: ltl: F (", "line 2: "),
         ("tasks: a", "no constraints"),
         ("", "missing tasks line"),

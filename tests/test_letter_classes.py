@@ -1,13 +1,16 @@
 """Class-level compilation against the per-letter construction it replaces.
 
 ``ldlf_to_nfa``, ``determinize`` and ``minimize`` compute one successor
-per letter class and copy it into every letter of the class; the prefix
-closures walk each state's distinct targets.  The references below are
-the per-letter versions these replaced, kept verbatim apart from names.
-Every table, label and final set must come out byte-identical, on prop
-alphabets where the formula uses only some of the props and on task
-alphabets.
+per letter class and copy it into every column of the class; the prefix
+closures walk each state's distinct targets; ``product_pairs`` and
+``complete`` walk column rows.  The references below are the per-letter
+versions these replaced, kept verbatim apart from names and from how
+they read and write rows.  Every table, label and final set must come
+out byte-identical, on prop alphabets where the formula uses only some
+of the props and on task alphabets.
 """
+import json
+import operator
 import random
 from collections import deque
 
@@ -19,6 +22,7 @@ from ldlmon.automata import (
     PBFalse,
     aut_from_json,
     aut_to_json,
+    complete,
     delta,
     delta_epsilon,
     determinize,
@@ -29,13 +33,14 @@ from ldlmon.automata import (
     pb_and,
     prefix_closure,
     product,
+    product_pairs,
     reachable_from,
 )
 from ldlmon.syntax import Alphabet, ldl, parse_ldlf
 from ldlmon.syntax.ldl import print_ldlf
 from ldlmon.syntax.transforms import ltlf_to_ldlf, to_nnf
 
-from genformulas import random_ldlf, random_ltlf
+from genformulas import column_rows, random_dfa, random_ldlf, random_ltlf
 
 
 def reference_ldlf_to_nfa(formula, alphabet):
@@ -103,7 +108,7 @@ def reference_ldlf_to_nfa(formula, alphabet):
         alphabet=alphabet,
         n_states=len(order),
         initial=0,
-        transitions=transitions,
+        transitions=column_rows(alphabet, transitions, frozenset()),
         finals=finals,
         labels=labels,
     )
@@ -137,7 +142,7 @@ def reference_determinize(nfa):
         alphabet=nfa.alphabet,
         n_states=len(order),
         initial=0,
-        transitions=transitions,
+        transitions=column_rows(nfa.alphabet, transitions),
         finals=finals,
         labels=labels,
     )
@@ -156,11 +161,15 @@ def reference_reachable(aut, state):
 
 def reference_minimize(dfa):
     letters = dfa.alphabet.letters()
+    columns = dfa.alphabet.columns()
     states = sorted(reference_reachable(dfa, dfa.initial))
     block = {s: (1 if s in dfa.finals else 0) for s in states}
     while True:
         signatures = {
-            s: (block[s], tuple(block[dfa.transitions[s][letter]] for letter in letters))
+            s: (
+                block[s],
+                tuple(block[dfa.transitions[s][columns[letter]]] for letter in letters),
+            )
             for s in states
         }
         renumber: dict = {}
@@ -185,7 +194,7 @@ def reference_minimize(dfa):
         rep = representative[blk]
         row = {}
         for letter in letters:
-            target = block[dfa.transitions[rep][letter]]
+            target = block[dfa.transitions[rep][columns[letter]]]
             if target not in ids:
                 ids[target] = len(order)
                 order.append(target)
@@ -200,7 +209,7 @@ def reference_minimize(dfa):
         alphabet=dfa.alphabet,
         n_states=len(order),
         initial=0,
-        transitions=transitions,
+        transitions=column_rows(dfa.alphabet, transitions),
         finals=finals,
         labels=labels if dfa.labels else (),
     )
@@ -286,7 +295,7 @@ def test_letter_classes_group_exactly_the_equal_columns():
     nfa = ldlf_to_nfa(parse_ldlf("<a><b>tt", alphabet), alphabet)
     firsts, class_of = letter_classes(nfa)
     letters = alphabet.letters()
-    assert [letters[class_of.index(k)] for k in range(len(firsts))] == firsts
+    assert [class_of.index(k) for k in range(len(firsts))] == firsts
     for x, kx in zip(letters, class_of):
         for y, ky in zip(letters, class_of):
             same = all(
@@ -320,3 +329,157 @@ def test_delta_work_does_not_grow_with_unused_props(monkeypatch):
     many = count_delta_calls(monkeypatch, formula, large)
     assert few > 0
     assert many == few
+
+
+def reference_product_pairs(a, b, accept=None):
+    if a.alphabet != b.alphabet:
+        msg = "product needs automata over the same alphabet"
+        raise ValueError(msg)
+    if accept is None:
+        accept = lambda fa, fb: fa and fb
+    letters = a.alphabet.letters()
+    start = (a.initial, b.initial)
+    ids = {start: 0}
+    order = [start]
+    transitions: dict = {}
+    queue = deque((start,))
+    while queue:
+        pair = queue.popleft()
+        sa, sb = pair
+        row = {}
+        for letter in letters:
+            successor = (a.step(sa, letter), b.step(sb, letter))
+            if successor not in ids:
+                ids[successor] = len(order)
+                order.append(successor)
+                queue.append(successor)
+            row[letter] = ids[successor]
+        transitions[ids[pair]] = row
+    finals = frozenset(
+        ids[pair]
+        for pair in order
+        if accept(pair[0] in a.finals, pair[1] in b.finals)
+    )
+    labels = tuple(f"({sa},{sb})" for sa, sb in order)
+    dfa = Dfa(
+        alphabet=a.alphabet,
+        n_states=len(order),
+        initial=0,
+        transitions=column_rows(a.alphabet, transitions),
+        finals=finals,
+        labels=labels,
+    )
+    return dfa, tuple(order)
+
+
+def reference_complete(aut):
+    letters = aut.alphabet.letters()
+    if isinstance(aut, Dfa):
+        if all(
+            len(dict(aut.edges(s))) == len(letters) for s in range(aut.n_states)
+        ):
+            return aut
+        sink = aut.n_states
+        transitions = {}
+        for state in range(aut.n_states):
+            row = dict(aut.edges(state))
+            for letter in letters:
+                row.setdefault(letter, sink)
+            transitions[state] = row
+        transitions[sink] = {letter: sink for letter in letters}
+        return Dfa(
+            alphabet=aut.alphabet,
+            n_states=aut.n_states + 1,
+            initial=aut.initial,
+            transitions=column_rows(aut.alphabet, transitions),
+            finals=aut.finals,
+            labels=aut.labels + ("sink",) if aut.labels else (),
+        )
+    needs_sink = any(
+        not aut.successors(state, letter)
+        for state in range(aut.n_states)
+        for letter in letters
+    )
+    if not needs_sink:
+        return aut
+    sink = aut.n_states
+    transitions = {}
+    for state in range(aut.n_states):
+        row = {
+            letter: set(aut.successors(state, letter))
+            for letter in letters
+            if aut.successors(state, letter)
+        }
+        for letter in letters:
+            if not row.get(letter):
+                row[letter] = {sink}
+        transitions[state] = {
+            letter: frozenset(targets) for letter, targets in row.items()
+        }
+    transitions[sink] = {letter: frozenset((sink,)) for letter in letters}
+    return Nfa(
+        alphabet=aut.alphabet,
+        n_states=aut.n_states + 1,
+        initial=aut.initial,
+        transitions=column_rows(aut.alphabet, transitions, frozenset()),
+        finals=aut.finals,
+        labels=aut.labels + ("sink",) if aut.labels else (),
+    )
+
+
+ALPHABETS = (
+    Alphabet.of("a", "b"),
+    Alphabet(("p0", "p1", "p2")),
+    Alphabet.tasks(["a", "b", "c"]),
+)
+
+
+def seeded_json_automata(seed, count):
+    """Random DFAs and NFAs read back with ``aut_from_json``: total DFAs,
+    DFAs with some transitions dropped, NFAs with extra random edges and
+    dropped ones, and compiled NFAs with dropped edges."""
+    rng = random.Random(seed)
+    for i in range(count):
+        alphabet = ALPHABETS[i % len(ALPHABETS)]
+        if i % 4 == 3:
+            formula = random_ldlf(rng, list(alphabet.props), depth=3, star_depth=1)
+            payload = json.loads(aut_to_json(ldlf_to_nfa(formula, alphabet)))
+        else:
+            payload = json.loads(aut_to_json(random_dfa(rng, alphabet, max_states=6)))
+        n = payload["n_states"]
+        if i % 4 == 2:
+            payload["kind"] = "nfa"
+            for _ in range(rng.randint(0, 2 * n)):
+                letter = sorted(rng.choice(alphabet.letters()))
+                payload["transitions"].append([rng.randrange(n), letter, rng.randrange(n)])
+        if i % 4 != 0:
+            drop = rng.random() * 0.5
+            payload["transitions"] = [
+                t for t in payload["transitions"] if rng.random() >= drop
+            ]
+        yield aut_from_json(json.dumps(payload))[0]
+
+
+def test_complete_matches_the_per_letter_construction():
+    partial = 0
+    for aut in seeded_json_automata(7004, 240):
+        got, want = complete(aut), reference_complete(aut)
+        assert aut_to_json(got) == aut_to_json(want)
+        assert got.labels == want.labels
+        assert (got is aut) == (want is aut)
+        partial += got is not aut
+    assert partial > 100
+
+
+def test_product_pairs_matches_the_per_letter_construction():
+    rng = random.Random(7005)
+    for i in range(120):
+        alphabet = ALPHABETS[i % len(ALPHABETS)]
+        a = random_dfa(rng, alphabet, max_states=6)
+        b, _ = aut_from_json(aut_to_json(random_dfa(rng, alphabet, max_states=6)))
+        for accept in (None, operator.or_):
+            got, got_pairs = product_pairs(a, b, accept)
+            want, want_pairs = reference_product_pairs(a, b, accept)
+            assert aut_to_json(got) == aut_to_json(want)
+            assert got.labels == want.labels
+            assert got_pairs == want_pairs

@@ -31,7 +31,7 @@ from ldlmon.rv import RVState
 from ldlmon.semantics import eval_ldlf, rv_state_oracle, trace_from_tasks
 from ldlmon.syntax import Alphabet, Not, ltlf_to_ldlf, parse_ldlf, parse_ltlf
 
-from genformulas import all_traces, random_dfa, random_ldlf
+from genformulas import all_traces, column_rows, random_dfa, random_ldlf
 
 AB = Alphabet.of("a", "b")
 TASKS = Alphabet.tasks(["a", "b"])
@@ -52,14 +52,14 @@ def ltl_monitor(text, alphabet=TASKS, **kwargs):
 
 def permuted(dfa: Dfa, perm) -> Dfa:
     transitions = {
-        perm[s]: {letter: perm[t] for letter, t in row.items()}
-        for s, row in dfa.transitions.items()
+        perm[s]: {letter: perm[t] for letter, t in dfa.edges(s)}
+        for s in range(dfa.n_states)
     }
     return Dfa(
         alphabet=dfa.alphabet,
         n_states=dfa.n_states,
         initial=perm[dfa.initial],
-        transitions=transitions,
+        transitions=column_rows(dfa.alphabet, transitions),
         finals=frozenset(perm[s] for s in dfa.finals),
     )
 
@@ -101,7 +101,7 @@ def test_coloring_requires_a_total_automaton():
         alphabet=TASKS,
         n_states=1,
         initial=0,
-        transitions={0: {L_A: 0}},
+        transitions=column_rows(TASKS, {0: {L_A: 0}}),
         finals=frozenset(),
     )
     with pytest.raises(ValueError):
@@ -141,7 +141,7 @@ def with_unreachable_states(rng, dfa: Dfa) -> Dfa:
     may lead anywhere, reachable states included."""
     extra = rng.randint(0, 3)
     n = dfa.n_states + extra
-    transitions = dict(dfa.transitions)
+    transitions = {s: dict(dfa.edges(s)) for s in range(dfa.n_states)}
     for state in range(dfa.n_states, n):
         transitions[state] = {l: rng.randrange(n) for l in dfa.alphabet.letters()}
     added = {s for s in range(dfa.n_states, n) if rng.random() < 0.5}
@@ -149,7 +149,7 @@ def with_unreachable_states(rng, dfa: Dfa) -> Dfa:
         alphabet=dfa.alphabet,
         n_states=n,
         initial=dfa.initial,
-        transitions=transitions,
+        transitions=column_rows(dfa.alphabet, transitions),
         finals=dfa.finals | frozenset(added),
     )
 
@@ -225,6 +225,12 @@ def test_monitor_stepping_and_reset():
     assert monitor.step({"b"}) is PT_
     monitor.reset()
     assert monitor.current_rv() is TF_
+
+
+def test_monitor_steps_through_the_dfa_table_itself():
+    colored = ltl_monitor("X (a -> WX b)", AB)
+    assert Monitor(colored).table is colored.dfa.transitions
+    assert Monitor(colored.dfa).table is colored.dfa.transitions
 
 
 def test_monitor_memory_stays_flat_over_a_long_run():
@@ -384,15 +390,16 @@ def test_shape_equivalent_searches_nfas():
     from ldlmon.automata import Nfa
 
     perm = {s: (s + 1) % nfa.n_states for s in range(nfa.n_states)}
+    letters = nfa.alphabet.letters()
     transitions = {
-        perm[s]: {letter: frozenset(perm[t] for t in ts) for letter, ts in row.items()}
-        for s, row in nfa.transitions.items()
+        perm[s]: {letter: frozenset(perm[t] for t in ts) for letter, ts in zip(letters, row)}
+        for s, row in enumerate(nfa.transitions)
     }
     shuffled = Nfa(
         alphabet=nfa.alphabet,
         n_states=nfa.n_states,
         initial=perm[nfa.initial],
-        transitions=transitions,
+        transitions=column_rows(nfa.alphabet, transitions, frozenset()),
         finals=frozenset(perm[s] for s in nfa.finals),
     )
     assert shape_equivalent(nfa, shuffled) == perm
