@@ -1,12 +1,12 @@
 """Compiling LDLf formulas into finite automata, plus the automata algebra.
 
 The construction works on formulas in negation normal form.  For a
-formula and a letter, ``delta`` produces a positive boolean formula whose
-atoms are (quoted) subformulas: the obligations that must hold over the
-rest of the trace.  States of the NFA are sets of such obligations
-(macro-states); the successors of a state under a letter are the minimal
-models of the conjoined delta results.  The empty macro-state carries no
-obligation, accepts everything, and is absorbing.
+formula and a letter, ``delta`` returns the minimal models of its
+one-step obligations: sets of (quoted) subformulas that must hold over
+the rest of the trace, none containing another.  Each model is a
+macro-state of the NFA; the successors of a macro-state under a letter
+are the minimal models of its members' conjoined ``delta``.  The empty
+macro-state carries no obligation, accepts everything, and is absorbing.
 
 Star formulas unfold through marker atoms: a diamond-star unfolds into a
 marker that evaluates to false if the loop is re-entered without
@@ -41,11 +41,11 @@ from __future__ import annotations
 import json
 import operator
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .rv import RVState
 from .syntax import ldl
 from .syntax.alphabet import Alphabet
-from .syntax.base import node
 from .syntax.ldl import print_ldlf
 from .syntax.props import (
     FALSE,
@@ -62,62 +62,38 @@ from .syntax.transforms import to_nnf
 
 EPSILON = None
 
-
-class PosBool:
-    """Positive boolean formulas over quoted LDLf subformulas."""
-
-    __slots__ = ()
+TRUE_MODELS = (frozenset(),)
+FALSE_MODELS = ()
 
 
-@node
-class PBTrue(PosBool):
-    pass
-
-
-@node
-class PBFalse(PosBool):
-    pass
-
-
-@node
-class PBAtom(PosBool):
-    formula: ldl.Ldlf
-
-
-@node
-class PBAnd(PosBool):
-    left: PosBool
-    right: PosBool
-
-
-@node
-class PBOr(PosBool):
-    left: PosBool
-    right: PosBool
-
-
-PB_TRUE = PBTrue()
-PB_FALSE = PBFalse()
-
-
-def pb_and(a: PosBool, b: PosBool) -> PosBool:
-    if isinstance(a, PBFalse) or isinstance(b, PBFalse):
-        return PB_FALSE
-    if isinstance(a, PBTrue):
+def models_and(a: tuple, b: tuple) -> tuple:
+    """Minimal models of a conjunction: the pruned pairwise unions."""
+    if not a or not b:
+        return FALSE_MODELS
+    if a == TRUE_MODELS:
         return b
-    if isinstance(b, PBTrue):
+    if b == TRUE_MODELS:
         return a
-    return PBAnd(a, b)
+    return _prune([x | y for x in a for y in b])
 
 
-def pb_or(a: PosBool, b: PosBool) -> PosBool:
-    if isinstance(a, PBTrue) or isinstance(b, PBTrue):
-        return PB_TRUE
-    if isinstance(a, PBFalse):
+def models_or(a: tuple, b: tuple) -> tuple:
+    """Minimal models of a disjunction: the pruned models of both."""
+    if a == TRUE_MODELS or b == TRUE_MODELS:
+        return TRUE_MODELS
+    if not a:
         return b
-    if isinstance(b, PBFalse):
+    if not b:
         return a
-    return PBOr(a, b)
+    return _prune(a + b)
+
+
+def _prune(candidates) -> tuple:
+    kept: list[frozenset] = []
+    for cand in sorted(set(candidates), key=len):
+        if not any(prev <= cand for prev in kept):
+            kept.append(cand)
+    return tuple(kept)
 
 
 def expand_markers(f: ldl.Ldlf) -> ldl.Ldlf:
@@ -129,24 +105,26 @@ def _unmark(n):
     return n.loop if isinstance(n, (ldl.TrueMark, ldl.FalseMark)) else n
 
 
-def _emit(f: ldl.Ldlf, emitted: dict) -> PosBool:
-    """Quote a continuation obligation as a positive boolean atom; the
-    quote of each obligation is computed once and kept in ``emitted``."""
+def _emit(f: ldl.Ldlf, emitted: dict) -> tuple:
+    """The one model that quotes a continuation obligation; the quote of
+    each obligation is computed once and kept in ``emitted``."""
     quoted = emitted.get(f)
     if quoted is None:
         resolved = expand_markers(f)
         if isinstance(resolved, ldl.Tt):
-            quoted = PB_TRUE
+            quoted = TRUE_MODELS
         elif isinstance(resolved, ldl.Ff):
-            quoted = PB_FALSE
+            quoted = FALSE_MODELS
         else:
-            quoted = PBAtom(resolved)
+            quoted = (frozenset((resolved,)),)
         emitted[f] = quoted
     return quoted
 
 
-def delta(f: ldl.Ldlf, letter, emitted: dict | None = None) -> PosBool:
-    """One-step obligations of f under a letter (or EPSILON).
+def delta(f: ldl.Ldlf, letter, emitted: dict | None = None) -> tuple:
+    """Minimal models of f's one-step obligations under a letter (or
+    EPSILON), in no particular order: ``TRUE_MODELS`` when nothing is
+    left to satisfy, ``FALSE_MODELS`` when f fails on this letter.
 
     Pre: f is in negation normal form, marker atoms aside.  ``emitted``
     memoizes the quoted obligations; callers that compute many steps of
@@ -154,30 +132,26 @@ def delta(f: ldl.Ldlf, letter, emitted: dict | None = None) -> PosBool:
     """
     if emitted is None:
         emitted = {}
-    if isinstance(f, ldl.Tt):
-        return PB_TRUE
-    if isinstance(f, ldl.Ff):
-        return PB_FALSE
-    if isinstance(f, ldl.TrueMark):
-        return PB_TRUE
-    if isinstance(f, ldl.FalseMark):
-        return PB_FALSE
+    if isinstance(f, (ldl.Tt, ldl.TrueMark)):
+        return TRUE_MODELS
+    if isinstance(f, (ldl.Ff, ldl.FalseMark)):
+        return FALSE_MODELS
     if isinstance(f, ldl.And):
-        return pb_and(delta(f.left, letter, emitted), delta(f.right, letter, emitted))
+        return models_and(delta(f.left, letter, emitted), delta(f.right, letter, emitted))
     if isinstance(f, ldl.Or):
-        return pb_or(delta(f.left, letter, emitted), delta(f.right, letter, emitted))
+        return models_or(delta(f.left, letter, emitted), delta(f.right, letter, emitted))
     if isinstance(f, ldl.Diamond):
         path = f.path
         if isinstance(path, ldl.Step):
             if letter is EPSILON or not eval_prop(path.guard, letter):
-                return PB_FALSE
+                return FALSE_MODELS
             return _emit(f.arg, emitted)
         if isinstance(path, ldl.Test):
-            return pb_and(
+            return models_and(
                 delta(path.cond, letter, emitted), delta(f.arg, letter, emitted)
             )
         if isinstance(path, ldl.Alt):
-            return pb_or(
+            return models_or(
                 delta(ldl.Diamond(path.left, f.arg), letter, emitted),
                 delta(ldl.Diamond(path.right, f.arg), letter, emitted),
             )
@@ -186,7 +160,7 @@ def delta(f: ldl.Ldlf, letter, emitted: dict | None = None) -> PosBool:
                 ldl.Diamond(path.left, ldl.Diamond(path.right, f.arg)), letter, emitted
             )
         if isinstance(path, ldl.Star):
-            return pb_or(
+            return models_or(
                 delta(f.arg, letter, emitted),
                 delta(ldl.Diamond(path.body, ldl.FalseMark(f)), letter, emitted),
             )
@@ -194,15 +168,15 @@ def delta(f: ldl.Ldlf, letter, emitted: dict | None = None) -> PosBool:
         path = f.path
         if isinstance(path, ldl.Step):
             if letter is EPSILON or not eval_prop(path.guard, letter):
-                return PB_TRUE
+                return TRUE_MODELS
             return _emit(f.arg, emitted)
         if isinstance(path, ldl.Test):
-            return pb_or(
+            return models_or(
                 delta(to_nnf(ldl.Not(path.cond)), letter, emitted),
                 delta(f.arg, letter, emitted),
             )
         if isinstance(path, ldl.Alt):
-            return pb_and(
+            return models_and(
                 delta(ldl.Box(path.left, f.arg), letter, emitted),
                 delta(ldl.Box(path.right, f.arg), letter, emitted),
             )
@@ -211,7 +185,7 @@ def delta(f: ldl.Ldlf, letter, emitted: dict | None = None) -> PosBool:
                 ldl.Box(path.left, ldl.Box(path.right, f.arg)), letter, emitted
             )
         if isinstance(path, ldl.Star):
-            return pb_and(
+            return models_and(
                 delta(f.arg, letter, emitted),
                 delta(ldl.Box(path.body, ldl.TrueMark(f)), letter, emitted),
             )
@@ -223,45 +197,13 @@ def delta(f: ldl.Ldlf, letter, emitted: dict | None = None) -> PosBool:
 
 
 def delta_epsilon(f: ldl.Ldlf) -> bool:
-    """Whether the obligation f is discharged by the empty remainder."""
+    """Whether the obligation f holds on the empty remainder, where its
+    ``delta`` is one of the two constants."""
     result = delta(f, EPSILON)
-    if isinstance(result, PBTrue):
-        return True
-    if isinstance(result, PBFalse):
-        return False
+    if result == TRUE_MODELS or result == FALSE_MODELS:
+        return bool(result)
     msg = f"empty-remainder evaluation did not reach a constant: {f!r}"
     raise AssertionError(msg)
-
-
-def minimal_models(pb: PosBool) -> list[frozenset]:
-    """Minimal satisfying atom sets of a positive boolean formula.
-
-    Positive formulas are monotone, so the minimal models of a
-    conjunction are found among pairwise unions of the operands'
-    minimal models, and those of a disjunction among the operands'.
-    """
-    if isinstance(pb, PBTrue):
-        return [frozenset()]
-    if isinstance(pb, PBFalse):
-        return []
-    if isinstance(pb, PBAtom):
-        return [frozenset((pb.formula,))]
-    if isinstance(pb, PBAnd):
-        left = minimal_models(pb.left)
-        right = minimal_models(pb.right)
-        return _prune([a | b for a in left for b in right])
-    if isinstance(pb, PBOr):
-        return _prune(minimal_models(pb.left) + minimal_models(pb.right))
-    msg = f"not a positive boolean formula: {pb!r}"
-    raise TypeError(msg)
-
-
-def _prune(candidates: list[frozenset]) -> list[frozenset]:
-    kept: list[frozenset] = []
-    for cand in sorted(set(candidates), key=len):
-        if not any(prev <= cand for prev in kept):
-            kept.append(cand)
-    return kept
 
 
 @dataclass(frozen=True)
@@ -367,7 +309,7 @@ def ldlf_to_nfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Nfa:
     delta_cache: dict = {}
     emitted: dict = {}
 
-    def delta_of(f: ldl.Ldlf, letter) -> PosBool:
+    def delta_of(f: ldl.Ldlf, letter) -> tuple:
         probe = (f, letter)
         hit = delta_cache.get(probe)
         if hit is None:
@@ -386,15 +328,13 @@ def ldlf_to_nfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Nfa:
         members = sorted(macro, key=key)
         by_class = []
         for letter in class_letters:
-            obligation = PB_TRUE
+            models = TRUE_MODELS
             for member in members:
-                obligation = pb_and(obligation, delta_of(member, letter))
-                if isinstance(obligation, PBFalse):
+                models = models_and(models, delta_of(member, letter))
+                if not models:
                     break
-            models = minimal_models(obligation)
-            models.sort(key=lambda m: (len(m), sorted(key(g) for g in m)))
             targets = []
-            for model in models:
+            for model in sorted(models, key=lambda m: (len(m), sorted(key(g) for g in m))):
                 if model not in ids:
                     ids[model] = len(order)
                     order.append(model)
@@ -899,13 +839,17 @@ def aut_to_json(aut, colors=None) -> str:
 def aut_from_json(text: str):
     """Inverse of aut_to_json (colors, if present, are returned too).
 
-    Raises ValueError on a letter outside the alphabet and on a state
-    outside ``range(n_states)``.
+    Raises ValueError on a kind other than ``dfa`` and ``nfa``, a letter
+    outside the alphabet, a state outside ``range(n_states)``, and colors
+    that are not one RV state name per state.
     """
     payload = json.loads(text)
     alphabet = Alphabet(
         tuple(payload["props"]), singleton_letters=payload["singleton_letters"]
     )
+    if payload["kind"] not in ("dfa", "nfa"):
+        msg = f"unknown automaton kind: {payload['kind']!r}"
+        raise ValueError(msg)
     deterministic = payload["kind"] == "dfa"
     states = range(payload["n_states"])
 
@@ -940,4 +884,9 @@ def aut_from_json(text: str):
         ),
         finals=frozenset(map(state, payload["finals"])),
     )
-    return aut, payload.get("colors")
+    colors = payload.get("colors")
+    # RVState raises ValueError on a name that is not an RV state's.
+    if colors is not None and len([RVState(c) for c in colors]) != len(states):
+        msg = f"{len(colors)} colors for {len(states)} states"
+        raise ValueError(msg)
+    return aut, colors

@@ -41,7 +41,6 @@ from .declare import (
     parse_pattern,
 )
 from .monitor import Monitor, color
-from .rv import RVState
 from .syntax import (
     Alphabet,
     FormulaSyntaxError,
@@ -269,8 +268,9 @@ def _add_formula_args(parser, *, lang_choices):
         default="ldlf",
         help="input language (default: ldlf)",
     )
-    parser.add_argument("--props", help="comma-separated proposition names")
-    parser.add_argument("--tasks", help="comma-separated task names (one per step)")
+    names = parser.add_mutually_exclusive_group()
+    names.add_argument("--props", help="comma-separated proposition names")
+    names.add_argument("--tasks", help="comma-separated task names (one per step)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -155,7 +155,6 @@ class ModelSyntaxError(ValueError):
         self.line_no = line_no
 
 
-_NAME_RE = _re.compile(r"[A-Za-z_]\w*")
 _LABELED_RE = _re.compile(r"^([A-Za-z_][\w-]*)\s*:\s*(.*)$")
 _CALL_RE = _re.compile(r"^(\w+)\s*\(([^)]*)\)\s*$")
 

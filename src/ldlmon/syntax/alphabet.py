@@ -13,6 +13,7 @@ from dataclasses import dataclass
 Interp = frozenset
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+MAX_PROPS = 20
 
 # Operator keywords of the concrete syntax; these cannot name propositions.
 RESERVED_NAMES = frozenset(
@@ -60,13 +61,18 @@ class Alphabet:
         return name in self.props
 
     def letters(self) -> tuple[frozenset[str], ...]:
-        """All letters of this alphabet, in a fixed enumeration order."""
+        """All letters of this alphabet, in a fixed enumeration order.
+        A prop alphabet of more than ``MAX_PROPS`` props has too many to
+        enumerate: it raises ValueError instead."""
         cached = self.__dict__.get("_letters")
         if cached is None:
             if self.singleton_letters:
                 cached = tuple(frozenset((p,)) for p in self.props)
             else:
                 n = len(self.props)
+                if n > MAX_PROPS:
+                    msg = f"{n} props give 2^{n} letters; at most {MAX_PROPS} props are supported"
+                    raise ValueError(msg)
                 cached = tuple(
                     frozenset(self.props[j] for j in range(n) if mask >> j & 1)
                     for mask in range(1 << n)

@@ -6,10 +6,12 @@ from the seed alone.
 from __future__ import annotations
 
 import itertools
+import random
 
 from ldlmon.automata import Dfa
-from ldlmon.syntax import ldl, ltl
+from ldlmon.syntax import Alphabet, ldl, ltl
 from ldlmon.syntax.props import Atom, FALSE, PropAnd, PropNot, PropOr, TRUE
+from ldlmon.syntax.transforms import ltlf_to_ldlf
 
 
 def random_prop(rng, names, depth=2):
@@ -147,6 +149,29 @@ def random_ltlf(rng, names, depth=4):
         "release": ltl.Release,
     }
     return binary[op](left, right)
+
+
+def seeded_cases(seed, count, depth=3, star_depth=1):
+    """(formula, alphabet) pairs: prop alphabets of 3 to 7 props where the
+    formula draws on a random subset of one to three props (so unused
+    props sit between used ones), and task alphabets of two to five
+    tasks.  ``depth`` bounds the formula, ``star_depth`` the nesting of
+    stars in LDLf paths."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 4 == 3:
+            tasks = [f"t{j}" for j in range(rng.randint(2, 5))]
+            alphabet = Alphabet.tasks(tasks)
+            names = rng.sample(tasks, rng.randint(1, len(tasks)))
+        else:
+            props = [f"p{j}" for j in range(rng.randint(3, 7))]
+            alphabet = Alphabet(tuple(props))
+            names = rng.sample(props, rng.randint(1, 3))
+        if rng.random() < 0.5:
+            formula = random_ldlf(rng, names, depth=depth, star_depth=star_depth)
+        else:
+            formula = ltlf_to_ldlf(random_ltlf(rng, names, depth=depth))
+        yield formula, alphabet
 
 
 def column_rows(alphabet, table, missing=None) -> tuple:

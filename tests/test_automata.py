@@ -6,11 +6,8 @@ import pytest
 
 from ldlmon.automata import (
     EPSILON,
-    PB_FALSE,
-    PB_TRUE,
-    PBAtom,
-    PBAnd,
-    PBOr,
+    FALSE_MODELS,
+    TRUE_MODELS,
     Dfa,
     Nfa,
     accepts,
@@ -26,10 +23,9 @@ from ldlmon.automata import (
     is_empty,
     language_equal,
     ldlf_to_nfa,
-    minimal_models,
     minimize,
-    pb_and,
-    pb_or,
+    models_and,
+    models_or,
     prefix_closure,
     product,
     product_pairs,
@@ -53,9 +49,11 @@ from ldlmon.syntax import (
     prop_formula,
     to_nnf,
 )
+from ldlmon.syntax.ldl import print_ldlf, subterms
 from ldlmon.syntax.props import Atom, TRUE, eval_prop
 
-from genformulas import all_traces, column_rows, random_dfa, random_ldlf
+import reference_delta as ref
+from genformulas import all_traces, column_rows, random_dfa, random_ldlf, seeded_cases
 
 AB = Alphabet.of("a", "b")
 TASKS = Alphabet.tasks(["a", "b"])
@@ -77,68 +75,75 @@ def compile_ldlf(text, alphabet=AB):
 # The one-step obligation function --------------------------------------
 
 
+def models(*sets):
+    """A set of minimal models, each given as an iterable of obligations:
+    ``delta`` returns its models in set-iteration order, so tests compare
+    them as sets."""
+    return {frozenset(m) for m in sets}
+
+
 def test_delta_on_constants():
-    assert delta(ldl("tt"), L_A) is PB_TRUE
-    assert delta(ldl("ff"), L_A) is PB_FALSE
-    assert delta(ldl("tt"), EPSILON) is PB_TRUE
+    assert delta(ldl("tt"), L_A) == TRUE_MODELS
+    assert delta(ldl("ff"), L_A) == FALSE_MODELS
+    assert delta(ldl("tt"), EPSILON) == TRUE_MODELS
 
 
 def test_delta_on_guarded_steps():
     diamond = ldl("<a>tt")
-    assert delta(diamond, L_A) is PB_TRUE
-    assert delta(diamond, L_AB) is PB_TRUE
-    assert delta(diamond, L_B) is PB_FALSE
-    assert delta(diamond, EPSILON) is PB_FALSE
+    assert delta(diamond, L_A) == TRUE_MODELS
+    assert delta(diamond, L_AB) == TRUE_MODELS
+    assert delta(diamond, L_B) == FALSE_MODELS
+    assert delta(diamond, EPSILON) == FALSE_MODELS
     box = ldl("[a]ff")
-    assert delta(box, L_A) is PB_FALSE
-    assert delta(box, L_B) is PB_TRUE
-    assert delta(box, EPSILON) is PB_TRUE
+    assert delta(box, L_A) == FALSE_MODELS
+    assert delta(box, L_B) == TRUE_MODELS
+    assert delta(box, EPSILON) == TRUE_MODELS
 
 
 def test_delta_emits_residual_obligations():
     formula = ldl("<a><b>tt")
-    assert delta(formula, L_A) == PBAtom(ldl("<b>tt"))
-    assert delta(formula, L_B) is PB_FALSE
+    assert set(delta(formula, L_A)) == models([ldl("<b>tt")])
+    assert delta(formula, L_B) == FALSE_MODELS
     boxed = ldl("[true][b]ff")
-    assert delta(boxed, L_A) == PBAtom(ldl("[b]ff"))
+    assert set(delta(boxed, L_A)) == models([ldl("[b]ff")])
 
 
 def test_delta_distributes_over_connectives():
     both = ldl("<a><a>tt && <true><b>tt")
-    assert delta(both, L_A) == PBAnd(PBAtom(ldl("<a>tt")), PBAtom(ldl("<b>tt")))
+    assert set(delta(both, L_A)) == models([ldl("<a>tt"), ldl("<b>tt")])
     either = ldl("<a><a>tt || <b><b>tt")
-    assert delta(either, L_A) == PBAtom(ldl("<a>tt"))
-    assert delta(either, EPSILON) is PB_FALSE
+    assert set(delta(either, L_A)) == models([ldl("<a>tt")])
+    assert delta(either, EPSILON) == FALSE_MODELS
 
 
 def test_delta_on_tests_and_composite_paths():
     guarded = ldl("<(a)?; true><b>tt")
     # The test consumes nothing: both the condition and the continuation
     # constrain the same letter.
-    assert delta(guarded, L_A) == PBAtom(ldl("<b>tt"))
-    assert delta(guarded, L_B) is PB_FALSE
+    assert set(delta(guarded, L_A)) == models([ldl("<b>tt")])
+    assert delta(guarded, L_B) == FALSE_MODELS
     split = ldl("<a; b>tt")
-    assert delta(split, L_A) == PBAtom(ldl("<b>tt"))
+    assert set(delta(split, L_A)) == models([ldl("<b>tt")])
     merged = ldl("<a + b><a>tt")
-    assert delta(merged, L_B) == PBAtom(ldl("<a>tt"))
+    assert set(delta(merged, L_B)) == models([ldl("<a>tt")])
 
 
 def test_delta_unfolds_stars_through_markers():
     loop = ldl("<a*><b>tt")
     # Taking the loop body leaves the whole star formula as the residual.
-    assert delta(loop, L_A) == PBAtom(loop)
-    assert delta(loop, L_B) is PB_TRUE
-    assert delta(loop, L_NONE) is PB_FALSE
+    assert set(delta(loop, L_A)) == models([loop])
+    assert delta(loop, L_B) == TRUE_MODELS
+    assert delta(loop, L_NONE) == FALSE_MODELS
     deep = ldl("<a*><b><b>tt")
-    assert delta(deep, L_AB) == PBOr(PBAtom(ldl("<b>tt")), PBAtom(deep))
+    assert set(delta(deep, L_AB)) == models([ldl("<b>tt")], [deep])
     dual = ldl("[a*][b]ff")
     # The empty iteration makes the body hold immediately, so reading b
     # violates right away.
-    assert delta(dual, L_B) is PB_FALSE
-    assert delta(dual, L_A) == PBAtom(dual)
-    assert delta(dual, L_NONE) is PB_TRUE
+    assert delta(dual, L_B) == FALSE_MODELS
+    assert set(delta(dual, L_A)) == models([dual])
+    assert delta(dual, L_NONE) == TRUE_MODELS
     deep_dual = ldl("[a*][b][b]ff")
-    assert delta(deep_dual, L_AB) == PBAnd(PBAtom(ldl("[b]ff")), PBAtom(deep_dual))
+    assert set(delta(deep_dual, L_AB)) == models([ldl("[b]ff"), deep_dual])
 
 
 def test_delta_rejects_formulas_outside_nnf():
@@ -161,34 +166,62 @@ def test_delta_epsilon_matches_empty_trace_truth():
         assert delta_epsilon(formula) == eval_ldlf((), 0, formula), text
 
 
-# Positive boolean formulas ---------------------------------------------
+def test_delta_matches_the_minimal_models_of_the_reference_tree():
+    """On every obligation reachable from 120 seeded formulas, under
+    every letter and EPSILON, delta's models are exactly the minimal
+    models of the positive boolean formula the reference builds."""
+    starred = 0
+    for formula, alphabet in seeded_cases(8101, 120, depth=4, star_depth=2):
+        letters = alphabet.letters() + (EPSILON,)
+        seen = {to_nnf(formula)}
+        queue = list(seen)
+        while queue:
+            member = queue.pop()
+            starred += any(isinstance(n, Star) for n in subterms(member))
+            for letter in letters:
+                got = delta(member, letter)
+                assert len(set(got)) == len(got)
+                want = ref.minimal_models(ref.delta(member, letter))
+                assert set(got) == set(want), (print_ldlf(member), letter)
+                for model in got:
+                    for obligation in model - seen:
+                        seen.add(obligation)
+                        queue.append(obligation)
+    # Stars unfold through marker atoms, so markers were substituted.
+    assert starred > 100
 
 
-def test_pb_smart_constructors_short_circuit():
-    atom = PBAtom(ldl("<a>tt"))
-    assert pb_and(PB_TRUE, atom) is atom
-    assert pb_and(atom, PB_FALSE) is PB_FALSE
-    assert pb_or(PB_FALSE, atom) is atom
-    assert pb_or(atom, PB_TRUE) is PB_TRUE
+# Minimal models --------------------------------------------------------
+
+
+def test_model_combinators_short_circuit():
+    atom = (frozenset((ldl("<a>tt"),)),)
+    assert models_and(TRUE_MODELS, atom) is atom
+    assert models_and(atom, FALSE_MODELS) is FALSE_MODELS
+    assert models_or(FALSE_MODELS, atom) is atom
+    assert models_or(atom, TRUE_MODELS) is TRUE_MODELS
 
 
 def test_minimal_models_of_constants_and_atoms():
     fa = ldl("<a>tt")
-    assert minimal_models(PB_TRUE) == [frozenset()]
-    assert minimal_models(PB_FALSE) == []
-    assert minimal_models(PBAtom(fa)) == [frozenset((fa,))]
+    a = (frozenset((fa,)),)
+    assert models_and(TRUE_MODELS, TRUE_MODELS) == (frozenset(),)
+    assert models_or(FALSE_MODELS, FALSE_MODELS) == ()
+    assert models_and(a, a) == a
+    assert models_or(a, a) == a
+    # A step emits its residual obligation as the one model.
+    assert delta(ldl("<true><a>tt"), L_A) == a
 
 
 def test_minimal_models_merge_and_prune():
     fa, fb, fc = ldl("<a>tt"), ldl("<b>tt"), ldl("<a><a>tt")
-    a, b, c = PBAtom(fa), PBAtom(fb), PBAtom(fc)
-    assert minimal_models(PBAnd(a, b)) == [frozenset((fa, fb))]
-    assert set(minimal_models(PBOr(a, b))) == {frozenset((fa,)), frozenset((fb,))}
+    a, b, c = ((frozenset((f,)),) for f in (fa, fb, fc))
+    assert models_and(a, b) == (frozenset((fa, fb)),)
+    assert set(models_or(a, b)) == models([fa], [fb])
     # a || (a && b) collapses to a.
-    assert minimal_models(PBOr(a, PBAnd(a, b))) == [frozenset((fa,))]
+    assert models_or(a, models_and(a, b)) == a
     # (a || b) && (a || c): the a-branch subsumes the mixed unions.
-    models = set(minimal_models(PBAnd(PBOr(a, b), PBOr(a, c))))
-    assert models == {frozenset((fa,)), frozenset((fb, fc))}
+    assert set(models_and(models_or(a, b), models_or(a, c))) == models([fa], [fb, fc])
 
 
 # Compiling a worked formula --------------------------------------------
@@ -554,21 +587,24 @@ def test_json_roundtrip_for_nfas_and_colors():
 
 
 def test_json_input_outside_the_alphabet_or_the_states_is_rejected():
-    def payload(kind="dfa", initial=0, finals=(), transitions=()):
+    def payload(kind="dfa", initial=0, finals=(), transitions=(), n_states=1, **extra):
         return json.dumps(
             {
                 "kind": kind,
                 "props": ["a", "b"],
                 "singleton_letters": True,
-                "n_states": 1,
+                "n_states": n_states,
                 "initial": initial,
                 "finals": list(finals),
                 "transitions": [[0, ["a"], 0], *transitions],
+                **extra,
             }
         )
 
     dfa, _ = aut_from_json(payload(transitions=[[0, ["b"], 0]]))
     assert dfa.is_total()
+    _, colors = aut_from_json(payload(n_states=2, colors=["perm_true", "temp_false"]))
+    assert colors == ["perm_true", "temp_false"]
     bad = [
         payload(transitions=[[0, ["zz"], 7]]),
         payload(transitions=[[0, ["zz"], 0]]),
@@ -581,6 +617,11 @@ def test_json_input_outside_the_alphabet_or_the_states_is_rejected():
         payload(kind="nfa", transitions=[[0, ["zz"], 0]]),
         payload(kind="nfa", transitions=[[0, ["b"], 7]]),
         payload(kind="nfa", transitions=[[2, ["b"], 0]]),
+        payload(kind="bogus"),
+        payload(colors=["x"]),
+        payload(colors=["perm_true", "perm_true"]),
+        payload(n_states=2, colors=["x", "x"]),
+        payload(n_states=2, colors=["perm_true"]),
     ]
     for text in bad:
         with pytest.raises(ValueError):

@@ -307,6 +307,8 @@ def test_repl_ends_without_end_marker(capsys, monkeypatch):
         ["compile", "nope(a)", "--lang", "pattern"],
         ["compile", "existence(a, b)", "--lang", "pattern"],
         ["compile", "existence(a)", "--lang", "pattern", "--tasks", "b"],
+        ["compile", "<a>tt", "--tasks", "a", "--props", "b"],
+        ["compile", "<p0>tt", "--props", ",".join(f"p{j}" for j in range(25))],
         ["monitor", "<a>tt", "--trace", "/no/such/file"],
         ["declare", "/no/such/model.decl", "--trace", "-"],
         ["compile"],

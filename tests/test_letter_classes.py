@@ -5,9 +5,11 @@ per letter class and copy it into every column of the class; the prefix
 closures walk each state's distinct targets; ``product_pairs`` and
 ``complete`` walk column rows.  The references below are the per-letter
 versions these replaced, kept verbatim apart from names and from how
-they read and write rows.  Every table, label and final set must come
-out byte-identical, on prop alphabets where the formula uses only some
-of the props and on task alphabets.
+they read and write rows; the per-letter NFA construction conjoins
+obligations through ``reference_delta``, the positive boolean formulas
+``automata.delta`` no longer builds.  Every table, label and final set
+must come out byte-identical, on prop alphabets where the formula uses
+only some of the props and on task alphabets.
 """
 import json
 import operator
@@ -16,21 +18,16 @@ from collections import deque
 
 from ldlmon import automata
 from ldlmon.automata import (
-    PB_TRUE,
     Dfa,
     Nfa,
-    PBFalse,
     aut_from_json,
     aut_to_json,
     complete,
     delta,
-    delta_epsilon,
     determinize,
     ldlf_to_nfa,
     letter_classes,
-    minimal_models,
     minimize,
-    pb_and,
     prefix_closure,
     product,
     product_pairs,
@@ -38,9 +35,10 @@ from ldlmon.automata import (
 )
 from ldlmon.syntax import Alphabet, ldl, parse_ldlf
 from ldlmon.syntax.ldl import print_ldlf
-from ldlmon.syntax.transforms import ltlf_to_ldlf, to_nnf
+from ldlmon.syntax.transforms import to_nnf
 
-from genformulas import column_rows, random_dfa, random_ldlf, random_ltlf
+import reference_delta as ref
+from genformulas import column_rows, random_dfa, random_ldlf, seeded_cases
 
 
 def reference_ldlf_to_nfa(formula, alphabet):
@@ -61,7 +59,7 @@ def reference_ldlf_to_nfa(formula, alphabet):
         probe = (f, letter)
         hit = delta_cache.get(probe)
         if hit is None:
-            hit = delta(f, letter)
+            hit = ref.delta(f, letter)
             delta_cache[probe] = hit
         return hit
 
@@ -76,12 +74,12 @@ def reference_ldlf_to_nfa(formula, alphabet):
         row: dict = {}
         members = sorted(macro, key=key)
         for letter in letters:
-            obligation = PB_TRUE
+            obligation = ref.PB_TRUE
             for member in members:
-                obligation = pb_and(obligation, delta_of(member, letter))
-                if isinstance(obligation, PBFalse):
+                obligation = ref.pb_and(obligation, delta_of(member, letter))
+                if isinstance(obligation, ref.PBFalse):
                     break
-            models = minimal_models(obligation)
+            models = ref.minimal_models(obligation)
             models.sort(key=lambda m: (len(m), sorted(key(g) for g in m)))
             targets = []
             for model in models:
@@ -98,7 +96,7 @@ def reference_ldlf_to_nfa(formula, alphabet):
         order.append(empty)
         transitions[ids[empty]] = {letter: frozenset((ids[empty],)) for letter in letters}
     finals = frozenset(
-        ids[macro] for macro in order if all(delta_epsilon(m) for m in macro)
+        ids[macro] for macro in order if all(ref.delta_epsilon(m) for m in macro)
     )
     labels = tuple(
         " & ".join(sorted(key(member) for member in macro)) if macro else "{}"
@@ -234,28 +232,6 @@ def assert_same(got, want):
     assert aut_to_json(got) == aut_to_json(want)
     assert got.labels == want.labels
     assert got.finals == want.finals
-
-
-def seeded_cases(seed, count):
-    """(formula, alphabet) pairs: prop alphabets of 3 to 7 props where the
-    formula draws on a random subset of one to three props (so unused
-    props sit between used ones), and task alphabets of two to five
-    tasks."""
-    rng = random.Random(seed)
-    for i in range(count):
-        if i % 4 == 3:
-            tasks = [f"t{j}" for j in range(rng.randint(2, 5))]
-            alphabet = Alphabet.tasks(tasks)
-            names = rng.sample(tasks, rng.randint(1, len(tasks)))
-        else:
-            props = [f"p{j}" for j in range(rng.randint(3, 7))]
-            alphabet = Alphabet(tuple(props))
-            names = rng.sample(props, rng.randint(1, 3))
-        if rng.random() < 0.5:
-            formula = random_ldlf(rng, names, depth=3, star_depth=1)
-        else:
-            formula = ltlf_to_ldlf(random_ltlf(rng, names, depth=3))
-        yield formula, alphabet
 
 
 def test_pipeline_matches_the_per_letter_construction():

@@ -69,6 +69,16 @@ def test_alphabet_letters_general_and_tasks():
         tasks.check_letter(frozenset({"nope"}))
 
 
+def test_alphabet_letters_refuse_more_than_twenty_props():
+    wide = Alphabet(tuple(f"p{j}" for j in range(21)))
+    # 2^21 letters would take seconds and hundreds of MB to enumerate.
+    with pytest.raises(ValueError, match=r"2\^21 letters"):
+        wide.letters()
+    assert "_letters" not in wide.__dict__
+    tasks = Alphabet.tasks([f"t{j}" for j in range(25)])
+    assert len(tasks.letters()) == 25
+
+
 def test_prop_parsing_precedence():
     phi = parse_prop("a || b && !a", AB)
     assert phi == PropOr(Atom("a"), PropAnd(Atom("b"), PropNot(Atom("a"))))
