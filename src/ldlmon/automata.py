@@ -25,11 +25,16 @@ letters that behave the same way.  ``delta`` reads a letter only
 through guard atoms, so ``ldlf_to_nfa`` groups letters by their
 intersection with the formula's atoms.  ``determinize`` and
 ``minimize`` take the classes from the automaton itself
-(``letter_classes``: columns whose successors agree from every state).
-A class's successor is computed from its first letter and written into
-the column of every letter in it, and classes are visited in the order
-of their first letter, so states are discovered, and numbered, exactly
-as a letter-by-letter walk would.
+(``letter_classes``: columns whose successors agree from every state),
+and ``product_pairs`` from the pairs of its operands' columns.  A
+class's successor is computed from its first letter.
+
+One breadth-first explorer, ``_explore``, holds the numbering policy of
+all four constructions: it visits states in discovery order, takes
+their cells class by class in the order of each class's first letter,
+numbers a successor the first time it is seen, and writes each class's
+cell into the column of every letter in it.  States are therefore
+discovered, and numbered, exactly as a letter-by-letter walk would.
 
 Every automaton stores one transition table: a tuple of rows, one per
 state, whose cells follow ``alphabet.letters()`` (a letter's column is
@@ -41,7 +46,7 @@ from __future__ import annotations
 import json
 import operator
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .rv import RVState
 from .syntax import ldl
@@ -317,14 +322,7 @@ def ldlf_to_nfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Nfa:
             delta_cache[probe] = hit
         return hit
 
-    empty = frozenset()
-    initial_macro = frozenset((normalized,))
-    ids: dict = {initial_macro: 0}
-    order = [initial_macro]
-    transitions = []
-    queue = deque((initial_macro,))
-    while queue:
-        macro = queue.popleft()
+    def cells(macro, ident):
         members = sorted(macro, key=key)
         by_class = []
         for letter in class_letters:
@@ -333,35 +331,29 @@ def ldlf_to_nfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Nfa:
                 models = models_and(models, delta_of(member, letter))
                 if not models:
                     break
-            targets = []
-            for model in sorted(models, key=lambda m: (len(m), sorted(key(g) for g in m))):
-                if model not in ids:
-                    ids[model] = len(order)
-                    order.append(model)
-                    queue.append(model)
-                targets.append(ids[model])
-            by_class.append(frozenset(targets))
-        transitions.append(_spread(class_of, by_class))
-    if empty not in ids:
-        ids[empty] = len(order)
+            ordered = sorted(models, key=lambda m: (len(m), sorted(key(g) for g in m)))
+            by_class.append(frozenset([ident(model) for model in ordered]))
+        return by_class
+
+    order, transitions = _explore(frozenset((normalized,)), cells, class_of)
+    empty = frozenset()
+    if empty not in order:
         order.append(empty)
-        transitions.append((frozenset((ids[empty],)),) * len(letters))
-    finals = frozenset(
-        ids[macro]
-        for macro in order
-        if all(delta_epsilon(member) for member in macro)
-    )
-    labels = tuple(
-        " & ".join(sorted(key(member) for member in macro)) if macro else "{}"
-        for macro in order
-    )
+        transitions.append((frozenset((len(order) - 1,)),) * len(letters))
     return Nfa(
         alphabet=alphabet,
         n_states=len(order),
         initial=0,
         transitions=tuple(transitions),
-        finals=finals,
-        labels=labels,
+        finals=frozenset(
+            i
+            for i, macro in enumerate(order)
+            if all(delta_epsilon(member) for member in macro)
+        ),
+        labels=tuple(
+            " & ".join(sorted(key(member) for member in macro)) if macro else "{}"
+            for macro in order
+        ),
     )
 
 
@@ -370,35 +362,23 @@ def determinize(nfa: Nfa) -> Dfa:
     successor lead to the empty subset, a rejecting sink."""
     rows = nfa.transitions
     firsts, class_of = letter_classes(nfa)
-    initial = frozenset((nfa.initial,))
-    ids = {initial: 0}
-    order = [initial]
-    transitions = []
-    queue = deque((initial,))
-    while queue:
-        subset = queue.popleft()
-        by_class = []
-        for column in firsts:
-            successor = frozenset().union(*[rows[state][column] for state in subset])
-            if successor not in ids:
-                ids[successor] = len(order)
-                order.append(successor)
-                queue.append(successor)
-            by_class.append(ids[successor])
-        transitions.append(_spread(class_of, by_class))
-    finals = frozenset(
-        ids[subset] for subset in order if subset & nfa.finals
-    )
-    labels = tuple(
-        "{" + ",".join(str(s) for s in sorted(subset)) + "}" for subset in order
-    )
+
+    def cells(subset, ident):
+        return [
+            ident(frozenset().union(*[rows[state][column] for state in subset]))
+            for column in firsts
+        ]
+
+    order, transitions = _explore(frozenset((nfa.initial,)), cells, class_of)
     return Dfa(
         alphabet=nfa.alphabet,
         n_states=len(order),
         initial=0,
         transitions=tuple(transitions),
-        finals=finals,
-        labels=labels,
+        finals=frozenset(i for i, subset in enumerate(order) if subset & nfa.finals),
+        labels=tuple(
+            "{" + ",".join(str(s) for s in sorted(subset)) + "}" for subset in order
+        ),
     )
 
 
@@ -426,9 +406,33 @@ def _partition(keys):
     return firsts, class_of
 
 
-def _spread(class_of, by_class) -> tuple:
-    """A row, one cell per column, from one value per class."""
-    return tuple(map(by_class.__getitem__, class_of))
+def _explore(start, cells, class_of):
+    """Number the states reachable from ``start`` breadth first, in the
+    order they are discovered, and build their rows.
+
+    States are named by hashable keys.  ``cells(key, ident)`` gives the
+    state's cells, one per letter class with classes in the order of
+    their first letter; it names each successor through ``ident``, which
+    numbers a key the first time it is seen.  Each class's cell is then
+    spread over the columns of its letters (``class_of``: every column's
+    class).  Returns the keys in state order and the list of rows.
+    """
+    ids = {start: 0}
+    order = [start]
+
+    def ident(key) -> int:
+        state = ids.get(key)
+        if state is None:
+            state = ids[key] = len(order)
+            order.append(key)
+        return state
+
+    rows = []
+    # ``order`` grows as ``ident`` discovers states, so this walk is the
+    # FIFO queue: it ends once every discovered state has its row.
+    for key in order:
+        rows.append(tuple(map(cells(key, ident).__getitem__, class_of)))
+    return order, rows
 
 
 def complete(aut):
@@ -448,12 +452,10 @@ def complete(aut):
         tuple(fill if cell == missing else cell for cell in row)
         for row in aut.transitions
     ) + ((fill,) * len(aut.alphabet.letters()),)
-    return type(aut)(
-        alphabet=aut.alphabet,
+    return replace(
+        aut,
         n_states=aut.n_states + 1,
-        initial=aut.initial,
         transitions=transitions,
-        finals=aut.finals,
         labels=aut.labels + ("sink",) if aut.labels else (),
     )
 
@@ -463,14 +465,7 @@ def complement(dfa: Dfa) -> Dfa:
     if not dfa.is_total():
         msg = "complement needs a total automaton; call complete() first"
         raise ValueError(msg)
-    return Dfa(
-        alphabet=dfa.alphabet,
-        n_states=dfa.n_states,
-        initial=dfa.initial,
-        transitions=dfa.transitions,
-        finals=frozenset(range(dfa.n_states)) - dfa.finals,
-        labels=dfa.labels,
-    )
+    return replace(dfa, finals=frozenset(range(dfa.n_states)) - dfa.finals)
 
 
 def product_pairs(a: Dfa, b: Dfa, accept=None):
@@ -483,36 +478,30 @@ def product_pairs(a: Dfa, b: Dfa, accept=None):
     if a.alphabet != b.alphabet:
         msg = "product needs automata over the same alphabet"
         raise ValueError(msg)
+    if not (a.is_total() and b.is_total()):
+        msg = "product needs total automata; call complete() first"
+        raise ValueError(msg)
     if accept is None:
         accept = lambda fa, fb: fa and fb
-    start = (a.initial, b.initial)
-    ids = {start: 0}
-    order = [start]
-    transitions = []
-    queue = deque((start,))
-    while queue:
-        sa, sb = queue.popleft()
-        row = []
-        for successor in zip(a.transitions[sa], b.transitions[sb]):
-            if successor not in ids:
-                ids[successor] = len(order)
-                order.append(successor)
-                queue.append(successor)
-            row.append(ids[successor])
-        transitions.append(tuple(row))
-    finals = frozenset(
-        ids[pair]
-        for pair in order
-        if accept(pair[0] in a.finals, pair[1] in b.finals)
-    )
-    labels = tuple(f"({sa},{sb})" for sa, sb in order)
+    rows_a, rows_b = a.transitions, b.transitions
+    firsts, class_of = _partition(zip(zip(*rows_a), zip(*rows_b)))
+
+    def cells(pair, ident):
+        row_a, row_b = rows_a[pair[0]], rows_b[pair[1]]
+        return [ident((row_a[column], row_b[column])) for column in firsts]
+
+    order, transitions = _explore((a.initial, b.initial), cells, class_of)
     dfa = Dfa(
         alphabet=a.alphabet,
         n_states=len(order),
         initial=0,
         transitions=tuple(transitions),
-        finals=finals,
-        labels=labels,
+        finals=frozenset(
+            i
+            for i, (sa, sb) in enumerate(order)
+            if accept(sa in a.finals, sb in b.finals)
+        ),
+        labels=tuple(f"({sa},{sb})" for sa, sb in order),
     )
     return dfa, tuple(order)
 
@@ -589,38 +578,23 @@ def minimize(dfa: Dfa) -> Dfa:
             break
         block = next_block
     # Rebuild over blocks, numbering them by breadth-first discovery.
-    start = block[dfa.initial]
-    ids = {start: 0}
-    order = [start]
     representative = {}
     for s in states:
         representative.setdefault(block[s], s)
-    transitions = []
-    queue = deque((start,))
-    while queue:
-        row = rows[representative[queue.popleft()]]
-        by_class = []
-        for column in firsts:
-            target = block[row[column]]
-            if target not in ids:
-                ids[target] = len(order)
-                order.append(target)
-                queue.append(target)
-            by_class.append(ids[target])
-        transitions.append(_spread(class_of, by_class))
-    finals = frozenset(
-        ids[blk] for blk in order if representative[blk] in dfa.finals
-    )
-    labels = tuple(
-        dfa.labels[representative[blk]] if dfa.labels else "" for blk in order
-    )
+
+    def cells(blk, ident):
+        row = rows[representative[blk]]
+        return [ident(block[row[column]]) for column in firsts]
+
+    order, transitions = _explore(block[dfa.initial], cells, class_of)
+    kept = [representative[blk] for blk in order]
     return Dfa(
         alphabet=dfa.alphabet,
         n_states=len(order),
         initial=0,
         transitions=tuple(transitions),
-        finals=finals,
-        labels=labels if dfa.labels else (),
+        finals=frozenset(i for i, s in enumerate(kept) if s in dfa.finals),
+        labels=tuple(dfa.labels[s] for s in kept) if dfa.labels else (),
     )
 
 
@@ -655,15 +629,7 @@ def prefix_closure(aut):
             if pred not in closed:
                 closed.add(pred)
                 queue.append(pred)
-    kwargs = dict(
-        alphabet=aut.alphabet,
-        n_states=aut.n_states,
-        initial=aut.initial,
-        transitions=aut.transitions,
-        finals=frozenset(closed),
-        labels=aut.labels,
-    )
-    return type(aut)(**kwargs)
+    return replace(aut, finals=frozenset(closed))
 
 
 def trim(nfa: Nfa) -> Nfa:

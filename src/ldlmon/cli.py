@@ -110,20 +110,17 @@ def _parse_event_line(line: str, alphabet: Alphabet, no: int):
     text = line.strip()
     if not text or text.startswith("#"):
         return None
-    if text.startswith("["):
+    if text.startswith(("[", '"')):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise CliError(f"trace line {no}: {exc}") from None
-        if not all(isinstance(item, str) for item in data):
+        if isinstance(data, str):
+            event = frozenset({data})
+        elif all(isinstance(item, str) for item in data):
+            event = frozenset(data)
+        else:
             raise CliError(f"trace line {no}: expected a list of names")
-        event = frozenset(data)
-    elif text.startswith('"'):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"trace line {no}: {exc}") from None
-        event = frozenset({data})
     else:
         event = frozenset({text})
     try:

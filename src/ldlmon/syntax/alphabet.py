@@ -10,8 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-Interp = frozenset
-
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 MAX_PROPS = 20
 

@@ -8,7 +8,7 @@ On a finite trace ``X phi`` requires a successor step to exist while
 from __future__ import annotations
 
 from .base import node
-from .props import Prop, print_prop
+from .props import Prop, is_atomic_prop, print_prop
 
 
 class Ltlf:
@@ -104,7 +104,7 @@ def _pl(f: Ltlf, parent: int) -> str:
         # Compound propositional payloads keep their own parentheses so the
         # temporal and the propositional layer cannot be confused.
         text = print_prop(prop)
-        return text if _is_leafish(prop) else f"({text})"
+        return text if is_atomic_prop(prop) else f"({text})"
     kind = type(f)
     if kind in _UNARY_TOKENS:
         return _UNARY_TOKENS[kind] + _pl(f.arg, _PREC_UNARY)
@@ -128,9 +128,3 @@ def _pl(f: Ltlf, parent: int) -> str:
         return f"({text})" if parent > _PREC_IFF else text
     msg = f"not an LTLf formula: {f!r}"
     raise TypeError(msg)
-
-
-def _is_leafish(prop: Prop) -> bool:
-    from .props import is_atomic_prop
-
-    return is_atomic_prop(prop)

@@ -88,7 +88,6 @@ def prop_atoms(phi: Prop) -> frozenset[str]:
 _PREC_OR = 1
 _PREC_AND = 2
 _PREC_NOT = 3
-_PREC_ATOM = 4
 
 
 def print_prop(phi: Prop) -> str:

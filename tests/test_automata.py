@@ -36,9 +36,7 @@ from ldlmon.automata import (
 from ldlmon.semantics import eval_ldlf, trace_from_tasks
 from ldlmon.syntax import (
     Alphabet,
-    And,
     Diamond,
-    END,
     Not,
     Star,
     Step,
@@ -46,7 +44,6 @@ from ldlmon.syntax import (
     ltlf_to_ldlf,
     parse_ldlf,
     parse_ltlf,
-    prop_formula,
     to_nnf,
 )
 from ldlmon.syntax.ldl import print_ldlf, subterms
@@ -453,6 +450,24 @@ def test_product_accept_parameter_and_pair_table():
 def test_product_rejects_mismatched_alphabets():
     with pytest.raises(ValueError):
         product(compile_ldlf("a"), compile_ldlf("a", Alphabet.of("a")))
+
+
+def test_product_requires_total_automata():
+    partial = Dfa(
+        alphabet=TASKS,
+        n_states=1,
+        initial=0,
+        transitions=column_rows(TASKS, {0: {L_A: 0}}),
+        finals=frozenset(),
+    )
+    read, _ = aut_from_json(aut_to_json(partial))
+    total = complete(partial)
+    for left, right in ((partial, total), (total, partial), (read, total)):
+        with pytest.raises(ValueError, match="product needs total automata"):
+            product(left, right)
+    for left in (partial, read):
+        with pytest.raises(ValueError, match="product needs total automata"):
+            language_equal(left, total)
 
 
 # Prefix closure, trim, emptiness ---------------------------------------

@@ -5,9 +5,7 @@ import pytest
 
 from ldlmon.declare import (
     Constraint,
-    DeclareModel,
     EMPTY_CELL,
-    MetaModel,
     MetaMonitor,
     ModelMonitor,
     ModelSyntaxError,

@@ -1,9 +1,9 @@
 """Class-level compilation against the per-letter construction it replaces.
 
-``ldlf_to_nfa``, ``determinize`` and ``minimize`` compute one successor
-per letter class and copy it into every column of the class; the prefix
-closures walk each state's distinct targets; ``product_pairs`` and
-``complete`` walk column rows.  The references below are the per-letter
+``ldlf_to_nfa``, ``determinize``, ``minimize`` and ``product_pairs``
+compute one successor per letter class and copy it into every column of
+the class; the prefix closures walk each state's distinct targets;
+``complete`` walks column rows.  The references below are the per-letter
 versions these replaced, kept verbatim apart from names and from how
 they read and write rows; the per-letter NFA construction conjoins
 obligations through ``reference_delta``, the positive boolean formulas
@@ -22,6 +22,7 @@ from ldlmon.automata import (
     Nfa,
     aut_from_json,
     aut_to_json,
+    compile_dfa,
     complete,
     delta,
     determinize,
@@ -33,7 +34,7 @@ from ldlmon.automata import (
     product_pairs,
     reachable_from,
 )
-from ldlmon.syntax import Alphabet, ldl, parse_ldlf
+from ldlmon.syntax import Alphabet, parse_ldlf
 from ldlmon.syntax.ldl import print_ldlf
 from ldlmon.syntax.transforms import to_nnf
 
@@ -448,14 +449,27 @@ def test_complete_matches_the_per_letter_construction():
 
 
 def test_product_pairs_matches_the_per_letter_construction():
+    """Random DFAs over two or three letters rarely have equal columns.
+    Compiled DFAs of formulas that read one to three of 3-7 props have
+    many, so their products run on merged letter classes."""
     rng = random.Random(7005)
+    pairs = []
     for i in range(120):
         alphabet = ALPHABETS[i % len(ALPHABETS)]
         a = random_dfa(rng, alphabet, max_states=6)
         b, _ = aut_from_json(aut_to_json(random_dfa(rng, alphabet, max_states=6)))
+        pairs.append((a, b))
+    cases = [case for case in seeded_cases(7006, 160) if not case[1].singleton_letters]
+    for (f, f_alphabet), (g, g_alphabet) in zip(cases[::2], cases[1::2]):
+        alphabet = max(f_alphabet, g_alphabet, key=lambda x: len(x.props))
+        pairs.append((compile_dfa(f, alphabet), compile_dfa(g, alphabet)))
+    merged = 0
+    for a, b in pairs:
         for accept in (None, operator.or_):
             got, got_pairs = product_pairs(a, b, accept)
             want, want_pairs = reference_product_pairs(a, b, accept)
             assert aut_to_json(got) == aut_to_json(want)
             assert got.labels == want.labels
             assert got_pairs == want_pairs
+        merged += len(letter_classes(got)[0]) < len(a.alphabet.letters())
+    assert merged >= 50

@@ -29,7 +29,6 @@ from ldlmon.syntax import (
     Or,
     TT,
     formula_atoms,
-    ldl,
     ltlf_to_ldlf,
     parse_re,
     print_ldlf,

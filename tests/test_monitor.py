@@ -10,10 +10,8 @@ from ldlmon.automata import (
     accepts,
     aut_from_json,
     aut_to_json,
-    complete,
     determinize,
     ldlf_to_nfa,
-    minimize,
     reachable_from,
 )
 from ldlmon.declare import MetaMonitor, ModelMonitor, parse_decl, parse_meta
@@ -28,8 +26,8 @@ from ldlmon.monitor import (
     shape_equivalent,
 )
 from ldlmon.rv import RVState
-from ldlmon.semantics import eval_ldlf, rv_state_oracle, trace_from_tasks
-from ldlmon.syntax import Alphabet, Not, ltlf_to_ldlf, parse_ldlf, parse_ltlf
+from ldlmon.semantics import eval_ldlf, rv_state_oracle
+from ldlmon.syntax import Alphabet, ltlf_to_ldlf, parse_ldlf, parse_ltlf
 
 from genformulas import all_traces, column_rows, random_dfa, random_ldlf
 

@@ -25,7 +25,6 @@ from ldlmon.syntax import (
     parse_ldlf,
     parse_ltlf,
     parse_re,
-    prop_formula,
     to_nnf,
 )
 from ldlmon.syntax.props import Atom, TRUE

@@ -13,7 +13,6 @@ from ldlmon.syntax import (
     FormulaSyntaxError,
     LAST,
     Not,
-    Or,
     Star,
     Step,
     TT,
