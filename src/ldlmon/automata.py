@@ -694,8 +694,8 @@ def guard_for_letters(alphabet: Alphabet, letters) -> Prop:
 
     Tries the readable shapes first (true, a single literal, a
     disjunction of task names) and falls back to a disjunction of
-    letter descriptions.  Exactness is always verified against the
-    alphabet's full letter set.
+    letter descriptions.  A literal is checked against the alphabet's
+    full letter set; the two disjunctions are exact by construction.
     """
     universe = alphabet.letters()
     wanted = frozenset(letters)
@@ -719,8 +719,7 @@ def guard_for_letters(alphabet: Alphabet, letters) -> Prop:
         guard = Atom(names[0])
         for name in names[1:]:
             guard = PropOr(guard, Atom(name))
-        if exact(guard):
-            return guard
+        return guard
     ordered = [l for l in universe if l in wanted]
     guard = None
     for letter in ordered:
@@ -729,9 +728,6 @@ def guard_for_letters(alphabet: Alphabet, letters) -> Prop:
             literal = Atom(name) if name in letter else PropNot(Atom(name))
             term = literal if term is None else PropAnd(term, literal)
         guard = term if guard is None else PropOr(guard, term)
-    if not exact(guard):
-        msg = "guard synthesis failed"
-        raise AssertionError(msg)
     return guard
 
 

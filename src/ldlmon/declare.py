@@ -238,11 +238,7 @@ def parse_decl(text: str) -> DeclareModel:
             continue
         if alphabet is None:
             raise ModelSyntaxError("tasks line must come first", no)
-        if (
-            labeled is not None
-            and "(" not in labeled.group(1)
-            and labeled.group(1) != "ltl"
-        ):
+        if labeled is not None and labeled.group(1) != "ltl":
             name, body = labeled.group(1), labeled.group(2)
         else:
             # Unnamed constraints (including bare ``ltl:`` lines) go by

@@ -1,9 +1,14 @@
 """Recursive-descent parsers for propositional, LTLf, LDLf and path syntax.
 
-One tokenizer serves all entry points.  Inside path expressions the parser
-distinguishes a test (``phi?``) from a plain guard step by speculative
-parsing with backtracking: it first tries to read an LDLf formula followed
-by ``?`` and falls back to a propositional guard.
+One tokenizer serves all entry points, and one precedence-climbing routine,
+``_Parser.infix``, reads the binary operators of every layer from that
+layer's operator table.  A path atom is decided before it is parsed, by one
+forward scan to the first token outside brackets that cannot continue a
+formula: if that token is ``?`` the atom is a test, if the atom is exactly
+one parenthesized group it is a group, and otherwise it is a guard.  Nothing
+is parsed twice, so the cost grows with the text's length times its nesting
+depth; trying one reading and rewinding to the next would be exponential
+in the nesting of tests.
 
 Desugarings applied at parse time (the canonical form):
 
@@ -21,15 +26,7 @@ from dataclasses import dataclass
 
 from . import ldl, ltl
 from .alphabet import Alphabet, RESERVED_NAMES
-from .props import (
-    FALSE,
-    TRUE,
-    Atom,
-    Prop,
-    PropAnd,
-    PropNot,
-    PropOr,
-)
+from .props import FALSE, TRUE, Atom, Prop, PropAnd, PropNot, PropOr
 
 
 class FormulaSyntaxError(ValueError):
@@ -57,16 +54,12 @@ _TOKEN_RE = _re.compile(
 )
 
 
-_KEYWORDS = frozenset({"tt", "ff", "end", "last", "true", "false",
-                       "X", "WX", "U", "R", "F", "G"})
-
-
 def scan_names(text: str) -> list[str]:
     """Identifiers that could only be proposition names, in first-use
     order.  Handy for building an alphabet when none was given."""
     seen = []
     for token in _tokenize(text):
-        if token.kind == "name" and token.text not in _KEYWORDS:
+        if token.kind == "name" and token.text not in RESERVED_NAMES:
             if token.text not in seen:
                 seen.append(token.text)
     return seen
@@ -87,6 +80,51 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _desugaring_ops(conj, disj, neg) -> dict:
+    """The binary operators of the propositional and LDLf layers, where
+    ``l -> r`` becomes ``!l || r`` and ``l <-> r`` becomes
+    ``(!l || r) && (!r || l)``."""
+    return {
+        "<->": (1, lambda l, r: conj(disj(neg(l), r), disj(neg(r), l)), False),
+        "->": (2, lambda l, r: disj(neg(l), r), True),
+        "||": (3, disj, False),
+        "&&": (4, conj, False),
+    }
+
+
+# Binary operators of each layer: token -> (level, constructor, groups right).
+# A higher level binds tighter.
+_PROP_OPS = _desugaring_ops(PropAnd, PropOr, PropNot)
+_LDLF_OPS = _desugaring_ops(ldl.And, ldl.Or, ldl.Not)
+_LTLF_OPS = {
+    "<->": (1, ltl.LtlfIff, True),
+    "->": (2, ltl.LtlfImplies, True),
+    "||": (3, ltl.LtlfOr, False),
+    "&&": (4, ltl.LtlfAnd, False),
+    "U": (5, ltl.Until, True),
+    "R": (5, ltl.Release, True),
+}
+_PATH_OPS = {
+    "+": (1, ldl.Alt, False),
+    ";": (2, ldl.Seq, False),
+}
+
+_LDLF_CONSTANTS = {"tt": ldl.TT, "ff": ldl.FF, "end": ldl.END, "last": ldl.LAST}
+_LTLF_PREFIXES = {
+    "!": ltl.LtlfNot,
+    "X": ltl.Next,
+    "WX": ltl.WeakNext,
+    "F": ltl.Eventually,
+    "G": ltl.Always,
+}
+
+# Path-atom scan: tokens that open and close brackets, and the operator
+# tokens that continue a formula (names continue one too).
+_OPENERS = frozenset("(<[")
+_CLOSERS = frozenset(")>]")
+_CONTINUERS = frozenset({"!", "&&", "||", "->", "<->"})
+
+
 class _Parser:
     def __init__(self, text: str, alphabet: Alphabet):
         self.tokens = _tokenize(text)
@@ -97,11 +135,6 @@ class _Parser:
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
     def at(self, text: str) -> bool:
         return self.tokens[self.i].text == text and self.tokens[self.i].kind != "eof"
@@ -119,154 +152,88 @@ class _Parser:
             msg = f"expected {text!r}, found {shown!r}"
             raise FormulaSyntaxError(msg, tok.pos)
 
+    def closed(self, inner, text: str):
+        """``inner``, the parse just made, once the ``text`` that must
+        close it has been eaten."""
+        self.expect(text)
+        return inner
+
     def expect_eof(self):
         tok = self.peek()
         if tok.kind != "eof":
             msg = f"unexpected trailing input {tok.text!r}"
             raise FormulaSyntaxError(msg, tok.pos)
 
-    def fail(self, message: str):
-        raise FormulaSyntaxError(message, self.peek().pos)
+    # Shared by every layer ---------------------------------------------
 
-    def atom_name(self, tok: _Token) -> str:
+    def infix(self, ops: dict, operand, loosest: int = 1):
+        """Operands joined by the operators of ``ops`` whose level is at
+        least ``loosest``, grouped by level and side (precedence climbing)."""
+        left = operand()
+        while True:
+            op = ops.get(self.peek().text)
+            if op is None or op[0] < loosest:
+                return left
+            level, build, right_grouping = op
+            self.i += 1
+            right = self.infix(ops, operand, level if right_grouping else level + 1)
+            left = build(left, right)
+
+    def leaf(self, layer: str) -> Prop:
+        """``true``, ``false`` or a proposition of the alphabet; the
+        error names ``layer`` when the next token is no name at all."""
+        tok = self.peek()
+        if tok.kind != "name":
+            raise FormulaSyntaxError(f"expected {layer}", tok.pos)
+        self.i += 1
+        if tok.text == "true":
+            return TRUE
+        if tok.text == "false":
+            return FALSE
+        if tok.text in RESERVED_NAMES:
+            msg = f"reserved word {tok.text!r} is not a proposition"
+            raise FormulaSyntaxError(msg, tok.pos)
         if tok.text not in self.alphabet:
             msg = f"unknown proposition name {tok.text!r}"
             raise FormulaSyntaxError(msg, tok.pos)
-        return tok.text
+        return Atom(tok.text)
 
     # Propositional layer ----------------------------------------------
 
     def prop_formula(self) -> Prop:
-        return self.prop_iff()
-
-    def prop_iff(self) -> Prop:
-        left = self.prop_implies()
-        while self.eat("<->"):
-            right = self.prop_implies()
-            left = PropAnd(PropOr(PropNot(left), right), PropOr(PropNot(right), left))
-        return left
-
-    def prop_implies(self) -> Prop:
-        left = self.prop_or()
-        if self.eat("->"):
-            right = self.prop_implies()
-            return PropOr(PropNot(left), right)
-        return left
-
-    def prop_or(self) -> Prop:
-        left = self.prop_and()
-        while self.eat("||"):
-            left = PropOr(left, self.prop_and())
-        return left
-
-    def prop_and(self) -> Prop:
-        left = self.prop_unary()
-        while self.eat("&&"):
-            left = PropAnd(left, self.prop_unary())
-        return left
+        return self.infix(_PROP_OPS, self.prop_unary)
 
     def prop_unary(self) -> Prop:
-        tok = self.peek()
         if self.eat("!"):
             return PropNot(self.prop_unary())
         if self.eat("("):
-            inner = self.prop_formula()
-            self.expect(")")
-            return inner
-        if tok.kind == "name":
-            self.advance()
-            if tok.text == "true":
-                return TRUE
-            if tok.text == "false":
-                return FALSE
-            if tok.text in RESERVED_NAMES:
-                msg = f"reserved word {tok.text!r} is not a proposition"
-                raise FormulaSyntaxError(msg, tok.pos)
-            return Atom(self.atom_name(tok))
-        self.fail("expected a propositional formula")
+            return self.closed(self.prop_formula(), ")")
+        return self.leaf("a propositional formula")
 
     # LDLf layer --------------------------------------------------------
 
     def ldlf_formula(self) -> ldl.Ldlf:
-        return self.ldlf_iff()
-
-    def ldlf_iff(self) -> ldl.Ldlf:
-        left = self.ldlf_implies()
-        while self.eat("<->"):
-            right = self.ldlf_implies()
-            left = ldl.And(
-                ldl.Or(ldl.Not(left), right), ldl.Or(ldl.Not(right), left)
-            )
-        return left
-
-    def ldlf_implies(self) -> ldl.Ldlf:
-        left = self.ldlf_or()
-        if self.eat("->"):
-            right = self.ldlf_implies()
-            return ldl.Or(ldl.Not(left), right)
-        return left
-
-    def ldlf_or(self) -> ldl.Ldlf:
-        left = self.ldlf_and()
-        while self.eat("||"):
-            left = ldl.Or(left, self.ldlf_and())
-        return left
-
-    def ldlf_and(self) -> ldl.Ldlf:
-        left = self.ldlf_unary()
-        while self.eat("&&"):
-            left = ldl.And(left, self.ldlf_unary())
-        return left
+        return self.infix(_LDLF_OPS, self.ldlf_unary)
 
     def ldlf_unary(self) -> ldl.Ldlf:
-        tok = self.peek()
         if self.eat("!"):
             return ldl.Not(self.ldlf_unary())
         if self.eat("<"):
-            path = self.path_expr()
-            self.expect(">")
-            return ldl.Diamond(path, self.ldlf_unary())
+            return ldl.Diamond(self.closed(self.path(), ">"), self.ldlf_unary())
         if self.eat("["):
-            path = self.path_expr()
-            self.expect("]")
-            return ldl.Box(path, self.ldlf_unary())
+            return ldl.Box(self.closed(self.path(), "]"), self.ldlf_unary())
         if self.eat("("):
-            inner = self.ldlf_formula()
-            self.expect(")")
-            return inner
-        if tok.kind == "name":
-            self.advance()
-            if tok.text == "tt":
-                return ldl.TT
-            if tok.text == "ff":
-                return ldl.FF
-            if tok.text == "end":
-                return ldl.END
-            if tok.text == "last":
-                return ldl.LAST
-            if tok.text == "true":
-                return ldl.prop_formula(TRUE)
-            if tok.text == "false":
-                return ldl.prop_formula(FALSE)
-            if tok.text in RESERVED_NAMES:
-                msg = f"reserved word {tok.text!r} is not a proposition"
-                raise FormulaSyntaxError(msg, tok.pos)
-            return ldl.prop_formula(Atom(self.atom_name(tok)))
-        self.fail("expected an LDLf formula")
+            return self.closed(self.ldlf_formula(), ")")
+        constant = _LDLF_CONSTANTS.get(self.peek().text)
+        if constant is not None:
+            self.i += 1
+            return constant
+        return ldl.prop_formula(self.leaf("an LDLf formula"))
 
     # Path layer --------------------------------------------------------
 
-    def path_expr(self) -> ldl.Path:
-        left = self.path_seq()
-        while self.eat("+"):
-            left = ldl.Alt(left, self.path_seq())
-        return left
-
-    def path_seq(self) -> ldl.Path:
-        left = self.path_star()
-        while self.eat(";"):
-            left = ldl.Seq(left, self.path_star())
-        return left
+    def path(self) -> ldl.Path:
+        return self.infix(_PATH_OPS, self.path_star)
 
     def path_star(self) -> ldl.Path:
         inner = self.path_atom()
@@ -275,118 +242,63 @@ class _Parser:
         return inner
 
     def path_atom(self) -> ldl.Path:
-        # A test is an LDLf formula followed by '?'; guards and groups do
-        # not contain '?', so speculative parsing settles the ambiguity.
-        mark = self.i
-        try:
-            cond = self.ldlf_formula()
-            if self.eat("?"):
-                return ldl.Test(cond)
-        except FormulaSyntaxError:
-            pass
-        self.i = mark
-        try:
-            guard = self.prop_formula()
-            return ldl.Step(guard)
-        except FormulaSyntaxError:
-            pass
-        self.i = mark
-        if self.eat("("):
-            inner = self.path_expr()
-            self.expect(")")
-            return inner
-        self.fail("expected a path expression")
+        # Guards and groups hold no '?' outside brackets, and a test holds
+        # an LDLf formula, whose tokens outside brackets all continue one.
+        # A group whose body is a guard parses to that same guard.
+        depth, group_end = 0, None
+        for j in range(self.i, len(self.tokens)):
+            tok = self.tokens[j]
+            if tok.text in _OPENERS:
+                depth += 1
+            elif depth and tok.text in _CLOSERS:
+                depth -= 1
+                if depth == 0 and group_end is None:
+                    group_end = j
+            elif depth == 0 and tok.kind != "name" and tok.text not in _CONTINUERS:
+                break
+        if j == self.i:
+            raise FormulaSyntaxError("expected a path expression", tok.pos)
+        if tok.text == "?":
+            return ldl.Test(self.closed(self.ldlf_formula(), "?"))
+        if self.at("(") and group_end == j - 1:
+            self.i += 1
+            return self.closed(self.path(), ")")
+        return ldl.Step(self.prop_formula())
 
     # LTLf layer --------------------------------------------------------
 
     def ltlf_formula(self) -> ltl.Ltlf:
-        return self.ltlf_iff()
-
-    def ltlf_iff(self) -> ltl.Ltlf:
-        left = self.ltlf_implies()
-        if self.eat("<->"):
-            return ltl.LtlfIff(left, self.ltlf_iff())
-        return left
-
-    def ltlf_implies(self) -> ltl.Ltlf:
-        left = self.ltlf_or()
-        if self.eat("->"):
-            return ltl.LtlfImplies(left, self.ltlf_implies())
-        return left
-
-    def ltlf_or(self) -> ltl.Ltlf:
-        left = self.ltlf_and()
-        while self.eat("||"):
-            left = ltl.LtlfOr(left, self.ltlf_and())
-        return left
-
-    def ltlf_and(self) -> ltl.Ltlf:
-        left = self.ltlf_until()
-        while self.eat("&&"):
-            left = ltl.LtlfAnd(left, self.ltlf_until())
-        return left
-
-    def ltlf_until(self) -> ltl.Ltlf:
-        left = self.ltlf_unary()
-        if self.eat("U"):
-            return ltl.Until(left, self.ltlf_until())
-        if self.eat("R"):
-            return ltl.Release(left, self.ltlf_until())
-        return left
+        return self.infix(_LTLF_OPS, self.ltlf_unary)
 
     def ltlf_unary(self) -> ltl.Ltlf:
-        tok = self.peek()
-        if self.eat("!"):
-            return ltl.LtlfNot(self.ltlf_unary())
-        if self.eat("X"):
-            return ltl.Next(self.ltlf_unary())
-        if self.eat("WX"):
-            return ltl.WeakNext(self.ltlf_unary())
-        if self.eat("F"):
-            return ltl.Eventually(self.ltlf_unary())
-        if self.eat("G"):
-            return ltl.Always(self.ltlf_unary())
+        prefix = _LTLF_PREFIXES.get(self.peek().text)
+        if prefix is not None:
+            self.i += 1
+            return prefix(self.ltlf_unary())
         if self.eat("("):
-            inner = self.ltlf_formula()
-            self.expect(")")
-            return inner
-        if tok.kind == "name":
-            self.advance()
-            if tok.text == "true":
-                return ltl.LtlfProp(TRUE)
-            if tok.text == "false":
-                return ltl.LtlfProp(FALSE)
-            if tok.text in RESERVED_NAMES:
-                msg = f"reserved word {tok.text!r} is not a proposition"
-                raise FormulaSyntaxError(msg, tok.pos)
-            return ltl.LtlfProp(Atom(self.atom_name(tok)))
-        self.fail("expected an LTLf formula")
+            return self.closed(self.ltlf_formula(), ")")
+        return ltl.LtlfProp(self.leaf("an LTLf formula"))
+
+
+def _parse(text: str, alphabet: Alphabet, entry):
+    parser = _Parser(text, alphabet)
+    result = entry(parser)
+    parser.expect_eof()
+    return result
 
 
 def parse_ldlf(text: str, alphabet: Alphabet) -> ldl.Ldlf:
-    parser = _Parser(text, alphabet)
-    formula = parser.ldlf_formula()
-    parser.expect_eof()
-    return formula
+    return _parse(text, alphabet, _Parser.ldlf_formula)
 
 
 def parse_ltlf(text: str, alphabet: Alphabet) -> ltl.Ltlf:
-    parser = _Parser(text, alphabet)
-    formula = parser.ltlf_formula()
-    parser.expect_eof()
-    return formula
+    return _parse(text, alphabet, _Parser.ltlf_formula)
 
 
 def parse_prop(text: str, alphabet: Alphabet) -> Prop:
-    parser = _Parser(text, alphabet)
-    formula = parser.prop_formula()
-    parser.expect_eof()
-    return formula
+    return _parse(text, alphabet, _Parser.prop_formula)
 
 
 def parse_re(text: str, alphabet: Alphabet) -> ldl.Path:
     """Parse a regular path expression (the CLI's ``re`` input language)."""
-    parser = _Parser(text, alphabet)
-    path = parser.path_expr()
-    parser.expect_eof()
-    return path
+    return _parse(text, alphabet, _Parser.path)

@@ -565,14 +565,25 @@ def print_guard(alphabet, letters):
 
 
 def test_guard_for_letters_is_exact_on_every_subset():
-    universe = AB.letters()
-    for mask in range(1 << len(universe)):
-        wanted = frozenset(
-            letter for j, letter in enumerate(universe) if mask >> j & 1
-        )
-        guard = guard_for_letters(AB, wanted)
-        for letter in universe:
-            assert eval_prop(guard, letter) == (letter in wanted)
+    # Every letter set of 2- and 3-prop alphabets (16 and 256 sets) and of
+    # 3- and 4-task alphabets: the shapes built without a check (letter
+    # descriptions, task disjunctions) must match exactly the set.  Over
+    # three tasks every set is true, false or a literal; over four, the
+    # two-task sets are disjunctions.
+    for alphabet in (
+        AB,
+        Alphabet.of("a", "b", "c"),
+        Alphabet.tasks(["a", "b", "c"]),
+        Alphabet.tasks(["a", "b", "c", "d"]),
+    ):
+        universe = alphabet.letters()
+        for mask in range(1 << len(universe)):
+            wanted = frozenset(
+                letter for j, letter in enumerate(universe) if mask >> j & 1
+            )
+            guard = guard_for_letters(alphabet, wanted)
+            for letter in universe:
+                assert eval_prop(guard, letter) == (letter in wanted)
 
 
 # Serialization ----------------------------------------------------------
