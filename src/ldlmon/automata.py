@@ -524,7 +524,7 @@ def product_fold(dfas, accept=None) -> Dfa:
     return folded
 
 
-def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Dfa:
+def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None) -> Dfa:
     """The minimal total DFA of an LDLf formula.
 
     Boolean structure at the top is compiled compositionally: a negation
@@ -534,9 +534,21 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Dfa:
     construction and the subset construction.  Minimal DFAs are unique
     and ``minimize`` numbers states canonically, so the tables are the
     same whichever way they were built; only the debug labels differ.
+
+    ``memo`` maps ``("dfa", formula, alphabet)`` to the DFA already built
+    for a formula that takes the NFA route, so each product operand and
+    negated argument is looked up there.  Chains and negations are not
+    keyed themselves: a chain may be nested deeper than hashing it would
+    allow, and complementing or refolding memoized operands is cheap
+    next to the NFA construction.  One build (a model monitor, a CLI
+    command) passes the same dict to all its calls and drops it when
+    done, so each distinct subformula is compiled once per build; a call
+    without one gets a fresh dict.
     """
+    if memo is None:
+        memo = {}
     if isinstance(formula, ldl.Not):
-        return complement(compile_dfa(formula.arg, alphabet))
+        return complement(compile_dfa(formula.arg, alphabet, memo))
     if isinstance(formula, (ldl.And, ldl.Or)):
         kind = type(formula)
         operands = []
@@ -549,8 +561,12 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Dfa:
             else:
                 operands.append(f)
         accept = None if kind is ldl.And else operator.or_
-        return product_fold((compile_dfa(f, alphabet) for f in operands), accept)
-    return minimize(determinize(ldlf_to_nfa(formula, alphabet)))
+        return product_fold((compile_dfa(f, alphabet, memo) for f in operands), accept)
+    key = ("dfa", formula, alphabet)
+    dfa = memo.get(key)
+    if dfa is None:
+        dfa = memo[key] = minimize(determinize(ldlf_to_nfa(formula, alphabet)))
+    return dfa
 
 
 def minimize(dfa: Dfa) -> Dfa:

@@ -21,6 +21,11 @@ Traces are files with one event per line: a task name (bare or quoted)
 in task mode, a JSON list of the true propositions otherwise.  Blank
 lines and ``#`` comments are skipped; ``-`` reads standard input.
 
+Each command compiles through one memo (see ``automata.compile_dfa``),
+dropped when it returns: ``compile``, ``monitor`` and ``repl`` make one
+compile call, which creates it, and ``declare`` and ``meta`` get theirs
+from the monitor constructor.
+
 Exit status: 0 on success, 1 on a usage or input error (including a
 formula nested too deeply to process), 2 if an internal invariant broke.
 """

@@ -35,7 +35,10 @@ shared by every monitor, and one table index per monitor.  They keep no
 record of past events; ``timeline`` takes the trace and renders the run
 as a table.  The whole-model monitor is the minimized product of the
 local constraints' minimal DFAs, never one automaton compiled from the
-conjunction formula.
+conjunction formula.  Each monitor build compiles through one memo (see
+``automata.compile_dfa``), so a property that several constraints or
+directives refer to is compiled once per build, and the memo is dropped
+when the build returns.
 """
 from __future__ import annotations
 
@@ -255,17 +258,22 @@ def parse_decl(text: str) -> DeclareModel:
     return DeclareModel(alphabet, tuple(constraints))
 
 
-def local_monitors(model: DeclareModel) -> dict[str, Monitor]:
+def local_monitors(model: DeclareModel, memo: dict | None = None) -> dict[str, Monitor]:
+    """One monitor per constraint, all compiled through one memo."""
+    if memo is None:
+        memo = {}
     return {
-        c.name: Monitor.for_formula(c.to_ldlf(), model.alphabet)
+        c.name: Monitor.for_formula(c.to_ldlf(), model.alphabet, memo)
         for c in model.constraints
     }
 
 
-def global_monitor(model: DeclareModel) -> Monitor:
+def global_monitor(model: DeclareModel, memo: dict | None = None) -> Monitor:
     """The whole-model monitor: the minimized product of the constraints'
-    minimal DFAs."""
-    dfas = (compile_dfa(c.to_ldlf(), model.alphabet) for c in model.constraints)
+    minimal DFAs, compiled through one memo."""
+    if memo is None:
+        memo = {}
+    dfas = (compile_dfa(c.to_ldlf(), model.alphabet, memo) for c in model.constraints)
     return Monitor(product_fold(dfas))
 
 
@@ -423,13 +431,15 @@ class ModelMonitor(_Lockstep):
 
     The whole-model monitor is the minimized product of the DFAs the
     local monitors already hold, so no constraint is compiled twice.
+    The local monitors are compiled through one memo, ``memo`` or a
+    fresh dict, which the monitor does not keep.
     """
 
     _extra_rows = {"model": "forbidden"}
 
-    def __init__(self, model: DeclareModel):
+    def __init__(self, model: DeclareModel, memo: dict | None = None):
         self.model = model
-        self.locals = local_monitors(model)
+        self.locals = local_monitors(model, memo)
         self.overall = Monitor(product_fold(m.dfa for m in self.locals.values()))
         super().__init__(model.alphabet, [*self.locals.items(), ("model", self.overall)])
 
@@ -600,19 +610,23 @@ class MetaMonitor(_Lockstep):
     """Monitors for the shown constraints and every directive, advanced
     in lockstep; states are reported shown constraints first, then
     directives in file order.  Directive formulas are expanded to plain
-    LDLf first."""
+    LDLf first.  Everything is compiled and expanded through one memo,
+    ``memo`` or a fresh dict, which the monitor does not keep."""
 
-    def __init__(self, model: MetaModel):
+    def __init__(self, model: MetaModel, memo: dict | None = None):
+        if memo is None:
+            memo = {}
         self.model = model
+        alphabet = model.alphabet
         self.shown = {
-            name: Monitor.for_formula(model.define(name).to_ldlf(), model.alphabet)
+            name: Monitor.for_formula(model.define(name).to_ldlf(), alphabet, memo)
             for name in model.shows
         }
         self.meta = {}
         for directive in model.directives:
-            expanded = expand(model.directive_formula(directive), model.alphabet)
-            self.meta[directive.name] = Monitor.for_formula(expanded, model.alphabet)
-        super().__init__(model.alphabet, [*self.shown.items(), *self.meta.items()])
+            expanded = expand(model.directive_formula(directive), alphabet, memo)
+            self.meta[directive.name] = Monitor.for_formula(expanded, alphabet, memo)
+        super().__init__(alphabet, [*self.shown.items(), *self.meta.items()])
         self._extra_rows = {
             d.name: "  forbidden" if d.kind == KIND_ABSENCE else "  conflict"
             for d in model.directives

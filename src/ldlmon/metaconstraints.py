@@ -10,8 +10,11 @@ characterization formula (``rv_formula``), the path via the regex folded
 out of the property's monitor with the states of that color made final
 (``regex_for_rv``).  Expansion is one bottom-up ``rewrite``, so the
 formula inside an RV node is already plain when the node is lowered:
-nested references (a metaconstraint about a metaconstraint) work, and
-results are cached per lowered node and alphabet.
+nested references (a metaconstraint about a metaconstraint) work.  One
+build passes one memo to all its ``expand`` calls, and the memo holds
+each lowered node's encoding, per alphabet, and the DFAs compiled on the
+way, so a property referred to from several places is compiled once per
+build; the memo is dropped with the build.
 
 The builders cover the recurring shapes: forbidding a task while
 another constraint is temporarily violated, compensating a permanent
@@ -56,29 +59,32 @@ class RvPath(ldl.Path):
         return self.pretty()
 
 
-_expansion_cache: dict = {}
+def expand(f: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None) -> ldl.Ldlf:
+    """Replace every RV atom and RV path by its plain-LDLf encoding.
 
-
-def expand(f: ldl.Ldlf, alphabet: Alphabet) -> ldl.Ldlf:
-    """Replace every RV atom and RV path by its plain-LDLf encoding."""
+    ``memo`` maps ``("rv", node, alphabet)`` to the node's encoding and
+    is handed on to the compiles behind it (see ``compile_dfa``); a call
+    without one gets a fresh dict."""
     if not isinstance(f, ldl.Ldlf):
         msg = f"cannot expand {f!r}"
         raise TypeError(msg)
+    if memo is None:
+        memo = {}
     return ldl.rewrite(
-        f, lambda n: _expand_rv(n, alphabet) if isinstance(n, (RvAtom, RvPath)) else n
+        f, lambda n: _expand_rv(n, alphabet, memo) if isinstance(n, (RvAtom, RvPath)) else n
     )
 
 
-def _expand_rv(rv, alphabet: Alphabet):
+def _expand_rv(rv, alphabet: Alphabet, memo: dict):
     """The encoding of one RV node whose formula is already expanded."""
     from .monitor import rv_formula
     from .regexfold import regex_for_rv
 
-    key = (rv, alphabet)
-    hit = _expansion_cache.get(key)
+    key = ("rv", rv, alphabet)
+    hit = memo.get(key)
     if hit is None:
         encode = regex_for_rv if isinstance(rv, RvPath) else rv_formula
-        hit = _expansion_cache[key] = encode(rv.formula, rv.state, alphabet)
+        hit = memo[key] = encode(rv.formula, rv.state, alphabet, memo)
     return hit
 
 

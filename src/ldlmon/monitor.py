@@ -95,8 +95,12 @@ class Monitor:
         self.current = self.dfa.initial
 
     @classmethod
-    def for_formula(cls, formula: ldl.Ldlf, alphabet: Alphabet) -> "Monitor":
-        return cls(compile_dfa(formula, alphabet))
+    def for_formula(
+        cls, formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None
+    ) -> "Monitor":
+        """The monitor of a formula, compiled through ``memo`` (see
+        ``compile_dfa``)."""
+        return cls(compile_dfa(formula, alphabet, memo))
 
     def reset(self):
         self.current = self.dfa.initial
@@ -124,7 +128,9 @@ class Monitor:
         ]
 
 
-def rv_formula(formula: ldl.Ldlf, state: RVState, alphabet: Alphabet) -> ldl.Ldlf:
+def rv_formula(
+    formula: ldl.Ldlf, state: RVState, alphabet: Alphabet, memo: dict | None = None
+) -> ldl.Ldlf:
     """An LDLf formula satisfied by exactly the traces whose RV state
     for the given property is ``state``.
 
@@ -137,12 +143,13 @@ def rv_formula(formula: ldl.Ldlf, state: RVState, alphabet: Alphabet) -> ldl.Ldl
     * perm_true:  ``<pref(f)>end && !<pref(!f)>end``;
     * perm_false: ``<pref(!f)>end && !<pref(f)>end``.
 
-    Both prefix languages come from one compiled DFA: that of !f is its
-    complement, as in ``color``.
+    Both prefix languages come from one compiled DFA, looked up in
+    ``memo`` (see ``compile_dfa``): that of !f is its complement, as in
+    ``color``.
     """
     from .regexfold import prefix_regex
 
-    dfa = compile_dfa(formula, alphabet)
+    dfa = compile_dfa(formula, alphabet, memo)
     pos = ldl.Diamond(prefix_regex(dfa), ldl.END)
     neg = ldl.Diamond(prefix_regex(complement(dfa)), ldl.END)
     if state is RVState.TEMP_TRUE:

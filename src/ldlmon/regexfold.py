@@ -128,14 +128,17 @@ def prefix_regex(dfa) -> ldl.Path:
     return automaton_to_regex(minimize(prefix_closure(dfa)))
 
 
-def regex_for_rv(formula: ldl.Ldlf, state, alphabet: Alphabet) -> ldl.Path:
+def regex_for_rv(
+    formula: ldl.Ldlf, state, alphabet: Alphabet, memo: dict | None = None
+) -> ldl.Path:
     """Regex of the traces whose RV state for the property is ``state``:
-    the property's monitor with exactly the states of that color final."""
+    the property's monitor, compiled through ``memo`` (see
+    ``compile_dfa``), with exactly the states of that color final."""
     from .monitor import color
 
     if not isinstance(state, RVState):
         msg = f"not an RV state: {state!r}"
         raise ValueError(msg)
-    colored = color(compile_dfa(formula, alphabet))
+    colored = color(compile_dfa(formula, alphabet, memo))
     finals = frozenset(q for q, rv in enumerate(colored.colors) if rv is state)
     return automaton_to_regex(minimize(replace(colored.dfa, finals=finals)))

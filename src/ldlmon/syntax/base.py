@@ -7,8 +7,8 @@ from dataclasses import dataclass
 def node(cls):
     """Turn a class into a frozen dataclass whose structural hash is cached.
 
-    Formula objects are used heavily as dictionary keys (memo tables,
-    macro-states, expansion caches), so recomputing the recursive hash on
+    Formula objects are used heavily as dictionary keys (memo tables and
+    macro-states), so recomputing the recursive hash on
     every lookup would dominate the runtime of the automaton construction.
     """
     cls = dataclass(frozen=True)(cls)

@@ -127,9 +127,11 @@ def test_expand_is_cached_and_leaves_plain_formulas_alone():
     assert expand(TT, BOOKING) is TT
     assert expand(RESP, BOOKING) is RESP
     assert expand(compensation(NCX, RET), BOOKING).right is RET
-    first = expand(RvAtom(NCX, PF_), BOOKING)
-    second = expand(RvAtom(NCX, PF_), BOOKING)
-    assert first is second
+    memo: dict = {}
+    first = expand(RvAtom(NCX, PF_), BOOKING, memo)
+    assert expand(RvAtom(NCX, PF_), BOOKING, memo) is first
+    again = expand(RvAtom(NCX, PF_), BOOKING)
+    assert again == first and again is not first
 
 
 def test_expand_handles_nested_meta_levels():
