@@ -258,21 +258,19 @@ def parse_decl(text: str) -> DeclareModel:
     return DeclareModel(alphabet, tuple(constraints))
 
 
-def local_monitors(model: DeclareModel, memo: dict | None = None) -> dict[str, Monitor]:
+def local_monitors(model: DeclareModel) -> dict[str, Monitor]:
     """One monitor per constraint, all compiled through one memo."""
-    if memo is None:
-        memo = {}
+    memo: dict = {}
     return {
         c.name: Monitor.for_formula(c.to_ldlf(), model.alphabet, memo)
         for c in model.constraints
     }
 
 
-def global_monitor(model: DeclareModel, memo: dict | None = None) -> Monitor:
+def global_monitor(model: DeclareModel) -> Monitor:
     """The whole-model monitor: the minimized product of the constraints'
     minimal DFAs, compiled through one memo."""
-    if memo is None:
-        memo = {}
+    memo: dict = {}
     dfas = (compile_dfa(c.to_ldlf(), model.alphabet, memo) for c in model.constraints)
     return Monitor(product_fold(dfas))
 
@@ -431,15 +429,15 @@ class ModelMonitor(_Lockstep):
 
     The whole-model monitor is the minimized product of the DFAs the
     local monitors already hold, so no constraint is compiled twice.
-    The local monitors are compiled through one memo, ``memo`` or a
-    fresh dict, which the monitor does not keep.
+    The local monitors are compiled through one memo, which the monitor
+    does not keep.
     """
 
     _extra_rows = {"model": "forbidden"}
 
-    def __init__(self, model: DeclareModel, memo: dict | None = None):
+    def __init__(self, model: DeclareModel):
         self.model = model
-        self.locals = local_monitors(model, memo)
+        self.locals = local_monitors(model)
         self.overall = Monitor(product_fold(m.dfa for m in self.locals.values()))
         super().__init__(model.alphabet, [*self.locals.items(), ("model", self.overall)])
 
@@ -611,11 +609,10 @@ class MetaMonitor(_Lockstep):
     in lockstep; states are reported shown constraints first, then
     directives in file order.  Directive formulas are expanded to plain
     LDLf first.  Everything is compiled and expanded through one memo,
-    ``memo`` or a fresh dict, which the monitor does not keep."""
+    which the monitor does not keep."""
 
-    def __init__(self, model: MetaModel, memo: dict | None = None):
-        if memo is None:
-            memo = {}
+    def __init__(self, model: MetaModel):
+        memo: dict = {}
         self.model = model
         alphabet = model.alphabet
         self.shown = {

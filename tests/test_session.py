@@ -11,6 +11,9 @@ import gc
 import random
 import tracemalloc
 
+import pytest
+
+from ldlmon import automata, declare
 from ldlmon.automata import aut_to_json, compile_dfa, product_fold
 from ldlmon.declare import MetaMonitor, ModelMonitor, parse_meta
 from ldlmon.metaconstraints import expand
@@ -21,15 +24,18 @@ from test_compositional import random_model
 from test_lockstep import random_meta_text
 
 
-class CountingMemo(dict):
-    """A memo that counts the lookups that find an entry."""
+@pytest.fixture
+def nfa_builds(monkeypatch) -> list:
+    """Every formula ``compile_dfa`` builds an NFA for, in call order."""
+    built: list = []
+    build = automata.ldlf_to_nfa
 
-    hits = 0
+    def counting(formula, alphabet):
+        built.append(formula)
+        return build(formula, alphabet)
 
-    def get(self, key, default=None):
-        if key in self:
-            self.hits += 1
-        return super().get(key, default)
+    monkeypatch.setattr(automata, "ldlf_to_nfa", counting)
+    return built
 
 
 def colored_json(dfa) -> str:
@@ -50,46 +56,57 @@ def distinct_meta_texts(seed: int, count: int) -> list[str]:
     return texts
 
 
-def test_model_monitors_match_one_fresh_memo_per_compile():
+def test_model_monitors_match_one_fresh_memo_per_compile(nfa_builds):
     rng = random.Random(7411)
-    hits = 0
+    savings = 0
     for _ in range(60):
         model = random_model(rng)
-        memo = CountingMemo()
-        runner = ModelMonitor(model, memo)
-        hits += memo.hits
+        del nfa_builds[:]
+        runner = ModelMonitor(model)
+        shared = len(nfa_builds)
         got = [monitor_json(m) for m in (*runner.locals.values(), runner.overall)]
+        del nfa_builds[:]
         dfas = [compile_dfa(c.to_ldlf(), model.alphabet, {}) for c in model.constraints]
         want = [colored_json(dfa) for dfa in (*dfas, product_fold(dfas))]
         assert got == want
-    assert hits > 0
+        assert shared <= len(nfa_builds)
+        savings += len(nfa_builds) - shared
+    assert savings > 0
 
 
-def test_meta_monitors_match_one_fresh_memo_per_call():
-    hit_builds = 0
+def test_meta_monitors_match_one_fresh_memo_per_call(nfa_builds, monkeypatch):
+    expanded_by_build: list = []
+
+    def recording(formula, alphabet, memo=None):
+        expanded = expand(formula, alphabet, memo)
+        expanded_by_build.append(expanded)
+        return expanded
+
+    monkeypatch.setattr(declare, "expand", recording)
+    savings = 0
     for text in distinct_meta_texts(7412, 20):
         model = parse_meta(text)
         alphabet = model.alphabet
-        memo = CountingMemo()
-        runner = MetaMonitor(model, memo)
-        hit_builds += memo.hits > 0
-        formulas = [model.directive_formula(d) for d in model.directives]
+        del nfa_builds[:], expanded_by_build[:]
+        runner = MetaMonitor(model)
+        shared = len(nfa_builds)
         got = [monitor_json(m) for m in (*runner.shown.values(), *runner.meta.values())]
-        # Every RV node of the build is in the memo now: these are the
-        # expansions the build compiled.
-        got_expanded = [print_ldlf(expand(f, alphabet, memo)) for f in formulas]
+        got_expanded = [print_ldlf(f) for f in expanded_by_build]
+        del nfa_builds[:]
         want = [
             colored_json(compile_dfa(model.define(name).to_ldlf(), alphabet, {}))
             for name in model.shows
         ]
         want_expanded = []
-        for f in formulas:
-            expanded = expand(f, alphabet, {})
+        for directive in model.directives:
+            expanded = expand(model.directive_formula(directive), alphabet, {})
             want_expanded.append(print_ldlf(expanded))
             want.append(colored_json(compile_dfa(expanded, alphabet, {})))
         assert got == want, text
         assert got_expanded == want_expanded, text
-    assert hit_builds > 0
+        assert shared <= len(nfa_builds), text
+        savings += len(nfa_builds) - shared
+    assert savings > 0
 
 
 def test_monitor_builds_retain_no_memory():
