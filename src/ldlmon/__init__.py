@@ -8,11 +8,13 @@ declarative process models and constraints over the monitoring states
 of other constraints.
 """
 from .automata import (
+    ColoredDfa,
     Dfa,
     Nfa,
     accepts,
     aut_from_json,
     aut_to_json,
+    color,
     complement,
     compile_dfa,
     complete,
@@ -53,9 +55,7 @@ from .metaconstraints import (
     reactive_compensation,
 )
 from .monitor import (
-    ColoredDfa,
     Monitor,
-    color,
     colored_isomorphic,
     monitor_automaton,
     rv_family,

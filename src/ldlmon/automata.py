@@ -8,11 +8,13 @@ macro-state of the NFA; the successors of a macro-state under a letter
 are the minimal models of its members' conjoined ``delta``.  The empty
 macro-state carries no obligation, accepts everything, and is absorbing.
 
-Star formulas unfold through marker atoms: a diamond-star unfolds into a
-marker that evaluates to false if the loop is re-entered without
-consuming a letter (a least fixpoint), a box-star into one that
-evaluates to true (a greatest fixpoint).  Markers never leak into
-states: emitted atoms have them substituted away first, by one
+``delta`` has one rule per path kind for both modalities: each box rule
+is the dual of the diamond rule, and the table ``_MODALITIES`` holds
+what the two differ in.  Star formulas unfold through marker atoms: a
+diamond-star unfolds into a marker that evaluates to false if the loop
+is re-entered without consuming a letter (a least fixpoint), a box-star
+into one that evaluates to true (a greatest fixpoint).  Markers never
+leak into states: emitted atoms have them substituted away first, by one
 ``rewrite`` that hands marker-free subtrees back as the same objects.
 
 Acceptance of a macro-state asks whether every obligation in it is
@@ -40,6 +42,13 @@ Every automaton stores one transition table: a tuple of rows, one per
 state, whose cells follow ``alphabet.letters()`` (a letter's column is
 ``alphabet.columns()[letter]``).  A monitor steps through the rows of
 its DFA as they are.
+
+``color`` gives each state of a total DFA the RV state shared by every
+trace reaching it, from one backward search each over the prefix
+closures of the automaton, pref(f), and of its complement, pref(!f).
+``ColoredDfa.accepting`` reads languages back off the colors: pref(f)
+is every color but permanently violated, pref(!f) every color but
+permanently satisfied.
 """
 from __future__ import annotations
 
@@ -126,14 +135,27 @@ def _emit(f: ldl.Ldlf, emitted: dict) -> tuple:
     return quoted
 
 
+# What the rules of the two modalities differ in; see ``delta``.
+_MODALITIES = {
+    ldl.Diamond: (models_or, models_and, lambda c: c, FALSE_MODELS, ldl.FalseMark),
+    ldl.Box: (models_and, models_or, lambda c: to_nnf(ldl.Not(c)), TRUE_MODELS, ldl.TrueMark),
+}
+
+
 def delta(f: ldl.Ldlf, letter, emitted: dict | None = None) -> tuple:
     """Minimal models of f's one-step obligations under a letter (or
     EPSILON), in no particular order: ``TRUE_MODELS`` when nothing is
     left to satisfy, ``FALSE_MODELS`` when f fails on this letter.
 
-    Pre: f is in negation normal form, marker atoms aside.  ``emitted``
-    memoizes the quoted obligations; callers that compute many steps of
-    one formula (``ldlf_to_nfa``) pass one dict to all of them.
+    Each path kind has one rule for both modalities; ``_MODALITIES`` holds
+    what a box differs in from its dual diamond: ``models_and`` for
+    ``models_or`` on alternatives and star unfoldings and the other way
+    round on tests, whose condition it negates, ``TRUE_MODELS`` for
+    ``FALSE_MODELS`` on an unmatched step, and ``TrueMark`` for
+    ``FalseMark``.  Pre: f is in negation normal form, marker atoms aside.
+    ``emitted`` memoizes the quoted obligations; callers that compute
+    many steps of one formula (``ldlf_to_nfa``) pass one dict to all of
+    them.
     """
     if emitted is None:
         emitted = {}
@@ -145,54 +167,28 @@ def delta(f: ldl.Ldlf, letter, emitted: dict | None = None) -> tuple:
         return models_and(delta(f.left, letter, emitted), delta(f.right, letter, emitted))
     if isinstance(f, ldl.Or):
         return models_or(delta(f.left, letter, emitted), delta(f.right, letter, emitted))
-    if isinstance(f, ldl.Diamond):
-        path = f.path
+    modality = type(f)
+    duals = _MODALITIES.get(modality)
+    if duals is not None:
+        join, meet, condition, miss, mark = duals
+        path, arg = f.path, f.arg
         if isinstance(path, ldl.Step):
             if letter is EPSILON or not eval_prop(path.guard, letter):
-                return FALSE_MODELS
-            return _emit(f.arg, emitted)
+                return miss
+            return _emit(arg, emitted)
         if isinstance(path, ldl.Test):
-            return models_and(
-                delta(path.cond, letter, emitted), delta(f.arg, letter, emitted)
-            )
+            return meet(delta(condition(path.cond), letter, emitted), delta(arg, letter, emitted))
         if isinstance(path, ldl.Alt):
-            return models_or(
-                delta(ldl.Diamond(path.left, f.arg), letter, emitted),
-                delta(ldl.Diamond(path.right, f.arg), letter, emitted),
+            return join(
+                delta(modality(path.left, arg), letter, emitted),
+                delta(modality(path.right, arg), letter, emitted),
             )
         if isinstance(path, ldl.Seq):
-            return delta(
-                ldl.Diamond(path.left, ldl.Diamond(path.right, f.arg)), letter, emitted
-            )
+            return delta(modality(path.left, modality(path.right, arg)), letter, emitted)
         if isinstance(path, ldl.Star):
-            return models_or(
-                delta(f.arg, letter, emitted),
-                delta(ldl.Diamond(path.body, ldl.FalseMark(f)), letter, emitted),
-            )
-    if isinstance(f, ldl.Box):
-        path = f.path
-        if isinstance(path, ldl.Step):
-            if letter is EPSILON or not eval_prop(path.guard, letter):
-                return TRUE_MODELS
-            return _emit(f.arg, emitted)
-        if isinstance(path, ldl.Test):
-            return models_or(
-                delta(to_nnf(ldl.Not(path.cond)), letter, emitted),
-                delta(f.arg, letter, emitted),
-            )
-        if isinstance(path, ldl.Alt):
-            return models_and(
-                delta(ldl.Box(path.left, f.arg), letter, emitted),
-                delta(ldl.Box(path.right, f.arg), letter, emitted),
-            )
-        if isinstance(path, ldl.Seq):
-            return delta(
-                ldl.Box(path.left, ldl.Box(path.right, f.arg)), letter, emitted
-            )
-        if isinstance(path, ldl.Star):
-            return models_and(
-                delta(f.arg, letter, emitted),
-                delta(ldl.Box(path.body, ldl.TrueMark(f)), letter, emitted),
+            return join(
+                delta(arg, letter, emitted),
+                delta(modality(path.body, mark(f)), letter, emitted),
             )
     if isinstance(f, ldl.Not):
         msg = "delta needs a formula in negation normal form"
@@ -538,12 +534,12 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
     ``memo`` maps ``("dfa", formula, alphabet)`` to the DFA already built
     for a formula that takes the NFA route, so each product operand and
     negated argument is looked up there.  Chains and negations are not
-    keyed themselves: a chain may be nested deeper than hashing it would
-    allow, and complementing or refolding memoized operands is cheap
-    next to the NFA construction.  One build (a model monitor, a CLI
-    command) passes the same dict to all its calls and drops it when
-    done, so each distinct subformula is compiled once per build; a call
-    without one gets a fresh dict.
+    keyed themselves: a hit compares two chains with the recursive
+    ``__eq__``, which a deep chain would exhaust, and complementing or
+    refolding memoized operands is cheap next to the NFA construction.
+    One build (a model monitor, a CLI command) passes the same dict to
+    all its calls and drops it when done, so each distinct subformula is
+    compiled once per build; a call without one gets a fresh dict.
     """
     if memo is None:
         memo = {}
@@ -646,6 +642,41 @@ def prefix_closure(aut):
                 closed.add(pred)
                 queue.append(pred)
     return replace(aut, finals=frozenset(closed))
+
+
+@dataclass(frozen=True)
+class ColoredDfa:
+    """A total DFA with one RV state per automaton state."""
+
+    dfa: Dfa
+    colors: tuple
+
+    def color_of(self, state: int) -> RVState:
+        return self.colors[state]
+
+    def accepting(self, colors) -> Dfa:
+        """The minimized DFA whose finals are the states with a color in
+        ``colors``, such as ``rv.SATISFIABLE`` for pref(f)."""
+        finals = frozenset(q for q, rv in enumerate(self.colors) if rv in colors)
+        return minimize(replace(self.dfa, finals=finals))
+
+
+def color(dfa: Dfa) -> ColoredDfa:
+    """Color every state of a total DFA with its RV state."""
+    if not dfa.is_total():
+        msg = "coloring needs a total automaton; call complete() first"
+        raise ValueError(msg)
+    finals = dfa.finals
+    can_accept = prefix_closure(dfa).finals
+    can_reject = prefix_closure(complement(dfa)).finals
+    colors = tuple(
+        RVState.classify(
+            state in finals,
+            state in (can_reject if state in finals else can_accept),
+        )
+        for state in range(dfa.n_states)
+    )
+    return ColoredDfa(dfa=dfa, colors=colors)
 
 
 def trim(nfa: Nfa) -> Nfa:

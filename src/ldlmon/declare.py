@@ -134,7 +134,10 @@ class Constraint:
     formula: ltl.Ltlf
 
     def to_ldlf(self) -> ldl.Ldlf:
-        return ltlf_to_ldlf(self.formula)
+        """The LDLf translation, made once: every reference is one tree."""
+        if "_ldlf" not in self.__dict__:
+            object.__setattr__(self, "_ldlf", ltlf_to_ldlf(self.formula))
+        return self.__dict__["_ldlf"]
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,8 @@ one constraint when a pair becomes jointly unsatisfiable.
 """
 from __future__ import annotations
 
+from .monitor import rv_formula
+from .regexfold import regex_for_rv
 from .rv import RVState
 from .syntax import ldl
 from .syntax.alphabet import Alphabet
@@ -77,9 +79,6 @@ def expand(f: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None) -> ldl.Ldl
 
 def _expand_rv(rv, alphabet: Alphabet, memo: dict):
     """The encoding of one RV node whose formula is already expanded."""
-    from .monitor import rv_formula
-    from .regexfold import regex_for_rv
-
     key = ("rv", rv, alphabet)
     hit = memo.get(key)
     if hit is None:

@@ -1,66 +1,28 @@
-"""Coloring automata with RV states and monitoring traces online.
+"""Monitoring traces online, and the RV characterization.
 
-A property's monitor is its automaton, determinized, kept total (the
-rejecting sink is not trimmed away) and colored: each state gets the RV
-state shared by every trace that reaches it.  The color follows from
-whether the property and its negation can still be reached from the
-state, that is, whether the state is final in the prefix closure of the
-automaton (pref(f)) and in that of its complement (pref(!f)):
-
-* final, in pref(!f): temporarily satisfied;
-* non-final, in pref(f): temporarily violated;
-* final, not in pref(!f): permanently satisfied;
-* non-final, not in pref(f): permanently violated.
-
-Both closures are one backward search each, so coloring is linear in
-states times letters.  ``rv_formula`` builds, for each RV state, an LDLf
-formula satisfied by exactly the traces the property maps to that state,
-from the same two prefix languages folded into regexes.
+A property's monitor is its minimal DFA, kept total (the rejecting sink
+is not trimmed away) and colored with RV states by ``automata.color``
+(imported here with ``ColoredDfa``).  ``rv_formula`` builds, for each RV
+state, an LDLf formula satisfied by exactly the traces the property maps
+to that state, from the prefix languages read off the same colors and
+folded into regexes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .automata import (
+    ColoredDfa,
     Dfa,
+    color,
     complement,
     compile_dfa,
     determinize,
     ldlf_to_nfa,
     prefix_closure,
 )
-from .rv import RVState
+from .regexfold import automaton_to_regex
+from .rv import SATISFIABLE, VIOLABLE, RVState
 from .syntax import ldl
 from .syntax.alphabet import Alphabet
-
-
-@dataclass(frozen=True)
-class ColoredDfa:
-    """A total DFA with one RV state per automaton state."""
-
-    dfa: Dfa
-    colors: tuple
-
-    def color_of(self, state: int) -> RVState:
-        return self.colors[state]
-
-
-def color(dfa: Dfa) -> ColoredDfa:
-    """Color every state of a total DFA with its RV state."""
-    if not dfa.is_total():
-        msg = "coloring needs a total automaton; call complete() first"
-        raise ValueError(msg)
-    finals = dfa.finals
-    can_accept = prefix_closure(dfa).finals
-    can_reject = prefix_closure(complement(dfa)).finals
-    colors = tuple(
-        RVState.classify(
-            state in finals,
-            state in (can_reject if state in finals else can_accept),
-        )
-        for state in range(dfa.n_states)
-    )
-    return ColoredDfa(dfa=dfa, colors=colors)
 
 
 def monitor_automaton(formula: ldl.Ldlf, alphabet: Alphabet) -> ColoredDfa:
@@ -143,25 +105,21 @@ def rv_formula(
     * perm_true:  ``<pref(f)>end && !<pref(!f)>end``;
     * perm_false: ``<pref(!f)>end && !<pref(f)>end``.
 
-    Both prefix languages come from one compiled DFA, looked up in
-    ``memo`` (see ``compile_dfa``): that of !f is its complement, as in
-    ``color``.
+    Both prefix languages are read off the colors of the property's
+    monitor, compiled through ``memo`` (see ``compile_dfa``).
     """
-    from .regexfold import prefix_regex
-
-    dfa = compile_dfa(formula, alphabet, memo)
-    pos = ldl.Diamond(prefix_regex(dfa), ldl.END)
-    neg = ldl.Diamond(prefix_regex(complement(dfa)), ldl.END)
-    if state is RVState.TEMP_TRUE:
-        return ldl.And(formula, neg)
-    if state is RVState.TEMP_FALSE:
-        return ldl.And(ldl.Not(formula), pos)
-    if state is RVState.PERM_TRUE:
-        return ldl.And(pos, ldl.Not(neg))
-    if state is RVState.PERM_FALSE:
-        return ldl.And(neg, ldl.Not(pos))
-    msg = f"not an RV state: {state!r}"
-    raise ValueError(msg)
+    if not isinstance(state, RVState):
+        msg = f"not an RV state: {state!r}"
+        raise ValueError(msg)
+    colored = color(compile_dfa(formula, alphabet, memo))
+    pos = ldl.Diamond(automaton_to_regex(colored.accepting(SATISFIABLE)), ldl.END)
+    neg = ldl.Diamond(automaton_to_regex(colored.accepting(VIOLABLE)), ldl.END)
+    return {
+        RVState.TEMP_TRUE: ldl.And(formula, neg),
+        RVState.TEMP_FALSE: ldl.And(ldl.Not(formula), pos),
+        RVState.PERM_TRUE: ldl.And(pos, ldl.Not(neg)),
+        RVState.PERM_FALSE: ldl.And(neg, ldl.Not(pos)),
+    }[state]
 
 
 def rv_family(formula: ldl.Ldlf, alphabet: Alphabet) -> dict:

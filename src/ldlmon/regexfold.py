@@ -9,14 +9,13 @@ edge from the virtual source to the virtual sink is the regex.
 The output is a pure regular expression: guard steps, union,
 concatenation, star, and at most the trivial test ``tt?`` standing for
 the empty word.  An empty language folds to the unmatchable step
-``false``.
+``false``.  ``pref_regex`` and ``regex_for_rv`` fold the language of a
+set of colors of the property's monitor (``ColoredDfa.accepting``).
 """
 from __future__ import annotations
 
-from dataclasses import replace
-
-from .automata import compile_dfa, guards_by_target, minimize, prefix_closure
-from .rv import RVState
+from .automata import color, compile_dfa, guards_by_target
+from .rv import SATISFIABLE, RVState
 from .syntax import ldl
 from .syntax.alphabet import Alphabet
 from .syntax.props import FALSE
@@ -118,14 +117,9 @@ def automaton_to_regex(aut) -> ldl.Path:
 
 def pref_regex(formula: ldl.Ldlf, alphabet: Alphabet) -> ldl.Path:
     """Regex of the prefixes extendable (possibly by nothing) into a
-    trace satisfying the formula."""
-    return prefix_regex(compile_dfa(formula, alphabet))
-
-
-def prefix_regex(dfa) -> ldl.Path:
-    """Regex of the prefixes extendable (possibly by nothing) into a
-    trace the DFA accepts."""
-    return automaton_to_regex(minimize(prefix_closure(dfa)))
+    trace satisfying the formula: its monitor's states of every color
+    but ``PERM_FALSE``."""
+    return automaton_to_regex(color(compile_dfa(formula, alphabet)).accepting(SATISFIABLE))
 
 
 def regex_for_rv(
@@ -134,11 +128,8 @@ def regex_for_rv(
     """Regex of the traces whose RV state for the property is ``state``:
     the property's monitor, compiled through ``memo`` (see
     ``compile_dfa``), with exactly the states of that color final."""
-    from .monitor import color
-
     if not isinstance(state, RVState):
         msg = f"not an RV state: {state!r}"
         raise ValueError(msg)
     colored = color(compile_dfa(formula, alphabet, memo))
-    finals = frozenset(q for q, rv in enumerate(colored.colors) if rv is state)
-    return automaton_to_regex(minimize(replace(colored.dfa, finals=finals)))
+    return automaton_to_regex(colored.accepting({state}))

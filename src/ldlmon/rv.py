@@ -50,3 +50,8 @@ class RVState(Enum):
                 return member
         msg = f"not an RV state: {text!r}"
         raise ValueError(msg)
+
+
+# The colors of pref(f) and of pref(!f) (see ``ColoredDfa.accepting``).
+SATISFIABLE = frozenset(RVState) - {RVState.PERM_FALSE}
+VIOLABLE = frozenset(RVState) - {RVState.PERM_TRUE}

@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from .base import node
+from .base import UNARY, by_class, node, print_infix
 from .props import (
     Prop,
     TRUE,
@@ -119,6 +119,12 @@ class FalseMark(Ldlf):
     loop: Ldlf
 
 
+# Binary operators of formulas and of paths: token -> (level, class,
+# groups right); a higher level binds tighter.  Formula levels 1 and 2
+# belong to ``<->`` and ``->``, which the parser desugars into these.
+LDLF_OPS = {"||": (3, Or, False), "&&": (4, And, False)}
+PATH_OPS = {"+": (1, Alt, False), ";": (2, Seq, False)}
+
 TT = Tt()
 FF = Ff()
 END = Box(Step(TRUE), FF)
@@ -190,9 +196,8 @@ def formula_atoms(f: Ldlf) -> frozenset[str]:
     return frozenset().union(*map(prop_atoms, guards))
 
 
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_UNARY = 3
+_FORMULA_BINARY = by_class(LDLF_OPS)
+_PATH_BINARY = by_class(PATH_OPS, tight=(";",))
 
 
 def print_ldlf(f: Ldlf) -> str:
@@ -214,17 +219,13 @@ def _pf(f: Ldlf, parent: int) -> str:
     if isinstance(f, Ff):
         return "ff"
     if isinstance(f, Not):
-        return "!" + _pf(f.arg, _PREC_UNARY)
-    if isinstance(f, And):
-        text = _pf(f.left, _PREC_AND) + " && " + _pf(f.right, _PREC_AND + 1)
-        return f"({text})" if parent > _PREC_AND else text
-    if isinstance(f, Or):
-        text = _pf(f.left, _PREC_OR) + " || " + _pf(f.right, _PREC_OR + 1)
-        return f"({text})" if parent > _PREC_OR else text
+        return "!" + _pf(f.arg, UNARY)
+    if type(f) in _FORMULA_BINARY:
+        return print_infix(f, parent, _FORMULA_BINARY, _pf)
     if isinstance(f, Diamond):
-        return "<" + print_path(f.path) + ">" + _pf(f.arg, _PREC_UNARY)
+        return "<" + print_path(f.path) + ">" + _pf(f.arg, UNARY)
     if isinstance(f, Box):
-        return "[" + print_path(f.path) + "]" + _pf(f.arg, _PREC_UNARY)
+        return "[" + print_path(f.path) + "]" + _pf(f.arg, UNARY)
     if isinstance(f, TrueMark):
         return "T{" + print_ldlf(f.loop) + "}"
     if isinstance(f, FalseMark):
@@ -234,11 +235,6 @@ def _pf(f: Ldlf, parent: int) -> str:
         return pretty()
     msg = f"not an LDLf formula: {f!r}"
     raise TypeError(msg)
-
-
-_PREC_ALT = 1
-_PREC_SEQ = 2
-_PREC_STAR = 3
 
 
 def print_path(p: Path) -> str:
@@ -252,16 +248,12 @@ def _ppath(p: Path, parent: int) -> str:
         return "(" + print_prop(p.guard) + ")"
     if isinstance(p, Test):
         if isinstance(p.cond, (Tt, Ff)) or p.cond in (END, LAST):
-            return _pf(p.cond, _PREC_UNARY) + "?"
+            return _pf(p.cond, UNARY) + "?"
         return "(" + print_ldlf(p.cond) + ")?"
-    if isinstance(p, Alt):
-        text = _ppath(p.left, _PREC_ALT) + " + " + _ppath(p.right, _PREC_ALT + 1)
-        return f"({text})" if parent > _PREC_ALT else text
-    if isinstance(p, Seq):
-        text = _ppath(p.left, _PREC_SEQ) + ";" + _ppath(p.right, _PREC_SEQ + 1)
-        return f"({text})" if parent > _PREC_SEQ else text
+    if type(p) in _PATH_BINARY:
+        return print_infix(p, parent, _PATH_BINARY, _ppath)
     if isinstance(p, Star):
-        return _ppath(p.body, _PREC_STAR + 1) + "*"
+        return _ppath(p.body, UNARY) + "*"
     pretty = getattr(p, "pretty", None)
     if pretty is not None:
         return pretty()

@@ -7,7 +7,7 @@ On a finite trace ``X phi`` requires a successor step to exist while
 """
 from __future__ import annotations
 
-from .base import node
+from .base import UNARY, by_class, node, print_infix
 from .props import Prop, is_atomic_prop, print_prop
 
 
@@ -83,14 +83,21 @@ class Always(Ltlf):
     arg: Ltlf
 
 
-_PREC_IFF = 0
-_PREC_IMPLIES = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_UNTIL = 4
-_PREC_UNARY = 5
+# Binary operators: token -> (level, class, groups right); a higher level
+# binds tighter.
+LTLF_OPS = {
+    "<->": (1, LtlfIff, True),
+    "->": (2, LtlfImplies, True),
+    "||": (3, LtlfOr, False),
+    "&&": (4, LtlfAnd, False),
+    "U": (5, Until, True),
+    "R": (5, Release, True),
+}
+# Prefix operators, binding tighter than every binary one.
+LTLF_PREFIXES = {"!": LtlfNot, "X": Next, "WX": WeakNext, "F": Eventually, "G": Always}
 
-_UNARY_TOKENS = {LtlfNot: "!", Next: "X ", WeakNext: "WX ", Eventually: "F ", Always: "G "}
+_BINARY = by_class(LTLF_OPS)
+_PREFIX_TEXT = {cls: token + " " * token.isalpha() for token, cls in LTLF_PREFIXES.items()}
 
 
 def print_ltlf(f: Ltlf) -> str:
@@ -100,31 +107,13 @@ def print_ltlf(f: Ltlf) -> str:
 
 def _pl(f: Ltlf, parent: int) -> str:
     if isinstance(f, LtlfProp):
-        prop: Prop = f.prop
         # Compound propositional payloads keep their own parentheses so the
         # temporal and the propositional layer cannot be confused.
-        text = print_prop(prop)
-        return text if is_atomic_prop(prop) else f"({text})"
-    kind = type(f)
-    if kind in _UNARY_TOKENS:
-        return _UNARY_TOKENS[kind] + _pl(f.arg, _PREC_UNARY)
-    if isinstance(f, Until):
-        text = _pl(f.left, _PREC_UNTIL + 1) + " U " + _pl(f.right, _PREC_UNTIL)
-        return f"({text})" if parent > _PREC_UNTIL else text
-    if isinstance(f, Release):
-        text = _pl(f.left, _PREC_UNTIL + 1) + " R " + _pl(f.right, _PREC_UNTIL)
-        return f"({text})" if parent > _PREC_UNTIL else text
-    if isinstance(f, LtlfAnd):
-        text = _pl(f.left, _PREC_AND) + " && " + _pl(f.right, _PREC_AND + 1)
-        return f"({text})" if parent > _PREC_AND else text
-    if isinstance(f, LtlfOr):
-        text = _pl(f.left, _PREC_OR) + " || " + _pl(f.right, _PREC_OR + 1)
-        return f"({text})" if parent > _PREC_OR else text
-    if isinstance(f, LtlfImplies):
-        text = _pl(f.left, _PREC_IMPLIES + 1) + " -> " + _pl(f.right, _PREC_IMPLIES)
-        return f"({text})" if parent > _PREC_IMPLIES else text
-    if isinstance(f, LtlfIff):
-        text = _pl(f.left, _PREC_IFF + 1) + " <-> " + _pl(f.right, _PREC_IFF)
-        return f"({text})" if parent > _PREC_IFF else text
+        text = print_prop(f.prop)
+        return text if is_atomic_prop(f.prop) else f"({text})"
+    if type(f) in _PREFIX_TEXT:
+        return _PREFIX_TEXT[type(f)] + _pl(f.arg, UNARY)
+    if type(f) in _BINARY:
+        return print_infix(f, parent, _BINARY, _pl)
     msg = f"not an LTLf formula: {f!r}"
     raise TypeError(msg)

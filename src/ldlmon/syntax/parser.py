@@ -2,13 +2,15 @@
 
 One tokenizer serves all entry points, and one precedence-climbing routine,
 ``_Parser.infix``, reads the binary operators of every layer from that
-layer's operator table.  A path atom is decided before it is parsed, by one
-forward scan to the first token outside brackets that cannot continue a
-formula: if that token is ``?`` the atom is a test, if the atom is exactly
-one parenthesized group it is a group, and otherwise it is a guard.  Nothing
-is parsed twice, so the cost grows with the text's length times its nesting
-depth; trying one reading and rewinding to the next would be exponential
-in the nesting of tests.
+layer's operator table.  The tables live next to the node classes in
+``props``, ``ldl`` and ``ltl``, where the printers read them too; this
+module adds only the desugared ``->`` and ``<->``.  A path atom is decided
+before it is parsed, by one forward scan to the first token outside
+brackets that cannot continue a formula: if that token is ``?`` the atom
+is a test, if the atom is exactly one parenthesized group it is a group,
+and otherwise it is a guard.  Nothing is parsed twice, so the cost grows
+with the text's length times its nesting depth; trying one reading and
+rewinding to the next would be exponential in the nesting of tests.
 
 Desugarings applied at parse time (the canonical form):
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 from . import ldl, ltl
 from .alphabet import Alphabet, RESERVED_NAMES
-from .props import FALSE, TRUE, Atom, Prop, PropAnd, PropNot, PropOr
+from .props import FALSE, PROP_OPS, TRUE, Atom, Prop, PropAnd, PropNot, PropOr
 
 
 class FormulaSyntaxError(ValueError):
@@ -80,49 +82,28 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-def _desugaring_ops(conj, disj, neg) -> dict:
-    """The binary operators of the propositional and LDLf layers, where
-    ``l -> r`` becomes ``!l || r`` and ``l <-> r`` becomes
-    ``(!l || r) && (!r || l)``."""
+def _desugared(ops: dict, conj, disj, neg) -> dict:
+    """The operator table of the propositional or LDLf layer, ``ops``, with
+    the two operators that the parser desugars: ``l -> r`` becomes
+    ``!l || r`` and ``l <-> r`` becomes ``(!l || r) && (!r || l)``."""
     return {
         "<->": (1, lambda l, r: conj(disj(neg(l), r), disj(neg(r), l)), False),
         "->": (2, lambda l, r: disj(neg(l), r), True),
-        "||": (3, disj, False),
-        "&&": (4, conj, False),
+        **ops,
     }
 
 
-# Binary operators of each layer: token -> (level, constructor, groups right).
-# A higher level binds tighter.
-_PROP_OPS = _desugaring_ops(PropAnd, PropOr, PropNot)
-_LDLF_OPS = _desugaring_ops(ldl.And, ldl.Or, ldl.Not)
-_LTLF_OPS = {
-    "<->": (1, ltl.LtlfIff, True),
-    "->": (2, ltl.LtlfImplies, True),
-    "||": (3, ltl.LtlfOr, False),
-    "&&": (4, ltl.LtlfAnd, False),
-    "U": (5, ltl.Until, True),
-    "R": (5, ltl.Release, True),
-}
-_PATH_OPS = {
-    "+": (1, ldl.Alt, False),
-    ";": (2, ldl.Seq, False),
-}
+# The tables the parser reads for the propositional and LDLf layers.
+_PROP_OPS = _desugared(PROP_OPS, PropAnd, PropOr, PropNot)
+_LDLF_OPS = _desugared(ldl.LDLF_OPS, ldl.And, ldl.Or, ldl.Not)
 
 _LDLF_CONSTANTS = {"tt": ldl.TT, "ff": ldl.FF, "end": ldl.END, "last": ldl.LAST}
-_LTLF_PREFIXES = {
-    "!": ltl.LtlfNot,
-    "X": ltl.Next,
-    "WX": ltl.WeakNext,
-    "F": ltl.Eventually,
-    "G": ltl.Always,
-}
 
 # Path-atom scan: tokens that open and close brackets, and the operator
 # tokens that continue a formula (names continue one too).
 _OPENERS = frozenset("(<[")
 _CLOSERS = frozenset(")>]")
-_CONTINUERS = frozenset({"!", "&&", "||", "->", "<->"})
+_CONTINUERS = frozenset({"!", *_LDLF_OPS})
 
 
 class _Parser:
@@ -233,7 +214,7 @@ class _Parser:
     # Path layer --------------------------------------------------------
 
     def path(self) -> ldl.Path:
-        return self.infix(_PATH_OPS, self.path_star)
+        return self.infix(ldl.PATH_OPS, self.path_star)
 
     def path_star(self) -> ldl.Path:
         inner = self.path_atom()
@@ -268,10 +249,10 @@ class _Parser:
     # LTLf layer --------------------------------------------------------
 
     def ltlf_formula(self) -> ltl.Ltlf:
-        return self.infix(_LTLF_OPS, self.ltlf_unary)
+        return self.infix(ltl.LTLF_OPS, self.ltlf_unary)
 
     def ltlf_unary(self) -> ltl.Ltlf:
-        prefix = _LTLF_PREFIXES.get(self.peek().text)
+        prefix = ltl.LTLF_PREFIXES.get(self.peek().text)
         if prefix is not None:
             self.i += 1
             return prefix(self.ltlf_unary())

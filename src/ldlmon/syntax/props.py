@@ -6,7 +6,7 @@ modal form.
 """
 from __future__ import annotations
 
-from .base import node
+from .base import UNARY, by_class, node, print_infix
 
 Interp = frozenset
 
@@ -49,6 +49,11 @@ class PropOr(Prop):
     right: Prop
 
 
+# Binary operators: token -> (level, class, groups right); a higher level
+# binds tighter.  Levels 1 and 2 belong to ``<->`` and ``->``, which the
+# parser desugars into these.
+PROP_OPS = {"||": (3, PropOr, False), "&&": (4, PropAnd, False)}
+
 TRUE = PropTrue()
 FALSE = PropFalse()
 
@@ -85,9 +90,7 @@ def prop_atoms(phi: Prop) -> frozenset[str]:
     raise TypeError(msg)
 
 
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_NOT = 3
+_BINARY = by_class(PROP_OPS)
 
 
 def print_prop(phi: Prop) -> str:
@@ -103,13 +106,9 @@ def _pp(phi: Prop, parent: int) -> str:
     if isinstance(phi, Atom):
         return phi.name
     if isinstance(phi, PropNot):
-        return "!" + _pp(phi.arg, _PREC_NOT)
-    if isinstance(phi, PropAnd):
-        text = _pp(phi.left, _PREC_AND) + " && " + _pp(phi.right, _PREC_AND + 1)
-        return f"({text})" if parent > _PREC_AND else text
-    if isinstance(phi, PropOr):
-        text = _pp(phi.left, _PREC_OR) + " || " + _pp(phi.right, _PREC_OR + 1)
-        return f"({text})" if parent > _PREC_OR else text
+        return "!" + _pp(phi.arg, UNARY)
+    if type(phi) in _BINARY:
+        return print_infix(phi, parent, _BINARY, _pp)
     msg = f"not a propositional formula: {phi!r}"
     raise TypeError(msg)
 

@@ -1,9 +1,11 @@
 """Formula compilation and the automata algebra."""
 import json
 import random
+from collections import Counter
 
 import pytest
 
+from ldlmon import automata
 from ldlmon.automata import (
     EPSILON,
     FALSE_MODELS,
@@ -36,6 +38,7 @@ from ldlmon.automata import (
 from ldlmon.semantics import eval_ldlf, trace_from_tasks
 from ldlmon.syntax import (
     Alphabet,
+    Box,
     Diamond,
     Not,
     Star,
@@ -163,10 +166,20 @@ def test_delta_epsilon_matches_empty_trace_truth():
         assert delta_epsilon(formula) == eval_ldlf((), 0, formula), text
 
 
-def test_delta_matches_the_minimal_models_of_the_reference_tree():
+def test_delta_matches_the_minimal_models_of_the_reference_tree(monkeypatch):
     """On every obligation reachable from 120 seeded formulas, under
     every letter and EPSILON, delta's models are exactly the minimal
-    models of the positive boolean formula the reference builds."""
+    models of the positive boolean formula the reference builds.  Each
+    of the ten modality and path-kind rules is exercised."""
+    hits = Counter()
+
+    def counting_delta(f, letter, emitted=None):
+        if isinstance(f, (Diamond, Box)):
+            hits[type(f).__name__, type(f.path).__name__] += 1
+        return delta(f, letter, emitted)
+
+    # delta recurses through the module's global, so every call is counted.
+    monkeypatch.setattr(automata, "delta", counting_delta)
     starred = 0
     for formula, alphabet in seeded_cases(8101, 120, depth=4, star_depth=2):
         letters = alphabet.letters() + (EPSILON,)
@@ -176,7 +189,7 @@ def test_delta_matches_the_minimal_models_of_the_reference_tree():
             member = queue.pop()
             starred += any(isinstance(n, Star) for n in subterms(member))
             for letter in letters:
-                got = delta(member, letter)
+                got = counting_delta(member, letter)
                 assert len(set(got)) == len(got)
                 want = ref.minimal_models(ref.delta(member, letter))
                 assert set(got) == set(want), (print_ldlf(member), letter)
@@ -186,6 +199,12 @@ def test_delta_matches_the_minimal_models_of_the_reference_tree():
                         queue.append(obligation)
     # Stars unfold through marker atoms, so markers were substituted.
     assert starred > 100
+    rules = [
+        (modality, kind)
+        for modality in ("Diamond", "Box")
+        for kind in ("Step", "Test", "Alt", "Seq", "Star")
+    ]
+    assert min(hits[rule] for rule in rules) >= 100, hits
 
 
 # Minimal models --------------------------------------------------------

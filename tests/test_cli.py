@@ -243,6 +243,24 @@ def test_meta_runs_the_sample_model(capsys):
     assert "X" in out
 
 
+def test_meta_monitors_a_deep_define_like_its_short_form(tmp_path, capsys):
+    """A define of 500 conjuncts referred to by two directives is
+    monitored like the one-conjunct define it is equivalent to."""
+    trace = write(tmp_path / "t.trace", "a\nr\n")
+
+    def run_meta(body):
+        model = write(
+            tmp_path / "m.meta",
+            f"tasks: a, r\n\ndefine big: ltl: {body}\ndefine r: ltl: F r\n\n"
+            "meta x: conflict big r\nmeta y: compensate big with r\n",
+        )
+        return run_cli(["meta", model, "--trace", trace], capsys)
+
+    code, out, err = run_meta(" && ".join(["F a"] * 500))
+    assert code == 0, err
+    assert (code, out, err) == run_meta("F a")
+
+
 # repl ------------------------------------------------------------------
 
 

@@ -1,0 +1,27 @@
+"""The package's import graph is the one its module headers show."""
+import ast
+from pathlib import Path
+
+import ldlmon
+from ldlmon import automata, monitor, regexfold
+
+
+def test_no_import_inside_a_function():
+    root = Path(ldlmon.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope in ast.walk(tree):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found += [
+                    f"{path.relative_to(root)}:{n.lineno}"
+                    for n in ast.walk(scope)
+                    if isinstance(n, (ast.Import, ast.ImportFrom))
+                ]
+    assert found == []
+
+
+def test_coloring_lives_in_automata_and_stays_importable_from_monitor():
+    assert monitor.color is automata.color
+    assert monitor.ColoredDfa is automata.ColoredDfa
+    assert not hasattr(regexfold, "prefix_regex")

@@ -10,8 +10,11 @@ from ldlmon.automata import (
     accepts,
     aut_from_json,
     aut_to_json,
+    complement,
     determinize,
     ldlf_to_nfa,
+    minimize,
+    prefix_closure,
     reachable_from,
 )
 from ldlmon.declare import MetaMonitor, ModelMonitor, parse_decl, parse_meta
@@ -25,7 +28,7 @@ from ldlmon.monitor import (
     rv_formula,
     shape_equivalent,
 )
-from ldlmon.rv import RVState
+from ldlmon.rv import SATISFIABLE, VIOLABLE, RVState
 from ldlmon.semantics import eval_ldlf, rv_state_oracle
 from ldlmon.syntax import Alphabet, ltlf_to_ldlf, parse_ldlf, parse_ltlf
 
@@ -316,9 +319,33 @@ def test_rv_formula_partitions_traces():
             assert holding == [expected], (text, trace)
 
 
+def test_color_sets_give_the_minimized_prefix_closures():
+    """The prefix languages read off the colors are the minimized prefix
+    closures of the DFA and of its complement, table for table."""
+    rng = random.Random(4242)
+    for alphabet in (AB, TASKS):
+        for _ in range(150):
+            dfa = random_dfa(rng, alphabet, max_states=7)
+            colored = color(dfa)
+            for colors, closed in (
+                (SATISFIABLE, prefix_closure(dfa)),
+                (VIOLABLE, prefix_closure(complement(dfa))),
+            ):
+                want = minimize(closed)
+                got = colored.accepting(colors)
+                assert (aut_to_json(got), got.labels) == (aut_to_json(want), want.labels)
+
+
 def test_rv_formula_rejects_non_states():
     with pytest.raises(ValueError):
         rv_formula(parse_ldlf("tt", AB), "bogus", AB)
+
+
+def test_rv_formula_checks_the_state_before_compiling():
+    memo = {}
+    with pytest.raises(ValueError, match="not an RV state"):
+        rv_formula(parse_ldlf("<a>tt", AB), "bogus", AB, memo)
+    assert memo == {}
 
 
 def test_rv_family_shares_one_transition_structure():

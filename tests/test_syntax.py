@@ -1,4 +1,5 @@
 """Parsing, printing, and the formula transformations."""
+import dataclasses
 import random
 
 import pytest
@@ -31,11 +32,12 @@ from ldlmon.syntax import (
     prop_formula,
     re_to_ldlf,
     scan_names,
+    subterms,
     to_nnf,
     is_nnf,
 )
-from ldlmon.syntax import ltl
-from ldlmon.syntax.props import Atom, PropAnd, PropNot, PropOr, TRUE
+from ldlmon.syntax import ldl, ltl
+from ldlmon.syntax.props import PROP_OPS, Atom, PropAnd, PropNot, PropOr, TRUE
 
 from genformulas import random_ldlf, random_ltlf, random_prop
 
@@ -211,6 +213,34 @@ def test_ltlf_chains_keep_their_shape():
     assert translated == prop_formula(Atom("a"))
 
 
+def test_nodes_hash_without_deep_recursion_to_the_same_values():
+    """A node's hash is the hash of the tuple of its fields, however deep
+    the node: a 5,000-deep chain and a 2,000-level DAG of shared halves
+    hash without RecursionError."""
+
+    def assert_hash_of_fields(n):
+        fields = tuple(getattr(n, f.name) for f in dataclasses.fields(n))
+        assert hash(n) == hash(fields)
+
+    leaf = prop_formula(Atom("a"))
+    chain = leaf
+    for _ in range(5000):
+        chain = And(leaf, Not(chain))
+    for n in subterms(chain):
+        assert_hash_of_fields(n)
+    shared = leaf
+    for _ in range(2000):
+        shared = And(shared, shared)
+    while shared is not leaf:
+        assert_hash_of_fields(shared)
+        shared = shared.left
+    rng = random.Random(29)
+    for _ in range(50):
+        for n in subterms(random_ldlf(rng, ["a", "b"], depth=4, star_depth=2)):
+            assert_hash_of_fields(n)
+        assert_hash_of_fields(random_prop(rng, ["a", "b"], depth=4))
+
+
 def test_regex_translation_rejects_embedded_tests():
     path = parse_re("a;(b)?", AB)
     with pytest.raises(ValueError):
@@ -240,6 +270,61 @@ class TestRoundTrips:
             f = random_ltlf(rng, ["a", "b"], depth=3)
             f = _atomize(f)
             assert parse_ltlf(print_ltlf(f), AB) == f
+
+
+# Each layer's binary classes, three distinct operands and its printer
+# and parser.
+LAYERS = {
+    "prop": (PROP_OPS, [Atom(n) for n in "abc"], print_prop, parse_prop),
+    "ldlf": (
+        ldl.LDLF_OPS,
+        [prop_formula(Atom(n)) for n in "abc"],
+        print_ldlf,
+        parse_ldlf,
+    ),
+    "path": (ldl.PATH_OPS, [Step(Atom(n)) for n in "abc"], print_path, parse_re),
+    "ltlf": (ltl.LTLF_OPS, [ltl.LtlfProp(Atom(n)) for n in "abc"], print_ltlf, parse_ltlf),
+}
+ABC = Alphabet.of("a", "b", "c")
+
+
+@pytest.mark.parametrize("layer", sorted(LAYERS))
+def test_every_operator_pair_round_trips(layer):
+    """Both nestings of every ordered pair of a layer's binary operators
+    print and reparse to the same tree."""
+    ops, (x, y, z), show, parse = LAYERS[layer]
+    classes = [cls for _, cls, _ in ops.values()]
+    for outer in classes:
+        for inner in classes:
+            for tree in (outer(inner(x, y), z), outer(x, inner(y, z))):
+                assert parse(show(tree), ABC) == tree, show(tree)
+
+
+def test_every_ltlf_prefix_round_trips_over_every_binary_operator():
+    x, y = ltl.LtlfProp(Atom("a")), ltl.LtlfProp(Atom("b"))
+    for prefix in ltl.LTLF_PREFIXES.values():
+        for _, binary, _ in ltl.LTLF_OPS.values():
+            for tree in (prefix(binary(x, y)), binary(prefix(x), y), binary(x, prefix(y))):
+                assert parse_ltlf(print_ltlf(tree), AB) == tree, print_ltlf(tree)
+
+
+def test_printed_spacing_and_parentheses():
+    a, b, c = (Step(Atom(n)) for n in "abc")
+    assert print_path(ldl.Seq(a, b)) == "a;b"
+    assert print_path(ldl.Alt(a, b)) == "a + b"
+    assert print_path(ldl.Seq(ldl.Alt(a, b), c)) == "(a + b);c"
+    assert print_path(ldl.Alt(a, ldl.Alt(b, c))) == "a + (b + c)"
+    assert print_path(Star(ldl.Seq(a, b))) == "(a;b)*"
+    pa, pb, pc = (Atom(n) for n in "abc")
+    assert print_prop(PropAnd(PropOr(pa, pb), PropNot(pc))) == "(a || b) && !c"
+    fa, fb = prop_formula(pa), prop_formula(pb)
+    assert print_ldlf(Not(And(fa, fb))) == "!(<a>tt && <b>tt)"
+    la, lb, lc = (ltl.LtlfProp(n) for n in (pa, pb, pc))
+    assert print_ltlf(ltl.Until(la, ltl.Until(lb, lc))) == "a U b U c"
+    assert print_ltlf(ltl.Until(ltl.Until(la, lb), lc)) == "(a U b) U c"
+    assert print_ltlf(ltl.LtlfImplies(ltl.LtlfIff(la, lb), lc)) == "(a <-> b) -> c"
+    assert print_ltlf(ltl.WeakNext(ltl.LtlfNot(ltl.LtlfAnd(la, lb)))) == "WX !(a && b)"
+    assert print_ltlf(ltl.Release(ltl.Eventually(la), ltl.LtlfOr(lb, lc))) == "F a R (b || c)"
 
 
 def _atomize(f):
