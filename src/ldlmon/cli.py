@@ -18,8 +18,9 @@ the formula itself, in first-use order, as ``--props`` for the logic
 languages and ``--tasks`` for patterns.
 
 Traces are files with one event per line: a task name (bare or quoted)
-in task mode, a JSON list of the true propositions otherwise.  Blank
-lines and ``#`` comments are skipped; ``-`` reads standard input.
+in task mode, a JSON list of the true propositions otherwise.  As in
+model files, ``#`` starts a comment and blank lines are skipped, in
+trace files, standard input (``-``) and the repl alike.
 
 Each command compiles through one memo (see ``automata.compile_dfa``),
 dropped when it returns: ``compile``, ``monitor`` and ``repl`` make one
@@ -40,6 +41,7 @@ from .declare import (
     MetaMonitor,
     ModelMonitor,
     ModelSyntaxError,
+    _logical_lines,
     finalize,
     parse_decl,
     parse_meta,
@@ -104,17 +106,11 @@ def _read_trace(path: str, alphabet: Alphabet) -> list[frozenset]:
                 lines = handle.read().splitlines()
         except OSError as exc:
             raise CliError(str(exc)) from None
-    return [
-        event
-        for no, line in enumerate(lines, start=1)
-        if (event := _parse_event_line(line, alphabet, no)) is not None
-    ]
+    return [_parse_event_line(text, alphabet, no) for no, text in _logical_lines(lines)]
 
 
-def _parse_event_line(line: str, alphabet: Alphabet, no: int):
-    text = line.strip()
-    if not text or text.startswith("#"):
-        return None
+def _parse_event_line(text: str, alphabet: Alphabet, no: int) -> frozenset:
+    """The event on a logical trace line (comment cut off, not blank)."""
     if text.startswith(("[", '"')):
         try:
             data = json.loads(text)
@@ -240,14 +236,11 @@ def _cmd_repl(args) -> int:
     out = sys.stdout
     out.write(f"begin {monitor.current_rv()}\n")
     out.write("one event per line; :end completes the trace\n")
-    for line in sys.stdin:
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
+    for no, text in _logical_lines(sys.stdin):
         if text == ":end":
             break
         try:
-            event = _parse_event_line(text, alphabet, 0)
+            event = _parse_event_line(text, alphabet, no)
         except CliError as exc:
             out.write(f"error: {exc}\n")
             continue

@@ -29,6 +29,11 @@ states* of other constraints::
     meta cnf: conflict re1 ret
     meta prf: prefer ret over re1
 
+Both go through one reader, ``_read_model``, which owns the tasks line
+and line numbers.  Defines and directives share one namespace, and each
+directive kind is one entry of ``_DIRECTIVES``: its syntax, its
+metaconstraint builder and the timeline row under it.
+
 Monitoring facades (``ModelMonitor``, ``MetaMonitor``) run all the
 constraint monitors in lockstep: each event costs one column lookup,
 shared by every monitor, and one table index per monitor.  They keep no
@@ -46,6 +51,7 @@ import json
 import re as _re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable, NamedTuple
 
 from .automata import compile_dfa, product_fold
 from .metaconstraints import (
@@ -60,7 +66,7 @@ from .monitor import Monitor
 from .rv import RVState
 from .syntax import ldl, ltl
 from .syntax.alphabet import Alphabet
-from .syntax.parser import FormulaSyntaxError, parse_ltlf
+from .syntax.parser import parse_ltlf
 from .syntax.props import Atom
 from .syntax.transforms import ltlf_to_ldlf
 
@@ -161,26 +167,45 @@ class ModelSyntaxError(ValueError):
         self.line_no = line_no
 
 
-_LABELED_RE = _re.compile(r"^([A-Za-z_][\w-]*)\s*:\s*(.*)$")
+# One name pattern for labels, defines and the names directives refer to.
+_NAME = r"[A-Za-z_][\w-]*"
+_LABELED_RE = _re.compile(rf"^({_NAME})\s*:\s*(.*)$")
 _CALL_RE = _re.compile(r"^(\w+)\s*\(([^)]*)\)\s*$")
 
 
-def _logical_lines(text: str):
-    """Non-blank, non-comment lines with their 1-based numbers."""
-    for no, raw in enumerate(text.splitlines(), start=1):
+def _logical_lines(lines):
+    """Lines with any ``#`` comment cut off, skipping those left blank,
+    each with its 1-based number; model and trace files share this rule."""
+    for no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield no, line
 
 
-def _parse_tasks(line: str, no: int) -> Alphabet:
-    names = [part.strip() for part in line.split(",") if part.strip()]
-    if not names:
-        raise ModelSyntaxError("empty task list", no)
-    try:
-        return Alphabet.tasks(names)
-    except ValueError as exc:
-        raise ModelSyntaxError(str(exc), no) from None
+def _read_model(text: str, read_line) -> Alphabet:
+    """Read a model file, the tasks line first, then every other line
+    through ``read_line(line, alphabet)``; returns the alphabet.  A line's
+    ValueError becomes a ModelSyntaxError carrying its line number."""
+    alphabet = None
+    for no, line in _logical_lines(text.splitlines()):
+        try:
+            labeled = _LABELED_RE.match(line)
+            if labeled is not None and labeled.group(1) == "tasks":
+                if alphabet is not None:
+                    raise ValueError("duplicate tasks line")
+                names = [part.strip() for part in labeled.group(2).split(",") if part.strip()]
+                if not names:
+                    raise ValueError("empty task list")
+                alphabet = Alphabet.tasks(names)
+            elif alphabet is None:
+                raise ValueError("tasks line must come first")
+            else:
+                read_line(line, alphabet)
+        except ValueError as exc:
+            raise ModelSyntaxError(str(exc), no) from None
+    if alphabet is None:
+        raise ModelSyntaxError("missing tasks line", len(text.splitlines()) or 1)
+    return alphabet
 
 
 def parse_pattern(
@@ -189,8 +214,8 @@ def parse_pattern(
     """The formula of a pattern call such as ``response(pay, get)``, and
     its alphabet: the given one, or with none the call's own tasks.
 
-    Raises ValueError on a malformed call, an unknown pattern, a wrong
-    number of tasks or a task outside the alphabet.
+    Raises ValueError on a malformed call, an unknown pattern, an empty
+    or a wrong number of tasks, or a task outside the alphabet.
     """
     call = _CALL_RE.match(text.strip())
     if call is None:
@@ -202,7 +227,9 @@ def parse_pattern(
         known = ", ".join(sorted(PATTERNS))
         raise ValueError(f"unknown pattern {pattern!r} (known: {known})")
     builder, arity = entry
-    args = [part.strip() for part in arg_text.split(",") if part.strip()]
+    args = [part.strip() for part in arg_text.split(",")] if arg_text.strip() else []
+    if "" in args:
+        raise ValueError(f"empty task in {call.group(0)!r}")
     if len(args) != arity:
         raise ValueError(f"{pattern} takes {arity} task(s), got {len(args)}")
     if alphabet is None:
@@ -213,49 +240,31 @@ def parse_pattern(
     return builder(*args), alphabet
 
 
-def _build_pattern(body: str, alphabet: Alphabet, no: int) -> ltl.Ltlf:
-    try:
-        return parse_pattern(body, alphabet)[0]
-    except ValueError as exc:
-        raise ModelSyntaxError(str(exc), no) from None
-
-
-def _build_body(body: str, alphabet: Alphabet, no: int) -> ltl.Ltlf:
+def _build_body(body: str, alphabet: Alphabet) -> ltl.Ltlf:
     if body.startswith("ltl:"):
-        text = body[len("ltl:"):].strip()
-        try:
-            return parse_ltlf(text, alphabet)
-        except FormulaSyntaxError as exc:
-            raise ModelSyntaxError(str(exc), no) from None
-    return _build_pattern(body, alphabet, no)
+        return parse_ltlf(body[len("ltl:"):].strip(), alphabet)
+    return parse_pattern(body, alphabet)[0]
 
 
 def parse_decl(text: str) -> DeclareModel:
-    alphabet = None
     constraints: list[Constraint] = []
     # The whole-model monitor's name and its timeline row's label.
-    names_seen = {"model", "forbidden"}
-    for no, line in _logical_lines(text):
+    names = {"model", "forbidden"}
+
+    def read_line(line: str, alphabet: Alphabet):
         labeled = _LABELED_RE.match(line)
-        if labeled is not None and labeled.group(1) == "tasks":
-            if alphabet is not None:
-                raise ModelSyntaxError("duplicate tasks line", no)
-            alphabet = _parse_tasks(labeled.group(2), no)
-            continue
-        if alphabet is None:
-            raise ModelSyntaxError("tasks line must come first", no)
         if labeled is not None and labeled.group(1) != "ltl":
-            name, body = labeled.group(1), labeled.group(2)
+            name, body = labeled.groups()
         else:
             # Unnamed constraints (including bare ``ltl:`` lines) go by
             # their own text.
             name, body = line, line
-        if name in names_seen:
-            raise ModelSyntaxError(f"duplicate constraint name {name!r}", no)
-        names_seen.add(name)
-        constraints.append(Constraint(name, _build_body(body, alphabet, no)))
-    if alphabet is None:
-        raise ModelSyntaxError("missing tasks line", len(text.splitlines()) or 1)
+        if name in names:
+            raise ValueError(f"duplicate constraint name {name!r}")
+        names.add(name)
+        constraints.append(Constraint(name, _build_body(body, alphabet)))
+
+    alphabet = _read_model(text, read_line)
     if not constraints:
         raise ModelSyntaxError("model has no constraints", len(text.splitlines()) or 1)
     return DeclareModel(alphabet, tuple(constraints))
@@ -337,14 +346,6 @@ class Timeline:
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
-def _forbidden_cell(governing: RVState, forbidden) -> str:
-    """The tasks ``forbidden()`` names, or an empty cell once the governing
-    verdict can no longer change (nothing left to guard)."""
-    if governing.permanent:
-        return EMPTY_CELL
-    return ",".join(sorted(forbidden())) or EMPTY_CELL
-
-
 def _forbidden_tasks(monitors) -> frozenset[str]:
     """Tasks some of the monitors forbid as the next step."""
     return frozenset(
@@ -355,18 +356,27 @@ def _forbidden_tasks(monitors) -> frozenset[str]:
     )
 
 
+def _forbidden_cell(governing: RVState, monitors) -> str:
+    """The tasks the monitors forbid next, or an empty cell once the
+    governing verdict can no longer change (nothing left to guard)."""
+    if governing.permanent:
+        return EMPTY_CELL
+    return ",".join(sorted(_forbidden_tasks(monitors))) or EMPTY_CELL
+
+
 class _Lockstep:
     """Named monitors over one task alphabet, advanced together.
 
     ``_monitors`` holds the ``(name, Monitor)`` pairs in output order.  An
     event costs one task -> column lookup, shared by every monitor, and
     one table index per monitor, whose new state is written back to it.
-    ``_extra_rows`` maps a monitor's name to the label of the timeline
-    row under its own, whose cells ``_extra_cell`` fills.
+    ``extra_rows`` maps a monitor's name to the ``(label, cell)`` of the
+    timeline row under its own (or to None): ``cell(monitor)`` fills it.
     """
 
-    def __init__(self, alphabet: Alphabet, monitors):
+    def __init__(self, alphabet: Alphabet, monitors, extra_rows):
         self._monitors = tuple(monitors)
+        self._extra_rows = extra_rows
         columns = alphabet.columns()
         self._columns = {task: columns[frozenset((task,))] for task in alphabet.props}
 
@@ -418,10 +428,10 @@ class _Lockstep:
         for name, monitor in self._monitors:
             state = monitor.current_rv()
             cells.append((name, (final_state(state) if complete else state).code))
-            label = self._extra_rows.get(name)
-            if label is not None:
-                cell = EMPTY_CELL if complete else self._extra_cell(label, monitor)
-                cells.append((label, cell))
+            extra = self._extra_rows.get(name)
+            if extra is not None:
+                label, cell = extra
+                cells.append((label, EMPTY_CELL if complete else cell(monitor)))
         return cells
 
 
@@ -436,13 +446,13 @@ class ModelMonitor(_Lockstep):
     does not keep.
     """
 
-    _extra_rows = {"model": "forbidden"}
-
     def __init__(self, model: DeclareModel):
         self.model = model
         self.locals = local_monitors(model)
         self.overall = Monitor(product_fold(m.dfa for m in self.locals.values()))
-        super().__init__(model.alphabet, [*self.locals.items(), ("model", self.overall)])
+        monitors = [*self.locals.items(), ("model", self.overall)]
+        forbidden = ("forbidden", lambda m: _forbidden_cell(m.current_rv(), self.locals.values()))
+        super().__init__(model.alphabet, monitors, {"model": forbidden})
 
     # Bound in each class so that each owns these in its ``__dict__``,
     # where perfbench's tracer looks for the methods it wraps.
@@ -456,14 +466,47 @@ class ModelMonitor(_Lockstep):
     def verdicts(self) -> dict[str, Verdict]:
         return {name: finalize(state) for name, state in self.states().items()}
 
-    def _extra_cell(self, label: str, monitor: Monitor) -> str:
-        return _forbidden_cell(monitor.current_rv(), self.forbidden)
-
 
 KIND_ABSENCE = "absence-when"
 KIND_COMPENSATE = "compensate"
 KIND_CONFLICT = "conflict"
 KIND_PREFER = "prefer"
+
+
+class _Kind(NamedTuple):
+    """A directive kind: its syntax, a regex whose named groups give the
+    ``MetaDirective`` fields (``first`` and ``second`` the targets), its
+    metaconstraint ``build(directive, *target_formulas)``, and the
+    ``(label, cell)`` of the timeline row under its own, if any."""
+
+    syntax: str
+    build: Callable
+    row: tuple[str, Callable[[Monitor], str]] | None = None
+
+
+_DIRECTIVES = {
+    KIND_ABSENCE: _Kind(
+        rf"absence\s+(?P<task>\w+)\s+when\s+(?P<first>{_NAME})\s*=\s*(?P<state>\w+)",
+        lambda d, ref: contextual_absence(ref, d.state, d.task),
+        ("  forbidden", lambda m: _forbidden_cell(m.current_rv(), [m])),
+    ),
+    KIND_COMPENSATE: _Kind(
+        rf"compensate\s+(?P<first>{_NAME})\s+with\s+(?P<second>{_NAME})"
+        r"(?P<reactive>\s+reactive)?",
+        lambda d, ref, comp: (reactive_compensation if d.reactive else compensation)(ref, comp),
+    ),
+    KIND_CONFLICT: _Kind(
+        rf"conflict\s+(?P<first>{_NAME})\s+(?P<second>{_NAME})",
+        lambda d, first, second: conflict(first, second),
+        # An X marks an in-place conflict: the directive holds right now
+        # with the chance to stop holding later.
+        ("  conflict", lambda m: "X" if m.current_rv() is RVState.TEMP_TRUE else EMPTY_CELL),
+    ),
+    KIND_PREFER: _Kind(
+        rf"prefer\s+(?P<first>{_NAME})\s+over\s+(?P<second>{_NAME})",
+        lambda d, preferred, other: preference(preferred, other),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -494,117 +537,73 @@ class MetaModel:
 
     def directive_formula(self, directive: MetaDirective) -> ldl.Ldlf:
         """The directive as an LDLf formula over RV atoms and paths."""
-        refs = [self.define(t).to_ldlf() for t in directive.targets]
-        if directive.kind == KIND_ABSENCE:
-            return contextual_absence(refs[0], directive.state, directive.task)
-        if directive.kind == KIND_COMPENSATE:
-            build = reactive_compensation if directive.reactive else compensation
-            return build(refs[0], refs[1])
-        if directive.kind == KIND_CONFLICT:
-            return conflict(refs[0], refs[1])
-        if directive.kind == KIND_PREFER:
-            return preference(refs[0], refs[1])
-        msg = f"unknown directive kind {directive.kind!r}"
-        raise ValueError(msg)
-
-
-_ABSENCE_RE = _re.compile(r"^absence\s+(\w+)\s+when\s+(\w+)\s*=\s*(\w+)$")
-_COMPENSATE_RE = _re.compile(r"^compensate\s+(\w+)\s+with\s+(\w+)(\s+reactive)?$")
-_CONFLICT_RE = _re.compile(r"^conflict\s+(\w+)\s+(\w+)$")
-_PREFER_RE = _re.compile(r"^prefer\s+(\w+)\s+over\s+(\w+)$")
+        kind = _DIRECTIVES.get(directive.kind)
+        if kind is None:
+            msg = f"unknown directive kind {directive.kind!r}"
+            raise ValueError(msg)
+        return kind.build(directive, *(self.define(t).to_ldlf() for t in directive.targets))
 
 
 def parse_meta(text: str) -> MetaModel:
-    alphabet = None
-    defines: list[Constraint] = []
+    # One namespace: defines map to their constraint, directives to None.
+    names: dict[str, Constraint | None] = {}
     shows: list[str] = []
     directives: list[MetaDirective] = []
-    defined: set[str] = set()
-    used: set[str] = set()
 
-    def check_ref(name: str, no: int):
-        if name not in defined:
-            raise ModelSyntaxError(f"reference to undefined constraint {name!r}", no)
+    def ref(name: str) -> str:
+        if names.get(name) is None:
+            raise ValueError(f"reference to undefined constraint {name!r}")
+        return name
 
-    for no, line in _logical_lines(text):
-        labeled = _LABELED_RE.match(line)
-        if labeled is not None and labeled.group(1) == "tasks":
-            if alphabet is not None:
-                raise ModelSyntaxError("duplicate tasks line", no)
-            alphabet = _parse_tasks(labeled.group(2), no)
-            continue
-        if alphabet is None:
-            raise ModelSyntaxError("tasks line must come first", no)
+    def read_line(line: str, alphabet: Alphabet):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-        if head == "define":
-            labeled = _LABELED_RE.match(rest)
-            if labeled is None:
-                raise ModelSyntaxError("expected: define NAME: constraint", no)
-            name, body = labeled.group(1), labeled.group(2)
-            if name in defined:
-                raise ModelSyntaxError(f"duplicate definition {name!r}", no)
-            defined.add(name)
-            defines.append(Constraint(name, _build_body(body, alphabet, no)))
-            continue
+        labeled = _LABELED_RE.match(rest)
         if head == "show":
-            check_ref(rest, no)
-            if rest in shows:
-                raise ModelSyntaxError(f"duplicate show {rest!r}", no)
+            if ref(rest) in shows:
+                raise ValueError(f"duplicate show {rest!r}")
             shows.append(rest)
-            continue
-        if head == "meta":
-            labeled = _LABELED_RE.match(rest)
+        elif head == "define":
             if labeled is None:
-                raise ModelSyntaxError("expected: meta NAME: directive", no)
-            name, body = labeled.group(1), labeled.group(2)
-            if name in used or name in defined:
-                raise ModelSyntaxError(f"duplicate name {name!r}", no)
-            used.add(name)
-            directives.append(_parse_directive(name, body, alphabet, check_ref, no))
-            continue
-        raise ModelSyntaxError(f"unrecognized line {line!r}", no)
+                raise ValueError("expected: define NAME: constraint")
+            name, body = labeled.groups()
+            if name in names:
+                raise ValueError(f"duplicate definition {name!r}")
+            names[name] = Constraint(name, _build_body(body, alphabet))
+        elif head == "meta":
+            if labeled is None:
+                raise ValueError("expected: meta NAME: directive")
+            name, body = labeled.groups()
+            if name in names:
+                raise ValueError(f"duplicate name {name!r}")
+            names[name] = None
+            directives.append(_parse_directive(name, body, alphabet, ref))
+        else:
+            raise ValueError(f"unrecognized line {line!r}")
 
-    if alphabet is None:
-        raise ModelSyntaxError("missing tasks line", len(text.splitlines()) or 1)
+    alphabet = _read_model(text, read_line)
     if not shows and not directives:
         raise ModelSyntaxError("nothing to monitor", len(text.splitlines()) or 1)
-    return MetaModel(alphabet, tuple(defines), tuple(shows), tuple(directives))
+    defines = tuple(c for c in names.values() if c is not None)
+    return MetaModel(alphabet, defines, tuple(shows), tuple(directives))
 
 
-def _parse_directive(name, body, alphabet, check_ref, no) -> MetaDirective:
-    m = _ABSENCE_RE.match(body)
-    if m is not None:
-        task, target, state_text = m.groups()
-        if task not in alphabet:
-            raise ModelSyntaxError(f"unknown task {task!r}", no)
-        check_ref(target, no)
-        try:
-            state = RVState.parse(state_text)
-        except ValueError as exc:
-            raise ModelSyntaxError(str(exc), no) from None
-        return MetaDirective(name, KIND_ABSENCE, (target,), task=task, state=state)
-    m = _COMPENSATE_RE.match(body)
-    if m is not None:
-        target, comp, reactive = m.groups()
-        check_ref(target, no)
-        check_ref(comp, no)
-        return MetaDirective(
-            name, KIND_COMPENSATE, (target, comp), reactive=reactive is not None
-        )
-    m = _CONFLICT_RE.match(body)
-    if m is not None:
-        first, second = m.groups()
-        check_ref(first, no)
-        check_ref(second, no)
-        return MetaDirective(name, KIND_CONFLICT, (first, second))
-    m = _PREFER_RE.match(body)
-    if m is not None:
-        preferred, other = m.groups()
-        check_ref(preferred, no)
-        check_ref(other, no)
-        return MetaDirective(name, KIND_PREFER, (preferred, other))
-    raise ModelSyntaxError(f"unrecognized directive {body!r}", no)
+def _parse_directive(name: str, body: str, alphabet: Alphabet, ref) -> MetaDirective:
+    """The directive a ``meta`` line's body states; ``ref`` checks that a
+    name refers to a define."""
+    for kind, entry in _DIRECTIVES.items():
+        match = _re.fullmatch(entry.syntax, body)
+        if match is not None:
+            break
+    else:
+        raise ValueError(f"unrecognized directive {body!r}")
+    fields = match.groupdict()
+    task = fields.get("task")
+    if task is not None and task not in alphabet:
+        raise ValueError(f"unknown task {task!r}")
+    targets = tuple(ref(fields[g]) for g in ("first", "second") if g in fields)
+    state = fields.get("state") and RVState.parse(fields["state"])
+    return MetaDirective(name, kind, targets, task, state, fields.get("reactive") is not None)
 
 
 class MetaMonitor(_Lockstep):
@@ -626,21 +625,8 @@ class MetaMonitor(_Lockstep):
         for directive in model.directives:
             expanded = expand(model.directive_formula(directive), alphabet, memo)
             self.meta[directive.name] = Monitor.for_formula(expanded, alphabet, memo)
-        super().__init__(alphabet, [*self.shown.items(), *self.meta.items()])
-        self._extra_rows = {
-            d.name: "  forbidden" if d.kind == KIND_ABSENCE else "  conflict"
-            for d in model.directives
-            if d.kind in (KIND_ABSENCE, KIND_CONFLICT)
-        }
+        rows = {d.name: _DIRECTIVES[d.kind].row for d in model.directives}
+        super().__init__(alphabet, [*self.shown.items(), *self.meta.items()], rows)
 
     step = _Lockstep.step
     timeline = _Lockstep.timeline
-
-    def _extra_cell(self, label: str, monitor: Monitor) -> str:
-        """The tasks an absence directive forbids next, or for a conflict
-        directive an X marking an in-place conflict: the meta constraint
-        holding right now with the chance to stop holding later."""
-        state = monitor.current_rv()
-        if label == "  forbidden":
-            return _forbidden_cell(state, lambda: _forbidden_tasks([monitor]))
-        return "X" if state is RVState.TEMP_TRUE else EMPTY_CELL

@@ -332,6 +332,8 @@ def test_repl_ends_without_end_marker(capsys, monkeypatch):
         ["compile"],
         ["compile", "<a>tt", "--format", "yaml"],
         ["frobnicate"],
+        ["compile", "response(pay,, get)", "--lang", "pattern"],
+        ["compile", "absence2(,pay)", "--lang", "pattern", "--tasks", "pay"],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys):
@@ -379,6 +381,26 @@ def test_unknown_event_is_located(tmp_path, capsys):
     )
     assert code == 1
     assert "trace line 2" in err
+
+
+def test_trace_lines_may_end_in_a_comment(tmp_path, capsys, monkeypatch):
+    model = write(tmp_path / "m.decl", "tasks: pay, get\nresponse(pay, get)\n")
+    plain = write(tmp_path / "plain.trace", "pay\nget\n")
+    commented = 'pay  # paid\n\n  # nothing here\n"get"# quoted\n'
+    expected = run_cli(["declare", model, "--trace", plain], capsys)
+    assert expected[0] == 0
+    trace = write(tmp_path / "t.trace", commented)
+    assert run_cli(["declare", model, "--trace", trace], capsys) == expected
+    piped = run_cli(["declare", model, "--trace", "-"], capsys, commented, monkeypatch)
+    assert piped == expected
+    code, out, _ = run_cli(
+        ["repl", "response(pay, get)", "--lang", "pattern", "--tasks", "pay,get"],
+        capsys,
+        stdin=commented + ":end  # done\npay\n",
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    assert out.splitlines()[2:] == ["temp_false", "temp_true", "final: compliant"]
 
 
 def test_model_errors_carry_line_numbers(tmp_path, capsys):

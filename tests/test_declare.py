@@ -23,6 +23,7 @@ from ldlmon.declare import (
     not_coexistence,
     parse_decl,
     parse_meta,
+    parse_pattern,
     precedence,
     responded_existence,
     response,
@@ -260,6 +261,9 @@ def test_parse_decl_error_positions():
             "line 2: duplicate constraint name 'forbidden'",
         ),
         ("tasks: a\nx: ltl: F (", "line 2: "),
+        ("tasks: pay, get\nresponse(pay,, get)", "line 2: empty task"),
+        ("tasks: pay\n\nabsence2(,pay)", "line 3: empty task"),
+        ("tasks: pay, get\nr: response(pay, get,)", "line 2: empty task"),
         ("tasks: a", "no constraints"),
         ("", "missing tasks line"),
     ]
@@ -468,6 +472,11 @@ def test_parse_meta_error_positions():
         ("tasks: a\ndefine x: existence(a)\nwat", "unrecognized line"),
         ("tasks: a\ndefine x: existence(a)", "nothing to monitor"),
         ("tasks: a\ndefine x: existence(a)\nmeta x: conflict x x", "duplicate name"),
+        (
+            "tasks: a\ndefine r: existence(a)\nmeta x: conflict r r\ndefine x: existence(a)",
+            "line 4: duplicate definition 'x'",
+        ),
+        ("tasks: a\ndefine r: existence(a)\nmeta x: conflict r r\nshow x", "line 4: reference"),
     ]
     for text, needle in cases:
         with pytest.raises(ModelSyntaxError) as err:
@@ -490,6 +499,28 @@ META_ROWS = [
     ("  conflict", ["-", "-", "-", "X", "-", "-", "-"]),
     ("prf", ["TT", "TT", "TT", "TT", "PF", "PF", "PF"]),
 ]
+
+
+def test_empty_task_arguments_are_rejected():
+    for call in ["response(pay,, get)", "absence2(,pay)", "absence2(pay,)", "choice(pay, )"]:
+        with pytest.raises(ValueError, match="empty task"):
+            parse_pattern(call)
+    with pytest.raises(ValueError, match="takes 1 task"):
+        parse_pattern("absence2()")
+    assert parse_pattern(" response( pay ,get ) ")[0] == response("pay", "get")
+
+
+def test_directives_refer_to_hyphenated_names():
+    plain = BOOKING_META.replace("re1", "r_1").replace("ncx", "n_cx")
+    hyphenated = BOOKING_META.replace("re1", "re-1").replace("ncx", "n-cx")
+    model = parse_meta(hyphenated)
+    assert [d.targets for d in model.directives] == [
+        ("re-1",), ("n-cx", "ret"), ("resp", "n-cx"), ("n-cx", "resp")
+    ]
+    rows = MetaMonitor(model).timeline(META_TRACE).rows
+    renamed = {"r_1": "re-1", "n_cx": "n-cx"}
+    expected = MetaMonitor(parse_meta(plain)).timeline(META_TRACE).rows
+    assert rows == [(renamed.get(label, label), cells) for label, cells in expected]
 
 
 def test_meta_monitor_timeline():
