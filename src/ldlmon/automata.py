@@ -848,19 +848,29 @@ def aut_to_json(aut, colors=None) -> str:
 def aut_from_json(text: str):
     """Inverse of aut_to_json (colors, if present, are returned too).
 
-    Raises ValueError on a kind other than ``dfa`` and ``nfa``, a letter
-    outside the alphabet, a state outside ``range(n_states)``, and colors
-    that are not one RV state name per state.
+    Raises ValueError on a kind other than ``dfa`` and ``nfa``, props
+    that are not a list of strings, an ``n_states`` that is not a
+    non-negative integer, finals that are not a list, a letter outside
+    the alphabet, a state outside ``range(n_states)``, and colors that
+    are not one RV state name per state.
     """
     payload = json.loads(text)
-    alphabet = Alphabet(
-        tuple(payload["props"]), singleton_letters=payload["singleton_letters"]
-    )
+    props, n_states = payload["props"], payload["n_states"]
+    if not isinstance(props, list) or not all(isinstance(p, str) for p in props):
+        msg = f"props must be a list of strings, not {props!r}"
+        raise ValueError(msg)
+    if type(n_states) is not int or n_states < 0:
+        msg = f"n_states must be a non-negative integer, not {n_states!r}"
+        raise ValueError(msg)
+    if not isinstance(payload["finals"], list):
+        msg = f"finals must be a list, not {payload['finals']!r}"
+        raise ValueError(msg)
+    alphabet = Alphabet(tuple(props), singleton_letters=payload["singleton_letters"])
     if payload["kind"] not in ("dfa", "nfa"):
         msg = f"unknown automaton kind: {payload['kind']!r}"
         raise ValueError(msg)
     deterministic = payload["kind"] == "dfa"
-    states = range(payload["n_states"])
+    states = range(n_states)
 
     def state(value):
         if value not in states:

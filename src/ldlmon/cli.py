@@ -42,6 +42,7 @@ from .declare import (
     ModelMonitor,
     ModelSyntaxError,
     _logical_lines,
+    _split_names,
     finalize,
     parse_decl,
     parse_meta,
@@ -69,10 +70,6 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise CliError(message)
-
-
-def _split_names(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 def _resolve_formula(args) -> tuple:

@@ -182,6 +182,18 @@ def _logical_lines(lines):
             yield no, line
 
 
+def _split_names(text: str) -> list[str]:
+    """The comma-separated names of a tasks line or a ``--tasks`` or
+    ``--props`` option, stripped; [] when all are empty, a ValueError
+    when only some are."""
+    names = [part.strip() for part in text.split(",")]
+    if not any(names):
+        return []
+    if "" in names:
+        raise ValueError(f"empty name in {text.strip()!r}")
+    return names
+
+
 def _read_model(text: str, read_line) -> Alphabet:
     """Read a model file, the tasks line first, then every other line
     through ``read_line(line, alphabet)``; returns the alphabet.  A line's
@@ -193,7 +205,7 @@ def _read_model(text: str, read_line) -> Alphabet:
             if labeled is not None and labeled.group(1) == "tasks":
                 if alphabet is not None:
                     raise ValueError("duplicate tasks line")
-                names = [part.strip() for part in labeled.group(2).split(",") if part.strip()]
+                names = _split_names(labeled.group(2))
                 if not names:
                     raise ValueError("empty task list")
                 alphabet = Alphabet.tasks(names)

@@ -6,12 +6,26 @@ is not trimmed away) and colored with RV states by ``automata.color``
 state, an LDLf formula satisfied by exactly the traces the property maps
 to that state, from the prefix languages read off the same colors and
 folded into regexes.
+
+``shape_equivalent`` and ``colored_isomorphic`` ask whether two automata
+share one transition structure, as the four automata behind the RV
+characterization do, and answer through one bijection search,
+``_bijection``.  It places the first automaton's states in breadth-first
+order from the initial state, columns in ``alphabet.letters()`` order,
+then the states the walk does not reach, in numeric order.  A state's
+candidates are the successors of its breadth-first parent's image under
+the parent's letter; an unreached state takes every unused state.  A
+candidate must match the state's label (nothing for shape equivalence,
+finality and color for colored isomorphism), its successor and
+predecessor counts per column, and every edge to or from the states
+already placed, both ways.  Choice points sit on an explicit stack, not
+on Python recursion; a reachable DFA state has exactly one candidate, so
+for DFAs the search is one walk.
 """
 from __future__ import annotations
 
 from .automata import (
     ColoredDfa,
-    Dfa,
     color,
     complement,
     compile_dfa,
@@ -142,128 +156,83 @@ def rv_family(formula: ldl.Ldlf, alphabet: Alphabet) -> dict:
 def shape_equivalent(a, b):
     """A bijection between states preserving the initial state and the
     transition relation in both directions (acceptance is ignored), or
-    None when there is none.
-
-    Deterministic automata admit at most one candidate, found by
-    propagation from the initial states; nondeterministic ones fall
-    back to a backtracking search.
-    """
-    if a.alphabet != b.alphabet:
-        return None
-    if a.n_states != b.n_states:
-        return None
-    letters = a.alphabet.letters()
-    if isinstance(a, Dfa) and isinstance(b, Dfa):
-        mapping = {a.initial: b.initial}
-        queue = [a.initial]
-        while queue:
-            sa = queue.pop()
-            for ta, tb in zip(a.transitions[sa], b.transitions[mapping[sa]]):
-                if ta is None or tb is None:
-                    if ta is tb:
-                        continue
-                    return None
-                known = mapping.get(ta)
-                if known is None:
-                    mapping[ta] = tb
-                    queue.append(ta)
-                elif known != tb:
-                    return None
-        if len(mapping) != a.n_states or len(set(mapping.values())) != a.n_states:
-            # Unreachable states exist; require both sides to have the
-            # same number of them and no way to tell them apart beyond
-            # the reachable part, then extend by the nondeterministic
-            # search below.
-            return _shape_search(a, b, letters, mapping)
-        return mapping if _check_shape(a, b, mapping) else None
-    return _shape_search(a, b, letters, {a.initial: b.initial})
-
-
-def _edges_by_state(aut):
-    out: dict = {}
-    rev: dict = {}
-    for state, letter, target in aut.triples():
-        out.setdefault(state, {}).setdefault(letter, set()).add(target)
-        rev.setdefault(target, {}).setdefault(letter, set()).add(state)
-    return out, rev
-
-
-def _signature(edges_out, edges_in, state, letters):
-    return (
-        tuple(len(edges_out.get(state, {}).get(l, ())) for l in letters),
-        tuple(len(edges_in.get(state, {}).get(l, ())) for l in letters),
-    )
-
-
-def _shape_search(a, b, letters, seed):
-    out_a, in_a = _edges_by_state(a)
-    out_b, in_b = _edges_by_state(b)
-    sig_b: dict = {}
-    for state in range(b.n_states):
-        sig_b.setdefault(_signature(out_b, in_b, state, letters), []).append(state)
-
-    order = sorted(set(range(a.n_states)) - set(seed))
-    mapping = dict(seed)
-    used = set(mapping.values())
-
-    def consistent(sa, sb):
-        for letter, targets in out_a.get(sa, {}).items():
-            imaged = out_b.get(sb, {}).get(letter, set())
-            for t in targets:
-                if t in mapping and mapping[t] not in imaged:
-                    return False
-        for letter, sources in in_a.get(sa, {}).items():
-            imaged = in_b.get(sb, {}).get(letter, set())
-            for s in sources:
-                if s in mapping and mapping[s] not in imaged:
-                    return False
-        return True
-
-    def backtrack(k):
-        if k == len(order):
-            return _check_shape(a, b, mapping)
-        sa = order[k]
-        for sb in sig_b.get(_signature(out_a, in_a, sa, letters), ()):
-            if sb in used:
-                continue
-            if not consistent(sa, sb):
-                continue
-            mapping[sa] = sb
-            used.add(sb)
-            if backtrack(k + 1):
-                return True
-            del mapping[sa]
-            used.discard(sb)
-        return False
-
-    if not consistent(a.initial, seed[a.initial]):
-        return None
-    return dict(mapping) if backtrack(0) else None
-
-
-def _check_shape(a, b, mapping) -> bool:
-    """Full verification of the three bijection conditions."""
-    if mapping.get(a.initial) != b.initial:
-        return False
-    if len(mapping) != a.n_states or len(set(mapping.values())) != b.n_states:
-        return False
-    edges_a = {(mapping[s], letter, mapping[t]) for s, letter, t in a.triples()}
-    return edges_a == set(b.triples())
+    None when there is none.  DFAs, partial ones included, and NFAs go
+    through the one search, ``_bijection``."""
+    return _bijection(a, b, (None,) * a.n_states, (None,) * b.n_states)
 
 
 def colored_isomorphic(a: ColoredDfa, b: ColoredDfa) -> bool:
     """Shape equivalence that additionally preserves acceptance and
-    colors (the golden-automaton comparison)."""
-    mapping = shape_equivalent(a.dfa, b.dfa)
-    if mapping is None:
-        return False
-    for state, image in mapping.items():
-        if (state in a.dfa.finals) != (image in b.dfa.finals):
-            return False
-        color_a = a.colors[state]
-        color_b = b.colors[image]
-        value_a = getattr(color_a, "value", color_a)
-        value_b = getattr(color_b, "value", color_b)
-        if value_a != value_b:
-            return False
-    return True
+    colors (the golden-automaton comparison): the search only places a
+    state on one with the same finality and color."""
+
+    def labels(c):
+        return [(s in c.dfa.finals, getattr(rv, "value", rv)) for s, rv in enumerate(c.colors)]
+
+    return _bijection(a.dfa, b.dfa, labels(a), labels(b)) is not None
+
+
+def _adjacency(aut, labels):
+    """Per state, its sorted successors and predecessors per column, and
+    its signature: its label and the number of each."""
+    columns = aut.alphabet.columns()
+    out = [[[] for _ in columns] for _ in range(aut.n_states)]
+    into = [[[] for _ in columns] for _ in range(aut.n_states)]
+    for state, letter, target in aut.triples():
+        out[state][columns[letter]].append(target)
+        into[target][columns[letter]].append(state)
+    signatures = [
+        (label, [*map(len, succ)], [*map(len, pred)])
+        for label, succ, pred in zip(labels, out, into)
+    ]
+    return out, into, signatures
+
+
+def _bijection(a, b, label_a, label_b):
+    """A shape bijection from ``a`` to ``b`` that maps each state to one
+    with the same label (``label_a[state] == label_b[image]``), or None;
+    the search is described in the module docstring."""
+    if a.alphabet != b.alphabet or a.n_states != b.n_states:
+        return None
+    out_a, in_a, sig_a = _adjacency(a, label_a)
+    out_b, in_b, sig_b = _adjacency(b, label_b)
+    order, parent = [a.initial], {a.initial: None}
+    for state in order:  # the walk reaches the states it appends
+        for column, cell in enumerate(out_a[state]):
+            for target in cell:
+                if target not in parent:
+                    parent[target] = state, column
+                    order.append(target)
+    order += [state for state in range(a.n_states) if state not in parent]
+
+    def candidates(state):
+        if state not in parent:
+            return iter(range(b.n_states))
+        source, column = parent[state]
+        return iter(out_b[mapping[source]][column])
+
+    def fits(row_a, row_b):
+        return all(
+            {mapping[s] for s in cell_a if s in mapping} == {s for s in cell_b if s in inverse}
+            for cell_a, cell_b in zip(row_a, row_b)
+        )
+
+    mapping, inverse = {}, {}
+    stack = [iter((b.initial,))]
+    while stack:
+        state = order[len(stack) - 1]
+        if state in mapping:
+            del inverse[mapping.pop(state)]
+        for image in stack[-1]:
+            if image not in inverse and sig_b[image] == sig_a[state]:
+                mapping[state], inverse[image] = image, state
+                if fits(out_a[state], out_b[image]) and fits(in_a[state], in_b[image]):
+                    break
+                del mapping[state], inverse[image]
+        else:
+            stack.pop()
+            continue
+        if len(stack) == a.n_states:
+            return mapping
+        stack.append(candidates(order[len(stack)]))
+    return None

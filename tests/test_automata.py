@@ -646,6 +646,9 @@ def test_json_input_outside_the_alphabet_or_the_states_is_rejected():
             }
         )
 
+    def replaced(**fields):
+        return json.dumps({**json.loads(payload()), **fields})
+
     dfa, _ = aut_from_json(payload(transitions=[[0, ["b"], 0]]))
     assert dfa.is_total()
     _, colors = aut_from_json(payload(n_states=2, colors=["perm_true", "temp_false"]))
@@ -667,6 +670,13 @@ def test_json_input_outside_the_alphabet_or_the_states_is_rejected():
         payload(colors=["perm_true", "perm_true"]),
         payload(n_states=2, colors=["x", "x"]),
         payload(n_states=2, colors=["perm_true"]),
+        replaced(props="ab"),
+        replaced(props=["a", 1]),
+        replaced(n_states=2.5),
+        replaced(n_states="1"),
+        replaced(n_states=True),
+        replaced(finals=0),
+        replaced(finals=None),
     ]
     for text in bad:
         with pytest.raises(ValueError):

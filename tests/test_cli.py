@@ -334,6 +334,9 @@ def test_repl_ends_without_end_marker(capsys, monkeypatch):
         ["frobnicate"],
         ["compile", "response(pay,, get)", "--lang", "pattern"],
         ["compile", "absence2(,pay)", "--lang", "pattern", "--tasks", "pay"],
+        ["compile", "existence(a)", "--lang", "pattern", "--tasks", "a,,b"],
+        ["compile", "<a>tt", "--props", "a,,b"],
+        ["compile", "<a>tt", "--props", "a, b,"],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys):

@@ -266,6 +266,9 @@ def test_parse_decl_error_positions():
         ("tasks: pay, get\nr: response(pay, get,)", "line 2: empty task"),
         ("tasks: a", "no constraints"),
         ("", "missing tasks line"),
+        ("tasks: a, , b\nexistence(a)", "line 1: empty name"),
+        ("tasks: a, b,\nexistence(a)", "line 1: empty name"),
+        ("# tasks first\ntasks: ,a\nexistence(a)", "line 2: empty name"),
     ]
     for text, needle in cases:
         with pytest.raises(ModelSyntaxError) as err:

@@ -1,12 +1,16 @@
 """State coloring, online monitors, and the RV characterization."""
+import itertools
 import pathlib
 import random
+import time
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 from ldlmon.automata import (
     Dfa,
+    Nfa,
     accepts,
     aut_from_json,
     aut_to_json,
@@ -32,7 +36,8 @@ from ldlmon.rv import SATISFIABLE, VIOLABLE, RVState
 from ldlmon.semantics import eval_ldlf, rv_state_oracle
 from ldlmon.syntax import Alphabet, ltlf_to_ldlf, parse_ldlf, parse_ltlf
 
-from genformulas import all_traces, column_rows, random_dfa, random_ldlf
+import reference_shape
+from genformulas import all_traces, column_rows, random_dfa, random_ldlf, seeded_cases
 
 AB = Alphabet.of("a", "b")
 TASKS = Alphabet.tasks(["a", "b"])
@@ -51,17 +56,23 @@ def ltl_monitor(text, alphabet=TASKS, **kwargs):
     return monitor_automaton(ltlf_to_ldlf(parse_ltlf(text, alphabet)), alphabet, **kwargs)
 
 
-def permuted(dfa: Dfa, perm) -> Dfa:
-    transitions = {
-        perm[s]: {letter: perm[t] for letter, t in dfa.edges(s)}
-        for s in range(dfa.n_states)
-    }
-    return Dfa(
-        alphabet=dfa.alphabet,
-        n_states=dfa.n_states,
-        initial=perm[dfa.initial],
-        transitions=column_rows(dfa.alphabet, transitions),
-        finals=frozenset(perm[s] for s in dfa.finals),
+def permuted(aut, perm):
+    """``aut``, a DFA or an NFA, with each state renamed by ``perm``."""
+    deterministic = isinstance(aut, Dfa)
+    rows = [None] * aut.n_states
+    for state, row in enumerate(aut.transitions):
+        rows[perm[state]] = tuple(
+            (None if cell is None else perm[cell])
+            if deterministic
+            else frozenset(perm[target] for target in cell)
+            for cell in row
+        )
+    return replace(
+        aut,
+        initial=perm[aut.initial],
+        transitions=tuple(rows),
+        finals=frozenset(perm[s] for s in aut.finals),
+        labels=(),
     )
 
 
@@ -461,6 +472,210 @@ def test_colored_isomorphic_differs_from_language_equality():
     right = ltl_monitor("F b")
     assert not colored_isomorphic(left, right)
     assert colored_isomorphic(left, ltl_monitor("F a"))
+
+
+def shuffled_perm(rng, n):
+    images = list(range(n))
+    rng.shuffle(images)
+    return dict(enumerate(images))
+
+
+def edge_list(aut):
+    """The (state, column, target) edges of a DFA or an NFA."""
+    deterministic = isinstance(aut, Dfa)
+    return [
+        (s, column, t)
+        for s, row in enumerate(aut.transitions)
+        for column, cell in enumerate(row)
+        for t in ((cell,) if deterministic else sorted(cell))
+        if t is not None
+    ]
+
+
+def moved(aut, *moves):
+    """``aut`` with each edge (state, column, target) of ``moves`` sent to
+    the new target that follows it."""
+    rows = [list(row) for row in aut.transitions]
+    for s, column, t, new in moves:
+        cell = rows[s][column]
+        rows[s][column] = new if isinstance(aut, Dfa) else cell - {t} | {new}
+    return replace(aut, transitions=tuple(map(tuple, rows)))
+
+
+def retargeted(rng, aut):
+    """``aut`` with one edge moved to another target, when one can move."""
+    edges = edge_list(aut)
+    present = set(edges)
+    rng.shuffle(edges)
+    for s, column, t in edges:
+        others = [u for u in range(aut.n_states) if (s, column, u) not in present]
+        if others:
+            return moved(aut, (s, column, t, rng.choice(others)))
+    return aut
+
+
+def rewired(rng, aut):
+    """``aut`` with the targets of two edges under one letter swapped,
+    which keeps every state's successor and predecessor counts, when two
+    can swap."""
+    edges = edge_list(aut)
+    present = set(edges)
+    rng.shuffle(edges)
+    for (s1, c1, t1), (s2, c2, t2) in itertools.combinations(edges, 2):
+        if c1 == c2 and s1 != s2 and t1 != t2:
+            if (s1, c1, t2) not in present and (s2, c2, t1) not in present:
+                return moved(aut, (s1, c1, t1, t2), (s2, c2, t2, t1))
+    return aut
+
+
+def random_nfa(rng, alphabet, max_states=7) -> Nfa:
+    n = rng.randint(1, max_states)
+    return Nfa(
+        alphabet=alphabet,
+        n_states=n,
+        initial=0,
+        transitions=tuple(
+            tuple(
+                frozenset(t for t in range(n) if rng.random() < 0.3)
+                for _ in alphabet.letters()
+            )
+            for _ in range(n)
+        ),
+        finals=frozenset(s for s in range(n) if rng.random() < 0.4),
+    )
+
+
+def shape_subjects():
+    """Seeded automata for the differential test: total DFAs, some with
+    unreachable states, partial DFAs, compiled NFAs and random NFAs."""
+    rng = random.Random(1414)
+    alphabets = [AB, TASKS, Alphabet.tasks(["a", "b", "c"]), Alphabet.tasks(["a"])]
+    for i in range(60):
+        yield with_unreachable_states(rng, random_dfa(rng, alphabets[i % 4], max_states=6))
+    for i in range(40):
+        dfa = random_dfa(rng, alphabets[i % 4], max_states=6)
+        rows = tuple(
+            tuple(None if rng.random() < 0.3 else t for t in row) for row in dfa.transitions
+        )
+        yield replace(dfa, transitions=rows)
+    for formula, alphabet in seeded_cases(1415, 40):
+        yield ldlf_to_nfa(formula, alphabet)
+    for i in range(40):
+        yield random_nfa(rng, alphabets[i % 4])
+
+
+def brute_colored_isomorphic(a: ColoredDfa, b: ColoredDfa) -> bool:
+    n = a.dfa.n_states
+    if a.dfa.alphabet != b.dfa.alphabet or n != b.dfa.n_states:
+        return False
+    edges_b = set(b.dfa.triples())
+    for images in itertools.permutations(range(n)):
+        if images[a.dfa.initial] != b.dfa.initial:
+            continue
+        if any(
+            (s in a.dfa.finals) != (images[s] in b.dfa.finals)
+            or a.colors[s] != b.colors[images[s]]
+            for s in range(n)
+        ):
+            continue
+        if {(images[s], l, images[t]) for s, l, t in a.dfa.triples()} == edges_b:
+            return True
+    return False
+
+
+def test_shape_search_agrees_with_the_reference_searches():
+    """The one search against the propagation walk and the recursive
+    search it replaced, and colored isomorphism against all bijections."""
+    rng = random.Random(1416)
+    pairs = colored = 0
+    for aut in shape_subjects():
+        perm = shuffled_perm(rng, aut.n_states)
+        copies = (aut, retargeted(rng, aut), rewired(rng, aut))
+        for other in (permuted(copy, perm) for copy in copies):
+            pairs += 1
+            got = shape_equivalent(aut, other)
+            want = reference_shape.shape_equivalent(aut, other)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert reference_shape._check_shape(aut, other, got)
+            all_reachable = len(reachable_from(aut, aut.initial)) == aut.n_states
+            if isinstance(aut, Dfa) and all_reachable:
+                assert got == want
+            if isinstance(aut, Dfa) and aut.n_states <= 6:
+                # Two colors and random finals make ties, so automorphisms
+                # that swap finals or colors show up.
+                colors = tuple(rng.choice((TT_, PF_)) for _ in range(aut.n_states))
+                left = ColoredDfa(dfa=aut, colors=colors)
+                moved = [None] * aut.n_states
+                for state, image in perm.items():
+                    moved[image] = colors[state]
+                finals = set(other.finals)
+                if rng.random() < 0.5:
+                    finals ^= {rng.randrange(aut.n_states)}
+                right = ColoredDfa(dfa=replace(other, finals=frozenset(finals)), colors=tuple(moved))
+                assert colored_isomorphic(left, right) == brute_colored_isomorphic(left, right)
+                colored += 1
+    assert pairs >= 500
+    assert colored >= 250
+
+
+def test_shape_equivalent_checks_the_edges_into_each_placed_state():
+    # Swapping the targets of states 0 and 3 under {b} keeps every
+    # successor and predecessor count.  The walk places 0, 3, 2, 1, so
+    # both swapped edges lead from a placed state to a later one that the
+    # walk reached by another edge: only the check of the edges into a
+    # newly placed state tells the two apart.
+    rows = ((3, 2, 2, 3), (0, 3, 0, 0), (1, 2, 0, 2), (0, 1, 1, 2))
+    swapped = ((3, 2, 1, 3), (0, 3, 0, 0), (1, 2, 0, 2), (0, 1, 2, 2))
+    left, right = (
+        Dfa(alphabet=AB, n_states=4, initial=0, transitions=t, finals=frozenset())
+        for t in (rows, swapped)
+    )
+    assert reference_shape.shape_equivalent(left, right) is None
+    assert shape_equivalent(left, right) is None
+
+
+def test_colored_isomorphic_finds_an_automorphism_that_keeps_colors():
+    # Three self-looping states, two of them unreachable: only the swap
+    # 1 <-> 2 carries the finals over.
+    letter = Alphabet.tasks(["a"])
+    rows = ((0,), (1,), (2,))
+    colors = (PF_, PT_, PF_)
+
+    def colored(final):
+        dfa = Dfa(alphabet=letter, n_states=3, initial=0, transitions=rows, finals=frozenset({final}))
+        return ColoredDfa(dfa=dfa, colors=colors if final == 1 else (PF_, PF_, PT_))
+
+    assert colored_isomorphic(colored(1), colored(2))
+
+
+def test_shape_equivalent_on_a_2000_state_nfa_needs_no_recursion():
+    rng = random.Random(2000)
+    n = 2000
+    transitions = tuple(
+        (
+            frozenset({s + 1} if s + 1 < n else ()) | frozenset(rng.sample(range(n), rng.randint(0, 1))),
+            frozenset(rng.sample(range(n), rng.randint(0, 2))),
+        )
+        for s in range(n)
+    )
+    nfa = Nfa(alphabet=TASKS, n_states=n, initial=0, transitions=transitions, finals=frozenset())
+    shuffled = permuted(nfa, shuffled_perm(rng, n))
+    mapping = shape_equivalent(nfa, shuffled)
+    assert mapping is not None
+    assert reference_shape._check_shape(nfa, shuffled, mapping)
+
+
+def test_shape_equivalent_on_a_3000_state_dfa_is_one_walk():
+    rng = random.Random(3000)
+    n = 3000
+    rows = tuple(((s + 1) % n, rng.randrange(n)) for s in range(n))
+    dfa = Dfa(alphabet=TASKS, n_states=n, initial=0, transitions=rows, finals=frozenset())
+    perm = shuffled_perm(rng, n)
+    shuffled = permuted(dfa, perm)
+    start = time.perf_counter()
+    assert shape_equivalent(dfa, shuffled) == perm
+    assert time.perf_counter() - start < 1.0
 
 
 def test_monitor_walks_match_language_acceptance():
