@@ -606,13 +606,13 @@ def test_shape_search_agrees_with_the_reference_searches():
                 # that swap finals or colors show up.
                 colors = tuple(rng.choice((TT_, PF_)) for _ in range(aut.n_states))
                 left = ColoredDfa(dfa=aut, colors=colors)
-                moved = [None] * aut.n_states
+                moved_colors = [None] * aut.n_states
                 for state, image in perm.items():
-                    moved[image] = colors[state]
+                    moved_colors[image] = colors[state]
                 finals = set(other.finals)
                 if rng.random() < 0.5:
                     finals ^= {rng.randrange(aut.n_states)}
-                right = ColoredDfa(dfa=replace(other, finals=frozenset(finals)), colors=tuple(moved))
+                right = ColoredDfa(dfa=replace(other, finals=frozenset(finals)), colors=tuple(moved_colors))
                 assert colored_isomorphic(left, right) == brute_colored_isomorphic(left, right)
                 colored += 1
     assert pairs >= 500
@@ -637,14 +637,13 @@ def test_shape_equivalent_checks_the_edges_into_each_placed_state():
 
 def test_colored_isomorphic_finds_an_automorphism_that_keeps_colors():
     # Three self-looping states, two of them unreachable: only the swap
-    # 1 <-> 2 carries the finals over.
+    # 1 <-> 2 carries the finals and colors over.
     letter = Alphabet.tasks(["a"])
     rows = ((0,), (1,), (2,))
-    colors = (PF_, PT_, PF_)
 
     def colored(final):
         dfa = Dfa(alphabet=letter, n_states=3, initial=0, transitions=rows, finals=frozenset({final}))
-        return ColoredDfa(dfa=dfa, colors=colors if final == 1 else (PF_, PF_, PT_))
+        return ColoredDfa(dfa=dfa, colors=tuple(PT_ if s == final else PF_ for s in range(3)))
 
     assert colored_isomorphic(colored(1), colored(2))
 
