@@ -17,6 +17,12 @@ into one that evaluates to true (a greatest fixpoint).  Markers never
 leak into states: emitted atoms have them substituted away first, by one
 ``rewrite`` that hands marker-free subtrees back as the same objects.
 
+A path may also be a ``DfaPath``, a DFA state standing for the traces
+from there to a final state; ``compile_dfa`` puts one in place of each
+RV path (a reference to a monitor state of another formula), and
+``delta`` walks it one letter at a time, the way propositional dynamic
+logic over flowcharts treats a program.
+
 Acceptance of a macro-state asks whether every obligation in it is
 satisfied by the empty remainder, via the same recursion with the
 step base cases flipped to their out-of-trace values.
@@ -55,11 +61,12 @@ from __future__ import annotations
 import json
 import operator
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
-from .rv import RVState
+from .rv import RVState, RvAtom, RvPath
 from .syntax import ldl
 from .syntax.alphabet import Alphabet
+from .syntax.base import node
 from .syntax.ldl import print_ldlf
 from .syntax.props import (
     FALSE,
@@ -152,7 +159,11 @@ def delta(f: ldl.Ldlf, letter, emitted: dict | None = None) -> tuple:
     ``models_or`` on alternatives and star unfoldings and the other way
     round on tests, whose condition it negates, ``TRUE_MODELS`` for
     ``FALSE_MODELS`` on an unmatched step, and ``TrueMark`` for
-    ``FalseMark``.  Pre: f is in negation normal form, marker atoms aside.
+    ``FalseMark``.  A ``DfaPath`` at a DFA state holds ``delta(arg)`` here
+    when the state is final and misses otherwise; on a letter it joins
+    that with the obligation on the successor state, or with a miss when
+    no final state is reachable from there.  Pre: f is in negation normal
+    form, marker atoms aside.
     ``emitted`` memoizes the quoted obligations; callers that compute
     many steps of one formula (``ldlf_to_nfa``) pass one dict to all of
     them.
@@ -190,6 +201,14 @@ def delta(f: ldl.Ldlf, letter, emitted: dict | None = None) -> tuple:
                 delta(arg, letter, emitted),
                 delta(modality(path.body, mark(f)), letter, emitted),
             )
+        if isinstance(path, DfaPath):
+            here = delta(arg, letter, emitted) if path.state in path.dfa.finals else miss
+            if letter is EPSILON:
+                return here
+            target = path.dfa.transitions[path.state][path.dfa.alphabet.columns()[letter]]
+            if target not in path.live:
+                return join(here, miss)
+            return join(here, _emit(modality(replace(path, state=target), arg), emitted))
     if isinstance(f, ldl.Not):
         msg = "delta needs a formula in negation normal form"
         raise ValueError(msg)
@@ -282,6 +301,29 @@ class Dfa:
         return frozenset(self.transitions[state]).difference((None,))
 
     triples = Nfa.triples
+
+
+@node
+class DfaPath(ldl.AutomatonPath):
+    """An RV path compiled onto a DFA: the traces that lead ``dfa`` from
+    ``state`` into a final state.
+
+    ``name`` is the RV path's text; with ``state`` it makes the node's
+    identity and its print key.  The other fields follow from the name
+    and the alphabet, so equality and hashing leave them out: ``live``
+    holds the states that can still reach a final state, and ``atoms``
+    the propositions of the RV path's formula, on which the DFA's
+    transitions depend.
+    """
+
+    name: str
+    state: int
+    dfa: Dfa = field(compare=False)
+    live: frozenset = field(compare=False)
+    atoms: frozenset = field(compare=False)
+
+    def pretty(self) -> str:
+        return f"{self.name}@{self.state}"
 
 
 def ldlf_to_nfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Nfa:
@@ -540,6 +582,13 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
     One build (a model monitor, a CLI command) passes the same dict to
     all its calls and drops it when done, so each distinct subformula is
     compiled once per build; a call without one gets a fresh dict.
+
+    RV nodes are compiled from automata, not from their LDLf encoding
+    (``metaconstraints.expand``): an ``RvAtom`` is a leaf whose DFA is
+    the referenced formula's colored DFA with the states of its RV state
+    made final, memoized under ``("rv-dfa", atom, alphabet)``, and on the
+    NFA route ``_lower_rv`` puts ``DfaPath`` nodes on such DFAs in place
+    of RV paths and of RV atoms under a modality.
     """
     if memo is None:
         memo = {}
@@ -558,11 +607,45 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
                 operands.append(f)
         accept = None if kind is ldl.And else operator.or_
         return product_fold((compile_dfa(f, alphabet, memo) for f in operands), accept)
+    if isinstance(formula, RvAtom):
+        key = ("rv-dfa", formula, alphabet)
+        dfa = memo.get(key)
+        if dfa is None:
+            colored = color(compile_dfa(formula.formula, alphabet, memo))
+            dfa = memo[key] = colored.accepting({formula.state})
+        return dfa
     key = ("dfa", formula, alphabet)
     dfa = memo.get(key)
     if dfa is None:
-        dfa = memo[key] = minimize(determinize(ldlf_to_nfa(formula, alphabet)))
+        lowered = _lower_rv(formula, alphabet, memo)
+        dfa = memo[key] = minimize(determinize(ldlf_to_nfa(lowered, alphabet)))
     return dfa
+
+
+def _lower_rv(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict) -> ldl.Ldlf:
+    """The formula with each RV node replaced by an automaton path at the
+    initial state of the RV atom's DFA: an RV path by the path, an RV
+    atom by ``<path>end``.  The rewrite is bottom-up, so an RV node
+    nested in another's formula is lowered first, which leaves that
+    formula's language as it is.  A formula without RV nodes comes back
+    as is, after one scan."""
+    if not any(isinstance(n, (RvAtom, RvPath)) for n in ldl.subterms(formula)):
+        return formula
+
+    def lower(n):
+        if not isinstance(n, (RvAtom, RvPath)):
+            return n
+        dfa = compile_dfa(RvAtom(n.formula, n.state), alphabet, memo)
+        path = DfaPath(
+            name=ldl.print_path(RvPath(n.formula, n.state)),
+            state=dfa.initial,
+            dfa=dfa,
+            live=prefix_closure(dfa).finals,
+            atoms=ldl.formula_atoms(n.formula),
+        )
+        return path if isinstance(n, RvPath) else ldl.Diamond(path, ldl.END)
+
+    return ldl.rewrite(formula, lower)
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -851,8 +934,9 @@ def aut_from_json(text: str):
     Raises ValueError on a kind other than ``dfa`` and ``nfa``, props
     that are not a list of strings, an ``n_states`` that is not a
     non-negative integer, finals that are not a list, a letter outside
-    the alphabet, a state outside ``range(n_states)``, and colors that
-    are not one RV state name per state.
+    the alphabet, a state that is not an integer in ``range(n_states)``
+    (a float such as ``0.0`` included), and colors that are not one RV
+    state name per state.
     """
     payload = json.loads(text)
     props, n_states = payload["props"], payload["n_states"]
@@ -873,8 +957,8 @@ def aut_from_json(text: str):
     states = range(n_states)
 
     def state(value):
-        if value not in states:
-            msg = f"state {value!r} outside range({len(states)})"
+        if type(value) is not int or value not in states:
+            msg = f"state {value!r} is not an integer in range({len(states)})"
             raise ValueError(msg)
         return value
 

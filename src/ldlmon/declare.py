@@ -58,7 +58,6 @@ from .metaconstraints import (
     compensation,
     conflict,
     contextual_absence,
-    expand,
     preference,
     reactive_compensation,
 )
@@ -621,9 +620,10 @@ def _parse_directive(name: str, body: str, alphabet: Alphabet, ref) -> MetaDirec
 class MetaMonitor(_Lockstep):
     """Monitors for the shown constraints and every directive, advanced
     in lockstep; states are reported shown constraints first, then
-    directives in file order.  Directive formulas are expanded to plain
-    LDLf first.  Everything is compiled and expanded through one memo,
-    which the monitor does not keep."""
+    directives in file order.  Directive formulas are compiled as they
+    are, RV nodes straight from the referenced constraints' monitors (see
+    ``automata.compile_dfa``), through one memo, which the monitor does
+    not keep."""
 
     def __init__(self, model: MetaModel):
         memo: dict = {}
@@ -633,10 +633,10 @@ class MetaMonitor(_Lockstep):
             name: Monitor.for_formula(model.define(name).to_ldlf(), alphabet, memo)
             for name in model.shows
         }
-        self.meta = {}
-        for directive in model.directives:
-            expanded = expand(model.directive_formula(directive), alphabet, memo)
-            self.meta[directive.name] = Monitor.for_formula(expanded, alphabet, memo)
+        self.meta = {
+            d.name: Monitor.for_formula(model.directive_formula(d), alphabet, memo)
+            for d in model.directives
+        }
         rows = {d.name: _DIRECTIVES[d.kind].row for d in model.directives}
         super().__init__(alphabet, [*self.shown.items(), *self.meta.items()], rows)
 

@@ -1,20 +1,25 @@
 """Constraints about the monitoring states of other constraints.
 
-Two extension nodes make this expressible inside LDLf:
+Two extension nodes (defined in ``rv``) make this expressible inside
+LDLf:
 
 * ``RvAtom(f, s)``: the trace so far puts property f in RV state s;
 * ``RvPath(f, s)``: a path expression matching exactly those prefixes.
 
-``expand`` lowers both into plain LDLf: the atom via the RV-state
-characterization formula (``rv_formula``), the path via the regex folded
-out of the property's monitor with the states of that color made final
-(``regex_for_rv``).  Expansion is one bottom-up ``rewrite``, so the
-formula inside an RV node is already plain when the node is lowered:
-nested references (a metaconstraint about a metaconstraint) work.  One
-build passes one memo to all its ``expand`` calls, and the memo holds
-each lowered node's encoding, per alphabet, and the DFAs compiled on the
-way, so a property referred to from several places is compiled once per
-build; the memo is dropped with the build.
+A monitor build compiles both straight from automata (see
+``automata.compile_dfa``): the DFA of an atom is f's monitor with the
+states of color s made final, and a path walks that DFA.
+
+``expand`` is the paper's declarative encoding of the same nodes, and
+the oracle the direct compile is tested against.  It lowers both into
+plain LDLf: the atom via the RV-state characterization formula
+(``rv_formula``), the path via the regex folded out of the property's
+monitor with the states of that color made final (``regex_for_rv``).
+Expansion is one bottom-up ``rewrite``, so the formula inside an RV node
+is already plain when the node is lowered: nested references (a
+metaconstraint about a metaconstraint) work.  Calls that share a memo
+share each lowered node's encoding, per alphabet, and the DFAs compiled
+on the way.
 
 The builders cover the recurring shapes: forbidding a task while
 another constraint is temporarily violated, compensating a permanent
@@ -26,39 +31,10 @@ from __future__ import annotations
 
 from .monitor import rv_formula
 from .regexfold import regex_for_rv
-from .rv import RVState
+from .rv import RVState, RvAtom, RvPath
 from .syntax import ldl
 from .syntax.alphabet import Alphabet
-from .syntax.base import node
 from .syntax.props import Atom, PropNot
-
-
-@node
-class RvAtom(ldl.Ldlf):
-    """Holds when the trace so far puts ``formula`` in RV state ``state``."""
-
-    formula: ldl.Ldlf
-    state: RVState
-
-    def pretty(self) -> str:
-        return "{" + ldl.print_ldlf(self.formula) + "}=" + self.state.code
-
-    def __str__(self) -> str:
-        return self.pretty()
-
-
-@node
-class RvPath(ldl.Path):
-    """Matches the prefixes that put ``formula`` in RV state ``state``."""
-
-    formula: ldl.Ldlf
-    state: RVState
-
-    def pretty(self) -> str:
-        return "re{" + ldl.print_ldlf(self.formula) + "}=" + self.state.code
-
-    def __str__(self) -> str:
-        return self.pretty()
 
 
 def expand(f: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None) -> ldl.Ldlf:

@@ -6,10 +6,18 @@ For a property and a finite trace seen so far, exactly one holds:
 * ``TEMP_FALSE``: violated now, some continuation satisfies it;
 * ``PERM_TRUE``: satisfied now and under every continuation;
 * ``PERM_FALSE``: violated now and under every continuation.
+
+Two LDLf extension nodes refer to them: ``RvAtom(f, s)`` holds when the
+trace puts property f in RV state s, and ``RvPath(f, s)`` matches exactly
+those traces.  ``metaconstraints`` builds formulas from them and
+``automata.compile_dfa`` compiles them from f's monitor.
 """
 from __future__ import annotations
 
 from enum import Enum
+
+from .syntax import ldl
+from .syntax.base import node
 
 
 class RVState(Enum):
@@ -55,3 +63,31 @@ class RVState(Enum):
 # The colors of pref(f) and of pref(!f) (see ``ColoredDfa.accepting``).
 SATISFIABLE = frozenset(RVState) - {RVState.PERM_FALSE}
 VIOLABLE = frozenset(RVState) - {RVState.PERM_TRUE}
+
+
+@node
+class RvAtom(ldl.Ldlf):
+    """Holds when the trace so far puts ``formula`` in RV state ``state``."""
+
+    formula: ldl.Ldlf
+    state: RVState
+
+    def pretty(self) -> str:
+        return "{" + ldl.print_ldlf(self.formula) + "}=" + self.state.code
+
+    def __str__(self) -> str:
+        return self.pretty()
+
+
+@node
+class RvPath(ldl.Path):
+    """Matches the prefixes that put ``formula`` in RV state ``state``."""
+
+    formula: ldl.Ldlf
+    state: RVState
+
+    def pretty(self) -> str:
+        return "re{" + ldl.print_ldlf(self.formula) + "}=" + self.state.code
+
+    def __str__(self) -> str:
+        return self.pretty()

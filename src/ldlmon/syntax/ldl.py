@@ -37,6 +37,13 @@ class Ldlf:
     __slots__ = ()
 
 
+class AutomatonPath(Path):
+    """Base class for path nodes that stand for an automaton built
+    elsewhere; a subclass's ``atoms`` names the propositions it reads."""
+
+    __slots__ = ()
+
+
 @node
 class Step(Path):
     guard: Prop
@@ -187,13 +194,20 @@ def subterms(f):
         n = stack.pop()
         yield n
         names, operands = _layout(type(n))
-        stack.extend(getattr(n, names[i]) for i in operands)
+        for i in operands:
+            stack.append(getattr(n, names[i]))
 
 
 def formula_atoms(f: Ldlf) -> frozenset[str]:
-    """Proposition names occurring anywhere in f."""
-    guards = (n.guard for n in subterms(f) if isinstance(n, Step))
-    return frozenset().union(*map(prop_atoms, guards))
+    """Proposition names occurring anywhere in f: in its step guards, and
+    in the ``atoms`` of its automaton paths."""
+    names: set = set()
+    for n in subterms(f):
+        if isinstance(n, Step):
+            names |= prop_atoms(n.guard)
+        elif isinstance(n, AutomatonPath):
+            names |= n.atoms
+    return frozenset(names)
 
 
 _FORMULA_BINARY = by_class(LDLF_OPS)

@@ -662,6 +662,10 @@ def test_json_input_outside_the_alphabet_or_the_states_is_rejected():
         payload(transitions=[[-1, ["b"], 0]]),
         payload(initial=1),
         payload(finals=[1]),
+        payload(initial=0.0),
+        payload(transitions=[[0, ["b"], 0.0]]),
+        payload(transitions=[[0.0, ["b"], 0]]),
+        payload(finals=[0.0]),
         payload(kind="nfa", transitions=[[0, ["zz"], 0]]),
         payload(kind="nfa", transitions=[[0, ["b"], 7]]),
         payload(kind="nfa", transitions=[[2, ["b"], 0]]),

@@ -1,10 +1,26 @@
-"""Constraints over monitoring states and their expansion to plain LDLf."""
+"""Constraints over monitoring states, their expansion to plain LDLf, and
+their direct compile against that expansion."""
 import dataclasses
+import random
 
 import pytest
 
-from ldlmon.automata import determinize, language_equal, ldlf_to_nfa, minimize
-from ldlmon.declare import existence, not_coexistence, responded_existence, response
+from ldlmon import monitor, regexfold
+from ldlmon.automata import (
+    compile_dfa,
+    determinize,
+    language_equal,
+    ldlf_to_nfa,
+    minimize,
+)
+from ldlmon.declare import (
+    MetaMonitor,
+    existence,
+    not_coexistence,
+    parse_meta,
+    responded_existence,
+    response,
+)
 from ldlmon.metaconstraints import (
     RvAtom,
     RvPath,
@@ -27,12 +43,16 @@ from ldlmon.syntax import (
     END,
     Not,
     Or,
+    Step,
     TT,
     formula_atoms,
     ltlf_to_ldlf,
     parse_re,
     print_ldlf,
 )
+from ldlmon.syntax.props import Atom
+
+from test_lockstep import random_meta_text
 
 TF_ = RVState.TEMP_FALSE
 PF_ = RVState.PERM_FALSE
@@ -269,3 +289,63 @@ def test_conflict_is_symmetric():
     left = compile_ldlf(expand(conflict(RESP, NCX), BOOKING))
     right = compile_ldlf(expand(conflict(NCX, RESP), BOOKING))
     assert language_equal(left, right)
+
+
+# Direct compile against the expansion ----------------------------------
+
+
+def assert_direct_matches_expanded(formula, alphabet=BOOKING):
+    direct = compile_dfa(formula, alphabet)
+    expanded = compile_dfa(expand(formula, alphabet), alphabet)
+    assert language_equal(direct, expanded), print_ldlf(formula)
+
+
+def test_directives_compile_the_languages_of_their_expansions():
+    rng = random.Random(6153)
+    for _ in range(200):
+        model = parse_meta(random_meta_text(rng))
+        for directive in model.directives:
+            assert_direct_matches_expanded(model.directive_formula(directive), model.alphabet)
+
+
+def test_meta_monitor_builds_fold_no_regex(monkeypatch):
+    def refuse(aut):
+        raise AssertionError("a meta monitor build folded an automaton into a regex")
+
+    monkeypatch.setattr(monitor, "automaton_to_regex", refuse)
+    monkeypatch.setattr(regexfold, "automaton_to_regex", refuse)
+    rng = random.Random(6154)
+    for _ in range(20):
+        MetaMonitor(parse_meta(random_meta_text(rng)))
+
+
+def test_rv_atoms_under_steps_compile_like_their_expansions():
+    pay = Step(Atom("pay"))
+    for state in RVState:
+        for formula in [NCX, RE1, And(NCX, RESP)]:
+            atom = RvAtom(formula, state)
+            assert_direct_matches_expanded(atom)
+            assert_direct_matches_expanded(Diamond(pay, atom))
+            assert_direct_matches_expanded(Box(pay, atom))
+            assert_direct_matches_expanded(Box(pay, Not(atom)))
+
+
+def test_rv_paths_nested_four_deep_compile_like_their_expansions():
+    # Each level refers to the one below in a state its monitor has, so no
+    # reference is vacuous, and the states it has come round in turn.
+    referred = set()
+    for start in [RESP, RE1, NCX, And(NCX, RESP)]:
+        for shift in range(2):
+            formula = start
+            for depth, task in enumerate(["get", "cancel", "pay", "acc"]):
+                present = sorted(
+                    set(monitor_automaton(formula, BOOKING).colors), key=lambda s: s.value
+                )
+                state = present[(shift + depth) % len(present)]
+                referred.add(state)
+                formula = Or(
+                    contextual_absence(formula, state, task),
+                    Diamond(RvPath(formula, state), RvAtom(RESP, state)),
+                )
+                assert_direct_matches_expanded(formula)
+    assert referred == set(RVState)
