@@ -61,12 +61,11 @@ from __future__ import annotations
 import json
 import operator
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .rv import RVState, RvAtom, RvPath
 from .syntax import ldl
 from .syntax.alphabet import Alphabet
-from .syntax.base import node
 from .syntax.ldl import print_ldlf
 from .syntax.props import (
     FALSE,
@@ -208,7 +207,8 @@ def delta(f: ldl.Ldlf, letter, emitted: dict | None = None) -> tuple:
             target = path.dfa.transitions[path.state][path.dfa.alphabet.columns()[letter]]
             if target not in path.live:
                 return join(here, miss)
-            return join(here, _emit(modality(replace(path, state=target), arg), emitted))
+            moved = DfaPath(path.name, target, path.dfa, path.live, path.atoms)
+            return join(here, _emit(modality(moved, arg), emitted))
     if isinstance(f, ldl.Not):
         msg = "delta needs a formula in negation normal form"
         raise ValueError(msg)
@@ -303,24 +303,24 @@ class Dfa:
     triples = Nfa.triples
 
 
-@node
 class DfaPath(ldl.AutomatonPath):
     """An RV path compiled onto a DFA: the traces that lead ``dfa`` from
     ``state`` into a final state.
 
-    ``name`` is the RV path's text; with ``state`` it makes the node's
-    identity and its print key.  The other fields follow from the name
-    and the alphabet, so equality and hashing leave them out: ``live``
-    holds the states that can still reach a final state, and ``atoms``
-    the propositions of the RV path's formula, on which the DFA's
-    transitions depend.
+    ``name`` is the RV path's text; ``name`` and ``state`` are the
+    node's fields, so they make its identity and its print key.  The
+    other attributes follow from the name and the alphabet, so equality
+    and hashing leave them out: ``live`` holds the states that can still
+    reach a final state, and ``atoms`` the propositions of the RV path's
+    formula, on which the DFA's transitions depend.
     """
 
     name: str
     state: int
-    dfa: Dfa = field(compare=False)
-    live: frozenset = field(compare=False)
-    atoms: frozenset = field(compare=False)
+
+    def __init__(self, name: str, state: int, dfa: Dfa, live: frozenset, atoms: frozenset):
+        super().__init__(name, state)
+        self.__dict__.update(dfa=dfa, live=live, atoms=atoms)
 
     def pretty(self) -> str:
         return f"{self.name}@{self.state}"
@@ -932,11 +932,12 @@ def aut_from_json(text: str):
     """Inverse of aut_to_json (colors, if present, are returned too).
 
     Raises ValueError on a kind other than ``dfa`` and ``nfa``, props
-    that are not a list of strings, an ``n_states`` that is not a
-    non-negative integer, finals that are not a list, a letter outside
-    the alphabet, a state that is not an integer in ``range(n_states)``
-    (a float such as ``0.0`` included), and colors that are not one RV
-    state name per state.
+    that are not a list of strings, a ``singleton_letters`` that is not a
+    bool, an ``n_states`` that is not a non-negative integer, finals that
+    are not a list, a letter that is not a list of names (a string such
+    as ``"ab"`` included) or lies outside the alphabet, a state that is
+    not an integer in ``range(n_states)`` (a float such as ``0.0``
+    included), and colors that are not one RV state name per state.
     """
     payload = json.loads(text)
     props, n_states = payload["props"], payload["n_states"]
@@ -948,6 +949,9 @@ def aut_from_json(text: str):
         raise ValueError(msg)
     if not isinstance(payload["finals"], list):
         msg = f"finals must be a list, not {payload['finals']!r}"
+        raise ValueError(msg)
+    if type(payload["singleton_letters"]) is not bool:
+        msg = f"singleton_letters must be a bool, not {payload['singleton_letters']!r}"
         raise ValueError(msg)
     alphabet = Alphabet(tuple(props), singleton_letters=payload["singleton_letters"])
     if payload["kind"] not in ("dfa", "nfa"):
@@ -965,6 +969,11 @@ def aut_from_json(text: str):
     columns = alphabet.columns()
     rows = [[None if deterministic else set() for _ in columns] for _ in states]
     for source, letter_names, target in payload["transitions"]:
+        if not isinstance(letter_names, list) or not all(
+            isinstance(name, str) for name in letter_names
+        ):
+            msg = f"a letter must be a list of names, not {letter_names!r}"
+            raise ValueError(msg)
         column = columns.get(frozenset(letter_names))
         if column is None:
             msg = f"letter outside the alphabet: {letter_names!r}"

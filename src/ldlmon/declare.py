@@ -223,7 +223,8 @@ def parse_pattern(
     text: str, alphabet: Alphabet | None = None
 ) -> tuple[ltl.Ltlf, Alphabet]:
     """The formula of a pattern call such as ``response(pay, get)``, and
-    its alphabet: the given one, or with none the call's own tasks.
+    its alphabet: the given one, or with none the call's own distinct
+    tasks, in first-use order.
 
     Raises ValueError on a malformed call, an unknown pattern, an empty
     or a wrong number of tasks, or a task outside the alphabet.
@@ -244,7 +245,7 @@ def parse_pattern(
     if len(args) != arity:
         raise ValueError(f"{pattern} takes {arity} task(s), got {len(args)}")
     if alphabet is None:
-        alphabet = Alphabet.tasks(args)
+        alphabet = Alphabet.tasks(list(dict.fromkeys(args)))
     for arg in args:
         if arg not in alphabet:
             raise ValueError(f"unknown task {arg!r}")

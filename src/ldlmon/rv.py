@@ -17,7 +17,6 @@ from __future__ import annotations
 from enum import Enum
 
 from .syntax import ldl
-from .syntax.base import node
 
 
 class RVState(Enum):
@@ -65,7 +64,6 @@ SATISFIABLE = frozenset(RVState) - {RVState.PERM_FALSE}
 VIOLABLE = frozenset(RVState) - {RVState.PERM_TRUE}
 
 
-@node
 class RvAtom(ldl.Ldlf):
     """Holds when the trace so far puts ``formula`` in RV state ``state``."""
 
@@ -79,7 +77,6 @@ class RvAtom(ldl.Ldlf):
         return self.pretty()
 
 
-@node
 class RvPath(ldl.Path):
     """Matches the prefixes that put ``formula`` in RV state ``state``."""
 

@@ -1,53 +1,64 @@
-"""Shared machinery for the immutable AST node classes and their printers."""
+"""The base class of the immutable AST nodes, and what their printers share.
+
+A node class declares its fields as annotations, in order; ``Node``
+records them as ``_fields`` when the class is created, and its
+constructor takes them positionally.  Nodes are immutable and equality
+is structural: same class and equal fields.  The hash is fixed at
+construction as the hash of the tuple of the fields.  Formula objects
+key the memo tables and macro-states of the automaton construction, so
+each lookup reads the stored hash; the operands' hashes are stored
+before their parent is built, so no hash recurses, however deep the
+formula.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-# Every class made by ``node``: the operands ``_hash_bottom_up`` descends into.
-_NODE_CLASSES: set = set()
+# Sets an attribute past ``Node.__setattr__``, which refuses every assignment.
+_set = object.__setattr__
 
 
-def node(cls):
-    """Turn a class into a frozen dataclass whose structural hash is cached.
+class Node:
+    """An immutable node: fields from the class's annotations, the hash
+    fixed at construction, structural equality."""
 
-    Formula objects are used heavily as dictionary keys (memo tables and
-    macro-states), so recomputing the structural hash on every lookup
-    would dominate the runtime of the automaton construction.  A subtree
-    too deep for the generated hash to recurse through is hashed from an
-    explicit stack instead, to the same values.
-    """
-    cls = dataclass(frozen=True)(cls)
-    generated_hash = cls.__hash__
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__annotations__)
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            msg = f"{type(self).__name__} takes {len(self._fields)} fields, not {len(values)}"
+            raise TypeError(msg)
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+        _set(self, "_hash", hash(values))
 
     def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            try:
-                h = generated_hash(self)
-            except RecursionError:
-                h = _hash_bottom_up(self)
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
 
-    cls.__hash__ = __hash__
-    _NODE_CLASSES.add(cls)
-    return cls
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self._fields
+        return self._hash == other._hash and (
+            [getattr(self, name) for name in fields] == [getattr(other, name) for name in fields]
+        )
 
+    def __setattr__(self, name, value):
+        msg = f"cannot assign to field {name!r} of an immutable node"
+        raise AttributeError(msg)
 
-def _hash_bottom_up(root) -> int:
-    """Hash root and every node below it not hashed yet, operands first,
-    so that no hash recurses more than one level."""
-    stack = [(root, False)]
-    while stack:
-        n, operands_done = stack.pop()
-        if operands_done:
-            hash(n)
-            continue
-        stack.append((n, True))
-        for v in n.__dict__.values():
-            if type(v) in _NODE_CLASSES and "_hash" not in v.__dict__:
-                stack.append((v, False))
-    return hash(root)
+    def __delattr__(self, name):
+        msg = f"cannot delete field {name!r} of an immutable node"
+        raise AttributeError(msg)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 # The level an operand of a prefix or postfix operator is printed at: above

@@ -12,10 +12,7 @@ can be taken, i.e. the trace has been fully consumed) and ``last`` is
 """
 from __future__ import annotations
 
-import dataclasses
-import typing
-
-from .base import UNARY, by_class, node, print_infix
+from .base import UNARY, Node, by_class, print_infix
 from .props import (
     Prop,
     TRUE,
@@ -25,13 +22,13 @@ from .props import (
 )
 
 
-class Path:
+class Path(Node):
     """Base class for regular path expressions."""
 
     __slots__ = ()
 
 
-class Ldlf:
+class Ldlf(Node):
     """Base class for LDLf formulas."""
 
     __slots__ = ()
@@ -44,73 +41,60 @@ class AutomatonPath(Path):
     __slots__ = ()
 
 
-@node
 class Step(Path):
     guard: Prop
 
 
-@node
 class Test(Path):
     cond: Ldlf
 
 
-@node
 class Alt(Path):
     left: Path
     right: Path
 
 
-@node
 class Seq(Path):
     left: Path
     right: Path
 
 
-@node
 class Star(Path):
     body: Path
 
 
-@node
 class Tt(Ldlf):
     pass
 
 
-@node
 class Ff(Ldlf):
     pass
 
 
-@node
 class Not(Ldlf):
     arg: Ldlf
 
 
-@node
 class And(Ldlf):
     left: Ldlf
     right: Ldlf
 
 
-@node
 class Or(Ldlf):
     left: Ldlf
     right: Ldlf
 
 
-@node
 class Diamond(Ldlf):
     path: Path
     arg: Ldlf
 
 
-@node
 class Box(Ldlf):
     path: Path
     arg: Ldlf
 
 
-@node
 class TrueMark(Ldlf):
     """Bookkeeping atom standing in for a box-star formula during one
     transition-function evaluation.  Never part of a user-facing formula."""
@@ -118,7 +102,6 @@ class TrueMark(Ldlf):
     loop: Ldlf
 
 
-@node
 class FalseMark(Ldlf):
     """Bookkeeping atom standing in for a diamond-star formula during one
     transition-function evaluation.  Never part of a user-facing formula."""
@@ -144,58 +127,41 @@ def prop_formula(phi: Prop) -> Ldlf:
     return Diamond(Step(phi), TT)
 
 
-_LAYOUTS: dict = {}
-
-
-def _layout(cls) -> tuple:
-    """The field names of a node class and the positions of its operands.
-
-    An operand is a field declared as a formula or a path: the children
-    of the connectives and modalities, a marker's ``loop`` and the
-    ``formula`` of an extension node.  Guards, names and states are not.
-    """
-    layout = _LAYOUTS.get(cls)
-    if layout is None:
-        hints = typing.get_type_hints(cls)
-        names = tuple(fl.name for fl in dataclasses.fields(cls))
-        operands = tuple(
-            i for i, name in enumerate(names) if issubclass(hints[name], (Ldlf, Path))
-        )
-        layout = _LAYOUTS[cls] = (names, operands)
-    return layout
-
-
 def rewrite(f, rule):
     """Rebuild a formula or path bottom-up, applying ``rule`` to every
     node once its operands have been rewritten.
 
+    An operand is a field holding a formula or a path: the children of
+    the connectives and modalities, a marker's ``loop`` and the
+    ``formula`` of an extension node.  Guards, names and states are not.
     A node whose operands all come back as the same objects is passed to
-    ``rule`` as is, so untouched subtrees keep their identity (and their
-    cached hash).
+    ``rule`` as is, so untouched subtrees keep their identity.
     """
-    names, operands = _layout(type(f))
     values = None
-    for i in operands:
-        old = getattr(f, names[i])
-        new = rewrite(old, rule)
-        if new is not old:
-            if values is None:
-                values = [getattr(f, name) for name in names]
-            values[i] = new
+    for i, name in enumerate(f._fields):
+        old = getattr(f, name)
+        if isinstance(old, (Ldlf, Path)):
+            new = rewrite(old, rule)
+            if new is not old:
+                if values is None:
+                    values = [getattr(f, field) for field in f._fields]
+                values[i] = new
     if values is not None:
         f = type(f)(*values)
     return rule(f)
 
 
 def subterms(f):
-    """Every formula and path node of f, f included."""
+    """Every formula and path node of f, f included: f and its operands,
+    as ``rewrite`` reads them."""
     stack = [f]
     while stack:
         n = stack.pop()
         yield n
-        names, operands = _layout(type(n))
-        for i in operands:
-            stack.append(getattr(n, names[i]))
+        for name in n._fields:
+            value = getattr(n, name)
+            if isinstance(value, (Ldlf, Path)):
+                stack.append(value)
 
 
 def formula_atoms(f: Ldlf) -> frozenset[str]:

@@ -7,78 +7,66 @@ On a finite trace ``X phi`` requires a successor step to exist while
 """
 from __future__ import annotations
 
-from .base import UNARY, by_class, node, print_infix
+from .base import UNARY, Node, by_class, print_infix
 from .props import Prop, is_atomic_prop, print_prop
 
 
-class Ltlf:
+class Ltlf(Node):
     """Base class for LTLf formulas."""
 
     __slots__ = ()
 
 
-@node
 class LtlfProp(Ltlf):
     prop: Prop
 
 
-@node
 class LtlfNot(Ltlf):
     arg: Ltlf
 
 
-@node
 class LtlfAnd(Ltlf):
     left: Ltlf
     right: Ltlf
 
 
-@node
 class LtlfOr(Ltlf):
     left: Ltlf
     right: Ltlf
 
 
-@node
 class LtlfImplies(Ltlf):
     left: Ltlf
     right: Ltlf
 
 
-@node
 class LtlfIff(Ltlf):
     left: Ltlf
     right: Ltlf
 
 
-@node
 class Next(Ltlf):
     arg: Ltlf
 
 
-@node
 class WeakNext(Ltlf):
     arg: Ltlf
 
 
-@node
 class Until(Ltlf):
     left: Ltlf
     right: Ltlf
 
 
-@node
 class Release(Ltlf):
     left: Ltlf
     right: Ltlf
 
 
-@node
 class Eventually(Ltlf):
     arg: Ltlf
 
 
-@node
 class Always(Ltlf):
     arg: Ltlf
 

@@ -6,44 +6,38 @@ modal form.
 """
 from __future__ import annotations
 
-from .base import UNARY, by_class, node, print_infix
+from .base import UNARY, Node, by_class, print_infix
 
 Interp = frozenset
 
 
-class Prop:
+class Prop(Node):
     """Base class for propositional formulas."""
 
     __slots__ = ()
 
 
-@node
 class PropTrue(Prop):
     pass
 
 
-@node
 class PropFalse(Prop):
     pass
 
 
-@node
 class Atom(Prop):
     name: str
 
 
-@node
 class PropNot(Prop):
     arg: Prop
 
 
-@node
 class PropAnd(Prop):
     left: Prop
     right: Prop
 
 
-@node
 class PropOr(Prop):
     left: Prop
     right: Prop

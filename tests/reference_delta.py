@@ -9,41 +9,36 @@ returns directly.
 from __future__ import annotations
 
 from ldlmon.syntax import ldl
-from ldlmon.syntax.base import node
+from ldlmon.syntax.base import Node
 from ldlmon.syntax.props import eval_prop
 from ldlmon.syntax.transforms import to_nnf
 
 EPSILON = None
 
 
-class PosBool:
+class PosBool(Node):
     """Positive boolean formulas over quoted LDLf subformulas."""
 
     __slots__ = ()
 
 
-@node
 class PBTrue(PosBool):
     pass
 
 
-@node
 class PBFalse(PosBool):
     pass
 
 
-@node
 class PBAtom(PosBool):
     formula: ldl.Ldlf
 
 
-@node
 class PBAnd(PosBool):
     left: PosBool
     right: PosBool
 
 
-@node
 class PBOr(PosBool):
     left: PosBool
     right: PosBool

@@ -681,6 +681,11 @@ def test_json_input_outside_the_alphabet_or_the_states_is_rejected():
         replaced(n_states=True),
         replaced(finals=0),
         replaced(finals=None),
+        replaced(singleton_letters=False, transitions=[[0, "ab", 0]]),
+        replaced(transitions=[[0, "a", 0]]),
+        replaced(transitions=[[0, [["a"]], 0]]),
+        replaced(singleton_letters="yes"),
+        replaced(singleton_letters=1),
     ]
     for text in bad:
         with pytest.raises(ValueError):

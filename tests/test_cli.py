@@ -87,6 +87,23 @@ def test_compile_ltlf_and_pattern_languages(capsys):
     assert aut.alphabet.letters() == (frozenset({"a"}),)
 
 
+def test_pattern_with_a_repeated_task_infers_the_distinct_tasks(capsys):
+    """Without --tasks a pattern call's alphabet is its distinct tasks in
+    first-use order, as a .decl model reads ``response(a, a)``."""
+    call = ["compile", "response(a, a)", "--lang", "pattern"]
+    for fmt in ("ascii", "json"):
+        inferred = run_cli([*call, "--format", fmt], capsys)
+        given = run_cli([*call, "--tasks", "a", "--format", fmt], capsys)
+        assert inferred == given
+        assert inferred[0] == 0
+    code, out, _ = run_cli(
+        ["compile", "response(b, a)", "--lang", "pattern", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    assert aut_from_json(out)[0].alphabet.props == ("b", "a")
+
+
 def test_compile_re_lang(capsys):
     code, out, _ = run_cli(
         ["compile", "a; b", "--lang", "re", "--props", "a,b", "--format", "json"],
@@ -346,15 +363,27 @@ def test_usage_errors_exit_one(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "formula",
-    [" ".join(["X"] * 5000 + ["a"])],
-    ids=["next-5000"],
+    "formula, lang",
+    [
+        (" ".join(["X"] * 5000 + ["a"]), "ltlf"),
+        ("(" * 2000 + "a" + ")" * 2000, "ltlf"),
+        ("!" * 3000 + "a", "ltlf"),
+        ("<a>" * 1500 + "tt", "ldlf"),
+        ("<" + "(a;" * 400 + "a" + ")" * 400 + ">tt", "ldlf"),
+    ],
+    ids=["next-5000", "parens-2000", "not-3000", "diamond-1500", "nested-seq-400"],
 )
-def test_deeply_nested_formulas_exit_one(formula, capsys):
-    code, _, err = run_cli(["compile", formula, "--lang", "ltlf"], capsys)
+def test_deeply_nested_formulas_exit_one(formula, lang, capsys):
+    code, _, err = run_cli(["compile", formula, "--lang", lang], capsys)
     assert code == 1
     assert "nested too deeply" in err
     assert "internal error" not in err
+
+
+def test_flat_seq_path_compiles(capsys):
+    """A 400-step ``;`` path nests only as deep as it is written."""
+    code, _, err = run_cli(["compile", "<" + ";".join(["a"] * 400) + ">tt"], capsys)
+    assert code == 0, err
 
 
 def test_long_ltlf_conjunction_compiles_like_its_ldlf_form(capsys):

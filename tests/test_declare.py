@@ -369,6 +369,25 @@ def test_timeline_replays_its_trace_from_the_start():
     assert dict(timeline.rows) == BOOKING_ROWS
 
 
+def test_forbidden_rows_are_empty_at_trace_completion():
+    """At completion nothing is left to forbid, even where the state the
+    row reads is still temporary: after ``b`` the model is TF and
+    absence2(b) forbids a second ``b``, and the directive is TT while
+    its context d stays TF."""
+    model = ModelMonitor(parse_decl("tasks: a, b\nexistence(a)\nabsence2(b)\n"))
+    rows = dict(model.timeline(["b"]).rows)
+    assert rows["model"] == ["TF", "TF", "PF"]
+    assert rows["forbidden"] == ["-", "b", "-"]
+    meta = MetaMonitor(
+        parse_meta(
+            "tasks: a, b, c\ndefine d: existence(a)\nshow d\n"
+            "meta ca: absence b when d = TF\n"
+        )
+    )
+    rows = meta.timeline(["c"]).rows
+    assert rows[1:] == [("ca", ["TT", "TT", "PT"]), ("  forbidden", ["b", "b", "-"])]
+
+
 def test_model_monitor_reset_and_validation():
     monitor = ModelMonitor(parse_decl(BOOKING_DECL))
     monitor.run(["pay"])

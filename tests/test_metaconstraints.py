@@ -1,6 +1,5 @@
 """Constraints over monitoring states, their expansion to plain LDLf, and
 their direct compile against that expansion."""
-import dataclasses
 import random
 
 import pytest
@@ -50,6 +49,7 @@ from ldlmon.syntax import (
     parse_re,
     print_ldlf,
 )
+from ldlmon.syntax.base import Node
 from ldlmon.syntax.props import Atom
 
 from test_lockstep import random_meta_text
@@ -76,11 +76,8 @@ def regex_dfa(text, alphabet=BOOKING):
 def contains_rv_nodes(value) -> bool:
     if isinstance(value, (RvAtom, RvPath)):
         return True
-    if dataclasses.is_dataclass(value):
-        return any(
-            contains_rv_nodes(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        )
+    if isinstance(value, Node):
+        return any(contains_rv_nodes(getattr(value, name)) for name in value._fields)
     return False
 
 

@@ -1,5 +1,4 @@
 """Parsing, printing, and the formula transformations."""
-import dataclasses
 import random
 
 import pytest
@@ -219,7 +218,7 @@ def test_nodes_hash_without_deep_recursion_to_the_same_values():
     hash without RecursionError."""
 
     def assert_hash_of_fields(n):
-        fields = tuple(getattr(n, f.name) for f in dataclasses.fields(n))
+        fields = tuple(getattr(n, name) for name in n._fields)
         assert hash(n) == hash(fields)
 
     leaf = prop_formula(Atom("a"))
