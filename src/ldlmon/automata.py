@@ -10,12 +10,12 @@ macro-state carries no obligation, accepts everything, and is absorbing.
 
 ``delta`` has one rule per path kind for both modalities: each box rule
 is the dual of the diamond rule, and the table ``_MODALITIES`` holds
-what the two differ in.  Star formulas unfold through marker atoms: a
-diamond-star unfolds into a marker that evaluates to false if the loop
-is re-entered without consuming a letter (a least fixpoint), a box-star
-into one that evaluates to true (a greatest fixpoint).  Markers never
-leak into states: emitted atoms have them substituted away first, by one
-``rewrite`` that hands marker-free subtrees back as the same objects.
+what the two differ in.  A star formula unfolds into its argument and
+into its body continued by the star formula itself.  ``delta`` carries
+the tuple of star formulas it unfolded without consuming a letter;
+reaching one again re-enters its loop on the empty word, a miss under a
+diamond (a least fixpoint) and satisfied under a box (a greatest
+fixpoint).  The paper marks these loops with marker atoms instead.
 
 A path may also be a ``DfaPath``, a DFA state standing for the traces
 from there to a final state; ``compile_dfa`` puts one in place of each
@@ -116,39 +116,23 @@ def _prune(candidates) -> tuple:
     return tuple(kept)
 
 
-def expand_markers(f: ldl.Ldlf) -> ldl.Ldlf:
-    """Substitute every marker atom by the star formula it stands for."""
-    return ldl.rewrite(f, _unmark)
-
-
-def _unmark(n):
-    return n.loop if isinstance(n, (ldl.TrueMark, ldl.FalseMark)) else n
-
-
-def _emit(f: ldl.Ldlf, emitted: dict) -> tuple:
-    """The one model that quotes a continuation obligation; the quote of
-    each obligation is computed once and kept in ``emitted``."""
-    quoted = emitted.get(f)
-    if quoted is None:
-        resolved = expand_markers(f)
-        if isinstance(resolved, ldl.Tt):
-            quoted = TRUE_MODELS
-        elif isinstance(resolved, ldl.Ff):
-            quoted = FALSE_MODELS
-        else:
-            quoted = (frozenset((resolved,)),)
-        emitted[f] = quoted
-    return quoted
+def _emit(f: ldl.Ldlf) -> tuple:
+    """The one model that quotes a continuation obligation."""
+    if isinstance(f, ldl.Tt):
+        return TRUE_MODELS
+    if isinstance(f, ldl.Ff):
+        return FALSE_MODELS
+    return (frozenset((f,)),)
 
 
 # What the rules of the two modalities differ in; see ``delta``.
 _MODALITIES = {
-    ldl.Diamond: (models_or, models_and, lambda c: c, FALSE_MODELS, ldl.FalseMark),
-    ldl.Box: (models_and, models_or, lambda c: to_nnf(ldl.Not(c)), TRUE_MODELS, ldl.TrueMark),
+    ldl.Diamond: (models_or, models_and, lambda c: c, FALSE_MODELS),
+    ldl.Box: (models_and, models_or, lambda c: to_nnf(ldl.Not(c)), TRUE_MODELS),
 }
 
 
-def delta(f: ldl.Ldlf, letter, emitted: dict | None = None) -> tuple:
+def delta(f: ldl.Ldlf, letter, unfolding: tuple = ()) -> tuple:
     """Minimal models of f's one-step obligations under a letter (or
     EPSILON), in no particular order: ``TRUE_MODELS`` when nothing is
     left to satisfy, ``FALSE_MODELS`` when f fails on this letter.
@@ -156,59 +140,58 @@ def delta(f: ldl.Ldlf, letter, emitted: dict | None = None) -> tuple:
     Each path kind has one rule for both modalities; ``_MODALITIES`` holds
     what a box differs in from its dual diamond: ``models_and`` for
     ``models_or`` on alternatives and star unfoldings and the other way
-    round on tests, whose condition it negates, ``TRUE_MODELS`` for
-    ``FALSE_MODELS`` on an unmatched step, and ``TrueMark`` for
-    ``FalseMark``.  A ``DfaPath`` at a DFA state holds ``delta(arg)`` here
-    when the state is final and misses otherwise; on a letter it joins
-    that with the obligation on the successor state, or with a miss when
-    no final state is reachable from there.  Pre: f is in negation normal
-    form, marker atoms aside.
-    ``emitted`` memoizes the quoted obligations; callers that compute
-    many steps of one formula (``ldlf_to_nfa``) pass one dict to all of
-    them.
+    round on tests, whose condition it negates, and ``TRUE_MODELS`` for
+    ``FALSE_MODELS`` on an unmatched step and on a re-entered loop.
+    ``unfolding`` holds the star formulas unfolded on the current path
+    without consuming a letter; a test's condition is a subterm of the
+    path and cannot reach them, so it starts with an empty tuple.  A
+    ``DfaPath`` at a DFA state holds ``delta(arg)`` here when the state
+    is final and misses otherwise; on a letter it joins that with the
+    obligation on the successor state, or with a miss when no final
+    state is reachable from there.  Pre: f is in negation normal form.
     """
-    if emitted is None:
-        emitted = {}
-    if isinstance(f, (ldl.Tt, ldl.TrueMark)):
+    if isinstance(f, ldl.Tt):
         return TRUE_MODELS
-    if isinstance(f, (ldl.Ff, ldl.FalseMark)):
+    if isinstance(f, ldl.Ff):
         return FALSE_MODELS
     if isinstance(f, ldl.And):
-        return models_and(delta(f.left, letter, emitted), delta(f.right, letter, emitted))
+        return models_and(delta(f.left, letter, unfolding), delta(f.right, letter, unfolding))
     if isinstance(f, ldl.Or):
-        return models_or(delta(f.left, letter, emitted), delta(f.right, letter, emitted))
+        return models_or(delta(f.left, letter, unfolding), delta(f.right, letter, unfolding))
     modality = type(f)
     duals = _MODALITIES.get(modality)
     if duals is not None:
-        join, meet, condition, miss, mark = duals
+        join, meet, condition, miss = duals
         path, arg = f.path, f.arg
         if isinstance(path, ldl.Step):
             if letter is EPSILON or not eval_prop(path.guard, letter):
                 return miss
-            return _emit(arg, emitted)
+            return _emit(arg)
         if isinstance(path, ldl.Test):
-            return meet(delta(condition(path.cond), letter, emitted), delta(arg, letter, emitted))
+            return meet(delta(condition(path.cond), letter), delta(arg, letter, unfolding))
         if isinstance(path, ldl.Alt):
             return join(
-                delta(modality(path.left, arg), letter, emitted),
-                delta(modality(path.right, arg), letter, emitted),
+                delta(modality(path.left, arg), letter, unfolding),
+                delta(modality(path.right, arg), letter, unfolding),
             )
         if isinstance(path, ldl.Seq):
-            return delta(modality(path.left, modality(path.right, arg)), letter, emitted)
+            return delta(modality(path.left, modality(path.right, arg)), letter, unfolding)
         if isinstance(path, ldl.Star):
+            if f in unfolding:
+                return miss
             return join(
-                delta(arg, letter, emitted),
-                delta(modality(path.body, mark(f)), letter, emitted),
+                delta(arg, letter, unfolding),
+                delta(modality(path.body, f), letter, unfolding + (f,)),
             )
         if isinstance(path, DfaPath):
-            here = delta(arg, letter, emitted) if path.state in path.dfa.finals else miss
+            here = delta(arg, letter, unfolding) if path.state in path.dfa.finals else miss
             if letter is EPSILON:
                 return here
             target = path.dfa.transitions[path.state][path.dfa.alphabet.columns()[letter]]
             if target not in path.live:
                 return join(here, miss)
             moved = DfaPath(path.name, target, path.dfa, path.live, path.atoms)
-            return join(here, _emit(modality(moved, arg), emitted))
+            return join(here, _emit(modality(moved, arg)))
     if isinstance(f, ldl.Not):
         msg = "delta needs a formula in negation normal form"
         raise ValueError(msg)
@@ -350,13 +333,12 @@ def ldlf_to_nfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Nfa:
         return k
 
     delta_cache: dict = {}
-    emitted: dict = {}
 
     def delta_of(f: ldl.Ldlf, letter) -> tuple:
         probe = (f, letter)
         hit = delta_cache.get(probe)
         if hit is None:
-            hit = delta(f, letter, emitted)
+            hit = delta(f, letter)
             delta_cache[probe] = hit
         return hit
 
@@ -928,18 +910,32 @@ def aut_to_json(aut, colors=None) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# The fields every ``aut_to_json`` payload has; ``colors`` is optional.
+_JSON_FIELDS = ("kind", "props", "singleton_letters", "n_states", "initial", "finals", "transitions")
+
+
 def aut_from_json(text: str):
     """Inverse of aut_to_json (colors, if present, are returned too).
 
-    Raises ValueError on a kind other than ``dfa`` and ``nfa``, props
-    that are not a list of strings, a ``singleton_letters`` that is not a
-    bool, an ``n_states`` that is not a non-negative integer, finals that
-    are not a list, a letter that is not a list of names (a string such
-    as ``"ab"`` included) or lies outside the alphabet, a state that is
-    not an integer in ``range(n_states)`` (a float such as ``0.0``
-    included), and colors that are not one RV state name per state.
+    Raises ValueError on text that is not JSON, a payload that is not an
+    object or lacks one of the fields ``aut_to_json`` writes, a kind
+    other than ``dfa`` and ``nfa``, props that are not a list of strings,
+    a ``singleton_letters`` that is not a bool, an ``n_states`` that is
+    not a non-negative integer, finals or transitions that are not a
+    list, a transition that is not a list of three, a letter that is not
+    a list of names (a string such as ``"ab"`` included) or lies outside
+    the alphabet, a state that is not an integer in ``range(n_states)``
+    (a float such as ``0.0`` included), and colors that are not a list
+    of one RV state name per state.
     """
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        msg = f"an automaton must be a JSON object, not {payload!r}"
+        raise ValueError(msg)
+    missing = [name for name in _JSON_FIELDS if name not in payload]
+    if missing:
+        msg = f"automaton fields missing: {', '.join(missing)}"
+        raise ValueError(msg)
     props, n_states = payload["props"], payload["n_states"]
     if not isinstance(props, list) or not all(isinstance(p, str) for p in props):
         msg = f"props must be a list of strings, not {props!r}"
@@ -947,9 +943,10 @@ def aut_from_json(text: str):
     if type(n_states) is not int or n_states < 0:
         msg = f"n_states must be a non-negative integer, not {n_states!r}"
         raise ValueError(msg)
-    if not isinstance(payload["finals"], list):
-        msg = f"finals must be a list, not {payload['finals']!r}"
-        raise ValueError(msg)
+    for name in ("finals", "transitions"):
+        if not isinstance(payload[name], list):
+            msg = f"{name} must be a list, not {payload[name]!r}"
+            raise ValueError(msg)
     if type(payload["singleton_letters"]) is not bool:
         msg = f"singleton_letters must be a bool, not {payload['singleton_letters']!r}"
         raise ValueError(msg)
@@ -968,7 +965,11 @@ def aut_from_json(text: str):
 
     columns = alphabet.columns()
     rows = [[None if deterministic else set() for _ in columns] for _ in states]
-    for source, letter_names, target in payload["transitions"]:
+    for transition in payload["transitions"]:
+        if not isinstance(transition, list) or len(transition) != 3:
+            msg = f"a transition must be a list of source, letter and target, not {transition!r}"
+            raise ValueError(msg)
+        source, letter_names, target = transition
         if not isinstance(letter_names, list) or not all(
             isinstance(name, str) for name in letter_names
         ):
@@ -997,6 +998,9 @@ def aut_from_json(text: str):
         finals=frozenset(map(state, payload["finals"])),
     )
     colors = payload.get("colors")
+    if colors is not None and not isinstance(colors, list):
+        msg = f"colors must be a list, not {colors!r}"
+        raise ValueError(msg)
     # RVState raises ValueError on a name that is not an RV state's.
     if colors is not None and len([RVState(c) for c in colors]) != len(states):
         msg = f"{len(colors)} colors for {len(states)} states"

@@ -95,20 +95,6 @@ class Box(Ldlf):
     arg: Ldlf
 
 
-class TrueMark(Ldlf):
-    """Bookkeeping atom standing in for a box-star formula during one
-    transition-function evaluation.  Never part of a user-facing formula."""
-
-    loop: Ldlf
-
-
-class FalseMark(Ldlf):
-    """Bookkeeping atom standing in for a diamond-star formula during one
-    transition-function evaluation.  Never part of a user-facing formula."""
-
-    loop: Ldlf
-
-
 # Binary operators of formulas and of paths: token -> (level, class,
 # groups right); a higher level binds tighter.  Formula levels 1 and 2
 # belong to ``<->`` and ``->``, which the parser desugars into these.
@@ -132,8 +118,8 @@ def rewrite(f, rule):
     node once its operands have been rewritten.
 
     An operand is a field holding a formula or a path: the children of
-    the connectives and modalities, a marker's ``loop`` and the
-    ``formula`` of an extension node.  Guards, names and states are not.
+    the connectives and modalities and the ``formula`` of an extension
+    node.  Guards, names and states are not.
     A node whose operands all come back as the same objects is passed to
     ``rule`` as is, so untouched subtrees keep their identity.
     """
@@ -206,10 +192,6 @@ def _pf(f: Ldlf, parent: int) -> str:
         return "<" + print_path(f.path) + ">" + _pf(f.arg, UNARY)
     if isinstance(f, Box):
         return "[" + print_path(f.path) + "]" + _pf(f.arg, UNARY)
-    if isinstance(f, TrueMark):
-        return "T{" + print_ldlf(f.loop) + "}"
-    if isinstance(f, FalseMark):
-        return "F{" + print_ldlf(f.loop) + "}"
     pretty = getattr(f, "pretty", None)
     if pretty is not None:
         return pretty()

@@ -20,7 +20,7 @@ from .props import TRUE
 
 
 def to_nnf(f: ldl.Ldlf) -> ldl.Ldlf:
-    """Negation normal form of f.  Pre: f contains no marker atoms."""
+    """Negation normal form of f."""
     if not isinstance(f, ldl.Ldlf):
         msg = f"not an LDLf formula: {f!r}"
         raise TypeError(msg)
@@ -30,9 +30,6 @@ def to_nnf(f: ldl.Ldlf) -> ldl.Ldlf:
 def _nnf_rule(n):
     if isinstance(n, ldl.Not):
         return _negate(n.arg)
-    if isinstance(n, (ldl.TrueMark, ldl.FalseMark)):
-        msg = "marker atoms have no negation normal form"
-        raise ValueError(msg)
     return n
 
 

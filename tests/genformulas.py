@@ -13,6 +13,8 @@ from ldlmon.syntax import Alphabet, ldl, ltl
 from ldlmon.syntax.props import Atom, FALSE, PropAnd, PropNot, PropOr, TRUE
 from ldlmon.syntax.transforms import ltlf_to_ldlf
 
+from reference_delta import FalseMark, TrueMark
+
 
 def random_prop(rng, names, depth=2):
     if depth == 0 or rng.random() < 0.4:
@@ -93,7 +95,7 @@ def _random_raw(rng, names, depth, star_depth, extras):
         path = random_path(rng, names, depth - 1, star_depth, sub)
         arg = sub(rng, names, depth - 1, star_depth)
         return ldl.Diamond(path, arg) if op == "diamond" else ldl.Box(path, arg)
-    wrap = {"not": ldl.Not, "true_mark": ldl.TrueMark, "false_mark": ldl.FalseMark}
+    wrap = {"not": ldl.Not, "true_mark": TrueMark, "false_mark": FalseMark}
     return wrap[op](sub(rng, names, depth - 1, star_depth))
 
 

@@ -2,9 +2,11 @@
 
 This is the construction ``automata.delta`` replaced: ``delta`` builds a
 tree of positive boolean connectives over quoted obligations, and
-``minimal_models`` reads the macro-states off the tree.  The tests keep
-it as an independent reference for the minimal models ``automata.delta``
-returns directly.
+``minimal_models`` reads the macro-states off the tree.  Star formulas
+unfold through the paper's marker atoms, ``TrueMark`` and ``FalseMark``,
+which ``automata.delta`` replaces by the tuple of loops it is unfolding.
+The tests keep it as an independent reference for the minimal models
+``automata.delta`` returns directly.
 """
 from __future__ import annotations
 
@@ -44,6 +46,20 @@ class PBOr(PosBool):
     right: PosBool
 
 
+class TrueMark(ldl.Ldlf):
+    """Bookkeeping atom standing in for a box-star formula during one
+    transition-function evaluation.  Never part of a user-facing formula."""
+
+    loop: ldl.Ldlf
+
+
+class FalseMark(ldl.Ldlf):
+    """Bookkeeping atom standing in for a diamond-star formula during one
+    transition-function evaluation.  Never part of a user-facing formula."""
+
+    loop: ldl.Ldlf
+
+
 PB_TRUE = PBTrue()
 PB_FALSE = PBFalse()
 
@@ -69,7 +85,7 @@ def pb_or(a: PosBool, b: PosBool) -> PosBool:
 
 
 def _unmark(n):
-    return n.loop if isinstance(n, (ldl.TrueMark, ldl.FalseMark)) else n
+    return n.loop if isinstance(n, (TrueMark, FalseMark)) else n
 
 
 def _emit(f: ldl.Ldlf) -> PosBool:
@@ -88,9 +104,9 @@ def delta(f: ldl.Ldlf, letter) -> PosBool:
         return PB_TRUE
     if isinstance(f, ldl.Ff):
         return PB_FALSE
-    if isinstance(f, ldl.TrueMark):
+    if isinstance(f, TrueMark):
         return PB_TRUE
-    if isinstance(f, ldl.FalseMark):
+    if isinstance(f, FalseMark):
         return PB_FALSE
     if isinstance(f, ldl.And):
         return pb_and(delta(f.left, letter), delta(f.right, letter))
@@ -114,7 +130,7 @@ def delta(f: ldl.Ldlf, letter) -> PosBool:
         if isinstance(path, ldl.Star):
             return pb_or(
                 delta(f.arg, letter),
-                delta(ldl.Diamond(path.body, ldl.FalseMark(f)), letter),
+                delta(ldl.Diamond(path.body, FalseMark(f)), letter),
             )
     if isinstance(f, ldl.Box):
         path = f.path
@@ -134,7 +150,7 @@ def delta(f: ldl.Ldlf, letter) -> PosBool:
         if isinstance(path, ldl.Star):
             return pb_and(
                 delta(f.arg, letter),
-                delta(ldl.Box(path.body, ldl.TrueMark(f)), letter),
+                delta(ldl.Box(path.body, TrueMark(f)), letter),
             )
     msg = f"not an LDLf formula in negation normal form: {f!r}"
     raise TypeError(msg)

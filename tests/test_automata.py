@@ -17,10 +17,10 @@ from ldlmon.automata import (
     aut_to_json,
     complement,
     complete,
+    compile_dfa,
     delta,
     delta_epsilon,
     determinize,
-    expand_markers,
     guard_for_letters,
     is_empty,
     language_equal,
@@ -35,12 +35,14 @@ from ldlmon.automata import (
     to_dot,
     trim,
 )
+from ldlmon.rv import RVState, RvPath
 from ldlmon.semantics import eval_ldlf, trace_from_tasks
 from ldlmon.syntax import (
     Alphabet,
     Box,
     Diamond,
     Not,
+    Seq,
     Star,
     Step,
     TT,
@@ -128,7 +130,7 @@ def test_delta_on_tests_and_composite_paths():
     assert set(delta(merged, L_B)) == models([ldl("<a>tt")])
 
 
-def test_delta_unfolds_stars_through_markers():
+def test_delta_unfolds_stars_back_to_the_star_formula():
     loop = ldl("<a*><b>tt")
     # Taking the loop body leaves the whole star formula as the residual.
     assert set(delta(loop, L_A)) == models([loop])
@@ -151,12 +153,6 @@ def test_delta_rejects_formulas_outside_nnf():
         delta(Not(TT), L_A)
 
 
-def test_expand_markers_is_identity_without_markers():
-    formula = ldl("<a*>(b && [true]ff)")
-    assert expand_markers(formula) == formula
-    assert expand_markers(formula) is formula
-
-
 def test_delta_epsilon_matches_empty_trace_truth():
     for text in ["tt", "end", "[a]ff", "[true*]b", "<a*>end"]:
         formula = to_nnf(ldl(text))
@@ -173,10 +169,10 @@ def test_delta_matches_the_minimal_models_of_the_reference_tree(monkeypatch):
     of the ten modality and path-kind rules is exercised."""
     hits = Counter()
 
-    def counting_delta(f, letter, emitted=None):
+    def counting_delta(f, letter, unfolding=()):
         if isinstance(f, (Diamond, Box)):
             hits[type(f).__name__, type(f.path).__name__] += 1
-        return delta(f, letter, emitted)
+        return delta(f, letter, unfolding)
 
     # delta recurses through the module's global, so every call is counted.
     monkeypatch.setattr(automata, "delta", counting_delta)
@@ -197,7 +193,8 @@ def test_delta_matches_the_minimal_models_of_the_reference_tree(monkeypatch):
                     for obligation in model - seen:
                         seen.add(obligation)
                         queue.append(obligation)
-    # Stars unfold through marker atoms, so markers were substituted.
+    # The reference unfolds stars through marker atoms, so the re-entry
+    # rule was compared with them.
     assert starred > 100
     rules = [
         (modality, kind)
@@ -205,6 +202,90 @@ def test_delta_matches_the_minimal_models_of_the_reference_tree(monkeypatch):
         for kind in ("Step", "Test", "Alt", "Seq", "Star")
     ]
     assert min(hits[rule] for rule in rules) >= 100, hits
+
+
+# Star bodies that match the empty word, so an unfolding reaches its own
+# star formula again before any letter is read; the last one's inner
+# star leads back to the outer one.
+REENTERED_STARS = ["(tt?)*", "((a)?)*", "(b*)*", "(tt? + a)*", "((a;b)* ; (c)?)*"]
+
+
+def test_delta_misses_or_holds_on_a_loop_reentered_without_a_letter():
+    """A loop re-entered on the empty word misses under a diamond and
+    holds under a box, as the paper's marker atoms do: delta agrees with
+    the reference on every reachable obligation, under every letter and
+    EPSILON, and the compiled DFA with the semantics on every trace up
+    to length 4."""
+    alphabet = Alphabet.of("a", "b", "c")
+    letters = alphabet.letters() + (EPSILON,)
+    traces = list(all_traces(alphabet, 4))
+    for star in REENTERED_STARS:
+        for text in (f"<{star}>b", f"[{star}]b", f"<{star}>end", f"[{star}]end"):
+            formula = parse_ldlf(text, alphabet)
+            seen = {formula}
+            queue = [formula]
+            while queue:
+                member = queue.pop()
+                for letter in letters:
+                    got = delta(member, letter)
+                    want = ref.minimal_models(ref.delta(member, letter))
+                    assert set(got) == set(want), (text, print_ldlf(member), letter)
+                    for model in got:
+                        for obligation in model - seen:
+                            seen.add(obligation)
+                            queue.append(obligation)
+            dfa = compile_dfa(formula, alphabet)
+            for trace in traces:
+                assert accepts(dfa, trace) == eval_ldlf(trace, 0, formula), (text, trace)
+
+
+def test_lowered_rv_paths_never_step_into_dead_dfa_states():
+    """re{F a}=TF over tasks a, b compiles to a DFA whose state after an
+    ``a`` can never reach a final state again.  No model of delta holds
+    a DfaPath at such a state: the step misses there instead."""
+    eventually_a = ltlf_to_ldlf(parse_ltlf("F a", TASKS))
+    path = RvPath(eventually_a, RVState.TEMP_FALSE)
+    formulas = [
+        Diamond(Seq(path, Step(Atom("b"))), TT),
+        Box(path, parse_ldlf("<b>tt", TASKS)),
+        Diamond(Star(path), parse_ldlf("end", TASKS)),
+    ]
+    lowered_paths = 0
+    for formula in formulas:
+        lowered = to_nnf(automata._lower_rv(formula, TASKS, {}))
+        seen = {lowered}
+        queue = [lowered]
+        while queue:
+            member = queue.pop()
+            for letter in TASKS.letters():
+                for model in delta(member, letter):
+                    for obligation in model - seen:
+                        seen.add(obligation)
+                        queue.append(obligation)
+        for n in (n for f in seen for n in subterms(f)):
+            if isinstance(n, automata.DfaPath):
+                lowered_paths += 1
+                assert n.state not in _dead_states(n.dfa), print_ldlf(formula)
+    assert lowered_paths > 0
+
+
+def _dead_states(dfa):
+    """The states from which no final state is reachable, by a backward
+    search from the finals."""
+    predecessors = {}
+    for state, row in enumerate(dfa.transitions):
+        for target in row:
+            predecessors.setdefault(target, set()).add(state)
+    alive = set(dfa.finals)
+    queue = list(alive)
+    while queue:
+        for state in predecessors.get(queue.pop(), ()):
+            if state not in alive:
+                alive.add(state)
+                queue.append(state)
+    dead = set(range(dfa.n_states)) - alive
+    assert dead, "the DFA should have a dead state"
+    return dead
 
 
 # Minimal models --------------------------------------------------------
@@ -686,6 +767,15 @@ def test_json_input_outside_the_alphabet_or_the_states_is_rejected():
         replaced(transitions=[[0, [["a"]], 0]]),
         replaced(singleton_letters="yes"),
         replaced(singleton_letters=1),
+        "[]",
+        replaced(transitions=5),
+        replaced(transitions=[5]),
+        replaced(transitions=[[0, ["a"]]]),
+        replaced(colors=5),
+        *(
+            json.dumps({k: v for k, v in json.loads(payload()).items() if k != field})
+            for field in json.loads(payload())
+        ),
     ]
     for text in bad:
         with pytest.raises(ValueError):

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from ldlmon.automata import expand_markers
 from ldlmon.syntax import (
     Alphabet,
     formula_atoms,
@@ -19,6 +18,7 @@ from ldlmon.syntax import (
 from ldlmon.syntax import ldl
 
 from genformulas import random_ldlf, random_raw_ldlf
+from reference_delta import FalseMark, TrueMark
 
 AB = Alphabet.of("a", "b")
 NAMES = ("a", "b", "c")
@@ -73,34 +73,6 @@ def ref_nnf_path(p):
     return ldl.Star(ref_nnf_path(p.body))
 
 
-def ref_unmark(f):
-    if isinstance(f, (ldl.TrueMark, ldl.FalseMark)):
-        return ref_unmark(f.loop)
-    if isinstance(f, (ldl.Tt, ldl.Ff)):
-        return f
-    if isinstance(f, ldl.Not):
-        return ldl.Not(ref_unmark(f.arg))
-    if isinstance(f, ldl.And):
-        return ldl.And(ref_unmark(f.left), ref_unmark(f.right))
-    if isinstance(f, ldl.Or):
-        return ldl.Or(ref_unmark(f.left), ref_unmark(f.right))
-    if isinstance(f, ldl.Diamond):
-        return ldl.Diamond(ref_unmark_path(f.path), ref_unmark(f.arg))
-    return ldl.Box(ref_unmark_path(f.path), ref_unmark(f.arg))
-
-
-def ref_unmark_path(p):
-    if isinstance(p, ldl.Step):
-        return p
-    if isinstance(p, ldl.Test):
-        return ldl.Test(ref_unmark(p.cond))
-    if isinstance(p, ldl.Alt):
-        return ldl.Alt(ref_unmark_path(p.left), ref_unmark_path(p.right))
-    if isinstance(p, ldl.Seq):
-        return ldl.Seq(ref_unmark_path(p.left), ref_unmark_path(p.right))
-    return ldl.Star(ref_unmark_path(p.body))
-
-
 def ref_nodes(f):
     """Every formula and path node, in a pre-order list."""
     kids = {
@@ -110,8 +82,8 @@ def ref_nodes(f):
         ldl.Test: ("cond",),
         ldl.Star: ("body",),
         ldl.Not: ("arg",),
-        ldl.TrueMark: ("loop",),
-        ldl.FalseMark: ("loop",),
+        TrueMark: ("loop",),
+        FalseMark: ("loop",),
         ldl.Diamond: ("path", "arg"),
         ldl.Box: ("path", "arg"),
     }.get(type(f), ("left", "right"))
@@ -132,16 +104,6 @@ def test_to_nnf_matches_the_reference_walker():
         assert to_nnf(f) == want, print_ldlf(f)
         assert is_nnf(want)
         assert is_nnf(f) == (f == want)
-
-
-def test_expand_markers_matches_the_reference_walker():
-    rng = random.Random(43)
-    marked = 0
-    for _ in range(600):
-        f = random_raw_ldlf(rng, NAMES, markers=True)
-        marked += any(isinstance(n, (ldl.TrueMark, ldl.FalseMark)) for n in ref_nodes(f))
-        assert expand_markers(f) == ref_unmark(f)
-    assert marked >= 300
 
 
 def test_subterms_and_atoms_match_the_reference_walker():
@@ -178,8 +140,6 @@ def test_rewrite_applies_the_rule_bottom_up():
     assert len(seen) == len(ref_nodes(f))
 
 
-def test_to_nnf_rejects_markers_and_non_formulas():
-    with pytest.raises(ValueError):
-        to_nnf(ldl.Not(ldl.TrueMark(ldl.TT)))
+def test_to_nnf_rejects_non_formulas():
     with pytest.raises(TypeError):
         to_nnf(ldl.EPSILON_PATH)
