@@ -744,6 +744,38 @@ def color(dfa: Dfa) -> ColoredDfa:
     return ColoredDfa(dfa=dfa, colors=colors)
 
 
+def rename_columns(colored: ColoredDfa, alphabet: Alphabet, source) -> ColoredDfa:
+    """The colored DFA over ``alphabet`` whose column ``j`` copies column
+    ``source[j]`` of ``colored``'s table, with the states it reaches
+    renumbered breadth first (as ``minimize`` numbers them) and their
+    colors carried along.
+
+    The result accepts the traces whose letters, each mapped to its
+    source column's letter, ``colored`` accepts.  When ``colored`` is
+    minimal and every one of its columns is some column's source, every
+    state stays reachable and distinguishable, so the result is the
+    minimal DFA of that language, numbered as ``compile_dfa`` numbers it.
+    """
+    rows = colored.dfa.transitions
+    firsts, class_of = _partition(source)
+    picks = [source[column] for column in firsts]
+
+    def cells(state, ident):
+        row = rows[state]
+        return [ident(row[column]) for column in picks]
+
+    order, transitions = _explore(colored.dfa.initial, cells, class_of)
+    finals = colored.dfa.finals
+    dfa = Dfa(
+        alphabet=alphabet,
+        n_states=len(order),
+        initial=0,
+        transitions=tuple(transitions),
+        finals=frozenset(i for i, state in enumerate(order) if state in finals),
+    )
+    return ColoredDfa(dfa, tuple(colored.colors[state] for state in order))
+
+
 def trim(nfa: Nfa) -> Nfa:
     """Keep only states that lie on some accepting run (reachable and
     able to reach a final state).  The initial state is always kept so

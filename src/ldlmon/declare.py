@@ -40,10 +40,24 @@ shared by every monitor, and one table index per monitor.  They keep no
 record of past events; ``timeline`` takes the trace and renders the run
 as a table.  The whole-model monitor is the minimized product of the
 local constraints' minimal DFAs, never one automaton compiled from the
-conjunction formula.  Each monitor build compiles through one memo (see
-``automata.compile_dfa``), so a property that several constraints or
-directives refer to is compiled once per build, and the memo is dropped
-when the build returns.
+conjunction formula.
+
+A constraint read from a pattern call is not compiled on its own.  Over
+a task alphabet, a pattern's minimal DFA depends only on which argument
+an event is, or that it is none of them.  So the pattern table,
+``_TEMPLATES``, holds one colored minimal DFA per pattern and equality
+pattern of its arguments (``response(a, b)`` and ``response(a, a)``
+differ), compiled over the distinct argument slots plus one task that
+stands for every other task.  A constraint's monitor copies each
+task's column from its slot's, or from the other task's, and renumbers
+the states breadth first (``automata.rename_columns``).  The table is
+filled on first use and holds at most 15 entries, one per pattern and
+equality pattern of the catalog, whatever the input; it is the only
+compiled automaton kept between builds.  Everything else, ``ltl:``
+constraints, defines and directives included, compiles through one
+memo per build (see ``automata.compile_dfa``), so a property that
+several constraints or directives refer to is compiled once per build,
+and the memo is dropped when the build returns.
 """
 from __future__ import annotations
 
@@ -53,7 +67,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .automata import compile_dfa, product_fold
+from .automata import ColoredDfa, color, compile_dfa, product_fold, rename_columns
 from .metaconstraints import (
     compensation,
     conflict,
@@ -135,8 +149,14 @@ PATTERNS = {
 
 @dataclass(frozen=True)
 class Constraint:
+    """A named constraint.  ``call`` is the pattern call it was read from,
+    ``(pattern, args)``, or None for an ``ltl:`` line or a constraint
+    built directly; ``local_monitors`` instantiates a call's monitor
+    from the pattern table."""
+
     name: str
     formula: ltl.Ltlf
+    call: tuple[str, tuple[str, ...]] | None = None
 
     def to_ldlf(self) -> ldl.Ldlf:
         """The LDLf translation, made once: every reference is one tree."""
@@ -229,6 +249,15 @@ def parse_pattern(
     Raises ValueError on a malformed call, an unknown pattern, an empty
     or a wrong number of tasks, or a task outside the alphabet.
     """
+    (pattern, args), alphabet = _parse_call(text, alphabet)
+    return PATTERNS[pattern][0](*args), alphabet
+
+
+def _parse_call(
+    text: str, alphabet: Alphabet | None
+) -> tuple[tuple[str, tuple[str, ...]], Alphabet]:
+    """The pattern call ``(pattern, args)`` a text states, checked as
+    ``parse_pattern`` describes, and its alphabet."""
     call = _CALL_RE.match(text.strip())
     if call is None:
         msg = f"expected pattern(task, ...), got {text!r}"
@@ -238,7 +267,7 @@ def parse_pattern(
     if entry is None:
         known = ", ".join(sorted(PATTERNS))
         raise ValueError(f"unknown pattern {pattern!r} (known: {known})")
-    builder, arity = entry
+    arity = entry[1]
     args = [part.strip() for part in arg_text.split(",")] if arg_text.strip() else []
     if "" in args:
         raise ValueError(f"empty task in {call.group(0)!r}")
@@ -249,13 +278,15 @@ def parse_pattern(
     for arg in args:
         if arg not in alphabet:
             raise ValueError(f"unknown task {arg!r}")
-    return builder(*args), alphabet
+    return (pattern, tuple(args)), alphabet
 
 
-def _build_body(body: str, alphabet: Alphabet) -> ltl.Ltlf:
+def _build_body(name: str, body: str, alphabet: Alphabet) -> Constraint:
+    """The constraint a model line's body states, named ``name``."""
     if body.startswith("ltl:"):
-        return parse_ltlf(body[len("ltl:"):].strip(), alphabet)
-    return parse_pattern(body, alphabet)[0]
+        return Constraint(name, parse_ltlf(body[len("ltl:"):].strip(), alphabet))
+    (pattern, args), _ = _parse_call(body, alphabet)
+    return Constraint(name, PATTERNS[pattern][0](*args), (pattern, args))
 
 
 def parse_decl(text: str) -> DeclareModel:
@@ -274,7 +305,7 @@ def parse_decl(text: str) -> DeclareModel:
         if name in names:
             raise ValueError(f"duplicate constraint name {name!r}")
         names.add(name)
-        constraints.append(Constraint(name, _build_body(body, alphabet)))
+        constraints.append(_build_body(name, body, alphabet))
 
     alphabet = _read_model(text, read_line)
     if not constraints:
@@ -283,12 +314,48 @@ def parse_decl(text: str) -> DeclareModel:
 
 
 def local_monitors(model: DeclareModel) -> dict[str, Monitor]:
-    """One monitor per constraint, all compiled through one memo."""
+    """One monitor per constraint.  A constraint read from a pattern call
+    is instantiated from the pattern table (see the module docstring);
+    the others, and a call whose arguments are every task of the
+    alphabet, leaving no column for the other task, are compiled
+    through one memo."""
     memo: dict = {}
     return {
-        c.name: Monitor.for_formula(c.to_ldlf(), model.alphabet, memo)
+        c.name: Monitor(_local_automaton(c, model.alphabet, memo))
         for c in model.constraints
     }
+
+
+# The pattern table: (pattern, argument slots) -> the colored minimal DFA
+# of the pattern over its slots plus ``_OTHER``, the task that stands for
+# every task that is no argument.  Slots number the distinct arguments in
+# first-use order, so ``response(a, a)`` has slots (0, 0).  Entries are
+# immutable, and two callers that fill one entry at once store equal DFAs.
+_TEMPLATES: dict[tuple[str, tuple[int, ...]], ColoredDfa] = {}
+_OTHER = "other"
+
+
+def _template(pattern: str, slots: tuple[int, ...]) -> ColoredDfa:
+    colored = _TEMPLATES.get((pattern, slots))
+    if colored is None:
+        names = [f"s{slot}" for slot in range(max(slots) + 1)]
+        formula = ltlf_to_ldlf(PATTERNS[pattern][0](*(names[slot] for slot in slots)))
+        alphabet = Alphabet.tasks((*names, _OTHER))
+        colored = _TEMPLATES[pattern, slots] = color(compile_dfa(formula, alphabet))
+    return colored
+
+
+def _local_automaton(constraint: Constraint, alphabet: Alphabet, memo: dict) -> ColoredDfa:
+    """The constraint's colored minimal DFA over the alphabet."""
+    if constraint.call is not None and alphabet.singleton_letters:
+        pattern, args = constraint.call
+        slot = {arg: index for index, arg in enumerate(dict.fromkeys(args))}
+        other = len(slot)
+        if other < len(alphabet.props):
+            template = _template(pattern, tuple(map(slot.get, args)))
+            source = [slot.get(task, other) for task in alphabet.props]
+            return rename_columns(template, alphabet, source)
+    return color(compile_dfa(constraint.to_ldlf(), alphabet, memo))
 
 
 def global_monitor(model: DeclareModel) -> Monitor:
@@ -454,8 +521,9 @@ class ModelMonitor(_Lockstep):
 
     The whole-model monitor is the minimized product of the DFAs the
     local monitors already hold, so no constraint is compiled twice.
-    The local monitors are compiled through one memo, which the monitor
-    does not keep.
+    The local monitors come from ``local_monitors``: pattern calls are
+    instantiated from the pattern table, the rest compiled through one
+    memo, which the monitor does not keep.
     """
 
     def __init__(self, model: DeclareModel):
@@ -581,7 +649,7 @@ def parse_meta(text: str) -> MetaModel:
             name, body = labeled.groups()
             if name in names:
                 raise ValueError(f"duplicate definition {name!r}")
-            names[name] = Constraint(name, _build_body(body, alphabet))
+            names[name] = _build_body(name, body, alphabet)
         elif head == "meta":
             if labeled is None:
                 raise ValueError("expected: meta NAME: directive")

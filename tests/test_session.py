@@ -4,8 +4,10 @@ A monitor build hands one memo to every ``compile_dfa`` call it makes.
 The reference here builds the same monitors with a fresh memo for each
 call, which is what each call computed before the memo was shared, and
 builds directives through their ``expand`` encoding: tables and colors
-must come out byte for byte the same.  The memo lives only as long as
-its build, so building monitor after monitor must not retain memory.
+must come out byte for byte the same.  Models read from text also take
+the pattern table for their pattern calls.  The memo lives only as long
+as its build, and the pattern table is bounded by the catalog, so
+building monitor after monitor must not retain memory.
 """
 import gc
 import random
@@ -13,14 +15,15 @@ import tracemalloc
 
 import pytest
 
-from ldlmon import automata
+from ldlmon import automata, declare
 from ldlmon.automata import aut_to_json, compile_dfa, product_fold
-from ldlmon.declare import MetaMonitor, ModelMonitor, parse_meta
+from ldlmon.declare import PATTERNS, MetaMonitor, ModelMonitor, parse_decl, parse_meta
 from ldlmon.metaconstraints import expand
 from ldlmon.monitor import color
 
 from test_compositional import random_model
 from test_lockstep import random_meta_text
+from test_templates import EVERY_TEMPLATE
 
 
 @pytest.fixture
@@ -55,11 +58,34 @@ def distinct_meta_texts(seed: int, count: int) -> list[str]:
     return texts
 
 
+def random_decl_text(rng, tasks) -> str:
+    """A ``.decl`` model over the tasks: one to five named constraints,
+    catalog calls whose arguments may repeat, and now and then an
+    ``ltl:`` line."""
+    lines = [f"tasks: {', '.join(tasks)}"]
+    for index in range(rng.randint(1, 5)):
+        if rng.random() < 0.25:
+            first, second = rng.choices(tasks, k=2)
+            body = rng.choice(["G({} -> X F {})", "F {} && !{}", "{} U {}"])
+            lines.append(f"c{index}: ltl: {body.format(first, second)}")
+        else:
+            pattern = rng.choice(sorted(PATTERNS))
+            args = rng.choices(tasks, k=PATTERNS[pattern][1])
+            lines.append(f"c{index}: {pattern}({', '.join(args)})")
+    return "\n".join(lines) + "\n"
+
+
 def test_model_monitors_match_one_fresh_memo_per_compile(nfa_builds):
     rng = random.Random(7411)
+    built_directly = [random_model(rng) for _ in range(60)]
+    rng = random.Random(7414)
+    read_from_text = [
+        parse_decl(random_decl_text(rng, ["a", "b", "c", "d"][: rng.randint(1, 4)]))
+        for _ in range(60)
+    ]
+    assert sum(c.call is None for m in read_from_text for c in m.constraints) > 10
     savings = 0
-    for _ in range(60):
-        model = random_model(rng)
+    for model in (*built_directly, *read_from_text):
         del nfa_builds[:]
         runner = ModelMonitor(model)
         shared = len(nfa_builds)
@@ -111,3 +137,24 @@ def test_monitor_builds_retain_no_memory():
     finally:
         tracemalloc.stop()
     assert retained < 64 * 1024, retained
+
+
+def test_model_monitor_builds_retain_no_memory():
+    ModelMonitor(parse_decl(EVERY_TEMPLATE))
+    rng = random.Random(7415)
+    texts = [
+        random_decl_text(rng, [f"{task}{copy}" for task in "abcd"])
+        for copy in range(100)
+    ]
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for text in texts:
+            ModelMonitor(parse_decl(text))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024, retained
+    assert len(declare._TEMPLATES) <= 15
