@@ -50,8 +50,9 @@ state, whose cells follow ``alphabet.letters()`` (a letter's column is
 its DFA as they are.
 
 ``color`` gives each state of a total DFA the RV state shared by every
-trace reaching it, from one backward search each over the prefix
-closures of the automaton, pref(f), and of its complement, pref(!f).
+trace reaching it, from the prefix closures of the automaton, pref(f),
+and of its complement, pref(!f): it builds the reverse adjacency once
+and walks it backward twice, from the finals and from the non-finals.
 ``ColoredDfa.accepting`` reads languages back off the colors: pref(f)
 is every color but permanently violated, pref(!f) every color but
 permanently satisfied.
@@ -694,19 +695,30 @@ def prefix_closure(aut):
     The transition structure is untouched, so the result has the same
     shape as the input.
     """
+    return replace(aut, finals=_reaching(_predecessors(aut), aut.finals))
+
+
+def _predecessors(aut) -> dict:
+    """The reverse adjacency: each state with an incoming edge mapped to
+    the set of its predecessors under any letter."""
     backward: dict = {}
     for state in range(aut.n_states):
         for target in aut.targets(state):
             backward.setdefault(target, set()).add(state)
-    closed = set(aut.finals)
-    queue = deque(aut.finals)
+    return backward
+
+
+def _reaching(backward: dict, goals) -> frozenset:
+    """The states from which some state of ``goals`` is reachable, goals
+    included: one backward breadth-first walk over ``backward``."""
+    closed = set(goals)
+    queue = deque(closed)
     while queue:
-        state = queue.popleft()
-        for pred in backward.get(state, ()):
+        for pred in backward.get(queue.popleft(), ()):
             if pred not in closed:
                 closed.add(pred)
                 queue.append(pred)
-    return replace(aut, finals=frozenset(closed))
+    return frozenset(closed)
 
 
 @dataclass(frozen=True)
@@ -727,13 +739,16 @@ class ColoredDfa:
 
 
 def color(dfa: Dfa) -> ColoredDfa:
-    """Color every state of a total DFA with its RV state."""
+    """Color every state of a total DFA with its RV state, from the
+    states that can reach a final state and those that can reach a
+    non-final one: two backward walks over one reverse adjacency."""
     if not dfa.is_total():
         msg = "coloring needs a total automaton; call complete() first"
         raise ValueError(msg)
     finals = dfa.finals
-    can_accept = prefix_closure(dfa).finals
-    can_reject = prefix_closure(complement(dfa)).finals
+    backward = _predecessors(dfa)
+    can_accept = _reaching(backward, finals)
+    can_reject = _reaching(backward, frozenset(range(dfa.n_states)) - finals)
     colors = tuple(
         RVState.classify(
             state in finals,

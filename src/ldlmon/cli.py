@@ -243,7 +243,7 @@ def _cmd_repl(args) -> int:
             continue
         state = monitor.step(event)
         out.write(f"{state}")
-        forbidden = monitor.forbidden_symbols()
+        forbidden, _ = monitor.forbidden_at(monitor.current)
         if forbidden and not state.permanent:
             names = sorted(_event_text(l, alphabet) for l in forbidden)
             out.write(f"  (next must avoid: {', '.join(names)})")

@@ -37,8 +37,10 @@ metaconstraint builder and the timeline row under it.
 Monitoring facades (``ModelMonitor``, ``MetaMonitor``) run all the
 constraint monitors in lockstep: each event costs one column lookup,
 shared by every monitor, and one table index per monitor.  They keep no
-record of past events; ``timeline`` takes the trace and renders the run
-as a table.  The whole-model monitor is the minimized product of the
+record of past events; ``timeline`` takes the trace, walks each
+monitor's transition table through it once and reads the timeline's
+rows off the states passed, the forbidden rows from each monitor's
+per-state forbidden table (see ``monitor.Monitor``).  The whole-model monitor is the minimized product of the
 local constraints' minimal DFAs, never one automaton compiled from the
 conjunction formula.
 
@@ -404,17 +406,10 @@ class Timeline:
         self.rows.append((label, cells))
 
     def render(self) -> str:
-        header = [""] + self.columns
-        table = [header] + [[label] + cells for label, cells in self.rows]
-        widths = [
-            max(len(row[i]) for row in table) for i in range(len(header))
-        ]
-        lines = []
-        for index, row in enumerate(table):
-            padded = [cell.ljust(widths[i]) for i, cell in enumerate(row)]
-            lines.append(" | ".join(padded).rstrip())
-            if index == 0:
-                lines.append("-+-".join("-" * w for w in widths))
+        table = [["", *self.columns], *([label, *cells] for label, cells in self.rows)]
+        widths = [max(map(len, column)) for column in zip(*table)]
+        lines = [" | ".join(map(str.ljust, row, widths)).rstrip() for row in table]
+        lines.insert(1, "-+-".join("-" * width for width in widths))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -426,21 +421,29 @@ class Timeline:
 
 
 def _forbidden_tasks(monitors) -> frozenset[str]:
-    """Tasks some of the monitors forbid as the next step."""
-    return frozenset(
-        task
-        for monitor in monitors
-        for letter in monitor.forbidden_symbols()
-        for task in letter
-    )
+    """Tasks some of the monitors forbid as the next step, read from
+    their forbidden tables at their current states."""
+    return frozenset().union(*(m.forbidden_at(m.current)[1] for m in monitors))
 
 
-def _forbidden_cell(governing: RVState, monitors) -> str:
-    """The tasks the monitors forbid next, or an empty cell once the
-    governing verdict can no longer change (nothing left to guard)."""
+def _forbidden_cell(governing: RVState, tasks) -> str:
+    """The forbidden tasks, or an empty cell once the governing verdict
+    can no longer change (nothing left to guard)."""
     if governing.permanent:
         return EMPTY_CELL
-    return ",".join(sorted(_forbidden_tasks(monitors))) or EMPTY_CELL
+    return ",".join(sorted(tasks)) or EMPTY_CELL
+
+
+def _forbidden_row(governing: Monitor, monitors, paths) -> list[str]:
+    """A forbidden row up to trace completion: per column, the tasks the
+    monitors forbid next at their states in ``paths`` (see
+    ``_Lockstep``), under the governing monitor's verdict there."""
+    colors = governing.colors
+    task_sets = zip(*([m.forbidden_at(state)[1] for state in paths[m]] for m in monitors))
+    return [
+        _forbidden_cell(colors[state], frozenset().union(*sets))
+        for state, sets in zip(paths[governing], task_sets)
+    ]
 
 
 class _Lockstep:
@@ -449,8 +452,10 @@ class _Lockstep:
     ``_monitors`` holds the ``(name, Monitor)`` pairs in output order.  An
     event costs one task -> column lookup, shared by every monitor, and
     one table index per monitor, whose new state is written back to it.
-    ``extra_rows`` maps a monitor's name to the ``(label, cell)`` of the
-    timeline row under its own (or to None): ``cell(monitor)`` fills it.
+    ``extra_rows`` maps a monitor's name to the ``(label, cells)`` of the
+    timeline row under its own (or to None): ``cells(monitor, paths)``
+    gives the row up to trace completion, where ``paths`` maps each
+    monitor to the states it passes through, one per column.
     """
 
     def __init__(self, alphabet: Alphabet, monitors, extra_rows):
@@ -486,32 +491,43 @@ class _Lockstep:
         return {name: monitor.current_rv() for name, monitor in self._monitors}
 
     def timeline(self, tasks) -> Timeline:
-        """Run the given trace from the start and lay it out as a table."""
-        tasks = list(tasks)
-        self.reset()
-        columns = [self._cells()]
-        for task in tasks:
-            self.step(task)
-            columns.append(self._cells())
-        columns.append(self._cells(complete=True))
-        timeline = Timeline(columns=["begin", *tasks, "complete"])
-        for row in zip(*columns):
-            timeline.add_row(row[0][0], [cell for _, cell in row])
-        return timeline
+        """Run the given trace from the start and lay it out as a table.
 
-    def _cells(self, complete=False) -> list[tuple[str, str]]:
-        """One timeline column as (row label, cell) pairs; at trace
-        completion temporary states become permanent and extra rows
-        are empty."""
-        cells = []
+        Each monitor walks its own table through the trace's columns, and
+        its rows are read off the states it passes through.  At trace
+        completion temporary states become permanent and extra rows are
+        empty.  An unknown task raises ValueError before any monitor
+        moves."""
+        tasks = list(tasks)
+        columns = [self._column(task) for task in tasks]
+        paths = {}
+        for _, monitor in self._monitors:
+            table = monitor.table
+            state = monitor.dfa.initial
+            path = [state]
+            for column in columns:
+                state = table[state][column]
+                path.append(state)
+            monitor.current = state
+            paths[monitor] = path
+        timeline = Timeline(columns=["begin", *tasks, "complete"])
         for name, monitor in self._monitors:
-            state = monitor.current_rv()
-            cells.append((name, (final_state(state) if complete else state).code))
+            colors, path = monitor.colors, paths[monitor]
+            cells = [colors[state].code for state in path]
+            cells.append(final_state(colors[path[-1]]).code)
+            timeline.add_row(name, cells)
             extra = self._extra_rows.get(name)
             if extra is not None:
-                label, cell = extra
-                cells.append((label, EMPTY_CELL if complete else cell(monitor)))
-        return cells
+                label, row = extra
+                timeline.add_row(label, [*row(monitor, paths), EMPTY_CELL])
+        return timeline
+
+    def _column(self, task) -> int:
+        try:
+            return self._columns[task]
+        except (KeyError, TypeError):  # TypeError: an unhashable event
+            msg = f"unknown task {task!r}"
+            raise ValueError(msg) from None
 
 
 class ModelMonitor(_Lockstep):
@@ -531,7 +547,7 @@ class ModelMonitor(_Lockstep):
         self.locals = local_monitors(model)
         self.overall = Monitor(product_fold(m.dfa for m in self.locals.values()))
         monitors = [*self.locals.items(), ("model", self.overall)]
-        forbidden = ("forbidden", lambda m: _forbidden_cell(m.current_rv(), self.locals.values()))
+        forbidden = ("forbidden", lambda m, paths: _forbidden_row(m, self.locals.values(), paths))
         super().__init__(model.alphabet, monitors, {"model": forbidden})
 
     # Bound in each class so that each owns these in its ``__dict__``,
@@ -557,18 +573,19 @@ class _Kind(NamedTuple):
     """A directive kind: its syntax, a regex whose named groups give the
     ``MetaDirective`` fields (``first`` and ``second`` the targets), its
     metaconstraint ``build(directive, *target_formulas)``, and the
-    ``(label, cell)`` of the timeline row under its own, if any."""
+    ``(label, cells)`` of the timeline row under its own, if any (see
+    ``_Lockstep``)."""
 
     syntax: str
     build: Callable
-    row: tuple[str, Callable[[Monitor], str]] | None = None
+    row: tuple[str, Callable[[Monitor, dict], list[str]]] | None = None
 
 
 _DIRECTIVES = {
     KIND_ABSENCE: _Kind(
         rf"absence\s+(?P<task>\w+)\s+when\s+(?P<first>{_NAME})\s*=\s*(?P<state>\w+)",
         lambda d, ref: contextual_absence(ref, d.state, d.task),
-        ("  forbidden", lambda m: _forbidden_cell(m.current_rv(), [m])),
+        ("  forbidden", lambda m, paths: _forbidden_row(m, [m], paths)),
     ),
     KIND_COMPENSATE: _Kind(
         rf"compensate\s+(?P<first>{_NAME})\s+with\s+(?P<second>{_NAME})"
@@ -580,7 +597,9 @@ _DIRECTIVES = {
         lambda d, first, second: conflict(first, second),
         # An X marks an in-place conflict: the directive holds right now
         # with the chance to stop holding later.
-        ("  conflict", lambda m: "X" if m.current_rv() is RVState.TEMP_TRUE else EMPTY_CELL),
+        ("  conflict", lambda m, paths: [
+            "X" if m.colors[state] is RVState.TEMP_TRUE else EMPTY_CELL for state in paths[m]
+        ]),
     ),
     KIND_PREFER: _Kind(
         rf"prefer\s+(?P<first>{_NAME})\s+over\s+(?P<second>{_NAME})",

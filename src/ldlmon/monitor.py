@@ -7,6 +7,16 @@ state, an LDLf formula satisfied by exactly the traces the property maps
 to that state, from the prefix languages read off the same colors and
 folded into regexes.
 
+A ``Monitor`` also keeps one forbidden table for the reports that name
+what must not come next: per DFA state, the letters whose step leads to
+a permanently violated state and the names in them.  An entry is
+computed from the colors the first time a report reads its state and
+kept from then on, so a report reads stored sets instead of scanning
+every letter at every event, and the table never holds more than one
+entry per state.  Stepping never touches it, and a build does not fill
+it: that would scan every letter of every state of every monitor built,
+whether a report ever reads the state or not.
+
 ``shape_equivalent`` and ``colored_isomorphic`` ask whether two automata
 share one transition structure, as the four automata behind the RV
 characterization do, and answer through one bijection search,
@@ -59,7 +69,8 @@ class Monitor:
     ``table`` is the DFA's own transition table, ``table[state][column]``
     the successor of ``state`` under the letter in that column of
     ``alphabet.letters()``, so a step is one column lookup and one tuple
-    index.
+    index.  The forbidden table (see the module docstring) is filled by
+    ``forbidden_at`` as reports read states.
     """
 
     def __init__(self, automaton):
@@ -68,6 +79,7 @@ class Monitor:
         self.colors = colored.colors
         self.table = self.dfa.transitions
         self._columns = self.dfa.alphabet.columns()
+        self._forbidden: dict = {}
         self.current = self.dfa.initial
 
     @classmethod
@@ -93,15 +105,30 @@ class Monitor:
     def current_rv(self) -> RVState:
         return self.colors[self.current]
 
+    def forbidden_at(self, state: int) -> tuple[tuple[frozenset, ...], frozenset]:
+        """The forbidden table's entry for ``state``: the letters whose
+        step from it leads to a permanently violated state, in letter
+        order, and the names they hold.  Computed on first read, then
+        kept.  Every PF-colored target counts, so a DFA with several
+        permanently violated states gets the same answer as a minimal
+        one."""
+        entry = self._forbidden.get(state)
+        if entry is None:
+            colors = self.colors
+            letters = tuple(
+                letter
+                for letter, target in zip(self.dfa.alphabet.letters(), self.table[state])
+                if colors[target] is RVState.PERM_FALSE
+            )
+            entry = self._forbidden[state] = (letters, frozenset().union(*letters))
+        return entry
+
     def forbidden_symbols(self) -> list:
         """Letters whose next step would make the verdict permanently
-        violated.  Naturally empty once permanently satisfied and the
-        full letter set once permanently violated."""
-        return [
-            letter
-            for letter, target in zip(self.dfa.alphabet.letters(), self.table[self.current])
-            if self.colors[target] is RVState.PERM_FALSE
-        ]
+        violated, read from the forbidden table's entry for the current
+        state.  Naturally empty once permanently satisfied and the full
+        letter set once permanently violated."""
+        return list(self.forbidden_at(self.current)[0])
 
 
 def rv_formula(

@@ -20,18 +20,20 @@ from .syntax import ldl
 
 
 class RVState(Enum):
+    """An RV state.  ``code`` is its two-letter display code (TT, TF, PT
+    or PF), a plain attribute fixed when the member is made, so a
+    timeline reads one attribute per cell."""
+
     TEMP_TRUE = "temp_true"
     TEMP_FALSE = "temp_false"
     PERM_TRUE = "perm_true"
     PERM_FALSE = "perm_false"
 
+    def __init__(self, value: str):
+        self.code = "".join(word[0] for word in value.split("_")).upper()
+
     def __str__(self) -> str:
         return self.value
-
-    @property
-    def code(self) -> str:
-        """Two-letter display code: TT, TF, PT or PF."""
-        return "".join(word[0] for word in self.value.split("_")).upper()
 
     @property
     def satisfied(self) -> bool:

@@ -1,5 +1,6 @@
 """End-to-end checks of the ``ldlmon`` command line driver."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -248,6 +249,19 @@ def test_declare_json_format(tmp_path, capsys):
     assert payload["columns"][-1] == "complete"
     rows = {row["label"]: row["cells"] for row in payload["rows"]}
     assert rows["existence(b)"] == ["TF", "TF", "PT", "PT"]
+
+
+def test_json_timelines_of_the_booking_samples_match_their_goldens(capsys):
+    golden = Path(__file__).resolve().parent / "golden"
+    for argv, name in [
+        (["declare", "samples/booking.decl", "--trace", "samples/booking.trace"],
+         "booking_timeline.json"),
+        (["meta", "samples/booking.meta", "--trace", "samples/booking-meta.trace"],
+         "booking_meta_timeline.json"),
+    ]:
+        code, out, err = run_cli([*argv, "--format", "json"], capsys)
+        assert code == 0, err
+        assert out == (golden / name).read_text(encoding="utf-8"), name
 
 
 def test_meta_runs_the_sample_model(capsys):
