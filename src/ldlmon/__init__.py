@@ -12,7 +12,6 @@ from .automata import (
     Dfa,
     Nfa,
     accepts,
-    aut_from_json,
     aut_to_json,
     color,
     complement,
@@ -26,7 +25,6 @@ from .automata import (
     prefix_closure,
     product,
     to_dot,
-    trim,
 )
 from .declare import (
     Constraint,

@@ -255,7 +255,7 @@ class Dfa:
     ``transitions[state][column]`` is the successor of a state under the
     letter in that column of ``alphabet.letters()``, so a step is one
     column lookup and one tuple index.  Compiled DFAs are total; a cell
-    is ``None`` only in a partial DFA written by hand or read from JSON.
+    is ``None`` only in a partial DFA written by hand.
     """
 
     alphabet: Alphabet
@@ -532,14 +532,18 @@ def product(a: Dfa, b: Dfa, accept=None) -> Dfa:
 
 
 def product_fold(dfas, accept=None) -> Dfa:
-    """Minimized product of one or more total DFAs, folded left to right.
+    """Minimized product of one or more total DFAs, folded left to right;
+    no DFA at all is a ValueError.
 
     Minimizing after every product keeps each intermediate automaton no
     larger than the minimal DFA of the partial conjunction (or whatever
     ``accept`` combines).
     """
     dfas = iter(dfas)
-    folded = next(dfas)
+    folded = next(dfas, None)
+    if folded is None:
+        msg = "a product of no automata: a model needs at least one constraint"
+        raise ValueError(msg)
     for dfa in dfas:
         folded = minimize(product(folded, dfa, accept))
     return folded
@@ -728,9 +732,6 @@ class ColoredDfa:
     dfa: Dfa
     colors: tuple
 
-    def color_of(self, state: int) -> RVState:
-        return self.colors[state]
-
     def accepting(self, colors) -> Dfa:
         """The minimized DFA whose finals are the states with a color in
         ``colors``, such as ``rv.SATISFIABLE`` for pref(f)."""
@@ -789,29 +790,6 @@ def rename_columns(colored: ColoredDfa, alphabet: Alphabet, source) -> ColoredDf
         finals=frozenset(i for i, state in enumerate(order) if state in finals),
     )
     return ColoredDfa(dfa, tuple(colored.colors[state] for state in order))
-
-
-def trim(nfa: Nfa) -> Nfa:
-    """Keep only states that lie on some accepting run (reachable and
-    able to reach a final state).  The initial state is always kept so
-    an empty language still has a well-formed automaton."""
-    forward = reachable_from(nfa, nfa.initial)
-    productive = prefix_closure(nfa).finals
-    kept = sorted(s for s in forward if s in productive or s == nfa.initial)
-    ids = {s: i for i, s in enumerate(kept)}
-    rows = nfa.transitions
-    transitions = tuple(
-        tuple(frozenset(ids[t] for t in cell if t in ids) for cell in rows[state])
-        for state in kept
-    )
-    return Nfa(
-        alphabet=nfa.alphabet,
-        n_states=len(kept),
-        initial=ids[nfa.initial],
-        transitions=transitions,
-        finals=frozenset(ids[s] for s in nfa.finals if s in ids),
-        labels=tuple(nfa.labels[s] for s in kept) if nfa.labels else (),
-    )
 
 
 def is_empty(aut) -> bool:
@@ -940,7 +918,8 @@ def _dot_escape(text: str) -> str:
 
 
 def aut_to_json(aut, colors=None) -> str:
-    """Stable JSON rendering used for golden files and the CLI."""
+    """Stable JSON rendering used for golden files and the CLI.  It is
+    an export format: nothing in the package reads it back."""
     payload = {
         "kind": "dfa" if isinstance(aut, Dfa) else "nfa",
         "props": list(aut.alphabet.props),
@@ -955,101 +934,3 @@ def aut_to_json(aut, colors=None) -> str:
             getattr(colors[s], "value", colors[s]) for s in range(aut.n_states)
         ]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-# The fields every ``aut_to_json`` payload has; ``colors`` is optional.
-_JSON_FIELDS = ("kind", "props", "singleton_letters", "n_states", "initial", "finals", "transitions")
-
-
-def aut_from_json(text: str):
-    """Inverse of aut_to_json (colors, if present, are returned too).
-
-    Raises ValueError on text that is not JSON, a payload that is not an
-    object or lacks one of the fields ``aut_to_json`` writes, a kind
-    other than ``dfa`` and ``nfa``, props that are not a list of strings,
-    a ``singleton_letters`` that is not a bool, an ``n_states`` that is
-    not a non-negative integer, finals or transitions that are not a
-    list, a transition that is not a list of three, a letter that is not
-    a list of names (a string such as ``"ab"`` included) or lies outside
-    the alphabet, a state that is not an integer in ``range(n_states)``
-    (a float such as ``0.0`` included), and colors that are not a list
-    of one RV state name per state.
-    """
-    payload = json.loads(text)
-    if not isinstance(payload, dict):
-        msg = f"an automaton must be a JSON object, not {payload!r}"
-        raise ValueError(msg)
-    missing = [name for name in _JSON_FIELDS if name not in payload]
-    if missing:
-        msg = f"automaton fields missing: {', '.join(missing)}"
-        raise ValueError(msg)
-    props, n_states = payload["props"], payload["n_states"]
-    if not isinstance(props, list) or not all(isinstance(p, str) for p in props):
-        msg = f"props must be a list of strings, not {props!r}"
-        raise ValueError(msg)
-    if type(n_states) is not int or n_states < 0:
-        msg = f"n_states must be a non-negative integer, not {n_states!r}"
-        raise ValueError(msg)
-    for name in ("finals", "transitions"):
-        if not isinstance(payload[name], list):
-            msg = f"{name} must be a list, not {payload[name]!r}"
-            raise ValueError(msg)
-    if type(payload["singleton_letters"]) is not bool:
-        msg = f"singleton_letters must be a bool, not {payload['singleton_letters']!r}"
-        raise ValueError(msg)
-    alphabet = Alphabet(tuple(props), singleton_letters=payload["singleton_letters"])
-    if payload["kind"] not in ("dfa", "nfa"):
-        msg = f"unknown automaton kind: {payload['kind']!r}"
-        raise ValueError(msg)
-    deterministic = payload["kind"] == "dfa"
-    states = range(n_states)
-
-    def state(value):
-        if type(value) is not int or value not in states:
-            msg = f"state {value!r} is not an integer in range({len(states)})"
-            raise ValueError(msg)
-        return value
-
-    columns = alphabet.columns()
-    rows = [[None if deterministic else set() for _ in columns] for _ in states]
-    for transition in payload["transitions"]:
-        if not isinstance(transition, list) or len(transition) != 3:
-            msg = f"a transition must be a list of source, letter and target, not {transition!r}"
-            raise ValueError(msg)
-        source, letter_names, target = transition
-        if not isinstance(letter_names, list) or not all(
-            isinstance(name, str) for name in letter_names
-        ):
-            msg = f"a letter must be a list of names, not {letter_names!r}"
-            raise ValueError(msg)
-        column = columns.get(frozenset(letter_names))
-        if column is None:
-            msg = f"letter outside the alphabet: {letter_names!r}"
-            raise ValueError(msg)
-        row, target = rows[state(source)], state(target)
-        if not deterministic:
-            row[column].add(target)
-        elif row[column] in (None, target):
-            row[column] = target
-        else:
-            msg = "duplicate transition in dfa payload"
-            raise ValueError(msg)
-    cls = Dfa if deterministic else Nfa
-    aut = cls(
-        alphabet=alphabet,
-        n_states=len(states),
-        initial=state(payload["initial"]),
-        transitions=tuple(
-            tuple(row if deterministic else map(frozenset, row)) for row in rows
-        ),
-        finals=frozenset(map(state, payload["finals"])),
-    )
-    colors = payload.get("colors")
-    if colors is not None and not isinstance(colors, list):
-        msg = f"colors must be a list, not {colors!r}"
-        raise ValueError(msg)
-    # RVState raises ValueError on a name that is not an RV state's.
-    if colors is not None and len([RVState(c) for c in colors]) != len(states):
-        msg = f"{len(colors)} colors for {len(states)} states"
-        raise ValueError(msg)
-    return aut, colors

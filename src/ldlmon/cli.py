@@ -94,15 +94,16 @@ def _resolve_formula(args) -> tuple:
     return parse_ldlf(args.formula, alphabet), alphabet
 
 
+def _read_file(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise CliError(str(exc)) from None
+
+
 def _read_trace(path: str, alphabet: Alphabet) -> list[frozenset]:
-    if path == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
-        except OSError as exc:
-            raise CliError(str(exc)) from None
+    lines = (sys.stdin.read() if path == "-" else _read_file(path)).splitlines()
     return [_parse_event_line(text, alphabet, no) for no, text in _logical_lines(lines)]
 
 
@@ -208,18 +209,10 @@ def _cmd_monitor(args) -> int:
     return 0
 
 
-def _read_model_file(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise CliError(str(exc)) from None
-
-
 def _cmd_model(args) -> int:
     """``declare`` and ``meta``: parse the model with ``args.parse_model``
     and replay the trace through an ``args.runner`` monitor."""
-    model = args.parse_model(_read_model_file(args.model))
+    model = args.parse_model(_read_file(args.model))
     events = _read_trace(args.trace, model.alphabet)
     timeline = args.runner(model).timeline([next(iter(event)) for event in events])
     text = timeline.to_json() if args.format == "json" else timeline.render()
@@ -314,10 +307,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.run(args)
-    except CliError as exc:
-        print(f"ldlmon: {exc}", file=sys.stderr)
-        return 1
-    except (FormulaSyntaxError, ModelSyntaxError, ValueError, KeyError) as exc:
+    except (CliError, FormulaSyntaxError, ModelSyntaxError, ValueError, KeyError) as exc:
         print(f"ldlmon: {exc}", file=sys.stderr)
         return 1
     except RecursionError:

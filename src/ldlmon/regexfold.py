@@ -20,7 +20,6 @@ from .syntax import ldl
 from .syntax.alphabet import Alphabet
 from .syntax.props import FALSE
 
-EPSILON_RE = ldl.Test(ldl.TT)
 EMPTY_RE = ldl.Step(FALSE)
 
 
@@ -63,7 +62,7 @@ def _alt_leaves(p) -> list:
 
 def rstar(a):
     if a is None or _is_epsilon(a):
-        return EPSILON_RE
+        return ldl.EPSILON_PATH
     if isinstance(a, ldl.Star):
         return a
     return ldl.Star(a)
@@ -78,9 +77,9 @@ def automaton_to_regex(aut) -> ldl.Path:
             edges[(state, target)] = ldl.Step(guard)
 
     source, sink = -1, -2
-    edges[(source, aut.initial)] = EPSILON_RE
+    edges[(source, aut.initial)] = ldl.EPSILON_PATH
     for final in sorted(aut.finals):
-        edges[(final, sink)] = ralt(edges.get((final, sink)), EPSILON_RE)
+        edges[(final, sink)] = ralt(edges.get((final, sink)), ldl.EPSILON_PATH)
 
     remaining = set(range(aut.n_states))
     while remaining:

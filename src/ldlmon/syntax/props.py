@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from .base import UNARY, Node, by_class, print_infix
 
-Interp = frozenset
-
 
 class Prop(Node):
     """Base class for propositional formulas."""

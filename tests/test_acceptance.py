@@ -14,7 +14,6 @@ from pathlib import Path
 from ldlmon.automata import (
     Dfa,
     accepts,
-    aut_from_json,
     aut_to_json,
     determinize,
     language_equal,
@@ -60,6 +59,7 @@ from genformulas import (
     random_ltlf,
     random_nnf_ldlf,
 )
+from reference_json import aut_from_json
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from ldlmon.automata import aut_from_json
 from ldlmon.cli import build_parser, main
 from ldlmon.rv import RVState
+
+from reference_json import aut_from_json
 
 
 def run_cli(argv, capsys, stdin=None, monkeypatch=None):
@@ -51,10 +52,10 @@ def test_compile_json_roundtrips(capsys):
         capsys,
     )
     assert code == 0
-    aut, colors = aut_from_json(out)
-    assert aut.n_states == len(colors)
+    payload = json.loads(out)
+    assert payload["n_states"] == len(payload["colors"])
     names = {state.value for state in RVState}
-    assert all(value in names for value in colors)
+    assert all(value in names for value in payload["colors"])
 
 
 def test_compile_dot_mentions_colors(capsys):
@@ -102,7 +103,7 @@ def test_pattern_with_a_repeated_task_infers_the_distinct_tasks(capsys):
         capsys,
     )
     assert code == 0
-    assert aut_from_json(out)[0].alphabet.props == ("b", "a")
+    assert json.loads(out)["props"] == ["b", "a"]
 
 
 def test_compile_re_lang(capsys):
@@ -126,9 +127,7 @@ def test_compile_no_minimize_keeps_more_states(capsys):
         ["compile", formula, "--props", "a,b", "--format", "json"], capsys
     )
     assert code == 0
-    raw_aut, _ = aut_from_json(raw)
-    small_aut, _ = aut_from_json(small)
-    assert raw_aut.n_states >= small_aut.n_states
+    assert json.loads(raw)["n_states"] >= json.loads(small)["n_states"]
 
 
 def test_compile_out_writes_file(tmp_path, capsys):
@@ -138,8 +137,7 @@ def test_compile_out_writes_file(tmp_path, capsys):
     )
     assert code == 0
     assert out == ""
-    aut, _ = aut_from_json(target.read_text(encoding="utf-8"))
-    assert aut.n_states >= 2
+    assert json.loads(target.read_text(encoding="utf-8"))["n_states"] >= 2
 
 
 # monitor ---------------------------------------------------------------
@@ -368,6 +366,8 @@ def test_repl_ends_without_end_marker(capsys, monkeypatch):
         ["compile", "existence(a)", "--lang", "pattern", "--tasks", "a,,b"],
         ["compile", "<a>tt", "--props", "a,,b"],
         ["compile", "<a>tt", "--props", "a, b,"],
+        ["meta", "/no/such/model.meta", "--trace", "-"],
+        ["compile", "<a>tt", "--out", "/no/such/dir/aut.txt"],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys):

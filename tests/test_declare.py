@@ -5,6 +5,7 @@ import pytest
 
 from ldlmon.declare import (
     Constraint,
+    DeclareModel,
     EMPTY_CELL,
     MetaMonitor,
     ModelMonitor,
@@ -420,6 +421,15 @@ def test_local_and_global_monitors():
     overall.step({"cancel"})
     overall.step({"get"})
     assert overall.current_rv() is PF_
+
+
+@pytest.mark.parametrize("build", [ModelMonitor, global_monitor])
+def test_a_model_without_constraints_is_a_value_error(build):
+    """The model parser rejects such a model; built by hand, the
+    whole-model product has no operand."""
+    model = DeclareModel(Alphabet.tasks(["a"]), ())
+    with pytest.raises(ValueError, match="at least one constraint"):
+        build(model)
 
 
 # Timeline rendering -----------------------------------------------------

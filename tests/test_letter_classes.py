@@ -20,7 +20,6 @@ from ldlmon import automata
 from ldlmon.automata import (
     Dfa,
     Nfa,
-    aut_from_json,
     aut_to_json,
     compile_dfa,
     complete,
@@ -39,6 +38,7 @@ from ldlmon.syntax.ldl import print_ldlf
 from ldlmon.syntax.transforms import to_nnf
 
 import reference_delta as ref
+from reference_json import aut_from_json
 from genformulas import column_rows, random_dfa, random_ldlf, seeded_cases
 
 

@@ -13,7 +13,6 @@ from ldlmon.automata import (
 from ldlmon.monitor import Monitor, monitor_automaton
 from ldlmon.regexfold import (
     EMPTY_RE,
-    EPSILON_RE,
     automaton_to_regex,
     pref_regex,
     ralt,
@@ -28,6 +27,7 @@ from ldlmon.syntax import (
     Alt,
     Diamond,
     END,
+    EPSILON_PATH,
     Seq,
     Star,
     Step,
@@ -60,8 +60,8 @@ def regex_language(regex, alphabet):
 
 def test_sequence_laws():
     a, b = Step(Atom("a")), Step(Atom("b"))
-    assert rseq(EPSILON_RE, a) is a
-    assert rseq(a, EPSILON_RE) is a
+    assert rseq(EPSILON_PATH, a) is a
+    assert rseq(a, EPSILON_PATH) is a
     assert rseq(a, b) == Seq(a, b)
     assert rseq(None, a) is None
     assert rseq(a, None) is None
@@ -78,16 +78,16 @@ def test_union_laws():
 
 def test_star_laws():
     a = Step(Atom("a"))
-    assert rstar(None) == EPSILON_RE
-    assert rstar(EPSILON_RE) == EPSILON_RE
+    assert rstar(None) == EPSILON_PATH
+    assert rstar(EPSILON_PATH) == EPSILON_PATH
     assert rstar(a) == Star(a)
     assert rstar(Star(a)) == Star(a)
 
 
 def test_distinguished_expressions():
-    assert EPSILON_RE == PathTest(TT)
+    assert EPSILON_PATH == PathTest(TT)
     assert EMPTY_RE == Step(FALSE)
-    eps_only = regex_language(EPSILON_RE, TASKS)
+    eps_only = regex_language(EPSILON_PATH, TASKS)
     assert accepts(eps_only, ())
     assert not accepts(eps_only, trace_from_tasks(["a"]))
     nothing = regex_language(EMPTY_RE, TASKS)
@@ -110,7 +110,7 @@ def test_fold_of_everything():
 
 def test_fold_of_the_empty_trace_language():
     dfa = compile_ldlf(parse_ldlf("end", TASKS), TASKS)
-    assert automaton_to_regex(dfa) == EPSILON_RE
+    assert automaton_to_regex(dfa) == EPSILON_PATH
 
 
 def test_fold_compresses_parallel_letters_into_guards():
