@@ -43,6 +43,8 @@ their cells class by class in the order of each class's first letter,
 numbers a successor the first time it is seen, and writes each class's
 cell into the column of every letter in it.  States are therefore
 discovered, and numbered, exactly as a letter-by-letter walk would.
+``_partition``, which groups keys by first occurrence, forms the letter
+classes and is also ``minimize``'s refinement step.
 
 Every automaton stores one transition table: a tuple of rows, one per
 state, whose cells follow ``alphabet.letters()`` (a letter's column is
@@ -59,6 +61,7 @@ permanently satisfied.
 """
 from __future__ import annotations
 
+import functools
 import json
 import operator
 from collections import deque
@@ -79,7 +82,7 @@ from .syntax.props import (
     eval_prop,
     print_prop,
 )
-from .syntax.transforms import to_nnf
+from .syntax.transforms import negate, to_nnf
 
 EPSILON = None
 
@@ -129,7 +132,7 @@ def _emit(f: ldl.Ldlf) -> tuple:
 # What the rules of the two modalities differ in; see ``delta``.
 _MODALITIES = {
     ldl.Diamond: (models_or, models_and, lambda c: c, FALSE_MODELS),
-    ldl.Box: (models_and, models_or, lambda c: to_nnf(ldl.Not(c)), TRUE_MODELS),
+    ldl.Box: (models_and, models_or, negate, TRUE_MODELS),
 }
 
 
@@ -324,24 +327,8 @@ def ldlf_to_nfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Nfa:
     firsts, class_of = _partition([letter & atoms for letter in letters])
     class_letters = [letters[column] for column in firsts]
 
-    key_cache: dict = {}
-
-    def key(f: ldl.Ldlf) -> str:
-        k = key_cache.get(f)
-        if k is None:
-            k = print_ldlf(f)
-            key_cache[f] = k
-        return k
-
-    delta_cache: dict = {}
-
-    def delta_of(f: ldl.Ldlf, letter) -> tuple:
-        probe = (f, letter)
-        hit = delta_cache.get(probe)
-        if hit is None:
-            hit = delta(f, letter)
-            delta_cache[probe] = hit
-        return hit
+    key = functools.cache(print_ldlf)
+    delta_of = functools.cache(delta)
 
     def cells(macro, ident):
         members = sorted(macro, key=key)
@@ -420,10 +407,10 @@ def _partition(keys):
     firsts = []
     class_of = []
     for column, k in enumerate(keys):
-        if k not in index:
-            index[k] = len(firsts)
+        c = index.setdefault(k, len(firsts))
+        if c == len(firsts):
             firsts.append(column)
-        class_of.append(index[k])
+        class_of.append(c)
     return firsts, class_of
 
 
@@ -561,11 +548,12 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
     same whichever way they were built; only the debug labels differ.
 
     ``memo`` maps ``("dfa", formula, alphabet)`` to the DFA already built
-    for a formula that takes the NFA route, so each product operand and
-    negated argument is looked up there.  Chains and negations are not
-    keyed themselves: a hit compares two chains with the recursive
-    ``__eq__``, which a deep chain would exhaust, and complementing or
-    refolding memoized operands is cheap next to the NFA construction.
+    for an RV atom or a formula that takes the NFA route, so each product
+    operand and negated argument is looked up there.  Chains and
+    negations are not keyed themselves: a hit compares two chains with
+    the recursive ``__eq__``, which a deep chain would exhaust, and
+    complementing or refolding memoized operands is cheap next to the
+    NFA construction.
     One build (a model monitor, a CLI command) passes the same dict to
     all its calls and drops it when done, so each distinct subformula is
     compiled once per build; a call without one gets a fresh dict.
@@ -573,9 +561,9 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
     RV nodes are compiled from automata, not from their LDLf encoding
     (``metaconstraints.expand``): an ``RvAtom`` is a leaf whose DFA is
     the referenced formula's colored DFA with the states of its RV state
-    made final, memoized under ``("rv-dfa", atom, alphabet)``, and on the
-    NFA route ``_lower_rv`` puts ``DfaPath`` nodes on such DFAs in place
-    of RV paths and of RV atoms under a modality.
+    made final, and on the NFA route ``_lower_rv`` puts ``DfaPath``
+    nodes on such DFAs in place of RV paths and of RV atoms under a
+    modality.
     """
     if memo is None:
         memo = {}
@@ -594,18 +582,16 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
                 operands.append(f)
         accept = None if kind is ldl.And else operator.or_
         return product_fold((compile_dfa(f, alphabet, memo) for f in operands), accept)
-    if isinstance(formula, RvAtom):
-        key = ("rv-dfa", formula, alphabet)
-        dfa = memo.get(key)
-        if dfa is None:
-            colored = color(compile_dfa(formula.formula, alphabet, memo))
-            dfa = memo[key] = colored.accepting({formula.state})
-        return dfa
     key = ("dfa", formula, alphabet)
     dfa = memo.get(key)
     if dfa is None:
-        lowered = _lower_rv(formula, alphabet, memo)
-        dfa = memo[key] = minimize(determinize(ldlf_to_nfa(lowered, alphabet)))
+        if isinstance(formula, RvAtom):
+            colored = color(compile_dfa(formula.formula, alphabet, memo))
+            dfa = colored.accepting({formula.state})
+        else:
+            lowered = _lower_rv(formula, alphabet, memo)
+            dfa = minimize(determinize(ldlf_to_nfa(lowered, alphabet)))
+        memo[key] = dfa
     return dfa
 
 
@@ -636,40 +622,35 @@ def _lower_rv(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict) -> ldl.Ldlf:
 
 
 def minimize(dfa: Dfa) -> Dfa:
-    """Language-minimal equivalent DFA (partition refinement), with
-    states renumbered in breadth-first order from the initial state."""
+    """Language-minimal equivalent DFA, with states renumbered in
+    breadth-first order from the initial state.  Moore's refinement: each
+    round partitions the reachable states by their block and successor
+    blocks, until a round splits none; each block keeps its first state's
+    row and label."""
     if not dfa.is_total():
         msg = "minimize needs a total automaton; call complete() first"
         raise ValueError(msg)
     rows = dfa.transitions
     firsts, class_of = letter_classes(dfa)
     states = sorted(reachable_from(dfa, dfa.initial))
-    block = {s: (1 if s in dfa.finals else 0) for s in states}
+    heads, blocks = _partition(s in dfa.finals for s in states)
     while True:
-        signatures = {
-            s: (block[s], tuple(block[rows[s][column]] for column in firsts))
-            for s in states
-        }
-        renumber: dict = {}
-        for s in states:
-            sig = signatures[s]
-            if sig not in renumber:
-                renumber[sig] = len(renumber)
-        next_block = {s: renumber[signatures[s]] for s in states}
-        if next_block == block:
+        block = dict(zip(states, blocks))
+        count = len(heads)
+        heads, blocks = _partition(
+            (block[s], tuple(block[rows[s][column]] for column in firsts)) for s in states
+        )
+        if len(heads) == count:
             break
-        block = next_block
     # Rebuild over blocks, numbering them by breadth-first discovery.
-    representative = {}
-    for s in states:
-        representative.setdefault(block[s], s)
+    heads = [states[head] for head in heads]
 
     def cells(blk, ident):
-        row = rows[representative[blk]]
+        row = rows[heads[blk]]
         return [ident(block[row[column]]) for column in firsts]
 
     order, transitions = _explore(block[dfa.initial], cells, class_of)
-    kept = [representative[blk] for blk in order]
+    kept = [heads[blk] for blk in order]
     return Dfa(
         alphabet=dfa.alphabet,
         n_states=len(order),
@@ -682,10 +663,16 @@ def minimize(dfa: Dfa) -> Dfa:
 
 def reachable_from(aut, state: int) -> frozenset:
     """States reachable from the given state, itself included."""
-    seen = {state}
-    queue = deque((state,))
+    return _closure((state,), aut.targets)
+
+
+def _closure(starts, successors) -> frozenset:
+    """The states reachable from ``starts`` through ``successors`` (a
+    state's next states), starts included: one breadth-first walk."""
+    seen = set(starts)
+    queue = deque(seen)
     while queue:
-        for target in aut.targets(queue.popleft()):
+        for target in successors(queue.popleft()):
             if target not in seen:
                 seen.add(target)
                 queue.append(target)
@@ -699,30 +686,17 @@ def prefix_closure(aut):
     The transition structure is untouched, so the result has the same
     shape as the input.
     """
-    return replace(aut, finals=_reaching(_predecessors(aut), aut.finals))
+    return replace(aut, finals=_closure(aut.finals, _predecessors(aut)))
 
 
-def _predecessors(aut) -> dict:
-    """The reverse adjacency: each state with an incoming edge mapped to
-    the set of its predecessors under any letter."""
+def _predecessors(aut):
+    """The reverse adjacency as a function: a state's predecessors under
+    any letter."""
     backward: dict = {}
     for state in range(aut.n_states):
         for target in aut.targets(state):
             backward.setdefault(target, set()).add(state)
-    return backward
-
-
-def _reaching(backward: dict, goals) -> frozenset:
-    """The states from which some state of ``goals`` is reachable, goals
-    included: one backward breadth-first walk over ``backward``."""
-    closed = set(goals)
-    queue = deque(closed)
-    while queue:
-        for pred in backward.get(queue.popleft(), ()):
-            if pred not in closed:
-                closed.add(pred)
-                queue.append(pred)
-    return frozenset(closed)
+    return lambda state: backward.get(state, ())
 
 
 @dataclass(frozen=True)
@@ -748,8 +722,8 @@ def color(dfa: Dfa) -> ColoredDfa:
         raise ValueError(msg)
     finals = dfa.finals
     backward = _predecessors(dfa)
-    can_accept = _reaching(backward, finals)
-    can_reject = _reaching(backward, frozenset(range(dfa.n_states)) - finals)
+    can_accept = _closure(finals, backward)
+    can_reject = _closure(frozenset(range(dfa.n_states)) - finals, backward)
     colors = tuple(
         RVState.classify(
             state in finals,
@@ -888,11 +862,11 @@ _DOT_COLORS = {
 }
 
 
-def to_dot(aut, colors=None, name: str = "automaton") -> str:
+def to_dot(aut, colors=None) -> str:
     """Graphviz rendering.  Parallel letters between two states are
     compressed into one guard-labelled edge; this is display only, the
     automaton itself stays letter-level."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;", '  hidden [shape=none label=""];']
+    lines = ["digraph automaton {", "  rankdir=LR;", '  hidden [shape=none label=""];']
     for state in range(aut.n_states):
         shape = "doublecircle" if state in aut.finals else "circle"
         attrs = [f"shape={shape}"]

@@ -172,13 +172,6 @@ class DeclareModel:
     alphabet: Alphabet
     constraints: tuple[Constraint, ...]
 
-    def constraint(self, name: str) -> Constraint:
-        for c in self.constraints:
-            if c.name == name:
-                return c
-        msg = f"no constraint named {name!r}"
-        raise KeyError(msg)
-
 
 class ModelSyntaxError(ValueError):
     """A model file failed to parse; carries the 1-based line number."""

@@ -29,11 +29,11 @@ def to_nnf(f: ldl.Ldlf) -> ldl.Ldlf:
 
 def _nnf_rule(n):
     if isinstance(n, ldl.Not):
-        return _negate(n.arg)
+        return negate(n.arg)
     return n
 
 
-def _negate(f: ldl.Ldlf) -> ldl.Ldlf:
+def negate(f: ldl.Ldlf) -> ldl.Ldlf:
     """NNF of the negation of a formula already in NNF: dualize its
     boolean and modal spine; paths are left as they are."""
     if isinstance(f, ldl.Tt):
@@ -41,13 +41,13 @@ def _negate(f: ldl.Ldlf) -> ldl.Ldlf:
     if isinstance(f, ldl.Ff):
         return ldl.TT
     if isinstance(f, ldl.And):
-        return ldl.Or(_negate(f.left), _negate(f.right))
+        return ldl.Or(negate(f.left), negate(f.right))
     if isinstance(f, ldl.Or):
-        return ldl.And(_negate(f.left), _negate(f.right))
+        return ldl.And(negate(f.left), negate(f.right))
     if isinstance(f, ldl.Diamond):
-        return ldl.Box(f.path, _negate(f.arg))
+        return ldl.Box(f.path, negate(f.arg))
     if isinstance(f, ldl.Box):
-        return ldl.Diamond(f.path, _negate(f.arg))
+        return ldl.Diamond(f.path, negate(f.arg))
     msg = f"not an LDLf formula in negation normal form: {f!r}"
     raise TypeError(msg)
 

@@ -262,6 +262,23 @@ def test_json_timelines_of_the_booking_samples_match_their_goldens(capsys):
         assert out == (golden / name).read_text(encoding="utf-8"), name
 
 
+def test_uncolored_dot_tooltips_match_their_goldens(capsys):
+    """Without colors a DOT node's tooltip is its label: product pairs
+    that ``minimize`` copies from its representatives, or the subsets of
+    the unminimized DFA."""
+    golden = Path(__file__).resolve().parent / "golden"
+    formula = "<(a;b)*>tt && [true*](a -> <true>b)"
+    for extra, name in [
+        ([], "tooltips_minimized.dot"),
+        (["--no-minimize"], "tooltips_subsets.dot"),
+    ]:
+        code, out, err = run_cli(
+            ["compile", formula, "--props", "a,b", "--format", "dot", *extra], capsys
+        )
+        assert code == 0, err
+        assert out == (golden / name).read_text(encoding="utf-8"), name
+
+
 def test_meta_runs_the_sample_model(capsys):
     code, out, err = run_cli(
         ["meta", "samples/booking.meta", "--trace", "samples/booking-meta.trace"],

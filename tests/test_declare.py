@@ -225,10 +225,8 @@ def test_parse_decl_reads_the_booking_model():
         "response(pay, get)",
         "not_coexistence(get, cancel)",
     ]
-    looked_up = model.constraint("response(pay, get)")
-    assert looked_up.formula == response("pay", "get")
-    with pytest.raises(KeyError):
-        model.constraint("nope")
+    by_name = {c.name: c for c in model.constraints}
+    assert by_name["response(pay, get)"].formula == response("pay", "get")
 
 
 def test_parse_decl_labels_comments_and_ltl_bodies():
@@ -243,8 +241,9 @@ def test_parse_decl_labels_comments_and_ltl_bodies():
         """
     )
     assert [c.name for c in model.constraints] == ["one", "two", "ltl: F b"]
-    assert model.constraint("one").formula == existence("a")
-    assert model.constraint("ltl: F b").formula == model.constraint("two").formula.arg.right  # noqa: E501
+    by_name = {c.name: c for c in model.constraints}
+    assert by_name["one"].formula == existence("a")
+    assert by_name["ltl: F b"].formula == by_name["two"].formula.arg.right
 
 
 def test_parse_decl_error_positions():

@@ -15,6 +15,7 @@ import json
 import operator
 import random
 from collections import deque
+from dataclasses import replace
 
 from ldlmon import automata
 from ldlmon.automata import (
@@ -252,8 +253,10 @@ def test_pipeline_matches_the_per_letter_construction():
 
 def test_classes_come_from_the_automaton_alone():
     """letter_classes reads the tables, so automata read back from JSON
-    (no labels, no formula) and products determinize and minimize the
-    same way."""
+    (no labels, no formula), products and hand-built DFAs determinize
+    and minimize the same way.  The hand-built ones have unreachable
+    states, some numbered below the initial state, and blocks that split
+    only after several rounds of refinement."""
     rng = random.Random(7002)
     cases = list(seeded_cases(7003, 40))
     for formula, alphabet in cases:
@@ -265,6 +268,34 @@ def test_classes_come_from_the_automaton_alone():
         other, _ = rng.choice([c for c in cases if c[1] == alphabet])
         pair = product(subset, determinize(ldlf_to_nfa(other, alphabet)))
         assert_same(minimize(pair), reference_minimize(pair))
+    props = Alphabet.of("a", "b")
+    hand_built = []
+    for n in range(1, 8):
+        labels = tuple(f"q{s}" for s in range(2 * n + 1))
+        # A counter: ``a`` moves one state on, anything else stays; state
+        # 0 is unreachable, and state s splits off after 2n - s rounds.
+        chain = {
+            s: {l: min(s + 1, 2 * n) if "a" in l else s for l in props.letters()}
+            for s in range(2 * n + 1)
+        }
+        hand_built.append(
+            Dfa(props, 2 * n + 1, 1, column_rows(props, chain), frozenset({2 * n}), labels)
+        )
+        # A cycle of 2n states with finals n apart: those pairs merge,
+        # and the others split one round per step to the next final.
+        cycle = {
+            s: {l: (s + 1) % (2 * n) if "a" in l else s for l in props.letters()}
+            for s in range(2 * n)
+        }
+        hand_built.append(
+            Dfa(props, 2 * n, 0, column_rows(props, cycle), frozenset({0, n}), labels[:-1])
+        )
+    for _ in range(60):
+        dfa = random_dfa(rng, props)
+        labels = tuple(f"q{s}" for s in range(dfa.n_states))
+        hand_built.append(replace(dfa, initial=rng.randrange(dfa.n_states), labels=labels))
+    for dfa in hand_built:
+        assert_same(minimize(dfa), reference_minimize(dfa))
 
 
 def test_letter_classes_group_exactly_the_equal_columns():

@@ -3,7 +3,9 @@
 A name defined at the top level of a module, or as a method of a
 top-level class, must be referenced somewhere in ``src/`` outside its
 own definition and the package ``__init__`` re-exports, or somewhere in
-``perfbench/`` (whose tracer names what it wraps in strings).  The
+``perfbench/`` (whose tracer names what it wraps in strings).  A method
+is reached only through an attribute load or a perfbench identifier
+string: a bare name of the same spelling is some other variable.  The
 exceptions are the names the README's Python API section documents and
 the test oracles below, which tests use as references for the fast
 paths.  Dunder methods, and methods that override one of a base class
@@ -34,17 +36,18 @@ ORACLES = (
 
 
 def _references(tree, *, strings=False) -> Counter:
-    """Load-context names and attributes in ``tree``; with ``strings``,
-    also string constants that are identifiers."""
+    """Load-context names and attributes in ``tree``, a bare name counted
+    under ``name`` and an attribute under ``.name``; with ``strings``,
+    string constants that are identifiers count as attributes too."""
     found = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found[node.id] += 1
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            found[node.attr] += 1
+            found["." + node.attr] += 1
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
-                found[node.value] += 1
+                found["." + node.value] += 1
     return found
 
 
@@ -96,7 +99,9 @@ def test_every_definition_in_src_is_reached():
         for owner, name, node in _definitions(tree):
             if name in kept or _called_by_python(path, owner, name):
                 continue
-            if used[name] - _references(node)[name] <= 0:
+            keys = ["." + name] if owner else [name, "." + name]
+            own = _references(node)
+            if sum(used[k] - own[k] for k in keys) <= 0:
                 dead.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not dead, "defined but never reached:\n" + "\n".join(dead)
 
