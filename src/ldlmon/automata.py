@@ -38,11 +38,13 @@ and ``product_pairs`` from the pairs of its operands' columns.  A
 class's successor is computed from its first letter.
 
 One breadth-first explorer, ``_explore``, holds the numbering policy of
-all four constructions: it visits states in discovery order, takes
-their cells class by class in the order of each class's first letter,
-numbers a successor the first time it is seen, and writes each class's
-cell into the column of every letter in it.  States are therefore
-discovered, and numbered, exactly as a letter-by-letter walk would.
+the five constructions (``ldlf_to_nfa``, ``determinize``,
+``product_pairs``, ``minimize``, ``rename_columns``): it visits states in
+discovery order, takes their cells class by class in the order of each
+class's first letter, numbers a successor the first time it is seen, and
+writes each class's cell into the column of every letter in it.  States
+are therefore discovered, and numbered, exactly as a letter-by-letter
+walk would.  ``_automaton`` builds every result from the walk's keys.
 ``_partition``, which groups keys by first occurrence, forms the letter
 classes and is also ``minimize``'s refinement step.
 
@@ -348,20 +350,10 @@ def ldlf_to_nfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Nfa:
     if empty not in order:
         order.append(empty)
         transitions.append((frozenset((len(order) - 1,)),) * len(letters))
-    return Nfa(
-        alphabet=alphabet,
-        n_states=len(order),
-        initial=0,
-        transitions=tuple(transitions),
-        finals=frozenset(
-            i
-            for i, macro in enumerate(order)
-            if all(delta_epsilon(member) for member in macro)
-        ),
-        labels=tuple(
-            " & ".join(sorted(key(member) for member in macro)) if macro else "{}"
-            for macro in order
-        ),
+    return _automaton(
+        Nfa, alphabet, order, transitions,
+        lambda macro: all(map(delta_epsilon, macro)),
+        lambda macro: " & ".join(sorted(map(key, macro))) if macro else "{}",
     )
 
 
@@ -378,15 +370,10 @@ def determinize(nfa: Nfa) -> Dfa:
         ]
 
     order, transitions = _explore(frozenset((nfa.initial,)), cells, class_of)
-    return Dfa(
-        alphabet=nfa.alphabet,
-        n_states=len(order),
-        initial=0,
-        transitions=tuple(transitions),
-        finals=frozenset(i for i, subset in enumerate(order) if subset & nfa.finals),
-        labels=tuple(
-            "{" + ",".join(str(s) for s in sorted(subset)) + "}" for subset in order
-        ),
+    return _automaton(
+        Dfa, nfa.alphabet, order, transitions,
+        lambda subset: subset & nfa.finals,
+        lambda subset: "{" + ",".join(map(str, sorted(subset))) + "}",
     )
 
 
@@ -441,6 +428,21 @@ def _explore(start, cells, class_of):
     for key in order:
         rows.append(tuple(map(cells(key, ident).__getitem__, class_of)))
     return order, rows
+
+
+def _automaton(kind, alphabet, order, rows, final, label=None):
+    """The ``Nfa`` or ``Dfa`` (``kind``) whose state i is the key
+    ``order[i]`` of an ``_explore`` walk, with row ``rows[i]``: initial
+    state 0, final when ``final(key)``, labelled ``label(key)``, and
+    unlabelled without ``label``."""
+    return kind(
+        alphabet=alphabet,
+        n_states=len(order),
+        initial=0,
+        transitions=tuple(rows),
+        finals=frozenset(i for i, key in enumerate(order) if final(key)),
+        labels=tuple(map(label, order)) if label else (),
+    )
 
 
 def complete(aut):
@@ -499,17 +501,10 @@ def product_pairs(a: Dfa, b: Dfa, accept=None):
         return [ident((row_a[column], row_b[column])) for column in firsts]
 
     order, transitions = _explore((a.initial, b.initial), cells, class_of)
-    dfa = Dfa(
-        alphabet=a.alphabet,
-        n_states=len(order),
-        initial=0,
-        transitions=tuple(transitions),
-        finals=frozenset(
-            i
-            for i, (sa, sb) in enumerate(order)
-            if accept(sa in a.finals, sb in b.finals)
-        ),
-        labels=tuple(f"({sa},{sb})" for sa, sb in order),
+    dfa = _automaton(
+        Dfa, a.alphabet, order, transitions,
+        lambda pair: accept(pair[0] in a.finals, pair[1] in b.finals),
+        lambda pair: f"({pair[0]},{pair[1]})",
     )
     return dfa, tuple(order)
 
@@ -650,14 +645,10 @@ def minimize(dfa: Dfa) -> Dfa:
         return [ident(block[row[column]]) for column in firsts]
 
     order, transitions = _explore(block[dfa.initial], cells, class_of)
-    kept = [heads[blk] for blk in order]
-    return Dfa(
-        alphabet=dfa.alphabet,
-        n_states=len(order),
-        initial=0,
-        transitions=tuple(transitions),
-        finals=frozenset(i for i, s in enumerate(kept) if s in dfa.finals),
-        labels=tuple(dfa.labels[s] for s in kept) if dfa.labels else (),
+    return _automaton(
+        Dfa, dfa.alphabet, order, transitions,
+        lambda blk: heads[blk] in dfa.finals,
+        (lambda blk: dfa.labels[heads[blk]]) if dfa.labels else None,
     )
 
 
@@ -755,13 +746,8 @@ def rename_columns(colored: ColoredDfa, alphabet: Alphabet, source) -> ColoredDf
         return [ident(row[column]) for column in picks]
 
     order, transitions = _explore(colored.dfa.initial, cells, class_of)
-    finals = colored.dfa.finals
-    dfa = Dfa(
-        alphabet=alphabet,
-        n_states=len(order),
-        initial=0,
-        transitions=tuple(transitions),
-        finals=frozenset(i for i, state in enumerate(order) if state in finals),
+    dfa = _automaton(
+        Dfa, alphabet, order, transitions, lambda state: state in colored.dfa.finals
     )
     return ColoredDfa(dfa, tuple(colored.colors[state] for state in order))
 

@@ -75,9 +75,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _resolve_formula(args) -> tuple:
     """Parse args.formula per args.lang; returns (ldlf, alphabet)."""
     alphabet = None
-    if getattr(args, "tasks", None):
+    if getattr(args, "tasks", None) is not None:
         alphabet = Alphabet.tasks(_split_names(args.tasks))
-    elif getattr(args, "props", None):
+    elif getattr(args, "props", None) is not None:
         alphabet = Alphabet.of(*_split_names(args.props))
     if args.lang == "pattern":
         formula, alphabet = parse_pattern(args.formula, alphabet)

@@ -40,9 +40,9 @@ shared by every monitor, and one table index per monitor.  They keep no
 record of past events; ``timeline`` takes the trace, walks each
 monitor's transition table through it once and reads the timeline's
 rows off the states passed, the forbidden rows from each monitor's
-per-state forbidden table (see ``monitor.Monitor``).  The whole-model monitor is the minimized product of the
-local constraints' minimal DFAs, never one automaton compiled from the
-conjunction formula.
+per-state forbidden table (see ``monitor.Monitor``).  The whole-model
+monitor is the minimized product of the local constraints' minimal
+DFAs, never one automaton compiled from the conjunction formula.
 
 A constraint read from a pattern call is not compiled on its own.  Over
 a task alphabet, a pattern's minimal DFA depends only on which argument

@@ -8,10 +8,12 @@ diamond/box); the paths under that spine are already normal.
 ``ltlf_to_ldlf`` is the standard embedding of LTLf: each temporal
 operator becomes a modality over a path built from ``true`` steps, with
 ``!end`` guarding against the truncated-trace edge cases and until
-expressed through a test-star path.  Chains of conjunctions or
-disjunctions are walked with an explicit stack, so a long chain does not
-exhaust the recursion limit.  The output is not necessarily in NNF; run
-``to_nnf`` before building automata.
+expressed through a test-star path.  The table ``_LDLF_OF`` defines each
+operator once, over its operands' translations; weak next, always and
+release are the duals of next, eventually and until.  One post-order
+walk with an explicit stack applies it, so a formula nested thousands
+deep does not exhaust the recursion limit.  The output is not
+necessarily in NNF; run ``to_nnf`` before building automata.
 """
 from __future__ import annotations
 
@@ -61,79 +63,60 @@ _TRUE_STEP = ldl.Step(TRUE)
 _NOT_END = ldl.Not(ldl.END)
 
 
+def _next(a: ldl.Ldlf) -> ldl.Ldlf:
+    return ldl.Diamond(_TRUE_STEP, ldl.And(a, _NOT_END))
+
+
+def _eventually(a: ldl.Ldlf) -> ldl.Ldlf:
+    return ldl.Diamond(ldl.Star(_TRUE_STEP), ldl.And(a, _NOT_END))
+
+
+def _until(left: ldl.Ldlf, right: ldl.Ldlf) -> ldl.Ldlf:
+    return ldl.Diamond(
+        ldl.Star(ldl.Seq(ldl.Test(left), _TRUE_STEP)), ldl.And(right, _NOT_END)
+    )
+
+
+def _implies(left: ldl.Ldlf, right: ldl.Ldlf) -> ldl.Ldlf:
+    return ldl.Or(ldl.Not(left), right)
+
+
+# Each LTLf operator as a builder over its operands' translations, taken in
+# field order.  WX, G and R are the duals of X, F and U.
+_LDLF_OF = {
+    ltl.LtlfNot: ldl.Not,
+    ltl.LtlfAnd: ldl.And,
+    ltl.LtlfOr: ldl.Or,
+    ltl.LtlfImplies: _implies,
+    ltl.LtlfIff: lambda left, right: ldl.And(_implies(left, right), _implies(right, left)),
+    ltl.Next: _next,
+    ltl.WeakNext: lambda a: ldl.Not(_next(ldl.Not(a))),
+    ltl.Eventually: _eventually,
+    ltl.Always: lambda a: ldl.Not(_eventually(ldl.Not(a))),
+    ltl.Until: _until,
+    ltl.Release: lambda left, right: ldl.Not(_until(ldl.Not(left), ldl.Not(right))),
+}
+
+
 def ltlf_to_ldlf(f: ltl.Ltlf) -> ldl.Ldlf:
     """Translate an LTLf formula into an equivalent LDLf formula."""
-    if isinstance(f, ltl.LtlfProp):
-        return ldl.prop_formula(f.prop)
-    if isinstance(f, ltl.LtlfNot):
-        return ldl.Not(ltlf_to_ldlf(f.arg))
-    if isinstance(f, (ltl.LtlfAnd, ltl.LtlfOr)):
-        return _chain_to_ldlf(f)
-    if isinstance(f, ltl.LtlfImplies):
-        return ldl.Or(ldl.Not(ltlf_to_ldlf(f.left)), ltlf_to_ldlf(f.right))
-    if isinstance(f, ltl.LtlfIff):
-        left = ltlf_to_ldlf(f.left)
-        right = ltlf_to_ldlf(f.right)
-        return ldl.And(
-            ldl.Or(ldl.Not(left), right), ldl.Or(ldl.Not(right), left)
-        )
-    if isinstance(f, ltl.Next):
-        return ldl.Diamond(_TRUE_STEP, ldl.And(ltlf_to_ldlf(f.arg), _NOT_END))
-    if isinstance(f, ltl.WeakNext):
-        # WX phi == !X !phi
-        return ldl.Not(
-            ldl.Diamond(
-                _TRUE_STEP, ldl.And(ldl.Not(ltlf_to_ldlf(f.arg)), _NOT_END)
-            )
-        )
-    if isinstance(f, ltl.Eventually):
-        return ldl.Diamond(
-            ldl.Star(_TRUE_STEP), ldl.And(ltlf_to_ldlf(f.arg), _NOT_END)
-        )
-    if isinstance(f, ltl.Always):
-        # G phi == !F !phi
-        return ldl.Not(
-            ldl.Diamond(
-                ldl.Star(_TRUE_STEP),
-                ldl.And(ldl.Not(ltlf_to_ldlf(f.arg)), _NOT_END),
-            )
-        )
-    if isinstance(f, ltl.Until):
-        return ldl.Diamond(
-            ldl.Star(ldl.Seq(ldl.Test(ltlf_to_ldlf(f.left)), _TRUE_STEP)),
-            ldl.And(ltlf_to_ldlf(f.right), _NOT_END),
-        )
-    if isinstance(f, ltl.Release):
-        # phi R psi == !(!phi U !psi)
-        return ldl.Not(
-            ldl.Diamond(
-                ldl.Star(
-                    ldl.Seq(ldl.Test(ldl.Not(ltlf_to_ldlf(f.left))), _TRUE_STEP)
-                ),
-                ldl.And(ldl.Not(ltlf_to_ldlf(f.right)), _NOT_END),
-            )
-        )
-    msg = f"not an LTLf formula: {f!r}"
-    raise TypeError(msg)
-
-
-def _chain_to_ldlf(f: ltl.Ltlf) -> ldl.Ldlf:
-    """Translate a chain of conjunctions (or disjunctions), nested either
-    way, with an explicit stack: the chain is rebuilt in the same shape
-    and only its operands are translated recursively."""
-    kind = type(f)
-    build = ldl.And if kind is ltl.LtlfAnd else ldl.Or
     done: list = []
     pending = [(f, False)]
     while pending:
         g, operands_done = pending.pop()
-        if not isinstance(g, kind):
-            done.append(ltlf_to_ldlf(g))
+        if isinstance(g, ltl.LtlfProp):
+            done.append(ldl.prop_formula(g.prop))
+        elif type(g) not in _LDLF_OF:
+            msg = f"not an LTLf formula: {g!r}"
+            raise TypeError(msg)
         elif operands_done:
-            right = done.pop()
-            done.append(build(done.pop(), right))
+            arity = len(g._fields)
+            operands = done[-arity:]
+            del done[-arity:]
+            done.append(_LDLF_OF[type(g)](*operands))
         else:
-            pending += [(g, True), (g.right, False), (g.left, False)]
+            pending.append((g, True))
+            pending += [(getattr(g, name), False) for name in reversed(g._fields)]
     return done[0]
 
 

@@ -265,16 +265,23 @@ def test_json_timelines_of_the_booking_samples_match_their_goldens(capsys):
 def test_uncolored_dot_tooltips_match_their_goldens(capsys):
     """Without colors a DOT node's tooltip is its label: product pairs
     that ``minimize`` copies from its representatives, or the subsets of
-    the unminimized DFA."""
+    the unminimized DFA, here also over the NFA of every LTLf operator."""
     golden = Path(__file__).resolve().parent / "golden"
     formula = "<(a;b)*>tt && [true*](a -> <true>b)"
-    for extra, name in [
-        ([], "tooltips_minimized.dot"),
-        (["--no-minimize"], "tooltips_subsets.dot"),
+    ltlf = "(a U b) || (b R c) || G (a <-> F c) || (WX a -> X !b)"
+    for argv, name in [
+        (["compile", formula, "--props", "a,b", "--format", "dot"], "tooltips_minimized.dot"),
+        (
+            ["compile", formula, "--props", "a,b", "--format", "dot", "--no-minimize"],
+            "tooltips_subsets.dot",
+        ),
+        (
+            ["compile", ltlf, "--lang", "ltlf", "--props", "a,b,c", "--no-minimize",
+             "--format", "dot"],
+            "ltlf_operators_subsets.dot",
+        ),
     ]:
-        code, out, err = run_cli(
-            ["compile", formula, "--props", "a,b", "--format", "dot", *extra], capsys
-        )
+        code, out, err = run_cli(argv, capsys)
         assert code == 0, err
         assert out == (golden / name).read_text(encoding="utf-8"), name
 
@@ -385,6 +392,8 @@ def test_repl_ends_without_end_marker(capsys, monkeypatch):
         ["compile", "<a>tt", "--props", "a, b,"],
         ["meta", "/no/such/model.meta", "--trace", "-"],
         ["compile", "<a>tt", "--out", "/no/such/dir/aut.txt"],
+        ["compile", "<a>tt", "--tasks", ""],
+        ["compile", "<a>tt", "--props", ""],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys):

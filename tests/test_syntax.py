@@ -186,15 +186,48 @@ def test_nnf_fixpoint():
 
 
 def test_ltlf_translation_shapes():
-    a = ltl.LtlfProp(Atom("a"))
-    assert ltlf_to_ldlf(a) == prop_formula(Atom("a"))
-    nxt = ltlf_to_ldlf(ltl.Next(a))
-    assert nxt == Diamond(Step(TRUE), And(prop_formula(Atom("a")), Not(END)))
-    alw = ltlf_to_ldlf(ltl.Always(a))
-    assert isinstance(alw, Not)
+    """The exact LDLf tree of every LTLf operator over two atoms: X, F
+    and U are modalities over ``true`` steps guarded by ``!end``; WX, G
+    and R are their duals, and -> and <-> are written with ! and ||."""
+    a, b = ltl.LtlfProp(Atom("a")), ltl.LtlfProp(Atom("b"))
+    da, db = prop_formula(Atom("a")), prop_formula(Atom("b"))
+    step, not_end = Step(TRUE), Not(END)
+    for f, expected in [
+        (a, Diamond(Step(Atom("a")), TT)),
+        (ltl.LtlfNot(a), Not(da)),
+        (ltl.LtlfAnd(a, b), And(da, db)),
+        (ltl.LtlfOr(a, b), ldl.Or(da, db)),
+        (ltl.LtlfImplies(a, b), ldl.Or(Not(da), db)),
+        (ltl.LtlfIff(a, b), And(ldl.Or(Not(da), db), ldl.Or(Not(db), da))),
+        (ltl.Next(a), Diamond(step, And(da, not_end))),
+        (ltl.WeakNext(a), Not(Diamond(step, And(Not(da), not_end)))),
+        (ltl.Eventually(a), Diamond(Star(step), And(da, not_end))),
+        (ltl.Always(a), Not(Diamond(Star(step), And(Not(da), not_end)))),
+        (
+            ltl.Until(a, b),
+            Diamond(Star(ldl.Seq(PathTest(da), step)), And(db, not_end)),
+        ),
+        (
+            ltl.Release(a, b),
+            Not(
+                Diamond(
+                    Star(ldl.Seq(PathTest(Not(da)), step)),
+                    And(Not(db), not_end),
+                )
+            ),
+        ),
+    ]:
+        assert ltlf_to_ldlf(f) == expected, print_ltlf(f)
+    with pytest.raises(TypeError, match="not an LTLf formula"):
+        ltlf_to_ldlf(da)
+    with pytest.raises(TypeError, match="not an LTLf formula"):
+        ltlf_to_ldlf(ltl.Next(da))
 
 
 def test_ltlf_chains_keep_their_shape():
+    """Chains keep their shape, and API-built formulas nested thousands
+    deep translate: each deep result is checked by walking it in a loop,
+    since ``==`` and ``repr`` recurse."""
     abcd = Alphabet.of("a", "b", "c", "d")
     for text in (
         "(a && (b && c)) && ((d || a) || (b || (c || d)))",
@@ -202,14 +235,47 @@ def test_ltlf_chains_keep_their_shape():
         "((a && b) && c) && d",
     ):
         assert ltlf_to_ldlf(parse_ltlf(text, abcd)) == parse_ldlf(text, abcd)
-    chain = ltl.LtlfProp(Atom("a"))
+    a, b = ltl.LtlfProp(Atom("a")), ltl.LtlfProp(Atom("b"))
+    da, db = prop_formula(Atom("a")), prop_formula(Atom("b"))
+    chain = a
     for _ in range(3000):
-        chain = ltl.LtlfAnd(chain, ltl.LtlfProp(Atom("b")))
+        chain = ltl.LtlfAnd(chain, b)
     translated = ltlf_to_ldlf(chain)
     for _ in range(3000):
-        assert translated.right == prop_formula(Atom("b"))
+        assert translated.right == db
         translated = translated.left
-    assert translated == prop_formula(Atom("a"))
+    assert translated == da
+
+    not_end = Not(END)
+    nexts = a
+    for _ in range(5000):
+        nexts = ltl.Next(nexts)
+    translated = ltlf_to_ldlf(nexts)
+    for _ in range(5000):
+        assert type(translated) is Diamond and translated.path == Step(TRUE)
+        assert type(translated.arg) is And and translated.arg.right == not_end
+        translated = translated.arg.left
+    assert translated == da
+
+    nots = a
+    for _ in range(5000):
+        nots = ltl.LtlfNot(nots)
+    translated = ltlf_to_ldlf(nots)
+    for _ in range(5000):
+        assert type(translated) is Not
+        translated = translated.arg
+    assert translated == da
+
+    untils = b
+    for _ in range(3000):
+        untils = ltl.Until(a, untils)
+    translated = ltlf_to_ldlf(untils)
+    until_path = Star(ldl.Seq(PathTest(da), Step(TRUE)))
+    for _ in range(3000):
+        assert type(translated) is Diamond and translated.path == until_path
+        assert type(translated.arg) is And and translated.arg.right == not_end
+        translated = translated.arg.left
+    assert translated == db
 
 
 def test_nodes_hash_without_deep_recursion_to_the_same_values():
