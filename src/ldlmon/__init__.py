@@ -16,7 +16,6 @@ from .automata import (
     color,
     complement,
     compile_dfa,
-    complete,
     determinize,
     is_empty,
     language_equal,

@@ -51,9 +51,11 @@ classes and is also ``minimize``'s refinement step.
 Every automaton stores one transition table: a tuple of rows, one per
 state, whose cells follow ``alphabet.letters()`` (a letter's column is
 ``alphabet.columns()[letter]``).  A monitor steps through the rows of
-its DFA as they are.
+its DFA as they are.  A DFA's cell is one target, and every DFA is
+total: building a ``Dfa`` with an empty cell is an error.  An NFA's cell
+is a set of targets, empty where there is none.
 
-``color`` gives each state of a total DFA the RV state shared by every
+``color`` gives each state of a DFA the RV state shared by every
 trace reaching it, from the prefix closures of the automaton, pref(f),
 and of its complement, pref(!f): it builds the reverse adjacency once
 and walks it backward twice, from the finals and from the non-finals.
@@ -255,12 +257,13 @@ class Nfa:
 
 @dataclass(frozen=True)
 class Dfa:
-    """A deterministic automaton over an alphabet's letters.
+    """A total deterministic automaton over an alphabet's letters.
 
     ``transitions[state][column]`` is the successor of a state under the
     letter in that column of ``alphabet.letters()``, so a step is one
-    column lookup and one tuple index.  Compiled DFAs are total; a cell
-    is ``None`` only in a partial DFA written by hand.
+    column lookup and one tuple index.  Every cell holds a target: a
+    ``None`` cell is a ``ValueError`` when the DFA is built, also through
+    ``dataclasses.replace``.
     """
 
     alphabet: Alphabet
@@ -270,24 +273,29 @@ class Dfa:
     finals: frozenset
     labels: tuple = ()
 
+    def __post_init__(self):
+        for state, row in enumerate(self.transitions):
+            if None in row:
+                letter = self.alphabet.letters()[row.index(None)]
+                msg = (
+                    "a DFA needs a target in every cell: "
+                    f"state {state} has none under {sorted(letter)}"
+                )
+                raise ValueError(msg)
+
     def step(self, state: int, letter: frozenset) -> int:
         column = self.alphabet.columns().get(letter)
         if column is None:
             self.alphabet.check_letter(letter)
         return self.transitions[state][column]
 
-    def is_total(self) -> bool:
-        return all(None not in row for row in self.transitions)
-
     def edges(self, state: int):
         """The (letter, target) pairs leaving a state, in letter order."""
-        for letter, target in zip(self.alphabet.letters(), self.transitions[state]):
-            if target is not None:
-                yield letter, target
+        return zip(self.alphabet.letters(), self.transitions[state])
 
     def targets(self, state: int) -> frozenset:
         """The distinct successors of a state under any letter."""
-        return frozenset(self.transitions[state]).difference((None,))
+        return frozenset(self.transitions[state])
 
     triples = Nfa.triples
 
@@ -445,41 +453,13 @@ def _automaton(kind, alphabet, order, rows, final, label=None):
     )
 
 
-def complete(aut):
-    """Make the transition relation total by adding a rejecting sink
-    where cells are empty (``None`` in a DFA, no successor in an NFA).
-    Already-total automata come back as is."""
-    if isinstance(aut, Dfa):
-        missing, fill = None, aut.n_states
-    elif isinstance(aut, Nfa):
-        missing, fill = frozenset(), frozenset((aut.n_states,))
-    else:
-        msg = f"not an automaton: {aut!r}"
-        raise TypeError(msg)
-    if not any(missing in row for row in aut.transitions):
-        return aut
-    transitions = tuple(
-        tuple(fill if cell == missing else cell for cell in row)
-        for row in aut.transitions
-    ) + ((fill,) * len(aut.alphabet.letters()),)
-    return replace(
-        aut,
-        n_states=aut.n_states + 1,
-        transitions=transitions,
-        labels=aut.labels + ("sink",) if aut.labels else (),
-    )
-
-
 def complement(dfa: Dfa) -> Dfa:
-    """Flip acceptance.  Pre: the automaton is total (ours always are)."""
-    if not dfa.is_total():
-        msg = "complement needs a total automaton; call complete() first"
-        raise ValueError(msg)
+    """Flip acceptance."""
     return replace(dfa, finals=frozenset(range(dfa.n_states)) - dfa.finals)
 
 
 def product_pairs(a: Dfa, b: Dfa, accept=None):
-    """Synchronized product of two total DFAs over the same alphabet.
+    """Synchronized product of two DFAs over the same alphabet.
 
     Returns the product automaton together with the (state -> pair)
     table, which shape-equivalence arguments rely on.  ``accept``
@@ -487,9 +467,6 @@ def product_pairs(a: Dfa, b: Dfa, accept=None):
     """
     if a.alphabet != b.alphabet:
         msg = "product needs automata over the same alphabet"
-        raise ValueError(msg)
-    if not (a.is_total() and b.is_total()):
-        msg = "product needs total automata; call complete() first"
         raise ValueError(msg)
     if accept is None:
         accept = lambda fa, fb: fa and fb
@@ -514,7 +491,7 @@ def product(a: Dfa, b: Dfa, accept=None) -> Dfa:
 
 
 def product_fold(dfas, accept=None) -> Dfa:
-    """Minimized product of one or more total DFAs, folded left to right;
+    """Minimized product of one or more DFAs, folded left to right;
     no DFA at all is a ValueError.
 
     Minimizing after every product keeps each intermediate automaton no
@@ -532,7 +509,7 @@ def product_fold(dfas, accept=None) -> Dfa:
 
 
 def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None) -> Dfa:
-    """The minimal total DFA of an LDLf formula.
+    """The minimal DFA of an LDLf formula.
 
     Boolean structure at the top is compiled compositionally: a negation
     complements its argument's DFA, and a chain of conjunctions (or
@@ -622,9 +599,6 @@ def minimize(dfa: Dfa) -> Dfa:
     round partitions the reachable states by their block and successor
     blocks, until a round splits none; each block keeps its first state's
     row and label."""
-    if not dfa.is_total():
-        msg = "minimize needs a total automaton; call complete() first"
-        raise ValueError(msg)
     rows = dfa.transitions
     firsts, class_of = letter_classes(dfa)
     states = sorted(reachable_from(dfa, dfa.initial))
@@ -692,7 +666,7 @@ def _predecessors(aut):
 
 @dataclass(frozen=True)
 class ColoredDfa:
-    """A total DFA with one RV state per automaton state."""
+    """A DFA with one RV state per automaton state."""
 
     dfa: Dfa
     colors: tuple
@@ -705,12 +679,9 @@ class ColoredDfa:
 
 
 def color(dfa: Dfa) -> ColoredDfa:
-    """Color every state of a total DFA with its RV state, from the
+    """Color every state of a DFA with its RV state, from the
     states that can reach a final state and those that can reach a
     non-final one: two backward walks over one reverse adjacency."""
-    if not dfa.is_total():
-        msg = "coloring needs a total automaton; call complete() first"
-        raise ValueError(msg)
     finals = dfa.finals
     backward = _predecessors(dfa)
     can_accept = _closure(finals, backward)
@@ -758,14 +729,11 @@ def is_empty(aut) -> bool:
 
 
 def accepts(aut, trace) -> bool:
-    """Run the automaton over a trace (DFA walk or NFA subset walk); a
-    run that reaches an empty cell of a partial DFA rejects."""
+    """Run the automaton over a trace (DFA walk or NFA subset walk)."""
     if isinstance(aut, Dfa):
         state = aut.initial
         for letter in trace:
             state = aut.step(state, frozenset(letter))
-            if state is None:
-                return False
         return state in aut.finals
     current = {aut.initial}
     for letter in trace:

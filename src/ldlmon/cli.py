@@ -245,11 +245,11 @@ def _cmd_repl(args) -> int:
     return 0
 
 
-def _add_formula_args(parser, *, lang_choices):
+def _add_formula_args(parser):
     parser.add_argument("formula", help="the property to work with")
     parser.add_argument(
         "--lang",
-        choices=lang_choices,
+        choices=["ldlf", "ltlf", "re", "pattern"],
         default="ldlf",
         help="input language (default: ldlf)",
     )
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compile = sub.add_parser("compile", help="formula to colored automaton")
-    _add_formula_args(p_compile, lang_choices=["ldlf", "ltlf", "re", "pattern"])
+    _add_formula_args(p_compile)
     p_compile.add_argument(
         "--format", choices=["ascii", "dot", "json"], default="ascii"
     )
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.set_defaults(run=_cmd_compile)
 
     p_monitor = sub.add_parser("monitor", help="run one formula over a trace")
-    _add_formula_args(p_monitor, lang_choices=["ldlf", "ltlf", "pattern"])
+    _add_formula_args(p_monitor)
     p_monitor.add_argument("--trace", required=True, help="trace file, - for stdin")
     p_monitor.add_argument("--format", choices=["ascii", "json"], default="ascii")
     p_monitor.add_argument("--out", help="write here instead of stdout")
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_model.set_defaults(run=_cmd_model, parse_model=parse_model, runner=runner)
 
     p_repl = sub.add_parser("repl", help="monitor events typed interactively")
-    _add_formula_args(p_repl, lang_choices=["ldlf", "ltlf", "pattern"])
+    _add_formula_args(p_repl)
     p_repl.set_defaults(run=_cmd_repl)
 
     return parser

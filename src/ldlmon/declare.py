@@ -475,11 +475,6 @@ class _Lockstep:
             states[name] = monitor.colors[state]
         return states
 
-    def run(self, tasks) -> dict[str, RVState]:
-        for task in tasks:
-            self.step(task)
-        return self.states()
-
     def states(self) -> dict[str, RVState]:
         return {name: monitor.current_rv() for name, monitor in self._monitors}
 

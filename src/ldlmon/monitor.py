@@ -183,8 +183,8 @@ def rv_family(formula: ldl.Ldlf, alphabet: Alphabet) -> dict:
 def shape_equivalent(a, b):
     """A bijection between states preserving the initial state and the
     transition relation in both directions (acceptance is ignored), or
-    None when there is none.  DFAs, partial ones included, and NFAs go
-    through the one search, ``_bijection``."""
+    None when there is none.  DFAs, which are total, and NFAs go through
+    the one search, ``_bijection``."""
     return _bijection(a, b, (None,) * a.n_states, (None,) * b.n_states)
 
 

@@ -1,6 +1,7 @@
 """Formula compilation and the automata algebra."""
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,6 @@ from ldlmon.automata import (
     accepts,
     aut_to_json,
     complement,
-    complete,
     compile_dfa,
     delta,
     delta_epsilon,
@@ -369,7 +369,6 @@ class TestCompiledNextImpliesWeakNext:
     def test_determinization_adds_only_the_sink(self):
         dfa = self.dfa
         assert dfa.n_states == 5
-        assert dfa.is_total()
         assert dfa.finals == frozenset({2, 3})
         assert minimize(dfa).n_states == 5
 
@@ -403,13 +402,12 @@ def test_empty_macro_state_exists_even_when_unreachable():
     assert is_empty(nfa)
 
 
-# Determinization, minimization, completion -----------------------------
+# Determinization, minimization, totality -------------------------------
 
 
 def test_determinize_routes_dead_letters_to_the_empty_subset():
     nfa = ldlf_to_nfa(ldl("<a><b>tt"), AB)
     dfa = determinize(nfa)
-    assert dfa.is_total()
     trapped = dfa.step(dfa.initial, L_B)
     assert reachable_from(dfa, trapped) == frozenset({trapped})
     assert trapped not in dfa.finals
@@ -470,30 +468,22 @@ def test_minimize_preserves_language_on_random_formulas():
             assert accepts(small, trace) == accepts(dfa, trace)
 
 
-def test_complete_adds_a_sink_only_when_needed():
-    partial = Dfa(
-        alphabet=TASKS,
-        n_states=1,
-        initial=0,
-        transitions=column_rows(TASKS, {0: {L_A: 0}}),
-        finals=frozenset({0}),
-    )
-    assert not accepts(partial, trace_from_tasks(["b", "a"]))
-    assert accepts(partial, trace_from_tasks(["a", "a"]))
-    total = complete(partial)
-    assert total.is_total()
-    assert total.n_states == 2
-    assert not accepts(total, trace_from_tasks(["b"]))
-    assert accepts(total, trace_from_tasks(["a", "a"]))
-    assert complete(total) is total
-    nfa = ldlf_to_nfa(ldl("<a><b>tt"), AB)
-    filled = complete(nfa)
-    assert all(
-        filled.successors(s, letter)
-        for s in range(filled.n_states)
-        for letter in AB.letters()
-    )
-    assert complete(filled) is filled
+def test_a_dfa_needs_a_target_in_every_cell():
+    """A ``None`` cell fails when the DFA is built, by hand or through
+    ``dataclasses.replace``, and the error names the state and letter."""
+    with pytest.raises(ValueError, match=r"state 0 has none under \['b'\]"):
+        Dfa(
+            alphabet=TASKS,
+            n_states=1,
+            initial=0,
+            transitions=column_rows(TASKS, {0: {L_A: 0}}),
+            finals=frozenset(),
+        )
+    dfa = compile_dfa(parse_ldlf("<a><b>tt", AB), AB)
+    rows = [list(row) for row in dfa.transitions]
+    rows[1][AB.columns()[L_AB]] = None
+    with pytest.raises(ValueError, match=r"state 1 has none under \['a', 'b'\]"):
+        replace(dfa, transitions=tuple(map(tuple, rows)))
 
 
 # Complement and product ------------------------------------------------
@@ -505,18 +495,6 @@ def test_complement_flips_acceptance():
     for trace in all_traces(AB, 3):
         assert accepts(flipped, trace) != accepts(dfa, trace)
     assert complement(flipped).finals == dfa.finals
-
-
-def test_complement_requires_a_total_automaton():
-    partial = Dfa(
-        alphabet=TASKS,
-        n_states=1,
-        initial=0,
-        transitions=column_rows(TASKS, {0: {L_A: 0}}),
-        finals=frozenset(),
-    )
-    with pytest.raises(ValueError):
-        complement(partial)
 
 
 def test_product_intersects_by_default():
@@ -548,24 +526,6 @@ def test_product_accept_parameter_and_pair_table():
 def test_product_rejects_mismatched_alphabets():
     with pytest.raises(ValueError):
         product(compile_ldlf("a"), compile_ldlf("a", Alphabet.of("a")))
-
-
-def test_product_requires_total_automata():
-    partial = Dfa(
-        alphabet=TASKS,
-        n_states=1,
-        initial=0,
-        transitions=column_rows(TASKS, {0: {L_A: 0}}),
-        finals=frozenset(),
-    )
-    read, _ = aut_from_json(aut_to_json(partial))
-    total = complete(partial)
-    for left, right in ((partial, total), (total, partial), (read, total)):
-        with pytest.raises(ValueError, match="product needs total automata"):
-            product(left, right)
-    for left in (partial, read):
-        with pytest.raises(ValueError, match="product needs total automata"):
-            language_equal(left, total)
 
 
 # Prefix closure, emptiness ---------------------------------------------

@@ -204,6 +204,25 @@ def test_monitor_reads_stdin(capsys, monkeypatch):
     assert out.endswith("final: compliant\n")
 
 
+def test_monitor_and_repl_take_a_regular_expression(capsys, monkeypatch):
+    code, out, err = run_cli(
+        ["monitor", "pay;get", "--lang", "re", "--tasks", "pay,get", "--trace", "-"],
+        capsys,
+        stdin="pay\nget\n",
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0, err
+    assert out.endswith("final: compliant\n")
+    code, out, err = run_cli(
+        ["repl", "pay;get", "--lang", "re", "--tasks", "pay,get"],
+        capsys,
+        stdin="pay\n",
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0, err
+    assert out.endswith("final: noncompliant\n")
+
+
 def test_monitor_trace_comments_and_quoting(tmp_path, capsys):
     trace = write(
         tmp_path / "t.trace", '# setup\n\n"a"\n  b  \n'
@@ -258,6 +277,22 @@ def test_json_timelines_of_the_booking_samples_match_their_goldens(capsys):
          "booking_meta_timeline.json"),
     ]:
         code, out, err = run_cli([*argv, "--format", "json"], capsys)
+        assert code == 0, err
+        assert out == (golden / name).read_text(encoding="utf-8"), name
+
+
+def test_monitor_and_repl_outputs_match_their_goldens(capsys, monkeypatch):
+    golden = Path(__file__).resolve().parent / "golden"
+    tasks = ["--lang", "pattern", "--tasks", "pay,acc,get,cancel"]
+    for argv, stdin, name in [
+        (
+            ["monitor", "response(pay, get)", *tasks, "--trace", "samples/booking.trace"],
+            None,
+            "booking_response_monitor.txt",
+        ),
+        (["repl", "absence2(pay)", *tasks], "pay\nacc\n", "absence2_repl.txt"),
+    ]:
+        code, out, err = run_cli(argv, capsys, stdin, monkeypatch)
         assert code == 0, err
         assert out == (golden / name).read_text(encoding="utf-8"), name
 

@@ -363,7 +363,8 @@ def test_booking_timeline_rows():
 
 def test_timeline_replays_its_trace_from_the_start():
     monitor = ModelMonitor(parse_decl(BOOKING_DECL))
-    monitor.run(["cancel", "get"])
+    for task in ["cancel", "get"]:
+        monitor.step(task)
     timeline = monitor.timeline(["pay", "acc", "cancel"])
     assert timeline.columns == ["begin", "pay", "acc", "cancel", "complete"]
     assert dict(timeline.rows) == BOOKING_ROWS
@@ -390,12 +391,12 @@ def test_forbidden_rows_are_empty_at_trace_completion():
 
 def test_model_monitor_reset_and_validation():
     monitor = ModelMonitor(parse_decl(BOOKING_DECL))
-    monitor.run(["pay"])
+    monitor.step("pay")
     monitor.reset()
     assert monitor.states()["model"] is TT_
     with pytest.raises(ValueError):
         monitor.step("fly")
-    assert monitor.run([])["model"] is TT_
+    assert monitor.states()["model"] is TT_
 
 
 def test_an_unknown_task_moves_no_monitor():
@@ -403,7 +404,8 @@ def test_an_unknown_task_moves_no_monitor():
         ModelMonitor(parse_decl(BOOKING_DECL)),
         MetaMonitor(parse_meta(BOOKING_META)),
     ):
-        runner.run(["pay", "cancel"])
+        for task in ["pay", "cancel"]:
+            runner.step(task)
         before = runner.states()
         for task in ("fly", {"pay"}):
             with pytest.raises(ValueError, match="unknown task"):
@@ -582,7 +584,9 @@ def test_meta_monitor_stepwise_states():
 
 def test_meta_monitor_run_reset_and_validation():
     monitor = MetaMonitor(parse_meta(BOOKING_META))
-    states = monitor.run(META_TRACE)
+    for task in META_TRACE:
+        monitor.step(task)
+    states = monitor.states()
     assert states["cmp"] is PT_
     monitor.reset()
     assert monitor.states()["cnf"] is TF_

@@ -2,16 +2,15 @@
 
 ``ldlf_to_nfa``, ``determinize``, ``minimize`` and ``product_pairs``
 compute one successor per letter class and copy it into every column of
-the class; the prefix closures walk each state's distinct targets;
-``complete`` walks column rows.  The references below are the per-letter
-versions these replaced, kept verbatim apart from names and from how
-they read and write rows; the per-letter NFA construction conjoins
-obligations through ``reference_delta``, the positive boolean formulas
-``automata.delta`` no longer builds.  Every table, label and final set
-must come out byte-identical, on prop alphabets where the formula uses
-only some of the props and on task alphabets.
+the class; the prefix closures walk each state's distinct targets.  The
+references below are the per-letter versions these replaced, kept
+verbatim apart from names and from how they read and write rows; the
+per-letter NFA construction conjoins obligations through
+``reference_delta``, the positive boolean formulas ``automata.delta`` no
+longer builds.  Every table, label and final set must come out
+byte-identical, on prop alphabets where the formula uses only some of
+the props and on task alphabets.
 """
-import json
 import operator
 import random
 from collections import deque
@@ -23,7 +22,6 @@ from ldlmon.automata import (
     Nfa,
     aut_to_json,
     compile_dfa,
-    complete,
     delta,
     determinize,
     ldlf_to_nfa,
@@ -40,7 +38,7 @@ from ldlmon.syntax.transforms import to_nnf
 
 import reference_delta as ref
 from reference_json import aut_from_json
-from genformulas import column_rows, random_dfa, random_ldlf, seeded_cases
+from genformulas import column_rows, random_dfa, seeded_cases
 
 
 def reference_ldlf_to_nfa(formula, alphabet):
@@ -380,103 +378,11 @@ def reference_product_pairs(a, b, accept=None):
     return dfa, tuple(order)
 
 
-def reference_complete(aut):
-    letters = aut.alphabet.letters()
-    if isinstance(aut, Dfa):
-        if all(
-            len(dict(aut.edges(s))) == len(letters) for s in range(aut.n_states)
-        ):
-            return aut
-        sink = aut.n_states
-        transitions = {}
-        for state in range(aut.n_states):
-            row = dict(aut.edges(state))
-            for letter in letters:
-                row.setdefault(letter, sink)
-            transitions[state] = row
-        transitions[sink] = {letter: sink for letter in letters}
-        return Dfa(
-            alphabet=aut.alphabet,
-            n_states=aut.n_states + 1,
-            initial=aut.initial,
-            transitions=column_rows(aut.alphabet, transitions),
-            finals=aut.finals,
-            labels=aut.labels + ("sink",) if aut.labels else (),
-        )
-    needs_sink = any(
-        not aut.successors(state, letter)
-        for state in range(aut.n_states)
-        for letter in letters
-    )
-    if not needs_sink:
-        return aut
-    sink = aut.n_states
-    transitions = {}
-    for state in range(aut.n_states):
-        row = {
-            letter: set(aut.successors(state, letter))
-            for letter in letters
-            if aut.successors(state, letter)
-        }
-        for letter in letters:
-            if not row.get(letter):
-                row[letter] = {sink}
-        transitions[state] = {
-            letter: frozenset(targets) for letter, targets in row.items()
-        }
-    transitions[sink] = {letter: frozenset((sink,)) for letter in letters}
-    return Nfa(
-        alphabet=aut.alphabet,
-        n_states=aut.n_states + 1,
-        initial=aut.initial,
-        transitions=column_rows(aut.alphabet, transitions, frozenset()),
-        finals=aut.finals,
-        labels=aut.labels + ("sink",) if aut.labels else (),
-    )
-
-
 ALPHABETS = (
     Alphabet.of("a", "b"),
     Alphabet(("p0", "p1", "p2")),
     Alphabet.tasks(["a", "b", "c"]),
 )
-
-
-def seeded_json_automata(seed, count):
-    """Random DFAs and NFAs read back with ``aut_from_json``: total DFAs,
-    DFAs with some transitions dropped, NFAs with extra random edges and
-    dropped ones, and compiled NFAs with dropped edges."""
-    rng = random.Random(seed)
-    for i in range(count):
-        alphabet = ALPHABETS[i % len(ALPHABETS)]
-        if i % 4 == 3:
-            formula = random_ldlf(rng, list(alphabet.props), depth=3, star_depth=1)
-            payload = json.loads(aut_to_json(ldlf_to_nfa(formula, alphabet)))
-        else:
-            payload = json.loads(aut_to_json(random_dfa(rng, alphabet, max_states=6)))
-        n = payload["n_states"]
-        if i % 4 == 2:
-            payload["kind"] = "nfa"
-            for _ in range(rng.randint(0, 2 * n)):
-                letter = sorted(rng.choice(alphabet.letters()))
-                payload["transitions"].append([rng.randrange(n), letter, rng.randrange(n)])
-        if i % 4 != 0:
-            drop = rng.random() * 0.5
-            payload["transitions"] = [
-                t for t in payload["transitions"] if rng.random() >= drop
-            ]
-        yield aut_from_json(json.dumps(payload))[0]
-
-
-def test_complete_matches_the_per_letter_construction():
-    partial = 0
-    for aut in seeded_json_automata(7004, 240):
-        got, want = complete(aut), reference_complete(aut)
-        assert aut_to_json(got) == aut_to_json(want)
-        assert got.labels == want.labels
-        assert (got is aut) == (want is aut)
-        partial += got is not aut
-    assert partial > 100
 
 
 def test_product_pairs_matches_the_per_letter_construction():

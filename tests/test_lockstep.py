@@ -35,7 +35,8 @@ def assert_agrees_with_reference(runner, named):
     for trace, want in reference_states(named, runner.model.alphabet):
         runner.reset()
         if trace:
-            runner.run(trace[:-1])
+            for task in trace[:-1]:
+                runner.step(task)
             got = runner.step(trace[-1])
         else:
             got = runner.states()
@@ -163,7 +164,8 @@ def test_model_forbidden_rows_match_a_letter_by_letter_scan():
             cells_naming_tasks += sum(cell != "-" for cell in want)
             assert runner.forbidden() == tasks[-1], trace
             runner.reset()
-            runner.run(trace)
+            for task in trace:
+                runner.step(task)
             assert runner.forbidden() == tasks[-1], trace
     assert cells_naming_tasks >= 1000
 

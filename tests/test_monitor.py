@@ -107,18 +107,6 @@ def test_colors_of_the_worked_formula():
     assert colored.dfa.finals == frozenset({2, 3})
 
 
-def test_coloring_requires_a_total_automaton():
-    partial = Dfa(
-        alphabet=TASKS,
-        n_states=1,
-        initial=0,
-        transitions=column_rows(TASKS, {0: {L_A: 0}}),
-        finals=frozenset(),
-    )
-    with pytest.raises(ValueError):
-        color(partial)
-
-
 def test_colors_match_the_brute_force_oracle():
     rng = random.Random(2024)
     for _ in range(15):
@@ -487,7 +475,6 @@ def edge_list(aut):
         for s, row in enumerate(aut.transitions)
         for column, cell in enumerate(row)
         for t in ((cell,) if deterministic else sorted(cell))
-        if t is not None
     ]
 
 
@@ -545,18 +532,15 @@ def random_nfa(rng, alphabet, max_states=7) -> Nfa:
 
 
 def shape_subjects():
-    """Seeded automata for the differential test: total DFAs, some with
-    unreachable states, partial DFAs, compiled NFAs and random NFAs."""
+    """Seeded automata for the differential test: DFAs, some with
+    unreachable states, compiled NFAs and random NFAs, whose empty cells
+    stand for missing edges.  The last 40 DFAs have at most 6 states, so
+    the brute-force colored check covers them all."""
     rng = random.Random(1414)
     alphabets = [AB, TASKS, Alphabet.tasks(["a", "b", "c"]), Alphabet.tasks(["a"])]
-    for i in range(60):
-        yield with_unreachable_states(rng, random_dfa(rng, alphabets[i % 4], max_states=6))
-    for i in range(40):
-        dfa = random_dfa(rng, alphabets[i % 4], max_states=6)
-        rows = tuple(
-            tuple(None if rng.random() < 0.3 else t for t in row) for row in dfa.transitions
-        )
-        yield replace(dfa, transitions=rows)
+    for i in range(100):
+        max_states = 6 if i < 60 else 3
+        yield with_unreachable_states(rng, random_dfa(rng, alphabets[i % 4], max_states))
     for formula, alphabet in seeded_cases(1415, 40):
         yield ldlf_to_nfa(formula, alphabet)
     for i in range(40):

@@ -26,7 +26,6 @@ ORACLES = (
     "accepts",  # runs any automaton over a trace: the language oracle
     "is_empty",  # emptiness of a language, beside language_equal
     "language_equal",  # the equivalence check of the differential tests
-    "complete",  # totalizes a partial DFA before it is compared or colored
     "rv_family",  # the four RV-state languages read off one coloring
     "colored_isomorphic",  # compares a compiled monitor with a golden one up to renumbering
     "is_nnf",  # checks that to_nnf's output is in negation normal form
