@@ -1,4 +1,5 @@
 """Formula compilation and the automata algebra."""
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -497,6 +498,23 @@ def test_complement_flips_acceptance():
     assert complement(flipped).finals == dfa.finals
 
 
+def test_complement_requires_a_total_automaton():
+    """A partial table fails when its DFA is built, so ``complement``
+    never sees one; every built DFA is total and complements."""
+    with pytest.raises(ValueError, match="has none under"):
+        complement(
+            Dfa(
+                alphabet=TASKS,
+                n_states=1,
+                initial=0,
+                transitions=column_rows(TASKS, {0: {L_A: 0}}),
+                finals=frozenset(),
+            )
+        )
+    dfa = compile_ldlf("<a>tt")
+    assert complement(complement(dfa)).finals == dfa.finals
+
+
 def test_product_intersects_by_default():
     left = compile_ldlf("<true*>a")
     right = compile_ldlf("[true*](b || end)")
@@ -526,6 +544,34 @@ def test_product_accept_parameter_and_pair_table():
 def test_product_rejects_mismatched_alphabets():
     with pytest.raises(ValueError):
         product(compile_ldlf("a"), compile_ldlf("a", Alphabet.of("a")))
+
+
+def test_product_requires_total_automata():
+    """A partial table, by hand, through ``dataclasses.replace`` or read
+    back from JSON with an edge dropped, fails when its DFA is built, so
+    neither ``product`` nor ``language_equal`` sees one."""
+    total = compile_ldlf("<a>tt")
+    payload = json.loads(aut_to_json(total))
+    payload["transitions"] = payload["transitions"][1:]
+    rows = [list(row) for row in total.transitions]
+    rows[0][0] = None
+    partials = (
+        lambda: Dfa(
+            alphabet=AB,
+            n_states=1,
+            initial=0,
+            transitions=column_rows(AB, {0: {L_A: 0}}),
+            finals=frozenset(),
+        ),
+        lambda: replace(total, transitions=tuple(map(tuple, rows))),
+        lambda: aut_from_json(json.dumps(payload))[0],
+    )
+    for build in partials:
+        with pytest.raises(ValueError, match="has none under"):
+            product(build(), total)
+        with pytest.raises(ValueError, match="has none under"):
+            language_equal(total, build())
+    assert language_equal(product(total, total), total)
 
 
 # Prefix closure, emptiness ---------------------------------------------

@@ -107,6 +107,21 @@ def test_colors_of_the_worked_formula():
     assert colored.dfa.finals == frozenset({2, 3})
 
 
+def test_coloring_requires_a_total_automaton():
+    """A partial table fails when its DFA is built, so ``color`` never
+    sees one."""
+    with pytest.raises(ValueError, match="has none under"):
+        color(
+            Dfa(
+                alphabet=TASKS,
+                n_states=1,
+                initial=0,
+                transitions=column_rows(TASKS, {0: {L_A: 0}}),
+                finals=frozenset(),
+            )
+        )
+
+
 def test_colors_match_the_brute_force_oracle():
     rng = random.Random(2024)
     for _ in range(15):
