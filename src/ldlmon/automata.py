@@ -155,8 +155,9 @@ def delta(f: ldl.Ldlf, letter, unfolding: tuple = ()) -> tuple:
     path and cannot reach them, so it starts with an empty tuple.  A
     ``DfaPath`` at a DFA state holds ``delta(arg)`` here when the state
     is final and misses otherwise; on a letter it joins that with the
-    obligation on the successor state, or with a miss when no final
-    state is reachable from there.  Pre: f is in negation normal form.
+    obligation on the successor state, unless no final state is
+    reachable from there: then, as on EPSILON, it holds just that.
+    Pre: f is in negation normal form.
     """
     if isinstance(f, ldl.Tt):
         return TRUE_MODELS
@@ -197,7 +198,7 @@ def delta(f: ldl.Ldlf, letter, unfolding: tuple = ()) -> tuple:
                 return here
             target = path.dfa.transitions[path.state][path.dfa.alphabet.columns()[letter]]
             if target not in path.live:
-                return join(here, miss)
+                return here
             moved = DfaPath(path.name, target, path.dfa, path.live, path.atoms)
             return join(here, _emit(modality(moved, arg)))
     if isinstance(f, ldl.Not):

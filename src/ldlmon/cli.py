@@ -40,7 +40,6 @@ from .automata import aut_to_json, compile_dfa, determinize, guards_by_target, l
 from .declare import (
     MetaMonitor,
     ModelMonitor,
-    ModelSyntaxError,
     _logical_lines,
     _split_names,
     finalize,
@@ -51,7 +50,6 @@ from .declare import (
 from .monitor import Monitor, color
 from .syntax import (
     Alphabet,
-    FormulaSyntaxError,
     parse_ldlf,
     parse_ltlf,
     parse_re,
@@ -75,9 +73,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _resolve_formula(args) -> tuple:
     """Parse args.formula per args.lang; returns (ldlf, alphabet)."""
     alphabet = None
-    if getattr(args, "tasks", None) is not None:
+    if args.tasks is not None:
         alphabet = Alphabet.tasks(_split_names(args.tasks))
-    elif getattr(args, "props", None) is not None:
+    elif args.props is not None:
         alphabet = Alphabet.of(*_split_names(args.props))
     if args.lang == "pattern":
         formula, alphabet = parse_pattern(args.formula, alphabet)
@@ -307,7 +305,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.run(args)
-    except (CliError, FormulaSyntaxError, ModelSyntaxError, ValueError, KeyError) as exc:
+    except (CliError, ValueError, KeyError) as exc:
         print(f"ldlmon: {exc}", file=sys.stderr)
         return 1
     except RecursionError:

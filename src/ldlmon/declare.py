@@ -52,7 +52,9 @@ pattern of its arguments (``response(a, b)`` and ``response(a, a)``
 differ), compiled over the distinct argument slots plus one task that
 stands for every other task.  A constraint's monitor copies each
 task's column from its slot's, or from the other task's, and renumbers
-the states breadth first (``automata.rename_columns``).  The table is
+the states breadth first (``automata.rename_columns``).  When every task
+is an argument, none copies the other task's column, and the result is
+still the compiled minimal DFA (``tests/test_templates.py``).  The table is
 filled on first use and holds at most 15 entries, one per pattern and
 equality pattern of the catalog, whatever the input; it is the only
 compiled automaton kept between builds.  Everything else, ``ltl:``
@@ -311,9 +313,7 @@ def parse_decl(text: str) -> DeclareModel:
 def local_monitors(model: DeclareModel) -> dict[str, Monitor]:
     """One monitor per constraint.  A constraint read from a pattern call
     is instantiated from the pattern table (see the module docstring);
-    the others, and a call whose arguments are every task of the
-    alphabet, leaving no column for the other task, are compiled
-    through one memo."""
+    the others are compiled through one memo."""
     memo: dict = {}
     return {
         c.name: Monitor(_local_automaton(c, model.alphabet, memo))
@@ -345,11 +345,9 @@ def _local_automaton(constraint: Constraint, alphabet: Alphabet, memo: dict) -> 
     if constraint.call is not None and alphabet.singleton_letters:
         pattern, args = constraint.call
         slot = {arg: index for index, arg in enumerate(dict.fromkeys(args))}
-        other = len(slot)
-        if other < len(alphabet.props):
-            template = _template(pattern, tuple(map(slot.get, args)))
-            source = [slot.get(task, other) for task in alphabet.props]
-            return rename_columns(template, alphabet, source)
+        template = _template(pattern, tuple(map(slot.get, args)))
+        source = [slot.get(task, len(slot)) for task in alphabet.props]
+        return rename_columns(template, alphabet, source)
     return color(compile_dfa(constraint.to_ldlf(), alphabet, memo))
 
 
@@ -467,8 +465,7 @@ class _Lockstep:
         try:
             column = self._columns[task]
         except (KeyError, TypeError):  # TypeError: an unhashable event
-            msg = f"unknown task {task!r}"
-            raise ValueError(msg) from None
+            column = self._column(task)  # raises the unknown-task error
         states = {}
         for name, monitor in self._monitors:
             monitor.current = state = monitor.table[monitor.current][column]

@@ -1,12 +1,12 @@
 """End-to-end checks of the ``ldlmon`` command line driver."""
 import json
-from pathlib import Path
 
 import pytest
 
 from ldlmon.cli import build_parser, main
 from ldlmon.rv import RVState
 
+from golden_runs import GOLDEN, ROOT, RUNS
 from reference_json import aut_from_json
 
 
@@ -268,57 +268,14 @@ def test_declare_json_format(tmp_path, capsys):
     assert rows["existence(b)"] == ["TF", "TF", "PT", "PT"]
 
 
-def test_json_timelines_of_the_booking_samples_match_their_goldens(capsys):
-    golden = Path(__file__).resolve().parent / "golden"
-    for argv, name in [
-        (["declare", "samples/booking.decl", "--trace", "samples/booking.trace"],
-         "booking_timeline.json"),
-        (["meta", "samples/booking.meta", "--trace", "samples/booking-meta.trace"],
-         "booking_meta_timeline.json"),
-    ]:
-        code, out, err = run_cli([*argv, "--format", "json"], capsys)
-        assert code == 0, err
-        assert out == (golden / name).read_text(encoding="utf-8"), name
-
-
-def test_monitor_and_repl_outputs_match_their_goldens(capsys, monkeypatch):
-    golden = Path(__file__).resolve().parent / "golden"
-    tasks = ["--lang", "pattern", "--tasks", "pay,acc,get,cancel"]
-    for argv, stdin, name in [
-        (
-            ["monitor", "response(pay, get)", *tasks, "--trace", "samples/booking.trace"],
-            None,
-            "booking_response_monitor.txt",
-        ),
-        (["repl", "absence2(pay)", *tasks], "pay\nacc\n", "absence2_repl.txt"),
-    ]:
-        code, out, err = run_cli(argv, capsys, stdin, monkeypatch)
-        assert code == 0, err
-        assert out == (golden / name).read_text(encoding="utf-8"), name
-
-
-def test_uncolored_dot_tooltips_match_their_goldens(capsys):
-    """Without colors a DOT node's tooltip is its label: product pairs
-    that ``minimize`` copies from its representatives, or the subsets of
-    the unminimized DFA, here also over the NFA of every LTLf operator."""
-    golden = Path(__file__).resolve().parent / "golden"
-    formula = "<(a;b)*>tt && [true*](a -> <true>b)"
-    ltlf = "(a U b) || (b R c) || G (a <-> F c) || (WX a -> X !b)"
-    for argv, name in [
-        (["compile", formula, "--props", "a,b", "--format", "dot"], "tooltips_minimized.dot"),
-        (
-            ["compile", formula, "--props", "a,b", "--format", "dot", "--no-minimize"],
-            "tooltips_subsets.dot",
-        ),
-        (
-            ["compile", ltlf, "--lang", "ltlf", "--props", "a,b,c", "--no-minimize",
-             "--format", "dot"],
-            "ltlf_operators_subsets.dot",
-        ),
-    ]:
-        code, out, err = run_cli(argv, capsys)
-        assert code == 0, err
-        assert out == (golden / name).read_text(encoding="utf-8"), name
+@pytest.mark.parametrize("name, argv, stdin", RUNS, ids=[run[0] for run in RUNS])
+def test_cli_runs_reproduce_their_goldens(name, argv, stdin, capsys, monkeypatch):
+    # Each file under tests/golden has exactly one run in RUNS.
+    assert sorted(run[0] for run in RUNS) == sorted(path.name for path in GOLDEN.iterdir())
+    monkeypatch.chdir(ROOT)
+    code, out, err = run_cli(argv, capsys, stdin, monkeypatch)
+    assert code == 0, err
+    assert out == (GOLDEN / name).read_bytes().decode("utf-8")
 
 
 def test_meta_runs_the_sample_model(capsys):

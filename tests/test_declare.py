@@ -411,6 +411,9 @@ def test_an_unknown_task_moves_no_monitor():
             with pytest.raises(ValueError, match="unknown task"):
                 runner.step(task)
             assert runner.states() == before
+            with pytest.raises(ValueError, match="unknown task"):
+                runner.timeline(["pay", task])
+            assert runner.states() == before
 
 
 def test_local_and_global_monitors():

@@ -67,8 +67,7 @@ def test_instantiated_monitors_match_their_compiled_formulas(pattern, n_tasks):
         assert c.call == (pattern, tuple(c.name[len(pattern) + 1 : -1].split(", ")))
         want = colored_json(compile_dfa(c.to_ldlf(), alphabet))
         assert monitor_json(monitors[c.name]) == want, c.name
-        if len(set(c.call[1])) < n_tasks:  # instantiated, not compiled
-            assert monitors[c.name].dfa.labels == ()
+        assert monitors[c.name].dfa.labels == ()  # instantiated, not compiled
     runner = ModelMonitor(model)
     assert [monitor_json(m) for m in runner.locals.values()] == [
         monitor_json(m) for m in monitors.values()
@@ -88,9 +87,9 @@ def test_pattern_calls_compile_nothing_once_their_templates_exist(monkeypatch):
     monkeypatch.setattr(automata, "ldlf_to_nfa", counting)
     local_monitors(parse_decl(EVERY_TEMPLATE.replace("tasks: a, b, c", "tasks: c, b, a, d")))
     assert built == []
-    # Every task an argument: no column for the other task, so compiled.
+    # Every task an argument: no column copies the other task's.
     local_monitors(parse_decl("tasks: a\nresponse(a, a)\n"))
-    assert built != []
+    assert built == []
 
 
 def test_calls_are_recorded_only_for_pattern_lines():
