@@ -19,9 +19,9 @@ fixpoint).  The paper marks these loops with marker atoms instead.
 
 A path may also be a ``DfaPath``, a DFA state standing for the traces
 from there to a final state; ``compile_dfa`` puts one in place of each
-RV path (a reference to a monitor state of another formula), and
-``delta`` walks it one letter at a time, the way propositional dynamic
-logic over flowcharts treats a program.
+RV path (a reference to a monitor state of another formula) that is
+no edit of a colored DFA, and ``delta`` walks it one letter at a time,
+the way propositional dynamic logic over flowcharts treats a program.
 
 Acceptance of a macro-state asks whether every obligation in it is
 satisfied by the empty remainder, via the same recursion with the
@@ -69,7 +69,7 @@ import functools
 import json
 import operator
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .rv import RVState, RvAtom, RvPath
 from .syntax import ldl
@@ -255,6 +255,12 @@ class Nfa:
             for letter, target in self.edges(state):
                 yield state, letter, target
 
+    def with_finals(self, finals):
+        """The automaton with other finals and this one's table, not checked again."""
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__, finals=frozenset(finals))
+        return copy
+
 
 @dataclass(frozen=True)
 class Dfa:
@@ -264,7 +270,7 @@ class Dfa:
     letter in that column of ``alphabet.letters()``, so a step is one
     column lookup and one tuple index.  Every cell holds a target: a
     ``None`` cell is a ``ValueError`` when the DFA is built, also through
-    ``dataclasses.replace``.
+    ``dataclasses.replace``; ``with_finals`` carries a checked table over.
     """
 
     alphabet: Alphabet
@@ -299,6 +305,7 @@ class Dfa:
         return frozenset(self.transitions[state])
 
     triples = Nfa.triples
+    with_finals = Nfa.with_finals
 
 
 class DfaPath(ldl.AutomatonPath):
@@ -456,7 +463,7 @@ def _automaton(kind, alphabet, order, rows, final, label=None):
 
 def complement(dfa: Dfa) -> Dfa:
     """Flip acceptance."""
-    return replace(dfa, finals=frozenset(range(dfa.n_states)) - dfa.finals)
+    return dfa.with_finals(frozenset(range(dfa.n_states)) - dfa.finals)
 
 
 def product_pairs(a: Dfa, b: Dfa, accept=None):
@@ -521,25 +528,29 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
     same whichever way they were built; only the debug labels differ.
 
     ``memo`` maps ``("dfa", formula, alphabet)`` to the DFA already built
-    for an RV atom or a formula that takes the NFA route, so each product
-    operand and negated argument is looked up there.  Chains and
-    negations are not keyed themselves: a hit compares two chains with
-    the recursive ``__eq__``, which a deep chain would exhaust, and
-    complementing or refolding memoized operands is cheap next to the
-    NFA construction.
-    One build (a model monitor, a CLI command) passes the same dict to
-    all its calls and drops it when done, so each distinct subformula is
-    compiled once per build; a call without one gets a fresh dict.
+    for an RV atom, a formula that takes the NFA route or one that
+    ``colored_dfa`` holds.  Each call looks its formula up first, and
+    flattening stops at any link held there, so no formula in the memo is
+    recompiled.  One build (a model monitor, a CLI command) passes the
+    same dict to all its calls and drops it when done, so each distinct
+    subformula is compiled once per build; a call without one gets its own.
 
     RV nodes are compiled from automata, not from their LDLf encoding
     (``metaconstraints.expand``): an ``RvAtom`` is a leaf whose DFA is
     the referenced formula's colored DFA with the states of its RV state
-    made final, and on the NFA route ``_lower_rv`` puts ``DfaPath``
-    nodes on such DFAs in place of RV paths and of RV atoms under a
-    modality.
+    made final.  ``<RvPath(f, s)>tt`` with s permanent, so absorbing, is
+    ``RvAtom(f, s)``, and ``[RvPath(f, s)](<g>tt || end)`` is f's colored
+    DFA with every state final and, from each state of color s, the
+    letters that falsify g sent to a rejecting sink.  On the NFA route
+    ``_lower_rv`` puts ``DfaPath`` nodes on RV atoms' DFAs in place of
+    other RV paths and of RV atoms under a modality.
     """
     if memo is None:
         memo = {}
+    key = ("dfa", formula, alphabet)
+    dfa = memo.get(key)
+    if dfa is not None:
+        return dfa
     if isinstance(formula, ldl.Not):
         return complement(compile_dfa(formula.arg, alphabet, memo))
     if isinstance(formula, (ldl.And, ldl.Or)):
@@ -548,24 +559,58 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
         pending = [formula]
         while pending:
             f = pending.pop()
-            if isinstance(f, kind):
+            if isinstance(f, kind) and ("dfa", f, alphabet) not in memo:
                 pending.append(f.right)
                 pending.append(f.left)
             else:
                 operands.append(f)
         accept = None if kind is ldl.And else operator.or_
         return product_fold((compile_dfa(f, alphabet, memo) for f in operands), accept)
-    key = ("dfa", formula, alphabet)
-    dfa = memo.get(key)
-    if dfa is None:
-        if isinstance(formula, RvAtom):
-            colored = color(compile_dfa(formula.formula, alphabet, memo))
-            dfa = colored.accepting({formula.state})
-        else:
-            lowered = _lower_rv(formula, alphabet, memo)
-            dfa = minimize(determinize(ldlf_to_nfa(lowered, alphabet)))
-        memo[key] = dfa
+    path = getattr(formula, "path", None)
+    if isinstance(path, RvPath) and path.state.permanent and formula == ldl.Diamond(path, ldl.TT):
+        return compile_dfa(RvAtom(path.formula, path.state), alphabet, memo)
+    guard = _next_letter_guard(formula.arg) if isinstance(path, RvPath) else None
+    if isinstance(formula, RvAtom):
+        dfa = colored_dfa(formula.formula, alphabet, memo).accepting({formula.state})
+    elif isinstance(formula, ldl.Box) and guard is not None:
+        dfa = _guard_after(colored_dfa(path.formula, alphabet, memo), path.state, guard)
+    else:
+        lowered = _lower_rv(formula, alphabet, memo)
+        dfa = minimize(determinize(ldlf_to_nfa(lowered, alphabet)))
+    memo[key] = dfa
     return dfa
+
+
+def colored_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict, build=None) -> ColoredDfa:
+    """The formula's colored minimal DFA, kept in ``memo`` (its DFA under
+    ``compile_dfa``'s key): ``build()``, or by default the colors of
+    ``compile_dfa``'s DFA, gives it when the memo holds none yet."""
+    key = ("color", formula, alphabet)
+    colored = memo.get(key)
+    if colored is None:
+        colored = memo[key] = build() if build else color(compile_dfa(formula, alphabet, memo))
+        memo["dfa", formula, alphabet] = colored.dfa
+    return colored
+
+
+def _next_letter_guard(f: ldl.Ldlf) -> Prop | None:
+    """g when f is ``<g>tt || end``, otherwise None."""
+    step = getattr(getattr(f, "left", None), "path", None)
+    if isinstance(step, ldl.Step) and f == ldl.Or(ldl.prop_formula(step.guard), ldl.END):
+        return step.guard
+    return None
+
+
+def _guard_after(colored: ColoredDfa, state: RVState, guard: Prop) -> Dfa:
+    """``[RvPath(f, state)](<guard>tt || end)`` from f's colored DFA."""
+    dfa, sink = colored.dfa, colored.dfa.n_states
+    allowed = [eval_prop(guard, letter) for letter in dfa.alphabet.letters()]
+    rows = [
+        tuple(t if ok else sink for t, ok in zip(row, allowed)) if rv is state else row
+        for row, rv in zip(dfa.transitions, colored.colors)
+    ]
+    rows.append((sink,) * len(allowed))
+    return minimize(Dfa(dfa.alphabet, sink + 1, dfa.initial, tuple(rows), frozenset(range(sink))))
 
 
 def _lower_rv(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict) -> ldl.Ldlf:
@@ -652,7 +697,7 @@ def prefix_closure(aut):
     The transition structure is untouched, so the result has the same
     shape as the input.
     """
-    return replace(aut, finals=_closure(aut.finals, _predecessors(aut)))
+    return aut.with_finals(_closure(aut.finals, _predecessors(aut)))
 
 
 def _predecessors(aut):
@@ -676,7 +721,7 @@ class ColoredDfa:
         """The minimized DFA whose finals are the states with a color in
         ``colors``, such as ``rv.SATISFIABLE`` for pref(f)."""
         finals = frozenset(q for q, rv in enumerate(self.colors) if rv in colors)
-        return minimize(replace(self.dfa, finals=finals))
+        return minimize(self.dfa.with_finals(finals))
 
 
 def color(dfa: Dfa) -> ColoredDfa:

@@ -57,9 +57,9 @@ is an argument, none copies the other task's column, and the result is
 still the compiled minimal DFA (``tests/test_templates.py``).  The table is
 filled on first use and holds at most 15 entries, one per pattern and
 equality pattern of the catalog, whatever the input; it is the only
-compiled automaton kept between builds.  Everything else, ``ltl:``
-constraints, defines and directives included, compiles through one
-memo per build (see ``automata.compile_dfa``), so a property that
+compiled automaton kept between builds, and ``.meta`` defines that are
+pattern calls read it too.  Everything else compiles through one memo
+per build (see ``automata.compile_dfa``), so a property that
 several constraints or directives refer to is compiled once per build,
 and the memo is dropped when the build returns.
 """
@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .automata import ColoredDfa, color, compile_dfa, product_fold, rename_columns
+from .automata import ColoredDfa, color, colored_dfa, compile_dfa, product_fold, rename_columns
 from .metaconstraints import (
     compensation,
     conflict,
@@ -693,19 +693,22 @@ def _parse_directive(name: str, body: str, alphabet: Alphabet, ref) -> MetaDirec
 class MetaMonitor(_Lockstep):
     """Monitors for the shown constraints and every directive, advanced
     in lockstep; states are reported shown constraints first, then
-    directives in file order.  Directive formulas are compiled as they
-    are, RV nodes straight from the referenced constraints' monitors (see
-    ``automata.compile_dfa``), through one memo, which the monitor does
-    not keep."""
+    directives in file order.  Each define they refer to gets its colored
+    DFA as in ``local_monitors``, kept in a memo that the build drops; a
+    shown define's monitor is that DFA, and directive formulas compile as
+    they are through the memo (see ``automata.compile_dfa``)."""
 
     def __init__(self, model: MetaModel):
         memo: dict = {}
         self.model = model
         alphabet = model.alphabet
-        self.shown = {
-            name: Monitor.for_formula(model.define(name).to_ldlf(), alphabet, memo)
-            for name in model.shows
-        }
+        colored = {}
+        for name in [*model.shows, *(t for d in model.directives for t in d.targets)]:
+            define = model.define(name)
+            colored[name] = colored_dfa(
+                define.to_ldlf(), alphabet, memo, lambda: _local_automaton(define, alphabet, memo)
+            )
+        self.shown = {name: Monitor(colored[name]) for name in model.shows}
         self.meta = {
             d.name: Monitor.for_formula(model.directive_formula(d), alphabet, memo)
             for d in model.directives

@@ -6,9 +6,9 @@ LDLf:
 * ``RvAtom(f, s)``: the trace so far puts property f in RV state s;
 * ``RvPath(f, s)``: a path expression matching exactly those prefixes.
 
-A monitor build compiles both straight from automata (see
-``automata.compile_dfa``): the DFA of an atom is f's monitor with the
-states of color s made final, and a path walks that DFA.
+A monitor build compiles both from f's colored DFA (see
+``automata.compile_dfa``): an atom's DFA makes the states of color s
+final, and a path is an edit of that DFA or walks the atom's DFA.
 
 ``expand`` is the paper's declarative encoding of the same nodes, and
 the oracle the direct compile is tested against.  It lowers both into

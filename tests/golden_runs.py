@@ -29,6 +29,8 @@ RUNS = [
     ("booking_meta_timeline.txt", _META, None),
     ("booking_timeline.json", [*_DECLARE, "--format", "json"], None),
     ("booking_meta_timeline.json", [*_META, "--format", "json"], None),
+    ("directives_meta_timeline.txt",
+     ["meta", "samples/directives.meta", "--trace", "samples/directives.trace"], None),
     ("next_weaknext_monitor.json",
      ["compile", "X (a -> WX b)", "--lang", "ltlf", "--props", "a,b", "--format", "json",
       "--colors"], None),

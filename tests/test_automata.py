@@ -515,6 +515,26 @@ def test_complement_requires_a_total_automaton():
     assert complement(complement(dfa)).finals == dfa.finals
 
 
+def test_new_finals_carry_the_checked_table_over(monkeypatch):
+    dfa = compile_ldlf("<a><b>tt")
+
+    def refuse(self):
+        raise AssertionError("a carried-over table was checked again")
+
+    monkeypatch.setattr(Dfa, "__post_init__", refuse)
+    for flipped in (complement(dfa), prefix_closure(dfa), dfa.with_finals({0})):
+        assert type(flipped) is Dfa
+        assert flipped.transitions is dfa.transitions
+        assert flipped.n_states == dfa.n_states and flipped.alphabet == dfa.alphabet
+    assert complement(dfa).finals == frozenset(range(dfa.n_states)) - dfa.finals
+    assert dfa.with_finals({0}).finals == frozenset({0})
+    monkeypatch.undo()
+    rows = [list(row) for row in dfa.transitions]
+    rows[0][0] = None
+    with pytest.raises(ValueError, match="has none under"):
+        replace(dfa.with_finals({0}), transitions=tuple(map(tuple, rows)))
+
+
 def test_product_intersects_by_default():
     left = compile_ldlf("<true*>a")
     right = compile_ldlf("[true*](b || end)")

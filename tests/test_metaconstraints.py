@@ -6,6 +6,7 @@ import pytest
 
 from ldlmon import monitor, regexfold
 from ldlmon.automata import (
+    accepts,
     compile_dfa,
     determinize,
     language_equal,
@@ -50,7 +51,7 @@ from ldlmon.syntax import (
     print_ldlf,
 )
 from ldlmon.syntax.base import Node
-from ldlmon.syntax.props import Atom
+from ldlmon.syntax.props import Atom, PropNot
 
 from test_lockstep import random_meta_text
 
@@ -200,8 +201,6 @@ def test_dropping_the_acc_guard_overapproximates():
     for letter in witness:
         monitor.step(letter)
     assert monitor.current_rv() is RVState.PERM_TRUE
-    from ldlmon.automata import accepts
-
     assert accepts(loose, witness)
     assert not accepts(exact, witness)
 
@@ -346,3 +345,37 @@ def test_rv_paths_nested_four_deep_compile_like_their_expansions():
                 )
                 assert_direct_matches_expanded(formula)
     assert referred == set(RVState)
+
+
+# The two RV-path rules of compile_dfa -----------------------------------
+
+PAY_THEN_GET = Diamond(Step(Atom("pay")), Diamond(Step(Atom("get")), TT))
+
+
+def test_rv_paths_under_a_diamond_of_tt_compile_like_their_expansions():
+    for state in RVState:
+        for formula in [RESP, RE1, NCX, And(NCX, RESP)]:
+            assert_direct_matches_expanded(Diamond(RvPath(formula, state), TT))
+    # The rule reads a permanent state as the whole trace's: on a
+    # temporary one it would fail here, where ``pay`` leaves RESP in TF
+    # and ``get`` takes it on to TT.
+    pay_get = [frozenset({"pay"}), frozenset({"get"})]
+    reached = compile_dfa(Diamond(RvPath(RESP, TF_), TT), BOOKING)
+    assert accepts(reached, pay_get)
+    assert not accepts(compile_dfa(RvAtom(RESP, TF_), BOOKING), pay_get)
+
+
+def test_rv_paths_under_a_box_of_the_next_letter_compile_like_their_expansions():
+    not_get = Diamond(Step(PropNot(Atom("get"))), TT)
+    for state in RVState:
+        for formula in [RESP, RE1, NCX, And(NCX, RESP)]:
+            path = RvPath(formula, state)
+            assert_direct_matches_expanded(Box(path, Or(not_get, END)))
+            assert_direct_matches_expanded(Box(path, Or(END, not_get)))
+            # Two letters: the rule must not read this as a guard on ``pay``.
+            assert_direct_matches_expanded(Box(path, Or(PAY_THEN_GET, END)))
+    two_letters = compile_dfa(
+        Box(RvPath(RESP, RVState.TEMP_TRUE), Or(PAY_THEN_GET, END)), BOOKING
+    )
+    assert not accepts(two_letters, [frozenset({"pay"})])
+    assert accepts(two_letters, [frozenset({"pay"}), frozenset({"get"})])

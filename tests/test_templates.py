@@ -18,6 +18,7 @@ from ldlmon import automata
 from ldlmon.automata import aut_to_json, color, compile_dfa, to_dot
 from ldlmon.declare import (
     PATTERNS,
+    MetaMonitor,
     ModelMonitor,
     global_monitor,
     local_monitors,
@@ -89,6 +90,12 @@ def test_pattern_calls_compile_nothing_once_their_templates_exist(monkeypatch):
     assert built == []
     # Every task an argument: no column copies the other task's.
     local_monitors(parse_decl("tasks: a\nresponse(a, a)\n"))
+    assert built == []
+    # A meta model's shown defines read the same table.
+    calls = EVERY_TEMPLATE.splitlines()[1:]
+    MetaMonitor(parse_meta("tasks: c, b, a, d\n" + "".join(
+        f"define d{index}: {call}\nshow d{index}\n" for index, call in enumerate(calls)
+    )))
     assert built == []
 
 
