@@ -34,19 +34,21 @@ through guard atoms, so ``ldlf_to_nfa`` groups letters by their
 intersection with the formula's atoms.  ``determinize`` and
 ``minimize`` take the classes from the automaton itself
 (``letter_classes``: columns whose successors agree from every state),
-and ``product_pairs`` from the pairs of its operands' columns.  A
-class's successor is computed from its first letter.
+and ``product_pairs`` and ``_minimal_product`` from the pairs of their
+operands' columns.  A class's successor is computed from its first
+letter.
 
 One breadth-first explorer, ``_explore``, holds the numbering policy of
-the five constructions (``ldlf_to_nfa``, ``determinize``,
-``product_pairs``, ``minimize``, ``rename_columns``): it visits states in
-discovery order, takes their cells class by class in the order of each
-class's first letter, numbers a successor the first time it is seen, and
-writes each class's cell into the column of every letter in it.  States
-are therefore discovered, and numbered, exactly as a letter-by-letter
-walk would.  ``_automaton`` builds every result from the walk's keys.
-``_partition``, which groups keys by first occurrence, forms the letter
-classes and is also ``minimize``'s refinement step.
+the constructions (``ldlf_to_nfa``, ``determinize``, ``product_pairs``,
+``_minimal_product``, ``_moore``, ``rename_columns``): it visits states
+in discovery order, takes their cells class by class in the order of
+each class's first letter, numbers a successor the first time it is
+seen, and writes each class's cell into the column of every letter in
+it.  States are therefore discovered, and numbered, exactly as a
+letter-by-letter walk would.  ``_automaton`` builds every result from
+the walk's keys.  ``_partition``, which groups keys by first occurrence,
+forms the letter classes and is also the refinement step of ``_moore``,
+which both ``minimize`` and the ``product_fold`` steps run.
 
 Every automaton stores one transition table: a tuple of rows, one per
 state, whose cells follow ``alphabet.letters()`` (a letter's column is
@@ -69,6 +71,7 @@ import functools
 import json
 import operator
 from collections import deque
+from itertools import repeat
 from dataclasses import dataclass
 
 from .rv import RVState, RvAtom, RvPath
@@ -498,22 +501,50 @@ def product(a: Dfa, b: Dfa, accept=None) -> Dfa:
     return product_pairs(a, b, accept)[0]
 
 
-def product_fold(dfas, accept=None) -> Dfa:
-    """Minimized product of one or more DFAs, folded left to right;
-    no DFA at all is a ValueError.
-
-    Minimizing after every product keeps each intermediate automaton no
-    larger than the minimal DFA of the partial conjunction (or whatever
-    ``accept`` combines).
-    """
+def product_fold(dfas, disjunction: bool = False) -> Dfa:
+    """Minimal DFA of the conjunction (with ``disjunction``, the
+    disjunction) of one or more DFAs, folded left to right by
+    ``_minimal_product``; no DFA at all is a ValueError."""
     dfas = iter(dfas)
     folded = next(dfas, None)
     if folded is None:
         msg = "a product of no automata: a model needs at least one constraint"
         raise ValueError(msg)
     for dfa in dfas:
-        folded = minimize(product(folded, dfa, accept))
+        folded = _minimal_product(folded, dfa, disjunction)
     return folded
+
+
+def _minimal_product(a: Dfa, b: Dfa, disjunction: bool) -> Dfa:
+    """``minimize(product(a, b))`` in one step, labels included: the
+    pairs are explored over the joint letter classes, and every pair with
+    a component in an absorbing state that decides the result alone
+    (rejecting for a conjunction, accepting for a disjunction) is one
+    key, the first such pair found."""
+    if a.alphabet != b.alphabet:
+        msg = "product needs automata over the same alphabet"
+        raise ValueError(msg)
+    rows_a, rows_b = a.transitions, b.transitions
+    firsts, class_of = _partition(zip(zip(*rows_a), zip(*rows_b)))
+    sink_a, sink_b = (
+        {q for q, row in enumerate(d.transitions)
+         if row.count(q) == len(row) and (q in d.finals) == disjunction}
+        for d in (a, b)
+    )
+    settled: dict = {}  # 0: the first pair found with a deciding component
+
+    def key(pair):
+        return settled.setdefault(0, pair) if pair[0] in sink_a or pair[1] in sink_b else pair
+
+    def cells(pair, ident):
+        row_a, row_b = rows_a[pair[0]], rows_b[pair[1]]
+        targets = zip(map(row_a.__getitem__, firsts), map(row_b.__getitem__, firsts))
+        return list(map(ident, map(key, targets) if sink_a or sink_b else targets))
+
+    order, rows = _explore(key((a.initial, b.initial)), cells, range(len(firsts)))
+    join = operator.or_ if disjunction else operator.and_
+    finals = [join(p in a.finals, q in b.finals) for p, q in order]
+    return _moore(a.alphabet, rows, finals, class_of, lambda i: "({},{})".format(*order[i]))
 
 
 def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None) -> Dfa:
@@ -564,8 +595,7 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
                 pending.append(f.left)
             else:
                 operands.append(f)
-        accept = None if kind is ldl.And else operator.or_
-        return product_fold((compile_dfa(f, alphabet, memo) for f in operands), accept)
+        return product_fold((compile_dfa(f, alphabet, memo) for f in operands), kind is ldl.Or)
     path = getattr(formula, "path", None)
     if isinstance(path, RvPath) and path.state.permanent and formula == ldl.Diamond(path, ldl.TT):
         return compile_dfa(RvAtom(path.formula, path.state), alphabet, memo)
@@ -641,35 +671,44 @@ def _lower_rv(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict) -> ldl.Ldlf:
 
 def minimize(dfa: Dfa) -> Dfa:
     """Language-minimal equivalent DFA, with states renumbered in
-    breadth-first order from the initial state.  Moore's refinement: each
-    round partitions the reachable states by their block and successor
-    blocks, until a round splits none; each block keeps its first state's
+    breadth-first order from the initial state: ``_moore`` on the class
+    rows of the reachable states, each block keeping its first state's
     row and label."""
     rows = dfa.transitions
     firsts, class_of = letter_classes(dfa)
     states = sorted(reachable_from(dfa, dfa.initial))
-    heads, blocks = _partition(s in dfa.finals for s in states)
+    class_rows = [tuple(map(rows[s].__getitem__, firsts)) for s in states]
+    if len(states) < len(rows):  # number the reachable states 0..n-1
+        index = {s: i for i, s in enumerate(states)}
+        class_rows = [tuple(map(index.__getitem__, row)) for row in class_rows]
+    finals = [s in dfa.finals for s in states]
+    label = (lambda i: dfa.labels[states[i]]) if dfa.labels else None
+    return _moore(dfa.alphabet, class_rows, finals, class_of, label, states.index(dfa.initial))
+
+
+def _moore(alphabet, rows, finals, class_of, label=None, initial=None) -> Dfa:
+    """The minimal DFA of states ``0..n-1`` (class ``rows``, acceptance
+    ``finals``, all reachable from ``initial``) by Moore's refinement,
+    its blocks numbered breadth first, each with its first state's row,
+    acceptance and ``label``.  No ``initial`` means state 0 of rows that
+    ``_explore`` numbered, which stay as they are if no states merge."""
+    heads, blocks = _partition(finals)
     while True:
-        block = dict(zip(states, blocks))
         count = len(heads)
-        heads, blocks = _partition(
-            (block[s], tuple(block[rows[s][column]] for column in firsts)) for s in states
-        )
-        if len(heads) == count:
+        successors = map(tuple, map(map, repeat(blocks.__getitem__), rows))
+        heads, blocks = _partition(zip(blocks, successors))
+        if len(heads) in (count, len(rows)):  # no split, or single states
             break
-    # Rebuild over blocks, numbering them by breadth-first discovery.
-    heads = [states[head] for head in heads]
 
     def cells(blk, ident):
-        row = rows[heads[blk]]
-        return [ident(block[row[column]]) for column in firsts]
+        return list(map(ident, map(blocks.__getitem__, rows[heads[blk]])))
 
-    order, transitions = _explore(block[dfa.initial], cells, class_of)
-    return _automaton(
-        Dfa, dfa.alphabet, order, transitions,
-        lambda blk: heads[blk] in dfa.finals,
-        (lambda blk: dfa.labels[heads[blk]]) if dfa.labels else None,
-    )
+    if initial is None and len(heads) == len(rows):
+        order, transitions = heads, [tuple(map(row.__getitem__, class_of)) for row in rows]
+    else:
+        order, transitions = _explore(blocks[initial or 0], cells, class_of)
+    kept = list(map(heads.__getitem__, order))
+    return _automaton(Dfa, alphabet, kept, transitions, finals.__getitem__, label)
 
 
 def reachable_from(aut, state: int) -> frozenset:
