@@ -18,10 +18,12 @@ diamond (a least fixpoint) and satisfied under a box (a greatest
 fixpoint).  The paper marks these loops with marker atoms instead.
 
 A path may also be a ``DfaPath``, a DFA state standing for the traces
-from there to a final state; ``compile_dfa`` puts one in place of each
-RV path (a reference to a monitor state of another formula) that is
-no edit of a colored DFA, and ``delta`` walks it one letter at a time,
-the way propositional dynamic logic over flowcharts treats a program.
+from there to a final state, which ``delta`` walks one letter at a
+time, the way propositional dynamic logic over flowcharts treats a
+program.  ``compile_dfa`` puts one in place of each RV path (a
+reference to a monitor state of another formula) that none of its RV
+rules compiles from colored DFAs; no metaconstraint directive has such
+a path, so only RV formulas built through the API take this route.
 
 Acceptance of a macro-state asks whether every obligation in it is
 satisfied by the empty remainder, via the same recursion with the
@@ -34,21 +36,22 @@ through guard atoms, so ``ldlf_to_nfa`` groups letters by their
 intersection with the formula's atoms.  ``determinize`` and
 ``minimize`` take the classes from the automaton itself
 (``letter_classes``: columns whose successors agree from every state),
-and ``product_pairs`` and ``_minimal_product`` from the pairs of their
-operands' columns.  A class's successor is computed from its first
-letter.
+and ``product_pairs``, ``_minimal_product`` and ``_diamond_after`` from
+the pairs of their operands' columns.  A class's successor is computed
+from its first letter.
 
 One breadth-first explorer, ``_explore``, holds the numbering policy of
 the constructions (``ldlf_to_nfa``, ``determinize``, ``product_pairs``,
-``_minimal_product``, ``_moore``, ``rename_columns``): it visits states
-in discovery order, takes their cells class by class in the order of
-each class's first letter, numbers a successor the first time it is
-seen, and writes each class's cell into the column of every letter in
-it.  States are therefore discovered, and numbered, exactly as a
-letter-by-letter walk would.  ``_automaton`` builds every result from
-the walk's keys.  ``_partition``, which groups keys by first occurrence,
-forms the letter classes and is also the refinement step of ``_moore``,
-which both ``minimize`` and the ``product_fold`` steps run.
+``_minimal_product``, ``_diamond_after``, ``_moore``,
+``rename_columns``): it visits states in discovery order, takes their
+cells class by class in the order of each class's first letter, numbers
+a successor the first time it is seen, and writes each class's cell
+into the column of every letter in it.  States are therefore
+discovered, and numbered, exactly as a letter-by-letter walk would.
+``_automaton`` builds every result from the walk's keys.
+``_partition``, which groups keys by first occurrence, forms the letter
+classes and is also the refinement step of ``_moore``, which
+``minimize``, the ``product_fold`` steps and ``_diamond_after`` run.
 
 Every automaton stores one transition table: a tuple of rows, one per
 state, whose cells follow ``alphabet.letters()`` (a letter's column is
@@ -570,11 +573,14 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
     (``metaconstraints.expand``): an ``RvAtom`` is a leaf whose DFA is
     the referenced formula's colored DFA with the states of its RV state
     made final.  ``<RvPath(f, s)>tt`` with s permanent, so absorbing, is
-    ``RvAtom(f, s)``, and ``[RvPath(f, s)](<g>tt || end)`` is f's colored
-    DFA with every state final and, from each state of color s, the
-    letters that falsify g sent to a rejecting sink.  On the NFA route
-    ``_lower_rv`` puts ``DfaPath`` nodes on RV atoms' DFAs in place of
-    other RV paths and of RV atoms under a modality.
+    ``RvAtom(f, s)``; ``<RvPath(f, s)>g`` with s permanent and any other
+    g is one subset construction over g's DFA, started where f's run
+    enters color s (``_diamond_after``); and ``[RvPath(f, s)](<g>tt ||
+    end)`` is f's colored DFA with every state final and, from each
+    state of color s, the letters that falsify g sent to a rejecting
+    sink.  On the NFA route ``_lower_rv`` puts ``DfaPath`` nodes on RV
+    atoms' DFAs in place of other RV paths and of RV atoms under a
+    modality.
     """
     if memo is None:
         memo = {}
@@ -604,6 +610,9 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
         dfa = colored_dfa(formula.formula, alphabet, memo).accepting({formula.state})
     elif isinstance(formula, ldl.Box) and guard is not None:
         dfa = _guard_after(colored_dfa(path.formula, alphabet, memo), path.state, guard)
+    elif isinstance(formula, ldl.Diamond) and isinstance(path, RvPath) and path.state.permanent:
+        colored = colored_dfa(path.formula, alphabet, memo)
+        dfa = _diamond_after(colored, path.state, compile_dfa(formula.arg, alphabet, memo))
     else:
         lowered = _lower_rv(formula, alphabet, memo)
         dfa = minimize(determinize(ldlf_to_nfa(lowered, alphabet)))
@@ -641,6 +650,34 @@ def _guard_after(colored: ColoredDfa, state: RVState, guard: Prop) -> Dfa:
     ]
     rows.append((sink,) * len(allowed))
     return minimize(Dfa(dfa.alphabet, sink + 1, dfa.initial, tuple(rows), frozenset(range(sink))))
+
+
+def _diamond_after(colored: ColoredDfa, state: RVState, then: Dfa) -> Dfa:
+    """``<RvPath(f, state)>g`` with ``state`` permanent, from f's colored
+    DFA and g's DFA ``then``, explored over their joint letter classes.
+
+    A key is f's state until f's run enters a state of color ``state``.
+    Those states are absorbing, so every later prefix matches the path,
+    and the key becomes the set of g-states of the g-runs started at
+    every position since: each step moves them and adds g's initial
+    state.  A set is final where it meets g's finals."""
+    f_rows, start = colored.dfa.transitions, then.initial
+    g_columns = list(zip(*then.transitions))
+    firsts, class_of = _partition(zip(zip(*f_rows), g_columns))
+    steps = [g_columns[column] for column in firsts]
+    begun = frozenset((start,))
+
+    def key(q):
+        return begun if colored.colors[q] is state else q
+
+    def cells(k, ident):
+        if isinstance(k, int):
+            return [ident(key(f_rows[k][column])) for column in firsts]
+        return [ident(frozenset((*map(step.__getitem__, k), start))) for step in steps]
+
+    order, rows = _explore(key(colored.dfa.initial), cells, range(len(firsts)))
+    finals = [not (isinstance(k, int) or k.isdisjoint(then.finals)) for k in order]
+    return _moore(then.alphabet, rows, finals, class_of)
 
 
 def _lower_rv(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict) -> ldl.Ldlf:

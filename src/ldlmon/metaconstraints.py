@@ -8,7 +8,10 @@ LDLf:
 
 A monitor build compiles both from f's colored DFA (see
 ``automata.compile_dfa``): an atom's DFA makes the states of color s
-final, and a path is an edit of that DFA or walks the atom's DFA.
+final.  The builders' paths need no NFA either: contextual absence's
+is an edit of f's DFA, preference's is the atom itself, and reactive
+compensation's starts a run of the compensation's DFA at every position
+once f's run is in s, one subset construction.
 
 ``expand`` is the paper's declarative encoding of the same nodes, and
 the oracle the direct compile is tested against.  It lowers both into

@@ -1,12 +1,15 @@
 """Constraints over monitoring states, their expansion to plain LDLf, and
 their direct compile against that expansion."""
+import pathlib
 import random
 
 import pytest
 
 from ldlmon import monitor, regexfold
 from ldlmon.automata import (
+    _lower_rv,
     accepts,
+    aut_to_json,
     compile_dfa,
     determinize,
     language_equal,
@@ -41,14 +44,18 @@ from ldlmon.syntax import (
     Box,
     Diamond,
     END,
+    FF,
+    LAST,
     Not,
     Or,
     Step,
     TT,
     formula_atoms,
     ltlf_to_ldlf,
+    parse_ltlf,
     parse_re,
     print_ldlf,
+    subterms,
 )
 from ldlmon.syntax.base import Node
 from ldlmon.syntax.props import Atom, PropNot
@@ -347,7 +354,7 @@ def test_rv_paths_nested_four_deep_compile_like_their_expansions():
     assert referred == set(RVState)
 
 
-# The two RV-path rules of compile_dfa -----------------------------------
+# The three RV-path rules of compile_dfa ---------------------------------
 
 PAY_THEN_GET = Diamond(Step(Atom("pay")), Diamond(Step(Atom("get")), TT))
 
@@ -379,3 +386,68 @@ def test_rv_paths_under_a_box_of_the_next_letter_compile_like_their_expansions()
     )
     assert not accepts(two_letters, [frozenset({"pay"})])
     assert accepts(two_letters, [frozenset({"pay"}), frozenset({"get"})])
+
+
+def rv_diamonds(formula):
+    """The ``<RvPath(f, s)>g`` nodes of a formula with s permanent and g
+    not ``tt``: the shape of reactive compensation."""
+    return [
+        n for n in subterms(formula)
+        if isinstance(n, Diamond) and isinstance(n.path, RvPath)
+        and n.path.state.permanent and n.arg != TT
+    ]
+
+
+def test_rv_diamonds_compile_to_the_tables_of_the_nfa_route():
+    """The subset construction over g's DFA gives byte for byte the table
+    and finals that the NFA route over the lowered formula gives."""
+    rng = random.Random(6155)
+    texts = [random_meta_text(rng) for _ in range(100)]
+    samples = pathlib.Path(__file__).resolve().parent.parent / "samples"
+    texts += [(samples / name).read_text(encoding="utf-8")
+              for name in ("booking.meta", "directives.meta")]
+    compared = 0
+    for text in texts:
+        model = parse_meta(text)
+        alphabet = model.alphabet
+        for directive in model.directives:
+            for node in rv_diamonds(model.directive_formula(directive)):
+                memo: dict = {}
+                lowered = _lower_rv(node, alphabet, memo)
+                route = minimize(determinize(ldlf_to_nfa(lowered, alphabet)))
+                assert aut_to_json(compile_dfa(node, alphabet, memo)) == aut_to_json(route), text
+                compared += 1
+    assert compared > 20
+
+
+NEVER_PF_OR_PT = RESP
+STARTS_PF = ltlf_to_ldlf(parse_ltlf("pay && !pay", BOOKING))
+STARTS_PT = ltlf_to_ldlf(parse_ltlf("pay || !pay", BOOKING))
+REACHES_PT = ltlf_to_ldlf(parse_ltlf("F pay", BOOKING))
+
+
+def test_rv_diamonds_of_permanent_states_compile_like_their_expansions():
+    holds_rv_nodes = reactive_compensation(NCX, RET)
+    references = [NCX, RE1, REACHES_PT, NEVER_PF_OR_PT, STARTS_PF, STARTS_PT, holds_rv_nodes]
+    then = [FF, END, LAST, RET, RvAtom(RESP, TF_), PAY_THEN_GET]
+    for state in (PF_, RVState.PERM_TRUE):
+        for formula in references:
+            for g in then:
+                assert_direct_matches_expanded(Diamond(RvPath(formula, state), g))
+    # The empty prefix matches when f starts in the state: g then has
+    # the whole trace.
+    starts = compile_dfa(Diamond(RvPath(STARTS_PF, PF_), PAY_THEN_GET), BOOKING)
+    assert accepts(starts, [frozenset({"pay"}), frozenset({"get"})])
+    assert not accepts(starts, [frozenset({"get"})])
+
+
+def test_rv_diamonds_of_temporary_states_keep_to_the_nfa_route():
+    # The rule reads every prefix after the first one in s as a match,
+    # which holds only when s is absorbing: ``pay`` leaves RESP in TF and
+    # ``get`` takes it on to TT, so the trace pay, get does not end in TF.
+    for state in (TF_, RVState.TEMP_TRUE):
+        for formula in [RESP, RE1, NCX]:
+            assert_direct_matches_expanded(Diamond(RvPath(formula, state), END))
+    at_end = compile_dfa(Diamond(RvPath(RESP, TF_), END), BOOKING)
+    assert accepts(at_end, [frozenset({"pay"})])
+    assert not accepts(at_end, [frozenset({"pay"}), frozenset({"get"})])
