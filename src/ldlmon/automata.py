@@ -32,8 +32,13 @@ step base cases flipped to their out-of-trace values.
 Letters are the alphabet's interpretations, 2^n of them for n props,
 but the constructions do their work once per letter class, a set of
 letters that behave the same way.  ``delta`` reads a letter only
-through guard atoms, so ``ldlf_to_nfa`` groups letters by their
-intersection with the formula's atoms.  ``determinize`` and
+through guard atoms, so the NFA stage, ``_nfa_classes``, groups letters
+by their intersection with the formula's atoms and walks each
+obligation once for the first letters of all classes (``deltas``).
+The NFA route of ``compile_dfa`` keeps those class rows through the
+subset construction (``_subsets``) into ``_moore``, which spreads them
+over the letters once; ``ldlf_to_nfa``, ``determinize`` and
+``minimize`` are adapters over the same stages.  ``determinize`` and
 ``minimize`` take the classes from the automaton itself
 (``letter_classes``: columns whose successors agree from every state),
 and ``product_pairs``, ``_minimal_product`` and ``_diamond_after`` from
@@ -41,17 +46,18 @@ the pairs of their operands' columns.  A class's successor is computed
 from its first letter.
 
 One breadth-first explorer, ``_explore``, holds the numbering policy of
-the constructions (``ldlf_to_nfa``, ``determinize``, ``product_pairs``,
+the constructions (``_nfa_classes``, ``_subsets``, ``product_pairs``,
 ``_minimal_product``, ``_diamond_after``, ``_moore``,
 ``rename_columns``): it visits states in discovery order, takes their
 cells class by class in the order of each class's first letter, numbers
-a successor the first time it is seen, and writes each class's cell
-into the column of every letter in it.  States are therefore
-discovered, and numbered, exactly as a letter-by-letter walk would.
-``_automaton`` builds every result from the walk's keys.
-``_partition``, which groups keys by first occurrence, forms the letter
-classes and is also the refinement step of ``_moore``, which
-``minimize``, the ``product_fold`` steps and ``_diamond_after`` run.
+a successor the first time it is seen, and keeps one cell per class.
+States are therefore discovered, and numbered, exactly as a
+letter-by-letter walk would.  ``_automaton`` builds every result from
+the walk's keys and writes each class's cell into the column of every
+letter in it.  ``_partition``, which groups keys by first occurrence,
+forms the letter classes and is also the refinement step of ``_moore``,
+which ``minimize``, the NFA route, the ``product_fold`` steps and
+``_diamond_after`` run.
 
 Every automaton stores one transition table: a tuple of rows, one per
 state, whose cells follow ``alphabet.letters()`` (a letter's column is
@@ -163,50 +169,56 @@ def delta(f: ldl.Ldlf, letter, unfolding: tuple = ()) -> tuple:
     is final and misses otherwise; on a letter it joins that with the
     obligation on the successor state, unless no final state is
     reachable from there: then, as on EPSILON, it holds just that.
+    The rules live in ``deltas``, which this runs on one letter.
     Pre: f is in negation normal form.
     """
+    return deltas(f, (letter,), unfolding)[0]
+
+
+def deltas(f: ldl.Ldlf, letters, unfolding: tuple = ()) -> list:
+    """``delta`` of f under each of ``letters`` (EPSILON may be one), in
+    one walk: a rule's transient nodes are built once for all letters."""
     if isinstance(f, ldl.Tt):
-        return TRUE_MODELS
+        return [TRUE_MODELS] * len(letters)
     if isinstance(f, ldl.Ff):
-        return FALSE_MODELS
-    if isinstance(f, ldl.And):
-        return models_and(delta(f.left, letter, unfolding), delta(f.right, letter, unfolding))
-    if isinstance(f, ldl.Or):
-        return models_or(delta(f.left, letter, unfolding), delta(f.right, letter, unfolding))
+        return [FALSE_MODELS] * len(letters)
+    if isinstance(f, (ldl.And, ldl.Or)):
+        both = deltas(f.left, letters, unfolding), deltas(f.right, letters, unfolding)
+        return list(map(models_and if isinstance(f, ldl.And) else models_or, *both))
     modality = type(f)
     duals = _MODALITIES.get(modality)
     if duals is not None:
         join, meet, condition, miss = duals
         path, arg = f.path, f.arg
         if isinstance(path, ldl.Step):
-            if letter is EPSILON or not eval_prop(path.guard, letter):
-                return miss
-            return _emit(arg)
+            hit, guard = _emit(arg), path.guard
+            return [miss if l is EPSILON or not eval_prop(guard, l) else hit for l in letters]
         if isinstance(path, ldl.Test):
-            return meet(delta(condition(path.cond), letter), delta(arg, letter, unfolding))
+            both = deltas(condition(path.cond), letters), deltas(arg, letters, unfolding)
+            return list(map(meet, *both))
         if isinstance(path, ldl.Alt):
-            return join(
-                delta(modality(path.left, arg), letter, unfolding),
-                delta(modality(path.right, arg), letter, unfolding),
-            )
+            left, right = modality(path.left, arg), modality(path.right, arg)
+            both = deltas(left, letters, unfolding), deltas(right, letters, unfolding)
+            return list(map(join, *both))
         if isinstance(path, ldl.Seq):
-            return delta(modality(path.left, modality(path.right, arg)), letter, unfolding)
+            return deltas(modality(path.left, modality(path.right, arg)), letters, unfolding)
         if isinstance(path, ldl.Star):
             if f in unfolding:
-                return miss
-            return join(
-                delta(arg, letter, unfolding),
-                delta(modality(path.body, f), letter, unfolding + (f,)),
-            )
+                return [miss] * len(letters)
+            again = deltas(modality(path.body, f), letters, unfolding + (f,))
+            return list(map(join, deltas(arg, letters, unfolding), again))
         if isinstance(path, DfaPath):
-            here = delta(arg, letter, unfolding) if path.state in path.dfa.finals else miss
-            if letter is EPSILON:
-                return here
-            target = path.dfa.transitions[path.state][path.dfa.alphabet.columns()[letter]]
-            if target not in path.live:
-                return here
-            moved = DfaPath(path.name, target, path.dfa, path.live, path.atoms)
-            return join(here, _emit(modality(moved, arg)))
+            dfa, live = path.dfa, path.live
+            heres = [miss] * len(letters)
+            if path.state in dfa.finals:
+                heres = deltas(arg, letters, unfolding)
+            row, columns = dfa.transitions[path.state], dfa.alphabet.columns()
+            targets = [EPSILON if l is EPSILON else row[columns[l]] for l in letters]
+            return [
+                join(here, _emit(modality(DfaPath(path.name, t, dfa, live, path.atoms), arg)))
+                if t in live else here
+                for here, t in zip(heres, targets)
+            ]
     if isinstance(f, ldl.Not):
         msg = "delta needs a formula in negation normal form"
         raise ValueError(msg)
@@ -343,60 +355,80 @@ def ldlf_to_nfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Nfa:
     The formula is normalized first.  Successor states under each letter
     are the minimal obligation sets; keeping only minimal models keeps
     the automaton small without changing its language.  They are
-    computed once per letter class, from the class's first letter.
+    computed once per letter class (``_nfa_classes``).
     """
+    order, rows, class_of, accepts = _nfa_classes(formula, alphabet)
+    return _automaton(
+        Nfa, alphabet, order, rows, class_of, accepts,
+        lambda macro: " & ".join(sorted(map(print_ldlf, macro))) if macro else "{}",
+    )
+
+
+def _nfa_classes(formula: ldl.Ldlf, alphabet: Alphabet):
+    """``ldlf_to_nfa``'s states and class rows: the macro-states in state
+    order, one row per state with one cell per class of letters that
+    agree on the formula's atoms, every letter's class, and whether a
+    macro-state accepts.
+
+    Each obligation is walked once, under the first letter of every
+    class, and each model's sort key is printed once per compile."""
     normalized = to_nnf(formula)
     letters = alphabet.letters()
     atoms = ldl.formula_atoms(normalized)
     firsts, class_of = _partition([letter & atoms for letter in letters])
     class_letters = [letters[column] for column in firsts]
-
+    walk = functools.cache(lambda member: deltas(member, class_letters))
     key = functools.cache(print_ldlf)
-    delta_of = functools.cache(delta)
+    model_key = functools.cache(lambda model: (len(model), sorted(map(key, model))))
 
     def cells(macro, ident):
-        members = sorted(macro, key=key)
-        by_class = []
-        for letter in class_letters:
-            models = TRUE_MODELS
-            for member in members:
-                models = models_and(models, delta_of(member, letter))
-                if not models:
-                    break
-            ordered = sorted(models, key=lambda m: (len(m), sorted(key(g) for g in m)))
-            by_class.append(frozenset([ident(model) for model in ordered]))
-        return by_class
+        by_class = [TRUE_MODELS] * len(firsts)
+        for member in macro:
+            by_class = list(map(models_and, by_class, walk(member)))
+        return [frozenset(map(ident, sorted(models, key=model_key))) for models in by_class]
 
-    order, transitions = _explore(frozenset((normalized,)), cells, class_of)
-    empty = frozenset()
-    if empty not in order:
-        order.append(empty)
-        transitions.append((frozenset((len(order) - 1,)),) * len(letters))
-    return _automaton(
-        Nfa, alphabet, order, transitions,
-        lambda macro: all(map(delta_epsilon, macro)),
-        lambda macro: " & ".join(sorted(map(key, macro))) if macro else "{}",
-    )
+    order, rows = _explore(frozenset((normalized,)), cells)
+    if frozenset() not in order:
+        rows.append([frozenset((len(order),))] * len(firsts))
+        order.append(frozenset())
+    at_end = functools.cache(delta_epsilon)
+    return order, rows, class_of, lambda macro: all(map(at_end, macro))
 
 
 def determinize(nfa: Nfa) -> Dfa:
     """Subset construction.  The result is total: letters with no
     successor lead to the empty subset, a rejecting sink."""
-    rows = nfa.transitions
     firsts, class_of = letter_classes(nfa)
+    order, rows = _subsets([[row[c] for c in firsts] for row in nfa.transitions], nfa.initial)
+    return _automaton(Dfa, nfa.alphabet, order, rows, class_of, nfa.finals.intersection, _label)
+
+
+def _subsets(rows, initial: int):
+    """The subset construction over class rows (cells are sets of
+    states): the subsets reachable from ``{initial}`` in ``_explore``
+    order, and their class rows."""
+    blank = [()] * len(rows[initial])
 
     def cells(subset, ident):
-        return [
-            ident(frozenset().union(*[rows[state][column] for state in subset]))
-            for column in firsts
-        ]
+        columns = zip(*map(rows.__getitem__, subset)) if subset else blank
+        return [ident(frozenset().union(*column)) for column in columns]
 
-    order, transitions = _explore(frozenset((nfa.initial,)), cells, class_of)
-    return _automaton(
-        Dfa, nfa.alphabet, order, transitions,
-        lambda subset: subset & nfa.finals,
-        lambda subset: "{" + ",".join(map(str, sorted(subset))) + "}",
-    )
+    return _explore(frozenset((initial,)), cells)
+
+
+def _label(subset) -> str:
+    return "{" + ",".join(map(str, sorted(subset))) + "}"
+
+
+def _nfa_route(formula: ldl.Ldlf, alphabet: Alphabet) -> Dfa:
+    """``minimize(determinize(ldlf_to_nfa(formula, alphabet)))``, labels
+    included, on the NFA's class rows throughout: ``_moore`` spreads
+    them over the letters once, for the minimal DFA."""
+    order, rows, class_of, accepts = _nfa_classes(formula, alphabet)
+    finals = list(map(accepts, order))
+    subsets, rows = _subsets(rows, 0)
+    accepting = [any(map(finals.__getitem__, subset)) for subset in subsets]
+    return _moore(alphabet, rows, accepting, class_of, lambda i: _label(subsets[i]))
 
 
 def letter_classes(aut):
@@ -423,16 +455,15 @@ def _partition(keys):
     return firsts, class_of
 
 
-def _explore(start, cells, class_of):
+def _explore(start, cells):
     """Number the states reachable from ``start`` breadth first, in the
     order they are discovered, and build their rows.
 
     States are named by hashable keys.  ``cells(key, ident)`` gives the
     state's cells, one per letter class with classes in the order of
     their first letter; it names each successor through ``ident``, which
-    numbers a key the first time it is seen.  Each class's cell is then
-    spread over the columns of its letters (``class_of``: every column's
-    class).  Returns the keys in state order and the list of rows.
+    numbers a key the first time it is seen.  Returns the keys in state
+    order and the list of their class rows.
     """
     ids = {start: 0}
     order = [start]
@@ -448,20 +479,21 @@ def _explore(start, cells, class_of):
     # ``order`` grows as ``ident`` discovers states, so this walk is the
     # FIFO queue: it ends once every discovered state has its row.
     for key in order:
-        rows.append(tuple(map(cells(key, ident).__getitem__, class_of)))
+        rows.append(cells(key, ident))
     return order, rows
 
 
-def _automaton(kind, alphabet, order, rows, final, label=None):
+def _automaton(kind, alphabet, order, rows, class_of, final, label=None):
     """The ``Nfa`` or ``Dfa`` (``kind``) whose state i is the key
-    ``order[i]`` of an ``_explore`` walk, with row ``rows[i]``: initial
+    ``order[i]`` of an ``_explore`` walk, with class row ``rows[i]``
+    spread over the letters (``class_of``: every letter's class): initial
     state 0, final when ``final(key)``, labelled ``label(key)``, and
     unlabelled without ``label``."""
     return kind(
         alphabet=alphabet,
         n_states=len(order),
         initial=0,
-        transitions=tuple(rows),
+        transitions=tuple([tuple(map(row.__getitem__, class_of)) for row in rows]),
         finals=frozenset(i for i, key in enumerate(order) if final(key)),
         labels=tuple(map(label, order)) if label else (),
     )
@@ -491,9 +523,9 @@ def product_pairs(a: Dfa, b: Dfa, accept=None):
         row_a, row_b = rows_a[pair[0]], rows_b[pair[1]]
         return [ident((row_a[column], row_b[column])) for column in firsts]
 
-    order, transitions = _explore((a.initial, b.initial), cells, class_of)
+    order, transitions = _explore((a.initial, b.initial), cells)
     dfa = _automaton(
-        Dfa, a.alphabet, order, transitions,
+        Dfa, a.alphabet, order, transitions, class_of,
         lambda pair: accept(pair[0] in a.finals, pair[1] in b.finals),
         lambda pair: f"({pair[0]},{pair[1]})",
     )
@@ -544,7 +576,7 @@ def _minimal_product(a: Dfa, b: Dfa, disjunction: bool) -> Dfa:
         targets = zip(map(row_a.__getitem__, firsts), map(row_b.__getitem__, firsts))
         return list(map(ident, map(key, targets) if sink_a or sink_b else targets))
 
-    order, rows = _explore(key((a.initial, b.initial)), cells, range(len(firsts)))
+    order, rows = _explore(key((a.initial, b.initial)), cells)
     join = operator.or_ if disjunction else operator.and_
     finals = [join(p in a.finals, q in b.finals) for p, q in order]
     return _moore(a.alphabet, rows, finals, class_of, lambda i: "({},{})".format(*order[i]))
@@ -614,8 +646,7 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
         colored = colored_dfa(path.formula, alphabet, memo)
         dfa = _diamond_after(colored, path.state, compile_dfa(formula.arg, alphabet, memo))
     else:
-        lowered = _lower_rv(formula, alphabet, memo)
-        dfa = minimize(determinize(ldlf_to_nfa(lowered, alphabet)))
+        dfa = _nfa_route(_lower_rv(formula, alphabet, memo), alphabet)
     memo[key] = dfa
     return dfa
 
@@ -675,7 +706,7 @@ def _diamond_after(colored: ColoredDfa, state: RVState, then: Dfa) -> Dfa:
             return [ident(key(f_rows[k][column])) for column in firsts]
         return [ident(frozenset((*map(step.__getitem__, k), start))) for step in steps]
 
-    order, rows = _explore(key(colored.dfa.initial), cells, range(len(firsts)))
+    order, rows = _explore(key(colored.dfa.initial), cells)
     finals = [not (isinstance(k, int) or k.isdisjoint(then.finals)) for k in order]
     return _moore(then.alphabet, rows, finals, class_of)
 
@@ -741,11 +772,11 @@ def _moore(alphabet, rows, finals, class_of, label=None, initial=None) -> Dfa:
         return list(map(ident, map(blocks.__getitem__, rows[heads[blk]])))
 
     if initial is None and len(heads) == len(rows):
-        order, transitions = heads, [tuple(map(row.__getitem__, class_of)) for row in rows]
+        order, transitions = heads, rows
     else:
-        order, transitions = _explore(blocks[initial or 0], cells, class_of)
+        order, transitions = _explore(blocks[initial or 0], cells)
     kept = list(map(heads.__getitem__, order))
-    return _automaton(Dfa, alphabet, kept, transitions, finals.__getitem__, label)
+    return _automaton(Dfa, alphabet, kept, transitions, class_of, finals.__getitem__, label)
 
 
 def reachable_from(aut, state: int) -> frozenset:
@@ -838,10 +869,8 @@ def rename_columns(colored: ColoredDfa, alphabet: Alphabet, source) -> ColoredDf
         row = rows[state]
         return [ident(row[column]) for column in picks]
 
-    order, transitions = _explore(colored.dfa.initial, cells, class_of)
-    dfa = _automaton(
-        Dfa, alphabet, order, transitions, lambda state: state in colored.dfa.finals
-    )
+    order, transitions = _explore(colored.dfa.initial, cells)
+    dfa = _automaton(Dfa, alphabet, order, transitions, class_of, colored.dfa.finals.__contains__)
     return ColoredDfa(dfa, tuple(colored.colors[state] for state in order))
 
 

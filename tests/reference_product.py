@@ -41,9 +41,9 @@ def minimize(dfa: Dfa) -> Dfa:
         row = rows[heads[blk]]
         return [ident(block[row[column]]) for column in firsts]
 
-    order, transitions = _explore(block[dfa.initial], cells, class_of)
+    order, transitions = _explore(block[dfa.initial], cells)
     return _automaton(
-        Dfa, dfa.alphabet, order, transitions,
+        Dfa, dfa.alphabet, order, transitions, class_of,
         lambda blk: heads[blk] in dfa.finals,
         (lambda blk: dfa.labels[heads[blk]]) if dfa.labels else None,
     )

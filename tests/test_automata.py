@@ -19,6 +19,7 @@ from ldlmon.automata import (
     compile_dfa,
     delta,
     delta_epsilon,
+    deltas,
     determinize,
     guard_for_letters,
     is_empty,
@@ -164,18 +165,21 @@ def test_delta_epsilon_matches_empty_trace_truth():
 def test_delta_matches_the_minimal_models_of_the_reference_tree(monkeypatch):
     """On every obligation reachable from 120 seeded formulas, under
     every letter and EPSILON, delta's models are exactly the minimal
-    models of the positive boolean formula the reference builds.  Each
-    of the ten modality and path-kind rules is exercised."""
+    models of the positive boolean formula the reference builds, and one
+    ``deltas`` walk over all those letters gives what delta gives letter
+    by letter.  Each of the ten modality and path-kind rules is
+    exercised."""
     hits = Counter()
 
-    def counting_delta(f, letter, unfolding=()):
+    def counting_deltas(f, letters, unfolding=()):
         if isinstance(f, (Diamond, Box)):
             hits[type(f).__name__, type(f.path).__name__] += 1
-        return delta(f, letter, unfolding)
+        return deltas(f, letters, unfolding)
 
-    # delta recurses through the module's global, so every call is counted.
-    monkeypatch.setattr(automata, "delta", counting_delta)
-    starred = 0
+    # deltas recurses through the module's global, and delta runs it on
+    # one letter, so every rule hit is counted.
+    monkeypatch.setattr(automata, "deltas", counting_deltas)
+    starred = walked = 0
     for formula, alphabet in seeded_cases(8101, 120, depth=4, star_depth=2):
         letters = alphabet.letters() + (EPSILON,)
         seen = {to_nnf(formula)}
@@ -183,9 +187,14 @@ def test_delta_matches_the_minimal_models_of_the_reference_tree(monkeypatch):
         while queue:
             member = queue.pop()
             starred += any(isinstance(n, Star) for n in subterms(member))
-            for letter in letters:
-                got = counting_delta(member, letter)
+            walk = automata.deltas(member, letters)
+            assert len(walk) == len(letters)
+            walked += 1
+            for letter, in_walk in zip(letters, walk):
+                got = delta(member, letter)
                 assert len(set(got)) == len(got)
+                assert len(in_walk) == len(got), (print_ldlf(member), letter)
+                assert set(in_walk) == set(got), (print_ldlf(member), letter)
                 want = ref.minimal_models(ref.delta(member, letter))
                 assert set(got) == set(want), (print_ldlf(member), letter)
                 for model in got:
@@ -195,6 +204,7 @@ def test_delta_matches_the_minimal_models_of_the_reference_tree(monkeypatch):
     # The reference unfolds stars through marker atoms, so the re-entry
     # rule was compared with them.
     assert starred > 100
+    assert walked > 200
     rules = [
         (modality, kind)
         for modality in ("Diamond", "Box")

@@ -19,10 +19,14 @@ from dataclasses import replace
 from ldlmon import automata
 from ldlmon.automata import (
     Dfa,
+    DfaPath,
     Nfa,
+    _lower_rv,
+    _nfa_route,
     aut_to_json,
+    color,
     compile_dfa,
-    delta,
+    deltas,
     determinize,
     ldlf_to_nfa,
     letter_classes,
@@ -32,13 +36,15 @@ from ldlmon.automata import (
     product_pairs,
     reachable_from,
 )
-from ldlmon.syntax import Alphabet, parse_ldlf
-from ldlmon.syntax.ldl import print_ldlf
-from ldlmon.syntax.transforms import to_nnf
+from ldlmon.rv import RVState, RvAtom, RvPath
+from ldlmon.syntax import Alphabet, parse_ldlf, parse_ltlf
+from ldlmon.syntax.ldl import Box, Diamond, Step, print_ldlf, subterms
+from ldlmon.syntax.props import Atom
+from ldlmon.syntax.transforms import ltlf_to_ldlf, to_nnf
 
 import reference_delta as ref
 from reference_json import aut_from_json
-from genformulas import column_rows, random_dfa, seeded_cases
+from genformulas import column_rows, random_dfa, random_ldlf, random_ltlf, seeded_cases
 
 
 def reference_ldlf_to_nfa(formula, alphabet):
@@ -312,18 +318,21 @@ def test_letter_classes_group_exactly_the_equal_columns():
     assert len(firsts) == 4
 
 
-def count_delta_calls(monkeypatch, formula, alphabet) -> int:
-    calls = 0
+def count_delta_walks(monkeypatch, formula, alphabet) -> tuple:
+    """The ``deltas`` calls building the NFA makes, and the letters they
+    walk in all."""
+    calls = letters = 0
 
-    def counted(*args):
-        nonlocal calls
+    def counted(f, walked, unfolding=()):
+        nonlocal calls, letters
         calls += 1
-        return delta(*args)
+        letters += len(walked)
+        return deltas(f, walked, unfolding)
 
-    monkeypatch.setattr(automata, "delta", counted)
+    monkeypatch.setattr(automata, "deltas", counted)
     ldlf_to_nfa(formula, alphabet)
-    monkeypatch.setattr(automata, "delta", delta)
-    return calls
+    monkeypatch.setattr(automata, "deltas", deltas)
+    return calls, letters
 
 
 def test_delta_work_does_not_grow_with_unused_props(monkeypatch):
@@ -331,10 +340,58 @@ def test_delta_work_does_not_grow_with_unused_props(monkeypatch):
     large = Alphabet(tuple(f"p{j}" for j in range(8)))
     text = "[true*](<p0>tt -> <true*><p1 || p2>tt) && <(p0 ; !p1)*>end"
     formula = parse_ldlf(text, large)
-    few = count_delta_calls(monkeypatch, formula, small)
-    many = count_delta_calls(monkeypatch, formula, large)
-    assert few > 0
+    few = count_delta_walks(monkeypatch, formula, small)
+    many = count_delta_walks(monkeypatch, formula, large)
+    assert few[0] > 0
     assert many == few
+
+
+def rv_route_cases():
+    """API-built RV formulas that no RV rule of ``compile_dfa`` takes:
+    diamonds on temporary states, boxes whose argument is no next-letter
+    guard, and RV atoms under a modality.  Each lowers to ``DfaPath``."""
+    alphabet = Alphabet.tasks(["a", "b", "c"])
+    refs = [ltlf_to_ldlf(parse_ltlf(t, alphabet)) for t in ("F a", "G (a -> F b)", "!b U c")]
+    then = parse_ldlf("<b><c>tt", alphabet)
+    for f in refs:
+        for state in RVState:
+            yield Box(RvPath(f, state), then), alphabet
+            yield Diamond(Step(Atom("c")), RvAtom(f, state)), alphabet
+            if not state.permanent:
+                yield Diamond(RvPath(f, state), then), alphabet
+
+
+def test_nfa_route_matches_the_public_stages():
+    """``compile_dfa``'s NFA route keeps class rows from the NFA through
+    the subset construction into ``_moore``; tables, colors and labels
+    must be those of ``minimize(determinize(ldlf_to_nfa(f)))``: on seeded
+    formulas (task alphabets among them), on formulas over 3 props inside
+    3-8-prop alphabets, and on RV formulas lowered to ``DfaPath``."""
+    rng = random.Random(7008)
+    cases = list(seeded_cases(7001, 160))
+    for n in range(3, 9):
+        alphabet = Alphabet(tuple(f"p{j}" for j in range(n)))
+        for _ in range(12):
+            used = rng.sample(alphabet.props, 3)
+            if rng.random() < 0.5:
+                cases.append((random_ldlf(rng, used, depth=4, star_depth=2), alphabet))
+            else:
+                cases.append((ltlf_to_ldlf(random_ltlf(rng, used)), alphabet))
+    lowered = 0
+    for formula, alphabet in [*cases, *rv_route_cases()]:
+        memo: dict = {}
+        node = _lower_rv(formula, alphabet, memo)
+        got = _nfa_route(node, alphabet)
+        want = minimize(determinize(ldlf_to_nfa(node, alphabet)))
+        assert aut_to_json(got, color(got).colors) == aut_to_json(want, color(want).colors)
+        assert got.labels == want.labels
+        if node is not formula:
+            assert any(isinstance(n, DfaPath) for n in subterms(node))
+            assert compile_dfa(formula, alphabet, memo) is memo["dfa", formula, alphabet]
+            assert aut_to_json(memo["dfa", formula, alphabet]) == aut_to_json(want)
+            assert memo["dfa", formula, alphabet].labels == want.labels
+            lowered += 1
+    assert lowered == 3 * 4 * 2 + 3 * 2
 
 
 def reference_product_pairs(a, b, accept=None):

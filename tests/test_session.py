@@ -28,15 +28,16 @@ from test_templates import EVERY_TEMPLATE
 
 @pytest.fixture
 def nfa_builds(monkeypatch) -> list:
-    """Every formula ``compile_dfa`` builds an NFA for, in call order."""
+    """Every formula ``compile_dfa`` builds an NFA for, in call order:
+    the NFA route and ``ldlf_to_nfa`` both build it in ``_nfa_classes``."""
     built: list = []
-    build = automata.ldlf_to_nfa
+    build = automata._nfa_classes
 
     def counting(formula, alphabet):
         built.append(formula)
         return build(formula, alphabet)
 
-    monkeypatch.setattr(automata, "ldlf_to_nfa", counting)
+    monkeypatch.setattr(automata, "_nfa_classes", counting)
     return built
 
 
@@ -122,13 +123,16 @@ def test_meta_monitors_match_one_fresh_memo_per_call(nfa_builds):
     assert savings > 0
 
 
-def test_meta_monitors_of_pattern_defines_build_no_nfa(nfa_builds):
+def test_meta_monitors_of_pattern_defines_build_no_nfa(nfa_builds, monkeypatch):
     """With the pattern table warm, defines come from it and every
     directive, reactive compensation included, is an edit, a product or
-    a subset construction over their colored DFAs."""
+    a subset construction over their colored DFAs.  The builds that fill
+    an empty table do build NFAs, so the counter sees the route."""
+    monkeypatch.setattr(declare, "_TEMPLATES", {})
     models = [parse_meta(text) for text in distinct_meta_texts(7416, 60)]
     for model in models:
         MetaMonitor(model)
+    assert nfa_builds
     reactive = 0
     for model in models:
         assert all(c.call is not None for c in model.defines)
