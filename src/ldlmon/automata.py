@@ -21,9 +21,9 @@ A path may also be a ``DfaPath``, a DFA state standing for the traces
 from there to a final state, which ``delta`` walks one letter at a
 time, the way propositional dynamic logic over flowcharts treats a
 program.  ``compile_dfa`` puts one in place of each RV path (a
-reference to a monitor state of another formula) that none of its RV
-rules compiles from colored DFAs; no metaconstraint directive has such
-a path, so only RV formulas built through the API take this route.
+reference to a monitor state of another formula) nested under another
+modality or inside a composite path; no metaconstraint directive has
+one, so only RV formulas built through the API take this route.
 
 Acceptance of a macro-state asks whether every obligation in it is
 satisfied by the empty remainder, via the same recursion with the
@@ -37,8 +37,9 @@ by their intersection with the formula's atoms and walks each
 obligation once for the first letters of all classes (``deltas``).
 The NFA route of ``compile_dfa`` keeps those class rows through the
 subset construction (``_subsets``) into ``_moore``, which spreads them
-over the letters once; ``ldlf_to_nfa``, ``determinize`` and
-``minimize`` are adapters over the same stages.  ``determinize`` and
+over the letters once; ``_diamond_after`` runs the same two stages on
+an NFA it joins from two DFAs, and ``ldlf_to_nfa``, ``determinize`` and
+``minimize`` are adapters over them.  ``determinize`` and
 ``minimize`` take the classes from the automaton itself
 (``letter_classes``: columns whose successors agree from every state),
 and ``product_pairs``, ``_minimal_product`` and ``_diamond_after`` from
@@ -47,10 +48,10 @@ from its first letter.
 
 One breadth-first explorer, ``_explore``, holds the numbering policy of
 the constructions (``_nfa_classes``, ``_subsets``, ``product_pairs``,
-``_minimal_product``, ``_diamond_after``, ``_moore``,
-``rename_columns``): it visits states in discovery order, takes their
-cells class by class in the order of each class's first letter, numbers
-a successor the first time it is seen, and keeps one cell per class.
+``_minimal_product``, ``_moore``, ``rename_columns``): it visits states
+in discovery order, takes their cells class by class in the order of
+each class's first letter, numbers a successor the first time it is
+seen, and keeps one cell per class.
 States are therefore discovered, and numbered, exactly as a
 letter-by-letter walk would.  ``_automaton`` builds every result from
 the walk's keys and writes each class's cell into the column of every
@@ -399,21 +400,21 @@ def determinize(nfa: Nfa) -> Dfa:
     """Subset construction.  The result is total: letters with no
     successor lead to the empty subset, a rejecting sink."""
     firsts, class_of = letter_classes(nfa)
-    order, rows = _subsets([[row[c] for c in firsts] for row in nfa.transitions], nfa.initial)
+    order, rows = _subsets([[row[c] for c in firsts] for row in nfa.transitions], (nfa.initial,))
     return _automaton(Dfa, nfa.alphabet, order, rows, class_of, nfa.finals.intersection, _label)
 
 
-def _subsets(rows, initial: int):
+def _subsets(rows, start):
     """The subset construction over class rows (cells are sets of
-    states): the subsets reachable from ``{initial}`` in ``_explore``
-    order, and their class rows."""
-    blank = [()] * len(rows[initial])
+    states): the subsets reachable from the set of the states ``start``
+    in ``_explore`` order, and their class rows."""
+    blank = [()] * len(rows[0])
 
     def cells(subset, ident):
         columns = zip(*map(rows.__getitem__, subset)) if subset else blank
         return [ident(frozenset().union(*column)) for column in columns]
 
-    return _explore(frozenset((initial,)), cells)
+    return _explore(frozenset(start), cells)
 
 
 def _label(subset) -> str:
@@ -426,7 +427,7 @@ def _nfa_route(formula: ldl.Ldlf, alphabet: Alphabet) -> Dfa:
     them over the letters once, for the minimal DFA."""
     order, rows, class_of, accepts = _nfa_classes(formula, alphabet)
     finals = list(map(accepts, order))
-    subsets, rows = _subsets(rows, 0)
+    subsets, rows = _subsets(rows, (0,))
     accepting = [any(map(finals.__getitem__, subset)) for subset in subsets]
     return _moore(alphabet, rows, accepting, class_of, lambda i: _label(subsets[i]))
 
@@ -604,15 +605,13 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
     RV nodes are compiled from automata, not from their LDLf encoding
     (``metaconstraints.expand``): an ``RvAtom`` is a leaf whose DFA is
     the referenced formula's colored DFA with the states of its RV state
-    made final.  ``<RvPath(f, s)>tt`` with s permanent, so absorbing, is
-    ``RvAtom(f, s)``; ``<RvPath(f, s)>g`` with s permanent and any other
-    g is one subset construction over g's DFA, started where f's run
-    enters color s (``_diamond_after``); and ``[RvPath(f, s)](<g>tt ||
-    end)`` is f's colored DFA with every state final and, from each
-    state of color s, the letters that falsify g sent to a rejecting
-    sink.  On the NFA route ``_lower_rv`` puts ``DfaPath`` nodes on RV
-    atoms' DFAs in place of other RV paths and of RV atoms under a
-    modality.
+    made final.  A modality over an RV path, ``<RvPath(f, s)>g``, is one
+    subset construction over f's and g's DFAs (``_diamond_after``), and
+    ``[RvPath(f, s)]g`` the complement of ``<RvPath(f, s)>!g``; only
+    ``<RvPath(f, s)>tt`` with s permanent, so absorbing, is
+    ``RvAtom(f, s)``.  On the NFA route ``_lower_rv`` puts ``DfaPath``
+    nodes on RV atoms' DFAs in place of the RV nodes nested under another
+    modality or inside a composite path.
     """
     if memo is None:
         memo = {}
@@ -635,16 +634,17 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
                 operands.append(f)
         return product_fold((compile_dfa(f, alphabet, memo) for f in operands), kind is ldl.Or)
     path = getattr(formula, "path", None)
-    if isinstance(path, RvPath) and path.state.permanent and formula == ldl.Diamond(path, ldl.TT):
-        return compile_dfa(RvAtom(path.formula, path.state), alphabet, memo)
-    guard = _next_letter_guard(formula.arg) if isinstance(path, RvPath) else None
-    if isinstance(formula, RvAtom):
-        dfa = colored_dfa(formula.formula, alphabet, memo).accepting({formula.state})
-    elif isinstance(formula, ldl.Box) and guard is not None:
-        dfa = _guard_after(colored_dfa(path.formula, alphabet, memo), path.state, guard)
-    elif isinstance(formula, ldl.Diamond) and isinstance(path, RvPath) and path.state.permanent:
+    if isinstance(path, RvPath):
+        if path.state.permanent and formula == ldl.Diamond(path, ldl.TT):
+            return compile_dfa(RvAtom(path.formula, path.state), alphabet, memo)
         colored = colored_dfa(path.formula, alphabet, memo)
-        dfa = _diamond_after(colored, path.state, compile_dfa(formula.arg, alphabet, memo))
+        then = _then(formula.arg, alphabet, memo)
+        if isinstance(formula, ldl.Box):
+            dfa = complement(_diamond_after(colored, path.state, complement(then)))
+        else:
+            dfa = _diamond_after(colored, path.state, then)
+    elif isinstance(formula, RvAtom):
+        dfa = colored_dfa(formula.formula, alphabet, memo).accepting({formula.state})
     else:
         dfa = _nfa_route(_lower_rv(formula, alphabet, memo), alphabet)
     memo[key] = dfa
@@ -663,52 +663,35 @@ def colored_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict, build=None) -
     return colored
 
 
-def _next_letter_guard(f: ldl.Ldlf) -> Prop | None:
-    """g when f is ``<g>tt || end``, otherwise None."""
-    step = getattr(getattr(f, "left", None), "path", None)
-    if isinstance(step, ldl.Step) and f == ldl.Or(ldl.prop_formula(step.guard), ldl.END):
-        return step.guard
-    return None
-
-
-def _guard_after(colored: ColoredDfa, state: RVState, guard: Prop) -> Dfa:
-    """``[RvPath(f, state)](<guard>tt || end)`` from f's colored DFA."""
-    dfa, sink = colored.dfa, colored.dfa.n_states
-    allowed = [eval_prop(guard, letter) for letter in dfa.alphabet.letters()]
-    rows = [
-        tuple(t if ok else sink for t, ok in zip(row, allowed)) if rv is state else row
-        for row, rv in zip(dfa.transitions, colored.colors)
-    ]
-    rows.append((sink,) * len(allowed))
-    return minimize(Dfa(dfa.alphabet, sink + 1, dfa.initial, tuple(rows), frozenset(range(sink))))
+def _then(g: ldl.Ldlf, alphabet: Alphabet, memo: dict) -> Dfa:
+    """g's DFA.  ``<t>tt || end``, contextual absence's argument, is built
+    from the guard without the NFA route: the start (final), an accepting
+    sink past a letter in t and a rejecting sink past any other."""
+    step = getattr(getattr(g, "left", None), "path", None)
+    if not (isinstance(step, ldl.Step) and g == ldl.Or(ldl.prop_formula(step.guard), ldl.END)):
+        return compile_dfa(g, alphabet, memo)
+    first = tuple(1 if eval_prop(step.guard, letter) else 2 for letter in alphabet.letters())
+    rows = (first, (1,) * len(first), (2,) * len(first))
+    return Dfa(alphabet, 3, 0, rows, frozenset((0, 1)))
 
 
 def _diamond_after(colored: ColoredDfa, state: RVState, then: Dfa) -> Dfa:
-    """``<RvPath(f, state)>g`` with ``state`` permanent, from f's colored
-    DFA and g's DFA ``then``, explored over their joint letter classes.
-
-    A key is f's state until f's run enters a state of color ``state``.
-    Those states are absorbing, so every later prefix matches the path,
-    and the key becomes the set of g-states of the g-runs started at
-    every position since: each step moves them and adds g's initial
-    state.  A set is final where it meets g's finals."""
-    f_rows, start = colored.dfa.transitions, then.initial
-    g_columns = list(zip(*then.transitions))
-    firsts, class_of = _partition(zip(zip(*f_rows), g_columns))
-    steps = [g_columns[column] for column in firsts]
-    begun = frozenset((start,))
-
-    def key(q):
-        return begun if colored.colors[q] is state else q
-
-    def cells(k, ident):
-        if isinstance(k, int):
-            return [ident(key(f_rows[k][column])) for column in firsts]
-        return [ident(frozenset((*map(step.__getitem__, k), start))) for step in steps]
-
-    order, rows = _explore(key(colored.dfa.initial), cells)
-    finals = [not (isinstance(k, int) or k.isdisjoint(then.finals)) for k in order]
-    return _moore(then.alphabet, rows, finals, class_of)
+    """``<RvPath(f, state)>g`` from f's colored DFA and g's DFA ``then``,
+    by one subset construction over their joint letter classes.  The NFA
+    holds f's rows, then g's numbered after f's states; a step into color
+    ``state``, and a start in it, also starts a g-run.  A subset is final
+    where it holds a final state of g."""
+    f_rows, g_rows = colored.dfa.transitions, then.transitions
+    shift = len(f_rows)
+    firsts, class_of = _partition(zip(zip(*f_rows), zip(*g_rows)))
+    begun = shift + then.initial
+    enter = [frozenset((q, begun) if rv is state else (q,)) for q, rv in enumerate(colored.colors)]
+    run = [frozenset((p,)) for p in range(shift, shift + len(g_rows))]
+    rows = [[enter[row[column]] for column in firsts] for row in f_rows]
+    rows += [[run[row[column]] for column in firsts] for row in g_rows]
+    subsets, rows = _subsets(rows, enter[colored.dfa.initial])
+    finals = frozenset(shift + p for p in then.finals)
+    return _moore(then.alphabet, rows, [not finals.isdisjoint(s) for s in subsets], class_of)
 
 
 def _lower_rv(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict) -> ldl.Ldlf:

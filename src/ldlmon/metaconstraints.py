@@ -8,10 +8,10 @@ LDLf:
 
 A monitor build compiles both from f's colored DFA (see
 ``automata.compile_dfa``): an atom's DFA makes the states of color s
-final.  The builders' paths need no NFA either: contextual absence's
-is an edit of f's DFA, preference's is the atom itself, and reactive
-compensation's starts a run of the compensation's DFA at every position
-once f's run is in s, one subset construction.
+final.  The builders' paths need no NFA either: preference's is the
+atom itself, and the modalities of contextual absence and reactive
+compensation are one subset construction each, which starts a run of
+the argument's DFA wherever f's run is in s.
 
 ``expand`` is the paper's declarative encoding of the same nodes, and
 the oracle the direct compile is tested against.  It lowers both into

@@ -38,7 +38,7 @@ from ldlmon.automata import (
 )
 from ldlmon.rv import RVState, RvAtom, RvPath
 from ldlmon.syntax import Alphabet, parse_ldlf, parse_ltlf
-from ldlmon.syntax.ldl import Box, Diamond, Step, print_ldlf, subterms
+from ldlmon.syntax.ldl import TT, Alt, Box, Diamond, Seq, Star, Step, print_ldlf, subterms
 from ldlmon.syntax.props import Atom
 from ldlmon.syntax.transforms import ltlf_to_ldlf, to_nnf
 
@@ -347,18 +347,21 @@ def test_delta_work_does_not_grow_with_unused_props(monkeypatch):
 
 
 def rv_route_cases():
-    """API-built RV formulas that no RV rule of ``compile_dfa`` takes:
-    diamonds on temporary states, boxes whose argument is no next-letter
-    guard, and RV atoms under a modality.  Each lowers to ``DfaPath``."""
+    """API-built RV formulas that ``compile_dfa`` lowers to ``DfaPath``:
+    RV nodes under a step, and RV paths inside ``;``, ``*`` and ``+``.
+    An RV-path modality at the top is one subset construction instead
+    (``tests/test_metaconstraints.py`` holds its grid)."""
     alphabet = Alphabet.tasks(["a", "b", "c"])
     refs = [ltlf_to_ldlf(parse_ltlf(t, alphabet)) for t in ("F a", "G (a -> F b)", "!b U c")]
     then = parse_ldlf("<b><c>tt", alphabet)
     for f in refs:
         for state in RVState:
-            yield Box(RvPath(f, state), then), alphabet
+            path = RvPath(f, state)
             yield Diamond(Step(Atom("c")), RvAtom(f, state)), alphabet
-            if not state.permanent:
-                yield Diamond(RvPath(f, state), then), alphabet
+            yield Diamond(Seq(path, Step(Atom("b"))), TT), alphabet
+            yield Box(Star(path), then), alphabet
+            yield Diamond(Alt(path, Step(Atom("c"))), then), alphabet
+            yield Diamond(Step(Atom("a")), Diamond(path, then)), alphabet
 
 
 def test_nfa_route_matches_the_public_stages():
@@ -391,7 +394,7 @@ def test_nfa_route_matches_the_public_stages():
             assert aut_to_json(memo["dfa", formula, alphabet]) == aut_to_json(want)
             assert memo["dfa", formula, alphabet].labels == want.labels
             lowered += 1
-    assert lowered == 3 * 4 * 2 + 3 * 2
+    assert lowered == 3 * 4 * 5
 
 
 def reference_product_pairs(a, b, accept=None):

@@ -52,6 +52,7 @@ from ldlmon.syntax import (
     TT,
     formula_atoms,
     ltlf_to_ldlf,
+    parse_ldlf,
     parse_ltlf,
     parse_re,
     print_ldlf,
@@ -354,7 +355,7 @@ def test_rv_paths_nested_four_deep_compile_like_their_expansions():
     assert referred == set(RVState)
 
 
-# The three RV-path rules of compile_dfa ---------------------------------
+# RV-path modalities: one subset construction over f's and g's DFAs ------
 
 PAY_THEN_GET = Diamond(Step(Atom("pay")), Diamond(Step(Atom("get")), TT))
 
@@ -388,36 +389,69 @@ def test_rv_paths_under_a_box_of_the_next_letter_compile_like_their_expansions()
     assert accepts(two_letters, [frozenset({"pay"}), frozenset({"get"})])
 
 
-def rv_diamonds(formula):
-    """The ``<RvPath(f, s)>g`` nodes of a formula with s permanent and g
-    not ``tt``: the shape of reactive compensation."""
+def rv_modalities(formula):
+    """The ``<RvPath(f, s)>g`` and ``[RvPath(f, s)]g`` nodes of a formula,
+    of every state and argument."""
     return [
         n for n in subterms(formula)
-        if isinstance(n, Diamond) and isinstance(n.path, RvPath)
-        and n.path.state.permanent and n.arg != TT
+        if isinstance(n, (Diamond, Box)) and isinstance(n.path, RvPath)
     ]
 
 
+def assert_nfa_route_table(node, alphabet, context=""):
+    """``compile_dfa``'s table and finals for the node are byte for byte
+    those of the NFA route over the lowered node."""
+    memo: dict = {}
+    lowered = _lower_rv(node, alphabet, memo)
+    route = minimize(determinize(ldlf_to_nfa(lowered, alphabet)))
+    got = compile_dfa(node, alphabet, memo)
+    assert aut_to_json(got) == aut_to_json(route), context or print_ldlf(node)
+
+
 def test_rv_diamonds_compile_to_the_tables_of_the_nfa_route():
-    """The subset construction over g's DFA gives byte for byte the table
-    and finals that the NFA route over the lowered formula gives."""
+    """The subset construction over f's and g's DFAs gives byte for byte
+    the table and finals that the NFA route over the lowered formula
+    gives, on every RV-path modality of every directive."""
     rng = random.Random(6155)
     texts = [random_meta_text(rng) for _ in range(100)]
     samples = pathlib.Path(__file__).resolve().parent.parent / "samples"
     texts += [(samples / name).read_text(encoding="utf-8")
               for name in ("booking.meta", "directives.meta")]
-    compared = 0
+    compared = set()
     for text in texts:
         model = parse_meta(text)
-        alphabet = model.alphabet
         for directive in model.directives:
-            for node in rv_diamonds(model.directive_formula(directive)):
-                memo: dict = {}
-                lowered = _lower_rv(node, alphabet, memo)
-                route = minimize(determinize(ldlf_to_nfa(lowered, alphabet)))
-                assert aut_to_json(compile_dfa(node, alphabet, memo)) == aut_to_json(route), text
-                compared += 1
-    assert compared > 20
+            for node in rv_modalities(model.directive_formula(directive)):
+                assert_nfa_route_table(node, model.alphabet, text)
+                compared.add((type(node), node.path.state, node.arg == TT))
+    assert len(compared) == 6, compared
+
+
+def test_rv_modalities_of_every_state_and_argument_compile_to_the_nfa_route():
+    """Every reference, state, argument and modality of a grid over three
+    tasks: references that start in or reach each state, and arguments
+    that are constants, next-letter guards either way round, two letters
+    and an RV atom."""
+    alphabet = Alphabet.tasks(["a", "b", "c"])
+    refs = [
+        ltlf_to_ldlf(parse_ltlf(text, alphabet))
+        for text in ("F a", "G (a -> F b)", "!b U c", "a && !a", "a || !a", "X a")
+    ]
+    args = [
+        TT, FF, END, LAST,
+        parse_ldlf("<b><c>tt", alphabet),
+        parse_ldlf("<!b>tt || end", alphabet),
+        parse_ldlf("end || <!b>tt", alphabet),
+        RvAtom(refs[1], TF_),
+    ]
+    compared = 0
+    for f in refs:
+        for state in RVState:
+            for g in args:
+                for modality in (Diamond, Box):
+                    assert_nfa_route_table(modality(RvPath(f, state), g), alphabet)
+                    compared += 1
+    assert compared == 384
 
 
 NEVER_PF_OR_PT = RESP
@@ -441,10 +475,10 @@ def test_rv_diamonds_of_permanent_states_compile_like_their_expansions():
     assert not accepts(starts, [frozenset({"get"})])
 
 
-def test_rv_diamonds_of_temporary_states_keep_to_the_nfa_route():
-    # The rule reads every prefix after the first one in s as a match,
-    # which holds only when s is absorbing: ``pay`` leaves RESP in TF and
-    # ``get`` takes it on to TT, so the trace pay, get does not end in TF.
+def test_rv_diamonds_of_temporary_states_compile_like_their_expansions():
+    # A temporary state is not absorbing, so only the prefixes that end
+    # in it match: ``pay`` leaves RESP in TF and ``get`` takes it on to
+    # TT, so the trace pay, get does not end in TF.
     for state in (TF_, RVState.TEMP_TRUE):
         for formula in [RESP, RE1, NCX]:
             assert_direct_matches_expanded(Diamond(RvPath(formula, state), END))

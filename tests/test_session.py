@@ -10,6 +10,7 @@ as its build, and the pattern table is bounded by the catalog, so
 building monitor after monitor must not retain memory.
 """
 import gc
+import pathlib
 import random
 import tracemalloc
 
@@ -123,10 +124,43 @@ def test_meta_monitors_match_one_fresh_memo_per_call(nfa_builds):
     assert savings > 0
 
 
+def test_meta_monitor_builds_compile_each_distinct_argument_once(monkeypatch):
+    """Within one build, the memo answers every repeated compile: the NFA
+    route and the subset construction of RV-path modalities each run at
+    most once per distinct argument.  A conflict directive compiles its
+    references both alone and in their conjunction, and the samples'
+    ``ltl:`` defines take the NFA route, so a build that lost the memo
+    between calls would run one of them twice."""
+    calls: list = []
+
+    def counting(name):
+        stage = getattr(automata, name)
+
+        def counted(*args):
+            calls.append((name, *args))
+            return stage(*args)
+
+        monkeypatch.setattr(automata, name, counted)
+
+    counting("_nfa_route")
+    counting("_diamond_after")
+    samples = pathlib.Path(__file__).resolve().parent.parent / "samples"
+    texts = distinct_meta_texts(7417, 30)
+    texts += [(samples / name).read_text(encoding="utf-8")
+              for name in ("booking.meta", "directives.meta")]
+    stages = set()
+    for text in texts:
+        del calls[:]
+        MetaMonitor(parse_meta(text))
+        assert len(calls) == len(set(calls)), text
+        stages.update(name for name, *_ in calls)
+    assert stages == {"_nfa_route", "_diamond_after"}
+
+
 def test_meta_monitors_of_pattern_defines_build_no_nfa(nfa_builds, monkeypatch):
     """With the pattern table warm, defines come from it and every
-    directive, reactive compensation included, is an edit, a product or
-    a subset construction over their colored DFAs.  The builds that fill
+    directive is a product, a complement or a subset construction over
+    their colored DFAs.  The builds that fill
     an empty table do build NFAs, so the counter sees the route."""
     monkeypatch.setattr(declare, "_TEMPLATES", {})
     models = [parse_meta(text) for text in distinct_meta_texts(7416, 60)]
