@@ -26,15 +26,16 @@ modality or inside a composite path; no metaconstraint directive has
 one, so only RV formulas built through the API take this route.
 
 Acceptance of a macro-state asks whether every obligation in it is
-satisfied by the empty remainder, via the same recursion with the
-step base cases flipped to their out-of-trace values.
+satisfied by the empty remainder: its ``delta`` under EPSILON, with the
+step base cases at their out-of-trace values, is ``TRUE_MODELS``.
 
 Letters are the alphabet's interpretations, 2^n of them for n props,
 but the constructions do their work once per letter class, a set of
 letters that behave the same way.  ``delta`` reads a letter only
 through guard atoms, so the NFA stage, ``_nfa_classes``, groups letters
 by their intersection with the formula's atoms and walks each
-obligation once for the first letters of all classes (``deltas``).
+obligation once, under the first letters of all classes and EPSILON
+(``deltas``), for its successors and its acceptance together.
 The NFA route of ``compile_dfa`` keeps those class rows through the
 subset construction (``_subsets``) into ``_moore``, which spreads them
 over the letters once; ``_diamond_after`` runs the same two stages on
@@ -177,8 +178,9 @@ def delta(f: ldl.Ldlf, letter, unfolding: tuple = ()) -> tuple:
 
 
 def deltas(f: ldl.Ldlf, letters, unfolding: tuple = ()) -> list:
-    """``delta`` of f under each of ``letters`` (EPSILON may be one), in
-    one walk: a rule's transient nodes are built once for all letters."""
+    """``delta`` of f under each of ``letters`` in one walk, a rule's
+    transient nodes built once for all; the NFA stage passes its class
+    letters and EPSILON last, for successors and acceptance at once."""
     if isinstance(f, ldl.Tt):
         return [TRUE_MODELS] * len(letters)
     if isinstance(f, ldl.Ff):
@@ -225,16 +227,6 @@ def deltas(f: ldl.Ldlf, letters, unfolding: tuple = ()) -> list:
         raise ValueError(msg)
     msg = f"not an LDLf formula: {f!r}"
     raise TypeError(msg)
-
-
-def delta_epsilon(f: ldl.Ldlf) -> bool:
-    """Whether the obligation f holds on the empty remainder, where its
-    ``delta`` is one of the two constants."""
-    result = delta(f, EPSILON)
-    if result == TRUE_MODELS or result == FALSE_MODELS:
-        return bool(result)
-    msg = f"empty-remainder evaluation did not reach a constant: {f!r}"
-    raise AssertionError(msg)
 
 
 @dataclass(frozen=True)
@@ -372,13 +364,14 @@ def _nfa_classes(formula: ldl.Ldlf, alphabet: Alphabet):
     macro-state accepts.
 
     Each obligation is walked once, under the first letter of every
-    class, and each model's sort key is printed once per compile."""
+    class and EPSILON last, for its successors and its acceptance; a cell
+    of two or more models sorts them by keys printed once per compile."""
     normalized = to_nnf(formula)
     letters = alphabet.letters()
     atoms = ldl.formula_atoms(normalized)
     firsts, class_of = _partition([letter & atoms for letter in letters])
-    class_letters = [letters[column] for column in firsts]
-    walk = functools.cache(lambda member: deltas(member, class_letters))
+    walk_letters = [letters[column] for column in firsts] + [EPSILON]
+    walk = functools.cache(lambda member: deltas(member, walk_letters))
     key = functools.cache(print_ldlf)
     model_key = functools.cache(lambda model: (len(model), sorted(map(key, model))))
 
@@ -386,13 +379,19 @@ def _nfa_classes(formula: ldl.Ldlf, alphabet: Alphabet):
         by_class = [TRUE_MODELS] * len(firsts)
         for member in macro:
             by_class = list(map(models_and, by_class, walk(member)))
-        return [frozenset(map(ident, sorted(models, key=model_key))) for models in by_class]
+        return [frozenset(map(ident, models if len(models) < 2 else sorted(models, key=model_key)))
+                for models in by_class]
+
+    def at_end(member) -> bool:
+        result = walk(member)[-1]
+        if result == TRUE_MODELS or result == FALSE_MODELS:
+            return bool(result)
+        raise AssertionError(f"empty-remainder evaluation did not reach a constant: {member!r}")
 
     order, rows = _explore(frozenset((normalized,)), cells)
     if frozenset() not in order:
         rows.append([frozenset((len(order),))] * len(firsts))
         order.append(frozenset())
-    at_end = functools.cache(delta_epsilon)
     return order, rows, class_of, lambda macro: all(map(at_end, macro))
 
 

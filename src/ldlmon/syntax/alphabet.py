@@ -61,7 +61,9 @@ class Alphabet:
     def letters(self) -> tuple[frozenset[str], ...]:
         """All letters of this alphabet, in a fixed enumeration order.
         A prop alphabet of more than ``MAX_PROPS`` props has too many to
-        enumerate: it raises ValueError instead."""
+        enumerate: it raises ValueError instead.  Prop letters are built by
+        doubling, each prop added to a copy of the letters so far, so the
+        letter at index ``mask`` holds ``props[j]`` for each bit j set."""
         cached = self.__dict__.get("_letters")
         if cached is None:
             if self.singleton_letters:
@@ -71,10 +73,10 @@ class Alphabet:
                 if n > MAX_PROPS:
                     msg = f"{n} props give 2^{n} letters; at most {MAX_PROPS} props are supported"
                     raise ValueError(msg)
-                cached = tuple(
-                    frozenset(self.props[j] for j in range(n) if mask >> j & 1)
-                    for mask in range(1 << n)
-                )
+                letters = [frozenset()]
+                for p in self.props:
+                    letters += [letter | {p} for letter in letters]
+                cached = tuple(letters)
             object.__setattr__(self, "_letters", cached)
         return cached
 

@@ -24,7 +24,6 @@ Desugarings applied at parse time (the canonical form):
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
 
 from . import ldl, ltl
 from .alphabet import Alphabet, RESERVED_NAMES
@@ -39,11 +38,11 @@ class FormulaSyntaxError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str
-    text: str
-    pos: int
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind, self.text, self.pos = kind, text, pos
 
 
 _TOKEN_RE = _re.compile(
