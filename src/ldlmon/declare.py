@@ -36,8 +36,11 @@ metaconstraint builder and the timeline row under it.
 
 Monitoring facades (``ModelMonitor``, ``MetaMonitor``) run all the
 constraint monitors in lockstep: each event costs one column lookup,
-shared by every monitor, and one table index per monitor.  They keep no
-record of past events; ``timeline`` takes the trace, walks each
+shared by every monitor, and one table index per monitor whose verdict
+can still change.  A monitor in PT or PF is not stepped again until
+``reset`` or ``timeline``: in a minimal DFA such a state is an absorbing
+sink, so stepping would leave it, and every answer, where it is.  They
+keep no record of past events; ``timeline`` takes the trace, walks each
 monitor's transition table through it once and reads the timeline's
 rows off the states passed, the forbidden rows from each monitor's
 per-state forbidden table (see ``monitor.Monitor``).  The whole-model
@@ -437,12 +440,25 @@ def _forbidden_row(governing: Monitor, monitors, paths) -> list[str]:
     ]
 
 
+def _unsettled(entries) -> list:
+    """The ``_Lockstep`` entries whose monitor is not in a PT or PF state."""
+    return [entry for entry in entries if not entry[4][entry[1].current]]
+
+
 class _Lockstep:
     """Named monitors over one task alphabet, advanced together.
 
-    ``_monitors`` holds the ``(name, Monitor)`` pairs in output order.  An
-    event costs one task -> column lookup, shared by every monitor, and
-    one table index per monitor, whose new state is written back to it.
+    ``_entries`` holds one ``(name, monitor, table, colors, permanent)``
+    entry per monitor in output order, ``permanent[state]`` true where the
+    state is PT or PF.  An event costs one task -> column lookup, shared
+    by every monitor, and one table index per monitor in ``_live``, whose
+    new state is written back to it.  A monitor that reaches a permanent
+    state settles: it leaves ``_live`` until ``reset`` or ``timeline``,
+    as in a minimal DFA that state is an absorbing sink.  ``_settled`` is
+    empty until one has settled; from then on it maps every name, in
+    output order, to its last verdict, and a step copies it and
+    overwrites the live monitors' verdicts.
+
     ``extra_rows`` maps a monitor's name to the ``(label, cells)`` of the
     timeline row under its own (or to None): ``cells(monitor, paths)``
     gives the row up to trace completion, where ``paths`` maps each
@@ -450,30 +466,49 @@ class _Lockstep:
     """
 
     def __init__(self, alphabet: Alphabet, monitors, extra_rows):
-        self._monitors = tuple(monitors)
+        self._entries = tuple(
+            (name, m, m.table, m.colors, tuple(rv.permanent for rv in m.colors))
+            for name, m in monitors
+        )
+        self._initials = tuple((m, m.dfa.initial) for _, m, _, _, _ in self._entries)
         self._extra_rows = extra_rows
         columns = alphabet.columns()
         self._columns = {task: columns[frozenset((task,))] for task in alphabet.props}
+        self._settle()
+        self._start = self._live, self._settled
+
+    def _settle(self):
+        """Derive ``_live`` and ``_settled`` from the current states."""
+        self._live = _unsettled(self._entries)
+        self._settled = {} if len(self._live) == len(self._entries) else self.states()
 
     def reset(self):
-        for _, monitor in self._monitors:
-            monitor.reset()
+        for monitor, initial in self._initials:
+            monitor.current = initial
+        self._live, self._settled = self._start
 
     def step(self, task: str) -> dict[str, RVState]:
-        """Feed one task to every monitor; returns the states after it.
-        An unknown task raises ValueError before any monitor moves."""
+        """Feed one task to every live monitor; returns every monitor's
+        state after it.  An unknown task raises ValueError before any
+        monitor moves."""
         try:
             column = self._columns[task]
         except (KeyError, TypeError):  # TypeError: an unhashable event
             column = self._column(task)  # raises the unknown-task error
-        states = {}
-        for name, monitor in self._monitors:
-            monitor.current = state = monitor.table[monitor.current][column]
-            states[name] = monitor.colors[state]
+        states = self._settled.copy()
+        settled = False
+        for name, monitor, table, colors, permanent in self._live:
+            monitor.current = state = table[monitor.current][column]
+            states[name] = colors[state]
+            if permanent[state]:
+                settled = True
+        if settled:
+            self._live = _unsettled(self._live)
+            self._settled = states.copy()
         return states
 
     def states(self) -> dict[str, RVState]:
-        return {name: monitor.current_rv() for name, monitor in self._monitors}
+        return {name: colors[m.current] for name, m, _, colors, _ in self._entries}
 
     def timeline(self, tasks) -> Timeline:
         """Run the given trace from the start and lay it out as a table.
@@ -486,8 +521,7 @@ class _Lockstep:
         tasks = list(tasks)
         columns = [self._column(task) for task in tasks]
         paths = {}
-        for _, monitor in self._monitors:
-            table = monitor.table
+        for _, monitor, table, _, _ in self._entries:
             state = monitor.dfa.initial
             path = [state]
             for column in columns:
@@ -495,9 +529,10 @@ class _Lockstep:
                 path.append(state)
             monitor.current = state
             paths[monitor] = path
+        self._settle()
         timeline = Timeline(columns=["begin", *tasks, "complete"])
-        for name, monitor in self._monitors:
-            colors, path = monitor.colors, paths[monitor]
+        for name, monitor, _, colors, _ in self._entries:
+            path = paths[monitor]
             cells = [colors[state].code for state in path]
             cells.append(final_state(colors[path[-1]]).code)
             timeline.add_row(name, cells)

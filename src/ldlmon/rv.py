@@ -21,8 +21,10 @@ from .syntax import ldl
 
 class RVState(Enum):
     """An RV state.  ``code`` is its two-letter display code (TT, TF, PT
-    or PF), a plain attribute fixed when the member is made, so a
-    timeline reads one attribute per cell."""
+    or PF); ``satisfied`` says whether the trace seen so far satisfies
+    the property, ``permanent`` whether no continuation can change the
+    truth value.  All three are plain attributes fixed when the member is
+    made, so a timeline or a lockstep build reads one attribute each."""
 
     TEMP_TRUE = "temp_true"
     TEMP_FALSE = "temp_false"
@@ -31,19 +33,11 @@ class RVState(Enum):
 
     def __init__(self, value: str):
         self.code = "".join(word[0] for word in value.split("_")).upper()
+        self.satisfied = value.endswith("true")
+        self.permanent = value.startswith("perm")
 
     def __str__(self) -> str:
         return self.value
-
-    @property
-    def satisfied(self) -> bool:
-        """Whether the trace seen so far satisfies the property."""
-        return self in (RVState.TEMP_TRUE, RVState.PERM_TRUE)
-
-    @property
-    def permanent(self) -> bool:
-        """Whether no continuation can change the truth value."""
-        return self in (RVState.PERM_TRUE, RVState.PERM_FALSE)
 
     @classmethod
     def classify(cls, satisfied: bool, changeable: bool) -> "RVState":

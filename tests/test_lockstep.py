@@ -1,17 +1,37 @@
 """The lockstep runner of model and meta monitors against a reference
 that walks every monitor's colored DFA on its own, letter by letter,
 through the dict-based ``Dfa.step``; the forbidden rows against a scan
-of every task's letter at each state the reference passes through."""
+of every task's letter at each state the reference passes through.
+Long seeded runs mix steps with resets, timelines and unknown tasks, so
+monitors settle in PT or PF and leave the step loop (see
+``declare._Lockstep``) and come back; the invariant that makes that
+skip safe, a permanent state being an absorbing sink, is checked over
+every monitor that ``table_digests`` builds."""
+import pathlib
 import random
 
+import pytest
+
+import ldlmon.declare as declare
 from ldlmon.automata import compile_dfa
-from ldlmon.declare import KIND_ABSENCE, PATTERNS, MetaMonitor, ModelMonitor, parse_meta
+from ldlmon.declare import (
+    KIND_ABSENCE,
+    PATTERNS,
+    MetaMonitor,
+    ModelMonitor,
+    Verdict,
+    parse_decl,
+    parse_meta,
+)
 from ldlmon.metaconstraints import expand
-from ldlmon.monitor import color
+from ldlmon.monitor import Monitor, color
 from ldlmon.rv import RVState
 from ldlmon.syntax import ldl
 
+from table_digests import CORPORA
 from test_compositional import random_model
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
 
 def reference_states(named, alphabet, max_len=4):
@@ -197,3 +217,173 @@ def test_meta_forbidden_rows_match_a_letter_by_letter_scan():
                     rows_checked += 1
                     cells_naming_tasks += sum(cell != "-" for cell in want)
     assert rows_checked >= 500 and cells_naming_tasks >= 500
+
+
+# A model and a meta model with monitors that start settled: an
+# unsatisfiable line is PF and a valid one PT before any event.
+SETTLED_AT_START_DECL = """tasks: a, b, c
+never: ltl: a && !a
+always: ltl: G (a || !a)
+r: response(a, b)
+p: precedence(b, c)
+"""
+SETTLED_AT_START_META = """tasks: a, b
+define never: ltl: a && !a
+define always: ltl: G (a || !a)
+define r: response(a, b)
+show never
+show always
+show r
+meta c: conflict r always
+meta w: absence b when never = PF
+"""
+
+PERMANENT = (RVState.PERM_TRUE, RVState.PERM_FALSE)
+SATISFIED = (RVState.TEMP_TRUE, RVState.PERM_TRUE)
+
+
+def long_run(runner, named, rng, steps=200) -> int:
+    """Feed ``runner`` ``steps`` random tasks, with ``reset``, a
+    ``timeline`` of a random trace or an unknown task at random points
+    between them, and check every answer against ``named`` walked one
+    letter at a time: each step's dict, key order included, and after
+    every call ``states()`` and, for a model monitor, ``forbidden()`` and
+    ``verdicts()``.  Returns how many unknown tasks came while some
+    monitor was settled."""
+    alphabet = runner.model.alphabet
+    tasks = list(alphabet.props)
+    initial = [c.dfa.initial for _, c in named]
+    constraints = named[:-1] if isinstance(runner, ModelMonitor) else None
+    scans = {}
+
+    def advance(vector, task):
+        letter = frozenset((task,))
+        return [c.dfa.step(s, letter) for (_, c), s in zip(named, vector)]
+
+    def want(vector):
+        return [(name, c.colors[s]) for (name, c), s in zip(named, vector)]
+
+    def check(vector):
+        expected = want(vector)
+        assert list(runner.states().items()) == expected
+        if constraints is not None:
+            forbidden = frozenset()
+            for index, ((_, c), s) in enumerate(zip(constraints, vector)):
+                if (index, s) not in scans:
+                    scans[index, s] = scanned_tasks(c, s, alphabet)
+                forbidden |= scans[index, s]
+            assert runner.forbidden() == forbidden
+            verdicts = [
+                (name, Verdict.COMPLIANT if rv in SATISFIED else Verdict.NONCOMPLIANT)
+                for name, rv in expected
+            ]
+            assert list(runner.verdicts().items()) == verdicts
+
+    settled_unknowns = done = 0
+    vector = list(initial)
+    check(vector)
+    while done < steps:
+        roll = rng.random()
+        if roll < 0.03:
+            runner.reset()
+            vector = list(initial)
+        elif roll < 0.06:
+            trace = [rng.choice(tasks) for _ in range(rng.randint(0, 6))]
+            rows = dict(runner.timeline(trace).rows)
+            vector = list(initial)
+            for name, rv in want(vector):
+                assert rows[name][0] == rv.code
+            for column, task in enumerate(trace, start=1):
+                vector = advance(vector, task)
+                for name, rv in want(vector):
+                    assert rows[name][column] == rv.code, (name, trace)
+        elif roll < 0.09:
+            settled_unknowns += any(rv in PERMANENT for _, rv in want(vector))
+            with pytest.raises(ValueError, match="unknown task"):
+                runner.step("no-such-task")
+        else:
+            task = rng.choice(tasks)
+            vector = advance(vector, task)
+            assert list(runner.step(task).items()) == want(vector)
+            done += 1
+        check(vector)
+    return settled_unknowns
+
+
+def test_model_monitor_long_runs_agree_with_the_reference():
+    rng = random.Random(6155)
+    models = [random_model(rng) for _ in range(100)]
+    models += [
+        parse_decl((SAMPLES / "booking.decl").read_text(encoding="utf-8")),
+        parse_decl(SETTLED_AT_START_DECL),
+    ]
+    start = list(ModelMonitor(models[-1]).states().values())
+    assert start[:2] == [RVState.PERM_FALSE, RVState.PERM_TRUE]
+    settled_unknowns = 0
+    for model in models:
+        settled_unknowns += long_run(ModelMonitor(model), model_reference(model), rng)
+    assert settled_unknowns >= 200
+
+
+def test_meta_monitor_long_runs_agree_with_the_reference():
+    rng = random.Random(6156)
+    texts = [random_meta_text(rng) for _ in range(100)]
+    texts += [
+        (SAMPLES / "booking.meta").read_text(encoding="utf-8"),
+        (SAMPLES / "directives.meta").read_text(encoding="utf-8"),
+        SETTLED_AT_START_META,
+    ]
+    start = list(MetaMonitor(parse_meta(texts[-1])).states().values())
+    assert start[:2] == [RVState.PERM_FALSE, RVState.PERM_TRUE]
+    settled_unknowns = 0
+    for text in texts:
+        model = parse_meta(text)
+        settled_unknowns += long_run(MetaMonitor(model), meta_reference(model), rng)
+    assert settled_unknowns >= 200
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_permanent_states_are_absorbing_sinks(corpus):
+    """A settled monitor is never stepped again; that gives the same
+    answers only because each PT or PF state's row is all itself."""
+    permanent_states = 0
+    for ident, monitor in CORPORA[corpus]():
+        for state, (rv, row) in enumerate(zip(monitor.colors, monitor.dfa.transitions)):
+            if rv in PERMANENT:
+                assert set(row) == {state}, (ident, state, rv)
+                permanent_states += 1
+    assert permanent_states > 0
+
+
+class CountingRows(tuple):
+    """A transition table that counts its row reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return tuple.__getitem__(self, index)
+
+
+def test_settled_monitors_are_not_stepped(monkeypatch):
+    """Step the booking model after every local that can settle has: only
+    ``response(pay, get)``, which no trace makes permanent, reads its
+    table, once per event."""
+
+    class CountingMonitor(Monitor):
+        def __init__(self, automaton):
+            super().__init__(automaton)
+            self.table = CountingRows(self.table)
+
+    monkeypatch.setattr(declare, "Monitor", CountingMonitor)
+    runner = ModelMonitor(parse_decl((SAMPLES / "booking.decl").read_text(encoding="utf-8")))
+    for task in ["pay", "pay", "acc", "get", "cancel"]:
+        runner.step(task)
+    monitors = [*runner.locals.values(), runner.overall]
+    live = [m for m in monitors if m.current_rv() not in PERMANENT]
+    assert live == [runner.locals["response(pay, get)"]]
+    reads = [m.table.reads for m in monitors]
+    for _ in range(10_000):
+        runner.step("get")
+    steps = [m.table.reads - before for m, before in zip(monitors, reads)]
+    assert steps == [10_000 if m in live else 0 for m in monitors]

@@ -241,6 +241,20 @@ def test_monitor_stepping_and_reset():
     assert monitor.current_rv() is TF_
 
 
+def test_rv_state_attributes_match_classify_and_the_codes():
+    for member in RVState:
+        # Plain attributes of the member, set when it is made.
+        assert {"code", "satisfied", "permanent"} <= vars(member).keys()
+        assert type(member.satisfied) is bool and type(member.permanent) is bool
+        assert RVState.classify(member.satisfied, not member.permanent) is member
+        assert member.code == ("P" if member.permanent else "T") + (
+            "T" if member.satisfied else "F"
+        )
+        assert RVState.parse(member.code) is member
+    assert [m for m in RVState if m.satisfied] == [TT_, PT_]
+    assert [m for m in RVState if m.permanent] == [PT_, PF_]
+
+
 def test_monitor_steps_through_the_dfa_table_itself():
     colored = ltl_monitor("X (a -> WX b)", AB)
     assert Monitor(colored).table is colored.dfa.transitions
