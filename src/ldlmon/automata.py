@@ -43,13 +43,13 @@ an NFA it joins from two DFAs, and ``ldlf_to_nfa``, ``determinize`` and
 ``minimize`` are adapters over them.  ``determinize`` and
 ``minimize`` take the classes from the automaton itself
 (``letter_classes``: columns whose successors agree from every state),
-and ``product_pairs``, ``_minimal_product`` and ``_diamond_after`` from
-the pairs of their operands' columns.  A class's successor is computed
+and ``product_pairs``, ``product_fold`` and ``_diamond_after`` from the
+tuples of their operands' columns.  A class's successor is computed
 from its first letter.
 
 One breadth-first explorer, ``_explore``, holds the numbering policy of
 the constructions (``_nfa_classes``, ``_subsets``, ``product_pairs``,
-``_minimal_product``, ``_moore``, ``rename_columns``): it visits states
+``product_fold``, ``_moore``, ``rename_columns``): it visits states
 in discovery order, takes their cells class by class in the order of
 each class's first letter, numbers a successor the first time it is
 seen, and keeps one cell per class.
@@ -58,7 +58,8 @@ letter-by-letter walk would.  ``_automaton`` builds every result from
 the walk's keys and writes each class's cell into the column of every
 letter in it.  ``_partition``, which groups keys by first occurrence,
 forms the letter classes and is also the refinement step of ``_moore``,
-which ``minimize``, the NFA route, the ``product_fold`` steps and
+which ``minimize``, the NFA route, ``product_fold`` (one walk over the
+tuples of its operands' states for a whole chain) and
 ``_diamond_after`` run.
 
 Every automaton stores one transition table: a tuple of rows, one per
@@ -82,7 +83,7 @@ import functools
 import json
 import operator
 from collections import deque
-from itertools import repeat
+from itertools import compress, repeat, starmap
 from dataclasses import dataclass
 
 from .rv import RVState, RvAtom, RvPath
@@ -489,12 +490,13 @@ def _automaton(kind, alphabet, order, rows, class_of, final, label=None):
     spread over the letters (``class_of``: every letter's class): initial
     state 0, final when ``final(key)``, labelled ``label(key)``, and
     unlabelled without ``label``."""
+    spread = operator.itemgetter(*class_of) if len(class_of) > 1 else tuple
     return kind(
         alphabet=alphabet,
         n_states=len(order),
         initial=0,
-        transitions=tuple([tuple(map(row.__getitem__, class_of)) for row in rows]),
-        finals=frozenset(i for i, key in enumerate(order) if final(key)),
+        transitions=tuple(map(spread, rows)),
+        finals=frozenset(compress(range(len(order)), map(final, order))),
         labels=tuple(map(label, order)) if label else (),
     )
 
@@ -538,48 +540,44 @@ def product(a: Dfa, b: Dfa, accept=None) -> Dfa:
 
 def product_fold(dfas, disjunction: bool = False) -> Dfa:
     """Minimal DFA of the conjunction (with ``disjunction``, the
-    disjunction) of one or more DFAs, folded left to right by
-    ``_minimal_product``; no DFA at all is a ValueError."""
-    dfas = iter(dfas)
-    folded = next(dfas, None)
-    if folded is None:
+    disjunction) of one or more DFAs: one ``_explore`` over the tuples of
+    their states on the joint letter classes, then one ``_moore``.  Every
+    tuple with a component in an absorbing state that decides the result
+    alone (rejecting for a conjunction, accepting for a disjunction) is
+    one key, the first such tuple found.  A state's label ``(q1,...,qn)``
+    holds the operands' states in its block's first tuple.  One DFA comes
+    back as is; none at all, or mixed alphabets, is a ValueError."""
+    dfas = tuple(dfas)
+    if not dfas:
         msg = "a product of no automata: a model needs at least one constraint"
         raise ValueError(msg)
-    for dfa in dfas:
-        folded = _minimal_product(folded, dfa, disjunction)
-    return folded
-
-
-def _minimal_product(a: Dfa, b: Dfa, disjunction: bool) -> Dfa:
-    """``minimize(product(a, b))`` in one step, labels included: the
-    pairs are explored over the joint letter classes, and every pair with
-    a component in an absorbing state that decides the result alone
-    (rejecting for a conjunction, accepting for a disjunction) is one
-    key, the first such pair found."""
-    if a.alphabet != b.alphabet:
+    if len(dfas) == 1:
+        return dfas[0]
+    tables, start, finals, alphabets = zip(*map(operator.attrgetter(
+        "transitions", "initial", "finals", "alphabet"), dfas))
+    if alphabets.count(alphabets[0]) < len(dfas):
         msg = "product needs automata over the same alphabet"
         raise ValueError(msg)
-    rows_a, rows_b = a.transitions, b.transitions
-    firsts, class_of = _partition(zip(zip(*rows_a), zip(*rows_b)))
-    sink_a, sink_b = (
-        {q for q, row in enumerate(d.transitions)
-         if row.count(q) == len(row) and (q in d.finals) == disjunction}
-        for d in (a, b)
-    )
-    settled: dict = {}  # 0: the first pair found with a deciding component
+    firsts, class_of = _partition(zip(*starmap(zip, tables)))
+    pick = operator.itemgetter(*firsts) if len(firsts) > 1 else operator.itemgetter(slice(1))
+    # Deciding states as (operand, state) pairs, as ``enumerate`` pairs a tuple.
+    deciding = {(k, q) for k, d in enumerate(dfas) for q, row in enumerate(d.transitions)
+                if row.count(q) == len(row) and (q in d.finals) == disjunction}
+    # 0: the first tuple found with a deciding component
+    settled = {} if deciding.isdisjoint(enumerate(start)) else {0: start}
 
-    def key(pair):
-        return settled.setdefault(0, pair) if pair[0] in sink_a or pair[1] in sink_b else pair
+    def cells(key, ident):
+        targets = zip(*map(pick, map(operator.getitem, tables, key)))
+        if deciding:
+            targets = [settled.setdefault(0, t) if not deciding.isdisjoint(enumerate(t)) else t
+                       for t in targets]
+        return list(map(ident, targets))
 
-    def cells(pair, ident):
-        row_a, row_b = rows_a[pair[0]], rows_b[pair[1]]
-        targets = zip(map(row_a.__getitem__, firsts), map(row_b.__getitem__, firsts))
-        return list(map(ident, map(key, targets) if sink_a or sink_b else targets))
-
-    order, rows = _explore(key((a.initial, b.initial)), cells)
-    join = operator.or_ if disjunction else operator.and_
-    finals = [join(p in a.finals, q in b.finals) for p, q in order]
-    return _moore(a.alphabet, rows, finals, class_of, lambda i: "({},{})".format(*order[i]))
+    order, rows = _explore(start, cells)
+    join = any if disjunction else all
+    accepting = [join(map(operator.contains, finals, key)) for key in order]
+    label = ("(" + ",".join(["{}"] * len(dfas)) + ")").format
+    return _moore(alphabets[0], rows, accepting, class_of, lambda i: label(*order[i]))
 
 
 def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None) -> Dfa:
@@ -587,8 +585,8 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
 
     Boolean structure at the top is compiled compositionally: a negation
     complements its argument's DFA, and a chain of conjunctions (or
-    disjunctions) is flattened without recursion and folded by minimized
-    products of the operands' DFAs.  Anything else goes through the NFA
+    disjunctions) is flattened without recursion into one product of the
+    operands' DFAs (``product_fold``).  Anything else goes through the NFA
     construction and the subset construction.  Minimal DFAs are unique
     and ``minimize`` numbers states canonically, so the tables are the
     same whichever way they were built; only the debug labels differ.
@@ -743,12 +741,13 @@ def _moore(alphabet, rows, finals, class_of, label=None, initial=None) -> Dfa:
     acceptance and ``label``.  No ``initial`` means state 0 of rows that
     ``_explore`` numbered, which stay as they are if no states merge."""
     heads, blocks = _partition(finals)
-    while True:
+    # A signature is a state's block and its successors', read by one getter
+    # per state; one block (all final, or none) and single states stay.
+    count, getters = 1, ()
+    while count < len(heads) < len(rows):  # until a round splits no block
         count = len(heads)
-        successors = map(tuple, map(map, repeat(blocks.__getitem__), rows))
-        heads, blocks = _partition(zip(blocks, successors))
-        if len(heads) in (count, len(rows)):  # no split, or single states
-            break
+        getters = getters or list(map(operator.itemgetter, range(len(rows)), *zip(*rows)))
+        heads, blocks = _partition(map(operator.itemgetter.__call__, getters, repeat(blocks)))
 
     def cells(blk, ident):
         return list(map(ident, map(blocks.__getitem__, rows[heads[blk]])))

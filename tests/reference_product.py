@@ -1,16 +1,27 @@
-"""The product fold as two passes per step, and Moore's ``minimize`` as
+"""The product fold as minimized products, and Moore's ``minimize`` as
 it was before it shared its refinement with the product.
 
-``automata.product_fold`` runs one fused step per operand: it explores
-the pairs at class level, collapses the pairs that a rejecting (for a
+``automata.product_fold`` walks the tuples of its operands' states once,
+at class level, collapses the tuples that a rejecting (for a
 disjunction, accepting) absorbing component decides, and refines the
-class rows in place.  The references below are what it replaced: the
-spread, labelled ``product`` of the two automata, minimized as a DFA of
-its own, which finds the letter classes and the reachable states again.
-The tests keep them, verbatim apart from names, as the references the
-fused step and the shared refinement must match byte for byte, labels
-included.
+class rows in place.  Two references check it:
+
+- ``product_fold``, the pairwise fold it replaced: the spread, labelled
+  ``product`` of the folded automaton and the next operand, minimized as
+  a DFA of its own, which finds the letter classes and the reachable
+  states again.  Its tables, finals and colors must come out byte for
+  byte, and with two operands its ``(i,j)`` labels too; with more, its
+  labels name states of intermediate DFAs.
+- ``tuple_product_fold``: the product over the tuples of the operands'
+  states, walked letter by letter with no tuple collapsed, minimized by
+  ``minimize`` below.  Its labels define the rule: a state is labelled
+  ``(q1,...,qn)`` after the first tuple of its block.
+
+The tests keep ``product_fold`` and ``minimize`` verbatim apart from
+names.
 """
+from collections import deque
+
 from ldlmon.automata import (
     Dfa,
     _automaton,
@@ -58,3 +69,42 @@ def product_fold(dfas, accept=None) -> Dfa:
     for dfa in dfas:
         folded = minimize(product(folded, dfa, accept))
     return folded
+
+
+def tuple_product(dfas, disjunction=False) -> Dfa:
+    """The product over the tuples of the DFAs' states, reachable ones
+    numbered breadth first letter by letter, labelled ``(q1,...,qn)``."""
+    alphabet = dfas[0].alphabet
+    join = any if disjunction else all
+    start = tuple(dfa.initial for dfa in dfas)
+    ids, order, rows = {start: 0}, [start], []
+    queue = deque([start])
+    while queue:
+        states = queue.popleft()
+        row = []
+        for column in range(len(alphabet.letters())):
+            target = tuple(dfa.transitions[q][column] for dfa, q in zip(dfas, states))
+            if target not in ids:
+                ids[target] = len(order)
+                order.append(target)
+                queue.append(target)
+            row.append(ids[target])
+        rows.append(tuple(row))
+    return Dfa(
+        alphabet=alphabet,
+        n_states=len(order),
+        initial=0,
+        transitions=tuple(rows),
+        finals=frozenset(
+            i for i, states in enumerate(order)
+            if join(q in dfa.finals for dfa, q in zip(dfas, states))
+        ),
+        labels=tuple("(" + ",".join(map(str, states)) + ")" for states in order),
+    )
+
+
+def tuple_product_fold(dfas, disjunction=False) -> Dfa:
+    dfas = list(dfas)
+    if len(dfas) == 1:
+        return dfas[0]
+    return minimize(tuple_product(dfas, disjunction))

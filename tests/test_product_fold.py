@@ -1,11 +1,14 @@
-"""The fused product fold and the shared Moore refinement against the
-two-pass construction they replaced (``reference_product``).
+"""The n-ary product fold and the shared Moore refinement against the
+constructions in ``reference_product``.
 
-Each step of ``product_fold`` explores the pairs at class level,
-collapses the pairs that an absorbing component decides, and refines
-them in place; ``minimize`` runs the same refinement on its own class
-rows.  Tables, finals, colors and labels must come out byte for byte as
-``minimize(product(...))`` per step and the old ``minimize`` give them.
+``product_fold`` walks the tuples of its operands' states once at class
+level, collapses the tuples that an absorbing component decides, and
+refines them in place; ``minimize`` runs the same refinement on its own
+class rows.  Tables, finals and colors must come out byte for byte as
+the pairwise fold of minimized products and as the minimized product
+over state tuples give them.  Labels must be the tuple product's, and
+with two operands also the pairwise fold's; ``minimize`` must match the
+old refinement, labels included.
 """
 import operator
 import random
@@ -31,15 +34,30 @@ from test_compositional import random_model
 from test_session import random_decl_text
 
 
-def assert_same(got, want):
+def same_tables(got, want):
     assert aut_to_json(got, color(got).colors) == aut_to_json(want, color(want).colors)
+
+
+def assert_same(got, want):
+    same_tables(got, want)
     assert got.labels == want.labels
 
 
-def assert_folds_alike(dfas, kinds=(False, True)):
+def assert_fold(dfas, disjunction, got, tuples=True):
+    """``got`` is the fold of ``dfas``: tables as both references give
+    them, labels as the tuple product's, and as the pairwise fold's for
+    two operands."""
+    pairwise = ref.product_fold(dfas, operator.or_ if disjunction else None)
+    same_tables(got, pairwise)
+    if len(dfas) == 2:
+        assert got.labels == pairwise.labels
+    if tuples:
+        assert_same(got, ref.tuple_product_fold(dfas, disjunction))
+
+
+def assert_folds_alike(dfas, kinds=(False, True), tuples=True):
     for disjunction in kinds:
-        want = ref.product_fold(dfas, operator.or_ if disjunction else None)
-        assert_same(product_fold(dfas, disjunction), want)
+        assert_fold(dfas, disjunction, product_fold(dfas, disjunction), tuples)
 
 
 def has_deciding_sink(dfa, disjunction=False) -> bool:
@@ -82,7 +100,7 @@ def random_operand(rng, names, kind):
 def test_boolean_chains_compile_to_the_minimized_product(kind):
     rng = random.Random(6155 if kind is ldl.And else 6156)
     disjunction = kind is ldl.Or
-    collapsed = 0
+    collapsed = []
     for index in range(60):
         props = [f"p{j}" for j in range(rng.randint(2, 4))]
         alphabet = Alphabet(tuple(props))
@@ -91,11 +109,12 @@ def test_boolean_chains_compile_to_the_minimized_product(kind):
         for f in operands[1:]:
             chain = kind(chain, f)
         dfas = [compile_dfa(f, alphabet) for f in operands]
-        want = ref.product_fold(dfas, operator.or_ if disjunction else None)
-        assert_same(product_fold(dfas, disjunction), want)
-        assert_same(compile_dfa(chain, alphabet), want)
-        collapsed += any(has_deciding_sink(d, disjunction) for d in dfas)
-    assert collapsed >= 10
+        assert_fold(dfas, disjunction, product_fold(dfas, disjunction))
+        assert_fold(dfas, disjunction, compile_dfa(chain, alphabet))
+        if any(has_deciding_sink(d, disjunction) for d in dfas):
+            collapsed.append(len(dfas))
+    # Every chain length from 2 to 6 has an operand that decides alone.
+    assert len(collapsed) >= 10 and set(collapsed) == {2, 3, 4, 5, 6}
 
 
 def test_edge_cases_of_the_fold():
@@ -114,13 +133,25 @@ def test_edge_cases_of_the_fold():
     )
     for dfas in (local_dfas(dead), local_dfas(empty), universal, universal[::-1]):
         assert_folds_alike(dfas)
-    # Their disjunction tells apart every set of tasks seen so far.
-    assert_folds_alike(local_dfas(many), kinds=(False,))
+    # 2^400 tuples are reachable without collapsing, so the tuple product
+    # is out of reach; its minimal DFA would keep the first tuple of each
+    # block, the start and the first violation, on t0.  The disjunction
+    # tells apart every set of tasks seen so far.
+    absences = local_dfas(many)
+    assert_folds_alike(absences, kinds=(False,), tuples=False)
+    assert product_fold(absences).labels == (
+        "(" + ",".join(["0"] * 400) + ")", "(" + ",".join(["1"] + ["0"] * 399) + ")")
     single = local_dfas(dead)[:1]
     assert product_fold(single) is single[0]
     assert product_fold(single, True) is single[0]
     with pytest.raises(ValueError, match="no automata"):
         product_fold([])
+    with pytest.raises(ValueError, match="no automata"):
+        product_fold(iter(()), True)
+    other = compile_dfa(parse_ldlf("<true*>a", Alphabet.of("a")), Alphabet.of("a"))
+    for dfas in ([universal[0], other], [*universal, other], [other, *universal]):
+        with pytest.raises(ValueError, match="product needs automata over the same alphabet"):
+            product_fold(dfas)
 
 
 @pytest.mark.parametrize(

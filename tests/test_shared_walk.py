@@ -6,15 +6,22 @@ evaluation, and the states, tables and labels must not move: the NFA's
 JSON and labels and the minimal DFA's labels hash to the values pinned
 before the walk was shared.  Labels are what ``ldlmon compile --format
 dot`` prints as tooltips; the table digests leave them out.
+
+The DFA label pins were taken again when ``product_fold`` became one
+walk over tuples of operand states: a compile whose top is an ``And`` or
+``Or`` chain of three or more operands names its states ``(q1,...,qn)``
+now, as the tuple product of ``reference_product`` does, which
+``label_hashes`` checks; no other compile's labels moved.
 """
 import hashlib
 import random
 
 from ldlmon.automata import _nfa_classes, aut_to_json, compile_dfa, ldlf_to_nfa
-from ldlmon.syntax import Alphabet
+from ldlmon.syntax import Alphabet, ldl
 from ldlmon.syntax.transforms import ltlf_to_ldlf
 
 import reference_delta as ref
+import reference_product as product
 from genformulas import random_ldlf, random_ltlf
 from table_digests import perfbench_formulas
 
@@ -22,11 +29,12 @@ NAMES = ("a", "b", "c")
 PROPS = Alphabet.of("a", "b", "c", "d")
 TASKS = Alphabet.tasks(["a", "b", "c", "d"])
 
-# sha256 prefixes of the NFA JSON and labels, and of the minimal DFA
-# labels, taken before acceptance rode the class walk.
+# sha256 prefixes of the NFA JSON and labels, taken before acceptance
+# rode the class walk, and of the minimal DFA labels, taken when the
+# product fold became one tuple walk.
 PINS = {
-    "genformulas": ("3b203a1675c3e57d", "c6596486cd77554d"),
-    "perfbench formulas": ("a54afb43dfca0340", "31174b496e268973"),
+    "genformulas": ("3b203a1675c3e57d", "1678100204c1ef76"),
+    "perfbench formulas": ("a54afb43dfca0340", "3eeea0ffc7f7706a"),
 }
 
 
@@ -55,6 +63,22 @@ def check_acceptance(formula, alphabet):
         assert accepts(macro) == all(at_end)
 
 
+def chain_operands(formula):
+    """The operands ``compile_dfa`` folds for the formula, under any
+    negations, and whether they are disjoined; no operands when the top
+    is no ``And``/``Or`` chain."""
+    while isinstance(formula, ldl.Not):
+        formula = formula.arg
+    kind, operands, pending = type(formula), [], [formula]
+    while kind in (ldl.And, ldl.Or) and pending:
+        f = pending.pop()
+        if isinstance(f, kind):
+            pending += [f.right, f.left]
+        else:
+            operands.append(f)
+    return operands, kind is ldl.Or
+
+
 def label_hashes(cases):
     nfa_hash, dfa_hash = hashlib.sha256(), hashlib.sha256()
     for formula, alphabet in cases:
@@ -62,7 +86,12 @@ def label_hashes(cases):
         nfa = ldlf_to_nfa(formula, alphabet)
         nfa_hash.update(aut_to_json(nfa).encode())
         nfa_hash.update("\n".join(nfa.labels).encode() + b"\n\n")
-        dfa_hash.update("\n".join(compile_dfa(formula, alphabet).labels).encode() + b"\n\n")
+        dfa = compile_dfa(formula, alphabet)
+        operands, disjunction = chain_operands(formula)
+        if len(operands) >= 3:
+            dfas = [compile_dfa(f, alphabet) for f in operands]
+            assert dfa.labels == product.tuple_product_fold(dfas, disjunction).labels
+        dfa_hash.update("\n".join(dfa.labels).encode() + b"\n\n")
     return nfa_hash.hexdigest()[:16], dfa_hash.hexdigest()[:16]
 
 
