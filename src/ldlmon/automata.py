@@ -69,10 +69,11 @@ its DFA as they are.  A DFA's cell is one target, and every DFA is
 total: building a ``Dfa`` with an empty cell is an error.  An NFA's cell
 is a set of targets, empty where there is none.
 
-``color`` gives each state of a DFA the RV state shared by every
-trace reaching it, from the prefix closures of the automaton, pref(f),
-and of its complement, pref(!f): it builds the reverse adjacency once
-and walks it backward twice, from the finals and from the non-finals.
+``color`` gives each state of any DFA the RV state shared by every
+trace reaching it, from the prefix closures pref(f) and pref(!f): two
+backward walks.  A minimal DFA, as ``compile_dfa`` and ``product_fold``
+return, merges the states of each permanent verdict into one absorbing
+state, so ``color_minimal`` reads its colors off the rows.
 ``ColoredDfa.accepting`` reads languages back off the colors: pref(f)
 is every color but permanently violated, pref(!f) every color but
 permanently satisfied.
@@ -544,7 +545,8 @@ def product_fold(dfas, disjunction: bool = False) -> Dfa:
     their states on the joint letter classes, then one ``_moore``.  Every
     tuple with a component in an absorbing state that decides the result
     alone (rejecting for a conjunction, accepting for a disjunction) is
-    one key, the first such tuple found.  A state's label ``(q1,...,qn)``
+    one key, the first such tuple found; each operand state's mask marks
+    the classes that lead it there.  A state's label ``(q1,...,qn)``
     holds the operands' states in its block's first tuple.  One DFA comes
     back as is; none at all, or mixed alphabets, is a ValueError."""
     dfas = tuple(dfas)
@@ -560,17 +562,25 @@ def product_fold(dfas, disjunction: bool = False) -> Dfa:
         raise ValueError(msg)
     firsts, class_of = _partition(zip(*starmap(zip, tables)))
     pick = operator.itemgetter(*firsts) if len(firsts) > 1 else operator.itemgetter(slice(1))
-    # Deciding states as (operand, state) pairs, as ``enumerate`` pairs a tuple.
-    deciding = {(k, q) for k, d in enumerate(dfas) for q, row in enumerate(d.transitions)
-                if row.count(q) == len(row) and (q in d.finals) == disjunction}
-    # 0: the first tuple found with a deciding component
-    settled = {} if deciding.isdisjoint(enumerate(start)) else {0: start}
+    bits = [1 << c for c in range(len(firsts))]
+    masks, settled = [], {}  # settled[0]: the first tuple found with a deciding component
+    for k, (table, accept) in enumerate(zip(tables, finals)):
+        deciding = {q for q, row in enumerate(table)
+                    if row.count(q) == len(row) and (q in accept) == disjunction}
+        if deciding:  # a mask per state: one bit per class whose target is deciding
+            masks.append((k, [sum(compress(bits, map(deciding.__contains__, pick(row))))
+                              for row in table]))
+        if start[k] in deciding:
+            settled[0] = start
 
     def cells(key, ident):
         targets = zip(*map(pick, map(operator.getitem, tables, key)))
-        if deciding:
-            targets = [settled.setdefault(0, t) if not deciding.isdisjoint(enumerate(t)) else t
-                       for t in targets]
+        mask = 0
+        for k, states in masks:
+            mask |= states[key[k]]
+        if mask:
+            targets = [settled.setdefault(0, t) if mask & bit else t
+                       for t, bit in zip(targets, bits)]
         return list(map(ident, targets))
 
     order, rows = _explore(start, cells)
@@ -650,12 +660,13 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
 
 def colored_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict, build=None) -> ColoredDfa:
     """The formula's colored minimal DFA, kept in ``memo`` (its DFA under
-    ``compile_dfa``'s key): ``build()``, or by default the colors of
-    ``compile_dfa``'s DFA, gives it when the memo holds none yet."""
+    ``compile_dfa``'s key): ``build()``, or by default ``color_minimal``
+    of ``compile_dfa``'s DFA, gives it when the memo holds none yet."""
     key = ("color", formula, alphabet)
     colored = memo.get(key)
     if colored is None:
-        colored = memo[key] = build() if build else color(compile_dfa(formula, alphabet, memo))
+        colored = build() if build else color_minimal(compile_dfa(formula, alphabet, memo))
+        memo[key] = colored
         memo["dfa", formula, alphabet] = colored.dfa
     return colored
 
@@ -813,7 +824,7 @@ class ColoredDfa:
 
 
 def color(dfa: Dfa) -> ColoredDfa:
-    """Color every state of a DFA with its RV state, from the
+    """Color every state of any DFA with its RV state, from the
     states that can reach a final state and those that can reach a
     non-final one: two backward walks over one reverse adjacency."""
     finals = dfa.finals
@@ -828,6 +839,14 @@ def color(dfa: Dfa) -> ColoredDfa:
         for state in range(dfa.n_states)
     )
     return ColoredDfa(dfa=dfa, colors=colors)
+
+
+def color_minimal(dfa: Dfa) -> ColoredDfa:
+    """``color`` for a minimal DFA: there the states that accept every
+    continuation (or none) are one state, whose successors are itself,
+    so a state is permanent exactly when its row is all itself."""
+    return ColoredDfa(dfa, tuple(RVState.classify(q in dfa.finals, row.count(q) < len(row))
+                                 for q, row in enumerate(dfa.transitions)))
 
 
 def rename_columns(colored: ColoredDfa, alphabet: Alphabet, source) -> ColoredDfa:

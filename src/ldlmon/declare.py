@@ -61,10 +61,11 @@ still the compiled minimal DFA (``tests/test_templates.py``).  The table is
 filled on first use and holds at most 15 entries, one per pattern and
 equality pattern of the catalog, whatever the input; it is the only
 compiled automaton kept between builds, and ``.meta`` defines that are
-pattern calls read it too.  Everything else compiles through one memo
-per build (see ``automata.compile_dfa``), so a property that
-several constraints or directives refer to is compiled once per build,
-and the memo is dropped when the build returns.
+pattern calls read it too.  Parsing a pattern call builds no LTLf
+formula: ``Constraint.formula`` is built when first read.  Everything
+else compiles through one memo per build (see ``automata.compile_dfa``),
+so a property that several constraints or directives refer to is
+compiled once per build, and the memo is dropped when it returns.
 """
 from __future__ import annotations
 
@@ -74,7 +75,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .automata import ColoredDfa, color, colored_dfa, compile_dfa, product_fold, rename_columns
+from .automata import (
+    ColoredDfa, color_minimal, colored_dfa, compile_dfa, product_fold, rename_columns)
 from .metaconstraints import (
     compensation,
     conflict,
@@ -159,11 +161,18 @@ class Constraint:
     """A named constraint.  ``call`` is the pattern call it was read from,
     ``(pattern, args)``, or None for an ``ltl:`` line or a constraint
     built directly; ``local_monitors`` instantiates a call's monitor
-    from the pattern table."""
+    from the pattern table.  A parsed call builds its ``formula`` when
+    first read, so a model served by the table builds none."""
 
     name: str
     formula: ltl.Ltlf
     call: tuple[str, tuple[str, ...]] | None = None
+
+    def __getattr__(self, name: str):
+        if name != "formula" or self.call is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, "formula", PATTERNS[self.call[0]][0](*self.call[1]))
+        return self.formula
 
     def to_ldlf(self) -> ldl.Ldlf:
         """The LDLf translation, made once: every reference is one tree."""
@@ -285,8 +294,9 @@ def _build_body(name: str, body: str, alphabet: Alphabet) -> Constraint:
     """The constraint a model line's body states, named ``name``."""
     if body.startswith("ltl:"):
         return Constraint(name, parse_ltlf(body[len("ltl:"):].strip(), alphabet))
-    (pattern, args), _ = _parse_call(body, alphabet)
-    return Constraint(name, PATTERNS[pattern][0](*args), (pattern, args))
+    constraint = object.__new__(Constraint)  # its formula is built on first read
+    constraint.__dict__.update(name=name, call=_parse_call(body, alphabet)[0])
+    return constraint
 
 
 def parse_decl(text: str) -> DeclareModel:
@@ -339,7 +349,7 @@ def _template(pattern: str, slots: tuple[int, ...]) -> ColoredDfa:
         names = [f"s{slot}" for slot in range(max(slots) + 1)]
         formula = ltlf_to_ldlf(PATTERNS[pattern][0](*(names[slot] for slot in slots)))
         alphabet = Alphabet.tasks((*names, _OTHER))
-        colored = _TEMPLATES[pattern, slots] = color(compile_dfa(formula, alphabet))
+        colored = _TEMPLATES[pattern, slots] = color_minimal(compile_dfa(formula, alphabet))
     return colored
 
 
@@ -351,7 +361,7 @@ def _local_automaton(constraint: Constraint, alphabet: Alphabet, memo: dict) -> 
         template = _template(pattern, tuple(map(slot.get, args)))
         source = [slot.get(task, len(slot)) for task in alphabet.props]
         return rename_columns(template, alphabet, source)
-    return color(compile_dfa(constraint.to_ldlf(), alphabet, memo))
+    return color_minimal(compile_dfa(constraint.to_ldlf(), alphabet, memo))
 
 
 def global_monitor(model: DeclareModel) -> Monitor:
@@ -359,7 +369,7 @@ def global_monitor(model: DeclareModel) -> Monitor:
     minimal DFAs, compiled through one memo."""
     memo: dict = {}
     dfas = (compile_dfa(c.to_ldlf(), model.alphabet, memo) for c in model.constraints)
-    return Monitor(product_fold(dfas))
+    return Monitor(color_minimal(product_fold(dfas)))
 
 
 class Verdict(Enum):
@@ -565,7 +575,7 @@ class ModelMonitor(_Lockstep):
     def __init__(self, model: DeclareModel):
         self.model = model
         self.locals = local_monitors(model)
-        self.overall = Monitor(product_fold(m.dfa for m in self.locals.values()))
+        self.overall = Monitor(color_minimal(product_fold(m.dfa for m in self.locals.values())))
         monitors = [*self.locals.items(), ("model", self.overall)]
         forbidden = ("forbidden", lambda m, paths: _forbidden_row(m, self.locals.values(), paths))
         super().__init__(model.alphabet, monitors, {"model": forbidden})

@@ -1,11 +1,11 @@
 """Monitoring traces online, and the RV characterization.
 
 A property's monitor is its minimal DFA, kept total (the rejecting sink
-is not trimmed away) and colored with RV states by ``automata.color``
-(imported here with ``ColoredDfa``).  ``rv_formula`` builds, for each RV
-state, an LDLf formula satisfied by exactly the traces the property maps
-to that state, from the prefix languages read off the same colors and
-folded into regexes.
+is not trimmed away) and colored by ``automata.color_minimal``; a
+``Monitor`` of another DFA uses ``automata.color`` (imported here, as
+``ColoredDfa`` is).  ``rv_formula`` builds, for each RV state, an LDLf
+formula satisfied by exactly the traces the property maps to that
+state, from the prefix languages read off the same colors, as regexes.
 
 A ``Monitor`` also keeps one forbidden table for the reports that name
 what must not come next: per DFA state, the letters whose step leads to
@@ -37,6 +37,7 @@ from __future__ import annotations
 from .automata import (
     ColoredDfa,
     color,
+    color_minimal,
     complement,
     compile_dfa,
     determinize,
@@ -60,7 +61,7 @@ def monitor_automaton(formula: ldl.Ldlf, alphabet: Alphabet) -> ColoredDfa:
     determined by the state's language, so it cannot change any answer;
     it just keeps monitors small.
     """
-    return color(compile_dfa(formula, alphabet))
+    return color_minimal(compile_dfa(formula, alphabet))
 
 
 class Monitor:
@@ -88,7 +89,7 @@ class Monitor:
     ) -> "Monitor":
         """The monitor of a formula, compiled through ``memo`` (see
         ``compile_dfa``)."""
-        return cls(compile_dfa(formula, alphabet, memo))
+        return cls(color_minimal(compile_dfa(formula, alphabet, memo)))
 
     def reset(self):
         self.current = self.dfa.initial
@@ -152,7 +153,7 @@ def rv_formula(
     if not isinstance(state, RVState):
         msg = f"not an RV state: {state!r}"
         raise ValueError(msg)
-    colored = color(compile_dfa(formula, alphabet, memo))
+    colored = color_minimal(compile_dfa(formula, alphabet, memo))
     pos = ldl.Diamond(automaton_to_regex(colored.accepting(SATISFIABLE)), ldl.END)
     neg = ldl.Diamond(automaton_to_regex(colored.accepting(VIOLABLE)), ldl.END)
     return {

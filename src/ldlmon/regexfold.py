@@ -14,7 +14,7 @@ set of colors of the property's monitor (``ColoredDfa.accepting``).
 """
 from __future__ import annotations
 
-from .automata import color, compile_dfa, guards_by_target
+from .automata import color_minimal, compile_dfa, guards_by_target
 from .rv import SATISFIABLE, RVState
 from .syntax import ldl
 from .syntax.alphabet import Alphabet
@@ -118,7 +118,7 @@ def pref_regex(formula: ldl.Ldlf, alphabet: Alphabet) -> ldl.Path:
     """Regex of the prefixes extendable (possibly by nothing) into a
     trace satisfying the formula: its monitor's states of every color
     but ``PERM_FALSE``."""
-    return automaton_to_regex(color(compile_dfa(formula, alphabet)).accepting(SATISFIABLE))
+    return automaton_to_regex(color_minimal(compile_dfa(formula, alphabet)).accepting(SATISFIABLE))
 
 
 def regex_for_rv(
@@ -130,5 +130,5 @@ def regex_for_rv(
     if not isinstance(state, RVState):
         msg = f"not an RV state: {state!r}"
         raise ValueError(msg)
-    colored = color(compile_dfa(formula, alphabet, memo))
+    colored = color_minimal(compile_dfa(formula, alphabet, memo))
     return automaton_to_regex(colored.accepting({state}))

@@ -3,11 +3,13 @@ import json
 
 import pytest
 
+from ldlmon.automata import color_minimal
 from ldlmon.cli import build_parser, main
 from ldlmon.rv import RVState
 
 from golden_runs import GOLDEN, ROOT, RUNS
 from reference_json import aut_from_json
+from test_monitor import reference_colors
 
 
 def run_cli(argv, capsys, stdin=None, monkeypatch=None):
@@ -128,6 +130,22 @@ def test_compile_no_minimize_keeps_more_states(capsys):
     )
     assert code == 0
     assert json.loads(raw)["n_states"] >= json.loads(small)["n_states"]
+
+
+def test_compile_no_minimize_colors_the_subset_dfa_by_its_closures(capsys):
+    """The subset DFA is not minimal: one of its two permanently
+    satisfied states is not absorbing, so only the backward walks of
+    ``color`` color it right."""
+    code, out, _ = run_cli(
+        ["compile", "<true*> (a && <true> b)", "--props", "a,b", "--no-minimize",
+         "--format", "json", "--colors"],
+        capsys,
+    )
+    assert code == 0
+    dfa, colors = aut_from_json(out)
+    assert tuple(RVState(value) for value in colors) == reference_colors(dfa)
+    assert colors.count("perm_true") == 2
+    assert color_minimal(dfa).colors != reference_colors(dfa)
 
 
 def test_compile_out_writes_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Constraint patterns, model files, and the lockstep monitors."""
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -35,6 +36,7 @@ from ldlmon.monitor import monitor_automaton
 from ldlmon.rv import RVState
 from ldlmon.semantics import eval_ltlf, trace_from_tasks
 from ldlmon.syntax import Alphabet
+from ldlmon.syntax.base import Node
 
 from genformulas import column_rows
 
@@ -244,6 +246,71 @@ def test_parse_decl_labels_comments_and_ltl_bodies():
     by_name = {c.name: c for c in model.constraints}
     assert by_name["one"].formula == existence("a")
     assert by_name["ltl: F b"].formula == by_name["two"].formula.arg.right
+
+
+def eager(constraint):
+    """The constraint as the constructor builds it, formula first."""
+    pattern, args = constraint.call
+    return Constraint(constraint.name, PATTERNS[pattern][0](*args), constraint.call)
+
+
+def test_pattern_lines_build_their_formulas_on_first_read(monkeypatch):
+    built = []
+    real_init = Node.__init__
+
+    def counting(self, *values):
+        built.append(type(self).__name__)
+        real_init(self, *values)
+
+    monkeypatch.setattr(Node, "__init__", counting)
+    model = parse_decl(BOOKING_DECL)
+    assert built == []
+    parse_decl("tasks: a\nltl: F a\n")  # an ltl: line is parsed as it is read
+    assert built
+    monkeypatch.undo()
+    runner = ModelMonitor(model)
+    assert all("formula" not in vars(c) for c in model.constraints)
+    assert runner.timeline(["pay", "acc"]).rows  # a run reads no formula either
+    assert all("formula" not in vars(c) for c in model.constraints)
+    for c in model.constraints:
+        pattern, args = c.call
+        want = eager(c)
+        assert c.formula == PATTERNS[pattern][0](*args) == want.formula
+        assert "formula" in vars(c) and c.formula is c.formula
+
+
+def test_lazy_constraints_compare_hash_and_print_as_eager_ones():
+    """Each check reads freshly parsed constraints, so it is the first
+    to read their formulas."""
+    for c in parse_decl(BOOKING_DECL).constraints:
+        assert repr(c) == repr(eager(c))
+    for c in parse_decl(BOOKING_DECL).constraints:
+        want = eager(c)
+        assert hash(c) == hash(want) and c == want and want == c and {c, want} == {want}
+    for c in parse_decl(BOOKING_DECL).constraints:
+        want = eager(c)
+        assert replace(c) == want and replace(c, name="x") == replace(want, name="x")
+    for c in parse_decl(BOOKING_DECL).constraints:
+        assert c.to_ldlf() == eager(c).to_ldlf()
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        parse_decl(BOOKING_DECL).constraints[0].nope
+    assert not hasattr(Constraint("x", existence("a")), "nope")
+
+
+def test_lazy_constraints_feed_the_global_monitor_and_meta_defines():
+    model = parse_decl(BOOKING_DECL)
+    eager_model = DeclareModel(model.alphabet, tuple(map(eager, model.constraints)))
+    overall = global_monitor(model)
+    assert overall.dfa == global_monitor(eager_model).dfa == ModelMonitor(model).overall.dfa
+    meta = parse_meta(BOOKING_META)
+    assert all("formula" not in vars(c) for c in meta.defines if c.call)
+    runner = MetaMonitor(meta)
+    for c in meta.defines:
+        if c.call:
+            assert c.formula == eager(c).formula
+    eager_meta = replace(meta, defines=tuple(eager(c) if c.call else c for c in meta.defines))
+    trace = ["pay", "get", "cancel", "return"]
+    assert runner.timeline(trace).render() == MetaMonitor(eager_meta).timeline(trace).render()
 
 
 def test_parse_decl_error_positions():

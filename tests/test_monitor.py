@@ -1,5 +1,6 @@
 """State coloring, online monitors, and the RV characterization."""
 import itertools
+import json
 import pathlib
 import random
 import time
@@ -8,12 +9,15 @@ from dataclasses import replace
 
 import pytest
 
+import ldlmon.automata as automata
 from ldlmon.automata import (
     Dfa,
     Nfa,
     accepts,
     aut_to_json,
+    color_minimal,
     complement,
+    compile_dfa,
     determinize,
     ldlf_to_nfa,
     minimize,
@@ -38,6 +42,8 @@ from ldlmon.syntax import Alphabet, ltlf_to_ldlf, parse_ldlf, parse_ltlf
 import reference_shape
 from reference_json import aut_from_json
 from genformulas import all_traces, column_rows, random_dfa, random_ldlf, seeded_cases
+from table_digests import CORPORA, DIGESTS
+from test_shared_walk import genformula_cases
 
 AB = Alphabet.of("a", "b")
 TASKS = Alphabet.tasks(["a", "b"])
@@ -195,6 +201,57 @@ def test_color_matches_the_per_state_definition(alphabet):
         _, saved = aut_from_json(aut_to_json(dfa, color(dfa).colors))
         assert tuple(RVState(value) for value in saved) == want
     assert with_unreachable >= 30
+
+
+def test_minimal_monitors_color_from_their_rows():
+    """Every monitor of the six table-digest corpora: reading permanence
+    off the rows gives the colors of the backward walks, which are the
+    monitor's own."""
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    checked = 0
+    for name, corpus in CORPORA.items():
+        monitors = list(corpus())
+        assert len(monitors) == len(pinned[name]["monitors"])
+        for ident, monitor in monitors:
+            assert color_minimal(monitor.dfa).colors == monitor.colors, ident
+            assert color(monitor.dfa).colors == monitor.colors, ident
+        checked += len(monitors)
+    assert checked > 1800
+
+
+def test_every_compiled_dfa_colors_from_its_rows(monkeypatch):
+    """Every ``compile_dfa`` result, the nested calls for operands, RV
+    atoms and negations included, over the seeded genformulas cases."""
+    results = []
+
+    def recording(formula, alphabet, memo=None):
+        dfa = real(formula, alphabet, memo)
+        results.append(dfa)
+        return dfa
+
+    real = automata.compile_dfa
+    monkeypatch.setattr(automata, "compile_dfa", recording)
+    cases = [*genformula_cases(), *seeded_cases(7001, 160), *seeded_cases(8101, 120, 4, 2)]
+    for formula, alphabet in cases:
+        automata.compile_dfa(formula, alphabet)
+    assert len(results) > 2 * len(cases)
+    for dfa in results:
+        assert color_minimal(dfa).colors == color(dfa).colors
+
+
+@over_seeded_alphabets
+def test_the_row_rule_holds_only_for_minimal_dfas(alphabet):
+    """On the seeded DFAs, minimal or not, a monitor still colors by the
+    backward walks; the row rule misses a permanent state that is not
+    absorbing, and agrees again once the DFA is minimized."""
+    differ = 0
+    for dfa in seeded_total_dfas(alphabet):
+        want = reference_colors(dfa)
+        assert Monitor(dfa).colors == want
+        differ += color_minimal(dfa).colors != want
+        minimal = minimize(dfa)
+        assert color_minimal(minimal).colors == reference_colors(minimal)
+    assert differ >= 15
 
 
 @over_seeded_alphabets

@@ -15,7 +15,9 @@ import random
 
 import pytest
 
+import ldlmon.automata as automata
 from ldlmon.automata import (
+    Dfa,
     aut_to_json,
     color,
     compile_dfa,
@@ -29,7 +31,7 @@ from ldlmon.rv import SATISFIABLE, RVState
 from ldlmon.syntax import Alphabet, ldl, parse_ldlf
 
 import reference_product as ref
-from genformulas import random_ldlf, seeded_cases
+from genformulas import column_rows, random_dfa, random_ldlf, seeded_cases
 from test_compositional import random_model
 from test_session import random_decl_text
 
@@ -46,13 +48,46 @@ def assert_same(got, want):
 def assert_fold(dfas, disjunction, got, tuples=True):
     """``got`` is the fold of ``dfas``: tables as both references give
     them, labels as the tuple product's, and as the pairwise fold's for
-    two operands."""
+    two operands.  With ``tuples``, ``product_fold`` must also walk
+    exactly the tuples ``collapsed_walk`` names, in its order."""
     pairwise = ref.product_fold(dfas, operator.or_ if disjunction else None)
     same_tables(got, pairwise)
     if len(dfas) == 2:
         assert got.labels == pairwise.labels
     if tuples:
         assert_same(got, ref.tuple_product_fold(dfas, disjunction))
+        if len(dfas) > 1:
+            assert walked_keys(dfas, disjunction) == collapsed_walk(dfas, disjunction)
+
+
+def walked_keys(dfas, disjunction=False) -> list:
+    """The keys of ``product_fold``'s walk over tuples, in walk order."""
+    walks = []
+    explore = automata._explore
+
+    def recording(start, cells):
+        order, rows = explore(start, cells)
+        walks.append(order)
+        return order, rows
+
+    automata._explore = recording
+    try:
+        product_fold(dfas, disjunction)
+    finally:
+        automata._explore = explore
+    return walks[0]
+
+
+def collapsed_walk(dfas, disjunction=False) -> list:
+    """The reachable tuples, in the letter-by-letter order of the tuple
+    product, with every tuple that holds a deciding state (absorbing,
+    rejecting for a conjunction, accepting for a disjunction) left out but
+    the first: the walk ``product_fold`` makes."""
+    deciding = [set(absorbing(dfa, disjunction)) for dfa in dfas]
+    tuples = [tuple(map(int, label[1:-1].split(",")))
+              for label in ref.tuple_product(dfas, disjunction).labels]
+    decided = [t for t in tuples if any(map(set.__contains__, deciding, t))]
+    return [t for t in tuples if t not in decided or t == decided[0]]
 
 
 def assert_folds_alike(dfas, kinds=(False, True), tuples=True):
@@ -60,11 +95,15 @@ def assert_folds_alike(dfas, kinds=(False, True), tuples=True):
         assert_fold(dfas, disjunction, product_fold(dfas, disjunction), tuples)
 
 
+def absorbing(dfa, finals):
+    """The states of ``dfa`` whose row is all themselves, with the given
+    acceptance."""
+    return [q for q, row in enumerate(dfa.transitions)
+            if row.count(q) == len(row) and (q in dfa.finals) == finals]
+
+
 def has_deciding_sink(dfa, disjunction=False) -> bool:
-    return any(
-        row.count(q) == len(row) and (q in dfa.finals) == disjunction
-        for q, row in enumerate(dfa.transitions)
-    )
+    return bool(absorbing(dfa, disjunction))
 
 
 def local_dfas(model):
@@ -172,3 +211,124 @@ def test_minimize_matches_the_refinement_it_replaced(seed, count, depth, star_de
             want = ref.minimize(minimal.with_finals(finals))
             assert aut_to_json(got) == aut_to_json(want)
             assert got.labels == want.labels
+
+
+# Deciding cells: each operand state marks once the classes whose target
+# decides the fold, and a tuple's cells that lead there are the classes
+# set in the OR of its components' marks.
+
+
+def task_dfa(alphabet, table, finals, initial=0):
+    """A DFA over a task alphabet from ``{state: {task: target}}``; a task
+    a state does not name loops on it."""
+    rows = {
+        state: {frozenset((task,)): moves.get(task, state) for task in alphabet.props}
+        for state, moves in table.items()
+    }
+    return Dfa(alphabet, len(table), initial, column_rows(alphabet, rows), frozenset(finals))
+
+
+ABCD = Alphabet.tasks(["a", "b", "c", "d"])
+# absence(a): a leads to a rejecting sink, every other task stays.
+NO_A = task_dfa(ABCD, {0: {"a": 1}, 1: {}}, {0})
+# existence(b): b leads to an accepting sink.
+SOME_B = task_dfa(ABCD, {0: {"b": 1}, 1: {}}, {1})
+# response(c, d).
+C_THEN_D = task_dfa(ABCD, {0: {"c": 1}, 1: {"d": 0}}, {0})
+# Not minimal: a and b lead to two rejecting sinks, d to an accepting one.
+TWO_SINKS = task_dfa(ABCD, {0: {"a": 1, "b": 2, "d": 3}, 1: {}, 2: {}, 3: {}}, {0, 3})
+
+
+def test_deciding_cells_reached_through_only_some_classes():
+    for dfas in ([NO_A, C_THEN_D], [C_THEN_D, NO_A, SOME_B], [SOME_B, C_THEN_D],
+                 [C_THEN_D, SOME_B, NO_A, C_THEN_D]):
+        assert_folds_alike(dfas)
+    # From the start only the class of a decides the conjunction, so the
+    # product's rejecting sink is the tuple a reaches.
+    fold = product_fold([C_THEN_D, NO_A])
+    assert fold.labels == ("(0,0)", "(0,1)", "(1,0)")
+    assert color(fold).colors[1] is RVState.PERM_FALSE
+    # And only the class of b decides the disjunction.
+    fold = product_fold([C_THEN_D, SOME_B], True)
+    assert fold.labels == ("(0,0)", "(0,1)", "(1,0)")
+    assert color(fold).colors[1] is RVState.PERM_TRUE
+
+
+def test_a_start_tuple_with_a_deciding_component():
+    never = task_dfa(ABCD, {0: {}}, ())
+    always = task_dfa(ABCD, {0: {}}, {0})
+    # Not minimal, and deciding from the start: state 1 is unreachable.
+    dead_start = task_dfa(ABCD, {0: {}, 1: {"a": 0}}, {1})
+    for dfas, disjunction in (([C_THEN_D, never], False), ([C_THEN_D, NO_A, dead_start], False),
+                              ([SOME_B, C_THEN_D, always], True)):
+        assert_folds_alike(dfas, kinds=(disjunction,))
+        fold = product_fold(dfas, disjunction)
+        assert fold.n_states == 1 and fold.labels == ("(" + ",".join(["0"] * len(dfas)) + ")",)
+        assert bool(fold.finals) is disjunction
+    # The other polarity decides nothing: a rejecting start sink of a
+    # disjunction leaves the other operands to decide.
+    assert_folds_alike([C_THEN_D, never, SOME_B], kinds=(True,))
+
+
+def test_a_non_minimal_operand_with_two_deciding_states():
+    assert absorbing(TWO_SINKS, False) == [1, 2] and absorbing(TWO_SINKS, True) == [3]
+    for dfas in ([TWO_SINKS, C_THEN_D], [C_THEN_D, TWO_SINKS, SOME_B], [SOME_B, TWO_SINKS]):
+        assert_folds_alike(dfas)
+    # a and b both reach the one rejecting state of the conjunction.
+    fold = product_fold([C_THEN_D, TWO_SINKS])
+    colors = color(fold).colors
+    assert colors.count(RVState.PERM_FALSE) == 1
+    dead = colors.index(RVState.PERM_FALSE)
+    assert fold.labels[dead] == "(0,1)"
+    assert fold.step(0, frozenset("a")) == fold.step(0, frozenset("b")) == dead
+
+
+@pytest.mark.parametrize("disjunction", [False, True], ids=["and", "or"])
+def test_random_chains_with_deciding_sinks(disjunction):
+    """Chains of 2 to 5 random DFAs, each state made an absorbing sink of
+    either acceptance now and then, so operands decide through random
+    classes, from the start or only later, sometimes through two states."""
+    rng = random.Random(6161 if disjunction else 6162)
+    abc = Alphabet.tasks(["a", "b", "c"])
+    shapes = {"some classes": 0, "start": 0, "two deciding": 0}
+    for index in range(120):
+        dfas = []
+        for _ in range(2 + index % 4):
+            dfa = random_dfa(rng, abc, max_states=5)
+            rows = list(dfa.transitions)
+            finals = set(dfa.finals)
+            for q in range(dfa.n_states):
+                if rng.random() < 0.3:
+                    rows[q] = (q,) * len(rows[q])
+                    (finals.add if rng.random() < 0.5 else finals.discard)(q)
+            dfas.append(Dfa(abc, dfa.n_states, 0, tuple(rows), frozenset(finals)))
+        assert_fold(dfas, disjunction, product_fold(dfas, disjunction))
+        deciding = [set(absorbing(d, disjunction)) for d in dfas]
+        shapes["start"] += any(0 in d for d in deciding)
+        shapes["two deciding"] += any(len(d) > 1 for d in deciding)
+        shapes["some classes"] += any(
+            0 < sum(t in d for t in dfa.transitions[0]) < len(abc.letters())
+            for dfa, d in zip(dfas, deciding))
+    assert min(shapes.values()) >= 20, shapes
+
+
+def test_four_hundred_absences_and_an_existence():
+    """401 classes, so masks of 401 bits: every absence decides on its own
+    task, the existence on none."""
+    tasks = [f"t{i}" for i in range(401)]
+    model = parse_decl(
+        "tasks: " + ", ".join(tasks) + "\n"
+        + "".join(f"absence(t{i})\n" for i in range(400)) + "existence(t400)\n"
+    )
+    dfas = local_dfas(model)
+    assert_folds_alike(dfas, kinds=(False,), tuples=False)
+    fold = product_fold(dfas)
+    zeros = ["0"] * 399
+    assert fold.labels == (
+        "(" + ",".join([*zeros, "0", "0"]) + ")",
+        "(" + ",".join(["1", *zeros, "0"]) + ")",
+        "(" + ",".join([*zeros, "0", "1"]) + ")",
+    )
+    assert [rv.code for rv in color(fold).colors] == ["TF", "PF", "TT"]
+    # Every tuple past a task of an absence is the first such tuple.
+    assert walked_keys(dfas) == [(0,) * 401, (1,) + (0,) * 400, (0,) * 400 + (1,)]
