@@ -22,8 +22,8 @@ from there to a final state, which ``delta`` walks one letter at a
 time, the way propositional dynamic logic over flowcharts treats a
 program.  ``compile_dfa`` puts one in place of each RV path (a
 reference to a monitor state of another formula) nested under another
-modality or inside a composite path; no metaconstraint directive has
-one, so only RV formulas built through the API take this route.
+modality or inside a composite path; only RV formulas built through the
+API reach any RV rule (``MetaMonitor`` uses ``metaconstraints``' recipes).
 
 Acceptance of a macro-state asks whether every obligation in it is
 satisfied by the empty remainder: its ``delta`` under EPSILON, with the
@@ -74,9 +74,9 @@ trace reaching it, from the prefix closures pref(f) and pref(!f): two
 backward walks.  A minimal DFA, as ``compile_dfa`` and ``product_fold``
 return, merges the states of each permanent verdict into one absorbing
 state, so ``color_minimal`` reads its colors off the rows.
-``ColoredDfa.accepting`` reads languages back off the colors: pref(f)
-is every color but permanently violated, pref(!f) every color but
-permanently satisfied.
+``ColoredDfa.where`` reads languages back off the colors, and
+``accepting`` minimizes them: pref(f) is every color but permanently
+violated, pref(!f) every color but permanently satisfied.
 """
 from __future__ import annotations
 
@@ -546,9 +546,10 @@ def product_fold(dfas, disjunction: bool = False) -> Dfa:
     tuple with a component in an absorbing state that decides the result
     alone (rejecting for a conjunction, accepting for a disjunction) is
     one key, the first such tuple found; each operand state's mask marks
-    the classes that lead it there.  A state's label ``(q1,...,qn)``
-    holds the operands' states in its block's first tuple.  One DFA comes
-    back as is; none at all, or mixed alphabets, is a ValueError."""
+    the classes that lead it there, and an operand without a final state
+    (for a disjunction, with only final ones) settles it before any walk.  A state's label
+    ``(q1,...,qn)`` holds the operands' states in its block's first tuple.
+    One DFA comes back as is; none, or mixed alphabets, is a ValueError."""
     dfas = tuple(dfas)
     if not dfas:
         msg = "a product of no automata: a model needs at least one constraint"
@@ -560,6 +561,11 @@ def product_fold(dfas, disjunction: bool = False) -> Dfa:
     if alphabets.count(alphabets[0]) < len(dfas):
         msg = "product needs automata over the same alphabet"
         raise ValueError(msg)
+    label = ("(" + ",".join(["{}"] * len(dfas)) + ")").format
+    if any(len(accept) == len(table) if disjunction else not accept
+           for table, accept in zip(tables, finals)):  # a constant operand settles it
+        return Dfa(alphabets[0], 1, 0, ((0,) * len(tables[0][0]),),
+                   frozenset((0,) if disjunction else ()), (label(*start),))
     firsts, class_of = _partition(zip(*starmap(zip, tables)))
     pick = operator.itemgetter(*firsts) if len(firsts) > 1 else operator.itemgetter(slice(1))
     bits = [1 << c for c in range(len(firsts))]
@@ -586,7 +592,6 @@ def product_fold(dfas, disjunction: bool = False) -> Dfa:
     order, rows = _explore(start, cells)
     join = any if disjunction else all
     accepting = [join(map(operator.contains, finals, key)) for key in order]
-    label = ("(" + ",".join(["{}"] * len(dfas)) + ")").format
     return _moore(alphabets[0], rows, accepting, class_of, lambda i: label(*order[i]))
 
 
@@ -618,7 +623,8 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
     ``<RvPath(f, s)>tt`` with s permanent, so absorbing, is
     ``RvAtom(f, s)``.  On the NFA route ``_lower_rv`` puts ``DfaPath``
     nodes on RV atoms' DFAs in place of the RV nodes nested under another
-    modality or inside a composite path.
+    modality or inside a composite path.  These rules are the reference
+    for ``metaconstraints``' recipes, which ``MetaMonitor`` builds with.
     """
     if memo is None:
         memo = {}
@@ -658,14 +664,14 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
     return dfa
 
 
-def colored_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict, build=None) -> ColoredDfa:
+def colored_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict) -> ColoredDfa:
     """The formula's colored minimal DFA, kept in ``memo`` (its DFA under
-    ``compile_dfa``'s key): ``build()``, or by default ``color_minimal``
-    of ``compile_dfa``'s DFA, gives it when the memo holds none yet."""
+    ``compile_dfa``'s key): ``color_minimal`` of ``compile_dfa``'s DFA,
+    built when the memo holds none yet."""
     key = ("color", formula, alphabet)
     colored = memo.get(key)
     if colored is None:
-        colored = build() if build else color_minimal(compile_dfa(formula, alphabet, memo))
+        colored = color_minimal(compile_dfa(formula, alphabet, memo))
         memo[key] = colored
         memo["dfa", formula, alphabet] = colored.dfa
     return colored
@@ -678,7 +684,13 @@ def _then(g: ldl.Ldlf, alphabet: Alphabet, memo: dict) -> Dfa:
     step = getattr(getattr(g, "left", None), "path", None)
     if not (isinstance(step, ldl.Step) and g == ldl.Or(ldl.prop_formula(step.guard), ldl.END)):
         return compile_dfa(g, alphabet, memo)
-    first = tuple(1 if eval_prop(step.guard, letter) else 2 for letter in alphabet.letters())
+    return step_or_end(alphabet, functools.partial(eval_prop, step.guard))
+
+
+def step_or_end(alphabet: Alphabet, holds) -> Dfa:
+    """``<t>tt || end``, t deciding by ``holds(letter)``: the start (final),
+    an accepting sink past a letter in t and a rejecting sink past others."""
+    first = tuple(1 if holds(letter) else 2 for letter in alphabet.letters())
     rows = (first, (1,) * len(first), (2,) * len(first))
     return Dfa(alphabet, 3, 0, rows, frozenset((0, 1)))
 
@@ -816,11 +828,13 @@ class ColoredDfa:
     dfa: Dfa
     colors: tuple
 
+    def where(self, colors) -> Dfa:
+        """The DFA with the states of ``colors`` final, not minimized."""
+        return self.dfa.with_finals(q for q, rv in enumerate(self.colors) if rv in colors)
+
     def accepting(self, colors) -> Dfa:
-        """The minimized DFA whose finals are the states with a color in
-        ``colors``, such as ``rv.SATISFIABLE`` for pref(f)."""
-        finals = frozenset(q for q, rv in enumerate(self.colors) if rv in colors)
-        return minimize(self.dfa.with_finals(finals))
+        """``where(colors)``, minimized."""
+        return minimize(self.where(colors))
 
 
 def color(dfa: Dfa) -> ColoredDfa:

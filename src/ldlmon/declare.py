@@ -32,7 +32,8 @@ states* of other constraints::
 Both go through one reader, ``_read_model``, which owns the tasks line
 and line numbers.  Defines and directives share one namespace, and each
 directive kind is one entry of ``_DIRECTIVES``: its syntax, its
-metaconstraint builder and the timeline row under it.
+metaconstraint builder, the recipe that builds its monitor from the
+targets' colored DFAs and the timeline row under it.
 
 Monitoring facades (``ModelMonitor``, ``MetaMonitor``) run all the
 constraint monitors in lockstep: each event costs one column lookup,
@@ -62,7 +63,8 @@ filled on first use and holds at most 15 entries, one per pattern and
 equality pattern of the catalog, whatever the input; it is the only
 compiled automaton kept between builds, and ``.meta`` defines that are
 pattern calls read it too.  Parsing a pattern call builds no LTLf
-formula: ``Constraint.formula`` is built when first read.  Everything
+formula (``Constraint.formula`` is built when first read), nor does a
+``.meta`` build for its directives.  Everything
 else compiles through one memo per build (see ``automata.compile_dfa``),
 so a property that several constraints or directives refer to is
 compiled once per build, and the memo is dropped when it returns.
@@ -76,14 +78,10 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 from .automata import (
-    ColoredDfa, color_minimal, colored_dfa, compile_dfa, product_fold, rename_columns)
+    ColoredDfa, color_minimal, compile_dfa, product_fold, rename_columns)
 from .metaconstraints import (
-    compensation,
-    conflict,
-    contextual_absence,
-    preference,
-    reactive_compensation,
-)
+    compensation, compensation_dfa, conflict, conflict_dfa, contextual_absence,
+    contextual_absence_dfa, preference, preference_dfa, reactive_compensation)
 from .monitor import Monitor
 from .rv import RVState
 from .syntax import ldl, ltl
@@ -602,12 +600,14 @@ KIND_PREFER = "prefer"
 class _Kind(NamedTuple):
     """A directive kind: its syntax, a regex whose named groups give the
     ``MetaDirective`` fields (``first`` and ``second`` the targets), its
-    metaconstraint ``build(directive, *target_formulas)``, and the
+    metaconstraint ``build(directive, *target_formulas)``, its minimal DFA
+    ``recipe(directive, memo, *target_colored_dfas)``, and the
     ``(label, cells)`` of the timeline row under its own, if any (see
     ``_Lockstep``)."""
 
     syntax: str
     build: Callable
+    recipe: Callable
     row: tuple[str, Callable[[Monitor, dict], list[str]]] | None = None
 
 
@@ -615,16 +615,19 @@ _DIRECTIVES = {
     KIND_ABSENCE: _Kind(
         rf"absence\s+(?P<task>\w+)\s+when\s+(?P<first>{_NAME})\s*=\s*(?P<state>\w+)",
         lambda d, ref: contextual_absence(ref, d.state, d.task),
+        lambda d, memo, ref: contextual_absence_dfa(ref, d.state, d.task, memo),
         ("  forbidden", lambda m, paths: _forbidden_row(m, [m], paths)),
     ),
     KIND_COMPENSATE: _Kind(
         rf"compensate\s+(?P<first>{_NAME})\s+with\s+(?P<second>{_NAME})"
         r"(?P<reactive>\s+reactive)?",
         lambda d, ref, comp: (reactive_compensation if d.reactive else compensation)(ref, comp),
+        lambda d, memo, ref, comp: compensation_dfa(ref, comp, memo, d.reactive),
     ),
     KIND_CONFLICT: _Kind(
         rf"conflict\s+(?P<first>{_NAME})\s+(?P<second>{_NAME})",
         lambda d, first, second: conflict(first, second),
+        lambda d, memo, first, second: conflict_dfa(first, second, memo),
         # An X marks an in-place conflict: the directive holds right now
         # with the chance to stop holding later.
         ("  conflict", lambda m, paths: [
@@ -634,6 +637,7 @@ _DIRECTIVES = {
     KIND_PREFER: _Kind(
         rf"prefer\s+(?P<first>{_NAME})\s+over\s+(?P<second>{_NAME})",
         lambda d, preferred, other: preference(preferred, other),
+        lambda d, memo, preferred, other: preference_dfa(preferred, other, memo),
     ),
 }
 
@@ -739,9 +743,9 @@ class MetaMonitor(_Lockstep):
     """Monitors for the shown constraints and every directive, advanced
     in lockstep; states are reported shown constraints first, then
     directives in file order.  Each define they refer to gets its colored
-    DFA as in ``local_monitors``, kept in a memo that the build drops; a
-    shown define's monitor is that DFA, and directive formulas compile as
-    they are through the memo (see ``automata.compile_dfa``)."""
+    DFA as in ``local_monitors``, keyed by name; a shown define's monitor
+    is that DFA, and each directive's is its kind's recipe over its
+    targets' DFAs, through a memo that the build drops."""
 
     def __init__(self, model: MetaModel):
         memo: dict = {}
@@ -749,13 +753,12 @@ class MetaMonitor(_Lockstep):
         alphabet = model.alphabet
         colored = {}
         for name in [*model.shows, *(t for d in model.directives for t in d.targets)]:
-            define = model.define(name)
-            colored[name] = colored_dfa(
-                define.to_ldlf(), alphabet, memo, lambda: _local_automaton(define, alphabet, memo)
-            )
+            if name not in colored:
+                colored[name] = _local_automaton(model.define(name), alphabet, memo)
         self.shown = {name: Monitor(colored[name]) for name in model.shows}
         self.meta = {
-            d.name: Monitor.for_formula(model.directive_formula(d), alphabet, memo)
+            d.name: Monitor(color_minimal(
+                _DIRECTIVES[d.kind].recipe(d, memo, *map(colored.__getitem__, d.targets))))
             for d in model.directives
         }
         rows = {d.name: _DIRECTIVES[d.kind].row for d in model.directives}

@@ -6,12 +6,13 @@ LDLf:
 * ``RvAtom(f, s)``: the trace so far puts property f in RV state s;
 * ``RvPath(f, s)``: a path expression matching exactly those prefixes.
 
-A monitor build compiles both from f's colored DFA (see
-``automata.compile_dfa``): an atom's DFA makes the states of color s
-final.  The builders' paths need no NFA either: preference's is the
-atom itself, and the modalities of contextual absence and reactive
-compensation are one subset construction each, which starts a run of
-the argument's DFA wherever f's run is in s.
+Each builder's recipe (``*_dfa``, used by ``MetaMonitor``) builds its
+formula's minimal DFA from the targets' colored DFAs, as the RV rules of
+``automata.compile_dfa`` do from the formula: an atom makes f's states
+of color s final (``ColoredDfa.where``), and the modalities of
+contextual absence and reactive compensation are one subset
+construction each, which starts a run of the argument's DFA wherever
+f's run is in s.
 
 ``expand`` is the paper's declarative encoding of the same nodes, and
 the oracle the direct compile is tested against.  It lowers both into
@@ -32,9 +33,11 @@ one constraint when a pair becomes jointly unsatisfiable.
 """
 from __future__ import annotations
 
+from . import automata
+from .automata import ColoredDfa, Dfa, color_minimal, complement, product_fold
 from .monitor import rv_formula
 from .regexfold import regex_for_rv
-from .rv import RVState, RvAtom, RvPath
+from .rv import SATISFIABLE, RVState, RvAtom, RvPath
 from .syntax import ldl
 from .syntax.alphabet import Alphabet
 from .syntax.props import Atom, PropNot
@@ -83,6 +86,21 @@ def contextual_absence(context: ldl.Ldlf, state: RVState, task: str) -> ldl.Ldlf
     return ldl.Box(RvPath(context, state), _task_free(task))
 
 
+def contextual_absence_dfa(context: ColoredDfa, state: RVState, task: str, memo: dict) -> Dfa:
+    """``contextual_absence``'s DFA, from the context's colored DFA."""
+    free = automata.step_or_end(context.dfa.alphabet, lambda letter: task not in letter)
+    return complement(_once(memo, automata._diamond_after, context, state, complement(free)))
+
+
+def _once(memo: dict, build, *args):
+    """``build(*args)``, run once per memo for equal arguments."""
+    key = (build, *args)
+    done = memo.get(key)
+    if done is None:
+        done = memo[key] = build(*args)
+    return done
+
+
 def compensation(violated: ldl.Ldlf, comp: ldl.Ldlf) -> ldl.Ldlf:
     """If the property ends up permanently violated, the compensation
     must hold over the whole trace."""
@@ -99,6 +117,14 @@ def reactive_compensation(violated: ldl.Ldlf, comp: ldl.Ldlf) -> ldl.Ldlf:
     )
 
 
+def compensation_dfa(violated: ColoredDfa, comp: ColoredDfa, memo: dict, reactive: bool) -> Dfa:
+    """``compensation``'s DFA, or ``reactive_compensation``'s, from the targets'."""
+    after = comp.dfa
+    if reactive:
+        after = _once(memo, automata._diamond_after, violated, RVState.PERM_FALSE, after)
+    return product_fold((violated.where(SATISFIABLE), after), True)
+
+
 def conflict(f: ldl.Ldlf, g: ldl.Ldlf) -> ldl.Ldlf:
     """The pair is jointly doomed while neither property alone is: the
     signature of a conflict between constraints."""
@@ -111,6 +137,12 @@ def conflict(f: ldl.Ldlf, g: ldl.Ldlf) -> ldl.Ldlf:
     )
 
 
+def conflict_dfa(f: ColoredDfa, g: ColoredDfa, memo: dict) -> Dfa:
+    """``conflict``'s DFA, from the targets' colored DFAs."""
+    both = color_minimal(_once(memo, product_fold, (f.dfa, g.dfa))).where({RVState.PERM_FALSE})
+    return product_fold((both, f.where(SATISFIABLE), g.where(SATISFIABLE)))
+
+
 def preference(preferred: ldl.Ldlf, other: ldl.Ldlf) -> ldl.Ldlf:
     """Once the conjunction of the two properties has become doomed at
     some point of the trace, require the preferred one."""
@@ -118,3 +150,9 @@ def preference(preferred: ldl.Ldlf, other: ldl.Ldlf) -> ldl.Ldlf:
         RvPath(ldl.And(preferred, other), RVState.PERM_FALSE), ldl.TT
     )
     return _implies(doomed_prefix, preferred)
+
+
+def preference_dfa(preferred: ColoredDfa, other: ColoredDfa, memo: dict) -> Dfa:
+    """``preference``'s DFA, from the targets' colored DFAs."""
+    both = color_minimal(_once(memo, product_fold, (preferred.dfa, other.dfa)))
+    return product_fold((both.where(SATISFIABLE), preferred.dfa), True)

@@ -2,16 +2,18 @@
 constructions in ``reference_product``.
 
 ``product_fold`` walks the tuples of its operands' states once at class
-level, collapses the tuples that an absorbing component decides, and
-refines them in place; ``minimize`` runs the same refinement on its own
-class rows.  Tables, finals and colors must come out byte for byte as
-the pairwise fold of minimized products and as the minimized product
-over state tuples give them.  Labels must be the tuple product's, and
+level, collapses the tuples that an absorbing component decides (and
+walks none when an operand decides from every state), and refines them
+in place; ``minimize`` runs the same refinement on its own class rows.
+Tables, finals and colors must come out byte for byte as the pairwise
+fold of minimized products and as the minimized product over state
+tuples give them.  Labels must be the tuple product's, and
 with two operands also the pairwise fold's; ``minimize`` must match the
 old refinement, labels included.
 """
 import operator
 import random
+from itertools import repeat
 
 import pytest
 
@@ -61,7 +63,8 @@ def assert_fold(dfas, disjunction, got, tuples=True):
 
 
 def walked_keys(dfas, disjunction=False) -> list:
-    """The keys of ``product_fold``'s walk over tuples, in walk order."""
+    """The keys of ``product_fold``'s walk over tuples, in walk order;
+    none when it makes no walk."""
     walks = []
     explore = automata._explore
 
@@ -75,14 +78,18 @@ def walked_keys(dfas, disjunction=False) -> list:
         product_fold(dfas, disjunction)
     finally:
         automata._explore = explore
-    return walks[0]
+    return walks[0] if walks else []
 
 
 def collapsed_walk(dfas, disjunction=False) -> list:
     """The reachable tuples, in the letter-by-letter order of the tuple
     product, with every tuple that holds a deciding state (absorbing,
     rejecting for a conjunction, accepting for a disjunction) left out but
-    the first: the walk ``product_fold`` makes."""
+    the first: the walk ``product_fold`` makes.  An operand that decides
+    the fold from every state (no final state for a conjunction, only
+    final states for a disjunction) leaves no walk at all."""
+    if any(map(constant, dfas, repeat(disjunction))):
+        return []
     deciding = [set(absorbing(dfa, disjunction)) for dfa in dfas]
     tuples = [tuple(map(int, label[1:-1].split(",")))
               for label in ref.tuple_product(dfas, disjunction).labels]
@@ -104,6 +111,35 @@ def absorbing(dfa, finals):
 
 def has_deciding_sink(dfa, disjunction=False) -> bool:
     return bool(absorbing(dfa, disjunction))
+
+
+def constant(dfa, finals) -> bool:
+    """Whether every state of ``dfa`` has the given acceptance."""
+    return len(dfa.finals) == (dfa.n_states if finals else 0)
+
+
+EXPLORE_BUDGET = 10_000
+
+
+@pytest.fixture
+def explore_budget(monkeypatch):
+    """Fail any ``_explore`` walk that numbers more than
+    ``EXPLORE_BUDGET`` keys, so a fold that stops collapsing deciding
+    tuples fails at once instead of growing toward 2^n tuples."""
+    explore = automata._explore
+
+    def capped(start, cells):
+        def capped_cells(key, ident):
+            def numbered(successor):
+                state = ident(successor)
+                assert state < EXPLORE_BUDGET, f"_explore numbered over {EXPLORE_BUDGET} keys"
+                return state
+
+            return cells(key, numbered)
+
+        return explore(start, capped_cells)
+
+    monkeypatch.setattr(automata, "_explore", capped)
 
 
 def local_dfas(model):
@@ -156,7 +192,7 @@ def test_boolean_chains_compile_to_the_minimized_product(kind):
     assert len(collapsed) >= 10 and set(collapsed) == {2, 3, 4, 5, 6}
 
 
-def test_edge_cases_of_the_fold():
+def test_edge_cases_of_the_fold(explore_budget):
     ab = Alphabet.of("a", "b")
     dead = parse_decl("tasks: a, b\nc0: response(a, b)\nc1: ltl: a && !a\nc2: precedence(a, b)\n")
     assert has_deciding_sink(local_dfas(dead)[1])
@@ -270,6 +306,33 @@ def test_a_start_tuple_with_a_deciding_component():
     assert_folds_alike([C_THEN_D, never, SOME_B], kinds=(True,))
 
 
+def test_a_constant_operand_settles_the_fold():
+    """An operand with no final state settles a conjunction, and one with
+    only final states a disjunction, at any position: the fold is one
+    state labelled by the start tuple, and no tuple is walked.  The other
+    polarity walks as before."""
+    never = task_dfa(ABCD, {0: {}}, ())
+    always = task_dfa(ABCD, {0: {}}, {0})
+    # Not minimal, and not absorbing: a moves between the two states.
+    never_flip = task_dfa(ABCD, {0: {"a": 1}, 1: {"a": 0}}, (), initial=1)
+    always_flip = task_dfa(ABCD, {0: {"a": 1}, 1: {"a": 0}}, {0, 1}, initial=1)
+    settled = 0
+    for operand, disjunction in ((never, False), (never_flip, False),
+                                 (always, True), (always_flip, True)):
+        for others in ([C_THEN_D], [C_THEN_D, NO_A, SOME_B]):
+            for position in range(len(others) + 1):
+                dfas = [*others[:position], operand, *others[position:]]
+                assert_folds_alike(dfas)
+                assert walked_keys(dfas, not disjunction)
+                fold = product_fold(dfas, disjunction)
+                assert walked_keys(dfas, disjunction) == []
+                assert fold.n_states == 1 and bool(fold.finals) is disjunction
+                start = ",".join(str(dfa.initial) for dfa in dfas)
+                assert fold.labels == (f"({start})",)
+                settled += 1
+    assert settled == 4 * (2 + 4)
+
+
 def test_a_non_minimal_operand_with_two_deciding_states():
     assert absorbing(TWO_SINKS, False) == [1, 2] and absorbing(TWO_SINKS, True) == [3]
     for dfas in ([TWO_SINKS, C_THEN_D], [C_THEN_D, TWO_SINKS, SOME_B], [SOME_B, TWO_SINKS]):
@@ -312,7 +375,7 @@ def test_random_chains_with_deciding_sinks(disjunction):
     assert min(shapes.values()) >= 20, shapes
 
 
-def test_four_hundred_absences_and_an_existence():
+def test_four_hundred_absences_and_an_existence(explore_budget):
     """401 classes, so masks of 401 bits: every absence decides on its own
     task, the existence on none."""
     tasks = [f"t{i}" for i in range(401)]

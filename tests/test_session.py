@@ -128,9 +128,10 @@ def test_meta_monitor_builds_compile_each_distinct_argument_once(monkeypatch):
     """Within one build, the memo answers every repeated compile: the NFA
     route and the subset construction of RV-path modalities each run at
     most once per distinct argument.  A conflict directive compiles its
-    references both alone and in their conjunction, and the samples'
-    ``ltl:`` defines take the NFA route, so a build that lost the memo
-    between calls would run one of them twice."""
+    references both alone and in their conjunction, the samples'
+    ``ltl:`` defines take the NFA route, and the last model's directives
+    share their modalities, so a build that lost the memo between calls
+    would run one of them twice."""
     calls: list = []
 
     def counting(name):
@@ -148,6 +149,13 @@ def test_meta_monitor_builds_compile_each_distinct_argument_once(monkeypatch):
     texts = distinct_meta_texts(7417, 30)
     texts += [(samples / name).read_text(encoding="utf-8")
               for name in ("booking.meta", "directives.meta")]
+    # Two names for one define, so two directives share each modality.
+    texts.append(
+        "tasks: a, b\ndefine d0: response(a, b)\ndefine d1: existence(b)\n"
+        "define d2: response(a, b)\nmeta m0: absence b when d0 = TF\n"
+        "meta m1: absence b when d2 = TF\nmeta m2: compensate d0 with d1 reactive\n"
+        "meta m3: compensate d2 with d1 reactive\n"
+    )
     stages = set()
     for text in texts:
         del calls[:]
