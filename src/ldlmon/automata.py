@@ -17,14 +17,6 @@ reaching one again re-enters its loop on the empty word, a miss under a
 diamond (a least fixpoint) and satisfied under a box (a greatest
 fixpoint).  The paper marks these loops with marker atoms instead.
 
-A path may also be a ``DfaPath``, a DFA state standing for the traces
-from there to a final state, which ``delta`` walks one letter at a
-time, the way propositional dynamic logic over flowcharts treats a
-program.  ``compile_dfa`` puts one in place of each RV path (a
-reference to a monitor state of another formula) nested under another
-modality or inside a composite path; only RV formulas built through the
-API reach any RV rule (``MetaMonitor`` uses ``metaconstraints``' recipes).
-
 Acceptance of a macro-state asks whether every obligation in it is
 satisfied by the empty remainder: its ``delta`` under EPSILON, with the
 step base cases at their out-of-trace values, is ``TRUE_MODELS``.
@@ -87,7 +79,7 @@ from collections import deque
 from itertools import compress, repeat, starmap
 from dataclasses import dataclass
 
-from .rv import RVState, RvAtom, RvPath
+from .rv import RVState
 from .syntax import ldl
 from .syntax.alphabet import Alphabet
 from .syntax.ldl import print_ldlf
@@ -168,11 +160,7 @@ def delta(f: ldl.Ldlf, letter, unfolding: tuple = ()) -> tuple:
     ``FALSE_MODELS`` on an unmatched step and on a re-entered loop.
     ``unfolding`` holds the star formulas unfolded on the current path
     without consuming a letter; a test's condition is a subterm of the
-    path and cannot reach them, so it starts with an empty tuple.  A
-    ``DfaPath`` at a DFA state holds ``delta(arg)`` here when the state
-    is final and misses otherwise; on a letter it joins that with the
-    obligation on the successor state, unless no final state is
-    reachable from there: then, as on EPSILON, it holds just that.
+    path and cannot reach them, so it starts with an empty tuple.
     The rules live in ``deltas``, which this runs on one letter.
     Pre: f is in negation normal form.
     """
@@ -212,22 +200,10 @@ def deltas(f: ldl.Ldlf, letters, unfolding: tuple = ()) -> list:
                 return [miss] * len(letters)
             again = deltas(modality(path.body, f), letters, unfolding + (f,))
             return list(map(join, deltas(arg, letters, unfolding), again))
-        if isinstance(path, DfaPath):
-            dfa, live = path.dfa, path.live
-            heres = [miss] * len(letters)
-            if path.state in dfa.finals:
-                heres = deltas(arg, letters, unfolding)
-            row, columns = dfa.transitions[path.state], dfa.alphabet.columns()
-            targets = [EPSILON if l is EPSILON else row[columns[l]] for l in letters]
-            return [
-                join(here, _emit(modality(DfaPath(path.name, t, dfa, live, path.atoms), arg)))
-                if t in live else here
-                for here, t in zip(heres, targets)
-            ]
     if isinstance(f, ldl.Not):
         msg = "delta needs a formula in negation normal form"
         raise ValueError(msg)
-    msg = f"not an LDLf formula: {f!r}"
+    msg = f"not a plain LDLf formula: {f!r}; compile RV nodes through metaconstraints.expand"
     raise TypeError(msg)
 
 
@@ -319,29 +295,6 @@ class Dfa:
 
     triples = Nfa.triples
     with_finals = Nfa.with_finals
-
-
-class DfaPath(ldl.AutomatonPath):
-    """An RV path compiled onto a DFA: the traces that lead ``dfa`` from
-    ``state`` into a final state.
-
-    ``name`` is the RV path's text; ``name`` and ``state`` are the
-    node's fields, so they make its identity and its print key.  The
-    other attributes follow from the name and the alphabet, so equality
-    and hashing leave them out: ``live`` holds the states that can still
-    reach a final state, and ``atoms`` the propositions of the RV path's
-    formula, on which the DFA's transitions depend.
-    """
-
-    name: str
-    state: int
-
-    def __init__(self, name: str, state: int, dfa: Dfa, live: frozenset, atoms: frozenset):
-        super().__init__(name, state)
-        self.__dict__.update(dfa=dfa, live=live, atoms=atoms)
-
-    def pretty(self) -> str:
-        return f"{self.name}@{self.state}"
 
 
 def ldlf_to_nfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Nfa:
@@ -607,24 +560,17 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
     same whichever way they were built; only the debug labels differ.
 
     ``memo`` maps ``("dfa", formula, alphabet)`` to the DFA already built
-    for an RV atom, a formula that takes the NFA route or one that
-    ``colored_dfa`` holds.  Each call looks its formula up first, and
-    flattening stops at any link held there, so no formula in the memo is
-    recompiled.  One build (a model monitor, a CLI command) passes the
-    same dict to all its calls and drops it when done, so each distinct
-    subformula is compiled once per build; a call without one gets its own.
+    for a formula that takes the NFA route.  Each call looks its formula
+    up first, and flattening stops at any link held there, so no formula
+    in the memo is recompiled.  One build (a model monitor, a CLI
+    command) passes the same dict to all its calls and drops it when
+    done, so each distinct subformula is compiled once per build; a call
+    without one gets its own.
 
-    RV nodes are compiled from automata, not from their LDLf encoding
-    (``metaconstraints.expand``): an ``RvAtom`` is a leaf whose DFA is
-    the referenced formula's colored DFA with the states of its RV state
-    made final.  A modality over an RV path, ``<RvPath(f, s)>g``, is one
-    subset construction over f's and g's DFAs (``_diamond_after``), and
-    ``[RvPath(f, s)]g`` the complement of ``<RvPath(f, s)>!g``; only
-    ``<RvPath(f, s)>tt`` with s permanent, so absorbing, is
-    ``RvAtom(f, s)``.  On the NFA route ``_lower_rv`` puts ``DfaPath``
-    nodes on RV atoms' DFAs in place of the RV nodes nested under another
-    modality or inside a composite path.  These rules are the reference
-    for ``metaconstraints``' recipes, which ``MetaMonitor`` builds with.
+    The formula is plain LDLf: one with RV atoms or paths compiles as
+    ``compile_dfa(metaconstraints.expand(f, alphabet, memo), alphabet,
+    memo)``, and an RV node that reaches the construction is a
+    ``TypeError``.
     """
     if memo is None:
         memo = {}
@@ -646,45 +592,8 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
             else:
                 operands.append(f)
         return product_fold((compile_dfa(f, alphabet, memo) for f in operands), kind is ldl.Or)
-    path = getattr(formula, "path", None)
-    if isinstance(path, RvPath):
-        if path.state.permanent and formula == ldl.Diamond(path, ldl.TT):
-            return compile_dfa(RvAtom(path.formula, path.state), alphabet, memo)
-        colored = colored_dfa(path.formula, alphabet, memo)
-        then = _then(formula.arg, alphabet, memo)
-        if isinstance(formula, ldl.Box):
-            dfa = complement(_diamond_after(colored, path.state, complement(then)))
-        else:
-            dfa = _diamond_after(colored, path.state, then)
-    elif isinstance(formula, RvAtom):
-        dfa = colored_dfa(formula.formula, alphabet, memo).accepting({formula.state})
-    else:
-        dfa = _nfa_route(_lower_rv(formula, alphabet, memo), alphabet)
-    memo[key] = dfa
+    dfa = memo[key] = _nfa_route(formula, alphabet)
     return dfa
-
-
-def colored_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict) -> ColoredDfa:
-    """The formula's colored minimal DFA, kept in ``memo`` (its DFA under
-    ``compile_dfa``'s key): ``color_minimal`` of ``compile_dfa``'s DFA,
-    built when the memo holds none yet."""
-    key = ("color", formula, alphabet)
-    colored = memo.get(key)
-    if colored is None:
-        colored = color_minimal(compile_dfa(formula, alphabet, memo))
-        memo[key] = colored
-        memo["dfa", formula, alphabet] = colored.dfa
-    return colored
-
-
-def _then(g: ldl.Ldlf, alphabet: Alphabet, memo: dict) -> Dfa:
-    """g's DFA.  ``<t>tt || end``, contextual absence's argument, is built
-    from the guard without the NFA route: the start (final), an accepting
-    sink past a letter in t and a rejecting sink past any other."""
-    step = getattr(getattr(g, "left", None), "path", None)
-    if not (isinstance(step, ldl.Step) and g == ldl.Or(ldl.prop_formula(step.guard), ldl.END)):
-        return compile_dfa(g, alphabet, memo)
-    return step_or_end(alphabet, functools.partial(eval_prop, step.guard))
 
 
 def step_or_end(alphabet: Alphabet, holds) -> Dfa:
@@ -712,32 +621,6 @@ def _diamond_after(colored: ColoredDfa, state: RVState, then: Dfa) -> Dfa:
     subsets, rows = _subsets(rows, enter[colored.dfa.initial])
     finals = frozenset(shift + p for p in then.finals)
     return _moore(then.alphabet, rows, [not finals.isdisjoint(s) for s in subsets], class_of)
-
-
-def _lower_rv(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict) -> ldl.Ldlf:
-    """The formula with each RV node replaced by an automaton path at the
-    initial state of the RV atom's DFA: an RV path by the path, an RV
-    atom by ``<path>end``.  The rewrite is bottom-up, so an RV node
-    nested in another's formula is lowered first, which leaves that
-    formula's language as it is.  A formula without RV nodes comes back
-    as is, after one scan."""
-    if not any(isinstance(n, (RvAtom, RvPath)) for n in ldl.subterms(formula)):
-        return formula
-
-    def lower(n):
-        if not isinstance(n, (RvAtom, RvPath)):
-            return n
-        dfa = compile_dfa(RvAtom(n.formula, n.state), alphabet, memo)
-        path = DfaPath(
-            name=ldl.print_path(RvPath(n.formula, n.state)),
-            state=dfa.initial,
-            dfa=dfa,
-            live=prefix_closure(dfa).finals,
-            atoms=ldl.formula_atoms(n.formula),
-        )
-        return path if isinstance(n, RvPath) else ldl.Diamond(path, ldl.END)
-
-    return ldl.rewrite(formula, lower)
 
 
 def minimize(dfa: Dfa) -> Dfa:

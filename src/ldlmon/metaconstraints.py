@@ -7,15 +7,16 @@ LDLf:
 * ``RvPath(f, s)``: a path expression matching exactly those prefixes.
 
 Each builder's recipe (``*_dfa``, used by ``MetaMonitor``) builds its
-formula's minimal DFA from the targets' colored DFAs, as the RV rules of
-``automata.compile_dfa`` do from the formula: an atom makes f's states
-of color s final (``ColoredDfa.where``), and the modalities of
+formula's minimal DFA from the targets' colored DFAs: an atom makes f's
+states of color s final (``ColoredDfa.where``), and the modalities of
 contextual absence and reactive compensation are one subset
-construction each, which starts a run of the argument's DFA wherever
-f's run is in s.
+construction each (``automata._diamond_after``), which starts a run of
+the argument's DFA wherever f's run is in s.
 
 ``expand`` is the paper's declarative encoding of the same nodes, and
-the oracle the direct compile is tested against.  It lowers both into
+the one way a formula with RV nodes compiles:
+``compile_dfa(expand(f, alphabet, memo), alphabet, memo)``, the
+reference the recipes are tested against.  It lowers both nodes into
 plain LDLf: the atom via the RV-state characterization formula
 (``rv_formula``), the path via the regex folded out of the property's
 monitor with the states of that color made final (``regex_for_rv``).

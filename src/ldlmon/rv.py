@@ -9,8 +9,9 @@ For a property and a finite trace seen so far, exactly one holds:
 
 Two LDLf extension nodes refer to them: ``RvAtom(f, s)`` holds when the
 trace puts property f in RV state s, and ``RvPath(f, s)`` matches exactly
-those traces.  ``metaconstraints`` builds formulas from them and
-``automata.compile_dfa`` compiles them from f's monitor.
+those traces.  ``metaconstraints`` builds formulas from them, and its
+``expand`` lowers them into the plain LDLf that ``automata.compile_dfa``
+compiles.
 """
 from __future__ import annotations
 

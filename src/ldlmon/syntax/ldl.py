@@ -34,13 +34,6 @@ class Ldlf(Node):
     __slots__ = ()
 
 
-class AutomatonPath(Path):
-    """Base class for path nodes that stand for an automaton built
-    elsewhere; a subclass's ``atoms`` names the propositions it reads."""
-
-    __slots__ = ()
-
-
 class Step(Path):
     guard: Prop
 
@@ -151,14 +144,11 @@ def subterms(f):
 
 
 def formula_atoms(f: Ldlf) -> frozenset[str]:
-    """Proposition names occurring anywhere in f: in its step guards, and
-    in the ``atoms`` of its automaton paths."""
+    """Proposition names occurring anywhere in f: in its step guards."""
     names: set = set()
     for n in subterms(f):
         if isinstance(n, Step):
             names |= prop_atoms(n.guard)
-        elif isinstance(n, AutomatonPath):
-            names |= n.atoms
     return frozenset(names)
 
 

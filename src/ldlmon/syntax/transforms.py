@@ -50,7 +50,8 @@ def negate(f: ldl.Ldlf) -> ldl.Ldlf:
         return ldl.Box(f.path, negate(f.arg))
     if isinstance(f, ldl.Box):
         return ldl.Diamond(f.path, negate(f.arg))
-    msg = f"not an LDLf formula in negation normal form: {f!r}"
+    msg = (f"not a plain LDLf formula in negation normal form: {f!r}; "
+           "compile RV nodes through metaconstraints.expand")
     raise TypeError(msg)
 
 

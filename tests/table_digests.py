@@ -108,8 +108,9 @@ def corpus_samples():
 
 def corpus_rv_grid():
     """The grid of ``test_metaconstraints``: every reference, RV state,
-    argument and modality over three tasks."""
+    argument and modality over three tasks, compiled through ``expand``."""
     from ldlmon.automata import color, compile_dfa
+    from ldlmon.metaconstraints import expand
     from ldlmon.rv import RVState, RvAtom, RvPath
     from ldlmon.syntax import Alphabet, parse_ldlf, parse_ltlf
     from ldlmon.syntax.ldl import END, FF, LAST, TT, Box, Diamond
@@ -133,7 +134,8 @@ def corpus_rv_grid():
                 for modality in (Diamond, Box):
                     node = modality(RvPath(f, state), g)
                     name = f"ref {i} {state.code} arg {j} {modality.__name__}"
-                    yield name, color(compile_dfa(node, alphabet))
+                    memo: dict = {}
+                    yield name, color(compile_dfa(expand(node, alphabet, memo), alphabet, memo))
 
 
 CORPORA = {

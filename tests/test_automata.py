@@ -33,7 +33,6 @@ from ldlmon.automata import (
     reachable_from,
     to_dot,
 )
-from ldlmon.rv import RVState, RvPath
 from ldlmon.semantics import eval_ldlf, trace_from_tasks
 from ldlmon.syntax import (
     Alphabet,
@@ -249,58 +248,6 @@ def test_delta_misses_or_holds_on_a_loop_reentered_without_a_letter():
             dfa = compile_dfa(formula, alphabet)
             for trace in traces:
                 assert accepts(dfa, trace) == eval_ldlf(trace, 0, formula), (text, trace)
-
-
-def test_lowered_rv_paths_never_step_into_dead_dfa_states():
-    """re{F a}=TF over tasks a, b compiles to a DFA whose state after an
-    ``a`` can never reach a final state again.  No model of delta holds
-    a DfaPath at such a state: the step misses there instead."""
-    eventually_a = ltlf_to_ldlf(parse_ltlf("F a", TASKS))
-    path = RvPath(eventually_a, RVState.TEMP_FALSE)
-    formulas = [
-        Diamond(Seq(path, Step(Atom("b"))), TT),
-        Box(path, parse_ldlf("<b>tt", TASKS)),
-        Diamond(Star(path), parse_ldlf("end", TASKS)),
-    ]
-    lowered_paths = 0
-    for formula in formulas:
-        lowered = to_nnf(automata._lower_rv(formula, TASKS, {}))
-        seen = {lowered}
-        queue = [lowered]
-        while queue:
-            member = queue.pop()
-            for letter in TASKS.letters():
-                for model in delta(member, letter):
-                    for obligation in model - seen:
-                        seen.add(obligation)
-                        queue.append(obligation)
-        for n in (n for f in seen for n in subterms(f)):
-            if isinstance(n, automata.DfaPath):
-                lowered_paths += 1
-                assert n.state not in _dead_states(n.dfa), print_ldlf(formula)
-    assert lowered_paths > 0
-
-
-def _dead_states(dfa):
-    """The states from which no final state is reachable, by a backward
-    search from the finals."""
-    predecessors = {}
-    for state, row in enumerate(dfa.transitions):
-        for target in row:
-            predecessors.setdefault(target, set()).add(state)
-    alive = set(dfa.finals)
-    queue = list(alive)
-    while queue:
-        for state in predecessors.get(queue.pop(), ()):
-            if state not in alive:
-                alive.add(state)
-                queue.append(state)
-    dead = set(range(dfa.n_states)) - alive
-    assert dead, "the DFA should have a dead state"
-    return dead
-
-
-# Minimal models --------------------------------------------------------
 
 
 def test_model_combinators_short_circuit():

@@ -25,3 +25,20 @@ def test_coloring_lives_in_automata_and_stays_importable_from_monitor():
     assert monitor.color is automata.color
     assert monitor.ColoredDfa is automata.ColoredDfa
     assert not hasattr(regexfold, "prefix_regex")
+
+
+def test_automata_knows_no_rv_node():
+    """The construction compiles plain LDLf: from ``rv`` it imports only
+    the four states, and no path node stands for an automaton."""
+    root = Path(ldlmon.__file__).parent
+    tree = ast.parse((root / "automata.py").read_text(encoding="utf-8"))
+    from_rv = [
+        alias.name
+        for n in ast.walk(tree)
+        if isinstance(n, ast.ImportFrom) and n.module == "rv" and n.level == 1
+        for alias in n.names
+    ]
+    assert from_rv == ["RVState"]
+    ldl_tree = ast.parse((root / "syntax" / "ldl.py").read_text(encoding="utf-8"))
+    classes = {n.name for n in ast.walk(ldl_tree) if isinstance(n, ast.ClassDef)}
+    assert "AutomatonPath" not in classes

@@ -19,9 +19,7 @@ from dataclasses import replace
 from ldlmon import automata
 from ldlmon.automata import (
     Dfa,
-    DfaPath,
     Nfa,
-    _lower_rv,
     _nfa_route,
     aut_to_json,
     color,
@@ -36,10 +34,8 @@ from ldlmon.automata import (
     product_pairs,
     reachable_from,
 )
-from ldlmon.rv import RVState, RvAtom, RvPath
-from ldlmon.syntax import Alphabet, parse_ldlf, parse_ltlf
-from ldlmon.syntax.ldl import TT, Alt, Box, Diamond, Seq, Star, Step, print_ldlf, subterms
-from ldlmon.syntax.props import Atom
+from ldlmon.syntax import Alphabet, parse_ldlf
+from ldlmon.syntax.ldl import print_ldlf
 from ldlmon.syntax.transforms import ltlf_to_ldlf, to_nnf
 
 import reference_delta as ref
@@ -346,30 +342,12 @@ def test_delta_work_does_not_grow_with_unused_props(monkeypatch):
     assert many == few
 
 
-def rv_route_cases():
-    """API-built RV formulas that ``compile_dfa`` lowers to ``DfaPath``:
-    RV nodes under a step, and RV paths inside ``;``, ``*`` and ``+``.
-    An RV-path modality at the top is one subset construction instead
-    (``tests/test_metaconstraints.py`` holds its grid)."""
-    alphabet = Alphabet.tasks(["a", "b", "c"])
-    refs = [ltlf_to_ldlf(parse_ltlf(t, alphabet)) for t in ("F a", "G (a -> F b)", "!b U c")]
-    then = parse_ldlf("<b><c>tt", alphabet)
-    for f in refs:
-        for state in RVState:
-            path = RvPath(f, state)
-            yield Diamond(Step(Atom("c")), RvAtom(f, state)), alphabet
-            yield Diamond(Seq(path, Step(Atom("b"))), TT), alphabet
-            yield Box(Star(path), then), alphabet
-            yield Diamond(Alt(path, Step(Atom("c"))), then), alphabet
-            yield Diamond(Step(Atom("a")), Diamond(path, then)), alphabet
-
-
 def test_nfa_route_matches_the_public_stages():
     """``compile_dfa``'s NFA route keeps class rows from the NFA through
     the subset construction into ``_moore``; tables, colors and labels
     must be those of ``minimize(determinize(ldlf_to_nfa(f)))``: on seeded
-    formulas (task alphabets among them), on formulas over 3 props inside
-    3-8-prop alphabets, and on RV formulas lowered to ``DfaPath``."""
+    formulas (task alphabets among them) and on formulas over 3 props
+    inside 3-8-prop alphabets."""
     rng = random.Random(7008)
     cases = list(seeded_cases(7001, 160))
     for n in range(3, 9):
@@ -380,21 +358,11 @@ def test_nfa_route_matches_the_public_stages():
                 cases.append((random_ldlf(rng, used, depth=4, star_depth=2), alphabet))
             else:
                 cases.append((ltlf_to_ldlf(random_ltlf(rng, used)), alphabet))
-    lowered = 0
-    for formula, alphabet in [*cases, *rv_route_cases()]:
-        memo: dict = {}
-        node = _lower_rv(formula, alphabet, memo)
-        got = _nfa_route(node, alphabet)
-        want = minimize(determinize(ldlf_to_nfa(node, alphabet)))
+    for formula, alphabet in cases:
+        got = _nfa_route(formula, alphabet)
+        want = minimize(determinize(ldlf_to_nfa(formula, alphabet)))
         assert aut_to_json(got, color(got).colors) == aut_to_json(want, color(want).colors)
         assert got.labels == want.labels
-        if node is not formula:
-            assert any(isinstance(n, DfaPath) for n in subterms(node))
-            assert compile_dfa(formula, alphabet, memo) is memo["dfa", formula, alphabet]
-            assert aut_to_json(memo["dfa", formula, alphabet]) == aut_to_json(want)
-            assert memo["dfa", formula, alphabet].labels == want.labels
-            lowered += 1
-    assert lowered == 3 * 4 * 5
 
 
 def reference_product_pairs(a, b, accept=None):

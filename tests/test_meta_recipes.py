@@ -1,16 +1,20 @@
-"""Directive recipes against ``compile_dfa`` of the directive formulas.
+"""Directive recipes against ``compile_dfa`` of the expanded directive
+formulas.
 
 ``MetaMonitor`` builds each directive with its kind's recipe from the
 targets' colored DFAs, and builds no LDLf formula on the way.  The
-reference compiles the directive's formula (``directive_formula``)
-through ``compile_dfa``'s RV rules: tables, finals and colors must come
-out byte for byte the same.
+reference expands the directive's formula (``directive_formula``) into
+plain LDLf, the paper's encoding, and compiles that with ``compile_dfa``,
+which never calls ``_diamond_after``, the recipes' subset construction
+for RV-path modalities: tables, finals and colors must come out byte for
+byte the same.
 """
 import pathlib
 import random
 
 from ldlmon.automata import ColoredDfa, aut_to_json, color_minimal, compile_dfa
 from ldlmon.declare import PATTERNS, MetaMonitor, parse_meta
+from ldlmon.metaconstraints import expand
 from ldlmon.rv import RVState
 from ldlmon.syntax.base import Node
 
@@ -25,11 +29,12 @@ def monitor_json(monitor) -> str:
 
 def assert_recipes_match(model):
     """Every directive's monitor is the colored minimal DFA of its
-    formula, each compiled through a memo of its own."""
+    expanded formula, each compiled through a memo of its own."""
     runner = MetaMonitor(model)
     for directive in model.directives:
-        formula = model.directive_formula(directive)
-        want = color_minimal(compile_dfa(formula, model.alphabet, {}))
+        memo: dict = {}
+        formula = expand(model.directive_formula(directive), model.alphabet, memo)
+        want = color_minimal(compile_dfa(formula, model.alphabet, memo))
         got = runner.meta[directive.name]
         assert monitor_json(got) == aut_to_json(want.dfa, want.colors), directive
 

@@ -1,5 +1,9 @@
 """Constraints over monitoring states, their expansion to plain LDLf, and
-their direct compile against that expansion."""
+the kernels the directive recipes call against that expansion.  Formulas
+with RV nodes compile only through ``expand``; where no kernel reaches an
+RV node, the expansion's compile is checked against the semantics."""
+import functools
+import itertools
 import pathlib
 import random
 
@@ -7,14 +11,17 @@ import pytest
 
 from ldlmon import monitor, regexfold
 from ldlmon.automata import (
-    _lower_rv,
+    _diamond_after,
     accepts,
     aut_to_json,
+    color_minimal,
     compile_dfa,
+    complement,
     determinize,
     language_equal,
     ldlf_to_nfa,
     minimize,
+    product_fold,
 )
 from ldlmon.declare import (
     MetaMonitor,
@@ -34,12 +41,13 @@ from ldlmon.metaconstraints import (
     preference,
     reactive_compensation,
 )
-from ldlmon.monitor import Monitor, monitor_automaton
+from ldlmon.monitor import Monitor, monitor_automaton, rv_formula
 from ldlmon.regexfold import regex_for_rv
 from ldlmon.rv import RVState
-from ldlmon.semantics import eval_ldlf, trace_from_tasks
+from ldlmon.semantics import _Evaluator, eval_ldlf, trace_from_tasks
 from ldlmon.syntax import (
     Alphabet,
+    Alt,
     And,
     Box,
     Diamond,
@@ -48,6 +56,8 @@ from ldlmon.syntax import (
     LAST,
     Not,
     Or,
+    Seq,
+    Star,
     Step,
     TT,
     formula_atoms,
@@ -295,13 +305,88 @@ def test_conflict_is_symmetric():
     assert language_equal(left, right)
 
 
-# Direct compile against the expansion ----------------------------------
+# RV nodes against the kernels the recipes call, and their semantics -----
 
 
-def assert_direct_matches_expanded(formula, alphabet=BOOKING):
-    direct = compile_dfa(formula, alphabet)
-    expanded = compile_dfa(expand(formula, alphabet), alphabet)
-    assert language_equal(direct, expanded), print_ldlf(formula)
+def kernel_dfa(formula, alphabet, memo):
+    """The minimal DFA of a formula whose RV nodes sit in its Boolean
+    structure or head its modalities, built by the kernels the directive
+    recipes call: an RV atom makes its formula's states of that color
+    final, ``<RvPath(f, s)>g`` is ``_diamond_after`` over f's colored
+    DFA and g's DFA, and ``[RvPath(f, s)]g`` the complement of the
+    diamond of the negated argument.  Every other node is plain LDLf for
+    ``compile_dfa``, which refuses an RV node."""
+    if isinstance(formula, Not):
+        return complement(kernel_dfa(formula.arg, alphabet, memo))
+    if isinstance(formula, (And, Or)):
+        operands = [kernel_dfa(f, alphabet, memo) for f in (formula.left, formula.right)]
+        return product_fold(operands, isinstance(formula, Or))
+    if isinstance(formula, RvAtom):
+        return color_minimal(kernel_dfa(formula.formula, alphabet, memo)).accepting({formula.state})
+    path = getattr(formula, "path", None)
+    if isinstance(path, RvPath):
+        colored = color_minimal(kernel_dfa(path.formula, alphabet, memo))
+        then = kernel_dfa(formula.arg, alphabet, memo)
+        if isinstance(formula, Box):
+            return complement(_diamond_after(colored, path.state, complement(then)))
+        return _diamond_after(colored, path.state, then)
+    return compile_dfa(formula, alphabet, memo)
+
+
+def kernel(formula, alphabet=BOOKING):
+    return kernel_dfa(formula, alphabet, {})
+
+
+def expanded_dfa(formula, alphabet=BOOKING):
+    memo: dict = {}
+    return compile_dfa(expand(formula, alphabet, memo), alphabet, memo)
+
+
+def assert_kernel_matches_expanded(formula, alphabet=BOOKING, context=""):
+    """The kernels give byte for byte the table and finals that
+    ``compile_dfa`` gives for the formula's expansion."""
+    got = aut_to_json(kernel(formula, alphabet))
+    assert got == aut_to_json(expanded_dfa(formula, alphabet)), context or print_ldlf(formula)
+
+
+class RvSemantics(_Evaluator):
+    """``eval_ldlf``'s evaluator, with each RV node read off the monitor
+    of its formula (plain LDLf): an RV atom holds at a position when the
+    rest of the trace leaves the monitor in the atom's color, and an RV
+    path matches the segments that do."""
+
+    def __init__(self, trace, monitor):
+        super().__init__(trace)
+        self.monitor = monitor
+
+    def _in_state(self, node, i, j):
+        colored = self.monitor(node.formula)
+        state = colored.dfa.initial
+        for letter in self.trace[i:j]:
+            state = colored.dfa.step(state, letter)
+        return colored.colors[state] is node.state
+
+    def _eval(self, i, f):
+        if isinstance(f, RvAtom):
+            return self._in_state(f, i, self.n)
+        return super()._eval(i, f)
+
+    def _matches(self, i, j, path):
+        if isinstance(path, RvPath):
+            return self._in_state(path, i, j)
+        return super()._matches(i, j, path)
+
+
+def assert_expansion_matches_semantics(formula, alphabet, length=4):
+    """``compile_dfa`` of the expansion accepts exactly the traces of up
+    to ``length`` letters that satisfy the formula under ``RvSemantics``."""
+    memo: dict = {}
+    dfa = compile_dfa(expand(formula, alphabet, memo), alphabet, memo)
+    monitor = functools.cache(lambda f: color_minimal(compile_dfa(f, alphabet, memo)))
+    for n in range(length + 1):
+        for trace in itertools.product(alphabet.letters(), repeat=n):
+            want = RvSemantics(trace, monitor).eval(0, formula)
+            assert accepts(dfa, trace) == want, (print_ldlf(formula), trace)
 
 
 def test_directives_compile_the_languages_of_their_expansions():
@@ -309,7 +394,7 @@ def test_directives_compile_the_languages_of_their_expansions():
     for _ in range(200):
         model = parse_meta(random_meta_text(rng))
         for directive in model.directives:
-            assert_direct_matches_expanded(model.directive_formula(directive), model.alphabet)
+            assert_kernel_matches_expanded(model.directive_formula(directive), model.alphabet)
 
 
 def test_meta_monitor_builds_fold_no_regex(monkeypatch):
@@ -324,14 +409,68 @@ def test_meta_monitor_builds_fold_no_regex(monkeypatch):
 
 
 def test_rv_atoms_under_steps_compile_like_their_expansions():
+    """An RV atom alone is a kernel; under a step only its expansion
+    compiles, checked against the semantics."""
     pay = Step(Atom("pay"))
     for state in RVState:
         for formula in [NCX, RE1, And(NCX, RESP)]:
             atom = RvAtom(formula, state)
-            assert_direct_matches_expanded(atom)
-            assert_direct_matches_expanded(Diamond(pay, atom))
-            assert_direct_matches_expanded(Box(pay, atom))
-            assert_direct_matches_expanded(Box(pay, Not(atom)))
+            assert_kernel_matches_expanded(atom)
+            assert_kernel_matches_expanded(Not(atom))
+            for nested in (Diamond(pay, atom), Box(pay, atom), Box(pay, Not(atom))):
+                assert_expansion_matches_semantics(nested, BOOKING, 3)
+
+
+def rv_nodes_in_paths():
+    """RV formulas that no kernel compiles, only their expansions: over
+    three tasks, RV atoms under a step and RV paths inside ``;``, ``*``
+    and ``+`` or under a step; over two, re{F a}=TF, whose monitor has a
+    state from which no trace ends in TF, before a step, under a box and
+    starred."""
+    alphabet = Alphabet.tasks(["a", "b", "c"])
+    refs = [ltlf_to_ldlf(parse_ltlf(t, alphabet)) for t in ("F a", "G (a -> F b)", "!b U c")]
+    then = parse_ldlf("<b><c>tt", alphabet)
+    for f in refs:
+        for state in RVState:
+            path = RvPath(f, state)
+            yield Diamond(Step(Atom("c")), RvAtom(f, state)), alphabet
+            yield Diamond(Seq(path, Step(Atom("b"))), TT), alphabet
+            yield Box(Star(path), then), alphabet
+            yield Diamond(Alt(path, Step(Atom("c"))), then), alphabet
+            yield Diamond(Step(Atom("a")), Diamond(path, then)), alphabet
+    tasks = Alphabet.tasks(["a", "b"])
+    path = RvPath(ltlf_to_ldlf(parse_ltlf("F a", tasks)), TF_)
+    yield Diamond(Seq(path, Step(Atom("b"))), TT), tasks
+    yield Box(path, parse_ldlf("<b>tt", tasks)), tasks
+    yield Diamond(Star(path), END), tasks
+
+
+def test_rv_nodes_in_paths_compile_through_expand_like_their_semantics():
+    cases = list(rv_nodes_in_paths())
+    assert len(cases) == 3 * 4 * 5 + 3
+    for formula, alphabet in cases:
+        assert_expansion_matches_semantics(formula, alphabet)
+
+
+@pytest.mark.parametrize("formula", [
+    RvAtom(RESP, TF_),
+    Not(RvAtom(RESP, TF_)),
+    And(NCX, And(RvAtom(RESP, TF_), RET)),
+    Diamond(RvPath(RESP, PF_), RET),
+    Diamond(Step(Atom("pay")), RvAtom(RESP, TF_)),
+    Box(Step(Atom("pay")), Not(RvAtom(RESP, TF_))),
+], ids=["top", "negated", "in-a-chain", "rv-path", "under-a-step", "negated-under-a-step"])
+@pytest.mark.parametrize("compile_", [
+    lambda f: compile_dfa(f, BOOKING),
+    lambda f: Monitor.for_formula(f, BOOKING),
+    lambda f: monitor_automaton(f, BOOKING),
+    lambda f: rv_formula(f, TF_, BOOKING),
+    lambda f: regex_for_rv(f, TF_, BOOKING),
+], ids=["compile_dfa", "for_formula", "monitor_automaton", "rv_formula", "regex_for_rv"])
+def test_rv_nodes_reaching_the_construction_name_expand(formula, compile_):
+    with pytest.raises(TypeError, match="metaconstraints.expand"):
+        compile_(formula)
+    compile_(expand(formula, BOOKING))
 
 
 def test_rv_paths_nested_four_deep_compile_like_their_expansions():
@@ -343,7 +482,7 @@ def test_rv_paths_nested_four_deep_compile_like_their_expansions():
             formula = start
             for depth, task in enumerate(["get", "cancel", "pay", "acc"]):
                 present = sorted(
-                    set(monitor_automaton(formula, BOOKING).colors), key=lambda s: s.value
+                    set(color_minimal(kernel(formula)).colors), key=lambda s: s.value
                 )
                 state = present[(shift + depth) % len(present)]
                 referred.add(state)
@@ -351,7 +490,7 @@ def test_rv_paths_nested_four_deep_compile_like_their_expansions():
                     contextual_absence(formula, state, task),
                     Diamond(RvPath(formula, state), RvAtom(RESP, state)),
                 )
-                assert_direct_matches_expanded(formula)
+                assert_kernel_matches_expanded(formula)
     assert referred == set(RVState)
 
 
@@ -363,14 +502,13 @@ PAY_THEN_GET = Diamond(Step(Atom("pay")), Diamond(Step(Atom("get")), TT))
 def test_rv_paths_under_a_diamond_of_tt_compile_like_their_expansions():
     for state in RVState:
         for formula in [RESP, RE1, NCX, And(NCX, RESP)]:
-            assert_direct_matches_expanded(Diamond(RvPath(formula, state), TT))
-    # The rule reads a permanent state as the whole trace's: on a
-    # temporary one it would fail here, where ``pay`` leaves RESP in TF
-    # and ``get`` takes it on to TT.
+            assert_kernel_matches_expanded(Diamond(RvPath(formula, state), TT))
+    # A temporary state is read as the prefix's, not the whole trace's:
+    # ``pay`` leaves RESP in TF and ``get`` takes it on to TT.
     pay_get = [frozenset({"pay"}), frozenset({"get"})]
-    reached = compile_dfa(Diamond(RvPath(RESP, TF_), TT), BOOKING)
+    reached = kernel(Diamond(RvPath(RESP, TF_), TT))
     assert accepts(reached, pay_get)
-    assert not accepts(compile_dfa(RvAtom(RESP, TF_), BOOKING), pay_get)
+    assert not accepts(kernel(RvAtom(RESP, TF_)), pay_get)
 
 
 def test_rv_paths_under_a_box_of_the_next_letter_compile_like_their_expansions():
@@ -378,13 +516,11 @@ def test_rv_paths_under_a_box_of_the_next_letter_compile_like_their_expansions()
     for state in RVState:
         for formula in [RESP, RE1, NCX, And(NCX, RESP)]:
             path = RvPath(formula, state)
-            assert_direct_matches_expanded(Box(path, Or(not_get, END)))
-            assert_direct_matches_expanded(Box(path, Or(END, not_get)))
-            # Two letters: the rule must not read this as a guard on ``pay``.
-            assert_direct_matches_expanded(Box(path, Or(PAY_THEN_GET, END)))
-    two_letters = compile_dfa(
-        Box(RvPath(RESP, RVState.TEMP_TRUE), Or(PAY_THEN_GET, END)), BOOKING
-    )
+            assert_kernel_matches_expanded(Box(path, Or(not_get, END)))
+            assert_kernel_matches_expanded(Box(path, Or(END, not_get)))
+            # Two letters: the box must not read this as a guard on ``pay``.
+            assert_kernel_matches_expanded(Box(path, Or(PAY_THEN_GET, END)))
+    two_letters = kernel(Box(RvPath(RESP, RVState.TEMP_TRUE), Or(PAY_THEN_GET, END)))
     assert not accepts(two_letters, [frozenset({"pay"})])
     assert accepts(two_letters, [frozenset({"pay"}), frozenset({"get"})])
 
@@ -398,20 +534,10 @@ def rv_modalities(formula):
     ]
 
 
-def assert_nfa_route_table(node, alphabet, context=""):
-    """``compile_dfa``'s table and finals for the node are byte for byte
-    those of the NFA route over the lowered node."""
-    memo: dict = {}
-    lowered = _lower_rv(node, alphabet, memo)
-    route = minimize(determinize(ldlf_to_nfa(lowered, alphabet)))
-    got = compile_dfa(node, alphabet, memo)
-    assert aut_to_json(got) == aut_to_json(route), context or print_ldlf(node)
-
-
 def test_rv_diamonds_compile_to_the_tables_of_the_nfa_route():
     """The subset construction over f's and g's DFAs gives byte for byte
-    the table and finals that the NFA route over the lowered formula
-    gives, on every RV-path modality of every directive."""
+    the table and finals that the NFA route gives for the expanded
+    modality, on every RV-path modality of every directive."""
     rng = random.Random(6155)
     texts = [random_meta_text(rng) for _ in range(100)]
     samples = pathlib.Path(__file__).resolve().parent.parent / "samples"
@@ -422,7 +548,7 @@ def test_rv_diamonds_compile_to_the_tables_of_the_nfa_route():
         model = parse_meta(text)
         for directive in model.directives:
             for node in rv_modalities(model.directive_formula(directive)):
-                assert_nfa_route_table(node, model.alphabet, text)
+                assert_kernel_matches_expanded(node, model.alphabet, text)
                 compared.add((type(node), node.path.state, node.arg == TT))
     assert len(compared) == 6, compared
 
@@ -431,7 +557,10 @@ def test_rv_modalities_of_every_state_and_argument_compile_to_the_nfa_route():
     """Every reference, state, argument and modality of a grid over three
     tasks: references that start in or reach each state, and arguments
     that are constants, next-letter guards either way round, two letters
-    and an RV atom."""
+    and an RV atom.  The subject is ``_diamond_after`` over the
+    reference's colored DFA and the argument's DFA (for a box, over the
+    argument's complement, and complemented); the reference is
+    ``compile_dfa`` of the expanded modality."""
     alphabet = Alphabet.tasks(["a", "b", "c"])
     refs = [
         ltlf_to_ldlf(parse_ltlf(text, alphabet))
@@ -446,10 +575,18 @@ def test_rv_modalities_of_every_state_and_argument_compile_to_the_nfa_route():
     ]
     compared = 0
     for f in refs:
+        colored = color_minimal(compile_dfa(f, alphabet))
         for state in RVState:
             for g in args:
+                then = expanded_dfa(g, alphabet)
                 for modality in (Diamond, Box):
-                    assert_nfa_route_table(modality(RvPath(f, state), g), alphabet)
+                    node = modality(RvPath(f, state), g)
+                    if modality is Box:
+                        got = complement(_diamond_after(colored, state, complement(then)))
+                    else:
+                        got = _diamond_after(colored, state, then)
+                    want = expanded_dfa(node, alphabet)
+                    assert aut_to_json(got) == aut_to_json(want), print_ldlf(node)
                     compared += 1
     assert compared == 384
 
@@ -467,10 +604,10 @@ def test_rv_diamonds_of_permanent_states_compile_like_their_expansions():
     for state in (PF_, RVState.PERM_TRUE):
         for formula in references:
             for g in then:
-                assert_direct_matches_expanded(Diamond(RvPath(formula, state), g))
+                assert_kernel_matches_expanded(Diamond(RvPath(formula, state), g))
     # The empty prefix matches when f starts in the state: g then has
     # the whole trace.
-    starts = compile_dfa(Diamond(RvPath(STARTS_PF, PF_), PAY_THEN_GET), BOOKING)
+    starts = kernel(Diamond(RvPath(STARTS_PF, PF_), PAY_THEN_GET))
     assert accepts(starts, [frozenset({"pay"}), frozenset({"get"})])
     assert not accepts(starts, [frozenset({"get"})])
 
@@ -481,7 +618,7 @@ def test_rv_diamonds_of_temporary_states_compile_like_their_expansions():
     # TT, so the trace pay, get does not end in TF.
     for state in (TF_, RVState.TEMP_TRUE):
         for formula in [RESP, RE1, NCX]:
-            assert_direct_matches_expanded(Diamond(RvPath(formula, state), END))
-    at_end = compile_dfa(Diamond(RvPath(RESP, TF_), END), BOOKING)
+            assert_kernel_matches_expanded(Diamond(RvPath(formula, state), END))
+    at_end = kernel(Diamond(RvPath(RESP, TF_), END))
     assert accepts(at_end, [frozenset({"pay"})])
     assert not accepts(at_end, [frozenset({"pay"}), frozenset({"get"})])

@@ -220,8 +220,8 @@ def test_minimal_monitors_color_from_their_rows():
 
 
 def test_every_compiled_dfa_colors_from_its_rows(monkeypatch):
-    """Every ``compile_dfa`` result, the nested calls for operands, RV
-    atoms and negations included, over the seeded genformulas cases."""
+    """Every ``compile_dfa`` result, the nested calls for operands and
+    negations included, over the seeded genformulas cases."""
     results = []
 
     def recording(formula, alphabet, memo=None):
