@@ -11,18 +11,14 @@ from .automata import (
     ColoredDfa,
     Dfa,
     Nfa,
-    accepts,
     aut_to_json,
     color,
     complement,
     compile_dfa,
     determinize,
-    is_empty,
-    language_equal,
     ldlf_to_nfa,
     minimize,
     prefix_closure,
-    product,
     to_dot,
 )
 from .declare import (
@@ -53,9 +49,7 @@ from .metaconstraints import (
 )
 from .monitor import (
     Monitor,
-    colored_isomorphic,
     monitor_automaton,
-    rv_family,
     rv_formula,
     shape_equivalent,
 )
@@ -65,8 +59,6 @@ from .semantics import (
     eval_ldlf,
     eval_ltlf,
     path_matches,
-    rv_state_oracle,
-    trace_from_props,
     trace_from_tasks,
 )
 from .syntax import (

@@ -35,16 +35,16 @@ an NFA it joins from two DFAs, and ``ldlf_to_nfa``, ``determinize`` and
 ``minimize`` are adapters over them.  ``determinize`` and
 ``minimize`` take the classes from the automaton itself
 (``letter_classes``: columns whose successors agree from every state),
-and ``product_pairs``, ``product_fold`` and ``_diamond_after`` from the
-tuples of their operands' columns.  A class's successor is computed
-from its first letter.
+and ``product_fold`` and ``_diamond_after`` from the tuples of their
+operands' columns.  A class's successor is computed from its first
+letter.
 
 One breadth-first explorer, ``_explore``, holds the numbering policy of
-the constructions (``_nfa_classes``, ``_subsets``, ``product_pairs``,
-``product_fold``, ``_moore``, ``rename_columns``): it visits states
-in discovery order, takes their cells class by class in the order of
-each class's first letter, numbers a successor the first time it is
-seen, and keeps one cell per class.
+the constructions (``_nfa_classes``, ``_subsets``, ``product_fold``,
+``_moore``, ``rename_columns``): it visits states in discovery order,
+takes their cells class by class in the order of each class's first
+letter, numbers a successor the first time it is seen, and keeps one
+cell per class.
 States are therefore discovered, and numbered, exactly as a
 letter-by-letter walk would.  ``_automaton`` builds every result from
 the walk's keys and writes each class's cell into the column of every
@@ -224,9 +224,6 @@ class Nfa:
     transitions: tuple
     finals: frozenset
     labels: tuple = ()
-
-    def successors(self, state: int, letter: frozenset) -> frozenset:
-        return self.transitions[state][self.alphabet.columns()[letter]]
 
     def edges(self, state: int):
         """The (letter, target) pairs leaving a state, in letter order and
@@ -460,38 +457,6 @@ def complement(dfa: Dfa) -> Dfa:
     return dfa.with_finals(frozenset(range(dfa.n_states)) - dfa.finals)
 
 
-def product_pairs(a: Dfa, b: Dfa, accept=None):
-    """Synchronized product of two DFAs over the same alphabet.
-
-    Returns the product automaton together with the (state -> pair)
-    table, which shape-equivalence arguments rely on.  ``accept``
-    combines the components' acceptance (intersection by default).
-    """
-    if a.alphabet != b.alphabet:
-        msg = "product needs automata over the same alphabet"
-        raise ValueError(msg)
-    if accept is None:
-        accept = lambda fa, fb: fa and fb
-    rows_a, rows_b = a.transitions, b.transitions
-    firsts, class_of = _partition(zip(zip(*rows_a), zip(*rows_b)))
-
-    def cells(pair, ident):
-        row_a, row_b = rows_a[pair[0]], rows_b[pair[1]]
-        return [ident((row_a[column], row_b[column])) for column in firsts]
-
-    order, transitions = _explore((a.initial, b.initial), cells)
-    dfa = _automaton(
-        Dfa, a.alphabet, order, transitions, class_of,
-        lambda pair: accept(pair[0] in a.finals, pair[1] in b.finals),
-        lambda pair: f"({pair[0]},{pair[1]})",
-    )
-    return dfa, tuple(order)
-
-
-def product(a: Dfa, b: Dfa, accept=None) -> Dfa:
-    return product_pairs(a, b, accept)[0]
-
-
 def product_fold(dfas, disjunction: bool = False) -> Dfa:
     """Minimal DFA of the conjunction (with ``disjunction``, the
     disjunction) of one or more DFAs: one ``_explore`` over the tuples of
@@ -560,12 +525,11 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
     same whichever way they were built; only the debug labels differ.
 
     ``memo`` maps ``("dfa", formula, alphabet)`` to the DFA already built
-    for a formula that takes the NFA route.  Each call looks its formula
-    up first, and flattening stops at any link held there, so no formula
-    in the memo is recompiled.  One build (a model monitor, a CLI
-    command) passes the same dict to all its calls and drops it when
-    done, so each distinct subformula is compiled once per build; a call
-    without one gets its own.
+    for a formula that takes the NFA route, and only such formulas are
+    looked up there, so none is recompiled.  One build (a model monitor,
+    a CLI command) passes the same dict to all its calls and drops it
+    when done, so each distinct subformula is compiled once per build; a
+    call without one gets its own.
 
     The formula is plain LDLf: one with RV atoms or paths compiles as
     ``compile_dfa(metaconstraints.expand(f, alphabet, memo), alphabet,
@@ -574,10 +538,6 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
     """
     if memo is None:
         memo = {}
-    key = ("dfa", formula, alphabet)
-    dfa = memo.get(key)
-    if dfa is not None:
-        return dfa
     if isinstance(formula, ldl.Not):
         return complement(compile_dfa(formula.arg, alphabet, memo))
     if isinstance(formula, (ldl.And, ldl.Or)):
@@ -586,13 +546,16 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
         pending = [formula]
         while pending:
             f = pending.pop()
-            if isinstance(f, kind) and ("dfa", f, alphabet) not in memo:
+            if isinstance(f, kind):
                 pending.append(f.right)
                 pending.append(f.left)
             else:
                 operands.append(f)
         return product_fold((compile_dfa(f, alphabet, memo) for f in operands), kind is ldl.Or)
-    dfa = memo[key] = _nfa_route(formula, alphabet)
+    key = ("dfa", formula, alphabet)
+    dfa = memo.get(key)
+    if dfa is None:
+        dfa = memo[key] = _nfa_route(formula, alphabet)
     return dfa
 
 
@@ -769,37 +732,6 @@ def rename_columns(colored: ColoredDfa, alphabet: Alphabet, source) -> ColoredDf
     order, transitions = _explore(colored.dfa.initial, cells)
     dfa = _automaton(Dfa, alphabet, order, transitions, class_of, colored.dfa.finals.__contains__)
     return ColoredDfa(dfa, tuple(colored.colors[state] for state in order))
-
-
-def is_empty(aut) -> bool:
-    """Whether the automaton accepts no trace at all."""
-    return not (reachable_from(aut, aut.initial) & aut.finals)
-
-
-def accepts(aut, trace) -> bool:
-    """Run the automaton over a trace (DFA walk or NFA subset walk)."""
-    if isinstance(aut, Dfa):
-        state = aut.initial
-        for letter in trace:
-            state = aut.step(state, frozenset(letter))
-        return state in aut.finals
-    current = {aut.initial}
-    for letter in trace:
-        letter = frozenset(letter)
-        aut.alphabet.check_letter(letter)
-        current = {
-            target for state in current for target in aut.successors(state, letter)
-        }
-        if not current:
-            return False
-    return bool(current & set(aut.finals))
-
-
-def language_equal(a: Dfa, b: Dfa) -> bool:
-    """Exact language equality via symmetric-difference emptiness."""
-    return is_empty(product(a, complement(b))) and is_empty(
-        product(complement(a), b)
-    )
 
 
 def guard_for_letters(alphabet: Alphabet, letters) -> Prop:

@@ -305,7 +305,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.run(args)
-    except (CliError, ValueError, KeyError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"ldlmon: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
         return 1
     except BrokenPipeError:
         return 0
-    except Exception as exc:  # pragma: no cover - invariant breaches only
+    except Exception as exc:  # an invariant broke
         print(f"ldlmon: internal error: {exc}", file=sys.stderr)
         return 2
 

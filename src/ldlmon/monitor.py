@@ -17,33 +17,24 @@ entry per state.  Stepping never touches it, and a build does not fill
 it: that would scan every letter of every state of every monitor built,
 whether a report ever reads the state or not.
 
-``shape_equivalent`` and ``colored_isomorphic`` ask whether two automata
-share one transition structure, as the four automata behind the RV
-characterization do, and answer through one bijection search,
-``_bijection``.  It places the first automaton's states in breadth-first
-order from the initial state, columns in ``alphabet.letters()`` order,
-then the states the walk does not reach, in numeric order.  A state's
-candidates are the successors of its breadth-first parent's image under
-the parent's letter; an unreached state takes every unused state.  A
-candidate must match the state's label (nothing for shape equivalence,
-finality and color for colored isomorphism), its successor and
-predecessor counts per column, and every edge to or from the states
-already placed, both ways.  Choice points sit on an explicit stack, not
-on Python recursion; a reachable DFA state has exactly one candidate, so
-for DFAs the search is one walk.
+``shape_equivalent`` asks whether two automata share one transition
+structure, as the four automata behind the RV characterization do.  It
+answers through ``_bijection``, a search that also keeps a label per
+state (the tests' colored isomorphism labels states by finality and
+color).  The search places the first automaton's states in
+breadth-first order from the initial state, columns in
+``alphabet.letters()`` order, then the states the walk does not reach,
+in numeric order.  A state's candidates are the successors of its
+breadth-first parent's image under the parent's letter; an unreached
+state takes every unused state.  A candidate must match the state's
+label, its successor and predecessor counts per column, and every edge
+to or from the states already placed, both ways.  Choice points sit on
+an explicit stack, not on Python recursion; a reachable DFA state has
+exactly one candidate, so for DFAs the search is one walk.
 """
 from __future__ import annotations
 
-from .automata import (
-    ColoredDfa,
-    color,
-    color_minimal,
-    complement,
-    compile_dfa,
-    determinize,
-    ldlf_to_nfa,
-    prefix_closure,
-)
+from .automata import ColoredDfa, color, color_minimal, compile_dfa
 from .regexfold import automaton_to_regex
 from .rv import SATISFIABLE, VIOLABLE, RVState
 from .syntax import ldl
@@ -147,38 +138,25 @@ def rv_formula(
     * perm_true:  ``<pref(f)>end && !<pref(!f)>end``;
     * perm_false: ``<pref(!f)>end && !<pref(f)>end``.
 
-    Both prefix languages are read off the colors of the property's
-    monitor, compiled through ``memo`` (see ``compile_dfa``).
+    The prefix languages the state needs are read off the colors of the
+    property's monitor, compiled through ``memo`` (see ``compile_dfa``).
     """
     if not isinstance(state, RVState):
         msg = f"not an RV state: {state!r}"
         raise ValueError(msg)
     colored = color_minimal(compile_dfa(formula, alphabet, memo))
-    pos = ldl.Diamond(automaton_to_regex(colored.accepting(SATISFIABLE)), ldl.END)
-    neg = ldl.Diamond(automaton_to_regex(colored.accepting(VIOLABLE)), ldl.END)
-    return {
-        RVState.TEMP_TRUE: ldl.And(formula, neg),
-        RVState.TEMP_FALSE: ldl.And(ldl.Not(formula), pos),
-        RVState.PERM_TRUE: ldl.And(pos, ldl.Not(neg)),
-        RVState.PERM_FALSE: ldl.And(neg, ldl.Not(pos)),
-    }[state]
 
+    def pref(states):
+        return ldl.Diamond(automaton_to_regex(colored.accepting(states)), ldl.END)
 
-def rv_family(formula: ldl.Ldlf, alphabet: Alphabet) -> dict:
-    """The four same-shaped automata behind the RV characterization:
-    the property, its negation, and their prefix closures.
-
-    Built by flipping finals on one automaton, so the transition
-    structure is literally shared and the identity is a shape bijection.
-    """
-    base = determinize(ldlf_to_nfa(formula, alphabet))
-    negated = complement(base)
-    return {
-        "formula": base,
-        "negation": negated,
-        "pref_formula": prefix_closure(base),
-        "pref_negation": prefix_closure(negated),
-    }
+    if state is RVState.TEMP_TRUE:
+        return ldl.And(formula, pref(VIOLABLE))
+    if state is RVState.TEMP_FALSE:
+        return ldl.And(ldl.Not(formula), pref(SATISFIABLE))
+    pos, neg = pref(SATISFIABLE), pref(VIOLABLE)
+    if state is RVState.PERM_TRUE:
+        return ldl.And(pos, ldl.Not(neg))
+    return ldl.And(neg, ldl.Not(pos))
 
 
 def shape_equivalent(a, b):
@@ -187,17 +165,6 @@ def shape_equivalent(a, b):
     None when there is none.  DFAs, which are total, and NFAs go through
     the one search, ``_bijection``."""
     return _bijection(a, b, (None,) * a.n_states, (None,) * b.n_states)
-
-
-def colored_isomorphic(a: ColoredDfa, b: ColoredDfa) -> bool:
-    """Shape equivalence that additionally preserves acceptance and
-    colors (the golden-automaton comparison): the search only places a
-    state on one with the same finality and color."""
-
-    def labels(c):
-        return [(s in c.dfa.finals, getattr(rv, "value", rv)) for s, rv in enumerate(c.colors)]
-
-    return _bijection(a.dfa, b.dfa, labels(a), labels(b)) is not None
 
 
 def _adjacency(aut, labels):

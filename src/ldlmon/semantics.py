@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .rv import RVState
 from .syntax import ldl, ltl
-from .syntax.alphabet import Alphabet
 from .syntax.props import eval_prop
 
 Trace = tuple[frozenset, ...]
@@ -24,11 +22,6 @@ Trace = tuple[frozenset, ...]
 def trace_from_tasks(names: Iterable[str]) -> Trace:
     """Build a one-task-per-step trace from task names."""
     return tuple(frozenset((name,)) for name in names)
-
-
-def trace_from_props(steps: Iterable[Iterable[str]]) -> Trace:
-    """Build a trace from per-step collections of true propositions."""
-    return tuple(frozenset(step) for step in steps)
 
 
 class _Evaluator:
@@ -177,36 +170,3 @@ def _eval_ltlf(trace: Trace, i: int, f: ltl.Ltlf) -> bool:
         )
     msg = f"not an LTLf formula: {f!r}"
     raise TypeError(msg)
-
-
-def rv_state_oracle(
-    trace: Sequence[frozenset],
-    f: ldl.Ldlf,
-    alphabet: Alphabet,
-    horizon: int,
-) -> RVState:
-    """Classify the trace into one of the four RV states by brute force.
-
-    Continuations up to ``horizon`` further steps are enumerated
-    breadth-first over the alphabet's letters.  The answer is exact
-    whenever some continuation of at most that length can flip the
-    verdict if any continuation at all can; for a property whose minimal
-    DFA has k states a horizon of k suffices.
-    """
-    if horizon < 0:
-        msg = f"negative horizon: {horizon}"
-        raise ValueError(msg)
-    base = tuple(trace)
-    satisfied = eval_ldlf(base, 0, f)
-    letters = alphabet.letters()
-    frontier = [base]
-    for _ in range(horizon):
-        extended = []
-        for prefix in frontier:
-            for letter in letters:
-                candidate = prefix + (letter,)
-                if eval_ldlf(candidate, 0, f) != satisfied:
-                    return RVState.classify(satisfied, changeable=True)
-                extended.append(candidate)
-        frontier = extended
-    return RVState.classify(satisfied, changeable=False)

@@ -55,11 +55,6 @@ def negate(f: ldl.Ldlf) -> ldl.Ldlf:
     raise TypeError(msg)
 
 
-def is_nnf(f: ldl.Ldlf) -> bool:
-    """True when negation survives only inside propositional guards."""
-    return not any(isinstance(n, ldl.Not) for n in ldl.subterms(f))
-
-
 _TRUE_STEP = ldl.Step(TRUE)
 _NOT_END = ldl.Not(ldl.END)
 

@@ -1,0 +1,140 @@
+"""The oracles the tests check the program with.
+
+None of these is part of the program: each is evidence about it.
+
+- ``accepts`` runs a DFA or an NFA over a trace, letter by letter.
+- ``is_empty`` asks whether an automaton reaches a final state.
+- ``language_equal`` walks the letter-by-letter ``tuple_product`` of two
+  DFAs and compares the components' finality in every reached pair, so
+  it shares no code with the class-level constructions it checks.
+- ``rv_family`` builds the four same-shaped automata behind the RV
+  characterization, and ``colored_isomorphic`` compares a compiled
+  monitor with a golden one up to renumbering, through the bijection
+  search of ``monitor.shape_equivalent``.
+- ``is_nnf`` checks that ``to_nnf``'s output is in negation normal form.
+- ``trace_from_props`` builds traces from per-step prop sets, and
+  ``rv_state_oracle`` classifies a trace into an RV state by evaluating
+  the formula (``semantics.eval_ldlf``) on its continuations.
+"""
+from __future__ import annotations
+
+from collections.abc import Iterable, Sequence
+
+from ldlmon.automata import (
+    ColoredDfa,
+    Dfa,
+    complement,
+    determinize,
+    ldlf_to_nfa,
+    prefix_closure,
+    reachable_from,
+)
+from ldlmon.monitor import _bijection
+from ldlmon.rv import RVState
+from ldlmon.semantics import Trace, eval_ldlf
+from ldlmon.syntax import Alphabet, ldl
+
+from reference_product import tuple_product
+
+
+def accepts(aut, trace) -> bool:
+    """Run the automaton over a trace (DFA walk or NFA subset walk)."""
+    if isinstance(aut, Dfa):
+        state = aut.initial
+        for letter in trace:
+            state = aut.step(state, frozenset(letter))
+        return state in aut.finals
+    columns = aut.alphabet.columns()
+    current = {aut.initial}
+    for letter in trace:
+        letter = frozenset(letter)
+        aut.alphabet.check_letter(letter)
+        current = {
+            target for state in current for target in aut.transitions[state][columns[letter]]
+        }
+        if not current:
+            return False
+    return bool(current & aut.finals)
+
+
+def is_empty(aut) -> bool:
+    """Whether the automaton accepts no trace at all."""
+    return not (reachable_from(aut, aut.initial) & aut.finals)
+
+
+def language_equal(a: Dfa, b: Dfa) -> bool:
+    """Exact language equality: every pair of states the two DFAs reach
+    together is final in both or in neither."""
+    _, pairs = tuple_product((a, b))
+    return all((p in a.finals) == (q in b.finals) for p, q in pairs)
+
+
+def rv_family(formula: ldl.Ldlf, alphabet: Alphabet) -> dict:
+    """The four same-shaped automata behind the RV characterization:
+    the property, its negation, and their prefix closures.
+
+    Built by flipping finals on one automaton, so the transition
+    structure is literally shared and the identity is a shape bijection.
+    """
+    base = determinize(ldlf_to_nfa(formula, alphabet))
+    negated = complement(base)
+    return {
+        "formula": base,
+        "negation": negated,
+        "pref_formula": prefix_closure(base),
+        "pref_negation": prefix_closure(negated),
+    }
+
+
+def colored_isomorphic(a: ColoredDfa, b: ColoredDfa) -> bool:
+    """Shape equivalence that additionally preserves acceptance and
+    colors (the golden-automaton comparison): the search only places a
+    state on one with the same finality and color."""
+
+    def labels(c):
+        return [(s in c.dfa.finals, getattr(rv, "value", rv)) for s, rv in enumerate(c.colors)]
+
+    return _bijection(a.dfa, b.dfa, labels(a), labels(b)) is not None
+
+
+def is_nnf(f: ldl.Ldlf) -> bool:
+    """True when negation survives only inside propositional guards."""
+    return not any(isinstance(n, ldl.Not) for n in ldl.subterms(f))
+
+
+def trace_from_props(steps: Iterable[Iterable[str]]) -> Trace:
+    """Build a trace from per-step collections of true propositions."""
+    return tuple(frozenset(step) for step in steps)
+
+
+def rv_state_oracle(
+    trace: Sequence[frozenset],
+    f: ldl.Ldlf,
+    alphabet: Alphabet,
+    horizon: int,
+) -> RVState:
+    """Classify the trace into one of the four RV states by brute force.
+
+    Continuations up to ``horizon`` further steps are enumerated
+    breadth-first over the alphabet's letters.  The answer is exact
+    whenever some continuation of at most that length can flip the
+    verdict if any continuation at all can; for a property whose minimal
+    DFA has k states a horizon of k suffices.
+    """
+    if horizon < 0:
+        msg = f"negative horizon: {horizon}"
+        raise ValueError(msg)
+    base = tuple(trace)
+    satisfied = eval_ldlf(base, 0, f)
+    letters = alphabet.letters()
+    frontier = [base]
+    for _ in range(horizon):
+        extended = []
+        for prefix in frontier:
+            for letter in letters:
+                candidate = prefix + (letter,)
+                if eval_ldlf(candidate, 0, f) != satisfied:
+                    return RVState.classify(satisfied, changeable=True)
+                extended.append(candidate)
+        frontier = extended
+    return RVState.classify(satisfied, changeable=False)

@@ -6,10 +6,10 @@ at class level, collapses the tuples that a rejecting (for a
 disjunction, accepting) absorbing component decides, and refines the
 class rows in place.  Two references check it:
 
-- ``product_fold``, the pairwise fold it replaced: the spread, labelled
-  ``product`` of the folded automaton and the next operand, minimized as
-  a DFA of its own, which finds the letter classes and the reachable
-  states again.  Its tables, finals and colors must come out byte for
+- ``product_fold``, the pairwise fold it replaced: the ``tuple_product``
+  of the folded automaton and the next operand, minimized as a DFA of
+  its own, which finds the letter classes and the reachable states
+  again.  Its tables, finals and colors must come out byte for
   byte, and with two operands its ``(i,j)`` labels too; with more, its
   labels name states of intermediate DFAs.
 - ``tuple_product_fold``: the product over the tuples of the operands'
@@ -17,10 +17,12 @@ class rows in place.  Two references check it:
   ``minimize`` below.  Its labels define the rule: a state is labelled
   ``(q1,...,qn)`` after the first tuple of its block.
 
-The tests keep ``product_fold`` and ``minimize`` verbatim apart from
-names.
+``tuple_product`` is the one unminimized product of the tests: the
+references above, the test products, criterion 9's pair tables and
+``oracles.language_equal`` all walk it.  The tests keep ``minimize``
+verbatim apart from names.
 """
-from collections import deque
+from operator import getitem
 
 from ldlmon.automata import (
     Dfa,
@@ -28,7 +30,6 @@ from ldlmon.automata import (
     _explore,
     _partition,
     letter_classes,
-    product,
     reachable_from,
 )
 
@@ -60,37 +61,40 @@ def minimize(dfa: Dfa) -> Dfa:
     )
 
 
-def product_fold(dfas, accept=None) -> Dfa:
+def product_fold(dfas, disjunction=False) -> Dfa:
     dfas = iter(dfas)
     folded = next(dfas, None)
     if folded is None:
         msg = "a product of no automata: a model needs at least one constraint"
         raise ValueError(msg)
     for dfa in dfas:
-        folded = minimize(product(folded, dfa, accept))
+        folded = minimize(tuple_product((folded, dfa), disjunction)[0])
     return folded
 
 
-def tuple_product(dfas, disjunction=False) -> Dfa:
+def tuple_product(dfas, disjunction=False):
     """The product over the tuples of the DFAs' states, reachable ones
-    numbered breadth first letter by letter, labelled ``(q1,...,qn)``."""
+    numbered breadth first letter by letter, labelled ``(q1,...,qn)``:
+    final when every component is (with ``disjunction``, any).  Returns
+    the product and its state tuples in state order."""
+    dfas = tuple(dfas)
     alphabet = dfas[0].alphabet
+    if any(dfa.alphabet != alphabet for dfa in dfas):
+        msg = "product needs automata over the same alphabet"
+        raise ValueError(msg)
     join = any if disjunction else all
+    tables = [dfa.transitions for dfa in dfas]
     start = tuple(dfa.initial for dfa in dfas)
     ids, order, rows = {start: 0}, [start], []
-    queue = deque([start])
-    while queue:
-        states = queue.popleft()
+    for states in order:  # ``order`` grows as states are found: a FIFO walk
         row = []
-        for column in range(len(alphabet.letters())):
-            target = tuple(dfa.transitions[q][column] for dfa, q in zip(dfas, states))
+        for target in zip(*map(getitem, tables, states)):  # one tuple per letter
             if target not in ids:
                 ids[target] = len(order)
                 order.append(target)
-                queue.append(target)
             row.append(ids[target])
         rows.append(tuple(row))
-    return Dfa(
+    product = Dfa(
         alphabet=alphabet,
         n_states=len(order),
         initial=0,
@@ -101,10 +105,11 @@ def tuple_product(dfas, disjunction=False) -> Dfa:
         ),
         labels=tuple("(" + ",".join(map(str, states)) + ")" for states in order),
     )
+    return product, tuple(order)
 
 
 def tuple_product_fold(dfas, disjunction=False) -> Dfa:
     dfas = list(dfas)
     if len(dfas) == 1:
         return dfas[0]
-    return minimize(tuple_product(dfas, disjunction))
+    return minimize(tuple_product(dfas, disjunction)[0])

@@ -3,15 +3,11 @@ fallback for DFAs with unreachable states and a recursive backtracking
 search for NFAs.
 
 This is the code ``monitor._bijection`` replaced, kept as is so the
-tests can compare the one search against it.  Its ``colored_isomorphic``
-checks finals and colors only after ``shape_equivalent`` has picked a
-bijection, so it answers False on automata whose only colored
-isomorphism is not the first bijection found; the tests compare
-``monitor.colored_isomorphic`` against a brute-force check instead.
+tests can compare the one search against it.
 """
 from __future__ import annotations
 
-from ldlmon.automata import ColoredDfa, Dfa
+from ldlmon.automata import Dfa
 
 
 def shape_equivalent(a, b):
@@ -125,20 +121,3 @@ def _check_shape(a, b, mapping) -> bool:
     edges_a = {(mapping[s], letter, mapping[t]) for s, letter, t in a.triples()}
     return edges_a == set(b.triples())
 
-
-def colored_isomorphic(a: ColoredDfa, b: ColoredDfa) -> bool:
-    """Shape equivalence that additionally preserves acceptance and
-    colors (the golden-automaton comparison)."""
-    mapping = shape_equivalent(a.dfa, b.dfa)
-    if mapping is None:
-        return False
-    for state, image in mapping.items():
-        if (state in a.dfa.finals) != (image in b.dfa.finals):
-            return False
-        color_a = a.colors[state]
-        color_b = b.colors[image]
-        value_a = getattr(color_a, "value", color_a)
-        value_b = getattr(color_b, "value", color_b)
-        if value_a != value_b:
-            return False
-    return True

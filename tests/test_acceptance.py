@@ -13,13 +13,10 @@ from pathlib import Path
 
 from ldlmon.automata import (
     Dfa,
-    accepts,
     aut_to_json,
     determinize,
-    language_equal,
     ldlf_to_nfa,
     minimize,
-    product_pairs,
 )
 from ldlmon.declare import (
     MetaMonitor,
@@ -39,9 +36,7 @@ from ldlmon.declare import (
 from ldlmon.metaconstraints import conflict, expand
 from ldlmon.monitor import (
     ColoredDfa,
-    colored_isomorphic,
     monitor_automaton,
-    rv_family,
     rv_formula,
     shape_equivalent,
 )
@@ -59,7 +54,9 @@ from genformulas import (
     random_ltlf,
     random_nnf_ldlf,
 )
+from oracles import accepts, colored_isomorphic, language_equal, rv_family
 from reference_json import aut_from_json
+from reference_product import tuple_product
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -314,9 +311,7 @@ def test_criterion_04_catalog_matches_hand_tables(acceptance_report):
         ]
         union = pieces[0]
         for piece in pieces[1:]:
-            union = product_pairs(
-                union, piece, accept=lambda fa, fb: fa or fb
-            )[0]
+            union = tuple_product((union, piece), disjunction=True)[0]
         if not language_equal(union, want):
             failures.append((name, "state-language union"))
     ok = not failures
@@ -484,8 +479,8 @@ def test_criterion_09_shape_bijections_identity_and_products(
         second = random_ldlf(rng, ["a", "b"], depth=2, star_depth=1)
         fam1 = rv_family(first, PROPS2)
         fam2 = rv_family(second, PROPS2)
-        both, both_pairs = product_pairs(fam1["formula"], fam2["formula"])
-        negs, negs_pairs = product_pairs(fam1["negation"], fam2["negation"])
+        both, both_pairs = tuple_product((fam1["formula"], fam2["formula"]))
+        negs, negs_pairs = tuple_product((fam1["negation"], fam2["negation"]))
         if both_pairs != negs_pairs:
             failures.append((trial, "pair tables differ"))
             continue

@@ -13,7 +13,6 @@ from ldlmon.automata import (
     TRUE_MODELS,
     Dfa,
     Nfa,
-    accepts,
     aut_to_json,
     complement,
     compile_dfa,
@@ -21,15 +20,11 @@ from ldlmon.automata import (
     deltas,
     determinize,
     guard_for_letters,
-    is_empty,
-    language_equal,
     ldlf_to_nfa,
     minimize,
     models_and,
     models_or,
     prefix_closure,
-    product,
-    product_pairs,
     reachable_from,
     to_dot,
 )
@@ -39,7 +34,6 @@ from ldlmon.syntax import (
     Box,
     Diamond,
     Not,
-    Seq,
     Star,
     Step,
     TT,
@@ -53,6 +47,8 @@ from ldlmon.syntax.props import Atom, TRUE, eval_prop
 
 import reference_delta as ref
 from reference_json import aut_from_json
+from reference_product import tuple_product
+from oracles import accepts, is_empty, language_equal
 from genformulas import all_traces, column_rows, random_dfa, random_ldlf, seeded_cases
 
 AB = Alphabet.of("a", "b")
@@ -498,7 +494,7 @@ def test_new_finals_carry_the_checked_table_over(monkeypatch):
 def test_product_intersects_by_default():
     left = compile_ldlf("<true*>a")
     right = compile_ldlf("[true*](b || end)")
-    both = product(left, right)
+    both, _ = tuple_product((left, right))
     for trace in all_traces(AB, 3):
         assert accepts(both, trace) == (accepts(left, trace) and accepts(right, trace))
 
@@ -506,7 +502,7 @@ def test_product_intersects_by_default():
 def test_product_accept_parameter_and_pair_table():
     left = compile_ldlf("a")
     right = compile_ldlf("b")
-    union, pairs = product_pairs(left, right, accept=lambda fa, fb: fa or fb)
+    union, pairs = tuple_product((left, right), disjunction=True)
     assert len(pairs) == union.n_states
     assert pairs[union.initial] == (left.initial, right.initial)
     for trace in all_traces(AB, 2):
@@ -523,13 +519,13 @@ def test_product_accept_parameter_and_pair_table():
 
 def test_product_rejects_mismatched_alphabets():
     with pytest.raises(ValueError):
-        product(compile_ldlf("a"), compile_ldlf("a", Alphabet.of("a")))
+        tuple_product((compile_ldlf("a"), compile_ldlf("a", Alphabet.of("a"))))
 
 
 def test_product_requires_total_automata():
     """A partial table, by hand, through ``dataclasses.replace`` or read
     back from JSON with an edge dropped, fails when its DFA is built, so
-    neither ``product`` nor ``language_equal`` sees one."""
+    neither ``tuple_product`` nor ``language_equal`` sees one."""
     total = compile_ldlf("<a>tt")
     payload = json.loads(aut_to_json(total))
     payload["transitions"] = payload["transitions"][1:]
@@ -548,10 +544,10 @@ def test_product_requires_total_automata():
     )
     for build in partials:
         with pytest.raises(ValueError, match="has none under"):
-            product(build(), total)
+            tuple_product((build(), total))
         with pytest.raises(ValueError, match="has none under"):
             language_equal(total, build())
-    assert language_equal(product(total, total), total)
+    assert language_equal(tuple_product((total, total))[0], total)
 
 
 # Prefix closure, emptiness ---------------------------------------------

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from ldlmon import cli
 from ldlmon.automata import color_minimal
 from ldlmon.cli import build_parser, main
 from ldlmon.rv import RVState
@@ -429,6 +430,19 @@ def test_deeply_nested_formulas_exit_one(formula, lang, capsys):
     assert "nested too deeply" in err
     assert "internal error" not in err
 
+
+def test_a_broken_invariant_exits_two(capsys, monkeypatch):
+    """A ``KeyError`` is no input error: it reaches ``main`` only when an
+    invariant broke, and exits 2."""
+
+    def broken(args):
+        raise KeyError("no such state")
+
+    monkeypatch.setattr(cli, "_cmd_compile", broken)
+    code, out, err = run_cli(["compile", "<a>tt"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "internal error" in err
 
 def test_flat_seq_path_compiles(capsys):
     """A 400-step ``;`` path nests only as deep as it is written."""

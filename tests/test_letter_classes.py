@@ -1,17 +1,15 @@
 """Class-level compilation against the per-letter construction it replaces.
 
-``ldlf_to_nfa``, ``determinize``, ``minimize`` and ``product_pairs``
-compute one successor per letter class and copy it into every column of
-the class; the prefix closures walk each state's distinct targets.  The
-references below are the per-letter versions these replaced, kept
-verbatim apart from names and from how they read and write rows; the
-per-letter NFA construction conjoins obligations through
-``reference_delta``, the positive boolean formulas ``automata.delta`` no
-longer builds.  Every table, label and final set must come out
-byte-identical, on prop alphabets where the formula uses only some of
-the props and on task alphabets.
+``ldlf_to_nfa``, ``determinize`` and ``minimize`` compute one successor
+per letter class and copy it into every column of the class; the prefix
+closures walk each state's distinct targets.  The references below are
+the per-letter versions these replaced, kept verbatim apart from names
+and from how they read and write rows; the per-letter NFA construction
+conjoins obligations through ``reference_delta``, the positive boolean
+formulas ``automata.delta`` no longer builds.  Every table, label and
+final set must come out byte-identical, on prop alphabets where the
+formula uses only some of the props and on task alphabets.
 """
-import operator
 import random
 from collections import deque
 from dataclasses import replace
@@ -23,15 +21,12 @@ from ldlmon.automata import (
     _nfa_route,
     aut_to_json,
     color,
-    compile_dfa,
     deltas,
     determinize,
     ldlf_to_nfa,
     letter_classes,
     minimize,
     prefix_closure,
-    product,
-    product_pairs,
     reachable_from,
 )
 from ldlmon.syntax import Alphabet, parse_ldlf
@@ -40,6 +35,7 @@ from ldlmon.syntax.transforms import ltlf_to_ldlf, to_nnf
 
 import reference_delta as ref
 from reference_json import aut_from_json
+from reference_product import tuple_product
 from genformulas import column_rows, random_dfa, random_ldlf, random_ltlf, seeded_cases
 
 
@@ -124,9 +120,9 @@ def reference_determinize(nfa):
     while queue:
         subset = queue.popleft()
         row = {}
-        for letter in letters:
+        for column, letter in enumerate(letters):
             successor = frozenset(
-                target for state in subset for target in nfa.successors(state, letter)
+                target for state in subset for target in nfa.transitions[state][column]
             )
             if successor not in ids:
                 ids[successor] = len(order)
@@ -266,7 +262,7 @@ def test_classes_come_from_the_automaton_alone():
         dfa, _ = aut_from_json(aut_to_json(subset))
         assert aut_to_json(minimize(dfa)) == aut_to_json(reference_minimize(dfa))
         other, _ = rng.choice([c for c in cases if c[1] == alphabet])
-        pair = product(subset, determinize(ldlf_to_nfa(other, alphabet)))
+        pair, _ = tuple_product((subset, determinize(ldlf_to_nfa(other, alphabet))))
         assert_same(minimize(pair), reference_minimize(pair))
     props = Alphabet.of("a", "b")
     hand_built = []
@@ -302,14 +298,10 @@ def test_letter_classes_group_exactly_the_equal_columns():
     alphabet = Alphabet.of("a", "b", "c")
     nfa = ldlf_to_nfa(parse_ldlf("<a><b>tt", alphabet), alphabet)
     firsts, class_of = letter_classes(nfa)
-    letters = alphabet.letters()
     assert [class_of.index(k) for k in range(len(firsts))] == firsts
-    for x, kx in zip(letters, class_of):
-        for y, ky in zip(letters, class_of):
-            same = all(
-                nfa.successors(s, x) == nfa.successors(s, y)
-                for s in range(nfa.n_states)
-            )
+    for x, kx in enumerate(class_of):
+        for y, ky in enumerate(class_of):
+            same = all(row[x] == row[y] for row in nfa.transitions)
             assert same == (kx == ky)
     assert len(firsts) == 4
 
@@ -363,78 +355,3 @@ def test_nfa_route_matches_the_public_stages():
         want = minimize(determinize(ldlf_to_nfa(formula, alphabet)))
         assert aut_to_json(got, color(got).colors) == aut_to_json(want, color(want).colors)
         assert got.labels == want.labels
-
-
-def reference_product_pairs(a, b, accept=None):
-    if a.alphabet != b.alphabet:
-        msg = "product needs automata over the same alphabet"
-        raise ValueError(msg)
-    if accept is None:
-        accept = lambda fa, fb: fa and fb
-    letters = a.alphabet.letters()
-    start = (a.initial, b.initial)
-    ids = {start: 0}
-    order = [start]
-    transitions: dict = {}
-    queue = deque((start,))
-    while queue:
-        pair = queue.popleft()
-        sa, sb = pair
-        row = {}
-        for letter in letters:
-            successor = (a.step(sa, letter), b.step(sb, letter))
-            if successor not in ids:
-                ids[successor] = len(order)
-                order.append(successor)
-                queue.append(successor)
-            row[letter] = ids[successor]
-        transitions[ids[pair]] = row
-    finals = frozenset(
-        ids[pair]
-        for pair in order
-        if accept(pair[0] in a.finals, pair[1] in b.finals)
-    )
-    labels = tuple(f"({sa},{sb})" for sa, sb in order)
-    dfa = Dfa(
-        alphabet=a.alphabet,
-        n_states=len(order),
-        initial=0,
-        transitions=column_rows(a.alphabet, transitions),
-        finals=finals,
-        labels=labels,
-    )
-    return dfa, tuple(order)
-
-
-ALPHABETS = (
-    Alphabet.of("a", "b"),
-    Alphabet(("p0", "p1", "p2")),
-    Alphabet.tasks(["a", "b", "c"]),
-)
-
-
-def test_product_pairs_matches_the_per_letter_construction():
-    """Random DFAs over two or three letters rarely have equal columns.
-    Compiled DFAs of formulas that read one to three of 3-7 props have
-    many, so their products run on merged letter classes."""
-    rng = random.Random(7005)
-    pairs = []
-    for i in range(120):
-        alphabet = ALPHABETS[i % len(ALPHABETS)]
-        a = random_dfa(rng, alphabet, max_states=6)
-        b, _ = aut_from_json(aut_to_json(random_dfa(rng, alphabet, max_states=6)))
-        pairs.append((a, b))
-    cases = [case for case in seeded_cases(7006, 160) if not case[1].singleton_letters]
-    for (f, f_alphabet), (g, g_alphabet) in zip(cases[::2], cases[1::2]):
-        alphabet = max(f_alphabet, g_alphabet, key=lambda x: len(x.props))
-        pairs.append((compile_dfa(f, alphabet), compile_dfa(g, alphabet)))
-    merged = 0
-    for a, b in pairs:
-        for accept in (None, operator.or_):
-            got, got_pairs = product_pairs(a, b, accept)
-            want, want_pairs = reference_product_pairs(a, b, accept)
-            assert aut_to_json(got) == aut_to_json(want)
-            assert got.labels == want.labels
-            assert got_pairs == want_pairs
-        merged += len(letter_classes(got)[0]) < len(a.alphabet.letters())
-    assert merged >= 50

@@ -12,13 +12,11 @@ import pytest
 from ldlmon import monitor, regexfold
 from ldlmon.automata import (
     _diamond_after,
-    accepts,
     aut_to_json,
     color_minimal,
     compile_dfa,
     complement,
     determinize,
-    language_equal,
     ldlf_to_nfa,
     minimize,
     product_fold,
@@ -71,6 +69,7 @@ from ldlmon.syntax import (
 from ldlmon.syntax.base import Node
 from ldlmon.syntax.props import Atom, PropNot
 
+from oracles import accepts, language_equal
 from test_lockstep import random_meta_text
 
 TF_ = RVState.TEMP_FALSE
@@ -407,6 +406,17 @@ def test_meta_monitor_builds_fold_no_regex(monkeypatch):
     for _ in range(20):
         MetaMonitor(parse_meta(random_meta_text(rng)))
 
+
+def test_rv_formula_folds_only_the_prefix_languages_its_state_reads(monkeypatch):
+    """``TEMP_TRUE`` reads pref(!f) alone, ``TEMP_FALSE`` pref(f) alone,
+    and the permanent states both."""
+    folded = []
+    fold = monitor.automaton_to_regex
+    monkeypatch.setattr(monitor, "automaton_to_regex", lambda aut: folded.append(aut) or fold(aut))
+    for state, count in ((RVState.TEMP_TRUE, 1), (TF_, 1), (RVState.PERM_TRUE, 2), (PF_, 2)):
+        del folded[:]
+        rv_formula(RESP, state, BOOKING)
+        assert len(folded) == count, state
 
 def test_rv_atoms_under_steps_compile_like_their_expansions():
     """An RV atom alone is a kernel; under a step only its expansion

@@ -13,11 +13,9 @@ import ldlmon.automata as automata
 from ldlmon.automata import (
     Dfa,
     Nfa,
-    accepts,
     aut_to_json,
     color_minimal,
     complement,
-    compile_dfa,
     determinize,
     ldlf_to_nfa,
     minimize,
@@ -29,16 +27,15 @@ from ldlmon.monitor import (
     ColoredDfa,
     Monitor,
     color,
-    colored_isomorphic,
     monitor_automaton,
-    rv_family,
     rv_formula,
     shape_equivalent,
 )
 from ldlmon.rv import SATISFIABLE, VIOLABLE, RVState
-from ldlmon.semantics import eval_ldlf, rv_state_oracle
+from ldlmon.semantics import eval_ldlf
 from ldlmon.syntax import Alphabet, ltlf_to_ldlf, parse_ldlf, parse_ltlf
 
+from oracles import accepts, colored_isomorphic, rv_family, rv_state_oracle
 import reference_shape
 from reference_json import aut_from_json
 from genformulas import all_traces, column_rows, random_dfa, random_ldlf, seeded_cases

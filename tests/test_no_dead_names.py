@@ -10,12 +10,10 @@ the AST shows the receiver's class (``self``, a class name, a local
 bound to a constructor call), the load reaches only methods of classes
 related to it, and a load from an imported module reaches no method;
 elsewhere any load of the name counts, and the test prints the methods
-that only such loads reach.  The
-exceptions are the names the README's Python API section documents and
-the test oracles below, which tests use as references for the fast
-paths.  Dunder methods, and methods that override one of a base class
-from outside the package (``argparse``'s ``error`` hook), are called by
-Python or by that base, and are skipped.
+that only such loads reach.  The exceptions are the names the README's
+Python API section documents.  Dunder methods, and methods that override
+one of a base class from outside the package (``argparse``'s ``error``
+hook), are called by Python or by that base, and are skipped.
 """
 import ast
 import importlib
@@ -25,18 +23,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-
-# Names only tests call, each kept as a reference the tests compare against.
-ORACLES = (
-    "accepts",  # runs any automaton over a trace: the language oracle
-    "is_empty",  # emptiness of a language, beside language_equal
-    "language_equal",  # the equivalence check of the differential tests
-    "rv_family",  # the four RV-state languages read off one coloring
-    "colored_isomorphic",  # compares a compiled monitor with a golden one up to renumbering
-    "is_nnf",  # checks that to_nnf's output is in negation normal form
-    "trace_from_props",  # builds traces for the semantics oracle from prop lists
-    "rv_state_oracle",  # the RV state of a trace by evaluating the formula on extensions
-)
 
 
 class _Loads(ast.NodeVisitor):
@@ -241,7 +227,7 @@ def test_every_definition_in_src_is_reached():
     by_key: dict = {}
     for path, key, receiver, line in loads:
         by_key.setdefault(key, []).append((path, receiver, line))
-    kept = _api_names() | set(ORACLES)
+    kept = _api_names()
     dead, unresolved = [], []
     for path, tree in modules.items():
         for owner, name, node in _definitions(tree):
@@ -266,11 +252,3 @@ def test_every_definition_in_src_is_reached():
     print("\n".join(unresolved))
     assert not dead, "defined but never reached:\n" + "\n".join(dead)
 
-
-def test_oracles_are_defined_in_src():
-    defined = {
-        name
-        for path in SRC.rglob("*.py")
-        for _, name, _ in _definitions(ast.parse(path.read_text(encoding="utf-8")))
-    }
-    assert set(ORACLES) <= defined

@@ -11,7 +11,6 @@ tuples give them.  Labels must be the tuple product's, and
 with two operands also the pairwise fold's; ``minimize`` must match the
 old refinement, labels included.
 """
-import operator
 import random
 from itertools import repeat
 
@@ -52,7 +51,7 @@ def assert_fold(dfas, disjunction, got, tuples=True):
     them, labels as the tuple product's, and as the pairwise fold's for
     two operands.  With ``tuples``, ``product_fold`` must also walk
     exactly the tuples ``collapsed_walk`` names, in its order."""
-    pairwise = ref.product_fold(dfas, operator.or_ if disjunction else None)
+    pairwise = ref.product_fold(dfas, disjunction)
     same_tables(got, pairwise)
     if len(dfas) == 2:
         assert got.labels == pairwise.labels
@@ -91,8 +90,7 @@ def collapsed_walk(dfas, disjunction=False) -> list:
     if any(map(constant, dfas, repeat(disjunction))):
         return []
     deciding = [set(absorbing(dfa, disjunction)) for dfa in dfas]
-    tuples = [tuple(map(int, label[1:-1].split(",")))
-              for label in ref.tuple_product(dfas, disjunction).labels]
+    tuples = ref.tuple_product(dfas, disjunction)[1]
     decided = [t for t in tuples if any(map(set.__contains__, deciding, t))]
     return [t for t in tuples if t not in decided or t == decided[0]]
 

@@ -4,9 +4,7 @@ import random
 import pytest
 
 from ldlmon.automata import (
-    accepts,
     determinize,
-    language_equal,
     ldlf_to_nfa,
     minimize,
 )
@@ -40,6 +38,7 @@ from ldlmon.syntax import (
 )
 from ldlmon.syntax.props import Atom, FALSE, TRUE
 
+from oracles import accepts, language_equal
 from genformulas import all_traces, random_dfa, random_ldlf
 
 AB = Alphabet.of("a", "b")

@@ -7,7 +7,6 @@ import pytest
 from ldlmon.syntax import (
     Alphabet,
     formula_atoms,
-    is_nnf,
     parse_ldlf,
     print_ldlf,
     prop_atoms,
@@ -18,6 +17,7 @@ from ldlmon.syntax import (
 from ldlmon.syntax import ldl
 
 from genformulas import random_ldlf, random_raw_ldlf
+from oracles import is_nnf
 from reference_delta import FalseMark, TrueMark
 
 AB = Alphabet.of("a", "b")

@@ -9,8 +9,6 @@ from ldlmon.semantics import (
     eval_ldlf,
     eval_ltlf,
     path_matches,
-    rv_state_oracle,
-    trace_from_props,
     trace_from_tasks,
 )
 from ldlmon.syntax import (
@@ -29,6 +27,7 @@ from ldlmon.syntax import (
 )
 from ldlmon.syntax.props import Atom, TRUE
 
+from oracles import rv_state_oracle, trace_from_props
 from genformulas import all_traces, random_ldlf, random_ltlf
 
 AB = Alphabet.of("a", "b")

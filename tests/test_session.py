@@ -21,7 +21,9 @@ from ldlmon.automata import aut_to_json, compile_dfa, product_fold
 from ldlmon.declare import PATTERNS, MetaMonitor, ModelMonitor, parse_decl, parse_meta
 from ldlmon.metaconstraints import expand
 from ldlmon.monitor import color
+from ldlmon.syntax import Alphabet, ldl
 
+from genformulas import random_boolean_ldlf
 from test_compositional import random_model
 from test_lockstep import random_meta_text
 from test_templates import EVERY_TEMPLATE
@@ -123,6 +125,21 @@ def test_meta_monitors_match_one_fresh_memo_per_call(nfa_builds):
         savings += len(nfa_builds) - shared
     assert savings > 0
 
+
+def test_the_memo_holds_only_formulas_of_the_nfa_route():
+    """Negations and chains are rebuilt from their operands' DFAs, so
+    after Boolean formulas compile through one memo, twice each, every
+    ``"dfa"`` key holds a formula that is neither a negation, a
+    conjunction nor a disjunction."""
+    rng = random.Random(7415)
+    alphabet = Alphabet.of("a", "b", "c")
+    formulas = [random_boolean_ldlf(rng, ["a", "b", "c"]) for _ in range(30)]
+    memo: dict = {}
+    for formula in formulas + formulas:
+        compile_dfa(formula, alphabet, memo)
+    assert len(memo) > 30
+    assert all(key[0] == "dfa" for key in memo)
+    assert not [key for key in memo if isinstance(key[1], (ldl.Not, ldl.And, ldl.Or))]
 
 def test_meta_monitor_builds_compile_each_distinct_argument_once(monkeypatch):
     """Within one build, the memo answers every repeated compile: the NFA

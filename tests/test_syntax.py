@@ -33,11 +33,11 @@ from ldlmon.syntax import (
     scan_names,
     subterms,
     to_nnf,
-    is_nnf,
 )
 from ldlmon.syntax import ldl, ltl
 from ldlmon.syntax.props import PROP_OPS, Atom, PropAnd, PropNot, PropOr, TRUE
 
+from oracles import is_nnf
 from genformulas import random_ldlf, random_ltlf, random_prop
 
 AB = Alphabet.of("a", "b")
