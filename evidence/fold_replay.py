@@ -8,8 +8,9 @@ For each workload the script loads each one's ``ldlmon`` from its
 ``src/`` afresh, under a package name of its own (``ldlmon_parent_decl``,
 ``ldlmon_change_decl``, ...), builds the workload's seeded inputs with
 ``perfbench/inputs.py``, and builds every model or formula of them with
-the parent's package, recording each call of ``automata.product_fold``,
-also through the name ``declare`` imported.
+the parent's package, recording each call of ``automata.product_fold``
+through every name a module of that package binds it to (``declare``
+and ``metaconstraints`` import it).
 Each recorded call is then made on both sides with the same operands
 (the change gets copies built from its own classes):
 
@@ -88,9 +89,8 @@ def builds(L, workload: str, items):
 
 def record(L, thunks) -> list:
     """The (operands, disjunction) of every ``product_fold`` call the
-    builds make."""
-    automata, declare = L.automata, L.declare
-    original = automata.product_fold
+    builds make, through whatever module of ``L`` makes it."""
+    original = L.automata.product_fold
     calls = []
 
     def recording(dfas, disjunction=False):
@@ -98,12 +98,21 @@ def record(L, thunks) -> list:
         calls.append((dfas, disjunction))
         return original(dfas, disjunction)
 
-    automata.product_fold = declare.product_fold = recording
+    bound = [
+        (module, key)
+        for name, module in list(sys.modules.items())
+        if module is not None and (name == L.__name__ or name.startswith(L.__name__ + "."))
+        for key, value in vars(module).items()
+        if value is original
+    ]
+    for module, key in bound:
+        setattr(module, key, recording)
     try:
         for thunk in thunks:
             thunk()
     finally:
-        automata.product_fold = declare.product_fold = original
+        for module, key in bound:
+            setattr(module, key, original)
     return calls
 
 

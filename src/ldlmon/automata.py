@@ -148,7 +148,7 @@ _MODALITIES = {
 }
 
 
-def delta(f: ldl.Ldlf, letter, unfolding: tuple = ()) -> tuple:
+def delta(f: ldl.Ldlf, letter) -> tuple:
     """Minimal models of f's one-step obligations under a letter (or
     EPSILON), in no particular order: ``TRUE_MODELS`` when nothing is
     left to satisfy, ``FALSE_MODELS`` when f fails on this letter.
@@ -158,19 +158,19 @@ def delta(f: ldl.Ldlf, letter, unfolding: tuple = ()) -> tuple:
     ``models_or`` on alternatives and star unfoldings and the other way
     round on tests, whose condition it negates, and ``TRUE_MODELS`` for
     ``FALSE_MODELS`` on an unmatched step and on a re-entered loop.
-    ``unfolding`` holds the star formulas unfolded on the current path
-    without consuming a letter; a test's condition is a subterm of the
-    path and cannot reach them, so it starts with an empty tuple.
     The rules live in ``deltas``, which this runs on one letter.
     Pre: f is in negation normal form.
     """
-    return deltas(f, (letter,), unfolding)[0]
+    return deltas(f, (letter,))[0]
 
 
 def deltas(f: ldl.Ldlf, letters, unfolding: tuple = ()) -> list:
     """``delta`` of f under each of ``letters`` in one walk, a rule's
     transient nodes built once for all; the NFA stage passes its class
-    letters and EPSILON last, for successors and acceptance at once."""
+    letters and EPSILON last, for successors and acceptance at once.
+    ``unfolding`` holds the star formulas unfolded on the current path
+    without consuming a letter; a test's condition is a subterm of the
+    path and cannot reach them, so it starts with an empty tuple."""
     if isinstance(f, ldl.Tt):
         return [TRUE_MODELS] * len(letters)
     if isinstance(f, ldl.Ff):
@@ -317,15 +317,14 @@ def _nfa_classes(formula: ldl.Ldlf, alphabet: Alphabet):
 
     Each obligation is walked once, under the first letter of every
     class and EPSILON last, for its successors and its acceptance; a cell
-    of two or more models sorts them by keys printed once per compile."""
+    of two or more models sorts them by keys computed once per compile."""
     normalized = to_nnf(formula)
     letters = alphabet.letters()
     atoms = ldl.formula_atoms(normalized)
     firsts, class_of = _partition([letter & atoms for letter in letters])
     walk_letters = [letters[column] for column in firsts] + [EPSILON]
     walk = functools.cache(lambda member: deltas(member, walk_letters))
-    key = functools.cache(print_ldlf)
-    model_key = functools.cache(lambda model: (len(model), sorted(map(key, model))))
+    model_key = functools.cache(lambda model: (len(model), sorted(map(print_ldlf, model))))
 
     def cells(macro, ident):
         by_class = [TRUE_MODELS] * len(firsts)
@@ -557,14 +556,6 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
     if dfa is None:
         dfa = memo[key] = _nfa_route(formula, alphabet)
     return dfa
-
-
-def step_or_end(alphabet: Alphabet, holds) -> Dfa:
-    """``<t>tt || end``, t deciding by ``holds(letter)``: the start (final),
-    an accepting sink past a letter in t and a rejecting sink past others."""
-    first = tuple(1 if holds(letter) else 2 for letter in alphabet.letters())
-    rows = (first, (1,) * len(first), (2,) * len(first))
-    return Dfa(alphabet, 3, 0, rows, frozenset((0, 1)))
 
 
 def _diamond_after(colored: ColoredDfa, state: RVState, then: Dfa) -> Dfa:

@@ -66,8 +66,10 @@ pattern calls read it too.  Parsing a pattern call builds no LTLf
 formula (``Constraint.formula`` is built when first read), nor does a
 ``.meta`` build for its directives.  Everything
 else compiles through one memo per build (see ``automata.compile_dfa``),
-so a property that several constraints or directives refer to is
-compiled once per build, and the memo is dropped when it returns.
+so a property that several constraints refer to is compiled once per
+build, and the memo is dropped when it returns.  A ``.meta`` build
+shares work through three things only: the pattern table, its defines'
+colored DFAs keyed by name, and that memo.
 """
 from __future__ import annotations
 
@@ -601,7 +603,7 @@ class _Kind(NamedTuple):
     """A directive kind: its syntax, a regex whose named groups give the
     ``MetaDirective`` fields (``first`` and ``second`` the targets), its
     metaconstraint ``build(directive, *target_formulas)``, its minimal DFA
-    ``recipe(directive, memo, *target_colored_dfas)``, and the
+    ``recipe(directive, *target_colored_dfas)``, and the
     ``(label, cells)`` of the timeline row under its own, if any (see
     ``_Lockstep``)."""
 
@@ -615,19 +617,19 @@ _DIRECTIVES = {
     KIND_ABSENCE: _Kind(
         rf"absence\s+(?P<task>\w+)\s+when\s+(?P<first>{_NAME})\s*=\s*(?P<state>\w+)",
         lambda d, ref: contextual_absence(ref, d.state, d.task),
-        lambda d, memo, ref: contextual_absence_dfa(ref, d.state, d.task, memo),
+        lambda d, ref: contextual_absence_dfa(ref, d.state, d.task),
         ("  forbidden", lambda m, paths: _forbidden_row(m, [m], paths)),
     ),
     KIND_COMPENSATE: _Kind(
         rf"compensate\s+(?P<first>{_NAME})\s+with\s+(?P<second>{_NAME})"
         r"(?P<reactive>\s+reactive)?",
         lambda d, ref, comp: (reactive_compensation if d.reactive else compensation)(ref, comp),
-        lambda d, memo, ref, comp: compensation_dfa(ref, comp, memo, d.reactive),
+        lambda d, ref, comp: compensation_dfa(ref, comp, d.reactive),
     ),
     KIND_CONFLICT: _Kind(
         rf"conflict\s+(?P<first>{_NAME})\s+(?P<second>{_NAME})",
         lambda d, first, second: conflict(first, second),
-        lambda d, memo, first, second: conflict_dfa(first, second, memo),
+        lambda d, first, second: conflict_dfa(first, second),
         # An X marks an in-place conflict: the directive holds right now
         # with the chance to stop holding later.
         ("  conflict", lambda m, paths: [
@@ -637,7 +639,7 @@ _DIRECTIVES = {
     KIND_PREFER: _Kind(
         rf"prefer\s+(?P<first>{_NAME})\s+over\s+(?P<second>{_NAME})",
         lambda d, preferred, other: preference(preferred, other),
-        lambda d, memo, preferred, other: preference_dfa(preferred, other, memo),
+        lambda d, preferred, other: preference_dfa(preferred, other),
     ),
 }
 
@@ -745,7 +747,8 @@ class MetaMonitor(_Lockstep):
     directives in file order.  Each define they refer to gets its colored
     DFA as in ``local_monitors``, keyed by name; a shown define's monitor
     is that DFA, and each directive's is its kind's recipe over its
-    targets' DFAs, through a memo that the build drops."""
+    targets' DFAs.  The build's memo, dropped when it returns, serves
+    only the compiles of ``ltl:`` defines."""
 
     def __init__(self, model: MetaModel):
         memo: dict = {}
@@ -758,7 +761,7 @@ class MetaMonitor(_Lockstep):
         self.shown = {name: Monitor(colored[name]) for name in model.shows}
         self.meta = {
             d.name: Monitor(color_minimal(
-                _DIRECTIVES[d.kind].recipe(d, memo, *map(colored.__getitem__, d.targets))))
+                _DIRECTIVES[d.kind].recipe(d, *map(colored.__getitem__, d.targets))))
             for d in model.directives
         }
         rows = {d.name: _DIRECTIVES[d.kind].row for d in model.directives}

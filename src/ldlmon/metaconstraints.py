@@ -11,7 +11,8 @@ formula's minimal DFA from the targets' colored DFAs: an atom makes f's
 states of color s final (``ColoredDfa.where``), and the modalities of
 contextual absence and reactive compensation are one subset
 construction each (``automata._diamond_after``), which starts a run of
-the argument's DFA wherever f's run is in s.
+the argument's DFA wherever f's run is in s.  A recipe keeps nothing
+between calls: directives over the same targets each build their own.
 
 ``expand`` is the paper's declarative encoding of the same nodes, and
 the one way a formula with RV nodes compiles:
@@ -87,19 +88,14 @@ def contextual_absence(context: ldl.Ldlf, state: RVState, task: str) -> ldl.Ldlf
     return ldl.Box(RvPath(context, state), _task_free(task))
 
 
-def contextual_absence_dfa(context: ColoredDfa, state: RVState, task: str, memo: dict) -> Dfa:
-    """``contextual_absence``'s DFA, from the context's colored DFA."""
-    free = automata.step_or_end(context.dfa.alphabet, lambda letter: task not in letter)
-    return complement(_once(memo, automata._diamond_after, context, state, complement(free)))
-
-
-def _once(memo: dict, build, *args):
-    """``build(*args)``, run once per memo for equal arguments."""
-    key = (build, *args)
-    done = memo.get(key)
-    if done is None:
-        done = memo[key] = build(*args)
-    return done
+def contextual_absence_dfa(context: ColoredDfa, state: RVState, task: str) -> Dfa:
+    """``contextual_absence``'s DFA, from the context's colored DFA: the
+    complement of the diamond of ``<task>tt`` (the start, an accepting
+    sink past a letter with the task, a rejecting sink past others)."""
+    alphabet = context.dfa.alphabet
+    first = tuple(1 if task in letter else 2 for letter in alphabet.letters())
+    step = Dfa(alphabet, 3, 0, (first, (1,) * len(first), (2,) * len(first)), frozenset((1,)))
+    return complement(automata._diamond_after(context, state, step))
 
 
 def compensation(violated: ldl.Ldlf, comp: ldl.Ldlf) -> ldl.Ldlf:
@@ -118,11 +114,11 @@ def reactive_compensation(violated: ldl.Ldlf, comp: ldl.Ldlf) -> ldl.Ldlf:
     )
 
 
-def compensation_dfa(violated: ColoredDfa, comp: ColoredDfa, memo: dict, reactive: bool) -> Dfa:
+def compensation_dfa(violated: ColoredDfa, comp: ColoredDfa, reactive: bool) -> Dfa:
     """``compensation``'s DFA, or ``reactive_compensation``'s, from the targets'."""
     after = comp.dfa
     if reactive:
-        after = _once(memo, automata._diamond_after, violated, RVState.PERM_FALSE, after)
+        after = automata._diamond_after(violated, RVState.PERM_FALSE, after)
     return product_fold((violated.where(SATISFIABLE), after), True)
 
 
@@ -138,9 +134,9 @@ def conflict(f: ldl.Ldlf, g: ldl.Ldlf) -> ldl.Ldlf:
     )
 
 
-def conflict_dfa(f: ColoredDfa, g: ColoredDfa, memo: dict) -> Dfa:
+def conflict_dfa(f: ColoredDfa, g: ColoredDfa) -> Dfa:
     """``conflict``'s DFA, from the targets' colored DFAs."""
-    both = color_minimal(_once(memo, product_fold, (f.dfa, g.dfa))).where({RVState.PERM_FALSE})
+    both = color_minimal(product_fold((f.dfa, g.dfa))).where({RVState.PERM_FALSE})
     return product_fold((both, f.where(SATISFIABLE), g.where(SATISFIABLE)))
 
 
@@ -153,7 +149,7 @@ def preference(preferred: ldl.Ldlf, other: ldl.Ldlf) -> ldl.Ldlf:
     return _implies(doomed_prefix, preferred)
 
 
-def preference_dfa(preferred: ColoredDfa, other: ColoredDfa, memo: dict) -> Dfa:
+def preference_dfa(preferred: ColoredDfa, other: ColoredDfa) -> Dfa:
     """``preference``'s DFA, from the targets' colored DFAs."""
-    both = color_minimal(_once(memo, product_fold, (preferred.dfa, other.dfa)))
+    both = color_minimal(product_fold((preferred.dfa, other.dfa)))
     return product_fold((both.where(SATISFIABLE), preferred.dfa), True)

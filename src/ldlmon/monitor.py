@@ -75,12 +75,9 @@ class Monitor:
         self.current = self.dfa.initial
 
     @classmethod
-    def for_formula(
-        cls, formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None
-    ) -> "Monitor":
-        """The monitor of a formula, compiled through ``memo`` (see
-        ``compile_dfa``)."""
-        return cls(color_minimal(compile_dfa(formula, alphabet, memo)))
+    def for_formula(cls, formula: ldl.Ldlf, alphabet: Alphabet) -> "Monitor":
+        """The monitor of a formula (see ``monitor_automaton``)."""
+        return cls(color_minimal(compile_dfa(formula, alphabet)))
 
     def reset(self):
         self.current = self.dfa.initial

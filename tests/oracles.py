@@ -15,6 +15,11 @@ None of these is part of the program: each is evidence about it.
 - ``trace_from_props`` builds traces from per-step prop sets, and
   ``rv_state_oracle`` classifies a trace into an RV state by evaluating
   the formula (``semantics.eval_ldlf``) on its continuations.
+- ``monolithic_dfa`` compiles a formula as one automaton, the route
+  ``compile_dfa`` takes for a formula that is no Boolean chain.
+- ``colored_json`` renders a DFA with the colors ``color`` gives any
+  DFA, and ``monitor_json`` a monitor with the colors it holds, so a
+  built monitor compares byte for byte with a reference compile.
 """
 from __future__ import annotations
 
@@ -23,9 +28,12 @@ from collections.abc import Iterable, Sequence
 from ldlmon.automata import (
     ColoredDfa,
     Dfa,
+    aut_to_json,
+    color,
     complement,
     determinize,
     ldlf_to_nfa,
+    minimize,
     prefix_closure,
     reachable_from,
 )
@@ -95,6 +103,18 @@ def colored_isomorphic(a: ColoredDfa, b: ColoredDfa) -> bool:
         return [(s in c.dfa.finals, getattr(rv, "value", rv)) for s, rv in enumerate(c.colors)]
 
     return _bijection(a.dfa, b.dfa, labels(a), labels(b)) is not None
+
+
+def monolithic_dfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Dfa:
+    return minimize(determinize(ldlf_to_nfa(formula, alphabet)))
+
+
+def colored_json(dfa: Dfa) -> str:
+    return aut_to_json(dfa, color(dfa).colors)
+
+
+def monitor_json(monitor) -> str:
+    return aut_to_json(monitor.dfa, monitor.colors)
 
 
 def is_nnf(f: ldl.Ldlf) -> bool:

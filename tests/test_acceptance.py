@@ -16,7 +16,6 @@ from ldlmon.automata import (
     aut_to_json,
     determinize,
     ldlf_to_nfa,
-    minimize,
 )
 from ldlmon.declare import (
     MetaMonitor,
@@ -54,7 +53,7 @@ from genformulas import (
     random_ltlf,
     random_nnf_ldlf,
 )
-from oracles import accepts, colored_isomorphic, language_equal, rv_family
+from oracles import accepts, colored_isomorphic, language_equal, monolithic_dfa, rv_family
 from reference_json import aut_from_json
 from reference_product import tuple_product
 
@@ -68,10 +67,6 @@ BOOKING5 = Alphabet.tasks(["pay", "acc", "get", "cancel", "return"])
 WORKED_FORMULA = "X (a -> WX b)"
 
 L_A, L_B, L_O = (frozenset({name}) for name in ("a", "b", "o"))
-
-
-def compiled_dfa(formula, alphabet):
-    return minimize(determinize(ldlf_to_nfa(formula, alphabet)))
 
 
 def hand_monitor(rows, finals, colors) -> ColoredDfa:
@@ -293,17 +288,17 @@ def test_criterion_04_catalog_matches_hand_tables(acceptance_report):
         compiled = monitor_automaton(formula, TASKS_ABO)
         if not colored_isomorphic(compiled, hand):
             failures.append((name, "automaton"))
-        want = compiled_dfa(
+        want = monolithic_dfa(
             Diamond(parse_re(pref_text, TASKS_ABO), END), TASKS_ABO
         )
-        via_closure = compiled_dfa(
+        via_closure = monolithic_dfa(
             Diamond(pref_regex(formula, TASKS_ABO), END), TASKS_ABO
         )
         if not language_equal(via_closure, want):
             failures.append((name, "prefix closure regex"))
         alive = (RVState.TEMP_TRUE, RVState.TEMP_FALSE, RVState.PERM_TRUE)
         pieces = [
-            compiled_dfa(
+            monolithic_dfa(
                 Diamond(regex_for_rv(formula, state, TASKS_ABO), END),
                 TASKS_ABO,
             )
@@ -410,7 +405,7 @@ def test_criterion_07_state_languages_partition_all_traces(
         formula = random_ldlf(rng, ["a", "b"], depth=3, star_depth=1)
         colored = monitor_automaton(formula, PROPS2)
         state_dfas = {
-            state: compiled_dfa(
+            state: monolithic_dfa(
                 rv_formula(formula, state, PROPS2), PROPS2
             )
             for state in RVState
@@ -441,7 +436,7 @@ def test_criterion_08_regex_extraction_roundtrips(acceptance_report):
     for index in range(200):
         dfa = random_dfa(rng, PROPS2, max_states=8)
         rho = automaton_to_regex(dfa)
-        back = compiled_dfa(Diamond(rho, END), PROPS2)
+        back = monolithic_dfa(Diamond(rho, END), PROPS2)
         if not language_equal(back, dfa):
             failures.append(index)
     ok = not failures
@@ -491,7 +486,7 @@ def test_criterion_09_shape_bijections_identity_and_products(
         if shape_equivalent(both, negs) != constructed:
             failures.append((trial, "product bijection"))
         if not language_equal(
-            both, compiled_dfa(And(first, second), PROPS2)
+            both, monolithic_dfa(And(first, second), PROPS2)
         ):
             failures.append((trial, "conjunction language"))
     ok = not failures

@@ -11,13 +11,7 @@ import random
 import pytest
 
 from ldlmon import cli
-from ldlmon.automata import (
-    aut_to_json,
-    compile_dfa,
-    determinize,
-    ldlf_to_nfa,
-    minimize,
-)
+from ldlmon.automata import aut_to_json, compile_dfa
 from ldlmon.declare import (
     PATTERNS,
     Constraint,
@@ -25,21 +19,20 @@ from ldlmon.declare import (
     ModelMonitor,
     global_monitor,
 )
-from ldlmon.monitor import color
 from ldlmon.syntax import Alphabet, ldl, parse_ldlf
 
 from genformulas import random_boolean_ldlf
+from oracles import colored_json, monolithic_dfa
 
 AB = Alphabet.of("a", "b")
 TASKS = Alphabet.tasks(["a", "b", "c"])
 
 
 def reference_json(formula, alphabet) -> str:
-    dfa = minimize(determinize(ldlf_to_nfa(formula, alphabet)))
-    return aut_to_json(dfa, color(dfa).colors)
+    return colored_json(monolithic_dfa(formula, alphabet))
 
 
-def monitor_json(monitor) -> str:
+def reported_colors_json(monitor) -> str:
     """The monitor's automaton with the colors it reports state by state."""
     colors = []
     for state in range(monitor.dfa.n_states):
@@ -54,8 +47,7 @@ def test_compile_dfa_matches_the_monolithic_pipeline(alphabet):
     rng = random.Random(2021)
     for _ in range(200):
         formula = random_boolean_ldlf(rng, list(alphabet.props), depth=3)
-        dfa = compile_dfa(formula, alphabet)
-        got = aut_to_json(dfa, color(dfa).colors)
+        got = colored_json(compile_dfa(formula, alphabet))
         assert got == reference_json(formula, alphabet), ldl.print_ldlf(formula)
 
 
@@ -78,8 +70,8 @@ def test_model_monitor_matches_the_monolithic_conjunction():
         for c in model.constraints[1:]:
             conjunction = ldl.And(conjunction, c.to_ldlf())
         want = reference_json(conjunction, model.alphabet)
-        assert monitor_json(ModelMonitor(model).overall) == want
-        assert monitor_json(global_monitor(model)) == want
+        assert reported_colors_json(ModelMonitor(model).overall) == want
+        assert reported_colors_json(global_monitor(model)) == want
 
 
 def test_long_conjunction_chains_compile_without_recursion():

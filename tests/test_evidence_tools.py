@@ -1,7 +1,12 @@
 """The evidence scripts still run on the package they load by path."""
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from ldlmon.declare import KIND_COMPENSATE, KIND_CONFLICT, KIND_PREFER, parse_meta
+
+from table_digests import perfbench_inputs
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,7 +24,10 @@ def checkout_files() -> dict:
 def test_fold_replay_runs_the_repository_against_itself():
     """``fold_replay.py`` loads ``automata``, ``declare``, ``monitor`` and
     ``syntax`` internals; with both sides this checkout, every recorded
-    fold gives the same table, and the run writes nothing."""
+    fold gives the same table, and the run writes nothing.  The recipes
+    fold through ``metaconstraints``, so on meta it records at least the
+    folds the directives of its inputs make: one per compensate, two per
+    conflict and two per prefer."""
     before = checkout_files()
     run = subprocess.run(
         [sys.executable, str(ROOT / "evidence" / "fold_replay.py"), str(ROOT), str(ROOT),
@@ -31,3 +39,10 @@ def test_fold_replay_runs_the_repository_against_itself():
     assert [head.split(",")[0] for head in heads] == ["decl", "meta"], run.stdout
     assert all(head.endswith("tables differ in 0") for head in heads), run.stdout
     assert checkout_files() == before
+    folds = {KIND_COMPENSATE: 1, KIND_CONFLICT: 2, KIND_PREFER: 2}
+    needed = sum(
+        folds.get(d.kind, 0)
+        for item in perfbench_inputs().build("meta", 1, 0.5, {}).items
+        for d in parse_meta(item.text).directives
+    )
+    assert int(re.search(r": (\d+) product_fold", heads[1])[1]) >= needed > 0, run.stdout

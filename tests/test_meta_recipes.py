@@ -18,13 +18,10 @@ from ldlmon.metaconstraints import expand
 from ldlmon.rv import RVState
 from ldlmon.syntax.base import Node
 
+from oracles import monitor_json
 from test_lockstep import random_meta_text
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
-
-
-def monitor_json(monitor) -> str:
-    return aut_to_json(monitor.dfa, monitor.colors)
 
 
 def assert_recipes_match(model):

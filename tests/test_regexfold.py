@@ -3,11 +3,7 @@ import random
 
 import pytest
 
-from ldlmon.automata import (
-    determinize,
-    ldlf_to_nfa,
-    minimize,
-)
+from ldlmon.automata import determinize, ldlf_to_nfa
 from ldlmon.monitor import Monitor, monitor_automaton
 from ldlmon.regexfold import (
     EMPTY_RE,
@@ -38,20 +34,16 @@ from ldlmon.syntax import (
 )
 from ldlmon.syntax.props import Atom, FALSE, TRUE
 
-from oracles import accepts, language_equal
+from oracles import accepts, language_equal, monolithic_dfa
 from genformulas import all_traces, random_dfa, random_ldlf
 
 AB = Alphabet.of("a", "b")
 TASKS = Alphabet.tasks(["a", "b"])
 
 
-def compile_ldlf(formula, alphabet):
-    return minimize(determinize(ldlf_to_nfa(formula, alphabet)))
-
-
 def regex_language(regex, alphabet):
     """The DFA of exactly the words the path expression matches."""
-    return compile_ldlf(Diamond(regex, END), alphabet)
+    return monolithic_dfa(Diamond(regex, END), alphabet)
 
 
 # Smart constructors -----------------------------------------------------
@@ -98,22 +90,22 @@ def test_distinguished_expressions():
 
 
 def test_fold_of_the_empty_language():
-    dfa = compile_ldlf(parse_ldlf("ff", TASKS), TASKS)
+    dfa = monolithic_dfa(parse_ldlf("ff", TASKS), TASKS)
     assert automaton_to_regex(dfa) == EMPTY_RE
 
 
 def test_fold_of_everything():
-    dfa = compile_ldlf(parse_ldlf("tt", TASKS), TASKS)
+    dfa = monolithic_dfa(parse_ldlf("tt", TASKS), TASKS)
     assert automaton_to_regex(dfa) == Star(Step(TRUE))
 
 
 def test_fold_of_the_empty_trace_language():
-    dfa = compile_ldlf(parse_ldlf("end", TASKS), TASKS)
+    dfa = monolithic_dfa(parse_ldlf("end", TASKS), TASKS)
     assert automaton_to_regex(dfa) == EPSILON_PATH
 
 
 def test_fold_compresses_parallel_letters_into_guards():
-    dfa = compile_ldlf(ltlf_to_ldlf(parse_ltlf("G a", TASKS)), TASKS)
+    dfa = monolithic_dfa(ltlf_to_ldlf(parse_ltlf("G a", TASKS)), TASKS)
     assert automaton_to_regex(dfa) == Star(Step(Atom("a")))
     assert print_path(automaton_to_regex(dfa)) == "a*"
 
@@ -129,7 +121,7 @@ def test_fold_roundtrips_hand_formulas():
     ]
     for text in texts:
         formula = parse_ldlf(text, AB)
-        dfa = compile_ldlf(formula, AB)
+        dfa = monolithic_dfa(formula, AB)
         folded = automaton_to_regex(dfa)
         assert language_equal(regex_language(folded, AB), dfa), text
 

@@ -17,13 +17,13 @@ import tracemalloc
 import pytest
 
 from ldlmon import automata, declare
-from ldlmon.automata import aut_to_json, compile_dfa, product_fold
+from ldlmon.automata import compile_dfa, product_fold
 from ldlmon.declare import PATTERNS, MetaMonitor, ModelMonitor, parse_decl, parse_meta
 from ldlmon.metaconstraints import expand
-from ldlmon.monitor import color
 from ldlmon.syntax import Alphabet, ldl
 
 from genformulas import random_boolean_ldlf
+from oracles import colored_json, monitor_json
 from test_compositional import random_model
 from test_lockstep import random_meta_text
 from test_templates import EVERY_TEMPLATE
@@ -42,14 +42,6 @@ def nfa_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(automata, "_nfa_classes", counting)
     return built
-
-
-def colored_json(dfa) -> str:
-    return aut_to_json(dfa, color(dfa).colors)
-
-
-def monitor_json(monitor) -> str:
-    return aut_to_json(monitor.dfa, monitor.colors)
 
 
 def distinct_meta_texts(seed: int, count: int) -> list[str]:
@@ -143,12 +135,13 @@ def test_the_memo_holds_only_formulas_of_the_nfa_route():
 
 def test_meta_monitor_builds_compile_each_distinct_argument_once(monkeypatch):
     """Within one build, the memo answers every repeated compile: the NFA
-    route and the subset construction of RV-path modalities each run at
-    most once per distinct argument.  A conflict directive compiles its
-    references both alone and in their conjunction, the samples'
-    ``ltl:`` defines take the NFA route, and the last model's directives
-    share their modalities, so a build that lost the memo between calls
-    would run one of them twice."""
+    route runs at most once per distinct argument.  A conflict directive
+    refers to its defines both alone and in their conjunction, and the
+    samples' ``ltl:`` defines take the NFA route, so a build that lost the
+    memo between calls would run it twice.  The recipes keep no memo:
+    the subset construction of RV-path modalities runs once per
+    ``absence ... when`` directive and once per reactive ``compensate``,
+    also where the last model's directives share their modalities."""
     calls: list = []
 
     def counting(name):
@@ -175,11 +168,17 @@ def test_meta_monitor_builds_compile_each_distinct_argument_once(monkeypatch):
     )
     stages = set()
     for text in texts:
+        model = parse_meta(text)
         del calls[:]
-        MetaMonitor(parse_meta(text))
-        assert len(calls) == len(set(calls)), text
+        MetaMonitor(model)
+        compiled = [call for call in calls if call[0] == "_nfa_route"]
+        assert len(compiled) == len(set(compiled)), text
+        # Only a compensate directive can be reactive.
+        assert len(calls) - len(compiled) == sum(
+            d.kind == declare.KIND_ABSENCE or d.reactive for d in model.directives), text
         stages.update(name for name, *_ in calls)
     assert stages == {"_nfa_route", "_diamond_after"}
+    assert len(calls) == 4  # the last model's: each shared modality twice
 
 
 def test_meta_monitors_of_pattern_defines_build_no_nfa(nfa_builds, monkeypatch):

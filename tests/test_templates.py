@@ -15,7 +15,7 @@ import itertools
 import pytest
 
 from ldlmon import automata
-from ldlmon.automata import aut_to_json, color, compile_dfa, to_dot
+from ldlmon.automata import compile_dfa, to_dot
 from ldlmon.declare import (
     PATTERNS,
     MetaMonitor,
@@ -26,13 +26,7 @@ from ldlmon.declare import (
     parse_meta,
 )
 
-
-def colored_json(dfa) -> str:
-    return aut_to_json(dfa, color(dfa).colors)
-
-
-def monitor_json(monitor) -> str:
-    return aut_to_json(monitor.dfa, monitor.colors)
+from oracles import colored_json, monitor_json
 
 
 def every_call_text(pattern: str, n_tasks: int) -> str:
