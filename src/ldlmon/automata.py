@@ -208,15 +208,12 @@ def deltas(f: ldl.Ldlf, letters, unfolding: tuple = ()) -> list:
 
 
 @dataclass(frozen=True)
-class Nfa:
-    """A nondeterministic finite automaton over an alphabet's letters.
-
-    ``transitions[state][column]`` is the frozenset of successors of a
-    state under the letter in that column of ``alphabet.letters()``,
-    empty when there is none.  States are dense integers; ``labels``
-    optionally carries a debugging name per state (the macro-state
-    content for compiled formulas).
-    """
+class _Automaton:
+    """The record an ``Nfa`` and a ``Dfa`` share.  States are dense
+    integers, ``transitions[state][column]`` holds a state's successors
+    under the letter in that column of ``alphabet.letters()``, and
+    ``labels`` optionally carries a debugging name per state (the
+    macro-state content for compiled formulas)."""
 
     alphabet: Alphabet
     n_states: int
@@ -224,17 +221,6 @@ class Nfa:
     transitions: tuple
     finals: frozenset
     labels: tuple = ()
-
-    def edges(self, state: int):
-        """The (letter, target) pairs leaving a state, in letter order and
-        then target order."""
-        for letter, targets in zip(self.alphabet.letters(), self.transitions[state]):
-            for target in sorted(targets):
-                yield letter, target
-
-    def targets(self, state: int) -> frozenset:
-        """The distinct successors of a state under any letter."""
-        return frozenset().union(*self.transitions[state])
 
     def triples(self):
         for state in range(self.n_states):
@@ -249,22 +235,32 @@ class Nfa:
 
 
 @dataclass(frozen=True)
-class Dfa:
+class Nfa(_Automaton):
+    """A nondeterministic finite automaton over an alphabet's letters:
+    each cell of ``transitions`` is the frozenset of successors, empty
+    when there is none."""
+
+    def edges(self, state: int):
+        """The (letter, target) pairs leaving a state, in letter order and
+        then target order."""
+        for letter, targets in zip(self.alphabet.letters(), self.transitions[state]):
+            for target in sorted(targets):
+                yield letter, target
+
+    def targets(self, state: int) -> frozenset:
+        """The distinct successors of a state under any letter."""
+        return frozenset().union(*self.transitions[state])
+
+
+@dataclass(frozen=True)
+class Dfa(_Automaton):
     """A total deterministic automaton over an alphabet's letters.
 
-    ``transitions[state][column]`` is the successor of a state under the
-    letter in that column of ``alphabet.letters()``, so a step is one
+    Each cell of ``transitions`` is one successor, so a step is one
     column lookup and one tuple index.  Every cell holds a target: a
     ``None`` cell is a ``ValueError`` when the DFA is built, also through
     ``dataclasses.replace``; ``with_finals`` carries a checked table over.
     """
-
-    alphabet: Alphabet
-    n_states: int
-    initial: int
-    transitions: tuple
-    finals: frozenset
-    labels: tuple = ()
 
     def __post_init__(self):
         for state, row in enumerate(self.transitions):
@@ -289,9 +285,6 @@ class Dfa:
     def targets(self, state: int) -> frozenset:
         """The distinct successors of a state under any letter."""
         return frozenset(self.transitions[state])
-
-    triples = Nfa.triples
-    with_finals = Nfa.with_finals
 
 
 def ldlf_to_nfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Nfa:

@@ -424,12 +424,6 @@ class Timeline:
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
-def _forbidden_tasks(monitors) -> frozenset[str]:
-    """Tasks some of the monitors forbid as the next step, read from
-    their forbidden tables at their current states."""
-    return frozenset().union(*(m.forbidden_at(m.current)[1] for m in monitors))
-
-
 def _forbidden_cell(governing: RVState, tasks) -> str:
     """The forbidden tasks, or an empty cell once the governing verdict
     can no longer change (nothing left to guard)."""
@@ -464,10 +458,9 @@ class _Lockstep:
     by every monitor, and one table index per monitor in ``_live``, whose
     new state is written back to it.  A monitor that reaches a permanent
     state settles: it leaves ``_live`` until ``reset`` or ``timeline``,
-    as in a minimal DFA that state is an absorbing sink.  ``_settled`` is
-    empty until one has settled; from then on it maps every name, in
-    output order, to its last verdict, and a step copies it and
-    overwrites the live monitors' verdicts.
+    as in a minimal DFA that state is an absorbing sink.  ``_states`` maps
+    every name, in output order, to its monitor's verdict; a step
+    overwrites the live monitors' entries in place.
 
     ``extra_rows`` maps a monitor's name to the ``(label, cells)`` of the
     timeline row under its own (or to None): ``cells(monitor, paths)``
@@ -480,22 +473,22 @@ class _Lockstep:
             (name, m, m.table, m.colors, tuple(rv.permanent for rv in m.colors))
             for name, m in monitors
         )
-        self._initials = tuple((m, m.dfa.initial) for _, m, _, _, _ in self._entries)
         self._extra_rows = extra_rows
         columns = alphabet.columns()
         self._columns = {task: columns[frozenset((task,))] for task in alphabet.props}
         self._settle()
-        self._start = self._live, self._settled
+        self._start = self._live, self._states.copy()
 
     def _settle(self):
-        """Derive ``_live`` and ``_settled`` from the current states."""
+        """Derive ``_live`` and ``_states`` from the current states."""
         self._live = _unsettled(self._entries)
-        self._settled = {} if len(self._live) == len(self._entries) else self.states()
+        self._states = {name: colors[m.current] for name, m, _, colors, _ in self._entries}
 
     def reset(self):
-        for monitor, initial in self._initials:
-            monitor.current = initial
-        self._live, self._settled = self._start
+        for _, monitor, _, _, _ in self._entries:
+            monitor.current = monitor.dfa.initial
+        live, states = self._start
+        self._live, self._states = live, states.copy()
 
     def step(self, task: str) -> dict[str, RVState]:
         """Feed one task to every live monitor; returns every monitor's
@@ -505,7 +498,7 @@ class _Lockstep:
             column = self._columns[task]
         except (KeyError, TypeError):  # TypeError: an unhashable event
             column = self._column(task)  # raises the unknown-task error
-        states = self._settled.copy()
+        states = self._states
         settled = False
         for name, monitor, table, colors, permanent in self._live:
             monitor.current = state = table[monitor.current][column]
@@ -514,11 +507,10 @@ class _Lockstep:
                 settled = True
         if settled:
             self._live = _unsettled(self._live)
-            self._settled = states.copy()
-        return states
+        return states.copy()
 
     def states(self) -> dict[str, RVState]:
-        return {name: colors[m.current] for name, m, _, colors, _ in self._entries}
+        return self._states.copy()
 
     def timeline(self, tasks) -> Timeline:
         """Run the given trace from the start and lay it out as a table.
@@ -587,10 +579,10 @@ class ModelMonitor(_Lockstep):
 
     def forbidden(self) -> frozenset[str]:
         """Tasks some individual constraint forbids as the next step."""
-        return _forbidden_tasks(self.locals.values())
+        return frozenset().union(*(m.forbidden_at(m.current)[1] for m in self.locals.values()))
 
     def verdicts(self) -> dict[str, Verdict]:
-        return {name: finalize(state) for name, state in self.states().items()}
+        return {name: finalize(state) for name, state in self._states.items()}
 
 
 KIND_ABSENCE = "absence-when"

@@ -48,7 +48,7 @@ from ldlmon.syntax.props import Atom, TRUE, eval_prop
 import reference_delta as ref
 from reference_json import aut_from_json
 from reference_product import tuple_product
-from oracles import accepts, is_empty, language_equal
+from oracles import accepts, is_empty, language_equal, monolithic_dfa
 from genformulas import all_traces, column_rows, random_dfa, random_ldlf, seeded_cases
 
 AB = Alphabet.of("a", "b")
@@ -62,10 +62,6 @@ L_AB = frozenset({"a", "b"})
 
 def ldl(text):
     return parse_ldlf(text, AB)
-
-
-def compile_ldlf(text, alphabet=AB):
-    return minimize(determinize(ldlf_to_nfa(parse_ldlf(text, alphabet), alphabet)))
 
 
 # The one-step obligation function --------------------------------------
@@ -447,7 +443,7 @@ def test_a_dfa_needs_a_target_in_every_cell():
 
 
 def test_complement_flips_acceptance():
-    dfa = compile_ldlf("<true*>a")
+    dfa = monolithic_dfa(ldl("<true*>a"), AB)
     flipped = complement(dfa)
     for trace in all_traces(AB, 3):
         assert accepts(flipped, trace) != accepts(dfa, trace)
@@ -467,12 +463,12 @@ def test_complement_requires_a_total_automaton():
                 finals=frozenset(),
             )
         )
-    dfa = compile_ldlf("<a>tt")
+    dfa = monolithic_dfa(ldl("<a>tt"), AB)
     assert complement(complement(dfa)).finals == dfa.finals
 
 
 def test_new_finals_carry_the_checked_table_over(monkeypatch):
-    dfa = compile_ldlf("<a><b>tt")
+    dfa = monolithic_dfa(ldl("<a><b>tt"), AB)
 
     def refuse(self):
         raise AssertionError("a carried-over table was checked again")
@@ -492,16 +488,16 @@ def test_new_finals_carry_the_checked_table_over(monkeypatch):
 
 
 def test_product_intersects_by_default():
-    left = compile_ldlf("<true*>a")
-    right = compile_ldlf("[true*](b || end)")
+    left = monolithic_dfa(ldl("<true*>a"), AB)
+    right = monolithic_dfa(ldl("[true*](b || end)"), AB)
     both, _ = tuple_product((left, right))
     for trace in all_traces(AB, 3):
         assert accepts(both, trace) == (accepts(left, trace) and accepts(right, trace))
 
 
 def test_product_accept_parameter_and_pair_table():
-    left = compile_ldlf("a")
-    right = compile_ldlf("b")
+    left = monolithic_dfa(ldl("a"), AB)
+    right = monolithic_dfa(ldl("b"), AB)
     union, pairs = tuple_product((left, right), disjunction=True)
     assert len(pairs) == union.n_states
     assert pairs[union.initial] == (left.initial, right.initial)
@@ -518,15 +514,16 @@ def test_product_accept_parameter_and_pair_table():
 
 
 def test_product_rejects_mismatched_alphabets():
+    only_a = Alphabet.of("a")
     with pytest.raises(ValueError):
-        tuple_product((compile_ldlf("a"), compile_ldlf("a", Alphabet.of("a"))))
+        tuple_product((monolithic_dfa(ldl("a"), AB), monolithic_dfa(parse_ldlf("a", only_a), only_a)))
 
 
 def test_product_requires_total_automata():
     """A partial table, by hand, through ``dataclasses.replace`` or read
     back from JSON with an edge dropped, fails when its DFA is built, so
     neither ``tuple_product`` nor ``language_equal`` sees one."""
-    total = compile_ldlf("<a>tt")
+    total = monolithic_dfa(ldl("<a>tt"), AB)
     payload = json.loads(aut_to_json(total))
     payload["transitions"] = payload["transitions"][1:]
     rows = [list(row) for row in total.transitions]
@@ -554,7 +551,7 @@ def test_product_requires_total_automata():
 
 
 def test_prefix_closure_accepts_every_prefix():
-    dfa = compile_ldlf("<a; b; a>end")
+    dfa = monolithic_dfa(ldl("<a; b; a>end"), AB)
     closed = prefix_closure(dfa)
     assert closed.transitions is dfa.transitions
     assert closed.n_states == dfa.n_states
@@ -578,14 +575,14 @@ def test_prefix_closure_on_random_automata():
 
 
 def test_is_empty():
-    assert is_empty(compile_ldlf("ff"))
-    assert is_empty(compile_ldlf("a && [a]ff && end"))
-    assert not is_empty(compile_ldlf("tt"))
-    assert not is_empty(compile_ldlf("<b*>end"))
+    assert is_empty(monolithic_dfa(ldl("ff"), AB))
+    assert is_empty(monolithic_dfa(ldl("a && [a]ff && end"), AB))
+    assert not is_empty(monolithic_dfa(ldl("tt"), AB))
+    assert not is_empty(monolithic_dfa(ldl("<b*>end"), AB))
 
 
 def test_accepts_validates_letters():
-    dfa = compile_ldlf("a", AB)
+    dfa = monolithic_dfa(ldl("a"), AB)
     with pytest.raises(ValueError):
         accepts(dfa, [frozenset({"zz"})])
     nfa = ldlf_to_nfa(ldl("a"), AB)
@@ -594,12 +591,12 @@ def test_accepts_validates_letters():
 
 
 def test_language_equal():
-    assert language_equal(compile_ldlf("<a>tt"), compile_ldlf("a"))
+    assert language_equal(monolithic_dfa(ldl("<a>tt"), AB), monolithic_dfa(ldl("a"), AB))
     assert language_equal(
-        compile_ldlf("[true*](a -> <true><b>tt)"),
+        monolithic_dfa(ldl("[true*](a -> <true><b>tt)"), AB),
         determinize(ldlf_to_nfa(ltlf_to_ldlf(parse_ltlf("G (a -> X b)", AB)), AB)),
     )
-    assert not language_equal(compile_ldlf("a"), compile_ldlf("b"))
+    assert not language_equal(monolithic_dfa(ldl("a"), AB), monolithic_dfa(ldl("b"), AB))
 
 
 # Guard synthesis --------------------------------------------------------
@@ -651,7 +648,7 @@ def test_guard_for_letters_is_exact_on_every_subset():
 
 
 def test_json_roundtrip_for_dfas():
-    dfa = compile_ldlf("<true*>(a && <true>end)")
+    dfa = monolithic_dfa(ldl("<true*>(a && <true>end)"), AB)
     text = aut_to_json(dfa, colors=None)
     back, colors = aut_from_json(text)
     assert isinstance(back, Dfa)
@@ -674,13 +671,13 @@ def test_json_roundtrip_for_nfas_and_colors():
 
 
 def test_json_output_is_stable():
-    dfa = compile_ldlf("a")
+    dfa = monolithic_dfa(ldl("a"), AB)
     assert aut_to_json(dfa) == aut_to_json(dfa)
     assert aut_to_json(dfa).endswith("\n")
 
 
 def test_dot_output_mentions_every_state_and_compresses_guards():
-    dfa = compile_ldlf("tt")
+    dfa = monolithic_dfa(ldl("tt"), AB)
     rendered = to_dot(dfa)
     assert rendered.startswith("digraph")
     assert 'label="true"' in rendered
@@ -698,6 +695,6 @@ def test_pipeline_agrees_with_direct_evaluation():
     traces = all_traces(AB, 3)
     for _ in range(30):
         formula = random_ldlf(rng, ("a", "b"), depth=3, star_depth=1)
-        dfa = minimize(determinize(ldlf_to_nfa(formula, AB)))
+        dfa = monolithic_dfa(formula, AB)
         for trace in traces:
             assert accepts(dfa, trace) == eval_ldlf(trace, 0, formula)

@@ -458,14 +458,19 @@ def test_long_ltlf_conjunction_compiles_like_its_ldlf_form(capsys):
 
 
 def test_bad_trace_line_is_located(tmp_path, capsys):
-    trace = write(tmp_path / "t.trace", 'a\n["a", 3]\n')
-    code, _, err = run_cli(
-        ["monitor", "existence(a)", "--lang", "pattern", "--tasks", "a",
-         "--trace", trace],
-        capsys,
-    )
-    assert code == 1
-    assert "trace line 2" in err
+    cases = [
+        ('a\n["a", 3]\n', "trace line 2: expected a list of names"),
+        ('["a"\n', "trace line 1: Expecting ',' delimiter"),
+    ]
+    for text, message in cases:
+        trace = write(tmp_path / "t.trace", text)
+        code, _, err = run_cli(
+            ["monitor", "existence(a)", "--lang", "pattern", "--tasks", "a",
+             "--trace", trace],
+            capsys,
+        )
+        assert code == 1
+        assert message in err, text
 
 
 def test_unknown_event_is_located(tmp_path, capsys):

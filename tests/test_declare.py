@@ -575,6 +575,11 @@ def test_parse_meta_error_positions():
         ("tasks: a\ndefine x: existence(a)\nwat", "unrecognized line"),
         ("tasks: a\ndefine x: existence(a)", "nothing to monitor"),
         ("tasks: a\ndefine x: existence(a)\nmeta x: conflict x x", "duplicate name"),
+        ("tasks: a\ndefine re1 existence(a)", "line 2: expected: define NAME: constraint"),
+        (
+            "tasks: a\ndefine re1: existence(a)\nmeta cnf conflict re1 re1",
+            "line 3: expected: meta NAME: directive",
+        ),
         (
             "tasks: a\ndefine r: existence(a)\nmeta x: conflict r r\ndefine x: existence(a)",
             "line 4: duplicate definition 'x'",

@@ -36,6 +36,7 @@ from ldlmon.syntax.transforms import ltlf_to_ldlf, to_nnf
 import reference_delta as ref
 from reference_json import aut_from_json
 from reference_product import tuple_product
+from oracles import monolithic_dfa
 from genformulas import column_rows, random_dfa, random_ldlf, random_ltlf, seeded_cases
 
 
@@ -352,6 +353,6 @@ def test_nfa_route_matches_the_public_stages():
                 cases.append((ltlf_to_ldlf(random_ltlf(rng, used)), alphabet))
     for formula, alphabet in cases:
         got = _nfa_route(formula, alphabet)
-        want = minimize(determinize(ldlf_to_nfa(formula, alphabet)))
+        want = monolithic_dfa(formula, alphabet)
         assert aut_to_json(got, color(got).colors) == aut_to_json(want, color(want).colors)
         assert got.labels == want.labels

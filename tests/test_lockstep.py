@@ -242,18 +242,27 @@ PERMANENT = (RVState.PERM_TRUE, RVState.PERM_FALSE)
 SATISFIED = (RVState.TEMP_TRUE, RVState.PERM_TRUE)
 
 
+def runner_monitors(runner) -> list:
+    """The runner's ``(name, monitor)`` pairs in output order."""
+    if isinstance(runner, ModelMonitor):
+        return [*runner.locals.items(), ("model", runner.overall)]
+    return [*runner.shown.items(), *runner.meta.items()]
+
+
 def long_run(runner, named, rng, steps=200) -> int:
     """Feed ``runner`` ``steps`` random tasks, with ``reset``, a
     ``timeline`` of a random trace or an unknown task at random points
     between them, and check every answer against ``named`` walked one
     letter at a time: each step's dict, key order included, and after
-    every call ``states()`` and, for a model monitor, ``forbidden()`` and
-    ``verdicts()``.  Returns how many unknown tasks came while some
-    monitor was settled."""
+    every call ``states()``, which must also match each of the runner's
+    monitors' own ``current_rv()``, and, for a model monitor,
+    ``forbidden()`` and ``verdicts()``.  Returns how many unknown tasks
+    came while some monitor was settled."""
     alphabet = runner.model.alphabet
     tasks = list(alphabet.props)
     initial = [c.dfa.initial for _, c in named]
     constraints = named[:-1] if isinstance(runner, ModelMonitor) else None
+    monitors = runner_monitors(runner)
     scans = {}
 
     def advance(vector, task):
@@ -266,6 +275,7 @@ def long_run(runner, named, rng, steps=200) -> int:
     def check(vector):
         expected = want(vector)
         assert list(runner.states().items()) == expected
+        assert [(name, m.current_rv()) for name, m in monitors] == expected
         if constraints is not None:
             forbidden = frozenset()
             for index, ((_, c), s) in enumerate(zip(constraints, vector)):
@@ -340,6 +350,31 @@ def test_meta_monitor_long_runs_agree_with_the_reference():
         model = parse_meta(text)
         settled_unknowns += long_run(MetaMonitor(model), meta_reference(model), rng)
     assert settled_unknowns >= 200
+
+
+@pytest.mark.parametrize("build, parse, sample", [
+    (ModelMonitor, parse_decl, "booking.decl"),
+    (MetaMonitor, parse_meta, "booking.meta"),
+], ids=["model", "meta"])
+def test_returned_state_dicts_are_the_callers_own(build, parse, sample):
+    """Changing a dict that ``step`` or ``states`` returned changes
+    nothing the runner reports next, also once monitors have settled."""
+    runner = build(parse((SAMPLES / sample).read_text(encoding="utf-8")))
+    start = runner.states()
+    for task in ["pay", "acc", "cancel", "get"]:
+        stepped = runner.step(task)
+        want = dict(stepped)
+        stepped.clear()
+        assert runner.states() == want
+        polled = runner.states()
+        polled[next(iter(polled))] = None
+        assert list(runner.states().items()) == list(want.items())
+    assert any(rv in PERMANENT for rv in want.values())
+    runner.reset()
+    runner.states().clear()
+    runner.step("pay")
+    runner.reset()
+    assert list(runner.states().items()) == list(start.items())
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))

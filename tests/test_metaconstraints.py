@@ -16,9 +16,6 @@ from ldlmon.automata import (
     color_minimal,
     compile_dfa,
     complement,
-    determinize,
-    ldlf_to_nfa,
-    minimize,
     product_fold,
 )
 from ldlmon.declare import (
@@ -69,7 +66,7 @@ from ldlmon.syntax import (
 from ldlmon.syntax.base import Node
 from ldlmon.syntax.props import Atom, PropNot
 
-from oracles import accepts, language_equal
+from oracles import accepts, language_equal, monolithic_dfa
 from test_lockstep import random_meta_text
 
 TF_ = RVState.TEMP_FALSE
@@ -83,12 +80,8 @@ RESP = ltlf_to_ldlf(response("pay", "get"))
 RET = ltlf_to_ldlf(existence("return"))
 
 
-def compile_ldlf(formula, alphabet=BOOKING):
-    return minimize(determinize(ldlf_to_nfa(formula, alphabet)))
-
-
 def regex_dfa(text, alphabet=BOOKING):
-    return compile_ldlf(Diamond(parse_re(text, alphabet), END), alphabet)
+    return monolithic_dfa(Diamond(parse_re(text, alphabet), END), alphabet)
 
 
 def contains_rv_nodes(value) -> bool:
@@ -111,6 +104,15 @@ def test_rv_nodes_print_with_state_codes():
     assert str(path).endswith("=PF")
     # Formulas containing the extension nodes still print.
     assert "=PF" in print_ldlf(compensation(NCX, RET))
+
+
+def test_rv_paths_print_inside_modalities():
+    """An RV path prints as a path of its modality, through its own
+    ``pretty``."""
+    alphabet = Alphabet.tasks(["pay", "get"])
+    eventually_pay = ltlf_to_ldlf(parse_ltlf("F pay", alphabet))
+    got = print_ldlf(contextual_absence(eventually_pay, TF_, "get"))
+    assert got == "[re{<true*>(<pay>tt && !end)}=TF](<(!get)>tt || end)"
 
 
 def test_formula_atoms_see_through_rv_nodes():
@@ -174,7 +176,7 @@ def test_expand_handles_nested_meta_levels():
     outer = contextual_absence(inner, TF_, "pay")
     lowered = expand(outer, BOOKING)
     assert not contains_rv_nodes(lowered)
-    compile_ldlf(lowered)
+    monolithic_dfa(lowered, BOOKING)
 
 
 def test_expand_rejects_paths_posing_as_formulas():
@@ -198,12 +200,12 @@ def test_expanded_rv_atom_recognizes_the_monitor_state():
 
 
 def test_temporary_violation_language_of_responded_existence():
-    got = compile_ldlf(expand(RvAtom(RE1, TF_), BOOKING))
+    got = monolithic_dfa(expand(RvAtom(RE1, TF_), BOOKING), BOOKING)
     # Violated but fixable: pay has happened, acc has not.
     hand = regex_dfa("(!acc && !pay)*; pay; (!acc)*")
     assert language_equal(got, hand)
     assert language_equal(
-        compile_ldlf(Diamond(regex_for_rv(RE1, TF_, BOOKING), END)), hand
+        monolithic_dfa(Diamond(regex_for_rv(RE1, TF_, BOOKING), END), BOOKING), hand
     )
 
 
@@ -223,7 +225,7 @@ def test_dropping_the_acc_guard_overapproximates():
 
 
 def test_permanent_violation_language_of_not_coexistence():
-    got = compile_ldlf(Diamond(regex_for_rv(NCX, PF_, BOOKING), END))
+    got = monolithic_dfa(Diamond(regex_for_rv(NCX, PF_, BOOKING), END), BOOKING)
     hand = regex_dfa(
         "(!get && !cancel)*; get; (!cancel)*; cancel; true*"
         " + (!get && !cancel)*; cancel; (!get)*; get; true*"
@@ -233,7 +235,7 @@ def test_permanent_violation_language_of_not_coexistence():
 
 def test_conflict_trace_language():
     lowered = expand(conflict(RESP, NCX), BOOKING)
-    got = compile_ldlf(lowered)
+    got = monolithic_dfa(lowered, BOOKING)
     # A conflict holds exactly when cancel and pay have happened and get
     # has not: the response obligation is then still open, but closing
     # it would break not-coexistence.
@@ -246,7 +248,7 @@ def test_conflict_trace_language():
 
 def test_joint_doom_language_of_the_pair():
     pair = And(NCX, RESP)
-    got = compile_ldlf(Diamond(regex_for_rv(pair, PF_, BOOKING), END))
+    got = monolithic_dfa(Diamond(regex_for_rv(pair, PF_, BOOKING), END), BOOKING)
     hand = regex_dfa(
         "(!pay && !get && !cancel)*; pay; (!cancel)*; cancel; true*"
         " + (!pay && !get && !cancel)*; get; (!cancel)*; cancel; true*"
@@ -258,7 +260,7 @@ def test_joint_doom_language_of_the_pair():
         ltlf_to_ldlf(existence("cancel")),
         Or(ltlf_to_ldlf(existence("get")), ltlf_to_ldlf(existence("pay"))),
     )
-    assert language_equal(got, compile_ldlf(occurrence))
+    assert language_equal(got, monolithic_dfa(occurrence, BOOKING))
 
 
 # Behavioral differences between the builders ---------------------------
@@ -299,8 +301,8 @@ def test_conflict_monitor_has_no_permanently_true_state():
 
 
 def test_conflict_is_symmetric():
-    left = compile_ldlf(expand(conflict(RESP, NCX), BOOKING))
-    right = compile_ldlf(expand(conflict(NCX, RESP), BOOKING))
+    left = monolithic_dfa(expand(conflict(RESP, NCX), BOOKING), BOOKING)
+    right = monolithic_dfa(expand(conflict(NCX, RESP), BOOKING), BOOKING)
     assert language_equal(left, right)
 
 
