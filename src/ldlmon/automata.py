@@ -77,7 +77,7 @@ import json
 import operator
 from collections import deque
 from itertools import compress, repeat, starmap
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .rv import RVState
 from .syntax import ldl
@@ -207,7 +207,6 @@ def deltas(f: ldl.Ldlf, letters, unfolding: tuple = ()) -> list:
     raise TypeError(msg)
 
 
-@dataclass(frozen=True)
 class _Automaton:
     """The record an ``Nfa`` and a ``Dfa`` share.  States are dense
     integers, ``transitions[state][column]`` holds a state's successors
@@ -215,12 +214,13 @@ class _Automaton:
     ``labels`` optionally carries a debugging name per state (the
     macro-state content for compiled formulas)."""
 
-    alphabet: Alphabet
-    n_states: int
-    initial: int
-    transitions: tuple
-    finals: frozenset
-    labels: tuple = ()
+    def __init__(self, alphabet: Alphabet, n_states: int, initial: int,
+                 transitions: tuple, finals: frozenset, labels: tuple = ()):
+        self.alphabet, self.n_states, self.initial = alphabet, n_states, initial
+        self.transitions, self.finals, self.labels = transitions, finals, labels
+
+    def __eq__(self, other):
+        return type(self) is type(other) and vars(self) == vars(other)
 
     def triples(self):
         for state in range(self.n_states):
@@ -234,7 +234,6 @@ class _Automaton:
         return copy
 
 
-@dataclass(frozen=True)
 class Nfa(_Automaton):
     """A nondeterministic finite automaton over an alphabet's letters:
     each cell of ``transitions`` is the frozenset of successors, empty
@@ -252,31 +251,22 @@ class Nfa(_Automaton):
         return frozenset().union(*self.transitions[state])
 
 
-@dataclass(frozen=True)
 class Dfa(_Automaton):
     """A total deterministic automaton over an alphabet's letters.
 
     Each cell of ``transitions`` is one successor, so a step is one
     column lookup and one tuple index.  Every cell holds a target: a
-    ``None`` cell is a ``ValueError`` when the DFA is built, also through
-    ``dataclasses.replace``; ``with_finals`` carries a checked table over.
+    ``None`` cell is a ``ValueError`` when the DFA is built;
+    ``with_finals`` carries a checked table over.
     """
 
-    def __post_init__(self):
+    def __init__(self, *fields, **named):
+        super().__init__(*fields, **named)
         for state, row in enumerate(self.transitions):
             if None in row:
-                letter = self.alphabet.letters()[row.index(None)]
-                msg = (
-                    "a DFA needs a target in every cell: "
-                    f"state {state} has none under {sorted(letter)}"
-                )
+                letter = sorted(self.alphabet.letters()[row.index(None)])
+                msg = f"a DFA needs a target in every cell: state {state} has none under {letter}"
                 raise ValueError(msg)
-
-    def step(self, state: int, letter: frozenset) -> int:
-        column = self.alphabet.columns().get(letter)
-        if column is None:
-            self.alphabet.check_letter(letter)
-        return self.transitions[state][column]
 
     def edges(self, state: int):
         """The (letter, target) pairs leaving a state, in letter order."""
@@ -651,8 +641,7 @@ def _predecessors(aut):
     return lambda state: backward.get(state, ())
 
 
-@dataclass(frozen=True)
-class ColoredDfa:
+class ColoredDfa(NamedTuple):
     """A DFA with one RV state per automaton state."""
 
     dfa: Dfa

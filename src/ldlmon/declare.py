@@ -73,9 +73,9 @@ colored DFAs keyed by name, and that memo.
 """
 from __future__ import annotations
 
+import functools
 import json
 import re as _re
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -156,33 +156,44 @@ PATTERNS = {
 }
 
 
-@dataclass(frozen=True)
 class Constraint:
     """A named constraint.  ``call`` is the pattern call it was read from,
     ``(pattern, args)``, or None for an ``ltl:`` line or a constraint
     built directly; ``local_monitors`` instantiates a call's monitor
-    from the pattern table.  A parsed call builds its ``formula`` when
-    first read, so a model served by the table builds none."""
+    from the pattern table.  A parsed call passes ``formula=None`` and
+    builds it when first read, so a model served by the table builds none."""
 
-    name: str
-    formula: ltl.Ltlf
-    call: tuple[str, tuple[str, ...]] | None = None
+    def __init__(self, name: str, formula: ltl.Ltlf | None, call: tuple | None = None):
+        self.name, self.call = name, call
+        if formula is not None:
+            self.formula = formula
 
-    def __getattr__(self, name: str):
-        if name != "formula" or self.call is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, "formula", PATTERNS[self.call[0]][0](*self.call[1]))
-        return self.formula
+    @functools.cached_property
+    def formula(self) -> ltl.Ltlf:
+        return PATTERNS[self.call[0]][0](*self.call[1])
+
+    @functools.cached_property
+    def _ldlf(self) -> ldl.Ldlf:
+        return ltlf_to_ldlf(self.formula)
+
+    def _key(self):
+        return self.name, self.formula, self.call
+
+    def __eq__(self, other):
+        return isinstance(other, Constraint) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"Constraint{self._key()!r}"
 
     def to_ldlf(self) -> ldl.Ldlf:
         """The LDLf translation, made once: every reference is one tree."""
-        if "_ldlf" not in self.__dict__:
-            object.__setattr__(self, "_ldlf", ltlf_to_ldlf(self.formula))
-        return self.__dict__["_ldlf"]
+        return self._ldlf
 
 
-@dataclass(frozen=True)
-class DeclareModel:
+class DeclareModel(NamedTuple):
     alphabet: Alphabet
     constraints: tuple[Constraint, ...]
 
@@ -294,9 +305,7 @@ def _build_body(name: str, body: str, alphabet: Alphabet) -> Constraint:
     """The constraint a model line's body states, named ``name``."""
     if body.startswith("ltl:"):
         return Constraint(name, parse_ltlf(body[len("ltl:"):].strip(), alphabet))
-    constraint = object.__new__(Constraint)  # its formula is built on first read
-    constraint.__dict__.update(name=name, call=_parse_call(body, alphabet)[0])
-    return constraint
+    return Constraint(name, None, _parse_call(body, alphabet)[0])
 
 
 def parse_decl(text: str) -> DeclareModel:
@@ -338,7 +347,7 @@ def local_monitors(model: DeclareModel) -> dict[str, Monitor]:
 # of the pattern over its slots plus ``_OTHER``, the task that stands for
 # every task that is no argument.  Slots number the distinct arguments in
 # first-use order, so ``response(a, a)`` has slots (0, 0).  Entries are
-# immutable, and two callers that fill one entry at once store equal DFAs.
+# never changed, and two callers that fill one entry at once store equal DFAs.
 _TEMPLATES: dict[tuple[str, tuple[int, ...]], ColoredDfa] = {}
 _OTHER = "other"
 
@@ -394,7 +403,6 @@ def final_state(state: RVState) -> RVState:
 EMPTY_CELL = "-"
 
 
-@dataclass
 class Timeline:
     """A monitoring run laid out column by column.
 
@@ -403,8 +411,9 @@ class Timeline:
     forbidden rows, and marks for conflict rows.
     """
 
-    columns: list[str] = field(default_factory=list)
-    rows: list[tuple[str, list[str]]] = field(default_factory=list)
+    def __init__(self, columns: list[str] | None = None, rows: list | None = None):
+        self.columns = [] if columns is None else columns
+        self.rows = [] if rows is None else rows
 
     def add_row(self, label: str, cells: list[str]):
         self.rows.append((label, cells))
@@ -636,8 +645,7 @@ _DIRECTIVES = {
 }
 
 
-@dataclass(frozen=True)
-class MetaDirective:
+class MetaDirective(NamedTuple):
     """One constraint over monitoring states, still in symbolic form."""
 
     name: str
@@ -648,8 +656,7 @@ class MetaDirective:
     reactive: bool = False
 
 
-@dataclass(frozen=True)
-class MetaModel:
+class MetaModel(NamedTuple):
     alphabet: Alphabet
     defines: tuple[Constraint, ...]
     shows: tuple[str, ...]

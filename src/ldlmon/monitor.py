@@ -67,8 +67,7 @@ class Monitor:
 
     def __init__(self, automaton):
         colored = automaton if isinstance(automaton, ColoredDfa) else color(automaton)
-        self.dfa = colored.dfa
-        self.colors = colored.colors
+        self.dfa, self.colors = colored
         self.table = self.dfa.transitions
         self._columns = self.dfa.alphabet.columns()
         self._forbidden: dict = {}

@@ -8,7 +8,6 @@ task happens per step) induces only the singleton interpretations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 MAX_PROPS = 20
@@ -19,7 +18,6 @@ RESERVED_NAMES = frozenset(
 )
 
 
-@dataclass(frozen=True)
 class Alphabet:
     """An ordered collection of proposition names.
 
@@ -28,10 +26,11 @@ class Alphabet:
     one task occurrence.
     """
 
-    props: tuple[str, ...]
-    singleton_letters: bool = False
-
-    def __post_init__(self):
+    def __init__(self, props, singleton_letters: bool = False):
+        if isinstance(props, str):
+            raise TypeError(f"props must be a sequence of names, not the string {props!r}")
+        self.props = tuple(props)
+        self.singleton_letters = singleton_letters
         if not self.props:
             raise ValueError("alphabet needs at least one proposition")
         seen = set()
@@ -47,13 +46,20 @@ class Alphabet:
                 raise ValueError(msg)
             seen.add(name)
 
+    def __eq__(self, other):
+        return isinstance(other, Alphabet) and (
+            (self.props, self.singleton_letters) == (other.props, other.singleton_letters))
+
+    def __hash__(self):
+        return hash((self.props, self.singleton_letters))
+
     @classmethod
     def of(cls, *names: str) -> "Alphabet":
-        return cls(tuple(names))
+        return cls(names)
 
     @classmethod
     def tasks(cls, names) -> "Alphabet":
-        return cls(tuple(names), singleton_letters=True)
+        return cls(names, singleton_letters=True)
 
     def __contains__(self, name: str) -> bool:
         return name in self.props
@@ -64,7 +70,7 @@ class Alphabet:
         enumerate: it raises ValueError instead.  Prop letters are built by
         doubling, each prop added to a copy of the letters so far, so the
         letter at index ``mask`` holds ``props[j]`` for each bit j set."""
-        cached = self.__dict__.get("_letters")
+        cached = getattr(self, "_letters", None)
         if cached is None:
             if self.singleton_letters:
                 cached = tuple(frozenset((p,)) for p in self.props)
@@ -77,16 +83,15 @@ class Alphabet:
                 for p in self.props:
                     letters += [letter | {p} for letter in letters]
                 cached = tuple(letters)
-            object.__setattr__(self, "_letters", cached)
+            self._letters = cached
         return cached
 
     def columns(self) -> dict[frozenset[str], int]:
         """Letter -> its index in ``letters()``, which is its column in a
         monitor's transition table."""
-        cached = self.__dict__.get("_columns")
+        cached = getattr(self, "_columns", None)
         if cached is None:
-            cached = {letter: index for index, letter in enumerate(self.letters())}
-            object.__setattr__(self, "_columns", cached)
+            cached = self._columns = {letter: index for index, letter in enumerate(self.letters())}
         return cached
 
     def check_letter(self, interp: frozenset[str]):

@@ -188,6 +188,12 @@ def column_rows(alphabet, table, missing=None) -> tuple:
     )
 
 
+def replace(aut, **changes):
+    """``aut``, a DFA or an NFA, with some fields changed, built again
+    through its constructor, so a ``Dfa`` checks its table again."""
+    return type(aut)(**{**vars(aut), **changes})
+
+
 def random_dfa(rng, alphabet, max_states=8) -> Dfa:
     n = rng.randint(1, max_states)
     letters = alphabet.letters()

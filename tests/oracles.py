@@ -2,7 +2,8 @@
 
 None of these is part of the program: each is evidence about it.
 
-- ``accepts`` runs a DFA or an NFA over a trace, letter by letter.
+- ``step`` moves a DFA from a state under one letter, and ``accepts``
+  runs a DFA or an NFA over a trace, letter by letter.
 - ``is_empty`` asks whether an automaton reaches a final state.
 - ``language_equal`` walks the letter-by-letter ``tuple_product`` of two
   DFAs and compares the components' finality in every reached pair, so
@@ -45,12 +46,21 @@ from ldlmon.syntax import Alphabet, ldl
 from reference_product import tuple_product
 
 
+def step(dfa: Dfa, state: int, letter: frozenset) -> int:
+    """The DFA's successor of a state under a letter; a letter outside
+    the alphabet raises ValueError."""
+    column = dfa.alphabet.columns().get(letter)
+    if column is None:
+        dfa.alphabet.check_letter(letter)
+    return dfa.transitions[state][column]
+
+
 def accepts(aut, trace) -> bool:
     """Run the automaton over a trace (DFA walk or NFA subset walk)."""
     if isinstance(aut, Dfa):
         state = aut.initial
         for letter in trace:
-            state = aut.step(state, frozenset(letter))
+            state = step(aut, state, frozenset(letter))
         return state in aut.finals
     columns = aut.alphabet.columns()
     current = {aut.initial}

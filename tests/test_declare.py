@@ -1,6 +1,5 @@
 """Constraint patterns, model files, and the lockstep monitors."""
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -289,12 +288,16 @@ def test_lazy_constraints_compare_hash_and_print_as_eager_ones():
         assert hash(c) == hash(want) and c == want and want == c and {c, want} == {want}
     for c in parse_decl(BOOKING_DECL).constraints:
         want = eager(c)
-        assert replace(c) == want and replace(c, name="x") == replace(want, name="x")
+        copy, renamed = Constraint(c.name, c.formula, c.call), Constraint("x", c.formula, c.call)
+        assert copy == want and renamed == Constraint("x", want.formula, want.call) != want
     for c in parse_decl(BOOKING_DECL).constraints:
         assert c.to_ldlf() == eager(c).to_ldlf()
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         parse_decl(BOOKING_DECL).constraints[0].nope
     assert not hasattr(Constraint("x", existence("a")), "nope")
+    # Only a pattern call stands in for a missing formula.
+    with pytest.raises(TypeError):
+        Constraint("x", None).formula
 
 
 def test_lazy_constraints_feed_the_global_monitor_and_meta_defines():
@@ -308,7 +311,7 @@ def test_lazy_constraints_feed_the_global_monitor_and_meta_defines():
     for c in meta.defines:
         if c.call:
             assert c.formula == eager(c).formula
-    eager_meta = replace(meta, defines=tuple(eager(c) if c.call else c for c in meta.defines))
+    eager_meta = meta._replace(defines=tuple(eager(c) if c.call else c for c in meta.defines))
     trace = ["pay", "get", "cancel", "return"]
     assert runner.timeline(trace).render() == MetaMonitor(eager_meta).timeline(trace).render()
 

@@ -1,5 +1,7 @@
 """The package's import graph is the one its module headers show."""
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import ldlmon
@@ -42,3 +44,13 @@ def test_automata_knows_no_rv_node():
     ldl_tree = ast.parse((root / "syntax" / "ldl.py").read_text(encoding="utf-8"))
     classes = {n.name for n in ast.walk(ldl_tree) if isinstance(n, ast.ClassDef)}
     assert "AutomatonPath" not in classes
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    """Both cost start-up that a one-shot run pays for nothing: the
+    records are plain classes and named tuples."""
+    script = "import sys, ldlmon.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # ``-c`` puts the working directory first on the path: the package's parent.
+    run = subprocess.run([sys.executable, "-c", script], cwd=Path(ldlmon.__file__).parent.parent,
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr

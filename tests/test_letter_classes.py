@@ -12,7 +12,6 @@ formula uses only some of the props and on task alphabets.
 """
 import random
 from collections import deque
-from dataclasses import replace
 
 from ldlmon import automata
 from ldlmon.automata import (
@@ -37,7 +36,7 @@ import reference_delta as ref
 from reference_json import aut_from_json
 from reference_product import tuple_product
 from oracles import monolithic_dfa
-from genformulas import column_rows, random_dfa, random_ldlf, random_ltlf, seeded_cases
+from genformulas import column_rows, random_dfa, random_ldlf, random_ltlf, replace, seeded_cases
 
 
 def reference_ldlf_to_nfa(formula, alphabet):

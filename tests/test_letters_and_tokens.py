@@ -36,6 +36,7 @@ def test_too_many_props_raise_before_any_letter_is_built(monkeypatch):
     def no_letters(*_):
         raise AssertionError("a letter was built")
 
+    assert len(Alphabet.tasks([f"t{j}" for j in range(25)]).letters()) == 25
     monkeypatch.setattr(alphabet_module, "frozenset", no_letters, raising=False)
     wide = Alphabet(tuple(f"p{j}" for j in range(MAX_PROPS + 1)))
     with pytest.raises(ValueError, match=f"at most {MAX_PROPS} props"):

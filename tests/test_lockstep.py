@@ -28,6 +28,7 @@ from ldlmon.monitor import Monitor, color
 from ldlmon.rv import RVState
 from ldlmon.syntax import ldl
 
+from oracles import step
 from table_digests import CORPORA
 from test_compositional import random_model
 
@@ -44,7 +45,7 @@ def reference_states(named, alphabet, max_len=4):
             for task in alphabet.props:
                 letter = frozenset((task,))
                 successors = tuple(
-                    c.dfa.step(s, letter) for (_, c), s in zip(named, vector)
+                    step(c.dfa, s, letter) for (_, c), s in zip(named, vector)
                 )
                 yield from walk((*trace, task), successors)
 
@@ -139,7 +140,7 @@ def reference_paths(named, alphabet, max_len=3):
             for task in alphabet.props:
                 letter = frozenset((task,))
                 yield from walk((*trace, task), [
-                    (*path, c.dfa.step(path[-1], letter)) for (_, c), path in zip(named, paths)
+                    (*path, step(c.dfa, path[-1], letter)) for (_, c), path in zip(named, paths)
                 ])
 
     yield from walk((), [(c.dfa.initial,) for _, c in named])
@@ -151,7 +152,7 @@ def scanned_tasks(colored, state, alphabet) -> frozenset:
     return frozenset(
         task
         for task in alphabet.props
-        if colored.colors[colored.dfa.step(state, frozenset((task,)))] is RVState.PERM_FALSE
+        if colored.colors[step(colored.dfa, state, frozenset((task,)))] is RVState.PERM_FALSE
     )
 
 
@@ -267,7 +268,7 @@ def long_run(runner, named, rng, steps=200) -> int:
 
     def advance(vector, task):
         letter = frozenset((task,))
-        return [c.dfa.step(s, letter) for (_, c), s in zip(named, vector)]
+        return [step(c.dfa, s, letter) for (_, c), s in zip(named, vector)]
 
     def want(vector):
         return [(name, c.colors[s]) for (name, c), s in zip(named, vector)]

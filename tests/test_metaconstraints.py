@@ -66,7 +66,7 @@ from ldlmon.syntax import (
 from ldlmon.syntax.base import Node
 from ldlmon.syntax.props import Atom, PropNot
 
-from oracles import accepts, language_equal, monolithic_dfa
+from oracles import accepts, language_equal, monolithic_dfa, step
 from test_lockstep import random_meta_text
 
 TF_ = RVState.TEMP_FALSE
@@ -364,7 +364,7 @@ class RvSemantics(_Evaluator):
         colored = self.monitor(node.formula)
         state = colored.dfa.initial
         for letter in self.trace[i:j]:
-            state = colored.dfa.step(state, letter)
+            state = step(colored.dfa, state, letter)
         return colored.colors[state] is node.state
 
     def _eval(self, i, f):

@@ -5,7 +5,6 @@ import pathlib
 import random
 import time
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
@@ -38,7 +37,7 @@ from ldlmon.syntax import Alphabet, ltlf_to_ldlf, parse_ldlf, parse_ltlf
 from oracles import accepts, colored_isomorphic, rv_family, rv_state_oracle
 import reference_shape
 from reference_json import aut_from_json
-from genformulas import all_traces, column_rows, random_dfa, random_ldlf, seeded_cases
+from genformulas import all_traces, column_rows, random_dfa, random_ldlf, replace, seeded_cases
 from table_digests import CORPORA, DIGESTS
 from test_shared_walk import genformula_cases
 

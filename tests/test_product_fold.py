@@ -33,6 +33,7 @@ from ldlmon.syntax import Alphabet, ldl, parse_ldlf
 
 import reference_product as ref
 from genformulas import column_rows, random_dfa, random_ldlf, seeded_cases
+from oracles import step
 from test_compositional import random_model
 from test_session import random_decl_text
 
@@ -341,7 +342,7 @@ def test_a_non_minimal_operand_with_two_deciding_states():
     assert colors.count(RVState.PERM_FALSE) == 1
     dead = colors.index(RVState.PERM_FALSE)
     assert fold.labels[dead] == "(0,1)"
-    assert fold.step(0, frozenset("a")) == fold.step(0, frozenset("b")) == dead
+    assert step(fold, 0, frozenset("a")) == step(fold, 0, frozenset("b")) == dead
 
 
 @pytest.mark.parametrize("disjunction", [False, True], ids=["and", "or"])

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ldlmon.automata import compile_dfa
 from ldlmon.syntax import (
     Alphabet,
     And,
@@ -52,6 +53,12 @@ def test_alphabet_rejects_reserved_and_bad_names():
         Alphabet.of("2fast")
     with pytest.raises(ValueError):
         Alphabet.of("a", "a")
+    # A string in place of the props is refused: kept as it is, it makes
+    # ``"ab" in alphabet`` a substring test; split, it names "a" and "b".
+    with pytest.raises(TypeError, match="not the string 'ab'"):
+        Alphabet("ab")
+    with pytest.raises(TypeError, match="not the string 'ab'"):
+        Alphabet.tasks("ab")
 
 
 def test_alphabet_letters_general_and_tasks():
@@ -67,16 +74,15 @@ def test_alphabet_letters_general_and_tasks():
         tasks.check_letter(frozenset({"pay", "acc"}))
     with pytest.raises(ValueError):
         tasks.check_letter(frozenset({"nope"}))
-
-
-def test_alphabet_letters_refuse_more_than_twenty_props():
-    wide = Alphabet(tuple(f"p{j}" for j in range(21)))
-    # 2^21 letters would take seconds and hundreds of MB to enumerate.
-    with pytest.raises(ValueError, match=r"2\^21 letters"):
-        wide.letters()
-    assert "_letters" not in wide.__dict__
-    tasks = Alphabet.tasks([f"t{j}" for j in range(25)])
-    assert len(tasks.letters()) == 25
+    # Filled caches change neither equality nor hashing.
+    fresh = Alphabet.tasks(("pay", "acc"))
+    assert tasks.columns() and tasks == fresh and hash(tasks) == hash(fresh)
+    assert tasks != Alphabet.of("pay", "acc")
+    # A list of props is stored as a tuple, so it keys the compile memo.
+    listed = Alphabet(["a", "b"])
+    assert listed == AB and listed.props == ("a", "b")
+    formula = parse_ldlf("<a><b>tt", listed)
+    assert compile_dfa(formula, listed) == compile_dfa(formula, AB)
 
 
 def test_prop_parsing_precedence():
