@@ -567,7 +567,7 @@ def minimize(dfa: Dfa) -> Dfa:
     row and label."""
     rows = dfa.transitions
     firsts, class_of = letter_classes(dfa)
-    states = sorted(reachable_from(dfa, dfa.initial))
+    states = sorted(_closure((dfa.initial,), dfa.targets))
     class_rows = [tuple(map(rows[s].__getitem__, firsts)) for s in states]
     if len(states) < len(rows):  # number the reachable states 0..n-1
         index = {s: i for i, s in enumerate(states)}
@@ -601,11 +601,6 @@ def _moore(alphabet, rows, finals, class_of, label=None, initial=None) -> Dfa:
         order, transitions = _explore(blocks[initial or 0], cells)
     kept = list(map(heads.__getitem__, order))
     return _automaton(Dfa, alphabet, kept, transitions, class_of, finals.__getitem__, label)
-
-
-def reachable_from(aut, state: int) -> frozenset:
-    """States reachable from the given state, itself included."""
-    return _closure((state,), aut.targets)
 
 
 def _closure(starts, successors) -> frozenset:

@@ -82,11 +82,15 @@ class Monitor:
         self.current = self.dfa.initial
 
     def step(self, event) -> RVState:
-        """Consume one event and return the RV state after it."""
-        letter = frozenset(event)
-        column = self._columns.get(letter)
+        """Consume one event, a set of names but not text, and return the RV state after it."""
+        if event.__class__ is not frozenset:
+            if isinstance(event, str):
+                msg = f"an event is a set of names, not text: pass frozenset({{{event!r}}})"
+                raise TypeError(msg)
+            event = frozenset(event)
+        column = self._columns.get(event)
         if column is None:
-            self.dfa.alphabet.check_letter(letter)
+            self.dfa.alphabet.check_letter(event)
         self.current = state = self.table[self.current][column]
         return self.colors[state]
 

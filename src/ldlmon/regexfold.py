@@ -79,7 +79,7 @@ def automaton_to_regex(aut) -> ldl.Path:
     source, sink = -1, -2
     edges[(source, aut.initial)] = ldl.EPSILON_PATH
     for final in sorted(aut.finals):
-        edges[(final, sink)] = ralt(edges.get((final, sink)), ldl.EPSILON_PATH)
+        edges[(final, sink)] = ldl.EPSILON_PATH
 
     remaining = set(range(aut.n_states))
     while remaining:

@@ -4,7 +4,8 @@ None of these is part of the program: each is evidence about it.
 
 - ``step`` moves a DFA from a state under one letter, and ``accepts``
   runs a DFA or an NFA over a trace, letter by letter.
-- ``is_empty`` asks whether an automaton reaches a final state.
+- ``is_empty`` asks whether an automaton reaches a final state, by the
+  letter-by-letter walk ``reference_product.reachable``.
 - ``language_equal`` walks the letter-by-letter ``tuple_product`` of two
   DFAs and compares the components' finality in every reached pair, so
   it shares no code with the class-level constructions it checks.
@@ -36,14 +37,13 @@ from ldlmon.automata import (
     ldlf_to_nfa,
     minimize,
     prefix_closure,
-    reachable_from,
 )
 from ldlmon.monitor import _bijection
 from ldlmon.rv import RVState
 from ldlmon.semantics import Trace, eval_ldlf
 from ldlmon.syntax import Alphabet, ldl
 
-from reference_product import tuple_product
+from reference_product import reachable, tuple_product
 
 
 def step(dfa: Dfa, state: int, letter: frozenset) -> int:
@@ -77,7 +77,7 @@ def accepts(aut, trace) -> bool:
 
 def is_empty(aut) -> bool:
     """Whether the automaton accepts no trace at all."""
-    return not (reachable_from(aut, aut.initial) & aut.finals)
+    return not (reachable(aut, aut.initial) & aut.finals)
 
 
 def language_equal(a: Dfa, b: Dfa) -> bool:

@@ -1,5 +1,11 @@
-"""The product fold as minimized products, and Moore's ``minimize`` as
-it was before it shared its refinement with the product.
+"""Letter-by-letter references for reachability, minimization and the
+product fold.  None runs a kernel stage of ``automata``: they read
+``Dfa`` and ``Nfa`` tables one letter at a time.
+
+``reachable`` walks a state's edges breadth first.  ``minimize`` is
+Moore's refinement over the reachable states, letter by letter, the
+per-letter construction that ``automata.minimize`` replaced: its blocks
+are numbered breadth first, each with its first state's row and label.
 
 ``automata.product_fold`` walks the tuples of its operands' states once,
 at class level, collapses the tuples that a rejecting (for a
@@ -8,56 +14,90 @@ class rows in place.  Two references check it:
 
 - ``product_fold``, the pairwise fold it replaced: the ``tuple_product``
   of the folded automaton and the next operand, minimized as a DFA of
-  its own, which finds the letter classes and the reachable states
-  again.  Its tables, finals and colors must come out byte for
+  its own.  Its tables, finals and colors must come out byte for
   byte, and with two operands its ``(i,j)`` labels too; with more, its
   labels name states of intermediate DFAs.
 - ``tuple_product_fold``: the product over the tuples of the operands'
   states, walked letter by letter with no tuple collapsed, minimized by
-  ``minimize`` below.  Its labels define the rule: a state is labelled
+  ``minimize``.  Its labels define the rule: a state is labelled
   ``(q1,...,qn)`` after the first tuple of its block.
 
 ``tuple_product`` is the one unminimized product of the tests: the
 references above, the test products, criterion 9's pair tables and
-``oracles.language_equal`` all walk it.  The tests keep ``minimize``
-verbatim apart from names.
+``oracles.language_equal`` all walk it.
 """
+from collections import deque
 from operator import getitem
 
-from ldlmon.automata import (
-    Dfa,
-    _automaton,
-    _explore,
-    _partition,
-    letter_classes,
-    reachable_from,
-)
+from ldlmon.automata import Dfa
+
+from genformulas import column_rows
 
 
-def minimize(dfa: Dfa) -> Dfa:
-    rows = dfa.transitions
-    firsts, class_of = letter_classes(dfa)
-    states = sorted(reachable_from(dfa, dfa.initial))
-    heads, blocks = _partition(s in dfa.finals for s in states)
+def reachable(aut, state):
+    seen = {state}
+    queue = deque((state,))
+    while queue:
+        for _, target in aut.edges(queue.popleft()):
+            if target not in seen:
+                seen.add(target)
+                queue.append(target)
+    return frozenset(seen)
+
+
+def minimize(dfa):
+    letters = dfa.alphabet.letters()
+    columns = dfa.alphabet.columns()
+    states = sorted(reachable(dfa, dfa.initial))
+    block = {s: (1 if s in dfa.finals else 0) for s in states}
     while True:
-        block = dict(zip(states, blocks))
-        count = len(heads)
-        heads, blocks = _partition(
-            (block[s], tuple(block[rows[s][column]] for column in firsts)) for s in states
-        )
-        if len(heads) == count:
+        signatures = {
+            s: (
+                block[s],
+                tuple(block[dfa.transitions[s][columns[letter]]] for letter in letters),
+            )
+            for s in states
+        }
+        renumber: dict = {}
+        for s in states:
+            sig = signatures[s]
+            if sig not in renumber:
+                renumber[sig] = len(renumber)
+        next_block = {s: renumber[signatures[s]] for s in states}
+        if next_block == block:
             break
-    heads = [states[head] for head in heads]
-
-    def cells(blk, ident):
-        row = rows[heads[blk]]
-        return [ident(block[row[column]]) for column in firsts]
-
-    order, transitions = _explore(block[dfa.initial], cells)
-    return _automaton(
-        Dfa, dfa.alphabet, order, transitions, class_of,
-        lambda blk: heads[blk] in dfa.finals,
-        (lambda blk: dfa.labels[heads[blk]]) if dfa.labels else None,
+        block = next_block
+    start = block[dfa.initial]
+    ids = {start: 0}
+    order = [start]
+    representative = {}
+    for s in states:
+        representative.setdefault(block[s], s)
+    transitions: dict = {}
+    queue = deque((start,))
+    while queue:
+        blk = queue.popleft()
+        rep = representative[blk]
+        row = {}
+        for letter in letters:
+            target = block[dfa.transitions[rep][columns[letter]]]
+            if target not in ids:
+                ids[target] = len(order)
+                order.append(target)
+                queue.append(target)
+            row[letter] = ids[target]
+        transitions[ids[blk]] = row
+    finals = frozenset(ids[blk] for blk in order if representative[blk] in dfa.finals)
+    labels = tuple(
+        dfa.labels[representative[blk]] if dfa.labels else "" for blk in order
+    )
+    return Dfa(
+        alphabet=dfa.alphabet,
+        n_states=len(order),
+        initial=0,
+        transitions=column_rows(dfa.alphabet, transitions),
+        finals=finals,
+        labels=labels if dfa.labels else (),
     )
 
 

@@ -24,7 +24,6 @@ from ldlmon.automata import (
     models_and,
     models_or,
     prefix_closure,
-    reachable_from,
     to_dot,
 )
 from ldlmon.semantics import eval_ldlf, trace_from_tasks
@@ -46,7 +45,7 @@ from ldlmon.syntax.props import Atom, TRUE, eval_prop
 
 import reference_delta as ref
 from reference_json import aut_from_json
-from reference_product import tuple_product
+from reference_product import reachable, tuple_product
 from oracles import accepts, is_empty, language_equal, monolithic_dfa, step
 from genformulas import all_traces, column_rows, random_dfa, random_ldlf, replace, seeded_cases
 
@@ -364,7 +363,7 @@ def test_determinize_routes_dead_letters_to_the_empty_subset():
     nfa = ldlf_to_nfa(ldl("<a><b>tt"), AB)
     dfa = determinize(nfa)
     trapped = step(dfa, dfa.initial, L_B)
-    assert reachable_from(dfa, trapped) == frozenset({trapped})
+    assert reachable(dfa, trapped) == frozenset({trapped})
     assert trapped not in dfa.finals
 
 

@@ -566,6 +566,13 @@ def test_meta_directive_formulas_reference_rv_atoms():
     assert cnf.left.state is PF_
 
 
+def test_meta_directive_formula_refuses_an_unknown_kind():
+    model = parse_meta(BOOKING_META)
+    unknown = model.directives[2]._replace(kind="sometimes")
+    with pytest.raises(ValueError, match="unknown directive kind 'sometimes'"):
+        model.directive_formula(unknown)
+
+
 def test_parse_meta_error_positions():
     cases = [
         ("define x: existence(a)", "tasks line must come first"),

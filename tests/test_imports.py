@@ -54,3 +54,22 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
     run = subprocess.run([sys.executable, "-c", script], cwd=Path(ldlmon.__file__).parent.parent,
                          capture_output=True, text=True)
     assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
+
+
+def test_references_import_no_kernel_stage():
+    """A reference that ran the kernel it checks would agree with it
+    whatever the kernel did: from ``automata`` the ``tests/reference_*``
+    modules take the two records and nothing else."""
+    records, kernel = set(), []
+    for path in sorted(Path(__file__).parent.glob("reference_*.py")):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.ImportFrom) and n.module == "ldlmon.automata":
+                names = {alias.name for alias in n.names}
+                records |= names
+                kernel += [f"{path.name}: {name}" for name in sorted(names - {"Dfa", "Nfa"})]
+            elif isinstance(n, (ast.Import, ast.ImportFrom)):
+                prefix = "" if isinstance(n, ast.Import) else f"{n.module}."
+                modules = [prefix + alias.name for alias in n.names]
+                kernel += [f"{path.name}: {m}" for m in modules if m == "ldlmon.automata"]
+    assert "Dfa" in records
+    assert kernel == []

@@ -6,7 +6,8 @@ closures walk each state's distinct targets.  The references below are
 the per-letter versions these replaced, kept verbatim apart from names
 and from how they read and write rows; the per-letter NFA construction
 conjoins obligations through ``reference_delta``, the positive boolean
-formulas ``automata.delta`` no longer builds.  Every table, label and
+formulas ``automata.delta`` no longer builds.  The per-letter
+``minimize`` is ``reference_product.minimize``.  Every table, label and
 final set must come out byte-identical, on prop alphabets where the
 formula uses only some of the props and on task alphabets.
 """
@@ -26,7 +27,6 @@ from ldlmon.automata import (
     letter_classes,
     minimize,
     prefix_closure,
-    reachable_from,
 )
 from ldlmon.syntax import Alphabet, parse_ldlf
 from ldlmon.syntax.ldl import print_ldlf
@@ -34,7 +34,7 @@ from ldlmon.syntax.transforms import ltlf_to_ldlf, to_nnf
 
 import reference_delta as ref
 from reference_json import aut_from_json
-from reference_product import tuple_product
+import reference_product as product
 from oracles import monolithic_dfa
 from genformulas import column_rows, random_dfa, random_ldlf, random_ltlf, replace, seeded_cases
 
@@ -144,73 +144,6 @@ def reference_determinize(nfa):
     )
 
 
-def reference_reachable(aut, state):
-    seen = {state}
-    queue = deque((state,))
-    while queue:
-        for _, target in aut.edges(queue.popleft()):
-            if target not in seen:
-                seen.add(target)
-                queue.append(target)
-    return frozenset(seen)
-
-
-def reference_minimize(dfa):
-    letters = dfa.alphabet.letters()
-    columns = dfa.alphabet.columns()
-    states = sorted(reference_reachable(dfa, dfa.initial))
-    block = {s: (1 if s in dfa.finals else 0) for s in states}
-    while True:
-        signatures = {
-            s: (
-                block[s],
-                tuple(block[dfa.transitions[s][columns[letter]]] for letter in letters),
-            )
-            for s in states
-        }
-        renumber: dict = {}
-        for s in states:
-            sig = signatures[s]
-            if sig not in renumber:
-                renumber[sig] = len(renumber)
-        next_block = {s: renumber[signatures[s]] for s in states}
-        if next_block == block:
-            break
-        block = next_block
-    start = block[dfa.initial]
-    ids = {start: 0}
-    order = [start]
-    representative = {}
-    for s in states:
-        representative.setdefault(block[s], s)
-    transitions: dict = {}
-    queue = deque((start,))
-    while queue:
-        blk = queue.popleft()
-        rep = representative[blk]
-        row = {}
-        for letter in letters:
-            target = block[dfa.transitions[rep][columns[letter]]]
-            if target not in ids:
-                ids[target] = len(order)
-                order.append(target)
-                queue.append(target)
-            row[letter] = ids[target]
-        transitions[ids[blk]] = row
-    finals = frozenset(ids[blk] for blk in order if representative[blk] in dfa.finals)
-    labels = tuple(
-        dfa.labels[representative[blk]] if dfa.labels else "" for blk in order
-    )
-    return Dfa(
-        alphabet=dfa.alphabet,
-        n_states=len(order),
-        initial=0,
-        transitions=column_rows(dfa.alphabet, transitions),
-        finals=finals,
-        labels=labels if dfa.labels else (),
-    )
-
-
 def reference_prefix_closure(aut):
     backward: dict = {}
     for state, _, target in aut.triples():
@@ -239,12 +172,9 @@ def test_pipeline_matches_the_per_letter_construction():
         subset = determinize(nfa)
         assert_same(subset, reference_determinize(nfa))
         minimal = minimize(subset)
-        assert_same(minimal, reference_minimize(subset))
+        assert_same(minimal, product.minimize(subset))
         for aut in (nfa, subset, minimal):
             assert prefix_closure(aut).finals == reference_prefix_closure(aut)
-            assert reachable_from(aut, aut.initial) == reference_reachable(
-                aut, aut.initial
-            )
 
 
 def test_classes_come_from_the_automaton_alone():
@@ -260,10 +190,10 @@ def test_classes_come_from_the_automaton_alone():
         subset = determinize(nfa)
         assert aut_to_json(subset) == aut_to_json(reference_determinize(nfa))
         dfa, _ = aut_from_json(aut_to_json(subset))
-        assert aut_to_json(minimize(dfa)) == aut_to_json(reference_minimize(dfa))
+        assert aut_to_json(minimize(dfa)) == aut_to_json(product.minimize(dfa))
         other, _ = rng.choice([c for c in cases if c[1] == alphabet])
-        pair, _ = tuple_product((subset, determinize(ldlf_to_nfa(other, alphabet))))
-        assert_same(minimize(pair), reference_minimize(pair))
+        pair, _ = product.tuple_product((subset, determinize(ldlf_to_nfa(other, alphabet))))
+        assert_same(minimize(pair), product.minimize(pair))
     props = Alphabet.of("a", "b")
     hand_built = []
     for n in range(1, 8):
@@ -291,7 +221,7 @@ def test_classes_come_from_the_automaton_alone():
         labels = tuple(f"q{s}" for s in range(dfa.n_states))
         hand_built.append(replace(dfa, initial=rng.randrange(dfa.n_states), labels=labels))
     for dfa in hand_built:
-        assert_same(minimize(dfa), reference_minimize(dfa))
+        assert_same(minimize(dfa), product.minimize(dfa))
 
 
 def test_letter_classes_group_exactly_the_equal_columns():

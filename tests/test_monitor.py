@@ -19,7 +19,6 @@ from ldlmon.automata import (
     ldlf_to_nfa,
     minimize,
     prefix_closure,
-    reachable_from,
 )
 from ldlmon.declare import MetaMonitor, ModelMonitor, parse_decl, parse_meta
 from ldlmon.monitor import (
@@ -37,6 +36,7 @@ from ldlmon.syntax import Alphabet, ltlf_to_ldlf, parse_ldlf, parse_ltlf
 from oracles import accepts, colored_isomorphic, rv_family, rv_state_oracle
 import reference_shape
 from reference_json import aut_from_json
+from reference_product import reachable
 from genformulas import all_traces, column_rows, random_dfa, random_ldlf, replace, seeded_cases
 from table_digests import CORPORA, DIGESTS
 from test_shared_walk import genformula_cases
@@ -144,7 +144,7 @@ def reference_colors(dfa: Dfa) -> tuple:
     reachable."""
     out = []
     for state in range(dfa.n_states):
-        reach = reachable_from(dfa, state)
+        reach = reachable(dfa, state)
         if state in dfa.finals:
             out.append(PT_ if reach <= dfa.finals else TT_)
         else:
@@ -188,7 +188,7 @@ over_seeded_alphabets = pytest.mark.parametrize(
 def test_color_matches_the_per_state_definition(alphabet):
     with_unreachable = 0
     for dfa in seeded_total_dfas(alphabet):
-        if len(reachable_from(dfa, dfa.initial)) < dfa.n_states:
+        if len(reachable(dfa, dfa.initial)) < dfa.n_states:
             with_unreachable += 1
         want = reference_colors(dfa)
         assert color(dfa).colors == want
@@ -357,6 +357,25 @@ def test_monitor_rejects_foreign_events():
         with pytest.raises(ValueError):
             monitor.step(event)
         assert monitor.current_rv() is TF_
+
+
+@pytest.mark.parametrize(
+    "alphabet, first, events",
+    [(Alphabet.of("p", "a", "y"), "p", ({"p"}, ["p", "a"], {"p": 1})),
+     (Alphabet.tasks(["pay", "ship"]), "pay", ({"pay"}, ["pay"], {"pay": 1}))],
+    ids=["props", "tasks"],
+)
+def test_monitor_refuses_text_events(alphabet, first, events):
+    """Text is not read as the set of its characters: over props ``p``,
+    ``a``, ``y`` that would be the letter {p, a, y}, and over tasks a
+    letter of unknown names.  Sets, lists and dicts of names still step."""
+    monitor = Monitor.for_formula(parse_ldlf(f"<{first}>tt", alphabet), alphabet)
+    with pytest.raises(TypeError, match=r"pass frozenset\(\{'pay'\}\)"):
+        monitor.step("pay")
+    assert monitor.current_rv() is TF_
+    for event in events:
+        monitor.reset()
+        assert monitor.step(event) is PT_
 
 
 def test_monitor_handles_multi_proposition_events():
@@ -663,7 +682,7 @@ def test_shape_search_agrees_with_the_reference_searches():
             assert (got is None) == (want is None)
             if got is not None:
                 assert reference_shape._check_shape(aut, other, got)
-            all_reachable = len(reachable_from(aut, aut.initial)) == aut.n_states
+            all_reachable = len(reachable(aut, aut.initial)) == aut.n_states
             if isinstance(aut, Dfa) and all_reachable:
                 assert got == want
             if isinstance(aut, Dfa) and aut.n_states <= 6:

@@ -8,8 +8,8 @@ in place; ``minimize`` runs the same refinement on its own class rows.
 Tables, finals and colors must come out byte for byte as the pairwise
 fold of minimized products and as the minimized product over state
 tuples give them.  Labels must be the tuple product's, and
-with two operands also the pairwise fold's; ``minimize`` must match the
-old refinement, labels included.
+with two operands also the pairwise fold's; ``minimize`` must match
+Moore's refinement walked letter by letter, labels included.
 """
 import random
 from itertools import repeat

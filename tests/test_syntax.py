@@ -36,7 +36,9 @@ from ldlmon.syntax import (
     to_nnf,
 )
 from ldlmon.syntax import ldl, ltl
-from ldlmon.syntax.props import PROP_OPS, Atom, PropAnd, PropNot, PropOr, TRUE
+from ldlmon.syntax.props import (
+    PROP_OPS, Atom, PropAnd, PropNot, PropOr, TRUE, eval_prop, prop_atoms,
+)
 
 from oracles import is_nnf
 from genformulas import random_ldlf, random_ltlf, random_prop
@@ -311,6 +313,31 @@ def test_nodes_hash_without_deep_recursion_to_the_same_values():
             assert_hash_of_fields(n)
         assert_hash_of_fields(random_prop(rng, ["a", "b"], depth=4))
 
+
+def test_nodes_are_immutable_and_take_exactly_their_fields():
+    with pytest.raises(TypeError, match="Atom takes 1 fields, not 2"):
+        Atom("a", "b")
+    with pytest.raises(TypeError, match="And takes 2 fields, not 1"):
+        And(TT)
+    node = Atom("a")
+    with pytest.raises(AttributeError, match="cannot assign to field 'name' of an immutable node"):
+        node.name = "b"
+    with pytest.raises(AttributeError, match="cannot delete field 'name' of an immutable node"):
+        del node.name
+    assert node == Atom("a") and hash(node) == hash(("a",))
+
+
+@pytest.mark.parametrize("walk, kind", [
+    (print_ldlf, "an LDLf formula"),
+    (print_path, "a path expression"),
+    (print_ltlf, "an LTLf formula"),
+    (print_prop, "a propositional formula"),
+    (lambda f: eval_prop(f, frozenset()), "a propositional formula"),
+    (prop_atoms, "a propositional formula"),
+], ids=["print_ldlf", "print_path", "print_ltlf", "print_prop", "eval_prop", "prop_atoms"])
+def test_walks_over_nodes_refuse_a_non_node(walk, kind):
+    with pytest.raises(TypeError, match=f"not {kind}: 'a'"):
+        walk("a")
 
 def test_regex_translation_rejects_embedded_tests():
     path = parse_re("a;(b)?", AB)
