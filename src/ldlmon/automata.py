@@ -757,26 +757,25 @@ def guards_by_target(aut, state: int) -> dict:
 
 
 _DOT_COLORS = {
-    "temp_true": "#fdb863",
-    "temp_false": "#80b1d3",
-    "perm_true": "#7fbc41",
-    "perm_false": "#d73027",
+    RVState.TEMP_TRUE: "#fdb863",
+    RVState.TEMP_FALSE: "#80b1d3",
+    RVState.PERM_TRUE: "#7fbc41",
+    RVState.PERM_FALSE: "#d73027",
 }
 
 
 def to_dot(aut, colors=None) -> str:
     """Graphviz rendering.  Parallel letters between two states are
     compressed into one guard-labelled edge; this is display only, the
-    automaton itself stays letter-level."""
+    automaton itself stays letter-level.  ``colors``, if given, holds
+    one ``RVState`` per state and fills each state with its color."""
     lines = ["digraph automaton {", "  rankdir=LR;", '  hidden [shape=none label=""];']
     for state in range(aut.n_states):
         shape = "doublecircle" if state in aut.finals else "circle"
         attrs = [f"shape={shape}"]
         if colors is not None:
-            value = colors[state]
-            value = getattr(value, "value", value)
-            attrs.append(f'style=filled fillcolor="{_DOT_COLORS[value]}"')
-            attrs.append(f'tooltip="{value}"')
+            attrs.append(f'style=filled fillcolor="{_DOT_COLORS[colors[state]]}"')
+            attrs.append(f'tooltip="{colors[state].value}"')
         elif aut.labels:
             attrs.append(f'tooltip="{_dot_escape(aut.labels[state])}"')
         lines.append(f"  s{state} [{' '.join(attrs)}];")
@@ -795,7 +794,8 @@ def _dot_escape(text: str) -> str:
 
 def aut_to_json(aut, colors=None) -> str:
     """Stable JSON rendering used for golden files and the CLI.  It is
-    an export format: nothing in the package reads it back."""
+    an export format: nothing in the package reads it back.  ``colors``,
+    if given, holds one ``RVState`` per state, written by its value."""
     payload = {
         "kind": "dfa" if isinstance(aut, Dfa) else "nfa",
         "props": list(aut.alphabet.props),
@@ -806,7 +806,5 @@ def aut_to_json(aut, colors=None) -> str:
         "transitions": [[s, sorted(letter), t] for s, letter, t in aut.triples()],
     }
     if colors is not None:
-        payload["colors"] = [
-            getattr(colors[s], "value", colors[s]) for s in range(aut.n_states)
-        ]
+        payload["colors"] = [rv.value for rv in colors]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

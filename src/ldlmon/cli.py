@@ -133,7 +133,7 @@ def _event_text(event: frozenset, alphabet: Alphabet) -> str:
     return "{" + ",".join(sorted(event)) + "}"
 
 
-def _aut_to_text(aut, colors=None) -> str:
+def _aut_to_text(aut, colors) -> str:
     """Plain text transition listing, guard-compressed like the dot
     output."""
     lines = [f"states: {aut.n_states}  initial: {aut.initial}"]

@@ -259,9 +259,7 @@ def _read_model(text: str, read_line) -> Alphabet:
     return alphabet
 
 
-def parse_pattern(
-    text: str, alphabet: Alphabet | None = None
-) -> tuple[ltl.Ltlf, Alphabet]:
+def parse_pattern(text: str, alphabet: Alphabet | None) -> tuple[ltl.Ltlf, Alphabet]:
     """The formula of a pattern call such as ``response(pay, get)``, and
     its alphabet: the given one, or with none the call's own distinct
     tasks, in first-use order.
@@ -411,9 +409,9 @@ class Timeline:
     forbidden rows, and marks for conflict rows.
     """
 
-    def __init__(self, columns: list[str] | None = None, rows: list | None = None):
-        self.columns = [] if columns is None else columns
-        self.rows = [] if rows is None else rows
+    def __init__(self, columns: list[str]):
+        self.columns = columns
+        self.rows = []
 
     def add_row(self, label: str, cells: list[str]):
         self.rows.append((label, cells))
@@ -541,7 +539,7 @@ class _Lockstep:
             monitor.current = state
             paths[monitor] = path
         self._settle()
-        timeline = Timeline(columns=["begin", *tasks, "complete"])
+        timeline = Timeline(["begin", *tasks, "complete"])
         for name, monitor, _, colors, _ in self._entries:
             path = paths[monitor]
             cells = [colors[state].code for state in path]
@@ -651,9 +649,9 @@ class MetaDirective(NamedTuple):
     name: str
     kind: str
     targets: tuple[str, ...]
-    task: str | None = None
-    state: RVState | None = None
-    reactive: bool = False
+    task: str | None
+    state: RVState | None
+    reactive: bool
 
 
 class MetaModel(NamedTuple):

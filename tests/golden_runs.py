@@ -25,6 +25,9 @@ _DOT = ["compile", "<(a;b)*>tt && [true*](a -> <true>b)", "--props", "a,b", "--f
 _TASKS = ["--lang", "pattern", "--tasks", "pay,acc,get,cancel"]
 
 RUNS = [
+    # The CLI's default format, as the README's first command-line example.
+    ("compile_colors_ascii.txt",
+     ["compile", "<true*> (a && <true> b)", "--props", "a,b", "--colors"], None),
     ("booking_timeline.txt", _DECLARE, None),
     ("booking_meta_timeline.txt", _META, None),
     ("booking_timeline.json", [*_DECLARE, "--format", "json"], None),

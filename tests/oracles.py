@@ -110,7 +110,7 @@ def colored_isomorphic(a: ColoredDfa, b: ColoredDfa) -> bool:
     state on one with the same finality and color."""
 
     def labels(c):
-        return [(s in c.dfa.finals, getattr(rv, "value", rv)) for s, rv in enumerate(c.colors)]
+        return [(s in c.dfa.finals, rv) for s, rv in enumerate(c.colors)]
 
     return _bijection(a.dfa, b.dfa, labels(a), labels(b)) is not None
 

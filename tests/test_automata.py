@@ -26,6 +26,7 @@ from ldlmon.automata import (
     prefix_closure,
     to_dot,
 )
+from ldlmon.rv import RVState
 from ldlmon.semantics import eval_ldlf, trace_from_tasks
 from ldlmon.syntax import (
     Alphabet,
@@ -663,7 +664,7 @@ def test_json_roundtrip_for_dfas():
 
 def test_json_roundtrip_for_nfas_and_colors():
     nfa = ldlf_to_nfa(ldl("<a*><b>tt"), AB)
-    text = aut_to_json(nfa, colors=["temp_true"] * nfa.n_states)
+    text = aut_to_json(nfa, colors=[RVState.TEMP_TRUE] * nfa.n_states)
     back, colors = aut_from_json(text)
     assert isinstance(back, Nfa)
     assert colors == ["temp_true"] * nfa.n_states
@@ -683,7 +684,7 @@ def test_dot_output_mentions_every_state_and_compresses_guards():
     assert rendered.startswith("digraph")
     assert 'label="true"' in rendered
     assert "doublecircle" in rendered
-    colored = to_dot(dfa, colors=["perm_true"] * dfa.n_states)
+    colored = to_dot(dfa, colors=[RVState.PERM_TRUE] * dfa.n_states)
     assert "fillcolor" in colored
     assert "perm_true" in colored
 

@@ -1,5 +1,6 @@
 """End-to-end checks of the ``ldlmon`` command line driver."""
 import json
+import random
 
 import pytest
 
@@ -7,10 +8,12 @@ from ldlmon import cli
 from ldlmon.automata import color_minimal
 from ldlmon.cli import build_parser, main
 from ldlmon.rv import RVState
+from ldlmon.syntax import print_ldlf, print_ltlf, print_path
 
 from golden_runs import GOLDEN, ROOT, RUNS
 from reference_json import aut_from_json
-from test_monitor import reference_colors
+from reference_pipeline import reference_colors
+from genformulas import random_ldlf, random_ltlf, random_path
 
 
 def run_cli(argv, capsys, stdin=None, monkeypatch=None):
@@ -443,6 +446,53 @@ def test_a_broken_invariant_exits_two(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "internal error" in err
+
+
+def _guard_only_regex(rng, names):
+    """A regular expression of steps, choices, sequences and stars: a
+    drawn path with no test (a test prints as ``...?``)."""
+    while True:
+        text = print_path(random_path(rng, names, 3, 1))
+        if "?" not in text:
+            return text
+
+
+def test_generated_valid_input_exits_zero(tmp_path, capsys):
+    """Seeded formulas in each language, over props and over tasks,
+    through ``compile`` in every format and option and through
+    ``monitor``: valid input never exits with status 2, nor 1."""
+    rng = random.Random(4401)
+    alphabets = [("--props", ["a", "b", "c"]), ("--tasks", ["a", "b", "c"])]
+    runs = 0
+    for flag, names in alphabets:
+        if flag == "--tasks":
+            events = [rng.choice(names) for _ in range(5)]
+        else:
+            events = [json.dumps(sorted(rng.sample(names, rng.randint(0, 2)))) for _ in range(5)]
+        trace = write(tmp_path / f"trace{flag}.txt", "\n".join(events) + "\n")
+        for _ in range(6):
+            inputs = [
+                (print_ldlf(random_ldlf(rng, names)), "ldlf"),
+                (print_ltlf(random_ltlf(rng, names, depth=3)), "ltlf"),
+                (_guard_only_regex(rng, names), "re"),
+            ]
+            for text, lang in inputs:
+                common = [text, "--lang", lang, flag, ",".join(names)]
+                argvs = [
+                    ["compile", *common, "--format", fmt, *colors, *minimize]
+                    for fmt in ("ascii", "dot", "json")
+                    for colors in ([], ["--colors"])
+                    for minimize in ([], ["--no-minimize"])
+                ]
+                argvs += [["monitor", *common, "--trace", trace, "--format", fmt]
+                          for fmt in ("ascii", "json")]
+                for argv in argvs:
+                    code, out, err = run_cli(argv, capsys)
+                    assert (code, err) == (0, ""), argv
+                    assert out
+                    runs += 1
+    assert runs == 2 * 6 * 3 * 14
+
 
 def test_flat_seq_path_compiles(capsys):
     """A 400-step ``;`` path nests only as deep as it is written."""

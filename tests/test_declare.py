@@ -622,10 +622,10 @@ META_ROWS = [
 def test_empty_task_arguments_are_rejected():
     for call in ["response(pay,, get)", "absence2(,pay)", "absence2(pay,)", "choice(pay, )"]:
         with pytest.raises(ValueError, match="empty task"):
-            parse_pattern(call)
+            parse_pattern(call, None)
     with pytest.raises(ValueError, match="takes 1 task"):
-        parse_pattern("absence2()")
-    assert parse_pattern(" response( pay ,get ) ")[0] == response("pay", "get")
+        parse_pattern("absence2()", None)
+    assert parse_pattern(" response( pay ,get ) ", None)[0] == response("pay", "get")
 
 
 def test_directives_refer_to_hyphenated_names():

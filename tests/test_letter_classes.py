@@ -2,22 +2,19 @@
 
 ``ldlf_to_nfa``, ``determinize`` and ``minimize`` compute one successor
 per letter class and copy it into every column of the class; the prefix
-closures walk each state's distinct targets.  The references below are
-the per-letter versions these replaced, kept verbatim apart from names
-and from how they read and write rows; the per-letter NFA construction
-conjoins obligations through ``reference_delta``, the positive boolean
-formulas ``automata.delta`` no longer builds.  The per-letter
-``minimize`` is ``reference_product.minimize``.  Every table, label and
-final set must come out byte-identical, on prop alphabets where the
-formula uses only some of the props and on task alphabets.
+closures walk each state's distinct targets.  The references are the
+per-letter versions these replaced: ``reference_pipeline`` holds the NFA
+construction, the subset construction and the prefix closure, and
+``reference_product.minimize`` the per-letter ``minimize``.  Every
+table, label and final set must come out byte-identical, on prop
+alphabets where the formula uses only some of the props and on task
+alphabets.
 """
 import random
-from collections import deque
 
 from ldlmon import automata
 from ldlmon.automata import (
     Dfa,
-    Nfa,
     _nfa_route,
     aut_to_json,
     color,
@@ -29,134 +26,13 @@ from ldlmon.automata import (
     prefix_closure,
 )
 from ldlmon.syntax import Alphabet, parse_ldlf
-from ldlmon.syntax.ldl import print_ldlf
-from ldlmon.syntax.transforms import ltlf_to_ldlf, to_nnf
+from ldlmon.syntax.transforms import ltlf_to_ldlf
 
-import reference_delta as ref
 from reference_json import aut_from_json
+from reference_pipeline import reference_determinize, reference_ldlf_to_nfa, reference_prefix_closure
 import reference_product as product
 from oracles import monolithic_dfa
 from genformulas import column_rows, random_dfa, random_ldlf, random_ltlf, replace, seeded_cases
-
-
-def reference_ldlf_to_nfa(formula, alphabet):
-    normalized = to_nnf(formula)
-    letters = alphabet.letters()
-    key_cache: dict = {}
-
-    def key(f):
-        k = key_cache.get(f)
-        if k is None:
-            k = print_ldlf(f)
-            key_cache[f] = k
-        return k
-
-    delta_cache: dict = {}
-
-    def delta_of(f, letter):
-        probe = (f, letter)
-        hit = delta_cache.get(probe)
-        if hit is None:
-            hit = ref.delta(f, letter)
-            delta_cache[probe] = hit
-        return hit
-
-    empty = frozenset()
-    initial_macro = frozenset((normalized,))
-    ids: dict = {initial_macro: 0}
-    order = [initial_macro]
-    transitions: dict = {}
-    queue = deque((initial_macro,))
-    while queue:
-        macro = queue.popleft()
-        row: dict = {}
-        members = sorted(macro, key=key)
-        for letter in letters:
-            obligation = ref.PB_TRUE
-            for member in members:
-                obligation = ref.pb_and(obligation, delta_of(member, letter))
-                if isinstance(obligation, ref.PBFalse):
-                    break
-            models = ref.minimal_models(obligation)
-            models.sort(key=lambda m: (len(m), sorted(key(g) for g in m)))
-            targets = []
-            for model in models:
-                if model not in ids:
-                    ids[model] = len(order)
-                    order.append(model)
-                    queue.append(model)
-                targets.append(ids[model])
-            if targets:
-                row[letter] = frozenset(targets)
-        transitions[ids[macro]] = row
-    if empty not in ids:
-        ids[empty] = len(order)
-        order.append(empty)
-        transitions[ids[empty]] = {letter: frozenset((ids[empty],)) for letter in letters}
-    finals = frozenset(
-        ids[macro] for macro in order if all(ref.delta_epsilon(m) for m in macro)
-    )
-    labels = tuple(
-        " & ".join(sorted(key(member) for member in macro)) if macro else "{}"
-        for macro in order
-    )
-    return Nfa(
-        alphabet=alphabet,
-        n_states=len(order),
-        initial=0,
-        transitions=column_rows(alphabet, transitions, frozenset()),
-        finals=finals,
-        labels=labels,
-    )
-
-
-def reference_determinize(nfa):
-    letters = nfa.alphabet.letters()
-    initial = frozenset((nfa.initial,))
-    ids = {initial: 0}
-    order = [initial]
-    transitions: dict = {}
-    queue = deque((initial,))
-    while queue:
-        subset = queue.popleft()
-        row = {}
-        for column, letter in enumerate(letters):
-            successor = frozenset(
-                target for state in subset for target in nfa.transitions[state][column]
-            )
-            if successor not in ids:
-                ids[successor] = len(order)
-                order.append(successor)
-                queue.append(successor)
-            row[letter] = ids[successor]
-        transitions[ids[subset]] = row
-    finals = frozenset(ids[subset] for subset in order if subset & nfa.finals)
-    labels = tuple(
-        "{" + ",".join(str(s) for s in sorted(subset)) + "}" for subset in order
-    )
-    return Dfa(
-        alphabet=nfa.alphabet,
-        n_states=len(order),
-        initial=0,
-        transitions=column_rows(nfa.alphabet, transitions),
-        finals=finals,
-        labels=labels,
-    )
-
-
-def reference_prefix_closure(aut):
-    backward: dict = {}
-    for state, _, target in aut.triples():
-        backward.setdefault(target, set()).add(state)
-    closed = set(aut.finals)
-    queue = deque(aut.finals)
-    while queue:
-        state = queue.popleft()
-        for pred in backward.get(state, ()):
-            if pred not in closed:
-                closed.add(pred)
-                queue.append(pred)
-    return frozenset(closed)
 
 
 def assert_same(got, want):

@@ -36,6 +36,7 @@ from ldlmon.syntax import Alphabet, ltlf_to_ldlf, parse_ldlf, parse_ltlf
 from oracles import accepts, colored_isomorphic, rv_family, rv_state_oracle
 import reference_shape
 from reference_json import aut_from_json
+from reference_pipeline import reference_colors
 from reference_product import reachable
 from genformulas import all_traces, column_rows, random_dfa, random_ldlf, replace, seeded_cases
 from table_digests import CORPORA, DIGESTS
@@ -136,20 +137,6 @@ def test_colors_match_the_brute_force_oracle():
             for letter in trace:
                 verdict = monitor.step(letter)
             assert verdict is rv_state_oracle(trace, formula, AB, horizon)
-
-
-def reference_colors(dfa: Dfa) -> tuple:
-    """Colors by their definition, one forward search per state: the
-    verdict can change when a state of the other acceptance is
-    reachable."""
-    out = []
-    for state in range(dfa.n_states):
-        reach = reachable(dfa, state)
-        if state in dfa.finals:
-            out.append(PT_ if reach <= dfa.finals else TT_)
-        else:
-            out.append(TF_ if reach & dfa.finals else PF_)
-    return tuple(out)
 
 
 def with_unreachable_states(rng, dfa: Dfa) -> Dfa:
