@@ -117,7 +117,8 @@ def record(L, thunks) -> list:
 
 
 def copy_calls(L, calls) -> list:
-    """The calls with every operand rebuilt from ``L``'s own classes."""
+    """The calls with every operand rebuilt from ``L``'s own classes, over
+    the operand's support where it has one."""
     alphabets: dict = {}
 
     def alphabet(a):
@@ -128,7 +129,8 @@ def copy_calls(L, calls) -> list:
 
     return [
         (tuple(L.automata.Dfa(alphabet(d.alphabet), d.n_states, d.initial, d.transitions,
-                              d.finals, d.labels) for d in dfas), disjunction)
+                              d.finals, d.labels, getattr(d, "support", None)) for d in dfas),
+         disjunction)
         for dfas, disjunction in calls
     ]
 
@@ -180,7 +182,11 @@ def walk_counts(automata, calls) -> dict:
 
 
 def table(dfa) -> tuple:
-    return dfa.n_states, dfa.initial, dfa.transitions, dfa.finals
+    """The DFA's table with its rows spread over every letter, so that one
+    over its support compares with one over every prop."""
+    columns = dfa.columns().values() if hasattr(dfa, "columns") else range(len(dfa.transitions[0]))
+    rows = tuple(tuple(map(row.__getitem__, columns)) for row in dfa.transitions)
+    return dfa.n_states, dfa.initial, rows, dfa.finals
 
 
 def replay(roots, inputs, workload, seed, seconds, rounds, booking) -> bool:

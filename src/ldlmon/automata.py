@@ -22,22 +22,34 @@ satisfied by the empty remainder: its ``delta`` under EPSILON, with the
 step base cases at their out-of-trace values, is ``TRUE_MODELS``.
 
 Letters are the alphabet's interpretations, 2^n of them for n props,
-but the constructions do their work once per letter class, a set of
-letters that behave the same way.  ``delta`` reads a letter only
-through guard atoms, so the NFA stage, ``_nfa_classes``, groups letters
-by their intersection with the formula's atoms and walks each
-obligation once, under the first letters of all classes and EPSILON
-(``deltas``), for its successors and its acceptance together.
-The NFA route of ``compile_dfa`` keeps those class rows through the
-subset construction (``_subsets``) into ``_moore``, which spreads them
-over the letters once; ``_diamond_after`` runs the same two stages on
-an NFA it joins from two DFAs, and ``ldlf_to_nfa``, ``determinize`` and
-``minimize`` are adapters over them.  ``determinize`` and
-``minimize`` take the classes from the automaton itself
-(``letter_classes``: columns whose successors agree from every state),
-and ``product_fold`` and ``_diamond_after`` from the tuples of their
-operands' columns.  A class's successor is computed from its first
-letter.
+but an automaton over a prop alphabet reads only its support: the props
+its formula's guards name, in alphabet order.  Every automaton stores
+one transition table, a tuple of rows, one per state, with one cell per
+letter over its support in ``alphabet.letters_over(support)`` order, so
+a formula over 3 of 20 props has rows of 8 cells.  Over a task alphabet
+the support is every task, and the rows follow ``alphabet.letters()``.
+A DFA's cell is one target, and every DFA is total: building a ``Dfa``
+with an empty cell is an error.  An NFA's cell is a set of targets,
+empty where there is none.
+
+The constructions do their work once per letter class, a set of
+letters over the support that behave the same way.  ``delta`` reads a
+letter only through guard atoms, so the NFA stage, ``_nfa_classes``,
+groups the letters over the support by their intersection with the
+formula's atoms and walks each obligation once, under the first
+letters of all classes and EPSILON (``deltas``), for its successors and
+its acceptance together.  The NFA route of ``compile_dfa`` keeps those
+class rows through the subset construction (``_subsets``) into
+``_moore``, which spreads them over the support's letters once;
+``_diamond_after`` runs the same two stages on an NFA it joins from two
+DFAs, and ``ldlf_to_nfa``, ``determinize`` and ``minimize`` are
+adapters over them.  ``determinize`` and ``minimize`` take the classes
+from the automaton itself (``letter_classes``: columns whose successors
+agree from every state), and ``product_fold`` and ``_diamond_after``
+from the tuples of their operands' columns, each operand read over the
+union of their supports (``_lifted``: a column over the union reads the
+column of its letter's props in the operand's support).  A class's
+successor is computed from its first letter.
 
 One breadth-first explorer, ``_explore``, holds the numbering policy of
 the constructions (``_nfa_classes``, ``_subsets``, ``product_fold``,
@@ -46,20 +58,25 @@ takes their cells class by class in the order of each class's first
 letter, numbers a successor the first time it is seen, and keeps one
 cell per class.
 States are therefore discovered, and numbered, exactly as a
-letter-by-letter walk would.  ``_automaton`` builds every result from
-the walk's keys and writes each class's cell into the column of every
-letter in it.  ``_partition``, which groups keys by first occurrence,
-forms the letter classes and is also the refinement step of ``_moore``,
-which ``minimize``, the NFA route, ``product_fold`` (one walk over the
-tuples of its operands' states for a whole chain) and
+letter-by-letter walk over every letter would: the first letter of a
+class over all 2^n letters holds no prop outside the support, so the
+classes come in the same order.  ``_automaton`` builds every result
+from the walk's keys and writes each class's cell into the column of
+every letter in it.  ``_partition``, which groups keys by first
+occurrence, forms the letter classes and is also the refinement step of
+``_moore``, which ``minimize``, the NFA route, ``product_fold`` (one
+walk over the tuples of its operands' states for a whole chain) and
 ``_diamond_after`` run.
 
-Every automaton stores one transition table: a tuple of rows, one per
-state, whose cells follow ``alphabet.letters()`` (a letter's column is
-``alphabet.columns()[letter]``).  A monitor steps through the rows of
-its DFA as they are.  A DFA's cell is one target, and every DFA is
-total: building a ``Dfa`` with an empty cell is an error.  An NFA's cell
-is a set of targets, empty where there is none.
+No construction lists the alphabet's letters.  Only the code that lists
+them reads a table through the projection, ``_Automaton.columns()``
+(every letter mapped to its column): ``edges`` and ``triples``,
+``aut_to_json``, ``to_dot``, ``guards_by_target``, the monitor's event
+map and forbidden table, and ``shared_columns``, which reads the tables
+of a lockstep of monitors over the union of their supports.
+``Alphabet.letters_over`` refuses more than ``MAX_PROPS`` props, so an
+alphabet too wide to list fails there, or where a support or a union of
+supports is that wide.
 
 ``color`` gives each state of any DFA the RV state shared by every
 trace reaching it, from the prefix closures pref(f) and pref(!f): two
@@ -81,7 +98,7 @@ from typing import NamedTuple
 
 from .rv import RVState
 from .syntax import ldl
-from .syntax.alphabet import Alphabet
+from .syntax.alphabet import Alphabet, check_width
 from .syntax.ldl import print_ldlf
 from .syntax.props import (
     FALSE,
@@ -209,18 +226,29 @@ def deltas(f: ldl.Ldlf, letters, unfolding: tuple = ()) -> list:
 
 class _Automaton:
     """The record an ``Nfa`` and a ``Dfa`` share.  States are dense
-    integers, ``transitions[state][column]`` holds a state's successors
-    under the letter in that column of ``alphabet.letters()``, and
-    ``labels`` optionally carries a debugging name per state (the
-    macro-state content for compiled formulas)."""
+    integers; ``support`` holds the props the rows read, in alphabet
+    order (every prop when not given, and always every task of a task
+    alphabet), and ``transitions[state][column]`` holds a state's
+    successors under the letter in that column of
+    ``alphabet.letters_over(support)``.  ``labels`` optionally carries a
+    debugging name per state (the macro-state content for compiled
+    formulas)."""
 
     def __init__(self, alphabet: Alphabet, n_states: int, initial: int,
-                 transitions: tuple, finals: frozenset, labels: tuple = ()):
+                 transitions: tuple, finals: frozenset, labels: tuple = (), support=None):
         self.alphabet, self.n_states, self.initial = alphabet, n_states, initial
         self.transitions, self.finals, self.labels = transitions, finals, labels
+        self.support = alphabet.props if support is None else support
 
     def __eq__(self, other):
         return type(self) is type(other) and vars(self) == vars(other)
+
+    def columns(self) -> dict:
+        """Every letter of the alphabet, in ``alphabet.letters()`` order,
+        mapped to the column of the rows that reads it: the column of its
+        props in the support.  Over every prop this is
+        ``alphabet.columns()``."""
+        return _columns_over(self.alphabet, self.support)
 
     def triples(self):
         for state in range(self.n_states):
@@ -242,8 +270,9 @@ class Nfa(_Automaton):
     def edges(self, state: int):
         """The (letter, target) pairs leaving a state, in letter order and
         then target order."""
-        for letter, targets in zip(self.alphabet.letters(), self.transitions[state]):
-            for target in sorted(targets):
+        row = self.transitions[state]
+        for letter, column in self.columns().items():
+            for target in sorted(row[column]):
                 yield letter, target
 
     def targets(self, state: int) -> frozenset:
@@ -264,13 +293,14 @@ class Dfa(_Automaton):
         super().__init__(*fields, **named)
         for state, row in enumerate(self.transitions):
             if None in row:
-                letter = sorted(self.alphabet.letters()[row.index(None)])
+                letter = sorted(self.alphabet.letters_over(self.support)[row.index(None)])
                 msg = f"a DFA needs a target in every cell: state {state} has none under {letter}"
                 raise ValueError(msg)
 
     def edges(self, state: int):
         """The (letter, target) pairs leaving a state, in letter order."""
-        return zip(self.alphabet.letters(), self.transitions[state])
+        columns = self.columns()
+        return zip(columns, map(self.transitions[state].__getitem__, columns.values()))
 
     def targets(self, state: int) -> frozenset:
         """The distinct successors of a state under any letter."""
@@ -285,25 +315,28 @@ def ldlf_to_nfa(formula: ldl.Ldlf, alphabet: Alphabet) -> Nfa:
     the automaton small without changing its language.  They are
     computed once per letter class (``_nfa_classes``).
     """
-    order, rows, class_of, accepts = _nfa_classes(formula, alphabet)
+    support, order, rows, class_of, accepts = _nfa_classes(formula, alphabet)
     return _automaton(
-        Nfa, alphabet, order, rows, class_of, accepts,
+        Nfa, alphabet, support, order, rows, class_of, accepts,
         lambda macro: " & ".join(sorted(map(print_ldlf, macro))) if macro else "{}",
     )
 
 
 def _nfa_classes(formula: ldl.Ldlf, alphabet: Alphabet):
-    """``ldlf_to_nfa``'s states and class rows: the macro-states in state
-    order, one row per state with one cell per class of letters that
-    agree on the formula's atoms, every letter's class, and whether a
-    macro-state accepts.
+    """``ldlf_to_nfa``'s support, states and class rows: the props the
+    formula reads (every task of a task alphabet), the macro-states in
+    state order, one row per state with one cell per class of letters
+    over the support that agree on the formula's atoms, every such
+    letter's class, and whether a macro-state accepts.
 
     Each obligation is walked once, under the first letter of every
     class and EPSILON last, for its successors and its acceptance; a cell
     of two or more models sorts them by keys computed once per compile."""
     normalized = to_nnf(formula)
-    letters = alphabet.letters()
     atoms = ldl.formula_atoms(normalized)
+    support = alphabet.props if alphabet.singleton_letters else tuple(
+        p for p in alphabet.props if p in atoms)
+    letters = alphabet.letters_over(support)
     firsts, class_of = _partition([letter & atoms for letter in letters])
     walk_letters = [letters[column] for column in firsts] + [EPSILON]
     walk = functools.cache(lambda member: deltas(member, walk_letters))
@@ -326,7 +359,7 @@ def _nfa_classes(formula: ldl.Ldlf, alphabet: Alphabet):
     if frozenset() not in order:
         rows.append([frozenset((len(order),))] * len(firsts))
         order.append(frozenset())
-    return order, rows, class_of, lambda macro: all(map(at_end, macro))
+    return support, order, rows, class_of, lambda macro: all(map(at_end, macro))
 
 
 def determinize(nfa: Nfa) -> Dfa:
@@ -334,7 +367,8 @@ def determinize(nfa: Nfa) -> Dfa:
     successor lead to the empty subset, a rejecting sink."""
     firsts, class_of = letter_classes(nfa)
     order, rows = _subsets([[row[c] for c in firsts] for row in nfa.transitions], (nfa.initial,))
-    return _automaton(Dfa, nfa.alphabet, order, rows, class_of, nfa.finals.intersection, _label)
+    return _automaton(Dfa, nfa.alphabet, nfa.support, order, rows, class_of,
+                      nfa.finals.intersection, _label)
 
 
 def _subsets(rows, start):
@@ -358,11 +392,11 @@ def _nfa_route(formula: ldl.Ldlf, alphabet: Alphabet) -> Dfa:
     """``minimize(determinize(ldlf_to_nfa(formula, alphabet)))``, labels
     included, on the NFA's class rows throughout: ``_moore`` spreads
     them over the letters once, for the minimal DFA."""
-    order, rows, class_of, accepts = _nfa_classes(formula, alphabet)
+    support, order, rows, class_of, accepts = _nfa_classes(formula, alphabet)
     finals = list(map(accepts, order))
     subsets, rows = _subsets(rows, (0,))
     accepting = [any(map(finals.__getitem__, subset)) for subset in subsets]
-    return _moore(alphabet, rows, accepting, class_of, lambda i: _label(subsets[i]))
+    return _moore(alphabet, support, rows, accepting, class_of, lambda i: _label(subsets[i]))
 
 
 def letter_classes(aut):
@@ -417,12 +451,13 @@ def _explore(start, cells):
     return order, rows
 
 
-def _automaton(kind, alphabet, order, rows, class_of, final, label=None):
-    """The ``Nfa`` or ``Dfa`` (``kind``) whose state i is the key
-    ``order[i]`` of an ``_explore`` walk, with class row ``rows[i]``
-    spread over the letters (``class_of``: every letter's class): initial
-    state 0, final when ``final(key)``, labelled ``label(key)``, and
-    unlabelled without ``label``."""
+def _automaton(kind, alphabet, support, order, rows, class_of, final, label=None):
+    """The ``Nfa`` or ``Dfa`` (``kind``) over ``support`` whose state i is
+    the key ``order[i]`` of an ``_explore`` walk, with class row
+    ``rows[i]`` spread over the letters of the support (``class_of``:
+    every such letter's class): initial state 0, final when
+    ``final(key)``, labelled ``label(key)``, and unlabelled without
+    ``label``."""
     spread = operator.itemgetter(*class_of) if len(class_of) > 1 else tuple
     return kind(
         alphabet=alphabet,
@@ -431,7 +466,53 @@ def _automaton(kind, alphabet, order, rows, class_of, final, label=None):
         transitions=tuple(map(spread, rows)),
         finals=frozenset(compress(range(len(order)), map(final, order))),
         labels=tuple(map(label, order)) if label else (),
+        support=support,
     )
+
+
+def _lift(support, onto) -> list:
+    """For each column over the props ``onto``, a superset of ``support``
+    (both in alphabet order), the column over ``support`` of the same
+    letter: the projection that reads a table over ``support`` as one
+    over ``onto``."""
+    check_width(len(onto))
+    bits = {p: 1 << k for k, p in enumerate(support)}
+    columns = [0]
+    for p in onto:
+        bit = bits.get(p)
+        columns += [column | bit for column in columns] if bit else columns
+    return columns
+
+
+def _columns_over(alphabet, support) -> dict:
+    """Every letter of the alphabet mapped to its column over ``support``."""
+    if support == alphabet.props:
+        return alphabet.columns()
+    return dict(zip(alphabet.letters(), _lift(support, alphabet.props)))
+
+
+def _lifted(alphabet, tables, supports):
+    """The union of the supports of some tables over ``alphabet``, in
+    alphabet order (every prop when there are none), and each table over
+    it: a table over a smaller support is read through ``_lift``, one
+    over the union is kept as it is."""
+    union = supports[0] if supports else alphabet.props
+    if supports.count(union) == len(supports):
+        return union, tables
+    props = set().union(*supports)
+    union = tuple(p for p in alphabet.props if p in props)
+    return union, [table if support == union else
+                   tuple(map(operator.itemgetter(*_lift(support, union)), table))
+                   for table, support in zip(tables, supports)]
+
+
+def shared_columns(alphabet: Alphabet, tables, supports) -> tuple:
+    """Tables over ``alphabet`` (rows over their ``supports``) read over
+    the union of their supports, and every letter's column there: one
+    column lookup per letter serves them all.  Tables over one support,
+    as every table over a task alphabet is, come back as they are."""
+    union, tables = _lifted(alphabet, tables, supports)
+    return tables, _columns_over(alphabet, union)
 
 
 def complement(dfa: Dfa) -> Dfa:
@@ -456,16 +537,17 @@ def product_fold(dfas, disjunction: bool = False) -> Dfa:
         raise ValueError(msg)
     if len(dfas) == 1:
         return dfas[0]
-    tables, start, finals, alphabets = zip(*map(operator.attrgetter(
-        "transitions", "initial", "finals", "alphabet"), dfas))
+    tables, start, finals, alphabets, supports = zip(*map(operator.attrgetter(
+        "transitions", "initial", "finals", "alphabet", "support"), dfas))
     if alphabets.count(alphabets[0]) < len(dfas):
         msg = "product needs automata over the same alphabet"
         raise ValueError(msg)
     label = ("(" + ",".join(["{}"] * len(dfas)) + ")").format
+    union, tables = _lifted(alphabets[0], tables, supports)
     if any(len(accept) == len(table) if disjunction else not accept
            for table, accept in zip(tables, finals)):  # a constant operand settles it
         return Dfa(alphabets[0], 1, 0, ((0,) * len(tables[0][0]),),
-                   frozenset((0,) if disjunction else ()), (label(*start),))
+                   frozenset((0,) if disjunction else ()), (label(*start),), union)
     firsts, class_of = _partition(zip(*starmap(zip, tables)))
     pick = operator.itemgetter(*firsts) if len(firsts) > 1 else operator.itemgetter(slice(1))
     bits = [1 << c for c in range(len(firsts))]
@@ -492,7 +574,7 @@ def product_fold(dfas, disjunction: bool = False) -> Dfa:
     order, rows = _explore(start, cells)
     join = any if disjunction else all
     accepting = [join(map(operator.contains, finals, key)) for key in order]
-    return _moore(alphabets[0], rows, accepting, class_of, lambda i: label(*order[i]))
+    return _moore(alphabets[0], union, rows, accepting, class_of, lambda i: label(*order[i]))
 
 
 def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None) -> Dfa:
@@ -547,7 +629,8 @@ def _diamond_after(colored: ColoredDfa, state: RVState, then: Dfa) -> Dfa:
     holds f's rows, then g's numbered after f's states; a step into color
     ``state``, and a start in it, also starts a g-run.  A subset is final
     where it holds a final state of g."""
-    f_rows, g_rows = colored.dfa.transitions, then.transitions
+    union, (f_rows, g_rows) = _lifted(then.alphabet, (colored.dfa.transitions, then.transitions),
+                                      (colored.dfa.support, then.support))
     shift = len(f_rows)
     firsts, class_of = _partition(zip(zip(*f_rows), zip(*g_rows)))
     begun = shift + then.initial
@@ -557,7 +640,8 @@ def _diamond_after(colored: ColoredDfa, state: RVState, then: Dfa) -> Dfa:
     rows += [[run[row[column]] for column in firsts] for row in g_rows]
     subsets, rows = _subsets(rows, enter[colored.dfa.initial])
     finals = frozenset(shift + p for p in then.finals)
-    return _moore(then.alphabet, rows, [not finals.isdisjoint(s) for s in subsets], class_of)
+    return _moore(then.alphabet, union, rows, [not finals.isdisjoint(s) for s in subsets],
+                  class_of)
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -574,12 +658,14 @@ def minimize(dfa: Dfa) -> Dfa:
         class_rows = [tuple(map(index.__getitem__, row)) for row in class_rows]
     finals = [s in dfa.finals for s in states]
     label = (lambda i: dfa.labels[states[i]]) if dfa.labels else None
-    return _moore(dfa.alphabet, class_rows, finals, class_of, label, states.index(dfa.initial))
+    return _moore(dfa.alphabet, dfa.support, class_rows, finals, class_of, label,
+                  states.index(dfa.initial))
 
 
-def _moore(alphabet, rows, finals, class_of, label=None, initial=None) -> Dfa:
-    """The minimal DFA of states ``0..n-1`` (class ``rows``, acceptance
-    ``finals``, all reachable from ``initial``) by Moore's refinement,
+def _moore(alphabet, support, rows, finals, class_of, label=None, initial=None) -> Dfa:
+    """The minimal DFA over ``support`` of states ``0..n-1`` (class
+    ``rows``, acceptance ``finals``, all reachable from ``initial``) by
+    Moore's refinement,
     its blocks numbered breadth first, each with its first state's row,
     acceptance and ``label``.  No ``initial`` means state 0 of rows that
     ``_explore`` numbered, which stay as they are if no states merge."""
@@ -600,7 +686,8 @@ def _moore(alphabet, rows, finals, class_of, label=None, initial=None) -> Dfa:
     else:
         order, transitions = _explore(blocks[initial or 0], cells)
     kept = list(map(heads.__getitem__, order))
-    return _automaton(Dfa, alphabet, kept, transitions, class_of, finals.__getitem__, label)
+    return _automaton(Dfa, alphabet, support, kept, transitions, class_of, finals.__getitem__,
+                      label)
 
 
 def _closure(starts, successors) -> frozenset:
@@ -698,7 +785,8 @@ def rename_columns(colored: ColoredDfa, alphabet: Alphabet, source) -> ColoredDf
         return [ident(row[column]) for column in picks]
 
     order, transitions = _explore(colored.dfa.initial, cells)
-    dfa = _automaton(Dfa, alphabet, order, transitions, class_of, colored.dfa.finals.__contains__)
+    dfa = _automaton(Dfa, alphabet, alphabet.props, order, transitions, class_of,
+                     colored.dfa.finals.__contains__)
     return ColoredDfa(dfa, tuple(colored.colors[state] for state in order))
 
 

@@ -80,7 +80,7 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 from .automata import (
-    ColoredDfa, color_minimal, compile_dfa, product_fold, rename_columns)
+    ColoredDfa, color_minimal, compile_dfa, product_fold, rename_columns, shared_columns)
 from .metaconstraints import (
     compensation, compensation_dfa, conflict, conflict_dfa, contextual_absence,
     contextual_absence_dfa, preference, preference_dfa, reactive_compensation)
@@ -457,11 +457,14 @@ def _unsettled(entries) -> list:
 
 
 class _Lockstep:
-    """Named monitors over one task alphabet, advanced together.
+    """Named monitors over one alphabet, advanced together.
 
     ``_entries`` holds one ``(name, monitor, table, colors, permanent)``
     entry per monitor in output order, ``permanent[state]`` true where the
-    state is PT or PF.  An event costs one task -> column lookup, shared
+    state is PT or PF.  ``table`` is the monitor's own table, read over
+    the union of the monitors' supports (``automata.shared_columns``;
+    over a task alphabet every monitor's support is every task, so it is
+    the table itself).  An event costs one task -> column lookup, shared
     by every monitor, and one table index per monitor in ``_live``, whose
     new state is written back to it.  A monitor that reaches a permanent
     state settles: it leaves ``_live`` until ``reset`` or ``timeline``,
@@ -476,12 +479,13 @@ class _Lockstep:
     """
 
     def __init__(self, alphabet: Alphabet, monitors, extra_rows):
+        tables, columns = shared_columns(
+            alphabet, [m.table for _, m in monitors], [m.dfa.support for _, m in monitors])
         self._entries = tuple(
-            (name, m, m.table, m.colors, tuple(rv.permanent for rv in m.colors))
-            for name, m in monitors
+            (name, m, table, m.colors, tuple(rv.permanent for rv in m.colors))
+            for (name, m), table in zip(monitors, tables)
         )
         self._extra_rows = extra_rows
-        columns = alphabet.columns()
         self._columns = {task: columns[frozenset((task,))] for task in alphabet.props}
         self._settle()
         self._start = self._live, self._states.copy()

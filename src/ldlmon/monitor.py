@@ -7,6 +7,14 @@ is not trimmed away) and colored by ``automata.color_minimal``; a
 formula satisfied by exactly the traces the property maps to that
 state, from the prefix languages read off the same colors, as regexes.
 
+A ``Monitor`` steps through its DFA's rows as they are, rows over the
+DFA's support (the props its formula reads; every task of a task
+alphabet).  Its event map, built once when the monitor is, takes every
+letter of the alphabet to the column that reads it, so a step is one
+dict lookup and one tuple index.  Over a prop alphabet that map lists
+all 2^n letters, and it is the one place a monitor does: an alphabet of
+more than ``MAX_PROPS`` props is refused there.
+
 A ``Monitor`` also keeps one forbidden table for the reports that name
 what must not come next: per DFA state, the letters whose step leads to
 a permanently violated state and the names in them.  An entry is
@@ -34,6 +42,8 @@ exactly one candidate, so for DFAs the search is one walk.
 """
 from __future__ import annotations
 
+from itertools import compress
+
 from .automata import ColoredDfa, color, color_minimal, compile_dfa
 from .regexfold import automaton_to_regex
 from .rv import SATISFIABLE, VIOLABLE, RVState
@@ -58,10 +68,13 @@ def monitor_automaton(formula: ldl.Ldlf, alphabet: Alphabet) -> ColoredDfa:
 class Monitor:
     """Online monitor: feed events one at a time, read off the RV state.
 
-    ``table`` is the DFA's own transition table, ``table[state][column]``
-    the successor of ``state`` under the letter in that column of
-    ``alphabet.letters()``, so a step is one column lookup and one tuple
-    index.  The forbidden table (see the module docstring) is filled by
+    ``table`` is the DFA's own transition table, whose rows read the
+    props of its support: ``table[state][column]`` is the successor of
+    ``state`` under the letter in that column of
+    ``alphabet.letters_over(support)``.  The event map, the DFA's
+    ``columns()`` built once here, takes every letter of the alphabet to
+    its column, so a step is one dict lookup and one tuple index.  The
+    forbidden table (see the module docstring) is filled by
     ``forbidden_at`` as reports read states.
     """
 
@@ -69,7 +82,7 @@ class Monitor:
         colored = automaton if isinstance(automaton, ColoredDfa) else color(automaton)
         self.dfa, self.colors = colored
         self.table = self.dfa.transitions
-        self._columns = self.dfa.alphabet.columns()
+        self._columns = self.dfa.columns()
         self._forbidden: dict = {}
         self.current = self.dfa.initial
 
@@ -106,12 +119,9 @@ class Monitor:
         one."""
         entry = self._forbidden.get(state)
         if entry is None:
-            colors = self.colors
-            letters = tuple(
-                letter
-                for letter, target in zip(self.dfa.alphabet.letters(), self.table[state])
-                if colors[target] is RVState.PERM_FALSE
-            )
+            colors, columns = self.colors, self._columns
+            doomed = [colors[target] is RVState.PERM_FALSE for target in self.table[state]]
+            letters = tuple(compress(columns, map(doomed.__getitem__, columns.values())))
             entry = self._forbidden[state] = (letters, frozenset().union(*letters))
         return entry
 

@@ -18,6 +18,13 @@ RESERVED_NAMES = frozenset(
 )
 
 
+def check_width(n: int):
+    """Raise ValueError if ``n`` props give more letters than can be listed."""
+    if n > MAX_PROPS:
+        msg = f"{n} props give 2^{n} letters; at most {MAX_PROPS} props are supported"
+        raise ValueError(msg)
+
+
 class Alphabet:
     """An ordered collection of proposition names.
 
@@ -65,30 +72,37 @@ class Alphabet:
         return name in self.props
 
     def letters(self) -> tuple[frozenset[str], ...]:
-        """All letters of this alphabet, in a fixed enumeration order.
-        A prop alphabet of more than ``MAX_PROPS`` props has too many to
-        enumerate: it raises ValueError instead.  Prop letters are built by
-        doubling, each prop added to a copy of the letters so far, so the
-        letter at index ``mask`` holds ``props[j]`` for each bit j set."""
+        """All letters of this alphabet, in a fixed enumeration order: a
+        task alphabet's singletons, and a prop alphabet's
+        ``letters_over(props)``."""
         cached = getattr(self, "_letters", None)
         if cached is None:
             if self.singleton_letters:
                 cached = tuple(frozenset((p,)) for p in self.props)
             else:
-                n = len(self.props)
-                if n > MAX_PROPS:
-                    msg = f"{n} props give 2^{n} letters; at most {MAX_PROPS} props are supported"
-                    raise ValueError(msg)
-                letters = [frozenset()]
-                for p in self.props:
-                    letters += [letter | {p} for letter in letters]
-                cached = tuple(letters)
+                cached = self.letters_over(self.props)
             self._letters = cached
         return cached
 
+    def letters_over(self, support) -> tuple[frozenset[str], ...]:
+        """The letters over ``support``, some of the props in alphabet
+        order, which are the columns of an automaton's rows over it.  A
+        task alphabet's support is every task, and its letters are
+        ``letters()``.  Prop letters are built by doubling, each prop added
+        to a copy of the letters so far, so the letter at index ``mask``
+        holds ``support[j]`` for each bit j set; more than ``MAX_PROPS``
+        props give too many to list and raise ValueError."""
+        if self.singleton_letters:
+            return self.letters()
+        check_width(len(support))
+        letters = [frozenset()]
+        for p in support:
+            letters += [letter | {p} for letter in letters]
+        return tuple(letters)
+
     def columns(self) -> dict[frozenset[str], int]:
-        """Letter -> its index in ``letters()``, which is its column in a
-        monitor's transition table."""
+        """Letter -> its index in ``letters()``, which is its column in the
+        rows of an automaton over every prop."""
         cached = getattr(self, "_columns", None)
         if cached is None:
             cached = self._columns = {letter: index for index, letter in enumerate(self.letters())}

@@ -188,6 +188,24 @@ def column_rows(alphabet, table, missing=None) -> tuple:
     )
 
 
+def column_of(aut, letter) -> int:
+    """The column of the automaton's rows that reads a letter, by its
+    definition: bit j set for each prop ``support[j]`` in the letter, or
+    the task's own column over a task alphabet.  The tests read rows
+    through this, not through the automaton's own ``columns()``."""
+    alphabet = aut.alphabet
+    if alphabet.singleton_letters:
+        return alphabet.columns()[letter]
+    return sum(1 << j for j, p in enumerate(aut.support) if p in letter)
+
+
+def letter_rows(aut) -> tuple:
+    """The automaton's rows spread over every letter of its alphabet, in
+    ``alphabet.letters()`` order: its table as one over every prop."""
+    columns = [column_of(aut, letter) for letter in aut.alphabet.letters()]
+    return tuple(tuple(row[c] for c in columns) for row in aut.transitions)
+
+
 def replace(aut, **changes):
     """``aut``, a DFA or an NFA, with some fields changed, built again
     through its constructor, so a ``Dfa`` checks its table again."""

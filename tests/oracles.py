@@ -44,15 +44,14 @@ from ldlmon.semantics import Trace, eval_ldlf
 from ldlmon.syntax import Alphabet, ldl
 
 from reference_product import reachable, tuple_product
+from genformulas import column_of
 
 
 def step(dfa: Dfa, state: int, letter: frozenset) -> int:
     """The DFA's successor of a state under a letter; a letter outside
     the alphabet raises ValueError."""
-    column = dfa.alphabet.columns().get(letter)
-    if column is None:
-        dfa.alphabet.check_letter(letter)
-    return dfa.transitions[state][column]
+    dfa.alphabet.check_letter(letter)
+    return dfa.transitions[state][column_of(dfa, letter)]
 
 
 def accepts(aut, trace) -> bool:
@@ -62,14 +61,12 @@ def accepts(aut, trace) -> bool:
         for letter in trace:
             state = step(aut, state, frozenset(letter))
         return state in aut.finals
-    columns = aut.alphabet.columns()
     current = {aut.initial}
     for letter in trace:
         letter = frozenset(letter)
         aut.alphabet.check_letter(letter)
-        current = {
-            target for state in current for target in aut.transitions[state][columns[letter]]
-        }
+        column = column_of(aut, letter)
+        current = {target for state in current for target in aut.transitions[state][column]}
         if not current:
             return False
     return bool(current & aut.finals)

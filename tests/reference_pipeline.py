@@ -19,7 +19,7 @@ from ldlmon.syntax.transforms import to_nnf
 
 import reference_delta as ref
 from reference_product import reachable
-from genformulas import column_rows
+from genformulas import column_rows, letter_rows
 
 TT_ = RVState.TEMP_TRUE
 TF_ = RVState.TEMP_FALSE
@@ -100,6 +100,7 @@ def reference_ldlf_to_nfa(formula, alphabet):
 
 def reference_determinize(nfa):
     letters = nfa.alphabet.letters()
+    table = letter_rows(nfa)
     initial = frozenset((nfa.initial,))
     ids = {initial: 0}
     order = [initial]
@@ -110,7 +111,7 @@ def reference_determinize(nfa):
         row = {}
         for column, letter in enumerate(letters):
             successor = frozenset(
-                target for state in subset for target in nfa.transitions[state][column]
+                target for state in subset for target in table[state][column]
             )
             if successor not in ids:
                 ids[successor] = len(order)

@@ -31,7 +31,7 @@ from operator import getitem
 
 from ldlmon.automata import Dfa
 
-from genformulas import column_rows
+from genformulas import column_rows, letter_rows
 
 
 def reachable(aut, state):
@@ -48,13 +48,14 @@ def reachable(aut, state):
 def minimize(dfa):
     letters = dfa.alphabet.letters()
     columns = dfa.alphabet.columns()
+    table = letter_rows(dfa)
     states = sorted(reachable(dfa, dfa.initial))
     block = {s: (1 if s in dfa.finals else 0) for s in states}
     while True:
         signatures = {
             s: (
                 block[s],
-                tuple(block[dfa.transitions[s][columns[letter]]] for letter in letters),
+                tuple(block[table[s][columns[letter]]] for letter in letters),
             )
             for s in states
         }
@@ -80,7 +81,7 @@ def minimize(dfa):
         rep = representative[blk]
         row = {}
         for letter in letters:
-            target = block[dfa.transitions[rep][columns[letter]]]
+            target = block[table[rep][columns[letter]]]
             if target not in ids:
                 ids[target] = len(order)
                 order.append(target)
@@ -123,7 +124,7 @@ def tuple_product(dfas, disjunction=False):
         msg = "product needs automata over the same alphabet"
         raise ValueError(msg)
     join = any if disjunction else all
-    tables = [dfa.transitions for dfa in dfas]
+    tables = [letter_rows(dfa) for dfa in dfas]
     start = tuple(dfa.initial for dfa in dfas)
     ids, order, rows = {start: 0}, [start], []
     for states in order:  # ``order`` grows as states are found: a FIFO walk

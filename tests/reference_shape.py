@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from ldlmon.automata import Dfa
 
+from genformulas import letter_rows
+
 
 def shape_equivalent(a, b):
     """A bijection between states preserving the initial state and the
@@ -25,11 +27,12 @@ def shape_equivalent(a, b):
         return None
     letters = a.alphabet.letters()
     if isinstance(a, Dfa) and isinstance(b, Dfa):
+        rows_a, rows_b = letter_rows(a), letter_rows(b)
         mapping = {a.initial: b.initial}
         queue = [a.initial]
         while queue:
             sa = queue.pop()
-            for ta, tb in zip(a.transitions[sa], b.transitions[mapping[sa]]):
+            for ta, tb in zip(rows_a[sa], rows_b[mapping[sa]]):
                 if ta is None or tb is None:
                     if ta is tb:
                         continue

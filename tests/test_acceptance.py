@@ -47,6 +47,7 @@ from ldlmon.syntax.transforms import ltlf_to_ldlf
 
 from genformulas import (
     all_traces,
+    column_of,
     column_rows,
     random_dfa,
     random_ldlf,
@@ -89,7 +90,7 @@ def hand_monitor(rows, finals, colors) -> ColoredDfa:
 def walk_color(colored: ColoredDfa, trace) -> RVState:
     state = colored.dfa.initial
     for event in trace:
-        state = colored.dfa.transitions[state][colored.dfa.alphabet.columns()[event]]
+        state = colored.dfa.transitions[state][column_of(colored.dfa, event)]
     return colored.colors[state]
 
 

@@ -48,7 +48,8 @@ import reference_delta as ref
 from reference_json import aut_from_json
 from reference_product import reachable, tuple_product
 from oracles import accepts, is_empty, language_equal, monolithic_dfa, step
-from genformulas import all_traces, column_rows, random_dfa, random_ldlf, replace, seeded_cases
+from genformulas import (
+    all_traces, column_rows, letter_rows, random_dfa, random_ldlf, replace, seeded_cases)
 
 AB = Alphabet.of("a", "b")
 TASKS = Alphabet.tasks(["a", "b"])
@@ -353,7 +354,7 @@ def test_empty_macro_state_exists_even_when_unreachable():
     assert nfa.n_states == 2
     assert nfa.labels == ("ff", "{}")
     assert nfa.finals == frozenset({1})
-    assert nfa.transitions[0] == column_rows(AB, {0: {}}, frozenset())[0]
+    assert letter_rows(nfa)[0] == column_rows(AB, {0: {}}, frozenset())[0]
     assert is_empty(nfa)
 
 
@@ -505,14 +506,12 @@ def test_product_accept_parameter_and_pair_table():
     assert pairs[union.initial] == (left.initial, right.initial)
     for trace in all_traces(AB, 2):
         assert accepts(union, trace) == (accepts(left, trace) or accepts(right, trace))
-    # Each product state simulates its component pair.
+    # Each product state simulates its component pair, letter by letter.
+    rows, left_rows, right_rows = letter_rows(union), letter_rows(left), letter_rows(right)
     for state, (sa, sb) in enumerate(pairs):
         for column in AB.columns().values():
-            target = union.transitions[state][column]
-            assert pairs[target] == (
-                left.transitions[sa][column],
-                right.transitions[sb][column],
-            )
+            target = rows[state][column]
+            assert pairs[target] == (left_rows[sa][column], right_rows[sb][column])
 
 
 def test_product_rejects_mismatched_alphabets():
@@ -659,7 +658,7 @@ def test_json_roundtrip_for_dfas():
     assert back.n_states == dfa.n_states
     assert back.initial == dfa.initial
     assert back.finals == dfa.finals
-    assert back.transitions == dfa.transitions
+    assert back.transitions == letter_rows(dfa)
 
 
 def test_json_roundtrip_for_nfas_and_colors():

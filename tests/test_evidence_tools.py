@@ -46,3 +46,18 @@ def test_fold_replay_runs_the_repository_against_itself():
         for d in parse_meta(item.text).directives
     )
     assert int(re.search(r": (\d+) product_fold", heads[1])[1]) >= needed > 0, run.stdout
+
+
+def test_props_scaling_reports_each_prop_count_and_writes_nothing():
+    """``props_scaling.py`` runs one child per prop count; each reports
+    the formula's 4-state DFA, and the run writes nothing."""
+    before = checkout_files()
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "evidence" / "props_scaling.py"), "--props", "3", "4"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    rows = [line.split() for line in run.stdout.splitlines()[2:]]
+    assert [row[:2] for row in rows] == [["3", "4"], ["4", "4"]], run.stdout
+    assert all(len(row) == 7 and "-" not in row for row in rows), run.stdout
+    assert checkout_files() == before

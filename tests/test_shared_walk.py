@@ -55,7 +55,7 @@ def check_acceptance(formula, alphabet):
     """Each member's acceptance, read off the walk ``_nfa_classes`` caches,
     is the reference ``delta_epsilon``; a macro-state accepts when all
     of its members do."""
-    order, _, _, accepts = _nfa_classes(formula, alphabet)
+    _, order, _, _, accepts = _nfa_classes(formula, alphabet)
     for macro in order:
         at_end = [ref.delta_epsilon(member) for member in macro]
         for member, expected in zip(macro, at_end):
