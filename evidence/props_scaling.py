@@ -1,11 +1,10 @@
 """CPU time and peak memory of one formula's compile and monitor as the
 alphabet grows.
 
-    python3 evidence/props_scaling.py [--props 3 12 16 18 20] \\
-        [--formula 'G (p0 -> F p1) && F (p2 && X p1)'] [--monitor-up-to 18] [--root ROOT]
+    python3 evidence/props_scaling.py [--props 3 12 16 18 20] [--root ROOT]
 
-For each prop count n the LTLf formula is parsed over the props p0 ..
-p(n-1) in a child process of its own, so that each count's
+For each prop count n the LTLf formula ``FORMULA`` is parsed over the
+props p0 .. p(n-1) in a child process of its own, so that each count's
 ``ru_maxrss`` is its own peak.  The child imports ``ldlmon`` from the
 ``src/`` of ROOT (default: the checkout holding this script) and
 reports, from ``resource.getrusage``:
@@ -17,7 +16,7 @@ reports, from ``resource.getrusage``:
 - the minimal DFA's states, and the ``ru_maxrss`` after the imports.
 
 The monitor's event map holds every one of the 2^n letters, so above
-``--monitor-up-to`` props it is not built and its columns read ``-``.
+``MONITOR_UP_TO`` props it is not built and its columns read ``-``.
 Only the standard library is used, and nothing is written in the
 checkout (no bytecode either).
 """
@@ -31,6 +30,7 @@ import subprocess
 import sys
 
 FORMULA = "G (p0 -> F p1) && F (p2 && X p1)"
+MONITOR_UP_TO = 18
 
 
 def usage() -> tuple[float, float]:
@@ -39,20 +39,20 @@ def usage() -> tuple[float, float]:
     return r.ru_utime + r.ru_stime, r.ru_maxrss / 1024
 
 
-def child(root: str, n: int, text: str, monitor: bool) -> dict:
+def child(root: str, n: int) -> dict:
     """One prop count's figures, measured in this process."""
     sys.path.insert(0, os.path.join(root, "src"))
     from ldlmon import Monitor, compile_dfa, ltlf_to_ldlf, parse_ltlf
     from ldlmon.syntax import Alphabet
 
     alphabet = Alphabet(tuple(f"p{j}" for j in range(n)))
-    formula = ltlf_to_ldlf(parse_ltlf(text, alphabet))
+    formula = ltlf_to_ldlf(parse_ltlf(FORMULA, alphabet))
     before, imported_mb = usage()
     dfa = compile_dfa(formula, alphabet)
     after, compile_mb = usage()
     out = {"props": n, "states": dfa.n_states, "import_mb": imported_mb,
            "compile_s": after - before, "compile_mb": compile_mb}
-    if monitor:
+    if n <= MONITOR_UP_TO:
         Monitor.for_formula(formula, alphabet)
         done, monitor_mb = usage()
         out.update(monitor_s=done - after, monitor_mb=monitor_mb)
@@ -62,23 +62,18 @@ def child(root: str, n: int, text: str, monitor: bool) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--props", nargs="+", type=int, default=[3, 12, 16, 18, 20])
-    parser.add_argument("--formula", default=FORMULA, help="an LTLf formula over p0, p1, ...")
-    parser.add_argument("--monitor-up-to", type=int, default=18,
-                        help="build the monitor only up to this many props")
     parser.add_argument("--root", help="checkout whose src/ is measured (default: this one)",
                         default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is not None:
-        print(json.dumps(child(args.root, args.child, args.formula,
-                               args.child <= args.monitor_up_to)))
+        print(json.dumps(child(args.root, args.child)))
         return 0
-    print(f"{args.formula}  ({args.root})")
+    print(f"{FORMULA}  ({args.root})")
     print(f"{'props':>5} {'states':>6} {'import MB':>9} {'compile s':>10} {'compile MB':>10} "
           f"{'monitor s':>10} {'monitor MB':>10}")
     for n in args.props:
         command = [sys.executable, "-B", os.path.abspath(__file__), "--child", str(n),
-                   "--formula", args.formula, "--monitor-up-to", str(args.monitor_up_to),
                    "--root", args.root]
         done = subprocess.run(command, capture_output=True, text=True)
         if done.returncode != 0:

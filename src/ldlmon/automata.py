@@ -70,7 +70,8 @@ walk over the tuples of its operands' states for a whole chain) and
 
 No construction lists the alphabet's letters.  Only the code that lists
 them reads a table through the projection, ``_Automaton.columns()``
-(every letter mapped to its column): ``edges`` and ``triples``,
+(every letter mapped to its column, one map per support, kept by the
+alphabet: ``Alphabet.columns_over``): ``edges`` and ``triples``,
 ``aut_to_json``, ``to_dot``, ``guards_by_target``, the monitor's event
 map and forbidden table, and ``shared_columns``, which reads the tables
 of a lockstep of monitors over the union of their supports.
@@ -98,7 +99,7 @@ from typing import NamedTuple
 
 from .rv import RVState
 from .syntax import ldl
-from .syntax.alphabet import Alphabet, check_width
+from .syntax.alphabet import Alphabet, lift
 from .syntax.ldl import print_ldlf
 from .syntax.props import (
     FALSE,
@@ -246,9 +247,9 @@ class _Automaton:
     def columns(self) -> dict:
         """Every letter of the alphabet, in ``alphabet.letters()`` order,
         mapped to the column of the rows that reads it: the column of its
-        props in the support.  Over every prop this is
-        ``alphabet.columns()``."""
-        return _columns_over(self.alphabet, self.support)
+        props in the support (``alphabet.columns_over``, one map per
+        support)."""
+        return self.alphabet.columns_over(self.support)
 
     def triples(self):
         for state in range(self.n_states):
@@ -470,31 +471,10 @@ def _automaton(kind, alphabet, support, order, rows, class_of, final, label=None
     )
 
 
-def _lift(support, onto) -> list:
-    """For each column over the props ``onto``, a superset of ``support``
-    (both in alphabet order), the column over ``support`` of the same
-    letter: the projection that reads a table over ``support`` as one
-    over ``onto``."""
-    check_width(len(onto))
-    bits = {p: 1 << k for k, p in enumerate(support)}
-    columns = [0]
-    for p in onto:
-        bit = bits.get(p)
-        columns += [column | bit for column in columns] if bit else columns
-    return columns
-
-
-def _columns_over(alphabet, support) -> dict:
-    """Every letter of the alphabet mapped to its column over ``support``."""
-    if support == alphabet.props:
-        return alphabet.columns()
-    return dict(zip(alphabet.letters(), _lift(support, alphabet.props)))
-
-
 def _lifted(alphabet, tables, supports):
     """The union of the supports of some tables over ``alphabet``, in
     alphabet order (every prop when there are none), and each table over
-    it: a table over a smaller support is read through ``_lift``, one
+    it: a table over a smaller support is read through ``lift``, one
     over the union is kept as it is."""
     union = supports[0] if supports else alphabet.props
     if supports.count(union) == len(supports):
@@ -502,7 +482,7 @@ def _lifted(alphabet, tables, supports):
     props = set().union(*supports)
     union = tuple(p for p in alphabet.props if p in props)
     return union, [table if support == union else
-                   tuple(map(operator.itemgetter(*_lift(support, union)), table))
+                   tuple(map(operator.itemgetter(*lift(support, union)), table))
                    for table, support in zip(tables, supports)]
 
 
@@ -510,9 +490,11 @@ def shared_columns(alphabet: Alphabet, tables, supports) -> tuple:
     """Tables over ``alphabet`` (rows over their ``supports``) read over
     the union of their supports, and every letter's column there: one
     column lookup per letter serves them all.  Tables over one support,
-    as every table over a task alphabet is, come back as they are."""
+    as every table over a task alphabet is, come back as they are.  The
+    map is the alphabet's for the union (``columns_over``), which a
+    product of the tables' automata reads too."""
     union, tables = _lifted(alphabet, tables, supports)
-    return tables, _columns_over(alphabet, union)
+    return tables, alphabet.columns_over(union)
 
 
 def complement(dfa: Dfa) -> Dfa:

@@ -9,11 +9,13 @@ state, from the prefix languages read off the same colors, as regexes.
 
 A ``Monitor`` steps through its DFA's rows as they are, rows over the
 DFA's support (the props its formula reads; every task of a task
-alphabet).  Its event map, built once when the monitor is, takes every
+alphabet).  Its event map, taken when the monitor is built, takes every
 letter of the alphabet to the column that reads it, so a step is one
-dict lookup and one tuple index.  Over a prop alphabet that map lists
-all 2^n letters, and it is the one place a monitor does: an alphabet of
-more than ``MAX_PROPS`` props is refused there.
+dict lookup and one tuple index.  The alphabet builds that map once per
+support (``Alphabet.columns_over``), so monitors over one support share
+it.  Over a prop alphabet the map lists all 2^n letters, and it is the
+one place a monitor does: an alphabet of more than ``MAX_PROPS`` props
+is refused there.
 
 A ``Monitor`` also keeps one forbidden table for the reports that name
 what must not come next: per DFA state, the letters whose step leads to
@@ -72,8 +74,8 @@ class Monitor:
     props of its support: ``table[state][column]`` is the successor of
     ``state`` under the letter in that column of
     ``alphabet.letters_over(support)``.  The event map, the DFA's
-    ``columns()`` built once here, takes every letter of the alphabet to
-    its column, so a step is one dict lookup and one tuple index.  The
+    ``columns()`` taken here, takes every letter of the alphabet to its
+    column, so a step is one dict lookup and one tuple index.  The
     forbidden table (see the module docstring) is filled by
     ``forbidden_at`` as reports read states.
     """

@@ -25,6 +25,20 @@ def check_width(n: int):
         raise ValueError(msg)
 
 
+def lift(support, onto) -> list:
+    """For each column over the props ``onto``, a superset of ``support``
+    (both in alphabet order), the column over ``support`` of the same
+    letter: the projection that reads rows over ``support`` as rows over
+    ``onto``."""
+    check_width(len(onto))
+    bits = {p: 1 << k for k, p in enumerate(support)}
+    columns = [0]
+    for p in onto:
+        bit = bits.get(p)
+        columns += [column | bit for column in columns] if bit else columns
+    return columns
+
+
 class Alphabet:
     """An ordered collection of proposition names.
 
@@ -106,6 +120,20 @@ class Alphabet:
         cached = getattr(self, "_columns", None)
         if cached is None:
             cached = self._columns = {letter: index for index, letter in enumerate(self.letters())}
+        return cached
+
+    def columns_over(self, support) -> dict[frozenset[str], int]:
+        """Letter -> its column in the rows of an automaton over
+        ``support``: the index among ``letters_over(support)`` of its props
+        in the support.  Built once per support and kept, so every
+        automaton and monitor over one support shares one map; over every
+        prop it is ``columns()``."""
+        if support == self.props:
+            return self.columns()
+        maps = self.__dict__.setdefault("_columns_over", {})
+        cached = maps.get(support)
+        if cached is None:
+            cached = maps[support] = dict(zip(self.letters(), lift(support, self.props)))
         return cached
 
     def check_letter(self, interp: frozenset[str]):
