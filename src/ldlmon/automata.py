@@ -68,13 +68,14 @@ occurrence, forms the letter classes and is also the refinement step of
 walk over the tuples of its operands' states for a whole chain) and
 ``_diamond_after`` run.
 
-No construction lists the alphabet's letters.  Only the code that lists
-them reads a table through the projection, ``_Automaton.columns()``
-(every letter mapped to its column, one map per support, kept by the
-alphabet: ``Alphabet.columns_over``): ``edges`` and ``triples``,
-``aut_to_json``, ``to_dot``, ``guards_by_target``, the monitor's event
-map and forbidden table, and ``shared_columns``, which reads the tables
-of a lockstep of monitors over the union of their supports.
+No construction or printer lists the alphabet's letters: a printed
+guard reads a row over the support (``guards_by_target``).  Only the
+code that lists them reads a table through the projection,
+``_Automaton.columns()`` (every letter mapped to its column, one map per
+support, kept by the alphabet: ``Alphabet.columns_over``): ``edges`` and
+``triples``, ``aut_to_json``, the monitor's event map and forbidden
+table, and ``shared_columns``, which reads the tables of a lockstep of
+monitors over the union of their supports.
 ``Alphabet.letters_over`` refuses more than ``MAX_PROPS`` props, so an
 alphabet too wide to list fails there, or where a support or a union of
 supports is that wide.
@@ -94,7 +95,7 @@ import functools
 import json
 import operator
 from collections import deque
-from itertools import compress, repeat, starmap
+from itertools import chain, compress, repeat, starmap
 from typing import NamedTuple
 
 from .rv import RVState
@@ -772,58 +773,42 @@ def rename_columns(colored: ColoredDfa, alphabet: Alphabet, source) -> ColoredDf
     return ColoredDfa(dfa, tuple(colored.colors[state] for state in order))
 
 
-def guard_for_letters(alphabet: Alphabet, letters) -> Prop:
-    """A propositional guard matched by exactly the given letters.
+def guard_for_letters(alphabet: Alphabet, support, columns) -> Prop:
+    """A guard over ``support`` matched by exactly the letters at
+    ``columns`` (increasing) of ``alphabet.letters_over(support)``.
 
     Tries the readable shapes first (true, a single literal, a
     disjunction of task names) and falls back to a disjunction of
-    letter descriptions.  A literal is checked against the alphabet's
-    full letter set; the two disjunctions are exact by construction.
+    letter descriptions over the support.  A literal is checked against
+    the support's letters; the two disjunctions are exact by construction.
     """
-    universe = alphabet.letters()
-    wanted = frozenset(letters)
-
-    def exact(guard: Prop) -> bool:
-        return all((eval_prop(guard, l) == (l in wanted)) for l in universe)
-
-    if wanted == frozenset(universe):
+    letters = alphabet.letters_over(support)
+    if len(columns) == len(letters):
         return TRUE
-    if not wanted:
+    if not columns:
         return FALSE
-    candidates = []
-    for name in alphabet.props:
-        candidates.append(Atom(name))
-        candidates.append(PropNot(Atom(name)))
-    for guard in candidates:
-        if exact(guard):
+    wanted = frozenset(columns)
+    literals = {p: (Atom(p), PropNot(Atom(p))) for p in support}
+    for guard in chain.from_iterable(literals.values()):
+        if all(eval_prop(guard, l) == (c in wanted) for c, l in enumerate(letters)):
             return guard
     if alphabet.singleton_letters:
-        names = sorted(next(iter(l)) for l in wanted)
-        guard = Atom(names[0])
-        for name in names[1:]:
-            guard = PropOr(guard, Atom(name))
-        return guard
-    ordered = [l for l in universe if l in wanted]
-    guard = None
-    for letter in ordered:
-        term = None
-        for name in alphabet.props:
-            literal = Atom(name) if name in letter else PropNot(Atom(name))
-            term = literal if term is None else PropAnd(term, literal)
-        guard = term if guard is None else PropOr(guard, term)
-    return guard
+        return functools.reduce(PropOr, map(Atom, sorted(next(iter(letters[c])) for c in columns)))
+    return functools.reduce(PropOr, (functools.reduce(
+        PropAnd, (literals[p][p not in letters[c]] for p in support)) for c in columns))
 
 
 def guards_by_target(aut, state: int) -> dict:
-    """The edges leaving a state, compressed to one guard per target;
-    targets come in the order of their first edge."""
+    """The columns of a state's row (an NFA's cell target by target)
+    grouped by target, each with its guard over the automaton's support;
+    targets come in the order of their first column."""
     grouped: dict = {}
-    for letter, target in aut.edges(state):
-        grouped.setdefault(target, []).append(letter)
-    return {
-        target: guard_for_letters(aut.alphabet, letters)
-        for target, letters in grouped.items()
-    }
+    nfa = isinstance(aut, Nfa)
+    for column, cell in enumerate(aut.transitions[state]):
+        for target in sorted(cell) if nfa else (cell,):
+            grouped.setdefault(target, []).append(column)
+    return {target: guard_for_letters(aut.alphabet, aut.support, columns)
+            for target, columns in grouped.items()}
 
 
 _DOT_COLORS = {
@@ -835,10 +820,11 @@ _DOT_COLORS = {
 
 
 def to_dot(aut, colors=None) -> str:
-    """Graphviz rendering.  Parallel letters between two states are
-    compressed into one guard-labelled edge; this is display only, the
-    automaton itself stays letter-level.  ``colors``, if given, holds
-    one ``RVState`` per state and fills each state with its color."""
+    """Graphviz rendering: one edge per target of a state, labelled with
+    the guard over the support of the columns that lead there
+    (``guards_by_target``), so a label names only props the automaton
+    reads.  ``colors``, if given, holds one ``RVState`` per state and
+    fills each state with its color."""
     lines = ["digraph automaton {", "  rankdir=LR;", '  hidden [shape=none label=""];']
     for state in range(aut.n_states):
         shape = "doublecircle" if state in aut.finals else "circle"

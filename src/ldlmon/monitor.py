@@ -31,22 +31,23 @@ whether a report ever reads the state or not.
 structure, as the four automata behind the RV characterization do.  It
 answers through ``_bijection``, a search that also keeps a label per
 state (the tests' colored isomorphism labels states by finality and
-color).  The search places the first automaton's states in
-breadth-first order from the initial state, columns in
-``alphabet.letters()`` order, then the states the walk does not reach,
-in numeric order.  A state's candidates are the successors of its
-breadth-first parent's image under the parent's letter; an unreached
-state takes every unused state.  A candidate must match the state's
-label, its successor and predecessor counts per column, and every edge
-to or from the states already placed, both ways.  Choice points sit on
-an explicit stack, not on Python recursion; a reachable DFA state has
-exactly one candidate, so for DFAs the search is one walk.
+color), over both automata's rows on their joint support.  The search
+places the first automaton's states in breadth-first order from the
+initial state, columns in order, then the states the walk does not
+reach, in numeric order.  A state's candidates are the successors of
+its breadth-first parent's image under the parent's column; an
+unreached state takes every unused state.  A candidate must match the
+state's label, its successor and predecessor counts per column, and
+every edge to or from the states already placed, both ways.  Choice
+points sit on an explicit stack, not on Python recursion; a reachable
+DFA state has exactly one candidate, so for DFAs the search is one
+walk.
 """
 from __future__ import annotations
 
 from itertools import compress
 
-from .automata import ColoredDfa, color, color_minimal, compile_dfa
+from .automata import ColoredDfa, _lifted, color, color_minimal, compile_dfa
 from .regexfold import automaton_to_regex
 from .rv import SATISFIABLE, VIOLABLE, RVState
 from .syntax import ldl
@@ -179,15 +180,16 @@ def shape_equivalent(a, b):
     return _bijection(a, b, (None,) * a.n_states, (None,) * b.n_states)
 
 
-def _adjacency(aut, labels):
-    """Per state, its sorted successors and predecessors per column, and
-    its signature: its label and the number of each."""
-    columns = aut.alphabet.columns()
-    out = [[[] for _ in columns] for _ in range(aut.n_states)]
-    into = [[[] for _ in columns] for _ in range(aut.n_states)]
-    for state, letter, target in aut.triples():
-        out[state][columns[letter]].append(target)
-        into[target][columns[letter]].append(state)
+def _adjacency(rows, labels):
+    """Per state, its sorted successors and predecessors per column of
+    its row in ``rows`` (an NFA's or a DFA's table), and its signature:
+    its label and the number of each."""
+    out = [[sorted(c) if isinstance(c, frozenset) else [c] for c in row] for row in rows]
+    into = [[[] for _ in row] for row in rows]
+    for state, row in enumerate(out):
+        for column, cell in enumerate(row):
+            for target in cell:
+                into[target][column].append(state)
     signatures = [
         (label, [*map(len, succ)], [*map(len, pred)])
         for label, succ, pred in zip(labels, out, into)
@@ -201,8 +203,10 @@ def _bijection(a, b, label_a, label_b):
     the search is described in the module docstring."""
     if a.alphabet != b.alphabet or a.n_states != b.n_states:
         return None
-    out_a, in_a, sig_a = _adjacency(a, label_a)
-    out_b, in_b, sig_b = _adjacency(b, label_b)
+    _, (rows_a, rows_b) = _lifted(a.alphabet, (a.transitions, b.transitions),
+                                  (a.support, b.support))
+    out_a, in_a, sig_a = _adjacency(rows_a, label_a)
+    out_b, in_b, sig_b = _adjacency(rows_b, label_b)
     order, parent = [a.initial], {a.initial: None}
     for state in order:  # the walk reaches the states it appends
         for column, cell in enumerate(out_a[state]):

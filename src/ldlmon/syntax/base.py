@@ -80,7 +80,17 @@ def print_infix(f, parent: int, table: dict, show) -> str:
     """Print the binary node f of a ``by_class`` table below an operator of
     level ``parent``; ``show(operand, level)`` prints an operand.  The
     operand on the grouping side is printed at f's level, the other one a
-    level tighter, and f is parenthesized when its parent binds tighter."""
-    joint, level, right = table[type(f)]
-    text = show(f.left, level + right) + joint + show(f.right, level + (not right))
+    level tighter, and f is parenthesized when its parent binds tighter.
+    A chain of f's class down the grouping side prints in one loop."""
+    cls = type(f)
+    joint, level, right = table[cls]
+    if type(f.right if right else f.left) is not cls:
+        text = show(f.left, level + right) + joint + show(f.right, level + (not right))
+    else:
+        parts = []  # the operands off the grouping side, outermost first
+        while type(f) is cls:
+            parts.append(show(f.left if right else f.right, level + 1))
+            f = f.right if right else f.left
+        parts.append(show(f, level))
+        text = joint.join(parts if right else reversed(parts))
     return f"({text})" if parent > level else text

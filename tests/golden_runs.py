@@ -45,6 +45,10 @@ RUNS = [
     ("booking_response_monitor.txt",
      ["monitor", "response(pay, get)", *_TASKS, "--trace", "samples/booking.trace"], None),
     ("absence2_repl.txt", ["repl", "absence2(pay)", *_TASKS], "pay\nacc\n"),
+    # A formula over 3 of 20 props: its guards name only the 3 it reads.
+    ("support_guards_20_props.dot",
+     ["compile", "G (p0 -> F p1) && F (p2 && X p1)", "--lang", "ltlf",
+      "--props", ",".join(f"p{j}" for j in range(20)), "--format", "dot"], None),
 ]
 
 

@@ -42,7 +42,7 @@ from ldlmon.syntax import (
     to_nnf,
 )
 from ldlmon.syntax.ldl import print_ldlf, subterms
-from ldlmon.syntax.props import Atom, TRUE, eval_prop
+from ldlmon.syntax.props import Atom, TRUE, eval_prop, prop_atoms
 
 import reference_delta as ref
 from reference_json import aut_from_json
@@ -603,8 +603,26 @@ def test_language_equal():
 # Guard synthesis --------------------------------------------------------
 
 
+def guard_of(alphabet, letters, support=None):
+    """``guard_for_letters`` of some letters over ``support`` (every prop
+    when not given), passed as their columns."""
+    support = alphabet.props if support is None else support
+    over = alphabet.letters_over(support)
+    return guard_for_letters(alphabet, support, sorted(map(over.index, letters)))
+
+
+def print_guard(alphabet, letters, support=None):
+    from ldlmon.syntax import print_prop
+
+    return print_prop(guard_of(alphabet, letters, support))
+
+
+ABCD = Alphabet.of("a", "b", "c", "d")
+WIDE = Alphabet(tuple(f"p{j}" for j in range(20)))
+
+
 def test_guard_for_letters_prefers_readable_shapes():
-    assert guard_for_letters(AB, AB.letters()) == TRUE
+    assert guard_of(AB, AB.letters()) == TRUE
     assert print_guard(AB, [L_A, L_AB]) == "a"
     assert print_guard(AB, [L_NONE, L_B]) == "!a"
     assert print_guard(TASKS, [L_A]) == "a"
@@ -613,34 +631,43 @@ def test_guard_for_letters_prefers_readable_shapes():
     assert print_guard(three, [L_A, L_B, frozenset({"c"})]) == "true"
     four = Alphabet.tasks(["a", "b", "c", "d"])
     assert print_guard(four, [L_A, L_B]) == "a || b"
-
-
-def print_guard(alphabet, letters):
-    from ldlmon.syntax import print_prop
-
-    return print_prop(guard_for_letters(alphabet, letters))
+    # Over a support narrower than the alphabet, the guard names only
+    # the support's props, and a letter description only their literals.
+    ac = ("a", "c")
+    assert print_guard(ABCD, [L_A, frozenset("ac")], ac) == "a"
+    assert print_guard(ABCD, [L_NONE, L_A], ac) == "!c"
+    assert print_guard(ABCD, [L_NONE, frozenset("ac")], ac) == "!a && !c || a && c"
+    assert print_guard(ABCD, ABCD.letters_over(ac), ac) == "true"
+    assert print_guard(WIDE, [frozenset({"p1"})], ("p1",)) == "p1"
+    assert print_guard(WIDE, [L_NONE], ("p1",)) == "!p1"
+    assert print_guard(WIDE, [L_NONE], ()) == "true"
 
 
 def test_guard_for_letters_is_exact_on_every_subset():
-    # Every letter set of 2- and 3-prop alphabets (16 and 256 sets) and of
-    # 3- and 4-task alphabets: the shapes built without a check (letter
-    # descriptions, task disjunctions) must match exactly the set.  Over
-    # three tasks every set is true, false or a literal; over four, the
+    # Every set of letters over the support of 2- and 3-prop alphabets
+    # (16 and 256 sets), of 3- and 4-task alphabets, and of supports
+    # narrower than their alphabet: the shapes built without a check
+    # (letter descriptions, task disjunctions) must match exactly the
+    # set, and no guard names a prop outside the support.  Over three
+    # tasks every set is true, false or a literal; over four, the
     # two-task sets are disjunctions.
-    for alphabet in (
-        AB,
-        Alphabet.of("a", "b", "c"),
-        Alphabet.tasks(["a", "b", "c"]),
-        Alphabet.tasks(["a", "b", "c", "d"]),
+    for alphabet, support in (
+        (AB, AB.props),
+        (Alphabet.of("a", "b", "c"), ("a", "b", "c")),
+        (Alphabet.tasks(["a", "b", "c"]), ("a", "b", "c")),
+        (Alphabet.tasks(["a", "b", "c", "d"]), ("a", "b", "c", "d")),
+        (ABCD, ("a", "c")),
+        (ABCD, ("b", "c", "d")),
+        (WIDE, ("p1",)),
+        (WIDE, ()),
     ):
-        universe = alphabet.letters()
-        for mask in range(1 << len(universe)):
-            wanted = frozenset(
-                letter for j, letter in enumerate(universe) if mask >> j & 1
-            )
-            guard = guard_for_letters(alphabet, wanted)
-            for letter in universe:
-                assert eval_prop(guard, letter) == (letter in wanted)
+        over = alphabet.letters_over(support)
+        for mask in range(1 << len(over)):
+            columns = [j for j in range(len(over)) if mask >> j & 1]
+            guard = guard_for_letters(alphabet, support, columns)
+            assert prop_atoms(guard) <= set(support)
+            for column, letter in enumerate(over):
+                assert eval_prop(guard, letter) == (column in columns)
 
 
 # Serialization ----------------------------------------------------------

@@ -393,7 +393,7 @@ def test_repl_ends_without_end_marker(capsys, monkeypatch):
         ["compile", "existence(a, b)", "--lang", "pattern"],
         ["compile", "existence(a)", "--lang", "pattern", "--tasks", "b"],
         ["compile", "<a>tt", "--tasks", "a", "--props", "b"],
-        ["compile", "<p0>tt", "--props", ",".join(f"p{j}" for j in range(25))],
+        ["compile", "<p0>tt", "--props", ",".join(f"p{j}" for j in range(25)), "--format", "json"],
         ["monitor", "<a>tt", "--trace", "/no/such/file"],
         ["declare", "/no/such/model.decl", "--trace", "-"],
         ["compile"],
@@ -414,6 +414,17 @@ def test_usage_errors_exit_one(argv, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert err != ""
+
+
+def test_a_monitor_over_25_props_exits_one(tmp_path, capsys):
+    """A monitor's event map lists every letter of the alphabet, so
+    ``<p0>tt`` over 25 props is refused, with the ``MAX_PROPS`` message,
+    before its one-line trace is read."""
+    trace = write(tmp_path / "t.trace", '["p0", "p24"]\n')
+    props = ",".join(f"p{j}" for j in range(25))
+    code, out, err = run_cli(["monitor", "<p0>tt", "--props", props, "--trace", trace], capsys)
+    assert (code, out) == (1, "")
+    assert "at most 20 props are supported" in err
 
 
 @pytest.mark.parametrize(
@@ -462,25 +473,31 @@ def test_generated_valid_input_exits_zero(tmp_path, capsys):
     through ``compile`` in every format and option and through
     ``monitor``: valid input never exits with status 2, nor 1."""
     rng = random.Random(4401)
-    alphabets = [("--props", ["a", "b", "c"]), ("--tasks", ["a", "b", "c"])]
+    alphabets = [
+        ("--props", ["a", "b", "c"], ("ascii", "dot", "json")),
+        ("--tasks", ["a", "b", "c"], ("ascii", "dot", "json")),
+        # Formulas over a, b and c printed over 12 props: the ascii and
+        # dot guards read the rows over the support.
+        ("--props", ["a", "b", "c", *(f"u{j}" for j in range(9))], ("ascii", "dot")),
+    ]
     runs = 0
-    for flag, names in alphabets:
+    for index, (flag, names, formats) in enumerate(alphabets):
         if flag == "--tasks":
             events = [rng.choice(names) for _ in range(5)]
         else:
             events = [json.dumps(sorted(rng.sample(names, rng.randint(0, 2)))) for _ in range(5)]
-        trace = write(tmp_path / f"trace{flag}.txt", "\n".join(events) + "\n")
+        trace = write(tmp_path / f"trace{index}.txt", "\n".join(events) + "\n")
         for _ in range(6):
             inputs = [
-                (print_ldlf(random_ldlf(rng, names)), "ldlf"),
-                (print_ltlf(random_ltlf(rng, names, depth=3)), "ltlf"),
-                (_guard_only_regex(rng, names), "re"),
+                (print_ldlf(random_ldlf(rng, names[:3])), "ldlf"),
+                (print_ltlf(random_ltlf(rng, names[:3], depth=3)), "ltlf"),
+                (_guard_only_regex(rng, names[:3]), "re"),
             ]
             for text, lang in inputs:
                 common = [text, "--lang", lang, flag, ",".join(names)]
                 argvs = [
                     ["compile", *common, "--format", fmt, *colors, *minimize]
-                    for fmt in ("ascii", "dot", "json")
+                    for fmt in formats
                     for colors in ([], ["--colors"])
                     for minimize in ([], ["--no-minimize"])
                 ]
@@ -491,7 +508,7 @@ def test_generated_valid_input_exits_zero(tmp_path, capsys):
                     assert (code, err) == (0, ""), argv
                     assert out
                     runs += 1
-    assert runs == 2 * 6 * 3 * 14
+    assert runs == 2 * 6 * 3 * 14 + 6 * 3 * 10
 
 
 def test_flat_seq_path_compiles(capsys):

@@ -9,12 +9,14 @@ formulas over 3 to 7 props, most of which read only some of them, on
 every prop, both routes must give the same ``aut_to_json`` (table,
 finals and colors) and the same labels, and a monitor must step as the
 reference DFA does on every trace up to length 3.  Compiling lists no
-letter, so a 20-prop compile costs what a 3-prop one does, and only
-the outputs that list letters refuse an alphabet of more than
-``MAX_PROPS`` props.
+letter, so a 20-prop compile costs what a 3-prop one does.  The ascii
+and dot outputs print guards over the support, so they print over any
+number of props, and only the outputs that list letters refuse an
+alphabet of more than ``MAX_PROPS`` props.
 """
 import itertools
 import random
+import re
 
 import pytest
 
@@ -23,6 +25,7 @@ from ldlmon.automata import (
     color_minimal,
     compile_dfa,
     determinize,
+    guards_by_target,
     ldlf_to_nfa,
 )
 from ldlmon.cli import main
@@ -30,6 +33,7 @@ from ldlmon.declare import Constraint, DeclareModel, ModelMonitor
 from ldlmon.monitor import Monitor
 from ldlmon.syntax import Alphabet, ldl, parse_ldlf, parse_ltlf
 from ldlmon.syntax.alphabet import MAX_PROPS
+from ldlmon.syntax.props import eval_prop
 from ldlmon.syntax.transforms import ltlf_to_ldlf, to_nnf
 
 import reference_product as product
@@ -187,3 +191,43 @@ def test_the_outputs_that_list_letters_refuse_too_many_props(command, text, caps
     argv += ["--format", "json"] if command == "compile" else ["--trace", "-"]
     assert main(argv) == 1
     assert f"at most {MAX_PROPS} props are supported" in capsys.readouterr().err
+
+
+def wide(n) -> Alphabet:
+    return Alphabet(tuple(f"p{j}" for j in range(n)))
+
+
+@pytest.mark.parametrize("n", [10, MAX_PROPS, 25])
+def test_printed_guards_read_the_support(n, capsys):
+    """Over 10, 20 and 25 props, ``EVERY_PROP`` prints in ascii and dot
+    naming only p0-p2, and each guard of its minimal and of its subset
+    DFA selects exactly the letters over the support whose cell holds its
+    target (brute force)."""
+    props = ",".join(wide(n).props)
+    for options in ([], ["--no-minimize"]):
+        for fmt in ("ascii", "dot"):
+            argv = ["compile", EVERY_PROP, "--lang", "ltlf", "--props", props, "--format", fmt]
+            assert main([*argv, *options]) == 0
+            out = capsys.readouterr().out
+            assert set(re.findall(r"p[0-9]+", out)) == {"p0", "p1", "p2"}
+    alphabet = wide(n)
+    formula = ltlf_to_ldlf(parse_ltlf(EVERY_PROP, alphabet))
+    for aut in (compile_dfa(formula, alphabet), ldlf_to_nfa(formula, alphabet)):
+        letters = alphabet.letters_over(aut.support)
+        for state, row in enumerate(aut.transitions):
+            guards = guards_by_target(aut, state)
+            for column, (letter, cell) in enumerate(zip(letters, row)):
+                cell = cell if isinstance(cell, frozenset) else {cell}
+                assert {t for t, g in guards.items() if eval_prop(g, letter)} == cell, column
+
+
+def test_a_formula_over_ten_props_prints(capsys):
+    """``F (p0 && ... && p9)`` reads every one of its 10 props, so the
+    guard of its initial state's loop is a disjunction of 1,023 letter
+    descriptions; it prints in ascii and dot all the same."""
+    text = "F (" + " && ".join(wide(10).props) + ")"
+    for fmt in ("ascii", "dot"):
+        assert main(["compile", text, "--lang", "ltlf", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert out.count(" || ") == 1022
+        assert " && ".join(wide(10).props) in out

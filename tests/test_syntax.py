@@ -1,4 +1,5 @@
 """Parsing, printing, and the formula transformations."""
+import functools
 import random
 
 import pytest
@@ -423,6 +424,21 @@ def test_printed_spacing_and_parentheses():
     assert print_ltlf(ltl.LtlfImplies(ltl.LtlfIff(la, lb), lc)) == "(a <-> b) -> c"
     assert print_ltlf(ltl.WeakNext(ltl.LtlfNot(ltl.LtlfAnd(la, lb)))) == "WX !(a && b)"
     assert print_ltlf(ltl.Release(ltl.Eventually(la), ltl.LtlfOr(lb, lc))) == "F a R (b || c)"
+
+
+def test_a_chain_of_one_operator_prints_in_one_loop():
+    """A chain down its operator's grouping side prints without one call
+    per operand: 3,000 left-nested disjuncts print as their join, as do
+    3,000 right-nested ``U`` operands, and the chain's operands and the
+    chain itself keep their parentheses."""
+    atoms = [Atom(f"p{j}") for j in range(3000)]
+    assert print_prop(functools.reduce(PropOr, atoms)) == " || ".join(a.name for a in atoms)
+    props = [ltl.LtlfProp(a) for a in atoms]
+    until = functools.reduce(lambda right, left: ltl.Until(left, right), props[-2::-1], props[-1])
+    assert print_ltlf(until) == " U ".join(a.name for a in atoms)
+    pa, pb, pc = (Atom(n) for n in "abc")
+    assert print_prop(PropNot(PropAnd(PropAnd(PropOr(pa, pb), pc), pa))) == "!((a || b) && c && a)"
+    assert print_prop(PropOr(PropOr(pa, PropOr(pb, pc)), pa)) == "a || (b || c) || a"
 
 
 def _atomize(f):
