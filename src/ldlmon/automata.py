@@ -101,6 +101,7 @@ from typing import NamedTuple
 from .rv import RVState
 from .syntax import ldl
 from .syntax.alphabet import Alphabet, lift
+from .syntax.base import chain_operands
 from .syntax.ldl import print_ldlf
 from .syntax.props import (
     FALSE,
@@ -589,15 +590,7 @@ def compile_dfa(formula: ldl.Ldlf, alphabet: Alphabet, memo: dict | None = None)
         return complement(compile_dfa(formula.arg, alphabet, memo))
     if isinstance(formula, (ldl.And, ldl.Or)):
         kind = type(formula)
-        operands = []
-        pending = [formula]
-        while pending:
-            f = pending.pop()
-            if isinstance(f, kind):
-                pending.append(f.right)
-                pending.append(f.left)
-            else:
-                operands.append(f)
+        operands = chain_operands(formula, kind)
         return product_fold((compile_dfa(f, alphabet, memo) for f in operands), kind is ldl.Or)
     key = ("dfa", formula, alphabet)
     dfa = memo.get(key)

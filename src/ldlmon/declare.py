@@ -64,7 +64,15 @@ equality pattern of the catalog, whatever the input; it is the only
 compiled automaton kept between builds, and ``.meta`` defines that are
 pattern calls read it too.  Parsing a pattern call builds no LTLf
 formula (``Constraint.formula`` is built when first read), nor does a
-``.meta`` build for its directives.  Everything
+``.meta`` build for its directives.
+
+An ``ltl:`` line over tasks reads the table as well when its formula,
+or a conjunct of its top-level ``&&`` chain, is a catalog pattern up to
+the names of its tasks: ``_catalog_call`` compares the formula's shape,
+its nodes with the atoms numbered in first-use order, with ``_SHAPES``,
+the 15 shapes of the table's entries, built on first use.  Such a
+conjunct is instantiated as its pattern call would be, the other
+conjuncts are compiled, and one product joins them.  Everything
 else compiles through one memo per build (see ``automata.compile_dfa``),
 so a property that several constraints refer to is compiled once per
 build, and the memo is dropped when it returns.  A ``.meta`` build
@@ -88,6 +96,7 @@ from .monitor import Monitor
 from .rv import RVState
 from .syntax import ldl, ltl
 from .syntax.alphabet import Alphabet
+from .syntax.base import chain_operands
 from .syntax.parser import parse_ltlf
 from .syntax.props import Atom
 from .syntax.transforms import ltlf_to_ldlf
@@ -331,9 +340,10 @@ def parse_decl(text: str) -> DeclareModel:
 
 
 def local_monitors(model: DeclareModel) -> dict[str, Monitor]:
-    """One monitor per constraint.  A constraint read from a pattern call
-    is instantiated from the pattern table (see the module docstring);
-    the others are compiled through one memo."""
+    """One monitor per constraint.  A constraint read from a pattern call,
+    or whose formula's conjuncts are catalog patterns, is instantiated
+    from the pattern table (see the module docstring); everything else
+    is compiled through one memo."""
     memo: dict = {}
     return {
         c.name: Monitor(_local_automaton(c, model.alphabet, memo))
@@ -360,14 +370,83 @@ def _template(pattern: str, slots: tuple[int, ...]) -> ColoredDfa:
     return colored
 
 
+# The catalog's shapes, filled from ``PATTERNS`` on first use: the shape
+# of each pattern formula over distinct or equal arguments (see
+# ``_shape``) -> the pattern and, per argument, the slot of the shape that
+# it is.  One shape per ``_TEMPLATES`` key: 15 entries, whatever the input.
+_SHAPES: dict[tuple, tuple[str, tuple[int, ...]]] = {}
+
+
+def _shape(formula: ltl.Ltlf, limit: float) -> tuple[tuple, tuple[str, ...]] | None:
+    """The formula's nodes in preorder, each task atom by its slot (atoms
+    numbered in first-use order) and every other node by its class, and
+    the atoms in slot order.  None for a formula with a compound or
+    constant proposition, or with more than ``limit`` nodes: the walk
+    stops there, so a long or deep formula costs at most ``limit`` steps."""
+    shape, slots = [], {}
+    pending = [formula]
+    while pending:
+        if len(shape) == limit:
+            return None
+        f = pending.pop()
+        if type(f) is ltl.LtlfProp:
+            if type(f.prop) is not Atom:
+                return None
+            shape.append(slots.setdefault(f.prop.name, len(slots)))
+        else:
+            shape.append(type(f))
+            pending.extend(getattr(f, field) for field in reversed(f._fields))
+    return tuple(shape), tuple(slots)
+
+
+def _catalog_call(formula: ltl.Ltlf) -> tuple[str, tuple[str, ...]] | None:
+    """The pattern call ``(pattern, args)`` whose formula is exactly
+    ``formula`` up to the names of its tasks, or None."""
+    if not _SHAPES:
+        shapes = {}
+        for pattern, (build, arity) in PATTERNS.items():
+            for slots in [(0,)] if arity == 1 else [(0, 1), (0, 0)]:
+                shape, names = _shape(build(*(f"s{slot}" for slot in slots)), float("inf"))
+                shapes[shape] = pattern, tuple(names.index(f"s{slot}") for slot in slots)
+        _SHAPES.update(shapes)  # one update: no caller sees the table half filled
+    found = _shape(formula, max(map(len, _SHAPES)))
+    entry = found and _SHAPES.get(found[0])
+    if not entry:
+        return None
+    pattern, picks = entry
+    return pattern, tuple(found[1][pick] for pick in picks)
+
+
+def _instance(call: tuple[str, tuple[str, ...]], alphabet: Alphabet) -> ColoredDfa:
+    """A pattern call's colored minimal DFA over a task alphabet, copied
+    from its pattern's template (see the module docstring)."""
+    pattern, args = call
+    slot = {arg: index for index, arg in enumerate(dict.fromkeys(args))}
+    template = _template(pattern, tuple(map(slot.get, args)))
+    source = [slot.get(task, len(slot)) for task in alphabet.props]
+    return rename_columns(template, alphabet, source)
+
+
 def _local_automaton(constraint: Constraint, alphabet: Alphabet, memo: dict) -> ColoredDfa:
-    """The constraint's colored minimal DFA over the alphabet."""
-    if constraint.call is not None and alphabet.singleton_letters:
-        pattern, args = constraint.call
-        slot = {arg: index for index, arg in enumerate(dict.fromkeys(args))}
-        template = _template(pattern, tuple(map(slot.get, args)))
-        source = [slot.get(task, len(slot)) for task in alphabet.props]
-        return rename_columns(template, alphabet, source)
+    """The constraint's colored minimal DFA over the alphabet.
+
+    Over a task alphabet, a pattern call, and an ``ltl:`` formula that
+    is a catalog pattern up to the names of its tasks, is instantiated
+    from the pattern table.  When only some conjuncts of the formula's
+    top-level ``&&`` chain are catalog patterns, those are instantiated,
+    the others compiled through ``memo``, and one product joins them.
+    Anything else compiles through ``memo``."""
+    if alphabet.singleton_letters:
+        call = constraint.call or _catalog_call(constraint.formula)
+        if call is not None:
+            return _instance(call, alphabet)
+        conjuncts = chain_operands(constraint.formula, ltl.LtlfAnd)
+        calls = list(map(_catalog_call, conjuncts)) if len(conjuncts) > 1 else [None]
+        if any(calls):
+            return color_minimal(product_fold(
+                _instance(call, alphabet).dfa if call else
+                compile_dfa(ltlf_to_ldlf(conjunct), alphabet, memo)
+                for conjunct, call in zip(conjuncts, calls)))
     return color_minimal(compile_dfa(constraint.to_ldlf(), alphabet, memo))
 
 
@@ -570,9 +649,10 @@ class ModelMonitor(_Lockstep):
 
     The whole-model monitor is the minimized product of the DFAs the
     local monitors already hold, so no constraint is compiled twice.
-    The local monitors come from ``local_monitors``: pattern calls are
-    instantiated from the pattern table, the rest compiled through one
-    memo, which the monitor does not keep.
+    The local monitors come from ``local_monitors``: pattern calls and
+    catalog patterns written in LTLf are instantiated from the pattern
+    table, the rest compiled through one memo, which the monitor does
+    not keep.
     """
 
     def __init__(self, model: DeclareModel):
@@ -749,7 +829,8 @@ class MetaMonitor(_Lockstep):
     DFA as in ``local_monitors``, keyed by name; a shown define's monitor
     is that DFA, and each directive's is its kind's recipe over its
     targets' DFAs.  The build's memo, dropped when it returns, serves
-    only the compiles of ``ltl:`` defines."""
+    only the compiles of the conjuncts of ``ltl:`` defines that are no
+    catalog pattern."""
 
     def __init__(self, model: MetaModel):
         memo: dict = {}

@@ -1,4 +1,5 @@
-"""The base class of the immutable AST nodes, and what their printers share.
+"""The base class of the immutable AST nodes, and the walks every layer
+shares: infix printing and the operands of a binary chain.
 
 A node class declares its fields as annotations, in order; ``Node``
 records them as ``_fields`` when the class is created, and its
@@ -94,3 +95,18 @@ def print_infix(f, parent: int, table: dict, show) -> str:
         parts.append(show(f, level))
         text = joint.join(parts if right else reversed(parts))
     return f"({text})" if parent > level else text
+
+
+def chain_operands(f, cls) -> list:
+    """The operands of the chain of ``cls`` nodes that f heads, on either
+    side, left to right: ``(a && b) && (c && d)`` gives a, b, c, d, and a
+    formula of another class gives [f].  One loop with an explicit
+    stack, however long the chain."""
+    operands, pending = [], [f]
+    while pending:
+        g = pending.pop()
+        if type(g) is cls:
+            pending += g.right, g.left
+        else:
+            operands.append(g)
+    return operands

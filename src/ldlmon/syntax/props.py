@@ -60,10 +60,16 @@ def eval_prop(phi: Prop, interp: frozenset[str]) -> bool:
         return phi.name in interp
     if isinstance(phi, PropNot):
         return not eval_prop(phi.arg, interp)
-    if isinstance(phi, PropAnd):
-        return eval_prop(phi.left, interp) and eval_prop(phi.right, interp)
-    if isinstance(phi, PropOr):
-        return eval_prop(phi.left, interp) or eval_prop(phi.right, interp)
+    if isinstance(phi, (PropAnd, PropOr)):
+        # A chain of phi's class down its left (grouping) side is one
+        # loop, right operand first: a folded guard of a thousand
+        # disjuncts does not recurse a thousand deep.
+        cls, decisive = type(phi), type(phi) is PropOr
+        while type(phi) is cls:
+            if eval_prop(phi.right, interp) is decisive:
+                return decisive
+            phi = phi.left
+        return eval_prop(phi, interp)
     msg = f"not a propositional formula: {phi!r}"
     raise TypeError(msg)
 
@@ -77,7 +83,11 @@ def prop_atoms(phi: Prop) -> frozenset[str]:
     if isinstance(phi, PropNot):
         return prop_atoms(phi.arg)
     if isinstance(phi, (PropAnd, PropOr)):
-        return prop_atoms(phi.left) | prop_atoms(phi.right)
+        cls, parts = type(phi), []  # a chain down the left side, as in eval_prop
+        while type(phi) is cls:
+            parts.append(prop_atoms(phi.right))
+            phi = phi.left
+        return prop_atoms(phi).union(*parts)
     msg = f"not a propositional formula: {phi!r}"
     raise TypeError(msg)
 

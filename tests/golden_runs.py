@@ -30,6 +30,9 @@ RUNS = [
      ["compile", "<true*> (a && <true> b)", "--props", "a,b", "--colors"], None),
     ("booking_timeline.txt", _DECLARE, None),
     ("booking_meta_timeline.txt", _META, None),
+    # booking.decl's constraints as ltl: lines, read off the pattern table.
+    ("booking_ltl_timeline.txt",
+     ["declare", "samples/booking-ltl.decl", "--trace", "samples/booking.trace"], None),
     ("booking_timeline.json", [*_DECLARE, "--format", "json"], None),
     ("booking_meta_timeline.json", [*_META, "--format", "json"], None),
     ("directives_meta_timeline.txt",

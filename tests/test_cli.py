@@ -300,6 +300,17 @@ def test_cli_runs_reproduce_their_goldens(name, argv, stdin, capsys, monkeypatch
     assert out == (GOLDEN / name).read_bytes().decode("utf-8")
 
 
+def test_booking_in_ltl_monitors_like_the_pattern_calls():
+    """``booking-ltl.decl`` writes ``booking.decl``'s five constraints as
+    labelled ``ltl:`` lines: their rows match cell for cell."""
+
+    def rows(name):
+        lines = (GOLDEN / name).read_text(encoding="utf-8").splitlines()[2:]
+        return [[cell.strip() for cell in line.split("|")[1:]] for line in lines]
+
+    assert rows("booking_ltl_timeline.txt")[:5] == rows("booking_timeline.txt")[:5]
+
+
 def test_meta_runs_the_sample_model(capsys):
     code, out, err = run_cli(
         ["meta", "samples/booking.meta", "--trace", "samples/booking-meta.trace"],

@@ -56,6 +56,15 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
     assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
 
 
+def test_the_cli_fills_no_pattern_table_at_import():
+    """The pattern table and the catalog's shapes are built on first use,
+    so a one-shot run that reads no pattern pays nothing for them."""
+    script = "import ldlmon.cli, ldlmon.declare as d; print(len(d._SHAPES), len(d._TEMPLATES))"
+    run = subprocess.run([sys.executable, "-c", script], cwd=Path(ldlmon.__file__).parent.parent,
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "0 0\n"), run.stderr
+
+
 def test_references_import_no_kernel_stage():
     """A reference that ran the kernel it checks would agree with it
     whatever the kernel did: from ``automata`` the ``tests/reference_*``

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ldlmon.automata import determinize, ldlf_to_nfa
+from ldlmon.automata import color_minimal, compile_dfa, determinize, ldlf_to_nfa
 from ldlmon.monitor import Monitor, monitor_automaton
 from ldlmon.regexfold import (
     EMPTY_RE,
@@ -211,3 +211,17 @@ def test_regex_for_rv_partitions_every_trace():
 def test_regex_for_rv_rejects_non_states():
     with pytest.raises(ValueError):
         regex_for_rv(ltlf_to_ldlf(parse_ltlf("F a", TASKS)), "bogus", TASKS)
+
+
+def test_a_folded_regex_over_ten_props_compiles_again():
+    """The loop guard of the temp-false regex of ``F (p0 && ... && p9)``
+    is a 1,023-term ``||`` chain; the regex compiles back to the
+    language it was folded from."""
+    props = [f"p{i}" for i in range(10)]
+    alphabet = Alphabet.of(*props)
+    formula = ltlf_to_ldlf(parse_ltlf(f"F ({' && '.join(props)})", alphabet))
+    regex = regex_for_rv(formula, RVState.TEMP_FALSE, alphabet)
+    colored = color_minimal(compile_dfa(formula, alphabet))
+    compiled = compile_dfa(Diamond(regex, END), alphabet)
+    assert compiled.n_states == 2
+    assert language_equal(compiled, colored.where({RVState.TEMP_FALSE}))

@@ -315,6 +315,27 @@ def test_nodes_hash_without_deep_recursion_to_the_same_values():
         assert_hash_of_fields(random_prop(rng, ["a", "b"], depth=4))
 
 
+def test_wide_prop_chains_evaluate_and_list_atoms_without_deep_recursion():
+    """A 3,000-term ``||`` (and ``&&``) chain nests 3,000 deep down its
+    grouping side; evaluating it and listing its atoms walk that side in
+    a loop."""
+    names = [f"p{i}" for i in range(3000)]
+    disjunction = functools.reduce(PropOr, map(Atom, names))
+    conjunction = functools.reduce(PropAnd, map(Atom, names))
+    assert prop_atoms(disjunction) == prop_atoms(conjunction) == frozenset(names)
+    assert eval_prop(disjunction, frozenset({"p0"}))
+    assert eval_prop(disjunction, frozenset({"p2999"}))
+    assert not eval_prop(disjunction, frozenset({"q"}))
+    assert eval_prop(conjunction, frozenset(names))
+    assert not eval_prop(conjunction, frozenset(names[1:]))
+    assert not eval_prop(conjunction, frozenset(names[:-1]))
+    # Chains of the other class as operands are walked the same way.
+    mixed = PropOr(PropNot(conjunction), PropAnd(disjunction, Atom("q")))
+    assert eval_prop(mixed, frozenset({"q", "p7"}))
+    assert not eval_prop(mixed, frozenset(names))
+    assert prop_atoms(mixed) == frozenset([*names, "q"])
+
+
 def test_nodes_are_immutable_and_take_exactly_their_fields():
     with pytest.raises(TypeError, match="Atom takes 1 fields, not 2"):
         Atom("a", "b")
