@@ -184,7 +184,10 @@ def walk_counts(automata, calls) -> dict:
 def table(dfa) -> tuple:
     """The DFA's table with its rows spread over every letter, so that one
     over its support compares with one over every prop."""
-    columns = dfa.columns().values() if hasattr(dfa, "columns") else range(len(dfa.transitions[0]))
+    if hasattr(dfa.alphabet, "columns_over"):
+        columns = dfa.alphabet.columns_over(dfa.support).values()
+    else:  # a package from before rows over the support
+        columns = range(len(dfa.transitions[0]))
     rows = tuple(tuple(map(row.__getitem__, columns)) for row in dfa.transitions)
     return dfa.n_states, dfa.initial, rows, dfa.finals
 

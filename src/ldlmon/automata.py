@@ -69,13 +69,13 @@ walk over the tuples of its operands' states for a whole chain) and
 ``_diamond_after`` run.
 
 No construction or printer lists the alphabet's letters: a printed
-guard reads a row over the support (``guards_by_target``).  Only the
-code that lists them reads a table through the projection,
-``_Automaton.columns()`` (every letter mapped to its column, one map per
-support, kept by the alphabet: ``Alphabet.columns_over``): ``edges`` and
-``triples``, ``aut_to_json``, the monitor's event map and forbidden
-table, and ``shared_columns``, which reads the tables of a lockstep of
-monitors over the union of their supports.
+guard reads a row over the support (``guards_by_target``).  An
+automaton is a record of tables; the one map from the letters to the
+columns of a support is the alphabet's, ``Alphabet.columns_over`` (one
+map per support, kept).  Its readers are the ones that list letters:
+``aut_to_json``, the monitor's event map and forbidden table, and the
+lockstep of ``declare``, which reads its monitors' tables over the
+union of their supports (``_lifted``).
 ``Alphabet.letters_over`` refuses more than ``MAX_PROPS`` props, so an
 alphabet too wide to list fails there, or where a support or a union of
 supports is that wide.
@@ -246,18 +246,6 @@ class _Automaton:
     def __eq__(self, other):
         return type(self) is type(other) and vars(self) == vars(other)
 
-    def columns(self) -> dict:
-        """Every letter of the alphabet, in ``alphabet.letters()`` order,
-        mapped to the column of the rows that reads it: the column of its
-        props in the support (``alphabet.columns_over``, one map per
-        support)."""
-        return self.alphabet.columns_over(self.support)
-
-    def triples(self):
-        for state in range(self.n_states):
-            for letter, target in self.edges(state):
-                yield state, letter, target
-
     def with_finals(self, finals):
         """The automaton with other finals and this one's table, not checked again."""
         copy = object.__new__(type(self))
@@ -269,14 +257,6 @@ class Nfa(_Automaton):
     """A nondeterministic finite automaton over an alphabet's letters:
     each cell of ``transitions`` is the frozenset of successors, empty
     when there is none."""
-
-    def edges(self, state: int):
-        """The (letter, target) pairs leaving a state, in letter order and
-        then target order."""
-        row = self.transitions[state]
-        for letter, column in self.columns().items():
-            for target in sorted(row[column]):
-                yield letter, target
 
     def targets(self, state: int) -> frozenset:
         """The distinct successors of a state under any letter."""
@@ -299,11 +279,6 @@ class Dfa(_Automaton):
                 letter = sorted(self.alphabet.letters_over(self.support)[row.index(None)])
                 msg = f"a DFA needs a target in every cell: state {state} has none under {letter}"
                 raise ValueError(msg)
-
-    def edges(self, state: int):
-        """The (letter, target) pairs leaving a state, in letter order."""
-        columns = self.columns()
-        return zip(columns, map(self.transitions[state].__getitem__, columns.values()))
 
     def targets(self, state: int) -> frozenset:
         """The distinct successors of a state under any letter."""
@@ -486,17 +461,6 @@ def _lifted(alphabet, tables, supports):
     return union, [table if support == union else
                    tuple(map(operator.itemgetter(*lift(support, union)), table))
                    for table, support in zip(tables, supports)]
-
-
-def shared_columns(alphabet: Alphabet, tables, supports) -> tuple:
-    """Tables over ``alphabet`` (rows over their ``supports``) read over
-    the union of their supports, and every letter's column there: one
-    column lookup per letter serves them all.  Tables over one support,
-    as every table over a task alphabet is, come back as they are.  The
-    map is the alphabet's for the union (``columns_over``), which a
-    product of the tables' automata reads too."""
-    union, tables = _lifted(alphabet, tables, supports)
-    return tables, alphabet.columns_over(union)
 
 
 def complement(dfa: Dfa) -> Dfa:
@@ -845,14 +809,17 @@ def aut_to_json(aut, colors=None) -> str:
     """Stable JSON rendering used for golden files and the CLI.  It is
     an export format: nothing in the package reads it back.  ``colors``,
     if given, holds one ``RVState`` per state, written by its value."""
+    columns, nfa = aut.alphabet.columns_over(aut.support), isinstance(aut, Nfa)
     payload = {
-        "kind": "dfa" if isinstance(aut, Dfa) else "nfa",
+        "kind": "nfa" if nfa else "dfa",
         "props": list(aut.alphabet.props),
         "singleton_letters": aut.alphabet.singleton_letters,
         "n_states": aut.n_states,
         "initial": aut.initial,
         "finals": sorted(aut.finals),
-        "transitions": [[s, sorted(letter), t] for s, letter, t in aut.triples()],
+        "transitions": [[s, sorted(letter), t] for s, row in enumerate(aut.transitions)
+                        for letter, column in columns.items()
+                        for t in (sorted(row[column]) if nfa else (row[column],))],
     }
     if colors is not None:
         payload["colors"] = [rv.value for rv in colors]

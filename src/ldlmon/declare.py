@@ -88,7 +88,7 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 from .automata import (
-    ColoredDfa, color_minimal, compile_dfa, product_fold, rename_columns, shared_columns)
+    ColoredDfa, _lifted, color_minimal, compile_dfa, product_fold, rename_columns)
 from .metaconstraints import (
     compensation, compensation_dfa, conflict, conflict_dfa, contextual_absence,
     contextual_absence_dfa, preference, preference_dfa, reactive_compensation)
@@ -541,15 +541,16 @@ class _Lockstep:
     ``_entries`` holds one ``(name, monitor, table, colors, permanent)``
     entry per monitor in output order, ``permanent[state]`` true where the
     state is PT or PF.  ``table`` is the monitor's own table, read over
-    the union of the monitors' supports (``automata.shared_columns``;
-    over a task alphabet every monitor's support is every task, so it is
-    the table itself).  An event costs one task -> column lookup, shared
-    by every monitor, and one table index per monitor in ``_live``, whose
-    new state is written back to it.  A monitor that reaches a permanent
-    state settles: it leaves ``_live`` until ``reset`` or ``timeline``,
-    as in a minimal DFA that state is an absorbing sink.  ``_states`` maps
-    every name, in output order, to its monitor's verdict; a step
-    overwrites the live monitors' entries in place.
+    the union of the monitors' supports (``automata._lifted``; over a
+    task alphabet every monitor's support is every task, so it is the
+    table itself).  An event costs one task -> column lookup over the
+    union (``Alphabet.columns_over``), shared by every monitor, and one
+    table index per monitor in ``_live``, whose new state is written
+    back to it.  A monitor that reaches a permanent state settles: it
+    leaves ``_live`` until ``reset`` or ``timeline``, as in a minimal DFA
+    that state is an absorbing sink.  ``_states`` maps every name, in
+    output order, to its monitor's verdict; a step overwrites the live
+    monitors' entries in place.
 
     ``extra_rows`` maps a monitor's name to the ``(label, cells)`` of the
     timeline row under its own (or to None): ``cells(monitor, paths)``
@@ -558,8 +559,9 @@ class _Lockstep:
     """
 
     def __init__(self, alphabet: Alphabet, monitors, extra_rows):
-        tables, columns = shared_columns(
+        union, tables = _lifted(
             alphabet, [m.table for _, m in monitors], [m.dfa.support for _, m in monitors])
+        columns = alphabet.columns_over(union)
         self._entries = tuple(
             (name, m, table, m.colors, tuple(rv.permanent for rv in m.colors))
             for (name, m), table in zip(monitors, tables)

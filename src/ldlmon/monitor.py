@@ -9,13 +9,12 @@ state, from the prefix languages read off the same colors, as regexes.
 
 A ``Monitor`` steps through its DFA's rows as they are, rows over the
 DFA's support (the props its formula reads; every task of a task
-alphabet).  Its event map, taken when the monitor is built, takes every
-letter of the alphabet to the column that reads it, so a step is one
-dict lookup and one tuple index.  The alphabet builds that map once per
-support (``Alphabet.columns_over``), so monitors over one support share
-it.  Over a prop alphabet the map lists all 2^n letters, and it is the
-one place a monitor does: an alphabet of more than ``MAX_PROPS`` props
-is refused there.
+alphabet).  Its event map, the alphabet's ``columns_over(support)``
+(built once per support, so monitors over one support share it), takes
+every letter to the column that reads it, so a step is one dict lookup
+and one tuple index.  Over a prop alphabet the map lists all 2^n
+letters, and it is the one place a monitor does: an alphabet of more
+than ``MAX_PROPS`` props is refused there.
 
 A ``Monitor`` also keeps one forbidden table for the reports that name
 what must not come next: per DFA state, the letters whose step leads to
@@ -47,7 +46,7 @@ from __future__ import annotations
 
 from itertools import compress
 
-from .automata import ColoredDfa, _lifted, color, color_minimal, compile_dfa
+from .automata import ColoredDfa, Nfa, _lifted, color, color_minimal, compile_dfa
 from .regexfold import automaton_to_regex
 from .rv import SATISFIABLE, VIOLABLE, RVState
 from .syntax import ldl
@@ -74,18 +73,22 @@ class Monitor:
     ``table`` is the DFA's own transition table, whose rows read the
     props of its support: ``table[state][column]`` is the successor of
     ``state`` under the letter in that column of
-    ``alphabet.letters_over(support)``.  The event map, the DFA's
-    ``columns()`` taken here, takes every letter of the alphabet to its
-    column, so a step is one dict lookup and one tuple index.  The
-    forbidden table (see the module docstring) is filled by
-    ``forbidden_at`` as reports read states.
+    ``alphabet.letters_over(support)``.  The event map,
+    ``alphabet.columns_over(support)`` taken here, takes every letter of
+    the alphabet to its column, so a step is one dict lookup and one
+    tuple index.  The forbidden table (see the module docstring) is
+    filled by ``forbidden_at`` as reports read states.  An ``Nfa`` is
+    refused with ``TypeError``: determinize it first.
     """
 
     def __init__(self, automaton):
+        if isinstance(automaton, Nfa):
+            msg = "a Monitor steps a DFA, not an NFA: pass determinize(nfa)"
+            raise TypeError(msg)
         colored = automaton if isinstance(automaton, ColoredDfa) else color(automaton)
         self.dfa, self.colors = colored
         self.table = self.dfa.transitions
-        self._columns = self.dfa.columns()
+        self._columns = self.dfa.alphabet.columns_over(self.dfa.support)
         self._forbidden: dict = {}
         self.current = self.dfa.initial
 

@@ -114,26 +114,19 @@ class Alphabet:
             letters += [letter | {p} for letter in letters]
         return tuple(letters)
 
-    def columns(self) -> dict[frozenset[str], int]:
-        """Letter -> its index in ``letters()``, which is its column in the
-        rows of an automaton over every prop."""
-        cached = getattr(self, "_columns", None)
-        if cached is None:
-            cached = self._columns = {letter: index for index, letter in enumerate(self.letters())}
-        return cached
-
     def columns_over(self, support) -> dict[frozenset[str], int]:
         """Letter -> its column in the rows of an automaton over
         ``support``: the index among ``letters_over(support)`` of its props
-        in the support.  Built once per support and kept, so every
-        automaton and monitor over one support shares one map; over every
-        prop it is ``columns()``."""
-        if support == self.props:
-            return self.columns()
+        in the support.  Over every prop, and so always over a task
+        alphabet, that is its index in ``letters()``.  Built once per
+        support and kept, so every automaton and monitor over one support
+        shares one map."""
         maps = self.__dict__.setdefault("_columns_over", {})
         cached = maps.get(support)
         if cached is None:
-            cached = maps[support] = dict(zip(self.letters(), lift(support, self.props)))
+            letters = self.letters()
+            columns = range(len(letters)) if support == self.props else lift(support, self.props)
+            cached = maps[support] = dict(zip(letters, columns))
         return cached
 
     def check_letter(self, interp: frozenset[str]):

@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from ldlmon.automata import Dfa
+from ldlmon.automata import Dfa, Nfa
 from ldlmon.syntax import Alphabet, ldl, ltl
 from ldlmon.syntax.props import Atom, FALSE, PropAnd, PropNot, PropOr, TRUE
 from ldlmon.syntax.transforms import ltlf_to_ldlf
@@ -192,10 +192,10 @@ def column_of(aut, letter) -> int:
     """The column of the automaton's rows that reads a letter, by its
     definition: bit j set for each prop ``support[j]`` in the letter, or
     the task's own column over a task alphabet.  The tests read rows
-    through this, not through the automaton's own ``columns()``."""
-    alphabet = aut.alphabet
-    if alphabet.singleton_letters:
-        return alphabet.columns()[letter]
+    through this, not through the alphabet's ``columns_over``."""
+    if aut.alphabet.singleton_letters:
+        (task,) = letter
+        return aut.alphabet.props.index(task)
     return sum(1 << j for j, p in enumerate(aut.support) if p in letter)
 
 
@@ -204,6 +204,25 @@ def letter_rows(aut) -> tuple:
     ``alphabet.letters()`` order: its table as one over every prop."""
     columns = [column_of(aut, letter) for letter in aut.alphabet.letters()]
     return tuple(tuple(row[c] for c in columns) for row in aut.transitions)
+
+
+def edges(aut, state):
+    """The (letter, target) pairs leaving a state, in ``alphabet.letters()``
+    order and then, in an NFA's cell, target order, read through
+    ``column_of``."""
+    row = aut.transitions[state]
+    for letter in aut.alphabet.letters():
+        cell = row[column_of(aut, letter)]
+        for target in sorted(cell) if isinstance(aut, Nfa) else (cell,):
+            yield letter, target
+
+
+def triples(aut):
+    """The (state, letter, target) edges of the automaton, state by state
+    in ``edges`` order."""
+    for state in range(aut.n_states):
+        for letter, target in edges(aut, state):
+            yield state, letter, target
 
 
 def replace(aut, **changes):

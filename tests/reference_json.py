@@ -9,7 +9,8 @@ def aut_from_json(text):
     """The automaton and the colors (``None`` if absent) of a payload."""
     p = json.loads(text)
     alphabet = Alphabet(tuple(p["props"]), singleton_letters=p["singleton_letters"])
-    dfa, columns = p["kind"] == "dfa", alphabet.columns()
+    dfa = p["kind"] == "dfa"
+    columns = {letter: column for column, letter in enumerate(alphabet.letters())}
     rows = [[None if dfa else frozenset() for _ in columns] for _ in range(p["n_states"])]
     for source, letter, target in p["transitions"]:
         cells, column = rows[source], columns[frozenset(letter)]

@@ -19,7 +19,7 @@ from ldlmon.syntax.transforms import to_nnf
 
 import reference_delta as ref
 from reference_product import reachable
-from genformulas import column_rows, letter_rows
+from genformulas import column_rows, letter_rows, triples
 
 TT_ = RVState.TEMP_TRUE
 TF_ = RVState.TEMP_FALSE
@@ -135,7 +135,7 @@ def reference_determinize(nfa):
 
 def reference_prefix_closure(aut):
     backward: dict = {}
-    for state, _, target in aut.triples():
+    for state, _, target in triples(aut):
         backward.setdefault(target, set()).add(state)
     closed = set(aut.finals)
     queue = deque(aut.finals)

@@ -31,14 +31,14 @@ from operator import getitem
 
 from ldlmon.automata import Dfa
 
-from genformulas import column_rows, letter_rows
+from genformulas import column_rows, edges, letter_rows
 
 
 def reachable(aut, state):
     seen = {state}
     queue = deque((state,))
     while queue:
-        for _, target in aut.edges(queue.popleft()):
+        for _, target in edges(aut, queue.popleft()):
             if target not in seen:
                 seen.add(target)
                 queue.append(target)
@@ -47,7 +47,7 @@ def reachable(aut, state):
 
 def minimize(dfa):
     letters = dfa.alphabet.letters()
-    columns = dfa.alphabet.columns()
+    columns = {letter: index for index, letter in enumerate(letters)}
     table = letter_rows(dfa)
     states = sorted(reachable(dfa, dfa.initial))
     block = {s: (1 if s in dfa.finals else 0) for s in states}

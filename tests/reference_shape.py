@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ldlmon.automata import Dfa
 
-from genformulas import letter_rows
+from genformulas import letter_rows, triples
 
 
 def shape_equivalent(a, b):
@@ -56,7 +56,7 @@ def shape_equivalent(a, b):
 def _edges_by_state(aut):
     out: dict = {}
     rev: dict = {}
-    for state, letter, target in aut.triples():
+    for state, letter, target in triples(aut):
         out.setdefault(state, {}).setdefault(letter, set()).add(target)
         rev.setdefault(target, {}).setdefault(letter, set()).add(state)
     return out, rev
@@ -121,6 +121,6 @@ def _check_shape(a, b, mapping) -> bool:
         return False
     if len(mapping) != a.n_states or len(set(mapping.values())) != b.n_states:
         return False
-    edges_a = {(mapping[s], letter, mapping[t]) for s, letter, t in a.triples()}
-    return edges_a == set(b.triples())
+    edges_a = {(mapping[s], letter, mapping[t]) for s, letter, t in triples(a)}
+    return edges_a == set(triples(b))
 

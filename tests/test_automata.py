@@ -49,7 +49,7 @@ from reference_json import aut_from_json
 from reference_product import reachable, tuple_product
 from oracles import accepts, is_empty, language_equal, monolithic_dfa, step
 from genformulas import (
-    all_traces, column_rows, letter_rows, random_dfa, random_ldlf, replace, seeded_cases)
+    all_traces, column_of, column_rows, letter_rows, random_dfa, random_ldlf, replace, seeded_cases)
 
 AB = Alphabet.of("a", "b")
 TASKS = Alphabet.tasks(["a", "b"])
@@ -402,7 +402,7 @@ def test_minimize_renumbers_breadth_first():
             nxt = []
             for state in frontier:
                 for letter in AB.letters():
-                    target = dfa.transitions[state][AB.columns()[letter]]
+                    target = dfa.transitions[state][column_of(dfa, letter)]
                     if target not in seen:
                         seen.add(target)
                         nxt.append(target)
@@ -437,7 +437,7 @@ def test_a_dfa_needs_a_target_in_every_cell():
         )
     dfa = compile_dfa(parse_ldlf("<a><b>tt", AB), AB)
     rows = [list(row) for row in dfa.transitions]
-    rows[1][AB.columns()[L_AB]] = None
+    rows[1][column_of(dfa, L_AB)] = None
     with pytest.raises(ValueError, match=r"state 1 has none under \['a', 'b'\]"):
         replace(dfa, transitions=tuple(map(tuple, rows)))
 
@@ -509,7 +509,7 @@ def test_product_accept_parameter_and_pair_table():
     # Each product state simulates its component pair, letter by letter.
     rows, left_rows, right_rows = letter_rows(union), letter_rows(left), letter_rows(right)
     for state, (sa, sb) in enumerate(pairs):
-        for column in AB.columns().values():
+        for column in range(len(AB.letters())):
             target = rows[state][column]
             assert pairs[target] == (left_rows[sa][column], right_rows[sb][column])
 

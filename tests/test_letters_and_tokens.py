@@ -6,6 +6,8 @@ for each set bit j, because every transition table's columns follow
 it.  The tokenizer's tokens keep the ``kind``, ``text`` and ``pos``
 that both parsers read, and syntax errors keep their offsets.
 """
+from itertools import compress, product
+
 import pytest
 
 import ldlmon.syntax.alphabet as alphabet_module
@@ -23,13 +25,37 @@ def test_prop_letters_follow_the_mask_definition(n):
     assert letters == tuple(
         frozenset(props[j] for j in range(n) if mask >> j & 1) for mask in range(1 << n)
     )
-    assert Alphabet(props).columns() == {letter: mask for mask, letter in enumerate(letters)}
 
 
 def test_task_letters_are_the_singletons_in_task_order():
     tasks = Alphabet.tasks(["pay", "acc", "get"])
     assert tasks.letters() == (frozenset({"pay"}), frozenset({"acc"}), frozenset({"get"}))
-    assert tasks.columns() == {frozenset({t}): i for i, t in enumerate(["pay", "acc", "get"])}
+
+
+def test_columns_over_maps_each_letter_to_its_column_over_the_support():
+    """Over a 4-prop alphabet and every support (each subset, in alphabet
+    order), each letter maps to the index in ``letters_over(support)`` of
+    its props in the support; over every prop, of 1 to 10, that is its
+    index in ``letters()``, and over a task alphabet each task maps to
+    its own index.  A second call returns the same dict."""
+    props = ("p", "q", "r", "s")
+    alphabet = Alphabet(props)
+    supports = [tuple(compress(props, bits)) for bits in product((0, 1), repeat=len(props))]
+    assert len(set(supports)) == 16
+    for support in supports:
+        over = alphabet.letters_over(support)
+        columns = alphabet.columns_over(support)
+        assert list(columns) == list(alphabet.letters())
+        assert columns == {letter: over.index(letter & set(support)) for letter in columns}
+        assert alphabet.columns_over(support) is columns
+    for n in range(1, 11):
+        wide = Alphabet(tuple(f"p{j}" for j in range(n)))
+        assert wide.columns_over(wide.props) == {
+            letter: mask for mask, letter in enumerate(wide.letters())}
+    tasks = Alphabet.tasks(["pay", "acc", "get"])
+    columns = tasks.columns_over(tasks.props)
+    assert columns == {frozenset({t}): i for i, t in enumerate(["pay", "acc", "get"])}
+    assert tasks.columns_over(tasks.props) is columns
 
 
 def test_too_many_props_raise_before_any_letter_is_built(monkeypatch):

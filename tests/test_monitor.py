@@ -38,7 +38,8 @@ import reference_shape
 from reference_json import aut_from_json
 from reference_pipeline import reference_colors
 from reference_product import reachable
-from genformulas import all_traces, column_rows, random_dfa, random_ldlf, replace, seeded_cases
+from genformulas import (
+    all_traces, column_rows, edges, random_dfa, random_ldlf, replace, seeded_cases, triples)
 from table_digests import CORPORA, DIGESTS
 from test_shared_walk import genformula_cases
 
@@ -144,7 +145,7 @@ def with_unreachable_states(rng, dfa: Dfa) -> Dfa:
     may lead anywhere, reachable states included."""
     extra = rng.randint(0, 3)
     n = dfa.n_states + extra
-    transitions = {s: dict(dfa.edges(s)) for s in range(dfa.n_states)}
+    transitions = {s: dict(edges(dfa, s)) for s in range(dfa.n_states)}
     for state in range(dfa.n_states, n):
         transitions[state] = {l: rng.randrange(n) for l in dfa.alphabet.letters()}
     added = {s for s in range(dfa.n_states, n) if rng.random() < 0.5}
@@ -247,7 +248,7 @@ def test_forbidden_symbols_match_the_edge_definition(alphabet):
             monitor.current = state
             want = [
                 letter
-                for letter, target in dfa.edges(state)
+                for letter, target in edges(dfa, state)
                 if monitor.colors[target] is PF_
             ]
             assert monitor.forbidden_symbols() == want
@@ -363,6 +364,23 @@ def test_monitor_refuses_text_events(alphabet, first, events):
     for event in events:
         monitor.reset()
         assert monitor.step(event) is PT_
+
+
+@pytest.mark.parametrize("alphabet", [AB, TASKS], ids=["props", "tasks"])
+@pytest.mark.parametrize("text", ["<a>tt", "<true*; a; b>end", "[true*](<b>tt || end)"])
+def test_monitor_refuses_an_nfa(alphabet, text):
+    """An NFA's cells are sets of targets, so ``Monitor`` refuses one when
+    it is built and names ``determinize``; the monitor of the
+    determinized NFA gives ``Monitor.for_formula``'s verdicts on every
+    trace up to length 3."""
+    formula = parse_ldlf(text, alphabet)
+    nfa = ldlf_to_nfa(formula, alphabet)
+    with pytest.raises(TypeError, match="determinize"):
+        Monitor(nfa)
+    for trace in all_traces(alphabet, 3):
+        got, want = Monitor(determinize(nfa)), Monitor.for_formula(formula, alphabet)
+        assert [got.step(e) for e in trace] == [want.step(e) for e in trace]
+        assert got.current_rv() is want.current_rv()
 
 
 def test_monitor_handles_multi_proposition_events():
@@ -639,7 +657,7 @@ def brute_colored_isomorphic(a: ColoredDfa, b: ColoredDfa) -> bool:
     n = a.dfa.n_states
     if a.dfa.alphabet != b.dfa.alphabet or n != b.dfa.n_states:
         return False
-    edges_b = set(b.dfa.triples())
+    edges_b = set(triples(b.dfa))
     for images in itertools.permutations(range(n)):
         if images[a.dfa.initial] != b.dfa.initial:
             continue
@@ -649,7 +667,7 @@ def brute_colored_isomorphic(a: ColoredDfa, b: ColoredDfa) -> bool:
             for s in range(n)
         ):
             continue
-        if {(images[s], l, images[t]) for s, l, t in a.dfa.triples()} == edges_b:
+        if {(images[s], l, images[t]) for s, l, t in triples(a.dfa)} == edges_b:
             return True
     return False
 

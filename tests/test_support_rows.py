@@ -27,11 +27,14 @@ from ldlmon.automata import (
     determinize,
     guards_by_target,
     ldlf_to_nfa,
+    to_dot,
 )
-from ldlmon.cli import main
+from ldlmon.cli import _aut_to_text, main
 from ldlmon.declare import Constraint, DeclareModel, ModelMonitor
 from ldlmon.monitor import Monitor
+from ldlmon.regexfold import automaton_to_regex
 from ldlmon.syntax import Alphabet, ldl, parse_ldlf, parse_ltlf
+from ldlmon.syntax.ldl import print_ldlf
 from ldlmon.syntax.alphabet import MAX_PROPS
 from ldlmon.syntax.props import eval_prop
 from ldlmon.syntax.transforms import ltlf_to_ldlf, to_nnf
@@ -161,18 +164,30 @@ def test_a_model_over_props_shares_one_column_lookup():
 
 
 def test_compiling_lists_no_letter(monkeypatch):
-    """With ``letters`` and ``columns`` refusing, a 20-prop compile of a
-    formula over three of them still builds its 4-state minimal DFA."""
-    def refuse(self):
-        raise AssertionError("a compile listed the alphabet's letters")
+    """With ``letters`` and ``columns_over`` refusing, a 20-prop compile of
+    a formula over three of them still builds its 4-state minimal DFA.
+    That DFA prints through ``to_dot`` with colors, the ascii listing and
+    ``automaton_to_regex``, and its NFA through ``to_dot``, naming only
+    p0-p2.  The two readers of letters, ``aut_to_json`` and ``Monitor``,
+    hit the refusal."""
+    def refuse(self, *args):
+        raise AssertionError("the alphabet's letters were listed")
 
     monkeypatch.setattr(Alphabet, "letters", refuse)
-    monkeypatch.setattr(Alphabet, "columns", refuse)
+    monkeypatch.setattr(Alphabet, "columns_over", refuse)
     alphabet = Alphabet(tuple(f"p{j}" for j in range(MAX_PROPS)))
-    colored = color_minimal(compile_dfa(ltlf_to_ldlf(parse_ltlf(EVERY_PROP, alphabet)), alphabet))
+    formula = ltlf_to_ldlf(parse_ltlf(EVERY_PROP, alphabet))
+    colored = color_minimal(compile_dfa(formula, alphabet))
     assert colored.dfa.n_states == 4
     assert colored.dfa.support == ("p0", "p1", "p2")
     assert len(colored.dfa.transitions[0]) == 8
+    regex = ldl.Diamond(automaton_to_regex(colored.dfa), ldl.END)
+    for text in (to_dot(*colored), _aut_to_text(*colored), print_ldlf(regex),
+                 to_dot(ldlf_to_nfa(formula, alphabet))):
+        assert set(re.findall(r"p[0-9]+", text)) == {"p0", "p1", "p2"}
+    for read in (lambda: aut_to_json(*colored), lambda: Monitor(colored)):
+        with pytest.raises(AssertionError, match="letters were listed"):
+            read()
 
 
 @pytest.mark.parametrize("text", [EVERY_PROP, " && ".join(f"F p{j}" for j in range(MAX_PROPS + 1))])

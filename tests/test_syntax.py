@@ -79,7 +79,7 @@ def test_alphabet_letters_general_and_tasks():
         tasks.check_letter(frozenset({"nope"}))
     # Filled caches change neither equality nor hashing.
     fresh = Alphabet.tasks(("pay", "acc"))
-    assert tasks.columns() and tasks == fresh and hash(tasks) == hash(fresh)
+    assert tasks.columns_over(tasks.props) and tasks == fresh and hash(tasks) == hash(fresh)
     assert tasks != Alphabet.of("pay", "acc")
     # A list of props is stored as a tuple, so it keys the compile memo.
     listed = Alphabet(["a", "b"])
